@@ -1,10 +1,11 @@
-// Dense vs matrix-free measurement-operator sweep through cs::Decoder, plus
-// a per-apply transform microbenchmark.
+// Dense vs matrix-free measurement-operator sweep, plus a per-apply
+// transform microbenchmark.
 //
 // Decode sweep: both arms decode the same thermal frame from the same
 // sampling pattern with the same FISTA configuration; the only difference is
-// the operator representation — dense A = Φ_M·Ψ (N x N Ψ materialised,
-// M x N selection cached) versus the implicit SubsampledTransformOperator
+// the operator representation — dense A = Φ_M·Ψ (N x N Ψ materialised and
+// row-selected by the golden helper in tests/golden.hpp, solved through
+// FistaSolver::solve(Matrix)) versus cs::Decoder's SubsampledTransformOperator
 // (FFT-based 1-D DCT plans / in-place Haar lifting, gather/scatter per
 // apply).
 //
@@ -105,6 +106,7 @@
 #include "data/thermal.hpp"
 #include "dsp/dct.hpp"
 #include "dsp/fft.hpp"
+#include "golden.hpp"
 #include "la/matrix.hpp"
 #include "solvers/fista.hpp"
 
@@ -181,34 +183,44 @@ OperatorCell run_cell(const SweepConfig& cfg, std::size_t dim, bool implicit) {
   fopts.max_iterations = cfg.fista_iterations;
   fopts.tol = cfg.fista_tol;
 
+  const auto fista = std::make_shared<solvers::FistaSolver>(fopts);
   cs::DecoderOptions dopts;
-  dopts.implicit_psi = implicit;
   // Plain decode only: no debias re-fit, no clamp, so the recorded RMSE is
   // the solver's own solution quality and the two arms compare exactly.
   dopts.debias = false;
   dopts.clamp01 = false;
 
-  // Build phase: decoder construction (dense mode pays the N x N Ψ here),
-  // operator cache fill, and the spectral-norm warm-up that decode reuses
-  // as the Lipschitz hint. Once-per-geometry cost, separated from decode.
+  // Build phase: the dense arm pays the N x N Ψ and its row selection, the
+  // implicit arm the decoder's operator cache fill; both then run the
+  // spectral-norm warm-up that decode reuses as the Lipschitz hint.
+  // Once-per-geometry cost, separated from decode.
   const auto b0 = std::chrono::steady_clock::now();
-  const cs::Decoder decoder(dim, dim, dopts,
-                            std::make_shared<solvers::FistaSolver>(fopts));
-  decoder.operator_norm(p);
+  const cs::Decoder decoder(dim, dim, dopts, fista);
+  la::Matrix dense_a;
+  if (implicit) {
+    decoder.operator_norm(p);  // cached per pattern; decode reuses it
+  } else {
+    dense_a = golden::measurement_matrix(dopts.basis, p);
+    dopts.solve.operator_norm_hint = la::spectral_norm(dense_a);
+  }
   const auto b1 = std::chrono::steady_clock::now();
   cell.build_seconds = std::chrono::duration<double>(b1 - b0).count();
 
   // Implicit cells report the operator's measured cached state (DCT plan
   // tables); dense cells their analytic footprint.
-  cell.operator_bytes = implicit
-                            ? decoder.implicit_operator(p)->cached_state_bytes()
-                            : dense_operator_bytes(cell.n, cell.m);
+  cell.operator_bytes =
+      implicit ? decoder.measurement_operator(p)->cached_state_bytes()
+               : dense_operator_bytes(cell.n, cell.m);
   cell.mem_ratio_vs_dense =
       static_cast<double>(dense_operator_bytes(cell.n, cell.m)) /
       static_cast<double>(std::max<std::size_t>(1, cell.operator_bytes));
 
+  // The dense arm is the decoder's solve + synthesis through the explicit
+  // matrix (FistaSolver::solve(Matrix, ...)).
   const auto t0 = std::chrono::steady_clock::now();
-  const cs::DecodeResult res = decoder.decode(p, y);
+  const cs::DecodeResult res =
+      implicit ? decoder.decode(p, y)
+               : golden::decode(dense_a, p, y, *fista, dopts);
   const auto t1 = std::chrono::steady_clock::now();
   cell.decode_seconds = std::chrono::duration<double>(t1 - t0).count();
   cell.iterations = res.solver_iterations;

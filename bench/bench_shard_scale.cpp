@@ -5,14 +5,19 @@
 // and the identical scatter/gather code path — the speedup measured here is
 // the algorithmic tiling gain, not a code-path artefact.
 //
-// Why tiling wins on a single core: every solver iteration over the full
-// frame costs O(M·N); splitting into T tiles divides both M and N by T, so
-// the per-iteration cost drops ~T^2 while the tile count multiplies it back
-// by only T. Batch depth > 1 stacks a second saving on top: same-position
-// tiles of consecutive frames share one sampling pattern, so the measurement
-// operator and its Lipschitz estimate are priced once per batch.
+// Why tiling used to win on a single core: with a dense measurement matrix
+// every solver iteration over the full frame cost O(M·N); splitting into T
+// tiles divided both M and N by T, so the per-iteration cost dropped ~T^2
+// while the tile count multiplied it back by only T. The decoder now applies
+// A through O(N log N) transforms, which removes that gain: on this sweep
+// the monolithic decode is faster, and tiling buys a lower stitched RMSE
+// and a bounded per-tile solve instead (EXPERIMENTS.md E17). Batch depth > 1
+// stacks a second saving on top: same-position tiles of consecutive frames
+// share one sampling pattern, so the measurement operator and its Lipschitz
+// estimate are priced once per batch.
 //
-// The acceptance shape this bench exists to demonstrate: on a 128 x 128
+// The acceptance shape this bench was built to demonstrate (met with the
+// dense decoder, no longer met with the matrix-free one): on a 128 x 128
 // array at 4+ shards, frames/sec is >= 2.5x the monolithic baseline while
 // the stitched RMSE stays in the monolithic quality regime (tiled decodes of
 // smooth thermal fields land at-or-below the monolithic RMSE — the speedup

@@ -20,29 +20,17 @@ constexpr std::size_t kOperatorCacheCapacity = 4;
 
 Decoder::Decoder(std::size_t rows, std::size_t cols, DecoderOptions opts,
                  std::shared_ptr<const solvers::SparseSolver> solver)
-    : rows_(rows),
-      cols_(cols),
-      opts_(opts),
-      solver_(std::move(solver)),
-      psi_(opts.implicit_psi
-               ? la::Matrix()
-               : dsp::synthesis_matrix(opts.basis, rows, cols)) {
+    : rows_(rows), cols_(cols), opts_(opts), solver_(std::move(solver)) {
   FLEXCS_CHECK(rows_ > 0 && cols_ > 0, "decoder over empty array");
-  // Implicit mode skips the Ψ build, so surface geometry constraints (Haar
-  // needs even dims) at construction, exactly where the dense build would
-  // have thrown — checked structurally, no probe transform or scratch grid.
-  if (opts_.implicit_psi && opts_.basis == dsp::BasisKind::kHaar2D) {
+  // Operators are built lazily per pattern, so surface geometry constraints
+  // (Haar needs even dims) at construction — checked structurally, no probe
+  // transform or scratch grid.
+  if (opts_.basis == dsp::BasisKind::kHaar2D) {
     FLEXCS_CHECK(dsp::max_haar_levels(rows_) >= 1 &&
                      dsp::max_haar_levels(cols_) >= 1,
                  "decoder: Haar basis requires even dimensions");
   }
   if (!solver_) solver_ = std::make_shared<solvers::AdmmLassoSolver>();
-}
-
-const la::Matrix& Decoder::psi() const {
-  FLEXCS_CHECK(!opts_.implicit_psi,
-               "decoder: psi() unavailable in implicit_psi mode");
-  return psi_;
 }
 
 Decoder::CachedOperator Decoder::entry_for(
@@ -60,18 +48,13 @@ Decoder::CachedOperator Decoder::entry_for(
     ++cache_stats_.misses;
   }
 
-  // Build outside the lock: psi_ is immutable after construction, so a
-  // concurrent duplicate build is wasted work, never a race.
+  // Build outside the lock: the operator depends only on the immutable
+  // basis and the pattern, so a concurrent duplicate build is wasted work,
+  // never a race.
   CachedOperator entry;
   entry.indices = pattern.indices;
-  if (opts_.implicit_psi) {
-    entry.op = std::make_shared<const SubsampledTransformOperator>(opts_.basis,
-                                                                   pattern);
-  } else {
-    entry.a =
-        std::make_shared<const la::Matrix>(psi_.select_rows(pattern.indices));
-    entry.dense_view = std::make_shared<const la::DenseOperator>(entry.a);
-  }
+  entry.op =
+      std::make_shared<const SubsampledTransformOperator>(opts_.basis, pattern);
 
   common::MutexLock lock(cache_mu_);
   for (std::size_t i = 0; i < operator_cache_.size(); ++i) {
@@ -93,27 +76,11 @@ Decoder::OperatorCacheStats Decoder::cache_stats() const {
   return cache_stats_;
 }
 
-std::shared_ptr<const la::Matrix> Decoder::measurement_operator(
-    const SamplingPattern& pattern) const {
+std::shared_ptr<const SubsampledTransformOperator>
+Decoder::measurement_operator(const SamplingPattern& pattern) const {
   FLEXCS_CHECK(pattern.rows == rows_ && pattern.cols == cols_,
                "decoder: pattern shape mismatch");
-  FLEXCS_CHECK(!opts_.implicit_psi,
-               "decoder: measurement_operator unavailable in implicit_psi "
-               "mode (use implicit_operator)");
-  return entry_for(pattern).a;
-}
-
-std::shared_ptr<const SubsampledTransformOperator> Decoder::implicit_operator(
-    const SamplingPattern& pattern) const {
-  FLEXCS_CHECK(pattern.rows == rows_ && pattern.cols == cols_,
-               "decoder: pattern shape mismatch");
-  FLEXCS_CHECK(opts_.implicit_psi,
-               "decoder: implicit_operator requires implicit_psi mode");
   return entry_for(pattern).op;
-}
-
-la::Matrix Decoder::measurement_matrix(const SamplingPattern& pattern) const {
-  return *measurement_operator(pattern);
 }
 
 double Decoder::operator_norm(const SamplingPattern& pattern) const {
@@ -122,12 +89,8 @@ double Decoder::operator_norm(const SamplingPattern& pattern) const {
   const CachedOperator entry = entry_for(pattern);
   if (entry.sigma >= 0.0) return entry.sigma;
   // Computed without the lock (the power iteration is the expensive part); a
-  // concurrent duplicate lands on the identical deterministic value. Dense
-  // mode keeps la::spectral_norm bit-for-bit; implicit mode runs the same
-  // iteration through the fast transform.
-  const double sigma = entry.op != nullptr
-                           ? la::operator_norm_estimate(*entry.op)
-                           : la::spectral_norm(*entry.a);
+  // concurrent duplicate lands on the identical deterministic value.
+  const double sigma = la::operator_norm_estimate(*entry.op);
   common::MutexLock lock(cache_mu_);
   for (CachedOperator& cached : operator_cache_) {
     if (cached.indices == pattern.indices) {
@@ -153,7 +116,7 @@ void Decoder::check_decode_args(const SamplingPattern& pattern,
                "decoder: non-finite measurement (reject defective reads "
                "before decoding)");
   FLEXCS_CHECK(opts.basis == opts_.basis,
-               "decode_with cannot change the basis (Ψ is cached)");
+               "decode_with cannot change the basis (operators are cached)");
   FLEXCS_CHECK(pattern.rows == rows_ && pattern.cols == cols_,
                "decoder: pattern shape mismatch");
 }
@@ -164,8 +127,6 @@ DecodeResult Decoder::finish_decode(const la::LinearOperator& a,
                                     const DecoderOptions& opts) const {
   // Skip de-biasing on an interrupted solve: the caller's budget is spent,
   // and a least-squares re-fit of a partial support isn't worth paying for.
-  // The operator overload refits matrix-free in implicit mode (no dense A
-  // exists) and delegates to the matrix version otherwise.
   if (opts.debias && !sr.deadline_expired) {
     sr.x = solvers::debias_on_support(a, measurements, sr.x,
                                       opts.support_threshold);
@@ -178,8 +139,8 @@ DecodeResult Decoder::finish_decode(const la::LinearOperator& a,
   out.residual_norm = sr.residual_norm;
   out.solve_seconds = sr.solve_seconds;
 
-  // Synthesise the frame from the recovered coefficients (y = Ψ x, done via
-  // the fast transform rather than the dense matrix).
+  // Synthesise the frame from the recovered coefficients (y = Ψ x, via the
+  // fast transform).
   const la::Matrix coeff_grid = la::Matrix::from_flat(sr.x, rows_, cols_);
   out.coefficients = std::move(sr.x);
   out.frame = dsp::synthesize(opts.basis, coeff_grid);
@@ -196,7 +157,7 @@ DecodeResult Decoder::decode_with(const SamplingPattern& pattern,
                                   const DecoderOptions& opts) const {
   check_decode_args(pattern, measurements, opts);
   const CachedOperator entry = entry_for(pattern);
-  const la::LinearOperator& a = entry.linop();
+  const la::LinearOperator& a = *entry.op;
 
   DecoderOptions effective = opts;
   // Reuse a previously computed spectral norm of this exact operator: the
@@ -230,7 +191,7 @@ std::vector<DecodeResult> Decoder::decode_batch_with(
     batch_opts.solve.operator_norm_hint = sigma;
 
   const CachedOperator entry = entry_for(pattern);
-  const la::LinearOperator& a = entry.linop();
+  const la::LinearOperator& a = *entry.op;
 
   // One batch-major solve for the window. Solvers with a lockstep main loop
   // (FISTA/ISTA) amortise workspace and setup across frames; the rest fall

@@ -20,20 +20,8 @@ struct DecoderOptions {
   bool debias = true;        // least-squares re-fit on the recovered support
   bool clamp01 = true;       // clamp the reconstruction into [0, 1]
   // Strictly |coef| > support_threshold counts as support for the debias
-  // re-fit. Honoured identically in dense and implicit_psi modes: the
-  // operator overload of debias_on_support selects the same support and
-  // re-fits matrix-free (CG on the masked normal equations) when no dense A
-  // exists, delegating to the dense least-squares path when it does.
+  // re-fit (matrix-free: CG on the masked normal equations).
   double support_threshold = 1e-6;
-  // Matrix-free mode: never build the dense N x N Ψ (nor the M x N
-  // measurement matrix) — decode through cs::SubsampledTransformOperator and
-  // the operator overloads of the gradient-based solvers. Lifts the dense
-  // basis memory ceiling (a 256×256 frame needs a ~34 GB Ψ dense; ~520 KB of
-  // cached 1-D DCT matrices implicit), at the cost of restricting the solver
-  // choice to FISTA/ISTA, ADMM, IRLS and CoSaMP (OMP and BP-LP need matrix
-  // entries and throw). Structural: fixed at Decoder construction; the flag
-  // on options passed to decode_with is ignored in favour of the decoder's.
-  bool implicit_psi = false;
   // Per-decode cooperative control (deadline / cancellation), forwarded to
   // the sparse solver. Streaming callers thread a per-frame deadline here
   // via decode_with; the default is inert. When the solve is interrupted,
@@ -55,9 +43,10 @@ struct DecodeResult {
   double solve_seconds = 0.0;  // wall time inside the sparse solver
 };
 
-/// Decoder for a fixed array geometry. Builds Ψ once (N x N) and derives the
-/// per-pattern measurement matrix A = Φ_M·Ψ by row selection, then runs the
-/// configured sparse solver.
+/// Decoder for a fixed array geometry. Decodes matrix-free: the measurement
+/// operator A = Φ_M·Ψ of each pattern is a SubsampledTransformOperator (fast
+/// 2-D transform plus row gather), so neither the N x N Ψ nor the M x N A is
+/// ever built; the configured sparse solver runs on that operator.
 class Decoder {
  public:
   /// `solver` may be null, which selects the library default (ADMM-BPDN).
@@ -66,9 +55,6 @@ class Decoder {
 
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
-  /// Dense Ψ; unavailable (throws CheckError) when implicit_psi is set —
-  /// the whole point of that mode is that Ψ is never materialised.
-  const la::Matrix& psi() const;
   const DecoderOptions& options() const { return opts_; }
   const solvers::SparseSolver& solver() const { return *solver_; }
 
@@ -77,8 +63,8 @@ class Decoder {
                       const la::Vector& measurements) const;
 
   /// Same decode, but with an explicit solver and options (reusing the
-  /// cached Ψ). Used by robust pipelines that need a screening pass with
-  /// different shrinkage than the production decode.
+  /// cached operator). Used by robust pipelines that need a screening pass
+  /// with different shrinkage than the production decode.
   DecodeResult decode_with(const SamplingPattern& pattern,
                            const la::Vector& measurements,
                            const solvers::SparseSolver& solver,
@@ -102,27 +88,15 @@ class Decoder {
       const std::vector<la::Vector>& measurements,
       const solvers::SparseSolver& solver, const DecoderOptions& opts) const;
 
-  /// The measurement matrix A = Φ_M·Ψ for a pattern (exposed for tests and
-  /// for solver benchmarking). Returns a copy; decode paths use the shared
-  /// cached operator below. Unavailable (throws) when implicit_psi is set.
-  la::Matrix measurement_matrix(const SamplingPattern& pattern) const;
-
-  /// Cached row-selection operator for a pattern, keyed on the pattern's
-  /// index vector (small MRU cache). Repeated decodes with the same pattern
-  /// — a trimmed decode's screen + final pass, or a batched window of frames
-  /// — skip the dense rebuild entirely. Unavailable (throws) when
-  /// implicit_psi is set; use implicit_operator instead.
-  std::shared_ptr<const la::Matrix> measurement_operator(
-      const SamplingPattern& pattern) const;
-
-  /// Matrix-free counterpart of measurement_operator: the cached
-  /// SubsampledTransformOperator for a pattern (same MRU cache policy).
-  /// Only available when implicit_psi is set.
-  std::shared_ptr<const SubsampledTransformOperator> implicit_operator(
+  /// Cached measurement operator for a pattern, keyed on the pattern's index
+  /// vector (small MRU cache). Repeated decodes with the same pattern — a
+  /// trimmed decode's screen + final pass, or a batched window of frames —
+  /// reuse the operator and its DCT plans.
+  std::shared_ptr<const SubsampledTransformOperator> measurement_operator(
       const SamplingPattern& pattern) const;
 
   /// sigma_max of the pattern's measurement operator, computed once per
-  /// cached pattern (power iteration, identical in both modes) and reused
+  /// cached pattern (power iteration through the fast transform) and reused
   /// as the solvers' Lipschitz/step-size bound.
   double operator_norm(const SamplingPattern& pattern) const;
 
@@ -141,20 +115,12 @@ class Decoder {
  private:
   struct CachedOperator {
     std::vector<std::size_t> indices;  // cache key (pattern row selection)
-    std::shared_ptr<const la::Matrix> a;  // dense mode
-    std::shared_ptr<const SubsampledTransformOperator> op;  // implicit mode
+    std::shared_ptr<const SubsampledTransformOperator> op;
     double sigma = -1.0;  // sigma_max(A); < 0 until first requested
-
-    const la::LinearOperator& linop() const {
-      return op ? static_cast<const la::LinearOperator&>(*op)
-                : static_cast<const la::LinearOperator&>(*dense_view);
-    }
-    // dense mode: a DenseOperator view over `a`, built once per cache entry
-    std::shared_ptr<const la::DenseOperator> dense_view;
   };
 
-  /// Cache lookup/build for either mode; returns the entry by value (shared
-  /// pointers, cheap) so callers never hold references into the MRU vector.
+  /// Cache lookup/build; returns the entry by value (shared pointer, cheap)
+  /// so callers never hold references into the MRU vector.
   CachedOperator entry_for(const SamplingPattern& pattern) const
       FLEXCS_EXCLUDES(cache_mu_);
 
@@ -174,7 +140,6 @@ class Decoder {
   std::size_t cols_;
   DecoderOptions opts_;
   std::shared_ptr<const solvers::SparseSolver> solver_;
-  la::Matrix psi_;  // N x N synthesis matrix (empty when implicit_psi)
   // cache_mu_ guards the MRU operator cache: decode paths are const and a
   // Decoder may be shared across worker threads, so the cache must tolerate
   // concurrent use (contract checked by Clang TSA under `analyze`).

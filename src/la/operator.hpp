@@ -1,16 +1,15 @@
 // Matrix-free linear operators: the abstract LinearOperator interface
 // (apply / apply_adjoint / shape), a DenseOperator adapter over la::Matrix,
-// deterministic operator-norm power iteration, a dense materialiser for
-// tests, and a conjugate-gradient solver for SPD systems given only a
-// matvec callback.
+// deterministic operator-norm power iteration, a dense materialiser, and a
+// conjugate-gradient solver for SPD systems given only a matvec callback.
 //
 // The sparse solvers only ever need y = A·x and x = Aᵀ·y — never the matrix
 // entries — so an implicit operator (e.g. the decoder's Φ_M·Ψ computed via
 // the fast 2-D DCT) can replace the dense M x N matrix wholesale. Operators
 // that *are* dense expose their matrix through dense(), which lets solvers
-// keep their specialised dense kernels (Woodbury/Cholesky paths) bit-for-bit
-// and lets entry-hungry solvers (OMP, BP-LP) reject implicit operators
-// explicitly instead of silently materialising an N x N basis.
+// keep their specialised dense kernels (Woodbury/Cholesky paths) bit-for-bit;
+// entry-hungry solvers (OMP, BP-LP) materialise an implicit operator once as
+// its M x N matrix via to_dense, never the N x N basis.
 #pragma once
 
 #include <functional>
@@ -51,7 +50,7 @@ class LinearOperator {
 
   /// Non-null when the operator is (or caches) an explicit dense matrix.
   /// Solvers use it to keep their specialised dense kernels; entry-hungry
-  /// solvers (OMP, BP-LP) require it and reject implicit operators.
+  /// solvers (OMP, BP-LP) materialise the matrix via to_dense when null.
   virtual const Matrix* dense() const { return nullptr; }
 
   /// A cheap, always-valid upper bound on sigma_max(A); 0 means unknown.
@@ -98,8 +97,8 @@ class DenseOperator final : public LinearOperator {
 double operator_norm_estimate(const LinearOperator& a, int iters = 60);
 
 /// Materialises the operator as a dense matrix, one apply per column
-/// (O(cols) applies — test/debug use only, this is exactly the cost the
-/// implicit operators exist to avoid).
+/// (O(cols) applies — the cost the implicit operators exist to avoid; paid
+/// only by entry-hungry solvers and golden-reference tests).
 Matrix to_dense(const LinearOperator& a);
 
 /// Conjugate gradient for S x = b where S is symmetric positive definite and

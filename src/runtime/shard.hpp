@@ -1,16 +1,9 @@
 // Sharded decode of large arrays: partitions an R x C frame into a grid of
 // fixed-size tiles, runs one Decoder + RobustPipeline per tile (each worker
 // of an internal StreamServer owns a pipeline over the tile geometry), and
-// gathers the tile reconstructions back into the full frame. Two things make
-// this worthwhile on large panels:
-//
-//   cost    every solver iteration over the full frame costs O(M·N) with
-//           M ≈ f·R·C measurements and N = R·C unknowns; splitting into T
-//           tiles divides both M and N by T, so the per-iteration cost drops
-//           by ~T² while the tile count only multiplies it back by T — a
-//           ~T-fold algorithmic saving before any thread-level concurrency;
-//   memory  the dense Ψ (N x N) of a 128 x 128 frame is 2 GB; a 32 x 32
-//           tile's is 8 MB.
+// gathers the tile reconstructions back into the full frame. Tile solves are
+// independent, so they spread across the worker pool, and each one's
+// per-iteration transform cost scales with the tile rather than the frame.
 //
 // Tiles are statistically independent solves, so block-DCT seams can appear
 // at tile borders. An optional halo pads every tile with replicated border
@@ -55,10 +48,6 @@ struct ShardOptions {
   // Worker pool + per-tile pipeline configuration. The server is created
   // over the PADDED tile geometry. policy must not be kDropOldest (a
   // dropped tile would leave a hole in the gather and hang it).
-  // stream.pipeline.decoder.implicit_psi applies per tile: tiling already
-  // bounds the dense basis to the tile size, but implicit mode drops even
-  // that (and is what makes an untiled large-frame decode possible when the
-  // stitching artefacts of sharding are unacceptable).
   StreamOptions stream;
   // Event-driven readout: when gate.enabled, a per-tile change detector
   // decides which tiles are decoded each frame; the rest are served from the

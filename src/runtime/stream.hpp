@@ -86,10 +86,6 @@ struct StreamOptions {
   bool strict_batching = false;
   // Per-worker recovery pipeline configuration (shared by all workers).
   // Each worker owns a RobustPipeline (and hence a Decoder) built from this.
-  // Setting pipeline.decoder.implicit_psi routes every worker through the
-  // matrix-free operator path: no per-worker N x N Ψ build, so worker count
-  // stops multiplying the basis memory — the knob that lets a server host
-  // large-array workers at all.
   RobustPipelineOptions pipeline;
   // Sparse solver shared by all workers (solvers are immutable once built,
   // so concurrent solve() calls are safe). Null selects the library default.

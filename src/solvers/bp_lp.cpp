@@ -1,6 +1,5 @@
 #include "solvers/bp_lp.hpp"
 
-#include "common/check.hpp"
 #include "lp/simplex.hpp"
 
 namespace flexcs::solvers {
@@ -9,13 +8,7 @@ SolveResult BpLpSolver::solve_impl(const la::LinearOperator& aop,
                                    const la::Vector& b,
                                    const SolveOptions& ctrl) const {
   validate_solve_inputs(aop, b, "BP-LP");
-  // The LP reformulation tabulates A's entries into the simplex constraint
-  // matrix, so it cannot run matrix-free; route implicit operators to
-  // FISTA/ADMM/IRLS/CoSaMP instead.
-  FLEXCS_CHECK(aop.dense() != nullptr,
-               "BP-LP requires a dense operator (needs matrix entries)");
-  const la::Matrix& a = *aop.dense();
-  const std::size_t m = a.rows(), n = a.cols();
+  const std::size_t m = aop.rows(), n = aop.cols();
 
   if (ctrl.should_stop()) {  // expired before building the 2N-column LP
     SolveResult early;
@@ -24,6 +17,13 @@ SolveResult BpLpSolver::solve_impl(const la::LinearOperator& aop,
     early.residual_norm = b.norm2();
     return early;
   }
+
+  // The LP tabulates A's entries into the simplex constraint matrix: an
+  // implicit operator is materialised once as its M x N matrix.
+  la::Matrix materialised;
+  const la::Matrix& a = aop.dense() != nullptr
+                            ? *aop.dense()
+                            : (materialised = la::to_dense(aop));
 
   // Stack [A, -A] for the positive/negative parts.
   la::Matrix big(m, 2 * n);

@@ -74,72 +74,8 @@ la::Vector soft_threshold(const la::Vector& v, double t) {
 SolveResult FistaSolver::solve_impl(const la::LinearOperator& a,
                                     const la::Vector& b,
                                     const SolveOptions& ctrl) const {
-  validate_solve_inputs(a, b, "FISTA");
-  const std::size_t n = a.cols();
-
-  SolveResult result;
-  result.x = la::Vector(n, 0.0);
-  const double bnorm = b.norm2();
-  if (bnorm == 0.0) {
-    result.converged = true;
-    return result;
-  }
-  if (ctrl.should_stop()) {  // expired before the (heavy) operator setup
-    result.deadline_expired = true;
-    result.residual_norm = bnorm;
-    return result;
-  }
-
-  const la::Vector atb = a.apply_adjoint(b);
-  const double lambda =
-      opts_.lambda > 0.0 ? opts_.lambda : 1e-3 * atb.norm_inf();
-
-  // Lipschitz constant of the gradient is sigma_max(A)^2.
-  const double sigma = lipschitz_sigma(a, ctrl);
-  FLEXCS_CHECK(sigma > 0.0, "FISTA: zero operator");
-  const double step = 1.0 / (sigma * sigma);
-
-  la::Vector x(n, 0.0);
-  la::Vector y = x;  // extrapolation point
-  double t = 1.0;
-
-  for (int it = 0; it < opts_.max_iterations; ++it) {
-    if (ctrl.should_stop()) {
-      result.deadline_expired = true;
-      break;
-    }
-    // Gradient step at y: grad = A^T (A y - b).
-    const la::Vector ay = a.apply(y);
-    la::Vector grad = a.apply_adjoint(ay);
-    grad -= atb;
-    la::Vector x_new(n);
-    for (std::size_t i = 0; i < n; ++i)
-      x_new[i] = soft_threshold(y[i] - step * grad[i], step * lambda);
-
-    const double dx = la::max_abs_diff(x_new, x);
-    const double xmax = std::max(1e-12, x_new.norm_inf());
-    result.iterations = it + 1;
-
-    if (opts_.accelerate) {
-      const double t_new = 0.5 * (1.0 + std::sqrt(1.0 + 4.0 * t * t));
-      const double beta = (t - 1.0) / t_new;
-      for (std::size_t i = 0; i < n; ++i)
-        y[i] = x_new[i] + beta * (x_new[i] - x[i]);
-      t = t_new;
-    } else {
-      y = x_new;
-    }
-    x = x_new;
-
-    if (dx / xmax < opts_.tol) {
-      result.converged = true;
-      break;
-    }
-  }
-
-  result.x = x;
-  result.residual_norm = (a.apply(x) - b).norm2();
-  return result;
+  // A single solve is a batch of one: one update loop serves both paths.
+  return std::move(solve_batch_impl(a, {b}, ctrl).front());
 }
 
 std::vector<SolveResult> FistaSolver::solve_batch_impl(
@@ -168,7 +104,7 @@ std::vector<SolveResult> FistaSolver::solve_batch_impl(
 
   // A^T b for every live frame through one batched adjoint pass. The
   // regularisation weight stays per-frame: each b scales its own lambda
-  // exactly as in the sequential solve.
+  // exactly as in a single solve.
   std::vector<la::Vector> bsel;
   bsel.reserve(active.size());
   for (std::size_t f : active) bsel.push_back(bs[f]);
@@ -186,57 +122,64 @@ std::vector<SolveResult> FistaSolver::solve_batch_impl(
   }
 
   // One Lipschitz setup for the whole batch: sigma depends only on A and
-  // ctrl, so every frame would compute the identical value sequentially.
+  // ctrl, so every frame would compute the identical value on its own.
   const double sigma = lipschitz_sigma(a, ctrl);
   FLEXCS_CHECK(sigma > 0.0, "FISTA: zero operator");
   const double step = 1.0 / (sigma * sigma);
 
+  // Proximal-gradient update of frame f from grad = A^T A y_f; true once the
+  // relative change in x falls below tol.
+  const auto update = [&](std::size_t f, la::Vector& grad, int it) {
+    grad -= atbs[f];
+    la::Vector& x = xs[f];
+    la::Vector& y = ys[f];
+    la::Vector x_new(n);
+    for (std::size_t i = 0; i < n; ++i)
+      x_new[i] = soft_threshold(y[i] - step * grad[i], step * lambdas[f]);
+
+    const double dx = la::max_abs_diff(x_new, x);
+    const double xmax = std::max(1e-12, x_new.norm_inf());
+    results[f].iterations = it + 1;
+
+    if (opts_.accelerate) {
+      const double t_new = 0.5 * (1.0 + std::sqrt(1.0 + 4.0 * ts[f] * ts[f]));
+      const double beta = (ts[f] - 1.0) / t_new;
+      for (std::size_t i = 0; i < n; ++i)
+        y[i] = x_new[i] + beta * (x_new[i] - x[i]);
+      ts[f] = t_new;
+    } else {
+      y = x_new;
+    }
+    x = x_new;
+    results[f].converged = dx / xmax < opts_.tol;
+    return results[f].converged;
+  };
+
   const std::vector<std::size_t> started = active;
+  std::vector<std::size_t> still;
+  still.reserve(active.size());
+  std::vector<la::Vector> yin;
   for (int it = 0; it < opts_.max_iterations && !active.empty(); ++it) {
     if (ctrl.should_stop()) {
       for (std::size_t f : active) results[f].deadline_expired = true;
       break;
     }
-    // Batched gradient step at every live frame's extrapolation point:
-    // grad_f = A^T (A y_f - b_f), with both operator passes batch-major.
-    std::vector<la::Vector> yin;
-    yin.reserve(active.size());
-    for (std::size_t f : active) yin.push_back(ys[f]);
-    const std::vector<la::Vector> ays = a.apply_batch(yin);
-    std::vector<la::Vector> grads = a.apply_adjoint_batch(ays);
-
-    std::vector<std::size_t> still;
-    still.reserve(active.size());
-    for (std::size_t k = 0; k < active.size(); ++k) {
-      const std::size_t f = active[k];
-      la::Vector& grad = grads[k];
-      grad -= atbs[f];
-      la::Vector& x = xs[f];
-      la::Vector& y = ys[f];
-      la::Vector x_new(n);
-      for (std::size_t i = 0; i < n; ++i)
-        x_new[i] = soft_threshold(y[i] - step * grad[i], step * lambdas[f]);
-
-      const double dx = la::max_abs_diff(x_new, x);
-      const double xmax = std::max(1e-12, x_new.norm_inf());
-      results[f].iterations = it + 1;
-
-      if (opts_.accelerate) {
-        const double t_new =
-            0.5 * (1.0 + std::sqrt(1.0 + 4.0 * ts[f] * ts[f]));
-        const double beta = (ts[f] - 1.0) / t_new;
-        for (std::size_t i = 0; i < n; ++i)
-          y[i] = x_new[i] + beta * (x_new[i] - x[i]);
-        ts[f] = t_new;
-      } else {
-        y = x_new;
-      }
-      x = x_new;
-
-      if (dx / xmax < opts_.tol)
-        results[f].converged = true;
-      else
-        still.push_back(f);
+    still.clear();
+    if (active.size() == 1) {
+      // A lone frame (every single solve) applies A directly, so it pays no
+      // batch containers per iteration.
+      const std::size_t f = active.front();
+      la::Vector grad = a.apply_adjoint(a.apply(ys[f]));
+      if (!update(f, grad, it)) still.push_back(f);
+    } else {
+      // Batched gradient step at every live frame's extrapolation point:
+      // grad_f = A^T (A y_f - b_f), with both operator passes batch-major.
+      yin.clear();
+      for (std::size_t f : active) yin.push_back(ys[f]);
+      std::vector<la::Vector> grads =
+          a.apply_adjoint_batch(a.apply_batch(yin));
+      for (std::size_t k = 0; k < active.size(); ++k)
+        if (!update(active[k], grads[k], it)) still.push_back(active[k]);
     }
     active.swap(still);
   }
@@ -244,12 +187,12 @@ std::vector<SolveResult> FistaSolver::solve_batch_impl(
   // Final residuals for every frame that entered the loop, again batch-major.
   std::vector<la::Vector> xsel;
   xsel.reserve(started.size());
-  for (std::size_t f : started) xsel.push_back(xs[f]);
+  for (std::size_t f : started) xsel.push_back(std::move(xs[f]));
   const std::vector<la::Vector> axs = a.apply_batch(xsel);
   for (std::size_t k = 0; k < started.size(); ++k) {
     const std::size_t f = started[k];
     results[f].residual_norm = (axs[k] - bs[f]).norm2();
-    results[f].x = std::move(xs[f]);
+    results[f].x = std::move(xsel[k]);
   }
   return results;
 }

@@ -19,6 +19,7 @@ class FistaSolver final : public SparseSolver {
   std::string name() const override { return opts_.accelerate ? "fista" : "ista"; }
 
  protected:
+  /// A batch of one through solve_batch_impl.
   SolveResult solve_impl(const la::LinearOperator& a, const la::Vector& b,
                          const SolveOptions& ctrl) const override;
   /// Batch-major lockstep: all frames advance together, sharing one

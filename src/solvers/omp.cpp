@@ -3,7 +3,6 @@
 #include <cmath>
 #include <vector>
 
-#include "common/check.hpp"
 #include "la/decomp.hpp"
 
 namespace flexcs::solvers {
@@ -12,13 +11,7 @@ SolveResult OmpSolver::solve_impl(const la::LinearOperator& aop,
                                   const la::Vector& b,
                                   const SolveOptions& ctrl) const {
   validate_solve_inputs(aop, b, "OMP");
-  // OMP reads individual matrix entries (incremental support Gram), so it
-  // cannot run matrix-free; route implicit operators to FISTA/ADMM/IRLS/
-  // CoSaMP instead.
-  FLEXCS_CHECK(aop.dense() != nullptr,
-               "OMP requires a dense operator (needs matrix entries)");
-  const la::Matrix& a = *aop.dense();
-  const std::size_t m = a.rows(), n = a.cols();
+  const std::size_t m = aop.rows(), n = aop.cols();
   const std::size_t kmax =
       opts_.max_sparsity > 0 ? std::min(opts_.max_sparsity, m) : m / 2;
 
@@ -34,6 +27,13 @@ SolveResult OmpSolver::solve_impl(const la::LinearOperator& aop,
     result.residual_norm = bnorm;
     return result;
   }
+
+  // OMP reads individual matrix entries (incremental support Gram): an
+  // implicit operator is materialised once as its M x N matrix.
+  la::Matrix materialised;
+  const la::Matrix& a = aop.dense() != nullptr
+                            ? *aop.dense()
+                            : (materialised = la::to_dense(aop));
 
   std::vector<std::size_t> support;
   support.reserve(kmax);

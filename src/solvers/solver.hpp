@@ -72,10 +72,10 @@ class SparseSolver {
                     const SolveOptions& ctrl) const;
 
   /// Matrix-free solve: A given only through apply/apply_adjoint. Gradient
-  /// based solvers (FISTA/ISTA, ADMM, IRLS, CoSaMP) support any operator;
-  /// entry-hungry solvers (OMP, BP-LP) require a.dense() != nullptr and
-  /// throw CheckError for implicit operators. Deadline/cancel semantics and
-  /// the partial-iterate guarantee match the dense overload.
+  /// based solvers (FISTA/ISTA, ADMM, IRLS, CoSaMP) run on the applies alone;
+  /// entry-hungry solvers (OMP, BP-LP) materialise an implicit operator once
+  /// as its M x N matrix (la::to_dense). Deadline/cancel semantics and the
+  /// partial-iterate guarantee match the dense overload.
   SolveResult solve(const la::LinearOperator& a, const la::Vector& b) const;
   SolveResult solve(const la::LinearOperator& a, const la::Vector& b,
                     const SolveOptions& ctrl) const;
@@ -98,8 +98,8 @@ class SparseSolver {
   /// (enforced by tools/flexcs_lint.py, rule entry-check), honour `ctrl`
   /// once per iteration, and set deadline_expired when stopping early.
   /// Timing and the partial-iterate guarantee are applied by solve().
-  /// Dense-only algorithms branch on a.dense() and reject implicit
-  /// operators with FLEXCS_CHECK.
+  /// Entry-hungry algorithms read a.dense() and materialise implicit
+  /// operators with la::to_dense.
   virtual SolveResult solve_impl(const la::LinearOperator& a,
                                  const la::Vector& b,
                                  const SolveOptions& ctrl) const = 0;
@@ -137,8 +137,8 @@ la::Vector debias_on_support(const la::Matrix& a, const la::Vector& b,
 /// Matrix-free debias: dense operators delegate to the matrix version
 /// (identical results); implicit operators solve the same ridge-regularised
 /// normal equations on the support by conjugate gradient, never touching
-/// matrix entries. Used by the decoder's implicit_psi path, where no dense
-/// A exists to refit against.
+/// matrix entries. Used by the decoder, whose transform operators have no
+/// dense A to refit against.
 la::Vector debias_on_support(const la::LinearOperator& a, const la::Vector& b,
                              const la::Vector& x, double threshold = 1e-8);
 

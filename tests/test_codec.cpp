@@ -10,6 +10,7 @@
 #include "cs/metrics.hpp"
 #include "data/thermal.hpp"
 #include "dsp/sparsity.hpp"
+#include "golden.hpp"
 #include "solvers/solver.hpp"
 
 namespace flexcs::cs {
@@ -82,16 +83,20 @@ TEST(Codec, DecoderRecoversExactlySparseFrame) {
   EXPECT_LT(rmse(res.frame, frame), 0.02);
 }
 
-TEST(Codec, MeasurementMatrixIsSelectedPsiRows) {
+TEST(Codec, MeasurementOperatorIsSelectedPsiRows) {
   Rng rng(6);
-  const Decoder decoder(6, 6);
-  const SamplingPattern p = random_pattern(6, 6, 0.5, rng);
-  const la::Matrix a = decoder.measurement_matrix(p);
-  EXPECT_EQ(a.rows(), p.m());
-  EXPECT_EQ(a.cols(), 36u);
-  for (std::size_t i = 0; i < p.m(); ++i)
-    for (std::size_t c = 0; c < 36; ++c)
-      EXPECT_DOUBLE_EQ(a(i, c), decoder.psi()(p.indices[i], c));
+  for (const dsp::BasisKind basis :
+       {dsp::BasisKind::kDct2D, dsp::BasisKind::kHaar2D}) {
+    DecoderOptions opts;
+    opts.basis = basis;
+    const Decoder decoder(6, 6, opts);
+    const SamplingPattern p = random_pattern(6, 6, 0.5, rng);
+    const la::Matrix a = la::to_dense(*decoder.measurement_operator(p));
+    const la::Matrix golden = golden::measurement_matrix(basis, p);
+    ASSERT_EQ(a.rows(), p.m());
+    ASSERT_EQ(a.cols(), 36u);
+    EXPECT_LE(la::max_abs_diff(a, golden), 1e-12);
+  }
 }
 
 TEST(Codec, DecodeRejectsWrongMeasurementCount) {

@@ -137,9 +137,11 @@ TEST(DeadlineSemantics, MidRunExpiryReturnsBoundedPartialIterate) {
 }
 
 // --------------------------------------------------------------------------
-// The operator overload must keep identical deadline/cancel semantics: the
-// implicit-Ψ roster is the matrix-free-capable subset (OMP and BP-LP reject
-// implicit operators outright, which is their documented contract).
+// The operator overload must keep identical deadline/cancel semantics. The
+// expired/cancelled cases run every solver (OMP and BP-LP stop before they
+// materialise the operator); the mid-run case runs the gradient-based subset,
+// because the entry-hungry solvers' one-time materialisation of a 64x64
+// operator is not deadline-polled.
 
 struct OperatorProblem {
   std::shared_ptr<const cs::SubsampledTransformOperator> op;
@@ -201,7 +203,7 @@ TEST(DeadlineSemantics, AlreadyExpiredReturnsImmediatelyImplicitOperator) {
   const OperatorProblem p = make_operator_problem(8, 8, 5, 4321);
   SolveOptions ctrl;
   ctrl.deadline = runtime::Deadline::after(0.0);
-  for (const auto& solver : matrix_free_roster()) {
+  for (const auto& solver : unconvergeable_roster()) {
     const SolveResult r = solver->solve(*p.op, p.b, ctrl);
     expect_flagged_and_bounded_op(r, p, solver->name());
     EXPECT_EQ(r.iterations, 0) << solver->name();
@@ -218,7 +220,7 @@ TEST(DeadlineSemantics, PreCancelledTokenStopsImplicitOperatorSolves) {
   source.cancel();
   SolveOptions ctrl;
   ctrl.cancel = source.token();
-  for (const auto& solver : matrix_free_roster()) {
+  for (const auto& solver : unconvergeable_roster()) {
     const SolveResult r = solver->solve(*p.op, p.b, ctrl);
     expect_flagged_and_bounded_op(r, p, solver->name());
     EXPECT_EQ(r.iterations, 0) << solver->name();

@@ -16,6 +16,7 @@
 #include "cs/sampling.hpp"
 #include "cs/transform_operator.hpp"
 #include "dsp/basis.hpp"
+#include "golden.hpp"
 #include "la/matrix.hpp"
 
 namespace flexcs::cs {
@@ -105,8 +106,7 @@ TEST(SubsampledTransformOperator, MatchesDensePsiRowSelectionEntrywise) {
     const std::size_t rows = 8, cols = 8;
     const SamplingPattern p = random_pattern(rows, cols, 0.5, rng);
     const SubsampledTransformOperator op(basis, p);
-    const la::Matrix dense_a =
-        dsp::synthesis_matrix(basis, rows, cols).select_rows(p.indices);
+    const la::Matrix dense_a = golden::measurement_matrix(basis, p);
     EXPECT_LT(la::max_abs_diff(la::to_dense(op), dense_a), 1e-12)
         << dsp::to_string(basis);
   }

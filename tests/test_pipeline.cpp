@@ -10,6 +10,7 @@
 #include "common/check.hpp"
 #include "cs/metrics.hpp"
 #include "data/thermal.hpp"
+#include "golden.hpp"
 #include "solvers/fista.hpp"
 
 namespace flexcs::cs {
@@ -248,40 +249,41 @@ TEST_F(PipelineTest, DecodeWithRejectsBasisChange) {
 }
 
 TEST_F(PipelineTest, ImplicitPsiDecodeMatchesDensePath) {
-  // The matrix-free decoder must be a drop-in replacement: same frame, same
-  // pattern, same solver family — reconstructions agree to solver precision
-  // without ever building Ψ.
+  // The matrix-free decoder must match the dense golden: same frame, same
+  // pattern, same solver — reconstructions agree to solver precision
+  // without the decoder ever building Ψ.
   Rng rng(21), rng2(21);
   const la::Matrix frame = make_frame(rng);
   const SamplingPattern p = random_pattern(32, 32, 0.5, rng2);
   const la::Vector y = encoder_.encode(frame, p, rng);
 
-  DecoderOptions implicit_opts;
-  implicit_opts.implicit_psi = true;
-  const Decoder implicit_decoder(32, 32, implicit_opts);
-  const DecodeResult dense = decoder_.decode(p, y);
-  const DecodeResult matrix_free = implicit_decoder.decode(p, y);
+  const DecodeResult dense =
+      golden::decode(p, y, decoder_.solver(), decoder_.options());
+  const DecodeResult matrix_free = decoder_.decode(p, y);
   EXPECT_EQ(dense.converged, matrix_free.converged);
   EXPECT_LT(la::max_abs_diff(dense.frame, matrix_free.frame), 1e-4);
   EXPECT_NEAR(dense.residual_norm, matrix_free.residual_norm, 1e-6);
+  // operator_norm runs the power iteration through the fast transform; it
+  // must agree with the dense matrix's spectral norm.
+  EXPECT_NEAR(decoder_.operator_norm(p),
+              la::spectral_norm(golden::measurement_matrix(
+                  dsp::BasisKind::kDct2D, p)),
+              1e-10);
 }
 
 TEST_F(PipelineTest, ImplicitPsiBatchDecodeMatchesSingleDecodes) {
   Rng rng(22);
-  DecoderOptions opts;
-  opts.implicit_psi = true;
-  const Decoder decoder(32, 32, opts);
   const SamplingPattern p = random_pattern(32, 32, 0.5, rng);
   std::vector<la::Vector> batch;
   for (int f = 0; f < 3; ++f)
     batch.push_back(encoder_.encode(make_frame(rng), p, rng));
-  const std::vector<DecodeResult> batched = decoder.decode_batch(p, batch);
+  const std::vector<DecodeResult> batched = decoder_.decode_batch(p, batch);
   ASSERT_EQ(batched.size(), batch.size());
   // The batch path only adds the operator-norm hint; with the hint equal to
   // what each solve would compute itself, frames must match one-by-one
   // decodes to solver precision.
   for (std::size_t f = 0; f < batch.size(); ++f) {
-    const DecodeResult single = decoder.decode(p, batch[f]);
+    const DecodeResult single = decoder_.decode(p, batch[f]);
     EXPECT_LT(la::max_abs_diff(single.frame, batched[f].frame), 1e-6);
   }
 }
@@ -290,7 +292,7 @@ TEST_F(PipelineTest, FistaImplicitRmseMatchesDenseWithinTightTolerance) {
   // Regression pinning the fast-kernel operator to the dense reference: the
   // FFT-based DCT applies round differently from dense matvecs at ~1e-15
   // per pass, but through a full FISTA decode the recovered RMSE must stay
-  // within 1e-12 of the dense arm (observed drift is ~1e-15).
+  // within 1e-12 of the dense golden (observed drift is ~1e-15).
   Rng rng(25), rng2(25);
   const la::Matrix frame = make_frame(rng);
   const SamplingPattern p = random_pattern(32, 32, 0.5, rng2);
@@ -304,11 +306,9 @@ TEST_F(PipelineTest, FistaImplicitRmseMatchesDenseWithinTightTolerance) {
   DecoderOptions opts;
   opts.debias = false;
   opts.clamp01 = false;
-  const Decoder dense_decoder(32, 32, opts, fista);
-  opts.implicit_psi = true;
   const Decoder implicit_decoder(32, 32, opts, fista);
 
-  const DecodeResult dense = dense_decoder.decode(p, y);
+  const DecodeResult dense = golden::decode(p, y, *fista, opts);
   const DecodeResult implicit = implicit_decoder.decode(p, y);
   EXPECT_EQ(dense.solver_iterations, implicit.solver_iterations);
   EXPECT_NEAR(rmse(dense.frame, frame), rmse(implicit.frame, frame), 1e-12);
@@ -319,9 +319,7 @@ TEST_F(PipelineTest, FistaBatchDecodeIsBitIdenticalToSequential) {
   // solve would (frames never interact), so batched decode results must be
   // bit-identical to one-by-one decodes — not merely close.
   Rng rng(26);
-  DecoderOptions opts;
-  opts.implicit_psi = true;
-  const Decoder decoder(32, 32, opts,
+  const Decoder decoder(32, 32, DecoderOptions{},
                         std::make_shared<solvers::FistaSolver>());
   const SamplingPattern p = random_pattern(32, 32, 0.5, rng);
   std::vector<la::Vector> batch;
@@ -354,7 +352,6 @@ TEST_F(PipelineTest, ImplicitPsiDebiasHonoursSupportThreshold) {
   const la::Vector y = encoder_.encode(frame, p, rng);
 
   DecoderOptions opts;
-  opts.implicit_psi = true;
   opts.debias = true;
   opts.clamp01 = false;
   const Decoder decoder(32, 32, opts);
@@ -374,23 +371,6 @@ TEST_F(PipelineTest, ImplicitPsiDebiasHonoursSupportThreshold) {
   const Decoder zeroing_decoder(32, 32, huge_threshold);
   const DecodeResult zeroed = zeroing_decoder.decode(p, y);
   EXPECT_EQ(zeroed.coefficients.norm_inf(), 0.0);
-}
-
-TEST_F(PipelineTest, ImplicitPsiRefusesDenseAccessors) {
-  DecoderOptions opts;
-  opts.implicit_psi = true;
-  const Decoder decoder(8, 8, opts);
-  Rng rng(24);
-  const SamplingPattern p = random_pattern(8, 8, 0.5, rng);
-  EXPECT_THROW(decoder.psi(), CheckError);
-  EXPECT_THROW(decoder.measurement_matrix(p), CheckError);
-  EXPECT_THROW(decoder.measurement_operator(p), CheckError);
-  // and the dense decoder refuses the implicit accessor
-  const SamplingPattern p32 = random_pattern(32, 32, 0.5, rng);
-  EXPECT_THROW(decoder_.implicit_operator(p32), CheckError);
-  // operator_norm works in both modes and agrees across them
-  const Decoder dense_decoder(8, 8);
-  EXPECT_NEAR(decoder.operator_norm(p), dense_decoder.operator_norm(p), 1e-10);
 }
 
 TEST_F(PipelineTest, ResampleTrimOptionImprovesResult) {

@@ -73,32 +73,6 @@ TEST(ShardedDecoder, TiledDecodeMatchesMonolithicRmse) {
   }
 }
 
-TEST(ShardedDecoder, ImplicitPsiTilesMatchDenseTileQuality) {
-  // Routing every tile pipeline through the matrix-free operator must keep
-  // the stitched reconstruction in the same quality regime as the dense tile
-  // decode — same frame, same geometry, only the operator representation
-  // differs.
-  constexpr std::size_t kDim = 32;
-  const la::Matrix truth = thermal_frame(kDim, 7);
-
-  ShardOptions dense_opts = shard_options(16, 2);
-  ShardedDecoder dense(kDim, kDim, dense_opts);
-  const ShardFrameResult dense_res = dense.process(truth);
-  const double dense_rmse = cs::rmse(dense_res.frame, truth);
-
-  ShardOptions implicit_opts = shard_options(16, 2);
-  implicit_opts.stream.pipeline.decoder.implicit_psi = true;
-  ShardedDecoder implicit_sharded(kDim, kDim, implicit_opts);
-  const ShardFrameResult res = implicit_sharded.process(truth);
-  EXPECT_EQ(res.report.tiles, 4u);
-  EXPECT_EQ(res.report.tiles_accepted, 4u);
-  EXPECT_TRUE(la::all_finite(res.frame));
-  const double implicit_rmse = cs::rmse(res.frame, truth);
-  // The solves share formulation and tolerances, so the two paths should be
-  // nearly identical — allow a small slack for the differing matvec numerics.
-  EXPECT_NEAR(implicit_rmse, dense_rmse, 0.01);
-}
-
 TEST(ShardedDecoder, BatchDecodesEveryFrame) {
   constexpr std::size_t kDim = 32;
   const la::Matrix f0 = thermal_frame(kDim, 7);

@@ -551,6 +551,108 @@ class EntryCheckTest(unittest.TestCase):
         self.assertFalse(fired, "\n".join(str(x) for x in fired))
 
 
+class FistaDelegationEntryCheckTest(unittest.TestCase):
+    # A single FISTA solve is a batch of one: solve_impl may delegate to the
+    # validating solve_batch_impl instead of validating itself.
+    SRC = (
+        "#include \"solvers/fista.hpp\"\n"
+        "namespace flexcs::solvers {\n"
+        "SolveResult FistaSolver::solve_impl(const la::LinearOperator& a,\n"
+        "                                    const la::Vector& b,\n"
+        "                                    const SolveOptions& ctrl) const {\n"
+        "  return std::move(solve_batch_impl(a, {b}, ctrl).front());\n"
+        "}\n"
+        "std::vector<SolveResult> FistaSolver::solve_batch_impl(\n"
+        "    const la::LinearOperator& a, const std::vector<la::Vector>& bs,\n"
+        "    const SolveOptions& ctrl) const {\n"
+        "  for (const la::Vector& b : bs) validate_solve_inputs(a, b, \"F\");\n"
+        "  return {};\n"
+        "}\n"
+        "}\n")
+
+    def fired(self, src):
+        f = lint_fixture({"src/solvers/fista.cpp": src})
+        return [x for x in f if x.rule == "entry-check"
+                and x.path == "src/solvers/fista.cpp"]
+
+    def test_delegating_solve_impl_clean(self):
+        fired = self.fired(self.SRC)
+        self.assertFalse(fired, "\n".join(str(x) for x in fired))
+
+    def test_unvalidated_solve_impl_fires(self):
+        src = self.SRC.replace(
+            "  return std::move(solve_batch_impl(a, {b}, ctrl).front());\n",
+            "  return SolveResult{};\n")
+        fired = self.fired(src)
+        self.assertEqual(1, len(fired), "\n".join(str(x) for x in fired))
+        self.assertIn("solve_impl", fired[0].message)
+
+
+class DecoderEntryCheckTest(unittest.TestCase):
+    # The decoder's one operator accessor validates the pattern shape; the
+    # removed dense accessors (measurement_matrix, implicit_operator) are no
+    # longer part of the contract surface.
+    SRC = (
+        "#include \"cs/decoder.hpp\"\n"
+        "namespace flexcs::cs {\n"
+        "std::shared_ptr<const SubsampledTransformOperator>\n"
+        "Decoder::measurement_operator(const SamplingPattern& pattern) const {\n"
+        "  FLEXCS_CHECK(pattern.rows == rows_, \"shape\");\n"
+        "  return entry_for(pattern).op;\n"
+        "}\n"
+        "double Decoder::operator_norm(const SamplingPattern& pattern) const {\n"
+        "  FLEXCS_CHECK(pattern.rows == rows_, \"shape\");\n"
+        "  return 1.0;\n"
+        "}\n"
+        "DecodeResult Decoder::decode(const SamplingPattern& pattern,\n"
+        "                             const la::Vector& y) const {\n"
+        "  return decode_with(pattern, y, *solver_, opts_);\n"
+        "}\n"
+        "void Decoder::check_decode_args(const SamplingPattern& pattern,\n"
+        "                                const la::Vector& y,\n"
+        "                                const DecoderOptions& opts) const {\n"
+        "  FLEXCS_CHECK(y.size() == pattern.m(), \"count\");\n"
+        "}\n"
+        "DecodeResult Decoder::decode_with(const SamplingPattern& pattern,\n"
+        "                                  const la::Vector& y,\n"
+        "                                  const solvers::SparseSolver& s,\n"
+        "                                  const DecoderOptions& opts) const {\n"
+        "  check_decode_args(pattern, y, opts);\n"
+        "  return {};\n"
+        "}\n"
+        "std::vector<DecodeResult> Decoder::decode_batch(\n"
+        "    const SamplingPattern& pattern,\n"
+        "    const std::vector<la::Vector>& ys) const {\n"
+        "  return decode_batch_with(pattern, ys, *solver_, opts_);\n"
+        "}\n"
+        "std::vector<DecodeResult> Decoder::decode_batch_with(\n"
+        "    const SamplingPattern& pattern,\n"
+        "    const std::vector<la::Vector>& ys,\n"
+        "    const solvers::SparseSolver& s, const DecoderOptions& opts) const {\n"
+        "  for (const la::Vector& y : ys) check_decode_args(pattern, y, opts);\n"
+        "  return {};\n"
+        "}\n"
+        "}\n")
+
+    def fired(self, src):
+        f = lint_fixture({"src/cs/decoder.cpp": src})
+        return [x for x in f if x.rule == "entry-check"
+                and x.path == "src/cs/decoder.cpp"]
+
+    def test_matrix_free_decoder_surface_clean(self):
+        fired = self.fired(self.SRC)
+        self.assertFalse(fired, "\n".join(str(x) for x in fired))
+
+    def test_unchecked_measurement_operator_fires(self):
+        src = self.SRC.replace(
+            "  FLEXCS_CHECK(pattern.rows == rows_, \"shape\");\n"
+            "  return entry_for(pattern).op;\n",
+            "  return entry_for(pattern).op;\n")
+        fired = self.fired(src)
+        self.assertEqual(1, len(fired), "\n".join(str(x) for x in fired))
+        self.assertIn("measurement_operator", fired[0].message)
+
+
 class ServiceEntryCheckTest(unittest.TestCase):
     # The broker validates at admission; a bare-bones process_batch that
     # touches frames without FLEXCS_CHECK breaks the contract.

@@ -161,8 +161,8 @@ struct FaultCell {
   std::size_t tiles_in_process = 0;
 };
 
-runtime::RemoteFaultInjection injection_for(FaultKind kind) {
-  runtime::RemoteFaultInjection fault;
+runtime::WorkerFaultInjection injection_for(FaultKind kind) {
+  runtime::WorkerFaultInjection fault;
   switch (kind) {
     case FaultKind::kRefuse:
       fault.refuse_connects = 3;
@@ -171,7 +171,7 @@ runtime::RemoteFaultInjection injection_for(FaultKind kind) {
       fault.flap_connects = 2;
       break;
     case FaultKind::kDisconnect:
-      fault.disconnect_after_tiles = 0;  // half-send the first response
+      fault.truncate_after_tiles = 0;  // half-send the first response
       break;
     case FaultKind::kCorrupt:
       fault.corrupt_after_tiles = 0;  // flip a payload bit in flight
@@ -229,7 +229,10 @@ FaultCell run_cell(const SweepConfig& cfg, FaultKind kind, double rate,
   } else if (kind != FaultKind::kNone) {
     cell.injected =
         static_cast<std::size_t>(rate * static_cast<double>(mix.remote) + 0.5);
-    opts.remote_fault_injection.assign(cell.injected, injection_for(kind));
+    // Faults index links: the forked links come first and stay clean.
+    opts.fault_injection.resize(mix.forked);
+    opts.fault_injection.resize(mix.forked + cell.injected,
+                                injection_for(kind));
   }
 
   runtime::DecodeService service(cfg.dim, cfg.dim, opts);

@@ -78,10 +78,12 @@ double operator_norm_estimate(const LinearOperator& a, int iters) {
   return sigma;
 }
 
-Matrix to_dense(const LinearOperator& a) {
+Matrix to_dense(const LinearOperator& a,
+                const std::function<bool()>& should_stop) {
   Matrix out(a.rows(), a.cols());
   Vector e(a.cols(), 0.0);
   for (std::size_t j = 0; j < a.cols(); ++j) {
+    if (should_stop && should_stop()) return Matrix();
     e[j] = 1.0;
     const Vector col = a.apply(e);
     for (std::size_t i = 0; i < a.rows(); ++i) out(i, j) = col[i];

@@ -98,8 +98,12 @@ double operator_norm_estimate(const LinearOperator& a, int iters = 60);
 
 /// Materialises the operator as a dense matrix, one apply per column
 /// (O(cols) applies — the cost the implicit operators exist to avoid; paid
-/// only by entry-hungry solvers and golden-reference tests).
-Matrix to_dense(const LinearOperator& a);
+/// only by entry-hungry solvers and golden-reference tests). `should_stop`
+/// (same style as la::SvdStopHook) is polled before every apply; once it
+/// fires the build is abandoned and an empty 0 x 0 matrix comes back, so a
+/// deadline-bound caller overruns by at most one apply.
+Matrix to_dense(const LinearOperator& a,
+                const std::function<bool()>& should_stop = {});
 
 /// Conjugate gradient for S x = b where S is symmetric positive definite and
 /// available only as a matvec callback. Used by the matrix-free solver paths

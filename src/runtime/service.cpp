@@ -61,8 +61,8 @@ Deadline::Clock::duration to_duration(double seconds) {
 // tight tile deadline must not read as a wedged worker.
 constexpr double kHeartbeatSlackSeconds = 0.05;
 
-// Smoothing factor for the per-slot EWMA of observed tile latency that keys
-// weighted dispatch. A slot with no observation yet scores 0, so fresh
+// Smoothing factor for the per-link EWMA of observed tile latency that keys
+// weighted dispatch. A link with no observation yet scores 0, so fresh
 // capacity is probed before proven-slow capacity is reused.
 constexpr double kEwmaAlpha = 0.3;
 
@@ -71,6 +71,35 @@ constexpr double kEwmaAlpha = 0.3;
 void nap_briefly() {
   timespec ts{0, 1000000L};
   ::nanosleep(&ts, nullptr);
+}
+
+// Reaps `pids`: gives each up to `grace_seconds` to exit on its own, then
+// SIGKILLs and reaps the stragglers. Safe on already-dead processes; a zero
+// grace is an immediate SIGKILL + reap.
+void reap_children(std::vector<pid_t> pids, double grace_seconds) {
+  const Deadline grace = Deadline::after(grace_seconds);
+  for (;;) {
+    bool pending = false;
+    for (pid_t& pid : pids) {
+      if (pid <= 0) continue;
+      int status = 0;
+      const pid_t r = ::waitpid(pid, &status, WNOHANG);
+      if (r == pid || (r < 0 && errno != EINTR)) {
+        pid = -1;  // reaped (or not our child to reap)
+      } else {
+        pending = true;
+      }
+    }
+    if (!pending || grace.expired()) break;
+    nap_briefly();
+  }
+  for (const pid_t pid : pids) {
+    if (pid <= 0) continue;
+    ::kill(pid, SIGKILL);
+    int status = 0;
+    while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {
+    }
+  }
 }
 
 }  // namespace
@@ -112,13 +141,15 @@ DecodeService::DecodeService(std::size_t rows, std::size_t cols,
     : opts_(validated(std::move(opts))),
       grid_(rows, cols, opts_.tile_rows, opts_.tile_cols, opts_.halo) {
   FLEXCS_CHECK(grid_.tiles() >= 1, "decode service needs at least one tile");
-  slots_.resize(opts_.workers);
-  for (std::size_t i = 0; i < slots_.size(); ++i) spawn_worker(i);
+  links_.resize(opts_.workers + opts_.remote_workers);
+  const Deadline::Clock::time_point now = Deadline::Clock::now();
+  for (std::size_t i = 0; i < links_.size(); ++i) {
+    links_[i].owns_pid = i < opts_.workers;
+    links_[i].state_since = now;
+  }
+  for (std::size_t i = 0; i < opts_.workers; ++i) spawn_worker(i);
   if (opts_.remote_workers > 0) {
     listener_ = net::Listener::open(opts_.listen_host, opts_.listen_port);
-    remote_slots_.resize(opts_.remote_workers);
-    const Deadline::Clock::time_point now = Deadline::Clock::now();
-    for (RemoteSlot& r : remote_slots_) r.state_since = now;
     if (opts_.spawn_remote_loopback) spawn_loopback_remotes();
   }
 }
@@ -127,74 +158,73 @@ DecodeService::~DecodeService() { close(); }
 
 std::size_t DecodeService::live_workers() const {
   std::size_t n = 0;
-  for (const WorkerSlot& slot : slots_) n += slot.live ? 1 : 0;
+  for (const Link& link : links_)
+    n += link.owns_pid && link.state == Link::State::kHealthy ? 1 : 0;
   return n;
 }
 
 std::size_t DecodeService::healthy_remote_workers() const {
   std::size_t n = 0;
-  for (const RemoteSlot& r : remote_slots_)
-    n += r.state == RemoteSlot::State::kHealthy ? 1 : 0;
+  for (const Link& link : links_)
+    n += !link.owns_pid && link.state == Link::State::kHealthy ? 1 : 0;
   return n;
 }
 
 bool DecodeService::fleet_has_prospects(
     Deadline::Clock::time_point now) const {
-  for (const WorkerSlot& slot : slots_) {
-    if (slot.live) return true;
-  }
-  for (const RemoteSlot& r : remote_slots_) {
-    switch (r.state) {
-      case RemoteSlot::State::kHealthy:
-      case RemoteSlot::State::kSuspect:
+  for (const Link& link : links_) {
+    switch (link.state) {
+      case Link::State::kHealthy:
+      case Link::State::kSuspect:
         return true;
-      case RemoteSlot::State::kConnecting:
-      case RemoteSlot::State::kHandshaking:
-      case RemoteSlot::State::kReconnecting:
-        // A slot plausibly about to (re)connect counts, but only within the
+      case Link::State::kConnecting:
+      case Link::State::kHandshaking:
+      case Link::State::kReconnecting:
+        // A link plausibly about to (re)connect counts, but only within the
         // grace window — past it, waiting would turn a partition into a hang.
-        if (seconds_since(r.state_since, now) <=
+        if (seconds_since(link.state_since, now) <=
             opts_.remote_connect_grace_seconds)
           return true;
         break;
-      case RemoteSlot::State::kDisconnected:
+      case Link::State::kDisconnected:
         break;
     }
   }
   return false;
 }
 
-void DecodeService::spawn_worker(std::size_t slot_index) {
-  WorkerSlot& slot = slots_[slot_index];
+WorkerConfig DecodeService::worker_config(std::size_t index) const {
+  WorkerConfig cfg;
+  cfg.padded_rows = grid_.padded_rows;
+  cfg.padded_cols = grid_.padded_cols;
+  cfg.pipeline = opts_.pipeline;
+  cfg.solver = opts_.solver;
+  cfg.seed = opts_.seed;
+  if (index < opts_.fault_injection.size()) {
+    const WorkerFaultInjection& f = opts_.fault_injection[index];
+    if (links_[index].spawn_count == 0 || f.persist_across_respawn)
+      cfg.faults = f;
+  }
+  return cfg;
+}
+
+void DecodeService::close_inherited_fds() {
+  for (Link& link : links_) link.conn.close();
+  listener_.close();
+}
+
+void DecodeService::spawn_worker(std::size_t index) {
+  Link& link = links_[index];
+  const WorkerConfig cfg = worker_config(index);
   int sv[2] = {-1, -1};
   FLEXCS_CHECK(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) == 0,
                "socketpair failed");
   const pid_t pid = ::fork();
   FLEXCS_CHECK(pid >= 0, "fork failed");
   if (pid == 0) {
-    // Worker child. Drop the broker side of our pair and every other broker
-    // fd inherited through fork — sibling socketpairs, the TCP listener, and
-    // any remote connections — so a dead broker reads as EOF here and this
-    // child cannot hold a peer's transport open.
+    // Worker child: keep only our end of the pair.
     ::close(sv[0]);
-    for (std::size_t other = 0; other < slots_.size(); ++other) {
-      if (other != slot_index && slots_[other].fd >= 0)
-        ::close(slots_[other].fd);
-    }
-    listener_.close();
-    for (RemoteSlot& r : remote_slots_) r.conn.close();
-    WorkerConfig cfg;
-    cfg.padded_rows = grid_.padded_rows;
-    cfg.padded_cols = grid_.padded_cols;
-    cfg.pipeline = opts_.pipeline;
-    cfg.solver = opts_.solver;
-    cfg.seed = opts_.seed;
-    if (slot_index < opts_.fault_injection.size()) {
-      const WorkerFaultInjection& f = opts_.fault_injection[slot_index];
-      // spawn_count still holds the pre-fork value in the child: 0 means
-      // this is the slot's first process.
-      if (slot.spawn_count == 0 || f.persist_across_respawn) cfg.faults = f;
-    }
+    close_inherited_fds();
     const int code = decode_worker_loop(sv[1], cfg);
     ::close(sv[1]);
     // _Exit: no atexit handlers, no static destructors — they belong to the
@@ -202,90 +232,74 @@ void DecodeService::spawn_worker(std::size_t slot_index) {
     std::_Exit(code);
   }
   ::close(sv[1]);
-  slot.pid = pid;
-  slot.fd = sv[0];
-  slot.live = true;
-  slot.busy = false;
-  slot.job_frame = nullptr;
-  slot.job_tile = 0;
-  slot.seq = 0;
-  slot.inbuf.clear();
-  ++slot.spawn_count;
+  net::set_nonblocking(sv[0], true);
+  link.pid = pid;
+  link.conn = net::Connection(sv[0]);
+  link.state = Link::State::kHealthy;
+  link.state_since = Deadline::Clock::now();
+  ++link.spawn_count;
 }
 
 void DecodeService::spawn_loopback_remotes() {
-  for (std::size_t i = 0; i < remote_slots_.size(); ++i) {
+  for (std::size_t i = opts_.workers; i < links_.size(); ++i) {
+    RemoteWorkerConfig cfg;
+    cfg.host = "127.0.0.1";
+    cfg.port = listener_.port();
+    cfg.worker = worker_config(i);
     const pid_t pid = ::fork();
     FLEXCS_CHECK(pid >= 0, "fork failed");
     if (pid == 0) {
-      // Remote worker child: it reaches the broker through TCP only, so
-      // every inherited broker fd must go — the listener above all (holding
-      // it open would keep the port alive past the broker's close()).
-      for (WorkerSlot& slot : slots_) {
-        if (slot.fd >= 0) ::close(slot.fd);
-      }
-      const std::uint16_t port = listener_.port();
-      listener_.close();
-      for (RemoteSlot& r : remote_slots_) r.conn.close();
-      RemoteWorkerConfig cfg;
-      cfg.host = "127.0.0.1";
-      cfg.port = port;
-      cfg.worker.padded_rows = grid_.padded_rows;
-      cfg.worker.padded_cols = grid_.padded_cols;
-      cfg.worker.pipeline = opts_.pipeline;
-      cfg.worker.solver = opts_.solver;
-      cfg.worker.seed = opts_.seed;
-      if (i < opts_.remote_fault_injection.size())
-        cfg.net_faults = opts_.remote_fault_injection[i];
-      const int code = remote_decode_worker_loop(cfg);
-      std::_Exit(code);
+      // Remote worker child: it reaches the broker through TCP only, so the
+      // listener must go above all (holding it open would keep the port
+      // alive past the broker's close()).
+      close_inherited_fds();
+      std::_Exit(remote_decode_worker_loop(cfg));
     }
     loopback_pids_.push_back(pid);
   }
 }
 
-void DecodeService::kill_worker(WorkerSlot& slot) {
-  if (slot.pid > 0) {
-    ::kill(slot.pid, SIGKILL);
-    int status = 0;
-    while (::waitpid(slot.pid, &status, 0) < 0 && errno == EINTR) {
-    }
-    slot.pid = -1;
-  }
-  if (slot.fd >= 0) {
-    ::close(slot.fd);
-    slot.fd = -1;
-  }
-  slot.live = false;
-  slot.busy = false;
-  slot.job_frame = nullptr;
-  slot.inbuf.clear();
-}
-
-void DecodeService::handle_worker_failure(std::size_t slot_index,
-                                          FailureKind kind,
-                                          const solvers::SolveOptions& ctrl) {
-  WorkerSlot& slot = slots_[slot_index];
+void DecodeService::handle_link_failure(std::size_t index, FailureKind kind,
+                                        const solvers::SolveOptions& ctrl) {
+  Link& link = links_[index];
+  // One failure, a per-kind counter: a forked worker crashes or stalls, a
+  // TCP peer disconnects or times out; corruption reads the same on both.
   switch (kind) {
-    case FailureKind::kCrash:
-      ++health_.worker_crashes;
+    case FailureKind::kDrop:
+      ++(link.owns_pid ? health_.worker_crashes : health_.remote_disconnects);
       break;
-    case FailureKind::kStall:
-      ++health_.worker_stalls;
+    case FailureKind::kTimeout:
+      ++(link.owns_pid ? health_.worker_stalls : health_.read_timeouts);
       break;
     case FailureKind::kCorrupt:
       ++health_.checksum_rejects;
       break;
   }
-  ActiveFrame* frame = slot.busy ? slot.job_frame : nullptr;
-  const std::size_t tile = slot.job_tile;
-  kill_worker(slot);
-  if (respawns_used_ < opts_.max_respawns) {
-    ++respawns_used_;
-    spawn_worker(slot_index);
-    ++health_.worker_respawns;
+  ActiveFrame* frame = link.busy ? link.job_frame : nullptr;
+  const std::size_t tile = link.job_tile;
+  link.conn.close();
+  link.busy = false;
+  link.job_frame = nullptr;
+  link.ping_outstanding = false;
+  link.state_since = Deadline::Clock::now();
+  if (link.owns_pid) {
+    reap_children({link.pid}, 0.0);
+    link.pid = -1;
+    link.state = Link::State::kDisconnected;
+    if (respawns_used_ < opts_.max_respawns) {
+      ++respawns_used_;
+      spawn_worker(index);
+      ++health_.worker_respawns;
+    }
+  } else {
+    // The peer process owns the re-dial; this side just waits for it — as a
+    // prospect within the grace window, then as plain spare capacity.
+    link.state = Link::State::kReconnecting;
   }
-  if (frame != nullptr) fail_tile(*frame, tile, ctrl);
+  if (frame != nullptr) {
+    if (!link.owns_pid) ++health_.redispatches_on_disconnect;
+    fail_tile(*frame, tile, ctrl);
+  }
 }
 
 void DecodeService::fail_tile(ActiveFrame& frame, std::size_t tile,
@@ -365,13 +379,12 @@ void DecodeService::decode_tile_in_process(ActiveFrame& frame,
                 /*in_process=*/true, /*remote=*/false);
 }
 
-void DecodeService::dispatch_tile(std::size_t slot_index, ActiveFrame& frame,
+void DecodeService::dispatch_tile(std::size_t index, ActiveFrame& frame,
                                   std::size_t tile,
                                   const solvers::SolveOptions& ctrl) {
-  WorkerSlot& slot = slots_[slot_index];
+  Link& link = links_[index];
   wire::TileRequest req = make_request(frame, tile, ctrl);
   req.seq = next_seq_++;
-  const std::vector<std::uint8_t> bytes = wire::encode_tile_request(req);
 
   TileState& ts = frame.tiles[tile];
   if (ts.attempts > 0) ++health_.tile_redispatches;
@@ -379,53 +392,27 @@ void DecodeService::dispatch_tile(std::size_t slot_index, ActiveFrame& frame,
   ts.stage = TileState::Stage::kDispatched;
   ++health_.tiles_dispatched;
 
-  slot.busy = true;
-  slot.job_frame = &frame;
-  slot.job_tile = tile;
-  slot.seq = req.seq;
-  slot.dispatched_at = Deadline::Clock::now();
-  slot.heartbeat_seconds =
+  link.busy = true;
+  link.job_frame = &frame;
+  link.job_tile = tile;
+  link.seq = req.seq;
+  link.dispatched_at = Deadline::Clock::now();
+  link.ping_outstanding = false;  // a dispatch supersedes any idle probe
+  link.heartbeat_seconds =
       req.deadline_seconds > 0.0
           ? std::max(opts_.heartbeat_floor_seconds,
                      opts_.heartbeat_multiplier * req.deadline_seconds +
                          kHeartbeatSlackSeconds)
           : opts_.heartbeat_floor_seconds;
-  if (!wire::send_message(slot.fd, bytes)) {
-    // The worker died before (or while) we wrote: crash path requeues the
-    // tile and respawns the slot.
-    handle_worker_failure(slot_index, FailureKind::kCrash, ctrl);
-  }
-}
-
-void DecodeService::handle_remote_failure(std::size_t remote_index,
-                                          RemoteFailureKind kind,
-                                          const solvers::SolveOptions& ctrl) {
-  RemoteSlot& slot = remote_slots_[remote_index];
-  switch (kind) {
-    case RemoteFailureKind::kDisconnect:
-      ++health_.remote_disconnects;
-      break;
-    case RemoteFailureKind::kTimeout:
-      ++health_.read_timeouts;
-      break;
-    case RemoteFailureKind::kCorrupt:
-      // Same accounting as a forked worker poisoning its socketpair.
-      ++health_.checksum_rejects;
-      break;
-  }
-  ActiveFrame* frame = slot.busy ? slot.job_frame : nullptr;
-  const std::size_t tile = slot.job_tile;
-  slot.conn.close();
-  slot.busy = false;
-  slot.job_frame = nullptr;
-  slot.ping_outstanding = false;
-  // The peer process owns the re-dial; this side just waits for it — as a
-  // prospect within the grace window, then as plain spare capacity.
-  slot.state = RemoteSlot::State::kReconnecting;
-  slot.state_since = Deadline::Clock::now();
-  if (frame != nullptr) {
-    ++health_.redispatches_on_disconnect;
-    fail_tile(*frame, tile, ctrl);
+  // A TCP peer can vanish without an EOF (half-open connection), so a busy
+  // TCP dispatch always carries a timeout — the read timeout backstops a
+  // disabled heartbeat. A socketpair always reports peer death as EOF.
+  if (!link.owns_pid && link.heartbeat_seconds <= 0.0)
+    link.heartbeat_seconds = opts_.remote_read_timeout_seconds;
+  if (!link.conn.queue_message(wire::encode_tile_request(req))) {
+    // The worker died before (or while) we wrote: the failure path requeues
+    // the tile.
+    handle_link_failure(index, FailureKind::kDrop, ctrl);
   }
 }
 
@@ -434,177 +421,96 @@ void DecodeService::accept_remote_connections(
   for (;;) {
     const int fd = listener_.accept_nonblocking();
     if (fd < 0) return;
-    // Bind to a slot that is waiting for a connection; a disconnected slot
-    // is revivable (a healed partition re-adds capacity) but last in line.
-    std::size_t index = remote_slots_.size();
-    for (std::size_t i = 0; i < remote_slots_.size(); ++i) {
-      const RemoteSlot::State st = remote_slots_[i].state;
-      if (st == RemoteSlot::State::kConnecting ||
-          st == RemoteSlot::State::kReconnecting) {
+    // Bind to a TCP link that is waiting for a connection; a disconnected
+    // one is revivable (a healed partition re-adds capacity) but last in
+    // line.
+    std::size_t index = links_.size();
+    for (std::size_t i = 0; i < links_.size(); ++i) {
+      const Link::State st = links_[i].state;
+      if (links_[i].owns_pid) continue;
+      if (st == Link::State::kConnecting ||
+          st == Link::State::kReconnecting) {
         index = i;
         break;
       }
-      if (st == RemoteSlot::State::kDisconnected &&
-          index == remote_slots_.size())
+      if (st == Link::State::kDisconnected && index == links_.size())
         index = i;
     }
-    if (index == remote_slots_.size()) {
+    if (index == links_.size()) {
       // Fleet full: drop the connection; the peer backs off and retries.
       ::close(fd);
       continue;
     }
-    RemoteSlot& slot = remote_slots_[index];
-    slot.conn = net::Connection(fd);
-    slot.state = RemoteSlot::State::kHandshaking;
-    slot.state_since = now;
-    slot.last_activity = now;
-    slot.ping_outstanding = false;
+    Link& link = links_[index];
+    link.conn = net::Connection(fd);
+    link.state = Link::State::kHandshaking;
+    link.state_since = now;
+    link.last_activity = now;
+    link.ping_outstanding = false;
   }
 }
 
-bool DecodeService::process_remote_message(std::size_t remote_index,
-                                           const wire::Message& msg,
-                                           const solvers::SolveOptions& ctrl) {
-  RemoteSlot& slot = remote_slots_[remote_index];
-
-  if (slot.state == RemoteSlot::State::kHandshaking) {
-    // Only a valid, compatible Hello gets the slot to healthy.
-    wire::HelloAck ack;
-    ack.accepted = true;
-    wire::HelloRequest hello;
-    bool parsed = false;
-    if (msg.type == wire::MessageType::kHello) {
-      try {
-        hello = wire::decode_hello(msg);
-        parsed = true;
-      } catch (const CheckError&) {
-      }
+bool DecodeService::admit_hello(std::size_t index, const wire::Message& msg,
+                                const solvers::SolveOptions& ctrl) {
+  Link& link = links_[index];
+  wire::HelloAck ack;
+  ack.accepted = true;
+  wire::HelloRequest hello;
+  bool parsed = false;
+  if (msg.type == wire::MessageType::kHello) {
+    try {
+      hello = wire::decode_hello(msg);
+      parsed = true;
+    } catch (const CheckError&) {
     }
-    if (!parsed) {
-      ++health_.handshake_failures;
-      slot.conn.close();
-      slot.state = RemoteSlot::State::kReconnecting;
-      slot.state_since = Deadline::Clock::now();
-      return false;
-    }
-    if (hello.wire_version != wire::kVersion) {
-      ack = {false, wire::HelloReject::kVersionMismatch};
-    } else if ((hello.capabilities & wire::kCapTileDecode) == 0) {
-      ack = {false, wire::HelloReject::kMissingCapability};
-    } else if (hello.padded_rows != grid_.padded_rows ||
-               hello.padded_cols != grid_.padded_cols) {
-      ack = {false, wire::HelloReject::kGeometryMismatch};
-    } else if (hello.seed != opts_.seed) {
-      // A worker drawing patterns from a different base seed would break the
-      // cross-host determinism contract — refuse it outright.
-      ack = {false, wire::HelloReject::kSeedMismatch};
-    } else if (slot.ever_connected &&
-               remote_reconnects_used_ >= opts_.max_remote_reconnects) {
-      ack = {false, wire::HelloReject::kBudgetExhausted};
-    }
-    if (!ack.accepted) {
-      ++health_.handshake_failures;
-      slot.conn.queue_message(wire::encode_hello_ack(ack));  // best effort
-      slot.conn.close();
-      // A reasoned refusal is permanent for this peer (it exits rather than
-      // re-dial the same parameters): no longer a prospect.
-      slot.state = RemoteSlot::State::kDisconnected;
-      slot.state_since = Deadline::Clock::now();
-      return false;
-    }
-    if (!slot.conn.queue_message(wire::encode_hello_ack(ack))) {
-      handle_remote_failure(remote_index, RemoteFailureKind::kDisconnect,
-                            ctrl);
-      return false;
-    }
-    if (slot.ever_connected) {
-      ++health_.remote_reconnects;
-      ++remote_reconnects_used_;
-    } else {
-      ++health_.remote_connects;
-    }
-    slot.ever_connected = true;
-    slot.state = RemoteSlot::State::kHealthy;
-    slot.state_since = Deadline::Clock::now();
-    slot.last_activity = slot.state_since;
-    return true;
   }
-
-  // Healthy-state traffic.
-  if (msg.type == wire::MessageType::kPong) {
-    slot.ping_outstanding = false;
-    return true;
-  }
-  if (msg.type != wire::MessageType::kTileResponse) {
-    handle_remote_failure(remote_index, RemoteFailureKind::kCorrupt, ctrl);
+  if (!parsed) {
+    ++health_.handshake_failures;
+    link.conn.close();
+    link.state = Link::State::kReconnecting;
+    link.state_since = Deadline::Clock::now();
     return false;
   }
-  wire::TileResponse resp;
-  try {
-    resp = wire::decode_tile_response(msg);
-  } catch (const CheckError&) {
-    handle_remote_failure(remote_index, RemoteFailureKind::kCorrupt, ctrl);
+  if (hello.wire_version != wire::kVersion) {
+    ack = {false, wire::HelloReject::kVersionMismatch};
+  } else if ((hello.capabilities & wire::kCapTileDecode) == 0) {
+    ack = {false, wire::HelloReject::kMissingCapability};
+  } else if (hello.padded_rows != grid_.padded_rows ||
+             hello.padded_cols != grid_.padded_cols) {
+    ack = {false, wire::HelloReject::kGeometryMismatch};
+  } else if (hello.seed != opts_.seed) {
+    // A worker drawing patterns from a different base seed would break the
+    // cross-host determinism contract — refuse it outright.
+    ack = {false, wire::HelloReject::kSeedMismatch};
+  } else if (link.ever_connected &&
+             remote_reconnects_used_ >= opts_.max_remote_reconnects) {
+    ack = {false, wire::HelloReject::kBudgetExhausted};
+  }
+  if (!ack.accepted) {
+    ++health_.handshake_failures;
+    link.conn.queue_message(wire::encode_hello_ack(ack));  // best effort
+    link.conn.close();
+    // A reasoned refusal is permanent for this peer (it exits rather than
+    // re-dial the same parameters): no longer a prospect.
+    link.state = Link::State::kDisconnected;
+    link.state_since = Deadline::Clock::now();
     return false;
   }
-  if (resp.tile.rows() != grid_.padded_rows ||
-      resp.tile.cols() != grid_.padded_cols) {
-    handle_remote_failure(remote_index, RemoteFailureKind::kCorrupt, ctrl);
+  if (!link.conn.queue_message(wire::encode_hello_ack(ack))) {
+    handle_link_failure(index, FailureKind::kDrop, ctrl);
     return false;
   }
-  if (slot.busy && resp.seq == slot.seq) {
-    ActiveFrame& frame = *slot.job_frame;
-    const std::size_t tile = slot.job_tile;
-    slot.busy = false;
-    slot.job_frame = nullptr;
-    const double observed =
-        seconds_since(slot.dispatched_at, Deadline::Clock::now());
-    slot.ewma_tile_seconds =
-        slot.ewma_tile_seconds <= 0.0
-            ? observed
-            : kEwmaAlpha * observed +
-                  (1.0 - kEwmaAlpha) * slot.ewma_tile_seconds;
-    complete_tile(frame, tile, resp.tile, std::move(resp.report),
-                  /*in_process=*/false, /*remote=*/true);
+  if (link.ever_connected) {
+    ++health_.remote_reconnects;
+    ++remote_reconnects_used_;
   } else {
-    ++health_.stale_responses;
+    ++health_.remote_connects;
   }
+  link.ever_connected = true;
+  link.state = Link::State::kHealthy;
+  link.state_since = Deadline::Clock::now();
+  link.last_activity = link.state_since;
   return true;
-}
-
-void DecodeService::dispatch_remote_tile(std::size_t remote_index,
-                                         ActiveFrame& frame, std::size_t tile,
-                                         const solvers::SolveOptions& ctrl) {
-  RemoteSlot& slot = remote_slots_[remote_index];
-  wire::TileRequest req = make_request(frame, tile, ctrl);
-  req.seq = next_seq_++;
-  const std::vector<std::uint8_t> bytes = wire::encode_tile_request(req);
-
-  TileState& ts = frame.tiles[tile];
-  if (ts.attempts > 0) ++health_.tile_redispatches;
-  ++ts.attempts;
-  ts.stage = TileState::Stage::kDispatched;
-  ++health_.tiles_dispatched;
-
-  slot.busy = true;
-  slot.job_frame = &frame;
-  slot.job_tile = tile;
-  slot.seq = req.seq;
-  slot.dispatched_at = Deadline::Clock::now();
-  slot.ping_outstanding = false;  // a dispatch supersedes any idle probe
-  slot.heartbeat_seconds =
-      req.deadline_seconds > 0.0
-          ? std::max(opts_.heartbeat_floor_seconds,
-                     opts_.heartbeat_multiplier * req.deadline_seconds +
-                         kHeartbeatSlackSeconds)
-          : opts_.heartbeat_floor_seconds;
-  // A TCP peer can vanish without an EOF (half-open connection), so a busy
-  // remote dispatch always carries a timeout — the read timeout backstops a
-  // disabled heartbeat.
-  if (slot.heartbeat_seconds <= 0.0)
-    slot.heartbeat_seconds = opts_.remote_read_timeout_seconds;
-  if (!slot.conn.queue_message(bytes)) {
-    handle_remote_failure(remote_index, RemoteFailureKind::kDisconnect, ctrl);
-  }
 }
 
 void DecodeService::complete_tile(ActiveFrame& frame, std::size_t tile,
@@ -642,100 +548,102 @@ void DecodeService::complete_tile(ActiveFrame& frame, std::size_t tile,
   ++frame.tiles_done;
 }
 
-bool DecodeService::collect_slot(std::size_t slot_index,
+void DecodeService::collect_link(std::size_t index, short revents,
+                                 Deadline::Clock::time_point now,
                                  const solvers::SolveOptions& ctrl) {
-  WorkerSlot& slot = slots_[slot_index];
-  std::uint8_t chunk[65536];
-  const ssize_t n = ::read(slot.fd, chunk, sizeof(chunk));
-  if (n == 0) {  // EOF: the worker exited (or was SIGKILLed by injection)
-    handle_worker_failure(slot_index, FailureKind::kCrash, ctrl);
-    return false;
+  Link& link = links_[index];
+  if ((revents & POLLOUT) != 0 && !link.conn.flush()) {
+    handle_link_failure(index, FailureKind::kDrop, ctrl);
+    return;
   }
-  if (n < 0) {
-    if (errno == EINTR || errno == EAGAIN) return true;
-    handle_worker_failure(slot_index, FailureKind::kCrash, ctrl);
-    return false;
-  }
-  slot.inbuf.insert(slot.inbuf.end(), chunk, chunk + n);
-
+  if ((revents & (POLLIN | POLLHUP | POLLERR)) == 0) return;
+  const net::Connection::ReadStatus rs = link.conn.read_available();
+  if (rs == net::Connection::ReadStatus::kProgress) link.last_activity = now;
+  // Drain complete messages even when the peer closed right after writing
+  // them — a finished tile should not be re-decoded just because its
+  // connection died a microsecond later.
   for (;;) {
     wire::Message msg;
-    std::size_t consumed = 0;
-    const wire::DecodeStatus st =
-        wire::decode_message(slot.inbuf.data(), slot.inbuf.size(), msg,
-                             consumed);
-    if (st == wire::DecodeStatus::kShort) return true;
+    const wire::DecodeStatus st = link.conn.next_message(msg);
+    if (st == wire::DecodeStatus::kShort) break;
     if (st != wire::DecodeStatus::kOk) {
       // Bad magic / version / length / checksum: the byte stream has no
-      // resync point, so the worker is done for.
-      handle_worker_failure(slot_index, FailureKind::kCorrupt, ctrl);
-      return false;
+      // resync point, so the link is done for.
+      handle_link_failure(index, FailureKind::kCorrupt, ctrl);
+      return;
     }
-    slot.inbuf.erase(slot.inbuf.begin(),
-                     slot.inbuf.begin() + static_cast<std::ptrdiff_t>(consumed));
-
-    if (msg.type != wire::MessageType::kTileResponse) {
-      handle_worker_failure(slot_index, FailureKind::kCorrupt, ctrl);
-      return false;
+    if (link.state == Link::State::kHandshaking) {
+      if (!admit_hello(index, msg, ctrl)) return;
+      continue;
     }
+    if (msg.type == wire::MessageType::kPong) {
+      link.ping_outstanding = false;
+      continue;
+    }
+    // Anything but a well-formed response of our tile geometry — including
+    // a payload that checksums cleanly but lies structurally — poisons the
+    // stream just like a bad checksum.
     wire::TileResponse resp;
-    try {
-      resp = wire::decode_tile_response(msg);
-    } catch (const CheckError&) {
-      // Checksum passed but the payload lies structurally.
-      handle_worker_failure(slot_index, FailureKind::kCorrupt, ctrl);
-      return false;
+    bool valid = msg.type == wire::MessageType::kTileResponse;
+    if (valid) {
+      try {
+        resp = wire::decode_tile_response(msg);
+      } catch (const CheckError&) {
+        valid = false;
+      }
     }
-    if (resp.tile.rows() != grid_.padded_rows ||
+    if (!valid || resp.tile.rows() != grid_.padded_rows ||
         resp.tile.cols() != grid_.padded_cols) {
-      handle_worker_failure(slot_index, FailureKind::kCorrupt, ctrl);
-      return false;
+      handle_link_failure(index, FailureKind::kCorrupt, ctrl);
+      return;
     }
-    if (slot.busy && resp.seq == slot.seq) {
-      ActiveFrame& frame = *slot.job_frame;
-      const std::size_t tile = slot.job_tile;
-      slot.busy = false;
-      slot.job_frame = nullptr;
+    if (link.busy && resp.seq == link.seq) {
+      ActiveFrame& frame = *link.job_frame;
+      const std::size_t tile = link.job_tile;
+      link.busy = false;
+      link.job_frame = nullptr;
       const double observed =
-          seconds_since(slot.dispatched_at, Deadline::Clock::now());
-      slot.ewma_tile_seconds =
-          slot.ewma_tile_seconds <= 0.0
+          seconds_since(link.dispatched_at, Deadline::Clock::now());
+      link.ewma_tile_seconds =
+          link.ewma_tile_seconds <= 0.0
               ? observed
               : kEwmaAlpha * observed +
-                    (1.0 - kEwmaAlpha) * slot.ewma_tile_seconds;
+                    (1.0 - kEwmaAlpha) * link.ewma_tile_seconds;
       complete_tile(frame, tile, resp.tile, std::move(resp.report),
-                    /*in_process=*/false, /*remote=*/false);
+                    /*in_process=*/false, /*remote=*/!link.owns_pid);
     } else {
       // A response for a dispatch we already gave up on (e.g. the answer of
-      // a worker we declared stalled raced the SIGKILL). The tile was (or
+      // a worker we declared stalled raced its teardown). The tile was (or
       // will be) decoded elsewhere; dropping this one keeps exactly one
       // completion per tile.
       ++health_.stale_responses;
     }
   }
+  if (rs == net::Connection::ReadStatus::kClosed)
+    handle_link_failure(index, FailureKind::kDrop, ctrl);
 }
 
 void DecodeService::pump(std::vector<std::unique_ptr<ActiveFrame>>& window,
                          const solvers::SolveOptions& ctrl) {
   const Deadline::Clock::time_point now = Deadline::Clock::now();
 
-  // --- remote lifecycle sweep: a slot stuck waiting for a connection (or a
-  // valid Hello) past the grace window stops being a prospect, so its tiles
-  // route to the forked fleet or in-process instead of hanging on a
-  // partition. The slot stays revivable should a connection arrive later.
-  for (RemoteSlot& r : remote_slots_) {
-    const bool waiting = r.state == RemoteSlot::State::kConnecting ||
-                         r.state == RemoteSlot::State::kHandshaking ||
-                         r.state == RemoteSlot::State::kReconnecting;
-    if (!waiting || seconds_since(r.state_since, now) <=
+  // --- lifecycle sweep: a link stuck waiting for a connection (or a valid
+  // Hello) past the grace window stops being a prospect, so its tiles route
+  // to the rest of the fleet or in-process instead of hanging on a
+  // partition. The link stays revivable should a connection arrive later.
+  for (Link& link : links_) {
+    const bool waiting = link.state == Link::State::kConnecting ||
+                         link.state == Link::State::kHandshaking ||
+                         link.state == Link::State::kReconnecting;
+    if (!waiting || seconds_since(link.state_since, now) <=
                         opts_.remote_connect_grace_seconds)
       continue;
-    if (r.state == RemoteSlot::State::kHandshaking) {
+    if (link.state == Link::State::kHandshaking) {
       ++health_.handshake_failures;  // connected but never said a valid Hello
-      r.conn.close();
+      link.conn.close();
     }
-    r.state = RemoteSlot::State::kDisconnected;
-    r.state_since = now;
+    link.state = Link::State::kDisconnected;
+    link.state_since = now;
   }
 
   // --- poll timeout: zero when there is dispatchable or fallback work now,
@@ -743,27 +651,15 @@ void DecodeService::pump(std::vector<std::unique_ptr<ActiveFrame>>& window,
   // a 20 ms supervision tick.
   double wait_s = 0.02;
   bool idle_worker = false;
-  for (const WorkerSlot& slot : slots_) {
-    if (!slot.live) continue;
-    if (!slot.busy) {
+  for (const Link& link : links_) {
+    if (link.state != Link::State::kHealthy) continue;
+    if (!link.busy) {
       idle_worker = true;
       continue;
     }
-    if (slot.heartbeat_seconds > 0.0) {
-      const double rem = slot.heartbeat_seconds -
-                         seconds_since(slot.dispatched_at, now);
-      wait_s = std::min(wait_s, rem);
-    }
-  }
-  for (const RemoteSlot& r : remote_slots_) {
-    if (r.state != RemoteSlot::State::kHealthy) continue;
-    if (!r.busy) {
-      idle_worker = true;
-      continue;
-    }
-    if (r.heartbeat_seconds > 0.0) {
+    if (link.heartbeat_seconds > 0.0) {
       const double rem =
-          r.heartbeat_seconds - seconds_since(r.dispatched_at, now);
+          link.heartbeat_seconds - seconds_since(link.dispatched_at, now);
       wait_s = std::min(wait_s, rem);
     }
   }
@@ -785,40 +681,26 @@ void DecodeService::pump(std::vector<std::unique_ptr<ActiveFrame>>& window,
       wait_s <= 0.0 ? 0
                     : static_cast<int>(std::min(wait_s * 1000.0 + 1.0, 20.0));
 
-  // --- poll + read + collect over the whole fleet: forked socketpairs, the
-  // TCP listener, and every bound remote connection (POLLOUT only while its
-  // send buffer holds bytes the socket would not take earlier).
-  enum class FdKind : std::uint8_t { kForked, kListener, kRemote };
+  // --- poll + read + collect over every bound link connection (POLLOUT
+  // only while its send buffer holds bytes the socket would not take
+  // earlier), then the TCP listener.
   std::vector<pollfd> fds;
-  std::vector<FdKind> fd_kind;
-  std::vector<std::size_t> fd_index;
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
-    if (!slots_[i].live) continue;
+  std::vector<std::size_t> fd_link;  // link index per fds entry
+  for (std::size_t i = 0; i < links_.size(); ++i) {
+    const Link& link = links_[i];
+    if (!link.conn.valid()) continue;
     pollfd p{};
-    p.fd = slots_[i].fd;
+    p.fd = link.conn.fd();
     p.events = POLLIN;
+    if (link.conn.wants_write()) p.events |= POLLOUT;
     fds.push_back(p);
-    fd_kind.push_back(FdKind::kForked);
-    fd_index.push_back(i);
+    fd_link.push_back(i);
   }
   if (listener_.listening()) {
     pollfd p{};
     p.fd = listener_.fd();
     p.events = POLLIN;
     fds.push_back(p);
-    fd_kind.push_back(FdKind::kListener);
-    fd_index.push_back(0);
-  }
-  for (std::size_t i = 0; i < remote_slots_.size(); ++i) {
-    const RemoteSlot& r = remote_slots_[i];
-    if (!r.conn.valid()) continue;
-    pollfd p{};
-    p.fd = r.conn.fd();
-    p.events = POLLIN;
-    if (r.conn.wants_write()) p.events |= POLLOUT;
-    fds.push_back(p);
-    fd_kind.push_back(FdKind::kRemote);
-    fd_index.push_back(i);
   }
   if (!fds.empty()) {
     const int rc = ::poll(fds.data(), static_cast<nfds_t>(fds.size()),
@@ -827,102 +709,59 @@ void DecodeService::pump(std::vector<std::unique_ptr<ActiveFrame>>& window,
       const Deadline::Clock::time_point read_now = Deadline::Clock::now();
       for (std::size_t i = 0; i < fds.size(); ++i) {
         if (fds[i].revents == 0) continue;
-        switch (fd_kind[i]) {
-          case FdKind::kForked:
-            if ((fds[i].revents & (POLLIN | POLLHUP | POLLERR)) != 0)
-              collect_slot(fd_index[i], ctrl);
-            break;
-          case FdKind::kListener:
-            accept_remote_connections(read_now);
-            break;
-          case FdKind::kRemote: {
-            const std::size_t ri = fd_index[i];
-            RemoteSlot& r = remote_slots_[ri];
-            if (!r.conn.valid() || r.conn.fd() != fds[i].fd) break;
-            if ((fds[i].revents & POLLOUT) != 0 && !r.conn.flush()) {
-              handle_remote_failure(ri, RemoteFailureKind::kDisconnect, ctrl);
-              break;
-            }
-            if ((fds[i].revents & (POLLIN | POLLHUP | POLLERR)) == 0) break;
-            const net::Connection::ReadStatus rs = r.conn.read_available();
-            if (rs == net::Connection::ReadStatus::kProgress)
-              r.last_activity = read_now;
-            // Drain complete messages even when the peer closed right after
-            // writing them — a finished tile should not be re-decoded just
-            // because its connection died a microsecond later.
-            bool torn_down = false;
-            for (;;) {
-              wire::Message msg;
-              const wire::DecodeStatus st = r.conn.next_message(msg);
-              if (st == wire::DecodeStatus::kShort) break;
-              if (st != wire::DecodeStatus::kOk) {
-                handle_remote_failure(ri, RemoteFailureKind::kCorrupt, ctrl);
-                torn_down = true;
-                break;
-              }
-              if (!process_remote_message(ri, msg, ctrl)) {
-                torn_down = true;
-                break;
-              }
-            }
-            if (!torn_down && rs == net::Connection::ReadStatus::kClosed)
-              handle_remote_failure(ri, RemoteFailureKind::kDisconnect, ctrl);
-            break;
-          }
+        if (i == fd_link.size()) {
+          accept_remote_connections(read_now);
+        } else if (links_[fd_link[i]].conn.fd() == fds[i].fd) {
+          // (A failure earlier this round may have closed the link.)
+          collect_link(fd_link[i], fds[i].revents, read_now, ctrl);
         }
       }
     }
   }
 
   // --- heartbeat scan: a dispatched tile unanswered past its timeout means
-  // a wedged worker — SIGKILL + respawn for a forked slot, teardown +
-  // reconnect for a remote one (the broker cannot signal a remote process;
+  // a wedged worker (the broker cannot tell a busy remote from a dead one;
   // it can only stop listening to it).
   const Deadline::Clock::time_point after_poll = Deadline::Clock::now();
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
-    WorkerSlot& slot = slots_[i];
-    if (!slot.live || !slot.busy || slot.heartbeat_seconds <= 0.0) continue;
-    if (seconds_since(slot.dispatched_at, after_poll) > slot.heartbeat_seconds)
-      handle_worker_failure(i, FailureKind::kStall, ctrl);
-  }
-  for (std::size_t i = 0; i < remote_slots_.size(); ++i) {
-    RemoteSlot& r = remote_slots_[i];
-    if (r.state != RemoteSlot::State::kHealthy) continue;
-    if (r.busy) {
-      if (r.heartbeat_seconds > 0.0 &&
-          seconds_since(r.dispatched_at, after_poll) > r.heartbeat_seconds) {
-        r.state = RemoteSlot::State::kSuspect;  // observable transition
-        handle_remote_failure(i, RemoteFailureKind::kTimeout, ctrl);
+  for (std::size_t i = 0; i < links_.size(); ++i) {
+    Link& link = links_[i];
+    if (link.state != Link::State::kHealthy) continue;
+    if (link.busy) {
+      if (link.heartbeat_seconds > 0.0 &&
+          seconds_since(link.dispatched_at, after_poll) >
+              link.heartbeat_seconds) {
+        link.state = Link::State::kSuspect;  // observable transition
+        handle_link_failure(i, FailureKind::kTimeout, ctrl);
       }
       continue;
     }
-    // Idle keepalive: TCP gives no EOF for a half-open peer, so an idle
-    // connection is pinged and a missing pong read as a dead one. A busy
-    // dispatch never pings — a single-threaded worker mid-solve cannot
+    // Idle keepalive, TCP only: TCP gives no EOF for a half-open peer, so an
+    // idle connection is pinged and a missing pong read as a dead one. A
+    // busy dispatch never pings — a single-threaded worker mid-solve cannot
     // answer, and its heartbeat already bounds the wait.
-    if (r.ping_outstanding) {
-      if (seconds_since(r.ping_sent_at, after_poll) >
+    if (link.owns_pid) continue;
+    if (link.ping_outstanding) {
+      if (seconds_since(link.ping_sent_at, after_poll) >
           opts_.remote_read_timeout_seconds) {
-        r.state = RemoteSlot::State::kSuspect;
-        handle_remote_failure(i, RemoteFailureKind::kTimeout, ctrl);
+        link.state = Link::State::kSuspect;
+        handle_link_failure(i, FailureKind::kTimeout, ctrl);
       }
-    } else if (seconds_since(r.last_activity, after_poll) >
+    } else if (seconds_since(link.last_activity, after_poll) >
                opts_.ping_interval_seconds) {
       const std::vector<std::uint8_t> ping =
           wire::encode_message(wire::MessageType::kPing, {});
-      if (!r.conn.queue_message(ping)) {
-        handle_remote_failure(i, RemoteFailureKind::kDisconnect, ctrl);
+      if (!link.conn.queue_message(ping)) {
+        handle_link_failure(i, FailureKind::kDrop, ctrl);
       } else {
-        r.ping_outstanding = true;
-        r.ping_sent_at = after_poll;
+        link.ping_outstanding = true;
+        link.ping_sent_at = after_poll;
       }
     }
   }
 
   // --- dispatch pending tiles (lowest frame, then lowest tile, first) to
-  // the idle worker — forked or remote — with the lowest EWMA tile latency,
-  // and run the in-process fallback for everything that can no longer ride
-  // the fleet.
+  // the idle healthy link with the lowest EWMA tile latency, and run the
+  // in-process fallback for everything that can no longer ride the fleet.
   for (const std::unique_ptr<ActiveFrame>& af : window) {
     if (!af) continue;
     for (std::size_t tile = 0; tile < af->tiles.size(); ++tile) {
@@ -934,35 +773,16 @@ void DecodeService::pump(std::vector<std::unique_ptr<ActiveFrame>>& window,
         continue;
       }
       if (seconds_since(after_poll, ts.eligible_at) > 0.0) continue;
-      bool found = false;
-      bool best_remote = false;
-      std::size_t best_index = 0;
-      double best_ewma = 0.0;
-      for (std::size_t i = 0; i < slots_.size(); ++i) {
-        if (!slots_[i].live || slots_[i].busy) continue;
-        if (!found || slots_[i].ewma_tile_seconds < best_ewma) {
-          found = true;
-          best_remote = false;
-          best_index = i;
-          best_ewma = slots_[i].ewma_tile_seconds;
-        }
+      std::size_t best = links_.size();
+      for (std::size_t i = 0; i < links_.size(); ++i) {
+        const Link& link = links_[i];
+        if (link.state != Link::State::kHealthy || link.busy) continue;
+        if (best == links_.size() ||
+            link.ewma_tile_seconds < links_[best].ewma_tile_seconds)
+          best = i;
       }
-      for (std::size_t i = 0; i < remote_slots_.size(); ++i) {
-        const RemoteSlot& r = remote_slots_[i];
-        if (r.state != RemoteSlot::State::kHealthy || r.busy) continue;
-        if (!found || r.ewma_tile_seconds < best_ewma) {
-          found = true;
-          best_remote = true;
-          best_index = i;
-          best_ewma = r.ewma_tile_seconds;
-        }
-      }
-      if (!found) return;  // fleet saturated
-      if (best_remote) {
-        dispatch_remote_tile(best_index, *af, tile, ctrl);
-      } else {
-        dispatch_tile(best_index, *af, tile, ctrl);
-      }
+      if (best == links_.size()) return;  // fleet saturated
+      dispatch_tile(best, *af, tile, ctrl);
     }
   }
 }
@@ -1062,65 +882,29 @@ std::vector<ServiceFrameResult> DecodeService::process_batch(
   return results;
 }
 
+
 void DecodeService::close() {
   if (closed_) return;
   closed_ = true;
-  // Orderly: ask every live worker — forked or remote — to exit...
+  // Orderly: ask every connected worker to exit, and stop accepting (a
+  // remote worker dialing a closed port fails fast and exhausts its connect
+  // budget instead of lingering)...
   const std::vector<std::uint8_t> bye =
       wire::encode_message(wire::MessageType::kShutdown, {});
-  for (WorkerSlot& slot : slots_) {
-    if (slot.live && slot.fd >= 0) wire::send_message(slot.fd, bye);
-  }
-  for (RemoteSlot& r : remote_slots_) {
-    if (r.conn.valid()) r.conn.queue_message(bye);  // best-effort flush
-    r.conn.close();
-    r.state = RemoteSlot::State::kDisconnected;
-  }
-  // ...stop accepting (a remote worker dialing a closed port fails fast and
-  // exhausts its connect budget instead of lingering)...
-  listener_.close();
-  // ...give the fleet a grace window...
-  const Deadline grace = Deadline::after(opts_.shutdown_grace_seconds);
-  for (WorkerSlot& slot : slots_) {
-    if (!slot.live) continue;
-    while (slot.pid > 0) {
-      int status = 0;
-      const pid_t r = ::waitpid(slot.pid, &status, WNOHANG);
-      if (r == slot.pid) {
-        slot.pid = -1;
-        break;
-      }
-      if (r < 0 && errno != EINTR) break;
-      if (grace.expired()) break;
-      nap_briefly();
-    }
-    // ...then SIGKILL the stragglers.
-    kill_worker(slot);
-  }
-  for (pid_t& pid : loopback_pids_) {
-    if (pid <= 0) continue;
-    while (pid > 0) {
-      int status = 0;
-      const pid_t r = ::waitpid(pid, &status, WNOHANG);
-      if (r == pid) {
-        pid = -1;
-        break;
-      }
-      if (r < 0 && errno != EINTR) break;
-      if (grace.expired()) break;
-      nap_briefly();
-    }
-    if (pid > 0) {
-      // A loopback remote stuck in its reconnect backoff never saw the
-      // shutdown message; bound the wait.
-      ::kill(pid, SIGKILL);
-      int status = 0;
-      while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {
-      }
-      pid = -1;
-    }
-  }
+  std::vector<pid_t> children = std::move(loopback_pids_);
   loopback_pids_.clear();
+  for (Link& link : links_) {
+    if (link.conn.valid()) link.conn.queue_message(bye);  // best effort
+    link.conn.close();
+    link.state = Link::State::kDisconnected;
+    if (link.pid > 0) children.push_back(link.pid);
+    link.pid = -1;
+  }
+  listener_.close();
+  // ...then give every child — forked or loopback — the grace window and
+  // SIGKILL the stragglers (a wedged worker, or a loopback remote stuck in
+  // its reconnect backoff that never saw the shutdown message).
+  reap_children(std::move(children), opts_.shutdown_grace_seconds);
 }
 
 }  // namespace flexcs::runtime

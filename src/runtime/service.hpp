@@ -7,40 +7,44 @@
 // or byte-corrupting worker cannot take the frame (or the service) down
 // with it.
 //
-// Supervision, per forked worker slot:
-//
-//   spawn → healthy → suspect → killed → respawned
-//
-// and per remote slot (the broker owns the connection, not the process):
+// Every worker sits behind one supervised link: a net::Connection plus one
+// dispatch slot, one heartbeat and one latency EWMA, driven by one state
+// machine (DESIGN.md §8):
 //
 //   connecting → handshaking → healthy → suspect → reconnecting
 //                                                → disconnected
 //
-// Dispatch is weighted: among idle admitted workers (forked or remote) the
-// one with the lowest EWMA per-tile latency gets the next tile, so a slow
-// WAN link naturally starves while a fast local worker fills. Degradation
-// order under failure is remote → local-forked → in-process; the last rung
-// never fails, so frames_lost stays 0 through a full network partition.
+// The only per-kind difference is whether the link owns its worker's pid. A
+// forked link does: it is spawned straight into healthy, and on failure the
+// broker SIGKILLs, reaps and respawns it (disconnected once the respawn
+// budget is gone). A TCP link does not: on failure the broker waits for the
+// peer to re-dial, within the connect grace. The pid bit also picks which
+// ServiceHealth counter a failure bumps, and arms the half-open backstops
+// (idle ping, read timeout) that only TCP needs — a socketpair always
+// reports peer death as EOF.
 //
-//   - a worker whose socket EOFs or whose process exits unexpectedly is a
-//     crash: its in-flight tile is re-dispatched and the slot respawned;
+// Dispatch is weighted: among idle healthy links the one with the lowest
+// EWMA per-tile latency gets the next tile, so a slow WAN link naturally
+// starves while a fast local worker fills. Degradation order under failure
+// is remote → local-forked → in-process; the last rung never fails, so
+// frames_lost stays 0 through a full network partition.
+//
+//   - a link whose transport EOFs or errors is a crash / disconnect;
 //   - a dispatched tile with no response within the heartbeat timeout
 //     (max(heartbeat_floor_seconds, heartbeat_multiplier x tile deadline))
-//     marks the worker suspect: it is SIGKILLed, reaped, and respawned, and
-//     the tile re-dispatched to a survivor;
+//     marks the link suspect;
 //   - a response that fails the wire checksum (or lies structurally) poisons
-//     the byte stream: same treatment — kill, respawn, re-dispatch;
-//   - re-dispatches carry a retry budget with exponential backoff; a tile
+//     the byte stream;
+//   - each failure tears the link down (see above) and re-dispatches its
+//     in-flight tile with a retry budget and exponential backoff; a tile
 //     that exhausts it is decoded in-process by the broker itself, as is
-//     everything else once the fleet collapses (respawn budget exhausted,
-//     zero live workers) — graceful degradation, never a hang or a lost
-//     frame.
+//     everything else once the fleet has no prospects left — graceful
+//     degradation, never a hang or a lost frame.
 //
 // Determinism: tile sampling patterns are seeded from (seed, frame, tile) —
 // see worker.hpp — so a re-dispatched or fallback-decoded tile is
 // bit-identical to the one the dead worker would have produced. Fault
-// injection (worker self-kill, stalls, wire corruption) therefore changes
-// health counters, never pixels.
+// injection therefore changes health counters, never pixels.
 //
 // Threading: the broker is deliberately single-threaded (poll-based event
 // loop, no std::thread anywhere), which keeps fork() safe at any time — a
@@ -102,25 +106,26 @@ struct ServiceOptions {
   RobustPipelineOptions pipeline;
   std::shared_ptr<const solvers::SparseSolver> solver;  // null = default
   std::uint64_t seed = 0x5eed;
-  // Deterministic fault injection, indexed by worker slot; shorter vectors
-  // leave the remaining slots fault-free. Drives the supervision tests and
-  // the crash-rate bench.
+  // Deterministic fault injection, indexed by link: the `workers` forked
+  // links first, then the `remote_workers` TCP links (which take it only
+  // when loopback-forked). Shorter vectors leave the remaining links
+  // fault-free. Drives the supervision tests and the fault benches.
   std::vector<WorkerFaultInjection> fault_injection;
 
   // --- remote TCP fleet (multi-host scale-out) ---
-  // Remote worker slots. > 0 makes the broker listen on listen_host:
+  // Remote worker links. > 0 makes the broker listen on listen_host:
   // listen_port and admit workers that pass the handshake (wire version,
   // kCapTileDecode, matching tile geometry and seed). Remote and forked
   // workers serve one fleet behind the same dispatch interface.
   std::size_t remote_workers = 0;
-  // Fork one local process per remote slot running remote_decode_worker_loop
+  // Fork one local process per remote link running remote_decode_worker_loop
   // against our own listener — the deterministic loopback topology the tests
   // and bench use. External processes join a real deployment through the
   // same loop + listen_port().
   bool spawn_remote_loopback = true;
   std::string listen_host = "127.0.0.1";
   std::uint16_t listen_port = 0;  // 0 = ephemeral; resolved via listen_port()
-  // How long a remote slot may sit connecting / handshaking / reconnecting
+  // How long a remote link may sit connecting / handshaking / reconnecting
   // before the broker stops treating it as a prospect and routes its tiles
   // to the forked fleet or in-process — the bound on how long a full network
   // partition can delay a frame.
@@ -136,9 +141,6 @@ struct ServiceOptions {
   // means a flapping peer is refused (HelloReject::kBudgetExhausted) instead
   // of thrashing the dispatch loop forever.
   int max_remote_reconnects = 64;
-  // Deterministic network fault injection, indexed by remote slot. Only
-  // applies to loopback-forked remote workers.
-  std::vector<RemoteFaultInjection> remote_fault_injection;
 };
 
 /// Cumulative service telemetry (since construction). Every supervision
@@ -214,7 +216,7 @@ class DecodeService {
 
   ServiceHealth health() const { return health_; }
   std::size_t live_workers() const;
-  /// Remote slots currently admitted (handshake complete, connection up).
+  /// TCP links currently admitted (handshake complete, connection up).
   std::size_t healthy_remote_workers() const;
   /// The broker's bound listener port (0 when no remote fleet). External
   /// remote workers dial this with remote_decode_worker_loop.
@@ -249,12 +251,29 @@ class DecodeService {
     Deadline::Clock::time_point admitted_at{};   // entered the decode window
   };
 
-  struct WorkerSlot {
+  /// One supervised worker link (state machine in the header comment). A
+  /// forked link owns its worker's pid; a TCP link owns only the connection
+  /// — the peer process decides when to (re)dial, the broker whether to
+  /// admit it.
+  struct Link {
+    enum class State : std::uint8_t {
+      kConnecting,    // never connected; awaiting the first dial
+      kHandshaking,   // connection bound; awaiting a valid Hello
+      kHealthy,       // dispatchable (forked links are spawned into it)
+      kSuspect,       // timeout detected this round (transient, torn down)
+      kReconnecting,  // connection lost; still a prospect within the grace
+      kDisconnected,  // grace expired, refused, or respawn budget gone
+    };
+    bool owns_pid = false;  // forked: SIGKILL + reap + respawn on failure
     pid_t pid = -1;
-    int fd = -1;
-    bool live = false;
-    int spawn_count = 0;  // processes ever spawned into this slot
-    std::vector<std::uint8_t> inbuf;
+    int spawn_count = 0;  // processes ever spawned into this link
+    State state = State::kConnecting;
+    net::Connection conn;
+    bool ever_connected = false;  // admitted at least once (reconnect budget)
+    Deadline::Clock::time_point state_since{};
+    Deadline::Clock::time_point last_activity{};  // bytes seen / admission
+    bool ping_outstanding = false;
+    Deadline::Clock::time_point ping_sent_at{};
     // Current dispatch (one in flight per worker).
     bool busy = false;
     ActiveFrame* job_frame = nullptr;
@@ -267,53 +286,26 @@ class DecodeService {
     double ewma_tile_seconds = 0.0;
   };
 
-  /// One remote worker slot. Unlike a forked slot (whose process the broker
-  /// owns), a remote slot supervises a *connection*: the peer process decides
-  /// when to (re)connect, the broker decides whether to admit it.
-  ///
-  ///   connecting → handshaking → healthy → suspect ─┐
-  ///        ▲                                        ▼
-  ///        └──────────── reconnecting ◄─────────────┘
-  ///                           │ (grace expires)
-  ///                           ▼
-  ///                      disconnected  (revivable on a later connect,
-  ///                                     but never counted as a prospect)
-  struct RemoteSlot {
-    enum class State : std::uint8_t {
-      kConnecting,    // never connected; awaiting the first dial
-      kHandshaking,   // connection bound; awaiting a valid Hello
-      kHealthy,       // admitted; dispatchable
-      kSuspect,       // timeout detected this round (transient, torn down)
-      kReconnecting,  // connection lost; still a prospect within the grace
-      kDisconnected,  // grace expired or refused; tiles route elsewhere
-    };
-    State state = State::kConnecting;
-    net::Connection conn;
-    bool ever_connected = false;  // admitted at least once (reconnect budget)
-    Deadline::Clock::time_point state_since{};
-    Deadline::Clock::time_point last_activity{};  // bytes seen / admission
-    bool ping_outstanding = false;
-    Deadline::Clock::time_point ping_sent_at{};
-    // Current dispatch (one in flight per worker), mirroring WorkerSlot.
-    bool busy = false;
-    ActiveFrame* job_frame = nullptr;
-    std::size_t job_tile = 0;
-    std::uint64_t seq = 0;
-    Deadline::Clock::time_point dispatched_at{};
-    double heartbeat_seconds = 0.0;
-    double ewma_tile_seconds = 0.0;
-  };
+  enum class FailureKind { kDrop, kTimeout, kCorrupt };
 
-  enum class FailureKind { kCrash, kStall, kCorrupt };
-  enum class RemoteFailureKind { kDisconnect, kTimeout, kCorrupt };
-
-  void spawn_worker(std::size_t slot_index);
-  /// SIGKILL + reap + fd teardown. Safe on already-dead processes.
-  void kill_worker(WorkerSlot& slot);
-  /// Crash/stall/corrupt handling: counters, teardown, in-flight tile
-  /// requeue, respawn (budget permitting).
-  void handle_worker_failure(std::size_t slot_index, FailureKind kind,
-                             const solvers::SolveOptions& ctrl);
+  /// Decode config plus link `index`'s fault injection (a respawned process
+  /// runs clean unless the injection persists).
+  WorkerConfig worker_config(std::size_t index) const;
+  /// Forks a worker process into forked link `index` over a new socketpair.
+  void spawn_worker(std::size_t index);
+  /// Forks one loopback process per TCP link, each running
+  /// remote_decode_worker_loop against our listener.
+  void spawn_loopback_remotes();
+  /// In a freshly forked child: closes every broker fd it inherited (link
+  /// connections, the listener), so a dead broker reads as EOF there and the
+  /// child cannot hold a sibling's transport open.
+  void close_inherited_fds();
+  /// The one failure path: counters, connection teardown, in-flight tile
+  /// requeue. A forked link is then SIGKILLed, reaped and respawned (budget
+  /// permitting); a TCP link moves to reconnecting — its peer owns the
+  /// re-dial.
+  void handle_link_failure(std::size_t index, FailureKind kind,
+                           const solvers::SolveOptions& ctrl);
   /// Returns the tile to kPending with backoff, or decodes it in-process
   /// once its retry budget is gone.
   void fail_tile(ActiveFrame& frame, std::size_t tile,
@@ -322,54 +314,44 @@ class DecodeService {
                               const solvers::SolveOptions& ctrl);
   wire::TileRequest make_request(const ActiveFrame& frame, std::size_t tile,
                                  const solvers::SolveOptions& ctrl);
-  /// Sends one tile to an idle worker slot; a send failure is handled as a
-  /// crash (the tile is requeued by the failure path).
-  void dispatch_tile(std::size_t slot_index, ActiveFrame& frame,
-                     std::size_t tile, const solvers::SolveOptions& ctrl);
+  /// Sends one tile to an idle healthy link; a send failure is handled as a
+  /// dropped transport (the tile is requeued by the failure path).
+  void dispatch_tile(std::size_t index, ActiveFrame& frame, std::size_t tile,
+                     const solvers::SolveOptions& ctrl);
   void complete_tile(ActiveFrame& frame, std::size_t tile,
                      const la::Matrix& padded, RecoveryReport report,
                      bool in_process, bool remote);
-  /// Drains every parseable message out of a slot's input buffer; returns
-  /// false when the slot died (EOF / corrupt stream) and was torn down.
-  bool collect_slot(std::size_t slot_index, const solvers::SolveOptions& ctrl);
+  /// Services one polled link: flushes queued writes, drains the socket,
+  /// and handles every complete message (Hello while handshaking, Pong /
+  /// TileResponse when healthy) — even when the peer closed right after
+  /// writing them. EOF and bad bytes go to handle_link_failure.
+  void collect_link(std::size_t index, short revents,
+                    Deadline::Clock::time_point now,
+                    const solvers::SolveOptions& ctrl);
+  /// Validates a handshaking link's Hello: admits the peer (healthy),
+  /// refuses it for good (disconnected), or drops a malformed one
+  /// (reconnecting). Returns false when the connection was closed.
+  bool admit_hello(std::size_t index, const wire::Message& msg,
+                   const solvers::SolveOptions& ctrl);
+  /// Accepts every pending connection and binds each to a free TCP link
+  /// (connecting / reconnecting first, then a revivable disconnected one);
+  /// with no link free the connection is closed and the peer retries.
+  void accept_remote_connections(Deadline::Clock::time_point now);
   /// One supervision round: poll/read/collect, heartbeat scan, dispatch.
   void pump(std::vector<std::unique_ptr<ActiveFrame>>& window,
             const solvers::SolveOptions& ctrl);
   RobustPipeline& in_process_pipeline();
-
-  // --- remote fleet ---
-  /// Forks one loopback process per remote slot, each running
-  /// remote_decode_worker_loop against our listener.
-  void spawn_loopback_remotes();
-  /// Accepts every pending connection and binds each to a free remote slot
-  /// (connecting / reconnecting first, then a revivable disconnected slot);
-  /// with no slot free the connection is closed and the peer retries.
-  void accept_remote_connections(Deadline::Clock::time_point now);
-  /// Tears the slot's connection down (counters, in-flight tile requeue) and
-  /// moves it to reconnecting — the peer owns the re-dial.
-  void handle_remote_failure(std::size_t remote_index, RemoteFailureKind kind,
-                             const solvers::SolveOptions& ctrl);
-  /// Handles one parsed message on a remote slot (Hello validation when
-  /// handshaking; Pong / TileResponse when healthy). Returns false when the
-  /// slot was torn down and its buffer must not be drained further.
-  bool process_remote_message(std::size_t remote_index,
-                              const wire::Message& msg,
-                              const solvers::SolveOptions& ctrl);
-  void dispatch_remote_tile(std::size_t remote_index, ActiveFrame& frame,
-                            std::size_t tile,
-                            const solvers::SolveOptions& ctrl);
-  /// True while any worker could still take a tile: a live forked worker, an
-  /// admitted remote, or a remote slot plausibly about to (re)connect —
-  /// within the connect grace. In-process fallback engages only when this
-  /// goes false, so a full partition degrades instead of hanging.
+  /// True while any worker could still take a tile: a healthy link, or a
+  /// TCP link plausibly about to (re)connect — within the connect grace.
+  /// In-process fallback engages only when this goes false, so a full
+  /// partition degrades instead of hanging.
   bool fleet_has_prospects(Deadline::Clock::time_point now) const;
 
   ServiceOptions opts_;
   TileGrid grid_;
-  std::vector<WorkerSlot> slots_;
+  std::vector<Link> links_;  // `workers` forked links, then the TCP links
   net::Listener listener_;
-  std::vector<RemoteSlot> remote_slots_;
-  std::vector<pid_t> loopback_pids_;  // forked remote workers, for reaping
+  std::vector<pid_t> loopback_pids_;  // forked TCP workers, for reaping
   ServiceHealth health_;
   std::unique_ptr<RobustPipeline> in_process_;  // lazy fallback pipeline
   std::uint64_t next_seq_ = 1;

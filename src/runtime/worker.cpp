@@ -27,6 +27,66 @@ void stall_for(double seconds) {
   while (::nanosleep(&ts, &rem) != 0) ts = rem;
 }
 
+// serve_connection's result when the broker did not ask for a shutdown: the
+// transport dropped. A forked worker exits on it; a remote worker re-dials.
+constexpr int kTransportDropped = -1;
+
+// Serves tile requests on one established stream: a forked worker's
+// socketpair, or a remote worker's post-handshake TCP connection. `handled`
+// counts tiles across the process lifetime so fault-injection counters
+// survive reconnects. `inbuf` carries any bytes the broker pipelined behind
+// the HelloAck. Returns 0 on a shutdown message, kTransportDropped otherwise.
+int serve_connection(int fd, RobustPipeline& pipeline, const WorkerConfig& cfg,
+                     std::vector<std::uint8_t>& inbuf, std::int32_t& handled) {
+  const WorkerFaultInjection& f = cfg.faults;
+  const auto fires = [&handled](std::int32_t after) {
+    return after >= 0 && handled == after;
+  };
+  for (;;) {
+    wire::Message msg;
+    if (wire::read_message(fd, inbuf, msg) != wire::ReadStatus::kMessage)
+      return kTransportDropped;  // EOF, transport error, or corrupt bytes
+    if (msg.type == wire::MessageType::kShutdown) return 0;
+    if (msg.type == wire::MessageType::kPing) {
+      const std::vector<std::uint8_t> pong =
+          wire::encode_message(wire::MessageType::kPong, {});
+      if (!wire::send_message(fd, pong)) return kTransportDropped;
+      continue;
+    }
+    if (msg.type != wire::MessageType::kTileRequest) return kTransportDropped;
+
+    // Crash injection: the request is consumed but never answered — from
+    // the broker's side this is a worker dying mid-decode.
+    if (f.kill_after_tiles >= 0 && handled >= f.kill_after_tiles)
+      ::raise(SIGKILL);
+
+    const wire::TileRequest req = wire::decode_tile_request(msg);
+    RobustPipeline::FrameResult result = decode_tile(pipeline, req, cfg.seed);
+    wire::TileResponse resp;
+    resp.seq = req.seq;
+    resp.tile = std::move(result.frame);
+    resp.report = std::move(result.report);
+    std::vector<std::uint8_t> bytes = wire::encode_tile_response(resp);
+
+    // Flip one bit in the middle of the payload: framing stays intact, the
+    // checksum does not.
+    if (fires(f.corrupt_after_tiles)) bytes[bytes.size() / 2] ^= 0x20u;
+    if (fires(f.stall_after_tiles)) stall_for(f.stall_seconds);
+    stall_for(f.delay_seconds);
+    if (fires(f.truncate_after_tiles)) {
+      // Half a message, then the transport dies.
+      const std::vector<std::uint8_t> half(
+          bytes.begin(),
+          bytes.begin() + static_cast<std::ptrdiff_t>(bytes.size() / 2));
+      wire::send_message(fd, half);
+      ++handled;  // the injection fired; a reconnect serves cleanly
+      return kTransportDropped;
+    }
+    if (!wire::send_message(fd, bytes)) return kTransportDropped;
+    ++handled;
+  }
+}
+
 }  // namespace
 
 std::uint64_t tile_seed(std::uint64_t base, std::uint64_t frame_index,
@@ -70,120 +130,14 @@ int decode_worker_loop(int fd, const WorkerConfig& cfg) {
                             cfg.solver);
     std::vector<std::uint8_t> inbuf;
     std::int32_t handled = 0;
-    for (;;) {
-      wire::Message msg;
-      const wire::ReadStatus rs = wire::read_message(fd, inbuf, msg);
-      if (rs == wire::ReadStatus::kEof) return 0;  // broker went away
-      if (rs != wire::ReadStatus::kMessage) return 3;
-      if (msg.type == wire::MessageType::kShutdown) return 0;
-      if (msg.type != wire::MessageType::kTileRequest) return 3;
-
-      // Crash injection: the request is consumed but never answered — from
-      // the broker's side this is a worker dying mid-decode.
-      if (cfg.faults.kill_after_tiles >= 0 &&
-          handled >= cfg.faults.kill_after_tiles) {
-        ::raise(SIGKILL);
-      }
-
-      const wire::TileRequest req = wire::decode_tile_request(msg);
-      RobustPipeline::FrameResult result = decode_tile(pipeline, req,
-                                                       cfg.seed);
-      wire::TileResponse resp;
-      resp.seq = req.seq;
-      resp.tile = std::move(result.frame);
-      resp.report = std::move(result.report);
-      std::vector<std::uint8_t> bytes = wire::encode_tile_response(resp);
-
-      if (cfg.faults.corrupt_after_tiles >= 0 &&
-          handled == cfg.faults.corrupt_after_tiles) {
-        // Flip one bit in the middle of the payload: framing stays intact,
-        // the checksum does not.
-        bytes[bytes.size() / 2] ^= 0x20u;
-      }
-      if (cfg.faults.stall_after_tiles >= 0 &&
-          handled == cfg.faults.stall_after_tiles) {
-        stall_for(cfg.faults.stall_seconds);
-      }
-      if (cfg.faults.truncate_after_tiles >= 0 &&
-          handled == cfg.faults.truncate_after_tiles) {
-        const std::vector<std::uint8_t> half(
-            bytes.begin(),
-            bytes.begin() + static_cast<std::ptrdiff_t>(bytes.size() / 2));
-        wire::send_message(fd, half);
-        return 4;  // die with the message half-sent
-      }
-
-      if (!wire::send_message(fd, bytes)) return 0;  // broker went away
-      ++handled;
-    }
+    // Shutdown or a dropped transport: either way the broker is done with
+    // this process (it respawns a fresh one if it still wants the link).
+    serve_connection(fd, pipeline, cfg, inbuf, handled);
+    return 0;
   } catch (...) {
     return 5;  // CheckError or allocation failure inside the decode
   }
 }
-
-namespace {
-
-// Outcome of serving one remote connection: nonnegative values are final
-// process exit codes, kReconnect sends the loop back to the dialer.
-constexpr int kReconnect = -1;
-
-// Serves tile requests on one established (post-handshake) connection.
-// `handled` counts tiles across the process lifetime so fault-injection
-// counters survive reconnects. `inbuf` carries any bytes the broker
-// pipelined behind the HelloAck.
-int serve_remote_connection(int fd, RobustPipeline& pipeline,
-                            const RemoteWorkerConfig& cfg,
-                            std::vector<std::uint8_t>& inbuf,
-                            std::int32_t& handled) {
-  for (;;) {
-    wire::Message msg;
-    const wire::ReadStatus rs = wire::read_message(fd, inbuf, msg);
-    if (rs != wire::ReadStatus::kMessage) return kReconnect;  // EOF/corrupt
-    if (msg.type == wire::MessageType::kShutdown) return 0;
-    if (msg.type == wire::MessageType::kPing) {
-      const std::vector<std::uint8_t> pong =
-          wire::encode_message(wire::MessageType::kPong, {});
-      if (!wire::send_message(fd, pong)) return kReconnect;
-      continue;
-    }
-    if (msg.type != wire::MessageType::kTileRequest) return kReconnect;
-
-    const wire::TileRequest req = wire::decode_tile_request(msg);
-    RobustPipeline::FrameResult result =
-        decode_tile(pipeline, req, cfg.worker.seed);
-    wire::TileResponse resp;
-    resp.seq = req.seq;
-    resp.tile = std::move(result.frame);
-    resp.report = std::move(result.report);
-    std::vector<std::uint8_t> bytes = wire::encode_tile_response(resp);
-
-    const RemoteFaultInjection& nf = cfg.net_faults;
-    if (nf.corrupt_after_tiles >= 0 && handled == nf.corrupt_after_tiles) {
-      // Byte corruption in flight: framing intact, checksum broken.
-      bytes[bytes.size() / 2] ^= 0x20u;
-    }
-    if (nf.stall_after_tiles >= 0 && handled == nf.stall_after_tiles) {
-      // Half-open connection: the socket stays up but goes silent.
-      stall_for(nf.stall_seconds);
-    }
-    if (nf.delay_seconds > 0.0) stall_for(nf.delay_seconds);
-    if (nf.disconnect_after_tiles >= 0 &&
-        handled == nf.disconnect_after_tiles) {
-      // Mid-message disconnect: half a frame, then the connection dies.
-      const std::vector<std::uint8_t> half(
-          bytes.begin(),
-          bytes.begin() + static_cast<std::ptrdiff_t>(bytes.size() / 2));
-      wire::send_message(fd, half);
-      ++handled;  // the injection fired; the reconnect serves cleanly
-      return kReconnect;
-    }
-
-    if (!wire::send_message(fd, bytes)) return kReconnect;
-    ++handled;
-  }
-}
-
-}  // namespace
 
 int remote_decode_worker_loop(const RemoteWorkerConfig& cfg) {
   FLEXCS_CHECK(cfg.port != 0, "remote worker needs the broker's port");
@@ -212,8 +166,8 @@ int remote_decode_worker_loop(const RemoteWorkerConfig& cfg) {
       }
       ++attempts;
 
-      if (cfg.net_faults.refuse_connects >= 0 &&
-          refused < cfg.net_faults.refuse_connects) {
+      const WorkerFaultInjection& f = cfg.worker.faults;
+      if (f.refuse_connects >= 0 && refused < f.refuse_connects) {
         ++refused;  // connection refused, injected before dialing
         ++failures;
         continue;
@@ -247,8 +201,7 @@ int remote_decode_worker_loop(const RemoteWorkerConfig& cfg) {
         ::close(fd);
         return 7;
       }
-      if (cfg.net_faults.flap_connects >= 0 &&
-          flapped < cfg.net_faults.flap_connects) {
+      if (f.flap_connects >= 0 && flapped < f.flap_connects) {
         ++flapped;  // flapping peer: admitted, then immediately gone
         ::close(fd);
         ++failures;
@@ -256,10 +209,10 @@ int remote_decode_worker_loop(const RemoteWorkerConfig& cfg) {
       }
 
       failures = 0;  // healthy connection: reset the backoff ladder
-      const int code = serve_remote_connection(fd, pipeline, cfg, inbuf,
-                                               handled);
+      const int code =
+          serve_connection(fd, pipeline, cfg.worker, inbuf, handled);
       ::close(fd);
-      if (code >= 0) return code;
+      if (code != kTransportDropped) return code;
       failures = 1;  // disconnect: re-dial after one base backoff step
     }
   } catch (...) {

@@ -1,22 +1,24 @@
-// The worker side of the multi-process decode service: a blocking loop that
-// reads TileRequests off a socketpair, decodes each tile through its own
-// RobustPipeline, and writes TileResponses back. Workers are forked (not
-// exec'd) by DecodeService, so configuration arrives structurally through
-// the inherited WorkerConfig — only per-tile requests and responses cross
-// the wire.
+// The worker side of the multi-process decode service: one blocking serve
+// loop that reads TileRequests off a stream socket, decodes each tile through
+// its own RobustPipeline, and writes TileResponses back. The same loop runs
+// behind both link kinds: a forked worker serves its socketpair until the
+// transport drops, a remote worker dials the broker over TCP, handshakes, and
+// re-dials whenever the transport drops. Forked workers are not exec'd, so
+// configuration arrives structurally through the inherited WorkerConfig —
+// only handshakes, pings, tile requests and responses cross the wire.
 //
 // Determinism contract: a tile's sampling pattern is seeded from
 // (base seed, frame_index, tile_index) via tile_seed(), never from worker
 // identity or dispatch order. Any process — a worker, a respawned worker, or
 // the broker's in-process fallback — decoding the same tile therefore draws
 // the same pattern and produces a bit-identical reconstruction, which is what
-// lets the supervisor re-dispatch a crashed worker's tile without changing
+// lets the supervisor re-dispatch a failed worker's tile without changing
 // the stitched frame at all.
 //
 // The built-in fault injection exists for the supervision tests and the
-// crash-rate bench: it makes a worker crash, wedge, or corrupt its own wire
-// output at deterministic points so every failure path of the broker can be
-// driven repeatably.
+// fault benches: it makes a worker crash, wedge, corrupt or cut its own wire
+// output, or misbehave while dialing, at deterministic points so every
+// failure path of the broker can be driven repeatably.
 #pragma once
 
 #include <cstdint>
@@ -29,27 +31,38 @@
 
 namespace flexcs::runtime {
 
-/// Deterministic fault injection for one worker process. Counters are in
-/// handled tiles: `kill_after_tiles = K` means the worker serves K tiles and
-/// SIGKILLs itself upon consuming request K+1 (a crash mid-decode: the
-/// request is gone from the pipe, no response will ever come). Negative
-/// values disable an injection.
+/// Deterministic fault injection for one worker process, either link kind.
+/// Counters are in handled tiles and live for the whole process — across
+/// reconnects of a remote worker — so a fault fires once per process and a
+/// reconnect serves cleanly. `kill_after_tiles = K` means the worker serves K
+/// tiles and SIGKILLs itself upon consuming request K+1 (a crash mid-decode:
+/// the request is gone, no response will ever come). Negative values disable
+/// an injection.
 struct WorkerFaultInjection {
   // raise(SIGKILL) after consuming the (K+1)-th request.
   std::int32_t kill_after_tiles = -1;
-  // Sleep this long before responding to the (K+1)-th request (a wedged
-  // worker; the broker's heartbeat timeout must recover it).
+  // Go silent this long before responding to the (K+1)-th request (a wedged
+  // worker or half-open connection; the broker's heartbeat recovers it).
   std::int32_t stall_after_tiles = -1;
   double stall_seconds = 0.0;
   // Flip one payload bit in the encoded response of the (K+1)-th request
   // (checksum reject at the broker).
   std::int32_t corrupt_after_tiles = -1;
   // Send only the first half of the response of the (K+1)-th request, then
-  // exit (a short read / truncated message at the broker).
+  // drop the transport (a truncated message at the broker). A forked worker
+  // exits; a remote worker re-dials.
   std::int32_t truncate_after_tiles = -1;
-  // Apply the injection to every process respawned into this worker slot,
-  // not just the first (the bench's sustained-crash-rate knob).
+  // Forked links: apply the injection to every process respawned into the
+  // link, not just the first (the bench's sustained-crash-rate knob).
   bool persist_across_respawn = false;
+  // Remote links: fail the first N connect attempts locally before dialing
+  // (indistinguishable from connection-refused at the reconnect loop).
+  std::int32_t refuse_connects = -1;
+  // Remote links: complete the handshake, then immediately drop the
+  // connection, for the first N admitted connections (a flapping peer).
+  std::int32_t flap_connects = -1;
+  // Sleep this long before every response (delayed delivery).
+  double delay_seconds = 0.0;
 };
 
 /// Everything a worker process needs, inherited through fork().
@@ -74,37 +87,13 @@ RobustPipeline::FrameResult decode_tile(RobustPipeline& pipeline,
                                         const wire::TileRequest& req,
                                         std::uint64_t base_seed);
 
-/// The worker process main loop: serves tile requests on `fd` until a
-/// shutdown message, EOF, or a transport error. Returns the process exit
-/// code (0 on orderly shutdown). Never throws — a worker that dies must die
-/// by exit code or signal, not by unwinding into the forked runtime.
+/// The forked worker main loop: serves tile requests on `fd` until a
+/// shutdown message or until the transport drops (EOF, transport error, a
+/// corrupt message, or an injected truncation). Returns the process exit
+/// code: 0 on either, 5 on an internal decode failure. Never throws — a
+/// worker that dies must die by exit code or signal, not by unwinding into
+/// the forked runtime.
 int decode_worker_loop(int fd, const WorkerConfig& cfg);
-
-/// Deterministic network fault injection for one remote worker process.
-/// Mirrors WorkerFaultInjection, but the counters live across reconnects —
-/// they are properties of the process, not of any one connection — so a
-/// fault fires exactly once per worker lifetime and the post-fault reconnect
-/// serves cleanly. Negative values disable an injection.
-struct RemoteFaultInjection {
-  // Fail the first N connect attempts locally before dialing (indistinguishable
-  // from connection-refused at the reconnect loop).
-  std::int32_t refuse_connects = -1;
-  // Complete the handshake, then immediately drop the connection, for the
-  // first N admitted connections (a flapping peer).
-  std::int32_t flap_connects = -1;
-  // Send only the first half of the response to the (K+1)-th tile, then close
-  // the socket and reconnect (mid-message disconnect).
-  std::int32_t disconnect_after_tiles = -1;
-  // Flip one payload bit in the encoded response of the (K+1)-th tile
-  // (byte corruption in flight; checksum reject + teardown at the broker).
-  std::int32_t corrupt_after_tiles = -1;
-  // Go silent for stall_seconds before responding to the (K+1)-th tile
-  // (a stalled / half-open connection; the broker's read timeout recovers).
-  std::int32_t stall_after_tiles = -1;
-  double stall_seconds = 0.0;
-  // Sleep this long before every response (delayed delivery).
-  double delay_seconds = 0.0;
-};
 
 /// Everything a remote worker process needs to join a broker's fleet.
 struct RemoteWorkerConfig {
@@ -117,13 +106,13 @@ struct RemoteWorkerConfig {
   std::int32_t max_connect_attempts = 64;
   double backoff_base_seconds = 0.01;
   double backoff_cap_seconds = 0.5;
-  RemoteFaultInjection net_faults;
 };
 
 /// The remote worker main loop: connect to the broker, handshake (wire
-/// version + capability + geometry/seed agreement), serve tile requests, and
-/// on ANY disconnect reconnect with capped exponential backoff until the
-/// attempt budget is spent. Exit codes: 0 orderly shutdown, 5 internal decode
+/// version + capability + geometry/seed agreement), run the same serve loop
+/// as decode_worker_loop, and on ANY disconnect reconnect with capped
+/// exponential backoff until the attempt budget is spent. Faults come from
+/// `cfg.worker.faults`. Exit codes: 0 orderly shutdown, 5 internal decode
 /// failure, 6 connect budget exhausted, 7 handshake rejected by the broker.
 /// Never throws, same contract as decode_worker_loop.
 int remote_decode_worker_loop(const RemoteWorkerConfig& cfg);

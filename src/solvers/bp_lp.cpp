@@ -10,20 +10,25 @@ SolveResult BpLpSolver::solve_impl(const la::LinearOperator& aop,
   validate_solve_inputs(aop, b, "BP-LP");
   const std::size_t m = aop.rows(), n = aop.cols();
 
-  if (ctrl.should_stop()) {  // expired before building the 2N-column LP
+  // Expired before (or while) building the 2N-column LP.
+  const auto expired_early = [&] {
     SolveResult early;
     early.x = la::Vector(n, 0.0);
     early.deadline_expired = true;
     early.residual_norm = b.norm2();
     return early;
-  }
+  };
+  if (ctrl.should_stop()) return expired_early();
 
   // The LP tabulates A's entries into the simplex constraint matrix: an
-  // implicit operator is materialised once as its M x N matrix.
+  // implicit operator is materialised once as its M x N matrix, under the
+  // same deadline as the solve (an abandoned build comes back empty).
   la::Matrix materialised;
-  const la::Matrix& a = aop.dense() != nullptr
-                            ? *aop.dense()
-                            : (materialised = la::to_dense(aop));
+  if (aop.dense() == nullptr) {
+    materialised = la::to_dense(aop, [&ctrl] { return ctrl.should_stop(); });
+    if (materialised.empty()) return expired_early();
+  }
+  const la::Matrix& a = aop.dense() != nullptr ? *aop.dense() : materialised;
 
   // Stack [A, -A] for the positive/negative parts.
   la::Matrix big(m, 2 * n);

@@ -29,11 +29,18 @@ SolveResult OmpSolver::solve_impl(const la::LinearOperator& aop,
   }
 
   // OMP reads individual matrix entries (incremental support Gram): an
-  // implicit operator is materialised once as its M x N matrix.
+  // implicit operator is materialised once as its M x N matrix, under the
+  // same deadline as the solve (an abandoned build comes back empty).
   la::Matrix materialised;
-  const la::Matrix& a = aop.dense() != nullptr
-                            ? *aop.dense()
-                            : (materialised = la::to_dense(aop));
+  if (aop.dense() == nullptr) {
+    materialised = la::to_dense(aop, [&ctrl] { return ctrl.should_stop(); });
+    if (materialised.empty()) {
+      result.deadline_expired = true;
+      result.residual_norm = bnorm;
+      return result;
+    }
+  }
+  const la::Matrix& a = aop.dense() != nullptr ? *aop.dense() : materialised;
 
   std::vector<std::size_t> support;
   support.reserve(kmax);

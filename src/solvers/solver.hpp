@@ -99,7 +99,8 @@ class SparseSolver {
   /// once per iteration, and set deadline_expired when stopping early.
   /// Timing and the partial-iterate guarantee are applied by solve().
   /// Entry-hungry algorithms read a.dense() and materialise implicit
-  /// operators with la::to_dense.
+  /// operators with la::to_dense, passing ctrl.should_stop() as its stop
+  /// hook.
   virtual SolveResult solve_impl(const la::LinearOperator& a,
                                  const la::Vector& b,
                                  const SolveOptions& ctrl) const = 0;

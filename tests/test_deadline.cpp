@@ -140,8 +140,7 @@ TEST(DeadlineSemantics, MidRunExpiryReturnsBoundedPartialIterate) {
 // The operator overload must keep identical deadline/cancel semantics. The
 // expired/cancelled cases run every solver (OMP and BP-LP stop before they
 // materialise the operator); the mid-run case runs the gradient-based subset,
-// because the entry-hungry solvers' one-time materialisation of a 64x64
-// operator is not deadline-polled.
+// and the entry-hungry solvers' materialisation gets its own cancel test.
 
 struct OperatorProblem {
   std::shared_ptr<const cs::SubsampledTransformOperator> op;
@@ -237,6 +236,60 @@ TEST(DeadlineSemantics, MidRunExpiryBoundsImplicitOperatorIterate) {
     ctrl.deadline = runtime::Deadline::after(2e-3);
     const SolveResult r = solver->solve(*p.op, p.b, ctrl);
     expect_flagged_and_bounded_op(r, p, solver->name());
+  }
+}
+
+// Counts applies and fires a cancel source once the k-th apply returns: a
+// deterministic stand-in for a deadline expiring mid-materialisation.
+class CancellingOperator final : public la::LinearOperator {
+ public:
+  CancellingOperator(std::shared_ptr<const la::LinearOperator> inner,
+                     std::size_t cancel_after, runtime::CancelSource source)
+      : inner_(std::move(inner)),
+        cancel_after_(cancel_after),
+        source_(std::move(source)) {}
+  std::size_t rows() const override { return inner_->rows(); }
+  std::size_t cols() const override { return inner_->cols(); }
+  la::Vector apply(const la::Vector& x) const override {
+    la::Vector y = inner_->apply(x);
+    if (++applies_ == cancel_after_) source_.cancel();
+    return y;
+  }
+  la::Vector apply_adjoint(const la::Vector& y) const override {
+    ++applies_;
+    return inner_->apply_adjoint(y);
+  }
+  std::size_t applies() const { return applies_; }
+
+ private:
+  std::shared_ptr<const la::LinearOperator> inner_;
+  std::size_t cancel_after_;
+  mutable runtime::CancelSource source_;
+  mutable std::size_t applies_ = 0;
+};
+
+TEST(DeadlineSemantics, CancelDuringMaterialisationStopsEntryHungrySolvers) {
+  // OMP and BP-LP build the M x N matrix of an implicit operator with N
+  // applies before their first iteration. A cancel landing mid-build must
+  // abandon it within one apply and return the zero-x expired result.
+  const OperatorProblem p = make_operator_problem(16, 16, 5, 4321);
+  const std::size_t n = p.op->cols();
+  const std::vector<std::shared_ptr<const SparseSolver>> roster = {
+      std::make_shared<OmpSolver>(), std::make_shared<BpLpSolver>()};
+  for (const auto& solver : roster) {
+    runtime::CancelSource source;
+    const CancellingOperator op(p.op, 8, source);
+    SolveOptions ctrl;
+    ctrl.cancel = source.token();
+    const SolveResult r = solver->solve(op, p.b, ctrl);
+    EXPECT_TRUE(r.deadline_expired) << solver->name();
+    EXPECT_FALSE(r.converged) << solver->name();
+    EXPECT_EQ(r.iterations, 0) << solver->name();
+    EXPECT_LT(op.applies(), n) << solver->name();
+    ASSERT_EQ(r.x.size(), n) << solver->name();
+    for (std::size_t i = 0; i < n; ++i)
+      EXPECT_EQ(r.x[i], 0.0) << solver->name() << " coeff " << i;
+    EXPECT_DOUBLE_EQ(r.residual_norm, p.b.norm2()) << solver->name();
   }
 }
 

@@ -12,6 +12,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <cstdlib>
 #include <memory>
 #include <string>
@@ -202,8 +203,8 @@ TEST(RemoteFleet, RefusedConnectsAreRetriedUntilAdmitted) {
   const la::Matrix want = reference_frame(frame);
 
   ServiceOptions opts = remote_options(1);
-  opts.remote_fault_injection.resize(1);
-  opts.remote_fault_injection[0].refuse_connects = 3;
+  opts.fault_injection.resize(1);
+  opts.fault_injection[0].refuse_connects = 3;
   DecodeService svc(kDim, kDim, opts);
   const ServiceFrameResult res = svc.process(frame);
   expect_bit_exact(res.frame, want);
@@ -217,8 +218,8 @@ TEST(RemoteFleet, FlappingWorkerIsReadmittedAndServes) {
   const la::Matrix want = reference_frame(frame);
 
   ServiceOptions opts = remote_options(1);
-  opts.remote_fault_injection.resize(1);
-  opts.remote_fault_injection[0].flap_connects = 2;
+  opts.fault_injection.resize(1);
+  opts.fault_injection[0].flap_connects = 2;
   DecodeService svc(kDim, kDim, opts);
   const ServiceFrameResult res = svc.process(frame);
   expect_bit_exact(res.frame, want);
@@ -233,8 +234,8 @@ TEST(RemoteFleet, MidMessageDisconnectRedispatchesBitExact) {
   const la::Matrix want = reference_frame(frame);
 
   ServiceOptions opts = remote_options(2);
-  opts.remote_fault_injection.resize(1);
-  opts.remote_fault_injection[0].disconnect_after_tiles = 0;
+  opts.fault_injection.resize(1);
+  opts.fault_injection[0].truncate_after_tiles = 0;
   DecodeService svc(kDim, kDim, opts);
   const ServiceFrameResult res = svc.process(frame);
   expect_bit_exact(res.frame, want);
@@ -250,8 +251,8 @@ TEST(RemoteFleet, CorruptedBytesInFlightAreRejectedAndRetried) {
   const la::Matrix want = reference_frame(frame);
 
   ServiceOptions opts = remote_options(2);
-  opts.remote_fault_injection.resize(1);
-  opts.remote_fault_injection[0].corrupt_after_tiles = 0;
+  opts.fault_injection.resize(1);
+  opts.fault_injection[0].corrupt_after_tiles = 0;
   DecodeService svc(kDim, kDim, opts);
   const ServiceFrameResult res = svc.process(frame);
   expect_bit_exact(res.frame, want);
@@ -270,9 +271,9 @@ TEST(RemoteFleet, StalledConnectionTimesOutAndRecovers) {
 
   ServiceOptions opts = remote_options(2);
   opts.heartbeat_floor_seconds = 0.3;
-  opts.remote_fault_injection.resize(1);
-  opts.remote_fault_injection[0].stall_after_tiles = 0;
-  opts.remote_fault_injection[0].stall_seconds = 30.0;
+  opts.fault_injection.resize(1);
+  opts.fault_injection[0].stall_after_tiles = 0;
+  opts.fault_injection[0].stall_seconds = 30.0;
   DecodeService svc(kDim, kDim, opts);
 
   const Deadline::Clock::time_point t0 = Deadline::Clock::now();
@@ -293,9 +294,9 @@ TEST(RemoteFleet, DelayedDeliveryStillCompletesBitExact) {
   const la::Matrix want = reference_frame(frame);
 
   ServiceOptions opts = remote_options(2);
-  opts.remote_fault_injection.resize(2);
-  opts.remote_fault_injection[0].delay_seconds = 0.05;
-  opts.remote_fault_injection[1].delay_seconds = 0.05;
+  opts.fault_injection.resize(2);
+  opts.fault_injection[0].delay_seconds = 0.05;
+  opts.fault_injection[1].delay_seconds = 0.05;
   DecodeService svc(kDim, kDim, opts);
   const ServiceFrameResult res = svc.process(frame);
   expect_bit_exact(res.frame, want);
@@ -339,6 +340,32 @@ TEST(RemoteFleet, FullPartitionDegradesInProcessWithZeroLostFrames) {
   const ServiceFrameResult again = svc.process(frame);
   EXPECT_TRUE(la::all_finite(again.frame));
   EXPECT_EQ(svc.health().frames_lost, 0u);
+}
+
+TEST(RemoteFleet, MixedFleetRecoversFaultsOnBothLinkKinds) {
+  // Link 0 is forked and SIGKILLs itself on its first tile; link 1 is TCP
+  // and flips a bit in its first response. Both failure paths run in one
+  // fleet, and every frame still stitches bit-exact.
+  ServiceOptions opts = remote_options(1);
+  opts.workers = 1;
+  opts.fault_injection.resize(2);
+  opts.fault_injection[0].kill_after_tiles = 0;
+  opts.fault_injection[1].corrupt_after_tiles = 0;
+  DecodeService ref(kDim, kDim, remote_options(0));
+  DecodeService svc(kDim, kDim, opts);
+  // The TCP link only takes tiles once its handshake is through, so keep
+  // decoding (a few frames at most) until its first response was rejected.
+  for (std::uint64_t s = 1; s <= 4 && svc.health().checksum_rejects == 0;
+       ++s) {
+    const la::Matrix frame = thermal_frame(kDim, s);
+    const ServiceFrameResult a = ref.process(frame);
+    const ServiceFrameResult res = svc.process(frame);
+    expect_bit_exact(res.frame, a.frame);
+  }
+  const ServiceHealth h = svc.health();
+  EXPECT_EQ(h.frames_lost, 0u);
+  EXPECT_GE(h.worker_crashes, 1u);    // the forked link's self-kill
+  EXPECT_GE(h.checksum_rejects, 1u);  // the TCP link's bit flip
 }
 
 // --- handshake policy -------------------------------------------------------
@@ -401,6 +428,30 @@ TEST(RemoteFleet, ValidatesRemoteOptions) {
     opts.max_remote_reconnects = -1;
     EXPECT_THROW(DecodeService(kDim, kDim, opts), CheckError);
   }
+}
+
+TEST(RemoteFleet, CloseReapsEveryChild) {
+  // A mixed fleet whose TCP worker sleeps through a 30 s stall: the broker's
+  // heartbeat tears its connection down, but the loopback process is still
+  // asleep when close() runs and never reads the shutdown message. close()
+  // must SIGKILL it after the grace window and reap it along with the forked
+  // worker, so no child of this process outlives the service.
+  ServiceOptions opts = remote_options(1);
+  opts.workers = 1;
+  opts.heartbeat_floor_seconds = 0.3;
+  opts.fault_injection.resize(2);
+  opts.fault_injection[1].stall_after_tiles = 0;
+  opts.fault_injection[1].stall_seconds = 30.0;
+  DecodeService svc(kDim, kDim, opts);
+  for (std::uint64_t s = 1; s <= 4 && svc.health().read_timeouts == 0; ++s)
+    EXPECT_TRUE(la::all_finite(svc.process(thermal_frame(kDim, s)).frame));
+  EXPECT_GE(svc.health().read_timeouts, 1u);  // the TCP worker is stalled
+
+  svc.close();
+  int status = 0;
+  errno = 0;
+  EXPECT_EQ(::waitpid(-1, &status, WNOHANG), -1);  // flexcs-lint: allow(threading)
+  EXPECT_EQ(errno, ECHILD);
 }
 
 }  // namespace

@@ -37,7 +37,10 @@ Enforces project invariants the compiler cannot express:
                     to src/runtime/ — every socket fd flows through the
                     net transport (runtime/net.hpp) so nonblocking setup,
                     EINTR handling, and fd hygiene across fork() live in
-                    exactly one place
+                    exactly one place; byte-I/O syscalls (::read / ::write /
+                    ::send / ::recv) are confined to src/runtime/posix_io.cpp
+                    — every byte a worker link moves goes through its
+                    EINTR-safe helpers, so there is one transport
   deadline-poll     every bounded iteration loop in the iterative kernels
                     (src/solvers/, src/rpca/, src/lp/, src/la/) polls its
                     cooperative deadline/cancel control — a loop over
@@ -405,6 +408,10 @@ _PROCESS_CONTROL_RE = re.compile(
 # scope — only the global-scope-qualified syscall matches.
 _SOCKET_SYSCALL_RE = re.compile(
     r"(?<![\w>])::(?:socket|bind|listen|accept4?|connect)\s*\(")
+# Byte-I/O syscalls: confined to the one EINTR-safe helper file every
+# transport (socketpair and TCP alike) reads and writes through.
+_BYTE_IO_RE = re.compile(r"(?<![\w>])::(?:read|write|send|recv)\s*\(")
+BYTE_IO_ALLOWED = "src/runtime/posix_io.cpp"
 _STD_MUTEX_MEMBER_RE = re.compile(
     r"\bstd::(?:shared_|recursive_|timed_|recursive_timed_)?mutex\s+(\w+)\s*;")
 _WRAPPED_MUTEX_MEMBER_RE = re.compile(
@@ -459,6 +466,14 @@ def check_threading(f: SourceFile) -> List[Finding]:
                 "::connect) outside src/runtime/ — go through the net "
                 "transport (net::Listener / net::connect_to) so fd "
                 "discipline lives in one place")
+            if fd:
+                findings.append(fd)
+        if _BYTE_IO_RE.search(line) and f.relpath != BYTE_IO_ALLOWED:
+            fd = f.finding_unless_allowed(
+                idx, "threading",
+                "byte-I/O syscall (::read/::write/::send/::recv) outside "
+                "src/runtime/posix_io.cpp — move bytes through the io:: "
+                "helpers or net::Connection so there is one transport")
             if fd:
                 findings.append(fd)
     if f.is_header() and f.relpath not in MUTEX_CONTRACT_EXEMPT:

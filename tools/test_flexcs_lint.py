@@ -322,6 +322,39 @@ class SocketSyscallTest(unittest.TestCase):
         self.assertNotIn("threading", rules_fired(f))
 
 
+class ByteIoSyscallTest(unittest.TestCase):
+    def test_byte_io_outside_posix_io_fires_even_in_runtime(self):
+        src = ("void pump(int fd, unsigned char* b, unsigned long n) {\n"
+               "  ::read(fd, b, n);\n"
+               "  ::write(fd, b, n);\n"
+               "  ::send(fd, b, n, 0);\n"
+               "  ::recv(fd, b, n, 0);\n"
+               "}\n")
+        f = lint_fixture({"src/runtime/service.cpp": src})
+        fired = [x for x in f if x.rule == "threading"]
+        self.assertEqual(4, len(fired), "\n".join(str(x) for x in fired))
+
+    def test_posix_io_itself_clean(self):
+        src = ("long get(int fd, unsigned char* b, unsigned long n) {\n"
+               "  ::send(fd, b, n, 0);\n"
+               "  return ::read(fd, b, n);\n"
+               "}\n")
+        f = lint_fixture({"src/runtime/posix_io.cpp": src})
+        self.assertNotIn("threading", rules_fired(f))
+
+    def test_member_read_not_confused(self):
+        src = ("void g(Stream& s, Conn* c) { s.read(); c->send(); }\n"
+               "void h(std::ofstream& o) { o.std::ofstream::write(0, 0); }\n")
+        f = lint_fixture({"src/cs/ok.cpp": src})
+        self.assertNotIn("threading", rules_fired(f))
+
+    def test_suppression_marker(self):
+        src = ("long n = ::read(0, nullptr, 0);"
+               "  // flexcs-lint: allow(threading)\n")
+        f = lint_fixture({"tests/ok.cpp": src})
+        self.assertNotIn("threading", rules_fired(f))
+
+
 class DeadlinePollTest(unittest.TestCase):
     POLLING = (
         "#include \"solvers/solver.hpp\"\n"

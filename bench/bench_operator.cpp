@@ -19,9 +19,12 @@
 // Per-apply microbench (the `per_apply_*` sections): for each 1-D length,
 // one DCT-II and one DCT-III pass through three kernels — the naive O(n²)
 // cosine-sum (dsp::dct1d/idct1d, the golden reference), the cached dense
-// factor matvec (the pre-plan implicit kernel), and the Makhoul FFT plan
-// (dsp::Dct1dPlan) — with per-call wall time, speedups, and the max
-// fast-vs-naive error. For each grid size and basis, the measured per-apply
+// factor matvec (the pre-plan implicit kernel), and the plan
+// (dsp::Dct1dPlan: the Makhoul FFT for pow2 lengths, the vectorized
+// row-axpy GEMM form otherwise) — with per-call wall time, speedups, and the
+// max fast-vs-naive error. The lengths include 20 and 36, the halo-padded
+// 16 and 32 px tiles the runtime actually decodes, so the non-pow2 kernel
+// is measured too. For each grid size and basis, the measured per-apply
 // / per-adjoint cost of the full SubsampledTransformOperator via its own
 // ApplyStats metering.
 //
@@ -46,7 +49,8 @@
 //         "n":                   integer — pixels (rows * cols)
 //         "fraction":            number  — m / n
 //         "build_seconds":       number  — decoder construction + operator
-//                                          cache fill + spectral warm-up
+//                                          cache fill (dense: + spectral
+//                                          warm-up)
 //         "decode_seconds":      number  — the decode call alone
 //         "iterations":          integer — solver iterations
 //         "converged":           boolean
@@ -119,8 +123,9 @@ struct SweepConfig {
   // arm is priced analytically there — the point is that it never runs).
   std::vector<std::size_t> both_dims = {32, 64, 128};
   std::vector<std::size_t> implicit_only_dims = {256};
-  // Per-apply microbench sizes: 1-D lengths and square grid dims.
-  std::vector<std::size_t> micro_dims = {32, 64, 128, 256};
+  // Per-apply microbench sizes: 1-D lengths and square grid dims. 20 and 36
+  // are the runtime's halo-padded tile sizes (non-pow2 plan path).
+  std::vector<std::size_t> micro_dims = {20, 32, 36, 64, 128, 256};
   double fraction = 0.3;
   // Tight tolerance: the equal-RMSE gate compares the two arms at 1e-6, so
   // both must converge well past the comparison threshold.
@@ -132,7 +137,7 @@ SweepConfig smoke_config() {
   SweepConfig cfg;
   cfg.both_dims = {16};
   cfg.implicit_only_dims = {};
-  cfg.micro_dims = {16};
+  cfg.micro_dims = {16, 20};
   cfg.fraction = 0.4;
   cfg.fista_iterations = 1000;
   cfg.fista_tol = 1e-7;
@@ -190,15 +195,16 @@ OperatorCell run_cell(const SweepConfig& cfg, std::size_t dim, bool implicit) {
   dopts.debias = false;
   dopts.clamp01 = false;
 
-  // Build phase: the dense arm pays the N x N Ψ and its row selection, the
-  // implicit arm the decoder's operator cache fill; both then run the
-  // spectral-norm warm-up that decode reuses as the Lipschitz hint.
-  // Once-per-geometry cost, separated from decode.
+  // Build phase: the dense arm pays the N x N Ψ, its row selection and the
+  // spectral-norm power iteration that serves as its Lipschitz hint; the
+  // implicit arm pays the decoder's operator cache fill, whose exact norm
+  // (1, a tight frame) decode passes to FISTA itself. Once-per-geometry
+  // cost, separated from decode.
   const auto b0 = std::chrono::steady_clock::now();
   const cs::Decoder decoder(dim, dim, dopts, fista);
   la::Matrix dense_a;
   if (implicit) {
-    decoder.operator_norm(p);  // cached per pattern; decode reuses it
+    decoder.measurement_operator(p);  // cached per pattern; decode reuses it
   } else {
     dense_a = golden::measurement_matrix(dopts.basis, p);
     dopts.solve.operator_norm_hint = la::spectral_norm(dense_a);

@@ -16,6 +16,18 @@ namespace {
 // evict everything.
 constexpr std::size_t kOperatorCacheCapacity = 4;
 
+// `opts.solve` with the operator's exact sigma_max as the step-size hint:
+// the tight frame's 1 is the value FISTA's own power iteration would
+// approach, minus its 120 applies. A hint the caller already set wins (it
+// knows something we don't).
+solvers::SolveOptions with_norm_hint(const SubsampledTransformOperator& a,
+                                     const DecoderOptions& opts) {
+  solvers::SolveOptions solve = opts.solve;
+  if (solve.operator_norm_hint <= 0.0)
+    solve.operator_norm_hint = a.norm_upper_bound();
+  return solve;
+}
+
 }  // namespace
 
 Decoder::Decoder(std::size_t rows, std::size_t cols, DecoderOptions opts,
@@ -61,7 +73,7 @@ Decoder::CachedOperator Decoder::entry_for(
     if (operator_cache_[i].indices != pattern.indices) continue;
     std::rotate(operator_cache_.begin(), operator_cache_.begin() + i,
                 operator_cache_.begin() + i + 1);
-    return operator_cache_.front();  // raced build won; keep its sigma
+    return operator_cache_.front();  // raced build won; keep its entry
   }
   operator_cache_.insert(operator_cache_.begin(), entry);
   if (operator_cache_.size() > kOperatorCacheCapacity) {
@@ -86,19 +98,7 @@ Decoder::measurement_operator(const SamplingPattern& pattern) const {
 double Decoder::operator_norm(const SamplingPattern& pattern) const {
   FLEXCS_CHECK(pattern.rows == rows_ && pattern.cols == cols_,
                "decoder: pattern shape mismatch");
-  const CachedOperator entry = entry_for(pattern);
-  if (entry.sigma >= 0.0) return entry.sigma;
-  // Computed without the lock (the power iteration is the expensive part); a
-  // concurrent duplicate lands on the identical deterministic value.
-  const double sigma = la::operator_norm_estimate(*entry.op);
-  common::MutexLock lock(cache_mu_);
-  for (CachedOperator& cached : operator_cache_) {
-    if (cached.indices == pattern.indices) {
-      cached.sigma = sigma;
-      break;
-    }
-  }
-  return sigma;
+  return entry_for(pattern).op->norm_upper_bound();
 }
 
 DecodeResult Decoder::decode(const SamplingPattern& pattern,
@@ -157,17 +157,9 @@ DecodeResult Decoder::decode_with(const SamplingPattern& pattern,
                                   const DecoderOptions& opts) const {
   check_decode_args(pattern, measurements, opts);
   const CachedOperator entry = entry_for(pattern);
-  const la::LinearOperator& a = *entry.op;
-
-  DecoderOptions effective = opts;
-  // Reuse a previously computed spectral norm of this exact operator: the
-  // value is what the solver's own setup would produce, minus the cost. A
-  // hint the caller already set wins (it knows something we don't).
-  if (effective.solve.operator_norm_hint <= 0.0 && entry.sigma > 0.0)
-    effective.solve.operator_norm_hint = entry.sigma;
-
-  solvers::SolveResult sr = solver.solve(a, measurements, effective.solve);
-  return finish_decode(a, measurements, std::move(sr), effective);
+  solvers::SolveResult sr =
+      solver.solve(*entry.op, measurements, with_norm_hint(*entry.op, opts));
+  return finish_decode(*entry.op, measurements, std::move(sr), opts);
 }
 
 std::vector<DecodeResult> Decoder::decode_batch(
@@ -183,13 +175,6 @@ std::vector<DecodeResult> Decoder::decode_batch_with(
   FLEXCS_CHECK(!measurements.empty(), "decoder: empty batch");
   for (const la::Vector& y : measurements) check_decode_args(pattern, y, opts);
 
-  // Price the shared setup once: the operator build (cache) and its spectral
-  // norm. Every per-frame solve below then starts at its main loop.
-  const double sigma = operator_norm(pattern);
-  DecoderOptions batch_opts = opts;
-  if (batch_opts.solve.operator_norm_hint <= 0.0)
-    batch_opts.solve.operator_norm_hint = sigma;
-
   const CachedOperator entry = entry_for(pattern);
   const la::LinearOperator& a = *entry.op;
 
@@ -198,13 +183,12 @@ std::vector<DecodeResult> Decoder::decode_batch_with(
   // back to sequential solve_impl calls inside solve_batch. Either way the
   // per-frame results match one-by-one decode_with calls.
   std::vector<solvers::SolveResult> srs =
-      solver.solve_batch(a, measurements, batch_opts.solve);
+      solver.solve_batch(a, measurements, with_norm_hint(*entry.op, opts));
 
   std::vector<DecodeResult> out;
   out.reserve(measurements.size());
   for (std::size_t f = 0; f < measurements.size(); ++f)
-    out.push_back(
-        finish_decode(a, measurements[f], std::move(srs[f]), batch_opts));
+    out.push_back(finish_decode(a, measurements[f], std::move(srs[f]), opts));
   return out;
 }
 

@@ -72,7 +72,7 @@ class Decoder {
 
   /// Batch decode: every frame in `measurements` was sampled with the same
   /// `pattern`, so the measurement operator A = Φ_M·Ψ is built once (via the
-  /// cache), its spectral norm is computed once and passed to every solve as
+  /// cache), its exact spectral norm is passed to every solve as
   /// SolveOptions::operator_norm_hint, and the whole batch runs through
   /// SparseSolver::solve_batch — batch-major for solvers with a lockstep
   /// main loop (FISTA/ISTA), so operator workspaces stay hot across frames.
@@ -95,9 +95,10 @@ class Decoder {
   std::shared_ptr<const SubsampledTransformOperator> measurement_operator(
       const SamplingPattern& pattern) const;
 
-  /// sigma_max of the pattern's measurement operator, computed once per
-  /// cached pattern (power iteration through the fast transform) and reused
-  /// as the solvers' Lipschitz/step-size bound.
+  /// sigma_max of the pattern's measurement operator: exactly 1, because
+  /// A = Φ_M·Ψ is a tight frame (A·Aᵀ = I_M), so no power iteration runs.
+  /// Every decode passes it to the solver as the Lipschitz/step-size bound
+  /// (SolveOptions::operator_norm_hint) unless the caller set one.
   double operator_norm(const SamplingPattern& pattern) const;
 
   /// Cumulative MRU-cache telemetry. The cache is keyed on the pattern's
@@ -116,7 +117,6 @@ class Decoder {
   struct CachedOperator {
     std::vector<std::size_t> indices;  // cache key (pattern row selection)
     std::shared_ptr<const SubsampledTransformOperator> op;
-    double sigma = -1.0;  // sigma_max(A); < 0 until first requested
   };
 
   /// Cache lookup/build; returns the entry by value (shared pointer, cheap)

@@ -8,10 +8,11 @@
 // The adjoint identity holds exactly because Φ_Mᵀ is scatter and Ψᵀ is the
 // analysis transform of an orthonormal basis. The per-apply kernels are the
 // Makhoul FFT-based DCT plans (dsp::Dct1dPlan — O(N log N) per 1-D pass for
-// pow2 lengths, cached-factor matvec otherwise) and the in-place lifting
-// Haar (dsp::haar2d_inplace), running on raw contiguous buffers with no
-// Matrix::from_flat round-trips: a 256×256 apply is ~1 ms of table-driven
-// butterflies where the dense Ψ (~34 GB) cannot be built at all.
+// pow2 lengths; a vectorized row-axpy GEMM against the cached factor for
+// the others, such as the runtime's halo-padded 20 and 36 px tiles) and the
+// in-place lifting Haar (dsp::haar2d_inplace), running on raw contiguous
+// buffers with no Matrix::from_flat round-trips: a 256×256 apply is ~1 ms of
+// table-driven butterflies where the dense Ψ (~34 GB) cannot be built at all.
 //
 // Every apply is metered (count + wall time, relaxed atomics) so callers can
 // account per-apply cost without external profilers: see apply_stats().
@@ -45,9 +46,10 @@ class SubsampledTransformOperator final : public la::LinearOperator {
       const std::vector<la::Vector>& xs) const override;
   std::vector<la::Vector> apply_adjoint_batch(
       const std::vector<la::Vector>& ys) const override;
-  /// sigma_max(Φ_M Ψ) <= sigma_max(Ψ) = 1: row selection of an orthonormal
-  /// basis never expands norms. Exact (not just an upper bound) whenever at
-  /// least one pixel is sampled per Ψ's row space — always true here.
+  /// sigma_max(Φ_M Ψ) = 1 exactly: A·Aᵀ = Φ_M·Ψ·Ψᵀ·Φ_Mᵀ = I_M for an
+  /// orthonormal Ψ, so A is a tight frame and every singular value is 1.
+  /// The decoder passes this as FISTA's Lipschitz bound in place of a power
+  /// iteration.
   double norm_upper_bound() const override { return 1.0; }
 
   dsp::BasisKind basis() const { return basis_; }

@@ -30,6 +30,29 @@ void transpose(const double* in, std::size_t rows, std::size_t cols,
   }
 }
 
+// C (m×n) = P (m×k) · Q (k×n), all row-major, in row-axpy form: row i of C
+// accumulates Q's rows scaled by P's row i. Every C element sums its k terms
+// in ascending order from 0.0 — the order of a dot product, so the result is
+// bit-identical to the matvec form — while the inner loop runs over
+// contiguous memory with independent lanes instead of one serial sum.
+// `skip_zero` skips zero entries of P (sparse coefficient input); adding the
+// ±0 a skipped term would contribute never changes a sum started at +0.0.
+void gemm_rows(const double* p, const double* q, double* c, std::size_t m,
+               std::size_t k, std::size_t n, bool skip_zero) {
+  for (std::size_t i = 0; i < m; ++i) {
+    const double* pi = p + i * k;
+    double* ci = c + i * n;
+    std::fill(ci, ci + n, 0.0);
+    for (std::size_t j = 0; j < k; ++j) {
+      const double s = pi[j];
+      if (skip_zero && s == 0.0) continue;
+      const double* qj = q + j * n;
+#pragma omp simd
+      for (std::size_t l = 0; l < n; ++l) ci[l] += s * qj[l];
+    }
+  }
+}
+
 }  // namespace
 
 Dct1dPlan::Dct1dPlan(std::size_t n) : n_(n), fast_(is_pow2(n)) {
@@ -40,9 +63,10 @@ Dct1dPlan::Dct1dPlan(std::size_t n) : n_(n), fast_(is_pow2(n)) {
   inv_scale0_ = 1.0 / scale0_;
   inv_scale_ = n > 1 ? 1.0 / scale_ : 0.0;
   if (!fast_) {
-    // Non-pow2 lengths keep the cached dense factor (the pre-plan kernel);
-    // the naive dct1d/idct1d stay the golden reference for every N.
+    // Non-pow2 lengths keep the dense factor for the GEMM-form passes; the
+    // naive dct1d/idct1d stay the golden reference for every N.
     factor_ = dct_matrix(n);
+    factor_t_ = factor_.transposed();
     return;
   }
   if (n == 1) return;
@@ -73,7 +97,8 @@ Dct1dPlan::Dct1dPlan(std::size_t n) : n_(n), fast_(is_pow2(n)) {
 
 std::size_t Dct1dPlan::memory_bytes() const {
   return sizeof(double) * (tw_cos_.size() + tw_sin_.size() + rot_cos_.size() +
-                           rot_sin_.size() + factor_.size()) +
+                           rot_sin_.size() + factor_.size() +
+                           factor_t_.size()) +
          sizeof(std::uint32_t) * bitrev_.size();
 }
 
@@ -113,13 +138,7 @@ void Dct1dPlan::forward(const double* in, double* out,
     return;
   }
   if (!fast_) {
-    // Cached-factor matvec: contiguous row dot products.
-    for (std::size_t u = 0; u < n; ++u) {
-      const double* row = factor_.row_ptr(u);
-      double s = 0.0;
-      for (std::size_t x = 0; x < n; ++x) s += row[x] * in[x];
-      out[u] = s;
-    }
+    gemm_rows(in, factor_t_.data(), out, 1, n, n, /*skip_zero=*/false);
     return;
   }
   // Makhoul: v interleaves the even samples forward and the odd samples
@@ -146,14 +165,7 @@ void Dct1dPlan::inverse(const double* in, double* out,
     return;
   }
   if (!fast_) {
-    // outᵀ-factor accumulate: contiguous row axpy per coefficient.
-    for (std::size_t i = 0; i < n; ++i) out[i] = 0.0;
-    for (std::size_t u = 0; u < n; ++u) {
-      const double c = in[u];
-      if (c == 0.0) continue;
-      const double* row = factor_.row_ptr(u);
-      for (std::size_t i = 0; i < n; ++i) out[i] += c * row[i];
-    }
+    gemm_rows(in, factor_.data(), out, 1, n, n, /*skip_zero=*/true);
     return;
   }
   // Invert the Makhoul mapping: rebuild V[k] = e^{+iπk/2N}(C[k] - i C[N-k])
@@ -177,20 +189,48 @@ void Dct1dPlan::inverse(const double* in, double* out,
   for (std::size_t p = 0; p < n / 2; ++p) out[2 * p + 1] = re[n - 1 - p] * invn;
 }
 
+namespace {
+
+// Shared body of the 2-D helpers. The row pass runs every row through the
+// plan (FFT or GEMM form); a pow2 column pass runs the FFT between two
+// blocked transposes, a non-pow2 one is the left product D_r·A (forward) or
+// D_rᵀ·A (inverse) straight into `out`.
+void separable_2d(const Dct1dPlan& row_plan, const Dct1dPlan& col_plan,
+                  const double* in, double* out, std::size_t rows,
+                  std::size_t cols, DctWorkspace& ws, bool invert) {
+  const std::size_t n = rows * cols;
+  ws.a.resize(n);
+  for (std::size_t r = 0; r < rows; ++r) {
+    if (invert)
+      row_plan.inverse(in + r * cols, ws.a.data() + r * cols, ws);
+    else
+      row_plan.forward(in + r * cols, ws.a.data() + r * cols, ws);
+  }
+  if (!col_plan.fast()) {
+    const la::Matrix& d = invert ? col_plan.factor_t() : col_plan.factor();
+    gemm_rows(d.data(), ws.a.data(), out, rows, rows, cols,
+              /*skip_zero=*/false);
+    return;
+  }
+  ws.b.resize(n);
+  transpose(ws.a.data(), rows, cols, ws.b.data());
+  for (std::size_t c = 0; c < cols; ++c) {
+    if (invert)
+      col_plan.inverse(ws.b.data() + c * rows, ws.a.data() + c * rows, ws);
+    else
+      col_plan.forward(ws.b.data() + c * rows, ws.a.data() + c * rows, ws);
+  }
+  transpose(ws.a.data(), cols, rows, out);
+}
+
+}  // namespace
+
 void dct2d_apply(const Dct1dPlan& row_plan, const Dct1dPlan& col_plan,
                  const double* in, double* out, std::size_t rows,
                  std::size_t cols, DctWorkspace& ws) {
   FLEXCS_CHECK(row_plan.size() == cols && col_plan.size() == rows,
                "dct2d_apply: plan sizes must match the grid");
-  const std::size_t n = rows * cols;
-  ws.a.resize(n);
-  ws.b.resize(n);
-  for (std::size_t r = 0; r < rows; ++r)
-    row_plan.forward(in + r * cols, ws.a.data() + r * cols, ws);
-  transpose(ws.a.data(), rows, cols, ws.b.data());
-  for (std::size_t c = 0; c < cols; ++c)
-    col_plan.forward(ws.b.data() + c * rows, ws.a.data() + c * rows, ws);
-  transpose(ws.a.data(), cols, rows, out);
+  separable_2d(row_plan, col_plan, in, out, rows, cols, ws, /*invert=*/false);
 }
 
 void idct2d_apply(const Dct1dPlan& row_plan, const Dct1dPlan& col_plan,
@@ -198,15 +238,7 @@ void idct2d_apply(const Dct1dPlan& row_plan, const Dct1dPlan& col_plan,
                   std::size_t cols, DctWorkspace& ws) {
   FLEXCS_CHECK(row_plan.size() == cols && col_plan.size() == rows,
                "idct2d_apply: plan sizes must match the grid");
-  const std::size_t n = rows * cols;
-  ws.a.resize(n);
-  ws.b.resize(n);
-  for (std::size_t r = 0; r < rows; ++r)
-    row_plan.inverse(in + r * cols, ws.a.data() + r * cols, ws);
-  transpose(ws.a.data(), rows, cols, ws.b.data());
-  for (std::size_t c = 0; c < cols; ++c)
-    col_plan.inverse(ws.b.data() + c * rows, ws.a.data() + c * rows, ws);
-  transpose(ws.a.data(), cols, rows, out);
+  separable_2d(row_plan, col_plan, in, out, rows, cols, ws, /*invert=*/true);
 }
 
 }  // namespace flexcs::dsp

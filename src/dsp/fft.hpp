@@ -1,15 +1,21 @@
-// Fast O(N log N) transform kernels: a radix-2 complex FFT and the Makhoul
-// real-FFT formulation of the orthonormal DCT-II / DCT-III built on it.
+// Fast transform kernels: a radix-2 complex FFT and the Makhoul real-FFT
+// formulation of the orthonormal DCT-II / DCT-III built on it.
 //
 // Dct1dPlan precomputes everything a repeated 1-D pass needs (bit-reversal
 // permutation, FFT twiddles, the e^{-iπk/2N} DCT rotation, normalisation)
 // so the per-apply cost is a pair of table-driven loops over contiguous
 // arrays — the kernel the matrix-free measurement operator runs hundreds of
 // times per solver iteration. Power-of-two lengths take the O(N log N) FFT
-// path; other lengths fall back to a cached dense factor (O(N²) matvec, the
-// pre-plan behaviour), so a plan is valid for every N ≥ 1 and the naive
-// dsp::dct1d/idct1d remain the golden reference the fast path is tested
-// against (≤ 1e-12).
+// path. Other lengths — including the halo-padded 20 and 36 px tiles the
+// runtime decodes — keep the dense factor D = dct_matrix(N) and its
+// transpose, and run every pass in row-axpy GEMM form: a 2-D forward is
+// Y = D_r·X·D_cᵀ and an inverse X = D_rᵀ·Y·D_c, with inner loops over
+// contiguous memory, no transposes, and `#pragma omp simd` lanes. Each
+// output still sums its terms in ascending input index from 0.0, exactly
+// the dot-product order, so the GEMM form is bit-identical to the matvec
+// form on any target without FMA contraction. A plan is valid for every
+// N ≥ 1, and the naive dsp::dct1d/idct1d remain the golden reference the
+// fast paths are tested against (≤ 1e-12).
 //
 // All methods are const and touch only caller-provided workspace, so one
 // plan can be shared across threads exactly like the operators that own it.
@@ -40,7 +46,7 @@ class Dct1dPlan {
   /// True on the O(N log N) FFT path (power-of-two lengths).
   bool fast() const { return fast_; }
   /// Bytes of cached table state (FFT twiddles + rotations, or the dense
-  /// fallback factor). What the bench reports as operator memory.
+  /// factor and its transpose). What the bench reports as operator memory.
   std::size_t memory_bytes() const;
 
   /// Orthonormal DCT-II: out[u] = a_u Σ_x in[x] cos(π(2x+1)u / 2N).
@@ -48,6 +54,11 @@ class Dct1dPlan {
   void forward(const double* in, double* out, DctWorkspace& ws) const;
   /// Orthonormal DCT-III, the exact inverse of forward. No aliasing.
   void inverse(const double* in, double* out, DctWorkspace& ws) const;
+
+  /// Non-pow2 lengths: D = dct_matrix(n) and Dᵀ, the factors the 2-D column
+  /// pass multiplies from the left. Empty on the FFT path.
+  const la::Matrix& factor() const { return factor_; }
+  const la::Matrix& factor_t() const { return factor_t_; }
 
  private:
   void fft(double* re, double* im, bool invert) const;
@@ -59,13 +70,16 @@ class Dct1dPlan {
   std::vector<double> rot_cos_, rot_sin_;  // cos/sin(πk / 2N), k < N
   double scale0_ = 0.0, scale_ = 0.0;      // a_0, a_{u>0}
   double inv_scale0_ = 0.0, inv_scale_ = 0.0;
-  la::Matrix factor_;  // non-pow2 fallback: dct_matrix(n)
+  // Non-pow2 lengths: D = dct_matrix(n) (rows are basis vectors) and Dᵀ,
+  // both row-major so every GEMM-form pass streams contiguous rows.
+  la::Matrix factor_, factor_t_;
 };
 
 /// Separable 2-D DCT-II of a rows×cols row-major buffer: every row through
-/// `row_plan` (size cols), then every column through `col_plan` (size rows),
-/// with an explicit blocked transpose between passes so both inner loops run
-/// over contiguous memory. `in` and `out` must not alias.
+/// `row_plan` (size cols), then every column through `col_plan` (size rows).
+/// A pow2 column pass runs the FFT between two blocked transposes; a non-pow2
+/// one is the left product D_r·A, so both inner loops run over contiguous
+/// memory either way. `in` and `out` must not alias.
 void dct2d_apply(const Dct1dPlan& row_plan, const Dct1dPlan& col_plan,
                  const double* in, double* out, std::size_t rows,
                  std::size_t cols, DctWorkspace& ws);

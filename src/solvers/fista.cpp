@@ -17,10 +17,9 @@ namespace {
 // if it fires mid-setup. Unbounded solves keep the full iteration, which
 // for dense operators matches la::spectral_norm bit-for-bit.
 double lipschitz_sigma(const la::LinearOperator& a, const SolveOptions& ctrl) {
-  // A caller-supplied bound (typically la::operator_norm_estimate of the
-  // same A, cached across a batch of solves sharing one pattern) wins
-  // outright: it is the same number this function would compute, minus the
-  // cost.
+  // A caller-supplied bound (the decoder passes the exact sigma_max = 1 of
+  // its tight-frame operators) wins outright: it is the number this
+  // function would compute, minus the cost.
   if (ctrl.operator_norm_hint > 0.0) return ctrl.operator_norm_hint;
   if (ctrl.deadline.unlimited() && !ctrl.cancel.cancelled())
     return la::operator_norm_estimate(a);
@@ -127,31 +126,34 @@ std::vector<SolveResult> FistaSolver::solve_batch_impl(
   FLEXCS_CHECK(sigma > 0.0, "FISTA: zero operator");
   const double step = 1.0 / (sigma * sigma);
 
-  // Proximal-gradient update of frame f from grad = A^T A y_f; true once the
-  // relative change in x falls below tol.
-  const auto update = [&](std::size_t f, la::Vector& grad, int it) {
-    grad -= atbs[f];
+  // Proximal-gradient update of frame f from grad = A^T A y_f, fused into
+  // one pass over the coefficients: gradient offset, shrink, the change and
+  // magnitude maxima, momentum, and the in-place x/y write-back. True once
+  // the relative change in x falls below tol.
+  const auto update = [&](std::size_t f, const la::Vector& grad, int it) {
+    FLEXCS_CHECK(grad.size() == n, "FISTA: adjoint result size mismatch");
+    const la::Vector& atb = atbs[f];
     la::Vector& x = xs[f];
     la::Vector& y = ys[f];
-    la::Vector x_new(n);
-    for (std::size_t i = 0; i < n; ++i)
-      x_new[i] = soft_threshold(y[i] - step * grad[i], step * lambdas[f]);
-
-    const double dx = la::max_abs_diff(x_new, x);
-    const double xmax = std::max(1e-12, x_new.norm_inf());
-    results[f].iterations = it + 1;
-
+    const double thresh = step * lambdas[f];
+    double beta = 0.0;
     if (opts_.accelerate) {
       const double t_new = 0.5 * (1.0 + std::sqrt(1.0 + 4.0 * ts[f] * ts[f]));
-      const double beta = (ts[f] - 1.0) / t_new;
-      for (std::size_t i = 0; i < n; ++i)
-        y[i] = x_new[i] + beta * (x_new[i] - x[i]);
+      beta = (ts[f] - 1.0) / t_new;
       ts[f] = t_new;
-    } else {
-      y = x_new;
     }
-    x = x_new;
-    results[f].converged = dx / xmax < opts_.tol;
+    double dx = 0.0, xmax = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double x_new = soft_threshold(y[i] - step * (grad[i] - atb[i]),
+                                          thresh);
+      const double x_old = x[i];
+      dx = std::max(dx, std::fabs(x_new - x_old));
+      xmax = std::max(xmax, std::fabs(x_new));
+      y[i] = opts_.accelerate ? x_new + beta * (x_new - x_old) : x_new;
+      x[i] = x_new;
+    }
+    results[f].iterations = it + 1;
+    results[f].converged = dx / std::max(1e-12, xmax) < opts_.tol;
     return results[f].converged;
   };
 
@@ -169,8 +171,7 @@ std::vector<SolveResult> FistaSolver::solve_batch_impl(
       // A lone frame (every single solve) applies A directly, so it pays no
       // batch containers per iteration.
       const std::size_t f = active.front();
-      la::Vector grad = a.apply_adjoint(a.apply(ys[f]));
-      if (!update(f, grad, it)) still.push_back(f);
+      if (!update(f, a.apply_adjoint(a.apply(ys[f])), it)) still.push_back(f);
     } else {
       // Batched gradient step at every live frame's extrapolation point:
       // grad_f = A^T (A y_f - b_f), with both operator passes batch-major.

@@ -1,0 +1,75 @@
+// Allocation pin for the FISTA hot loop. This binary replaces the global
+// operator new with a counting one, so it runs on its own, apart from the
+// other suites.
+//
+// A single-frame matrix-free FISTA iteration may allocate only what the
+// LinearOperator interface returns by value: the apply result and the
+// adjoint result. Everything else — the shrink, the momentum step, the
+// convergence maxima and the x/y write-back — runs in preallocated buffers.
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstddef>
+#include <cstdlib>
+#include <new>  // flexcs-lint: allow(raw-new-delete)
+
+#include "common/rng.hpp"
+#include "cs/sampling.hpp"
+#include "cs/transform_operator.hpp"
+#include "solvers/fista.hpp"
+
+namespace {
+
+std::atomic<std::size_t> g_allocations{0};
+
+}  // namespace
+
+void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+
+namespace flexcs::solvers {
+namespace {
+
+// Heap allocations made by one single-frame FISTA solve that runs exactly
+// `iterations` iterations (tol = 0 never converges).
+std::size_t allocations_for(const la::LinearOperator& a, const la::Vector& b,
+                            int iterations) {
+  FistaOptions opts;
+  opts.tol = 0.0;
+  opts.max_iterations = iterations;
+  const FistaSolver solver(opts);
+  SolveOptions ctrl;
+  ctrl.operator_norm_hint = a.norm_upper_bound();
+  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+  const SolveResult r = solver.solve(a, b, ctrl);
+  const std::size_t after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_EQ(r.iterations, iterations);
+  EXPECT_FALSE(r.converged);
+  return after - before;
+}
+
+TEST(FistaAllocations, TwoPerIterationOnATransformOperator) {
+  Rng rng(0xA110C);
+  const cs::SubsampledTransformOperator op(
+      dsp::BasisKind::kDct2D, cs::random_pattern(20, 20, 0.5, rng));
+  la::Vector b(op.rows());
+  for (double& v : b) v = rng.normal();
+
+  allocations_for(op, b, 4);  // warm the operator's thread-local workspace
+  constexpr int kShort = 20, kLong = 60;
+  const std::size_t short_run = allocations_for(op, b, kShort);
+  const std::size_t long_run = allocations_for(op, b, kLong);
+  // (allocs(K2) - allocs(K1)) / (K2 - K1) == 2, exactly.
+  EXPECT_EQ(long_run, short_run + 2u * (kLong - kShort))
+      << short_run << " allocations at " << kShort << " iterations, "
+      << long_run << " at " << kLong;
+}
+
+}  // namespace
+}  // namespace flexcs::solvers

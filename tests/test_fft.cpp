@@ -3,7 +3,7 @@
 // in-place lifting Haar against dsp::haar1d/haar2d. The naive paths are the
 // definition of the transforms in this library; the fast paths must agree to
 // near machine precision at every length — pow2 (FFT path), non-pow2 and odd
-// (cached-factor fallback), and the degenerate n = 1.
+// (GEMM form against the dense factor), and the degenerate n = 1.
 #include "dsp/fft.hpp"
 
 #include <gtest/gtest.h>
@@ -100,6 +100,40 @@ TEST(Dct1dPlan, TwoDimApplyMatchesDct2d) {
     EXPECT_LT(la::max_abs_diff(fwd, dct2d(a)), 1e-12)
         << g.rows << "x" << g.cols;
     EXPECT_LT(la::max_abs_diff(inv, idct2d(a)), 1e-12)
+        << g.rows << "x" << g.cols;
+  }
+}
+
+TEST(Dct1dPlan, TwoDimApplyMatchesDenseMatrixForm) {
+  // Independent golden for both 2-D kernels: the separable transforms as
+  // dense products Y = D_r·X·D_cᵀ and X = D_rᵀ·Y·D_c with dct_matrix
+  // factors. Covers the runtime's halo-padded tiles (20, 36), mixed
+  // pow2/non-pow2 grids, and degenerate single rows and columns; every
+  // input has whole zero rows and zero entries, so the inverse's
+  // zero-coefficient skip runs.
+  struct Grid { std::size_t rows, cols; };
+  for (const Grid g : {Grid{20, 20}, Grid{36, 36}, Grid{20, 36}, Grid{36, 20},
+                       Grid{7, 32}, Grid{5, 3}, Grid{1, 7}, Grid{7, 1}}) {
+    Rng rng(0xF4 + g.rows * 41 + g.cols);
+    la::Matrix a(g.rows, g.cols);
+    for (std::size_t i = 0; i < a.size(); ++i)
+      a.data()[i] = rng.uniform() < 0.3 ? 0.0 : rng.normal();
+    for (std::size_t r = 0; r < g.rows; r += 3)
+      for (std::size_t c = 0; c < g.cols; ++c) a(r, c) = 0.0;
+
+    const la::Matrix dr = dct_matrix(g.rows), dc = dct_matrix(g.cols);
+    const la::Matrix fwd_ref = la::matmul(la::matmul(dr, a), dc.transposed());
+    const la::Matrix inv_ref = la::matmul(la::matmul(dr.transposed(), a), dc);
+
+    const Dct1dPlan row_plan(g.cols), col_plan(g.rows);
+    DctWorkspace ws;
+    la::Matrix fwd(g.rows, g.cols), inv(g.rows, g.cols);
+    dct2d_apply(row_plan, col_plan, a.data(), fwd.data(), g.rows, g.cols, ws);
+    idct2d_apply(row_plan, col_plan, a.data(), inv.data(), g.rows, g.cols,
+                 ws);
+    EXPECT_LE(la::max_abs_diff(fwd, fwd_ref), 1e-12)
+        << g.rows << "x" << g.cols;
+    EXPECT_LE(la::max_abs_diff(inv, inv_ref), 1e-12)
         << g.rows << "x" << g.cols;
   }
 }

@@ -3,21 +3,27 @@
 // leans on (a wrong adjoint makes gradients silently point the wrong way),
 // so it is verified here for both operator families across geometries,
 // together with entry-wise equivalence against the dense Ψ path, the
-// operator-norm power iteration, and the CG kernel.
+// tight-frame contract behind the exact operator norm, and the CG kernel.
 #include "la/operator.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
+#include "cs/decoder.hpp"
 #include "cs/sampling.hpp"
 #include "cs/transform_operator.hpp"
 #include "dsp/basis.hpp"
 #include "golden.hpp"
 #include "la/matrix.hpp"
+#include "runtime/deadline.hpp"
+#include "solvers/fista.hpp"
 
 namespace flexcs::cs {
 namespace {
@@ -120,6 +126,74 @@ TEST(SubsampledTransformOperator, NormBoundIsValidAndNearlyTight) {
   EXPECT_GT(sigma, 0.5);               // half the pixels sampled
   EXPECT_LE(sigma, op.norm_upper_bound() + 1e-9);
   EXPECT_DOUBLE_EQ(op.norm_upper_bound(), 1.0);
+}
+
+TEST(SubsampledTransformOperator, IsATightFrameWithExactNormBound) {
+  // A = Φ_M·Ψ with orthonormal Ψ is a tight frame: A·Aᵀ = I_M, so every
+  // singular value is exactly 1 and norm_upper_bound() is sigma_max itself —
+  // the value the decoder hands FISTA instead of running a power iteration.
+  struct Grid { std::size_t rows, cols; };
+  for (const auto basis : {dsp::BasisKind::kDct2D, dsp::BasisKind::kHaar2D}) {
+    for (const Grid g : {Grid{20, 20}, Grid{36, 36}, Grid{16, 8}}) {
+      Rng rng(0x7167 + g.rows * 59 + g.cols + static_cast<unsigned>(basis));
+      std::vector<SamplingPattern> patterns;
+      patterns.push_back({g.rows, g.cols, {g.rows * g.cols / 2 + 3}});
+      for (const double fraction : {0.1, 0.5, 1.0})
+        patterns.push_back(random_pattern(g.rows, g.cols, fraction, rng));
+      for (const SamplingPattern& p : patterns) {
+        const SubsampledTransformOperator op(basis, p);
+        const la::Vector y = random_vector(op.rows(), rng);
+        EXPECT_LE(la::max_abs_diff(op.apply(op.apply_adjoint(y)), y), 1e-12)
+            << dsp::to_string(basis) << " " << g.rows << "x" << g.cols
+            << " m=" << p.m();
+        EXPECT_NEAR(la::operator_norm_estimate(op), op.norm_upper_bound(),
+                    1e-12)
+            << dsp::to_string(basis) << " " << g.rows << "x" << g.cols
+            << " m=" << p.m();
+      }
+    }
+  }
+}
+
+TEST(DecoderNormHint, FarFutureDeadlineDecodesBitIdenticallyToNone) {
+  // With no deadline FISTA's own setup would run the fixed power iteration;
+  // with one it runs the early-exit iteration clamped to the operator's
+  // bound. The decoder hands both the same exact sigma, so a deadline that
+  // never fires must not change a single bit of the decode.
+  struct Case { dsp::BasisKind basis; std::size_t rows, cols; };
+  const auto fista = std::make_shared<solvers::FistaSolver>();
+  for (const Case c : {Case{dsp::BasisKind::kDct2D, 20, 20},
+                       Case{dsp::BasisKind::kDct2D, 36, 36},
+                       Case{dsp::BasisKind::kHaar2D, 16, 16}}) {
+    DecoderOptions opts;
+    opts.basis = c.basis;
+    const Decoder decoder(c.rows, c.cols, opts, fista);
+    Rng rng(0xDEAD + c.rows);
+    const SamplingPattern p = random_pattern(c.rows, c.cols, 0.5, rng);
+    la::Vector y(p.m());
+    for (std::size_t k = 0; k < p.m(); ++k) {
+      const double r = static_cast<double>(p.indices[k] / c.cols);
+      const double col = static_cast<double>(p.indices[k] % c.cols);
+      y[k] = 0.5 + 0.3 * std::sin(0.31 * r) * std::cos(0.17 * col) +
+             (col > 0.6 * static_cast<double>(c.cols) ? 0.1 : 0.0);
+    }
+
+    DecoderOptions bounded = opts;
+    bounded.solve.deadline = runtime::Deadline::after(3600.0);
+    const DecodeResult plain = decoder.decode(p, y);
+    const DecodeResult timed = decoder.decode_with(p, y, *fista, bounded);
+    const std::string where = dsp::to_string(c.basis) + " " +
+                              std::to_string(c.rows) + "x" +
+                              std::to_string(c.cols);
+    EXPECT_FALSE(timed.deadline_expired) << where;
+    EXPECT_EQ(plain.solver_iterations, timed.solver_iterations) << where;
+    EXPECT_EQ(plain.converged, timed.converged) << where;
+    EXPECT_EQ(plain.residual_norm, timed.residual_norm) << where;
+    ASSERT_EQ(plain.frame.size(), timed.frame.size()) << where;
+    EXPECT_EQ(0, std::memcmp(plain.frame.data(), timed.frame.data(),
+                             plain.frame.size() * sizeof(double)))
+        << where;
+  }
 }
 
 TEST(DenseOperator, NormEstimateMatchesSpectralNormBitForBit) {

@@ -50,10 +50,18 @@ Enforces project invariants the compiler cannot express:
                     `while (true)`) must either poll a deadline/heartbeat
                     token or contain an explicit break/return — an exitless
                     infinite loop in the broker is a guaranteed hang
+  build-flags       CMake files under src/ (CMakeLists.txt, *.cmake) may not
+                    use host- or value-changing floating-point flags:
+                    -march=, -mtune=native, -mfma, -ffast-math, -Ofast,
+                    -ffp-contract=fast. They make results depend on the host
+                    CPU or let the compiler reassociate and contract, so a
+                    forked, remote and in-process executor would no longer
+                    decode the same (seed, frame, tile) to the same pixels
 
 A line may opt out of one rule with a trailing marker comment:
 
     dangerous_thing();  // flexcs-lint: allow(rule-id)
+    set(FLAGS -mfma)    # flexcs-lint: allow(build-flags)
 
 Stdlib-only; runs standalone (`python3 tools/flexcs_lint.py --root .`) and as
 the ctest `lint.flexcs`. Exit status 0 = clean, 1 = findings, 2 = usage error.
@@ -71,6 +79,9 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 SOURCE_DIRS = ("src", "tests", "bench", "examples", "tools")
 SOURCE_EXTS = (".hpp", ".cpp")
+
+# Build files the build-flags rule reads (CMake under these directories).
+CMAKE_DIRS = ("src",)
 
 # Directory prefix whose files may use raw new/delete (owning containers).
 RAW_NEW_ALLOWED_PREFIX = "src/la/"
@@ -249,6 +260,34 @@ def strip_comments_and_strings(text: str) -> str:
                 out.append("\n" if c == "\n" else " ")
         i += 1
     return "".join(out)
+
+
+def strip_cmake_comments(text: str) -> str:
+    """Blanks CMake `#` comments outside quoted arguments, preserving
+    newlines. Bracket comments (`#[[ ... ]]`) are blanked only on their
+    first line."""
+    out: List[str] = []
+    for line in text.split("\n"):
+        in_string = False
+        cut = len(line)
+        i = 0
+        while i < len(line):
+            c = line[i]
+            if in_string and c == "\\":
+                i += 2
+                continue
+            if c == '"':
+                in_string = not in_string
+            elif c == "#" and not in_string:
+                cut = i
+                break
+            i += 1
+        out.append(line[:cut] + " " * (len(line) - cut))
+    return "\n".join(out)
+
+
+def is_cmake(relpath: str) -> bool:
+    return relpath.endswith("CMakeLists.txt") or relpath.endswith(".cmake")
 
 
 def suppressed_rules(original_line: str) -> List[str]:
@@ -603,6 +642,27 @@ def check_deadline_poll(f: SourceFile) -> List[Finding]:
     return findings
 
 
+_BUILD_FLAG_RE = re.compile(
+    r"(?<![\w-])(-march=|-mtune=native|-mfma|-ffast-math|-Ofast"
+    r"|-ffp-contract=fast)")
+
+
+def check_build_flags(f: SourceFile) -> List[Finding]:
+    if not any(f.relpath.startswith(d + "/") for d in CMAKE_DIRS):
+        return []
+    findings: List[Finding] = []
+    for idx, line in enumerate(f.stripped_lines, start=1):
+        for m in _BUILD_FLAG_RE.finditer(line):
+            fd = f.finding_unless_allowed(
+                idx, "build-flags",
+                f"'{m.group(1)}' makes floating-point results depend on the "
+                "host or on contraction — every executor must decode the "
+                "same tile to the same pixels")
+            if fd:
+                findings.append(fd)
+    return findings
+
+
 FILE_RULES: Sequence[Callable[[SourceFile], List[Finding]]] = (
     check_pragma_once,
     check_using_namespace,
@@ -698,6 +758,11 @@ def collect_files(root: Path, only: Optional[Sequence[str]] = None
                 continue
             for ext in SOURCE_EXTS:
                 paths.extend(sorted(base.rglob(f"*{ext}")))
+        for d in CMAKE_DIRS:
+            base = root / d
+            if base.is_dir():
+                paths.extend(sorted(base.rglob("CMakeLists.txt")))
+                paths.extend(sorted(base.rglob("*.cmake")))
     files: List[SourceFile] = []
     for p in paths:
         if any(part.startswith("build") for part in p.parts):
@@ -708,7 +773,9 @@ def collect_files(root: Path, only: Optional[Sequence[str]] = None
             print(f"flexcs-lint: cannot read {p}: {e}", file=sys.stderr)
             continue
         rel = p.relative_to(root).as_posix()
-        files.append(SourceFile(rel, text, strip_comments_and_strings(text)))
+        stripped = (strip_cmake_comments(text) if is_cmake(rel)
+                    else strip_comments_and_strings(text))
+        files.append(SourceFile(rel, text, stripped))
     return files
 
 
@@ -716,10 +783,14 @@ def lint_tree(root: Path, only: Optional[Sequence[str]] = None
               ) -> List[Finding]:
     files = collect_files(root, only)
     findings: List[Finding] = []
+    sources = [f for f in files if not is_cmake(f.relpath)]
     for f in files:
+        if is_cmake(f.relpath):
+            findings.extend(check_build_flags(f))
+            continue
         for rule in FILE_RULES:
             findings.extend(rule(f))
-    findings.extend(check_entry_points(root, {f.relpath: f for f in files},
+    findings.extend(check_entry_points(root, {f.relpath: f for f in sources},
                                        partial=only is not None))
     return sorted(findings)
 

@@ -843,6 +843,51 @@ class ResolveFractionEntryCheckTest(unittest.TestCase):
         self.assertFalse(fired, "\n".join(str(x) for x in fired))
 
 
+class BuildFlagsTest(unittest.TestCase):
+    BANNED = ("-march=native", "-march=x86-64-v3", "-mtune=native", "-mfma",
+              "-ffast-math", "-Ofast", "-ffp-contract=fast")
+
+    def test_each_banned_flag_fires(self):
+        for flag in self.BANNED:
+            f = lint_fixture({"src/dsp/CMakeLists.txt":
+                              f"target_compile_options(x PRIVATE {flag})\n"})
+            fired = [x for x in f if x.rule == "build-flags"]
+            self.assertEqual(1, len(fired), flag)
+            self.assertEqual(1, fired[0].line, flag)
+
+    def test_quoted_flag_and_cmake_module_fire(self):
+        f = lint_fixture({"src/cs/flags.cmake":
+                          'set(FLAGS "-O2 -ffast-math")\n'})
+        self.assertIn("build-flags", rules_fired(f))
+
+    def test_openmp_simd_clean(self):
+        f = lint_fixture({"src/dsp/CMakeLists.txt":
+                          "target_compile_options(flexcs_dsp PRIVATE "
+                          "-fopenmp-simd)\n"})
+        self.assertNotIn("build-flags", rules_fired(f))
+
+    def test_comment_mention_clean(self):
+        f = lint_fixture({"src/dsp/CMakeLists.txt":
+                          "# never -ffast-math here\nadd_library(x a.cpp)\n"})
+        self.assertNotIn("build-flags", rules_fired(f))
+
+    def test_suppression_marker(self):
+        f = lint_fixture({"src/dsp/CMakeLists.txt":
+                          "target_compile_options(x PRIVATE -mfma)  "
+                          "# flexcs-lint: allow(build-flags)\n"})
+        self.assertNotIn("build-flags", rules_fired(f))
+
+    def test_outside_src_not_checked(self):
+        f = lint_fixture({"bench/CMakeLists.txt":
+                          "target_compile_options(b PRIVATE -march=native)\n"})
+        self.assertNotIn("build-flags", rules_fired(f))
+
+    def test_cmake_files_skip_cpp_rules(self):
+        f = lint_fixture({"src/cs/CMakeLists.txt":
+                          "# new delete std::rand\nadd_library(x a.cpp)\n"})
+        self.assertEqual([], [x for x in f if x.path.endswith(".txt")])
+
+
 class PartialLintTest(unittest.TestCase):
     def test_single_file_mode_skips_other_entry_points(self):
         with tempfile.TemporaryDirectory() as td:

@@ -25,7 +25,9 @@
 //     "decode_calls":      number  — mean sparse-solver calls per frame
 //     "escalation_depth":  number  — mean rungs climbed beyond plain decode
 //     "solver_iterations": number  — mean inner-solver iterations of the
-//                                    chosen candidate per frame
+//                                    chosen candidate per frame (a
+//                                    resampling candidate counts every
+//                                    round)
 //     "decode_seconds":    number  — mean wall-clock seconds per frame
 //   }
 //
@@ -42,8 +44,14 @@
 //   adc-saturation        rails at [severity, 1 - severity]
 //   dropped-measurements  fraction of measurement slots lost
 //
-// FISTA is the decode solver throughout: its convergence flag discriminates
-// clean from corrupted frames, which the ladder's acceptance check relies on.
+// FISTA is the decode solver throughout. The ladder's acceptance check reads
+// the shape of each decode's fit (support ratio, spectral tail, trimmed
+// share; EXPERIMENTS.md E19), not the solver's convergence flag: with
+// adaptive restart FISTA converges on clean and corrupted frames alike.
+//
+// The recorded sweep is a robustness floor: the ctest
+// `bench.fault_matrix_floor` fails when any cell's RMSE exceeds 1.02x the
+// reference record in tests/data/BENCH_fault_matrix_reference.json.
 #include <cstdio>
 #include <cstring>
 #include <memory>

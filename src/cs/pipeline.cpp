@@ -18,11 +18,13 @@ la::Matrix reconstruct_oracle(const CorruptedFrame& corrupted,
   return decoder.decode(pattern, y).frame;
 }
 
-la::Matrix reconstruct_resample(const la::Matrix& corrupted_frame,
-                                double fraction, const ResampleOptions& opts,
-                                const Encoder& encoder, const Decoder& decoder,
-                                Rng& rng) {
+ResampleResult reconstruct_resample_ex(const la::Matrix& corrupted_frame,
+                                       double fraction,
+                                       const ResampleOptions& opts,
+                                       const Encoder& encoder,
+                                       const Decoder& decoder, Rng& rng) {
   FLEXCS_CHECK(opts.rounds >= 1, "resampling needs at least one round");
+  ResampleResult out;
   const std::size_t n = corrupted_frame.size();
   std::vector<std::vector<double>> per_pixel(
       n, std::vector<double>());
@@ -39,22 +41,23 @@ la::Matrix reconstruct_resample(const la::Matrix& corrupted_frame,
     const SamplingPattern pattern = random_pattern(
         corrupted_frame.rows(), corrupted_frame.cols(), fraction, rng);
     const la::Vector y = encoder.encode(corrupted_frame, pattern, rng);
-    const la::Matrix rec =
+    const DecodeResult rec =
         opts.trim
-            ? decode_trimmed(decoder, pattern, y, 4.0, 0.2, opts.solve)
-            : decoder.decode_with(pattern, y, decoder.solver(), plain_opts)
-                  .frame;
+            ? decode_trimmed_ex(decoder, pattern, y, 4.0, 0.2, opts.solve)
+                  .result
+            : decoder.decode_with(pattern, y, decoder.solver(), plain_opts);
+    out.solver_iterations += rec.solver_iterations;
     for (std::size_t i = 0; i < n; ++i)
-      per_pixel[i].push_back(rec.data()[i]);
+      per_pixel[i].push_back(rec.frame.data()[i]);
   }
 
-  la::Matrix out(corrupted_frame.rows(), corrupted_frame.cols(), 0.0);
+  out.frame = la::Matrix(corrupted_frame.rows(), corrupted_frame.cols(), 0.0);
   for (std::size_t i = 0; i < n; ++i) {
     auto& vals = per_pixel[i];
     if (opts.aggregate == Aggregate::kMean) {
       double s = 0.0;
       for (double v : vals) s += v;
-      out.data()[i] = s / static_cast<double>(vals.size());
+      out.frame.data()[i] = s / static_cast<double>(vals.size());
     } else {
       const std::size_t mid = vals.size() / 2;
       std::nth_element(vals.begin(),
@@ -68,10 +71,19 @@ la::Matrix reconstruct_resample(const la::Matrix& corrupted_frame,
                               vals.begin() + static_cast<std::ptrdiff_t>(mid));
         med = 0.5 * (med + lower);
       }
-      out.data()[i] = med;
+      out.frame.data()[i] = med;
     }
   }
   return out;
+}
+
+la::Matrix reconstruct_resample(const la::Matrix& corrupted_frame,
+                                double fraction, const ResampleOptions& opts,
+                                const Encoder& encoder, const Decoder& decoder,
+                                Rng& rng) {
+  return reconstruct_resample_ex(corrupted_frame, fraction, opts, encoder,
+                                 decoder, rng)
+      .frame;
 }
 
 std::vector<std::vector<bool>> rpca_outlier_masks(
@@ -109,8 +121,16 @@ TrimmedDecodeResult decode_trimmed_ex(const Decoder& decoder,
   // regularised lasso cannot interpolate corrupted measurements, so their
   // residuals stand far above the clean ones (a low-shrinkage or de-biased
   // decode would fit the outliers and hide them).
+  // The shrinkage is 0.2, capped at 8 % of lambda_max = ||Aᵀy||_inf (the
+  // weight at which the lasso returns zero), so it follows the tile's signal
+  // scale: lambda_max grows with M and the mean level (32x32 thermal frames
+  // 4.3-6.8, 8x8 tiles at M = 16 0.3-1.2). Uncapped, 0.2 shrinks the screen
+  // of a small or dark tile to its DC term and the trim discards legitimate
+  // features (EXPERIMENTS.md E19).
   solvers::AdmmOptions screen_solver_opts;
-  screen_solver_opts.lambda = 0.2;
+  screen_solver_opts.lambda = std::min(
+      0.2,
+      0.08 * decoder.measurement_operator(p)->apply_adjoint(y).norm_inf());
   const solvers::AdmmLassoSolver screen_solver(screen_solver_opts);
   DecoderOptions screen_opts = decoder.options();
   screen_opts.debias = false;

@@ -42,8 +42,22 @@ struct ResampleOptions {
   solvers::SolveOptions solve;
 };
 
+/// What a resampling reconstruction produced: the aggregated frame and the
+/// sparse-solver iterations of its rounds' production decodes, summed.
+struct ResampleResult {
+  la::Matrix frame;
+  int solver_iterations = 0;
+};
+
 /// Resampling reconstruction: defects unknown, sample uniformly (possibly
 /// hitting defective pixels), reconstruct per round, aggregate per pixel.
+ResampleResult reconstruct_resample_ex(const la::Matrix& corrupted_frame,
+                                       double fraction,
+                                       const ResampleOptions& opts,
+                                       const Encoder& encoder,
+                                       const Decoder& decoder, Rng& rng);
+
+/// Frame-only convenience wrapper over reconstruct_resample_ex.
 la::Matrix reconstruct_resample(const la::Matrix& corrupted_frame,
                                 double fraction, const ResampleOptions& opts,
                                 const Encoder& encoder, const Decoder& decoder,

@@ -12,13 +12,18 @@
 //   rung 4  RPCA window filter      robust-PCA outlier exclusion over a
 //                                   sliding window of recent frames
 //
-// The sanity check uses the solver residual plumbed through
-// cs::DecodeResult::residual_norm (pre-debias, so interpolated outliers
-// cannot hide) for decode rungs, and a median absolute measurement residual
-// for the aggregate strategies whose output intentionally stops fitting the
-// corrupted measurements. Every frame yields a RecoveryReport; the pipeline
-// keeps aggregate health counters with an EWMA estimate of the defect rate
-// for drift detection.
+// The sanity check for decode rungs reads the shape of the fit: how much of
+// the measurement budget the recovered support spends (a support near M
+// means the decode interpolates instead of recovering), how much coefficient
+// energy sits in the upper half of the spectrum (sparse errors are spikes,
+// which spread energy evenly over every frequency), and, for trimmed rungs,
+// how many measurements the screen had to discard. The pre-debias solver
+// residual from cs::DecodeResult::residual_norm still bounds every decode
+// rung, which rejects iterates a deadline cut short. Aggregate strategies,
+// whose output intentionally stops fitting the corrupted measurements, are
+// judged by a median absolute measurement residual. Every frame yields a
+// RecoveryReport; the pipeline keeps aggregate health counters with an EWMA
+// estimate of the defect rate for drift detection.
 #pragma once
 
 #include <cstdint>
@@ -61,12 +66,13 @@ struct LadderBudget {
 
 /// Ground-truth-free acceptance thresholds for a candidate reconstruction.
 struct AcceptanceThresholds {
-  // Decode rungs (0-2): relative solver residual ||Ax - y|| / ||y|| must not
-  // exceed this, and the solver must have converged (if required). Tuned on
-  // the thermal generator: clean frames decode to ~0.04, 10 % stuck pixels
-  // push the plain decode beyond 0.2.
+  // Decode rungs (0-2 and the RPCA rung's decode): relative pre-debias solver
+  // residual ||Ax - y|| / ||y|| must not exceed this. FISTA drives clean and
+  // corrupted tiles alike to 0.003-0.016 (EXPERIMENTS.md E19), so the bound
+  // does not separate them; it rejects iterates a deadline cut short. The
+  // fit test that does (support ratio, spectral tail, trimmed share) uses
+  // fixed bounds calibrated in E19, defined in runtime/pipeline.cpp.
   double max_rel_residual = 0.12;
-  bool require_convergence = true;
   // Aggregate rungs (3-4): median |y_i - x̂_i| over the measurements must not
   // exceed this (the median ignores up to half the measurements, so the
   // defective ones cannot veto an otherwise good reconstruction).
@@ -128,7 +134,9 @@ struct RecoveryReport {
   // Deadline/cancellation fired during this frame: the output is the best
   // candidate produced before the cut (possibly a partial iterate).
   bool deadline_expired = false;
-  int solver_iterations = 0;   // iterations of the decode that produced output
+  // Solver iterations behind the returned frame: the decode that produced
+  // it, or for the resampling rung the total over its rounds.
+  int solver_iterations = 0;
   double decode_seconds = 0.0;  // wall time of process() for this frame
   double rel_residual = 0.0;        // acceptance statistic of the output
   double first_rel_residual = 0.0;  // rung-0 statistic (escalation trigger)
@@ -227,8 +235,10 @@ class RobustPipeline {
     std::size_t trimmed = 0;  // measurements this attempt's rung trimmed
   };
 
+  /// Judges a decode of `y` whose solver fitted `fitted` of its
+  /// measurements (a trimmed decode fits fewer than y.size()).
   Candidate evaluate_decode(const cs::DecodeResult& result,
-                            const la::Vector& y) const;
+                            const la::Vector& y, std::size_t fitted) const;
   Candidate evaluate_aggregate(la::Matrix frame, const cs::SamplingPattern& p,
                                const la::Vector& y) const;
   void finish_frame(const cs::SamplingPattern& p, const la::Vector& y,

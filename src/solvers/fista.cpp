@@ -128,7 +128,11 @@ std::vector<SolveResult> FistaSolver::solve_batch_impl(
 
   // Proximal-gradient update of frame f from grad = A^T A y_f, fused into
   // one pass over the coefficients: gradient offset, shrink, the change and
-  // magnitude maxima, momentum, and the in-place x/y write-back. True once
+  // magnitude maxima, momentum, the in-place x/y write-back, and the
+  // gradient adaptive-restart test g = <y_old - x_new, x_new - x_old>
+  // (O'Donoghue & Candes 2015). g > 0 means the momentum step points uphill
+  // on the composite objective, so frame f drops its momentum (t = 1,
+  // y = x) and continues from x_new as a plain proximal step. True once
   // the relative change in x falls below tol.
   const auto update = [&](std::size_t f, const la::Vector& grad, int it) {
     FLEXCS_CHECK(grad.size() == n, "FISTA: adjoint result size mismatch");
@@ -142,15 +146,20 @@ std::vector<SolveResult> FistaSolver::solve_batch_impl(
       beta = (ts[f] - 1.0) / t_new;
       ts[f] = t_new;
     }
-    double dx = 0.0, xmax = 0.0;
+    double dx = 0.0, xmax = 0.0, g = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
       const double x_new = soft_threshold(y[i] - step * (grad[i] - atb[i]),
                                           thresh);
       const double x_old = x[i];
       dx = std::max(dx, std::fabs(x_new - x_old));
       xmax = std::max(xmax, std::fabs(x_new));
+      g += (y[i] - x_new) * (x_new - x_old);
       y[i] = opts_.accelerate ? x_new + beta * (x_new - x_old) : x_new;
       x[i] = x_new;
+    }
+    if (opts_.accelerate && g > 0.0) {
+      ts[f] = 1.0;
+      y = x;
     }
     results[f].iterations = it + 1;
     results[f].converged = dx / std::max(1e-12, xmax) < opts_.tol;

@@ -10,7 +10,9 @@ struct FistaOptions {
   double lambda = 0.0;        // 0 => scale-adaptive: 1e-3 * ||A^T b||_inf
   int max_iterations = 500;
   double tol = 1e-7;          // relative change in x between iterations
-  bool accelerate = true;     // FISTA momentum; false gives plain ISTA
+  // FISTA momentum with gradient adaptive restart (O'Donoghue & Candes
+  // 2015); false gives plain ISTA.
+  bool accelerate = true;
 };
 
 class FistaSolver final : public SparseSolver {
@@ -24,8 +26,9 @@ class FistaSolver final : public SparseSolver {
                          const SolveOptions& ctrl) const override;
   /// Batch-major lockstep: all frames advance together, sharing one
   /// Lipschitz setup and the operator's batched applies. Frames never
-  /// interact (per-frame lambda, momentum, and stopping), so each frame's
-  /// iterate sequence — and result — is identical to a sequential solve.
+  /// interact (per-frame lambda, momentum, restart and stopping), so each
+  /// frame's iterate sequence — and result — is identical to a sequential
+  /// solve.
   std::vector<SolveResult> solve_batch_impl(
       const la::LinearOperator& a, const std::vector<la::Vector>& bs,
       const SolveOptions& ctrl) const override;

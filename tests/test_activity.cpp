@@ -675,7 +675,8 @@ TEST(ShardReportAggregation, AsymmetricBatchKeepsCountersPerFrame) {
   // would average or accumulate them together). The residuals are NOT a
   // reliable asymmetry signal — on the underdetermined tile system the
   // solver drives the noise frame's residual as low as the thermal frame's;
-  // what separates them is convergence-gated acceptance and decode spend.
+  // what separates them is the fit test (an incompressible tile's support
+  // fills its measurement budget) and decode spend.
   EXPECT_GE(out[0].report.tiles_accepted, 3u);
   EXPECT_GE(out[0].report.decode_calls, 4);  // at least one decode per tile
   EXPECT_EQ(out[1].report.tiles_accepted, 0u);

@@ -12,9 +12,8 @@
 namespace flexcs::runtime {
 namespace {
 
-// FISTA is used throughout: its convergence flag is a reliable sanity signal
-// on both clean and corrupted frames at every array size (ADMM's iteration
-// cap trips on clean 16x16 frames, which would read as spurious escalation).
+// FISTA is used throughout, as in the runtime: the acceptance fit test is
+// calibrated on its lasso solutions (EXPERIMENTS.md E19).
 std::shared_ptr<const solvers::SparseSolver> fista() {
   static auto solver = std::make_shared<solvers::FistaSolver>();
   return solver;
@@ -92,6 +91,50 @@ TEST(RobustPipeline, LadderBeatsPlainDecodeAtTenPercentDefects) {
   EXPECT_LE(ladder_rmse, 0.5 * plain_rmse);
   EXPECT_GT(res.report.first_rel_residual, 0.0);
   EXPECT_GT(res.report.estimated_defect_rate, 0.02);
+}
+
+TEST(RobustPipeline, FitTestAcceptsCleanTilesAndEscalatesSparseFaults) {
+  // Discrimination regression for the decode-rung fit test (E19): clean
+  // thermal tiles at the runtime's padded tile sizes accept their plain
+  // decode, and tiles with 2 % stuck or flickering pixels escalate. Pinned
+  // seeds: 11 of the 12 flicker tiles escalate. The twelfth (20x20, seed 5)
+  // draws a sampling pattern that misses every flickered pixel, so its
+  // measurements, and hence its plain decode, equal the clean tile's.
+  int flicker_escalations = 0;
+  for (const std::size_t dim : {20u, 36u}) {
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+      const la::Matrix truth = thermal_frame(dim, seed);
+      RobustPipeline clean(dim, dim, {}, fista());
+      Rng rng(seed);
+      const auto res = clean.process(truth, rng);
+      EXPECT_TRUE(res.report.accepted) << dim << " seed " << seed;
+      EXPECT_EQ(res.report.strategy, Strategy::kPlainDecode)
+          << dim << " seed " << seed;
+      EXPECT_EQ(res.report.decode_calls, 1) << dim << " seed " << seed;
+
+      const cs::FaultScenario stuck({cs::StuckPixelFault{
+          0.02, cs::DefectPolarity::kRandom, seed}});
+      const cs::FaultScenario flicker({cs::FlickerFault{
+          0.02, cs::DefectPolarity::kRandom, seed}});
+      RobustPipeline stuck_pipe(dim, dim, {}, fista());
+      Rng srng(seed);
+      EXPECT_GE(stuck_pipe.process(stuck.corrupt_frame(truth, 0).values, srng)
+                    .report.escalation_depth,
+                1)
+          << dim << " seed " << seed;
+      RobustPipeline flicker_pipe(dim, dim, {}, fista());
+      Rng frng(seed);
+      const auto fres =
+          flicker_pipe.process(flicker.corrupt_frame(truth, 0).values, frng);
+      if (fres.report.escalation_depth >= 1) {
+        ++flicker_escalations;
+      } else {
+        EXPECT_EQ(cs::rmse(fres.frame, res.frame), 0.0)
+            << dim << " seed " << seed;
+      }
+    }
+  }
+  EXPECT_GE(flicker_escalations, 11);
 }
 
 TEST(RobustPipeline, ReachesTrimmedFreshAndResampleRungs) {

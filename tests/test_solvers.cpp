@@ -2,12 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "cs/sampling.hpp"
 #include "cs/transform_operator.hpp"
+#include "data/thermal.hpp"
 #include "dsp/basis.hpp"
 #include "golden.hpp"
 #include "la/operator.hpp"
@@ -342,6 +344,109 @@ TEST(Solvers, DebiasCapsSupportAtMeasurementCount) {
   for (std::size_t i = 0; i < out.size(); ++i)
     if (out[i] != 0.0) ++nnz;
   EXPECT_LE(nnz, 10u);
+}
+
+// ---------------------------------------------------------------------------
+// FISTA gradient adaptive restart
+
+double lasso_objective(const la::LinearOperator& a, const la::Vector& b,
+                       const la::Vector& x, double lambda) {
+  const double r = (a.apply(x) - b).norm2();
+  double l1 = 0.0;
+  for (double v : x) l1 += std::fabs(v);
+  return 0.5 * r * r + lambda * l1;
+}
+
+// Textbook FISTA (Beck & Teboulle 2009) with unit step and no restart.
+// Returns its objective after every iteration.
+std::vector<double> objectives_without_restart(const la::LinearOperator& a,
+                                               const la::Vector& b,
+                                               double lambda, int iterations) {
+  const la::Vector atb = a.apply_adjoint(b);
+  la::Vector x(a.cols(), 0.0), y = x;
+  double t = 1.0;
+  std::vector<double> objectives;
+  for (int it = 0; it < iterations; ++it) {
+    const la::Vector grad = a.apply_adjoint(a.apply(y));
+    const double t_new = 0.5 * (1.0 + std::sqrt(1.0 + 4.0 * t * t));
+    const double beta = (t - 1.0) / t_new;
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      const double x_new = soft_threshold(y[i] - (grad[i] - atb[i]), lambda);
+      y[i] = x_new + beta * (x_new - x[i]);
+      x[i] = x_new;
+    }
+    t = t_new;
+    objectives.push_back(lasso_objective(a, b, x, lambda));
+  }
+  return objectives;
+}
+
+// A thermal tile sampled at half density through the DCT tight frame: the
+// decode problem of the runtime's 20x20 (thermal) and 36x36 (tactile)
+// padded tiles.
+struct TileProblem {
+  std::shared_ptr<cs::SubsampledTransformOperator> op;
+  la::Vector b;
+};
+
+TileProblem thermal_tile_problem(std::size_t dim, std::uint64_t seed) {
+  data::ThermalOptions topts;
+  topts.rows = topts.cols = dim;
+  Rng rng(seed);
+  const la::Matrix frame = data::ThermalHandGenerator(topts).sample(rng).values;
+  const cs::SamplingPattern p = cs::random_pattern(dim, dim, 0.5, rng);
+  TileProblem tp;
+  tp.op = std::make_shared<cs::SubsampledTransformOperator>(
+      dsp::BasisKind::kDct2D, p);
+  tp.b = la::Vector(p.m());
+  for (std::size_t i = 0; i < p.m(); ++i) tp.b[i] = frame.data()[p.indices[i]];
+  return tp;
+}
+
+TEST(FistaRestart, ReachesUnrestartedObjectiveInHalfTheIterations) {
+  // Reference: the objective unrestarted FISTA holds after 500 iterations,
+  // and the first iteration at which it gets there (relative tolerance
+  // 1e-9). Restarted FISTA must reach the same objective in at most half
+  // that many iterations.
+  constexpr double kRelTol = 1e-9;
+  for (const std::size_t dim : {20u, 36u}) {
+    for (const std::uint64_t seed : {3u, 4u}) {
+      const TileProblem tp = thermal_tile_problem(dim, seed);
+      const double lambda = 1e-3 * tp.op->apply_adjoint(tp.b).norm_inf();
+      const std::vector<double> plain =
+          objectives_without_restart(*tp.op, tp.b, lambda, 500);
+      const double reference = plain.back() * (1.0 + kRelTol);
+      const int plain_needs = static_cast<int>(
+          std::find_if(plain.begin(), plain.end(),
+                       [&](double f) { return f <= reference; }) -
+          plain.begin() + 1);
+
+      FistaOptions fo;
+      fo.lambda = lambda;
+      fo.max_iterations = plain_needs / 2;
+      fo.tol = 0.0;  // run the whole half budget
+      SolveOptions ctrl;
+      ctrl.operator_norm_hint = 1.0;  // the unit step of the reference
+      const SolveResult r = FistaSolver(fo).solve(*tp.op, tp.b, ctrl);
+      EXPECT_EQ(r.iterations, plain_needs / 2);
+      EXPECT_LE(lasso_objective(*tp.op, tp.b, r.x, lambda), reference)
+          << dim << "x" << dim << " seed " << seed << ": unrestarted needs "
+          << plain_needs << " iterations";
+    }
+  }
+}
+
+TEST(FistaRestart, DefaultSolveConvergesWellInsideTheCap) {
+  // The runtime's decode: library-default FISTA on the tight frame. Without
+  // restart these tiles ran to the 500-iteration cap.
+  for (const std::size_t dim : {20u, 36u}) {
+    const TileProblem tp = thermal_tile_problem(dim, 3);
+    SolveOptions ctrl;
+    ctrl.operator_norm_hint = 1.0;
+    const SolveResult r = FistaSolver().solve(*tp.op, tp.b, ctrl);
+    EXPECT_TRUE(r.converged) << dim;
+    EXPECT_LE(r.iterations, 250) << dim;
+  }
 }
 
 }  // namespace

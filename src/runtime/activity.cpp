@@ -1,10 +1,18 @@
 #include "runtime/activity.hpp"
 
 #include <cmath>
+#include <cstdint>
 
 #include "common/check.hpp"
 
 namespace flexcs::runtime {
+namespace {
+
+// Seed of the gate's private RNG (detector patterns only). Independent of
+// the decode pipelines' seeds by construction.
+constexpr std::uint64_t kDetectorSeed = 0xac7e;
+
+}  // namespace
 
 ActivityGate::ActivityGate(const TileGrid& grid, ActivityGateOptions opts)
     : grid_(grid), opts_(std::move(opts)) {
@@ -24,7 +32,7 @@ ActivityGate::ActivityGate(const TileGrid& grid, ActivityGateOptions opts)
   // One fixed detector pattern per tile, all drawn from the gate's private
   // RNG: distinct patterns decorrelate neighbouring tiles' blind spots, and
   // the decode pipelines' random streams are never touched.
-  Rng rng(opts_.seed);
+  Rng rng(kDetectorSeed);
   detectors_.reserve(grid_.tiles());
   for (std::size_t t = 0; t < grid_.tiles(); ++t)
     detectors_.push_back(cs::random_pattern(grid_.tile_rows, grid_.tile_cols,

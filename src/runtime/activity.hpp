@@ -32,7 +32,6 @@
 // keep honest.
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -68,9 +67,6 @@ struct ActivityGateOptions {
   //                    dense_fraction (and through it to the pipeline).
   double dense_fraction = 0.0;
   double sparse_fraction = 0.0;
-  // Seed of the gate's private RNG (detector patterns only). Independent of
-  // the decode pipelines' seeds by construction.
-  std::uint64_t seed = 0xac7e;
 };
 
 /// Per-tile gate decision for one frame.

@@ -73,6 +73,16 @@ FitShape fit_shape(const la::Vector& coefs, std::size_t rows,
   return fit;
 }
 
+// The residual screen, shared by the trimmed rungs (cs::decode_trimmed_ex)
+// and the suspected-defect flags on the returned reconstruction: a
+// measurement is an outlier when its |residual| exceeds
+// max(kScreenAbsFloor, kScreenMadMultiplier * median |residual|).
+constexpr double kScreenMadMultiplier = 4.0;
+constexpr double kScreenAbsFloor = 0.2;
+
+// Rung-4 sliding-window length (frames).
+constexpr std::size_t kRpcaWindow = 4;
+
 double seconds_between(Deadline::Clock::time_point t0,
                        Deadline::Clock::time_point t1) {
   return std::chrono::duration<double>(t1 - t0).count();
@@ -106,8 +116,6 @@ RobustPipeline::RobustPipeline(
                "ladder budget needs at least one decode call");
   FLEXCS_CHECK(opts_.budget.resample_rounds >= 1,
                "resample rung needs at least one round");
-  FLEXCS_CHECK(opts_.budget.rpca_window >= 1,
-               "RPCA rung needs a window of at least one frame");
   FLEXCS_CHECK(opts_.ewma_alpha > 0.0 && opts_.ewma_alpha <= 1.0,
                "EWMA alpha must be in (0,1]");
   FLEXCS_CHECK(opts_.accept.max_rel_residual > 0.0 &&
@@ -164,7 +172,7 @@ void RobustPipeline::finish_frame(const cs::SamplingPattern& p,
                                   const la::Vector& y, const Candidate& chosen,
                                   RecoveryReport& report) {
   // Suspected defects: measurements far from the accepted reconstruction,
-  // using the same MAD + absolute-floor rule as the trimmed decode's screen.
+  // by the same screen as the trimmed decode's.
   std::vector<double> absres(p.m());
   for (std::size_t i = 0; i < p.m(); ++i)
     absres[i] = std::fabs(y[i] - chosen.frame.data()[p.indices[i]]);
@@ -174,7 +182,7 @@ void RobustPipeline::finish_frame(const cs::SamplingPattern& p,
                    sorted.end());
   const double median = sorted[sorted.size() / 2];
   const double cutoff =
-      std::max(opts_.suspect_abs_floor, opts_.suspect_mad_multiplier * median);
+      std::max(kScreenAbsFloor, kScreenMadMultiplier * median);
 
   report.suspected_defects.assign(rows_ * cols_, false);
   for (std::size_t i = 0; i < p.m(); ++i) {
@@ -284,8 +292,10 @@ RobustPipeline::FrameResult RobustPipeline::run_ladder(
   };
 
   climb(Strategy::kTrimmedDecode, 2, [&](Attempt& a) {
-    const cs::TrimmedDecodeResult trimmed = cs::decode_trimmed_ex(
-        decoder_, last.pattern, last.y, 4.0, 0.2, ctrl.solve);
+    const cs::TrimmedDecodeResult trimmed =
+        cs::decode_trimmed_ex(decoder_, last.pattern, last.y,
+                              kScreenMadMultiplier, kScreenAbsFloor,
+                              ctrl.solve);
     a.trimmed = trimmed.trimmed_count;
     a.cand = evaluate_decode(trimmed.result, last.y,
                              last.y.size() - trimmed.trimmed_count);
@@ -296,8 +306,9 @@ RobustPipeline::FrameResult RobustPipeline::run_ladder(
   for (int retry = 0; retry < opts_.budget.fresh_pattern_retries; ++retry) {
     climb(Strategy::kFreshPatternRetry, 2, [&](Attempt& a) {
       acquire(corrupted_frame, rng, report, nullptr, fraction, a.pattern, a.y);
-      const cs::TrimmedDecodeResult trimmed =
-          cs::decode_trimmed_ex(decoder_, a.pattern, a.y, 4.0, 0.2, ctrl.solve);
+      const cs::TrimmedDecodeResult trimmed = cs::decode_trimmed_ex(
+          decoder_, a.pattern, a.y, kScreenMadMultiplier, kScreenAbsFloor,
+          ctrl.solve);
       a.trimmed = trimmed.trimmed_count;
       a.cand = evaluate_decode(trimmed.result, a.y,
                                a.y.size() - trimmed.trimmed_count);
@@ -330,8 +341,9 @@ RobustPipeline::FrameResult RobustPipeline::run_ladder(
         cs::rpca_outlier_masks(frames, filter_opts);
     acquire(corrupted_frame, rng, report, &masks.back(), fraction, a.pattern,
             a.y);
-    const cs::TrimmedDecodeResult trimmed =
-        cs::decode_trimmed_ex(decoder_, a.pattern, a.y, 4.0, 0.2, ctrl.solve);
+    const cs::TrimmedDecodeResult trimmed = cs::decode_trimmed_ex(
+        decoder_, a.pattern, a.y, kScreenMadMultiplier, kScreenAbsFloor,
+        ctrl.solve);
     a.trimmed = trimmed.trimmed_count;
     a.cand = evaluate_decode(trimmed.result, a.y,
                              a.y.size() - trimmed.trimmed_count);
@@ -369,7 +381,7 @@ RobustPipeline::FrameResult RobustPipeline::process(
 
   const auto start = Deadline::Clock::now();
   window_.push_back(corrupted_frame);
-  while (window_.size() > opts_.budget.rpca_window) window_.pop_front();
+  while (window_.size() > kRpcaWindow) window_.pop_front();
 
   RecoveryReport report;
   report.frame_index = next_frame_index_++;
@@ -457,7 +469,7 @@ std::vector<RobustPipeline::FrameResult> RobustPipeline::process_batch(
     // Window membership matches the sequential process() loop: a frame's
     // ladder sees itself and its predecessors, never batch successors.
     window_.push_back(frames[i]);
-    while (window_.size() > opts_.budget.rpca_window) window_.pop_front();
+    while (window_.size() > kRpcaWindow) window_.pop_front();
 
     const auto frame_start = Deadline::Clock::now();
     const cs::DecodeResult plain =

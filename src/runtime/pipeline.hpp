@@ -61,7 +61,6 @@ struct LadderBudget {
   int max_decode_calls = 32;      // per frame, across all rungs
   int fresh_pattern_retries = 1;  // rung-2 attempts
   int resample_rounds = 6;        // rung-3 rounds (paper uses 10)
-  std::size_t rpca_window = 4;    // rung-4 sliding-window length (frames)
 };
 
 /// Ground-truth-free acceptance thresholds for a candidate reconstruction.
@@ -89,11 +88,6 @@ struct RobustPipelineOptions {
   // (frame-level faults live in the caller's ground-truth domain). Only the
   // measurement-level members of the scenario are consulted.
   cs::FaultScenario measurement_faults;
-  // Suspected-defect detection on the accepted reconstruction: measurements
-  // with |residual| > max(suspect_abs_floor, suspect_mad_multiplier * median)
-  // are flagged, mirroring cs::decode_trimmed_ex's screen.
-  double suspect_mad_multiplier = 4.0;
-  double suspect_abs_floor = 0.2;
   // Health telemetry: EWMA smoothing of the per-frame estimated defect rate,
   // and the level above which the pipeline reports defect-rate drift.
   double ewma_alpha = 0.3;

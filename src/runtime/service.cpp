@@ -16,7 +16,6 @@
 #include <utility>
 
 #include "common/check.hpp"
-#include "common/rng.hpp"
 #include "common/strings.hpp"
 #include "runtime/stream.hpp"
 
@@ -30,11 +29,7 @@ ServiceOptions validated(ServiceOptions opts) {
   FLEXCS_CHECK(opts.tile_retry_budget >= 0,
                "tile retry budget must be non-negative");
   FLEXCS_CHECK(opts.max_respawns >= 0, "respawn budget must be non-negative");
-  FLEXCS_CHECK(opts.retry_backoff_seconds >= 0.0 &&
-                   opts.retry_backoff_cap_seconds >= 0.0,
-               "retry backoff must be non-negative");
-  FLEXCS_CHECK(opts.heartbeat_multiplier >= 0.0 &&
-                   opts.heartbeat_floor_seconds >= 0.0,
+  FLEXCS_CHECK(opts.heartbeat_floor_seconds >= 0.0,
                "heartbeat timeout must be non-negative");
   FLEXCS_CHECK(opts.remote_connect_grace_seconds >= 0.0,
                "remote connect grace must be non-negative");
@@ -56,10 +51,20 @@ Deadline::Clock::duration to_duration(double seconds) {
       std::chrono::duration<double>(seconds));
 }
 
-// Constant slack added to deadline-derived heartbeats: a worker needs wire
-// round-trip and serialization time on top of its solve budget, so a very
-// tight tile deadline must not read as a wedged worker.
+// Deadline-derived heartbeat: a dispatched tile unanswered for this multiple
+// of its solve deadline, plus a constant slack, marks its worker suspect. The
+// slack covers wire round-trip and serialization time on top of the solve
+// budget, so a very tight tile deadline does not read as a wedged worker.
+constexpr double kHeartbeatMultiplier = 4.0;
 constexpr double kHeartbeatSlackSeconds = 0.05;
+
+// Re-dispatch backoff: attempt k waits kRetryBackoffSeconds * 2^(k-1),
+// capped. Keeps a crash-looping tile from hammering the fleet.
+constexpr double kRetryBackoffSeconds = 0.002;
+constexpr double kRetryBackoffCapSeconds = 0.05;
+
+// close(): orderly-shutdown window before stragglers are SIGKILLed.
+constexpr double kShutdownGraceSeconds = 0.2;
 
 // Smoothing factor for the per-link EWMA of observed tile latency that keys
 // weighted dispatch. A link with no observation yet scores 0, so fresh
@@ -314,8 +319,8 @@ void DecodeService::fail_tile(ActiveFrame& frame, std::size_t tile,
   // Exponential backoff before the next dispatch of this tile: attempt k
   // (1-based) waits base * 2^(k-1), capped.
   const double delay = std::min(
-      opts_.retry_backoff_cap_seconds,
-      opts_.retry_backoff_seconds *
+      kRetryBackoffCapSeconds,
+      kRetryBackoffSeconds *
           std::pow(2.0, static_cast<double>(std::max(ts.attempts - 1, 0))));
   ts.eligible_at = Deadline::Clock::now() + to_duration(delay);
 }
@@ -326,24 +331,16 @@ wire::TileRequest DecodeService::make_request(
   wire::TileRequest req;
   req.frame_index = frame.global_index;
   req.tile_index = tile;
-  double deadline_s = opts_.tile_deadline_seconds;
-  // Degrade admission caps mirror StreamServer's worker_loop levels.
-  if (frame.degrade_level == 1) {
-    deadline_s *= 0.5;
-    req.max_rung = static_cast<std::uint32_t>(Strategy::kTrimmedDecode);
-    req.max_decode_calls = 3;
-  } else if (frame.degrade_level >= 2) {
-    deadline_s *= 0.25;
-    req.max_rung = static_cast<std::uint32_t>(Strategy::kPlainDecode);
-    req.max_decode_calls = 1;
-  }
-  if (!ctrl.deadline.unlimited()) {
-    // An expired external deadline still maps to a positive wire value:
-    // deadline_seconds <= 0 means "none" on the wire.
-    const double rem = std::max(ctrl.deadline.remaining_seconds(), 1e-9);
-    deadline_s = deadline_s > 0.0 ? std::min(deadline_s, rem) : rem;
-  }
-  req.deadline_seconds = deadline_s;
+  // The service has no deadline of its own to scale, so a Degrade level
+  // caps only the ladder.
+  const StreamServer::DegradeCaps caps =
+      StreamServer::degrade_caps(frame.degrade_level);
+  req.max_rung = static_cast<std::uint32_t>(caps.max_rung);
+  req.max_decode_calls = caps.max_decode_calls;
+  // An expired external deadline still maps to a positive wire value:
+  // deadline_seconds <= 0 means "none" on the wire.
+  if (!ctrl.deadline.unlimited())
+    req.deadline_seconds = std::max(ctrl.deadline.remaining_seconds(), 1e-9);
   req.tile = grid_.extract(*frame.source, tile);
   return req;
 }
@@ -359,22 +356,12 @@ RobustPipeline& DecodeService::in_process_pipeline() {
 void DecodeService::decode_tile_in_process(ActiveFrame& frame,
                                            std::size_t tile,
                                            const solvers::SolveOptions& ctrl) {
-  const wire::TileRequest req = make_request(frame, tile, ctrl);
-  // Same FrameControl construction as decode_tile() in the worker, plus the
-  // caller's cancel token (which cannot cross the process boundary). An
-  // inert token does not perturb the solve, so this path stays bit-identical
-  // to the worker path for the same tile.
-  FrameControl fc;
-  if (req.deadline_seconds > 0.0)
-    fc.solve.deadline = Deadline::after(req.deadline_seconds);
-  fc.solve.cancel = ctrl.cancel;
-  fc.max_decode_calls = req.max_decode_calls;
-  FLEXCS_CHECK(req.max_rung < kStrategyCount, "tile rung out of range");
-  fc.max_rung = static_cast<Strategy>(req.max_rung);
-  Rng rng(tile_seed(opts_.seed, req.frame_index, req.tile_index));
+  // The worker's decode, plus the caller's cancel token (which cannot cross
+  // the process boundary). An inert token does not perturb the solve, so
+  // this path stays bit-identical to the worker path for the same tile.
   RobustPipeline::FrameResult result =
-      in_process_pipeline().process(req.tile, rng, fc);
-  result.report.frame_index = static_cast<std::size_t>(req.frame_index);
+      decode_tile(in_process_pipeline(), make_request(frame, tile, ctrl),
+                  opts_.seed, ctrl.cancel);
   complete_tile(frame, tile, result.frame, std::move(result.report),
                 /*in_process=*/true, /*remote=*/false);
 }
@@ -401,7 +388,7 @@ void DecodeService::dispatch_tile(std::size_t index, ActiveFrame& frame,
   link.heartbeat_seconds =
       req.deadline_seconds > 0.0
           ? std::max(opts_.heartbeat_floor_seconds,
-                     opts_.heartbeat_multiplier * req.deadline_seconds +
+                     kHeartbeatMultiplier * req.deadline_seconds +
                          kHeartbeatSlackSeconds)
           : opts_.heartbeat_floor_seconds;
   // A TCP peer can vanish without an EOF (half-open connection), so a busy
@@ -524,21 +511,12 @@ void DecodeService::complete_tile(ActiveFrame& frame, std::size_t tile,
   ts.in_process = in_process;
   grid_.stitch(padded, tile, frame.out);
 
-  ShardReport& rep = frame.report;
-  rep.tiles_accepted += report.accepted ? 1 : 0;
-  rep.decode_calls += report.decode_calls;
-  rep.deadline_expired = rep.deadline_expired || report.deadline_expired;
-  rep.budget_exhausted = rep.budget_exhausted || report.budget_exhausted;
-  rep.max_rel_residual = std::max(rep.max_rel_residual, report.rel_residual);
   if (report.deadline_expired) ++health_.deadline_expired_tiles;
-
-  TileReport& tr = rep.tile_reports[tile];
-  tr.tile_row = grid_.tile_row(tile);
-  tr.tile_col = grid_.tile_col(tile);
+  TileReport& tr =
+      fold_tile_report(frame.report, grid_, tile, std::move(report));
   tr.dispatch_attempts = ts.attempts;
   tr.in_process = in_process;
   tr.remote = remote;
-  tr.report = std::move(report);
 
   if (in_process) {
     ++health_.tiles_in_process;
@@ -904,7 +882,7 @@ void DecodeService::close() {
   // ...then give every child — forked or loopback — the grace window and
   // SIGKILL the stragglers (a wedged worker, or a loopback remote stuck in
   // its reconnect backoff that never saw the shutdown message).
-  reap_children(std::move(children), opts_.shutdown_grace_seconds);
+  reap_children(std::move(children), kShutdownGraceSeconds);
 }
 
 }  // namespace flexcs::runtime

@@ -31,8 +31,8 @@
 //
 //   - a link whose transport EOFs or errors is a crash / disconnect;
 //   - a dispatched tile with no response within the heartbeat timeout
-//     (max(heartbeat_floor_seconds, heartbeat_multiplier x tile deadline))
-//     marks the link suspect;
+//     (max(heartbeat_floor_seconds, 4 x tile deadline + slack)) marks the
+//     link suspect;
 //   - a response that fails the wire checksum (or lies structurally) poisons
 //     the byte stream;
 //   - each failure tears the link down (see above) and re-dispatches its
@@ -81,26 +81,17 @@ struct ServiceOptions {
   std::size_t queue_capacity = 8;
   // Frames tiled/decoded concurrently; pending frames wait in the backlog.
   std::size_t max_inflight_frames = 2;
-  // Per-tile solve budget, forwarded over the wire into the worker's
-  // FrameControl. <= 0 disables the solve deadline.
-  double tile_deadline_seconds = 0.0;
   // Heartbeat timeout: a dispatched tile unanswered for
-  //   max(heartbeat_floor_seconds, heartbeat_multiplier * tile deadline)
-  // marks its worker suspect (SIGKILL + respawn + re-dispatch). Both zero
-  // disables wedge detection — crashes are still caught via EOF.
-  double heartbeat_multiplier = 4.0;
+  //   max(heartbeat_floor_seconds, 4 * tile deadline + slack)
+  // marks its worker suspect (SIGKILL + respawn + re-dispatch). The tile
+  // deadline is the caller's SolveOptions deadline; with neither set, wedge
+  // detection is off — crashes are still caught via EOF.
   double heartbeat_floor_seconds = 0.0;
   // Wire dispatch attempts per tile before the broker decodes it in-process.
   int tile_retry_budget = 3;
-  // Re-dispatch backoff: attempt k waits retry_backoff_seconds * 2^(k-1),
-  // capped. Keeps a crash-looping tile from hammering the fleet.
-  double retry_backoff_seconds = 0.002;
-  double retry_backoff_cap_seconds = 0.05;
   // Fleet-wide respawn budget. Exhausted + zero live workers = collapse:
   // every remaining tile decodes in-process.
   int max_respawns = 8;
-  // close(): orderly-shutdown window before stragglers are SIGKILLed.
-  double shutdown_grace_seconds = 0.2;
   // Per-tile pipeline configuration, shared by workers and the in-process
   // fallback (identical construction is part of the determinism contract).
   RobustPipelineOptions pipeline;
@@ -123,8 +114,10 @@ struct ServiceOptions {
   // and bench use. External processes join a real deployment through the
   // same loop + listen_port().
   bool spawn_remote_loopback = true;
-  std::string listen_host = "127.0.0.1";
-  std::uint16_t listen_port = 0;  // 0 = ephemeral; resolved via listen_port()
+  // Deployment settings: a real broker binds its public address here.
+  std::string listen_host = "127.0.0.1";  // flexcs-lint: allow(unset-option)
+  // 0 = ephemeral; resolved via listen_port().
+  std::uint16_t listen_port = 0;  // flexcs-lint: allow(unset-option)
   // How long a remote link may sit connecting / handshaking / reconnecting
   // before the broker stops treating it as a prospect and routes its tiles
   // to the forked fleet or in-process — the bound on how long a full network

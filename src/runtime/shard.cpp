@@ -18,17 +18,26 @@ ShardOptions validated(ShardOptions opts) {
   FLEXCS_CHECK(opts.stream.policy != BackpressurePolicy::kDropOldest,
                "sharded decode cannot drop tiles "
                "(the gather would never complete)");
-  // Tile ids are stable (f * n_tiles + t), so per-submission seeding makes
-  // every tile decode a pure function of (seed, frame, tile, content) —
-  // reconstructions stop depending on worker count or pop interleaving, and
-  // an activity gate that skips tiles around a decode cannot change its
-  // sampling pattern (the gated and ungated arms of the same scene decode
-  // shared tiles identically).
-  opts.stream.per_submission_seeding = true;
   return opts;
 }
 
 }  // namespace
+
+TileReport& fold_tile_report(ShardReport& frame, const TileGrid& grid,
+                             std::size_t tile, RecoveryReport report) {
+  // Per-frame aggregation: every counter below describes this frame alone.
+  if (report.accepted) ++frame.tiles_accepted;
+  frame.decode_calls += report.decode_calls;
+  frame.deadline_expired |= report.deadline_expired;
+  frame.budget_exhausted |= report.budget_exhausted;
+  frame.max_rel_residual =
+      std::max(frame.max_rel_residual, report.rel_residual);
+  TileReport& tr = frame.tile_reports[tile];
+  tr.tile_row = grid.tile_row(tile);
+  tr.tile_col = grid.tile_col(tile);
+  tr.report = std::move(report);
+  return tr;
+}
 
 ShardedDecoder::ShardedDecoder(std::size_t rows, std::size_t cols,
                                ShardOptions opts)
@@ -92,6 +101,10 @@ std::vector<ShardFrameResult> ShardedDecoder::process_batch(
         if (!ta.decode) continue;
         tile_ctrl.sampling_fraction = gate_.decode_fraction(ta);
       }
+      // Stable tile id: the stream seeds tile t of batch frame f from it, so
+      // an activity gate that skips tiles around a decode cannot change its
+      // sampling pattern (the gated and ungated arms decode shared tiles
+      // identically).
       const std::uint64_t id = static_cast<std::uint64_t>(f) * n_tiles + t;
       const bool ok =
           server_.submit(id, grid_.extract(frames[f], t), tile_ctrl);
@@ -120,21 +133,8 @@ std::vector<ShardFrameResult> ShardedDecoder::process_batch(
     const std::size_t f = static_cast<std::size_t>(sr.stream_id) / n_tiles;
     const std::size_t t = static_cast<std::size_t>(sr.stream_id) % n_tiles;
     FLEXCS_CHECK(f < out.size(), "sharded decode: stale result in the pool");
-    ShardFrameResult& r = out[f];
-    grid_.stitch(sr.frame, t, r.frame);
-
-    // Per-frame aggregation: every counter below describes frame f alone.
-    ShardReport& rep = r.report;
-    if (sr.report.accepted) ++rep.tiles_accepted;
-    rep.decode_calls += sr.report.decode_calls;
-    rep.deadline_expired |= sr.report.deadline_expired;
-    rep.budget_exhausted |= sr.report.budget_exhausted;
-    rep.max_rel_residual =
-        std::max(rep.max_rel_residual, sr.report.rel_residual);
-    TileReport& tile_rep = rep.tile_reports[t];
-    tile_rep.tile_row = grid_.tile_row(t);
-    tile_rep.tile_col = grid_.tile_col(t);
-    tile_rep.report = std::move(sr.report);
+    grid_.stitch(sr.frame, t, out[f].frame);
+    fold_tile_report(out[f].report, grid_, t, std::move(sr.report));
   }
 
   // Serve the skipped tiles, in frame order: frame f's stale tiles come

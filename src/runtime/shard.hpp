@@ -15,11 +15,15 @@
 // frames of the padded tile geometry and collected with wait_for_completed.
 // The caller's deadline/cancel control propagates into every tile solve via
 // SubmitControl. Tile→worker assignment is nondeterministic under more than
-// one worker, but the decoder enables the stream's per-submission seeding —
-// each tile's RNG derives from its stable id (frame * tiles + tile) — so
-// reconstructions are bit-reproducible regardless of worker count or pop
-// interleaving. (Batch partitioning under batch_depth > 1 still depends on
-// timing unless stream.strict_batching is set.)
+// one worker, but each tile's RNG derives from its submission id
+// (frame * tiles + tile; see StreamOptions::seed), so reconstructions are
+// bit-reproducible regardless of worker count or pop interleaving. `frame`
+// there is the frame's index inside one process_batch() call, not a running
+// count: process() is a batch of one, so every process() call decodes tile t
+// with the same sampling pattern Φ, while DecodeService numbers frames
+// globally and draws a fresh Φ per frame. (Batch partitioning under
+// batch_depth > 1 still depends on timing unless stream.strict_batching is
+// set.)
 //
 // Event-driven mode (ShardOptions::gate.enabled) puts an ActivityGate in
 // front of the scatter: tiles whose change detector stays quiet are never
@@ -96,6 +100,12 @@ struct ShardReport {
   std::vector<TileActivity> activity;
   std::vector<TileReport> tile_reports;
 };
+
+/// Folds tile `tile`'s decode report into its frame's counters and files it
+/// as that tile's TileReport, returned so the caller can fill the dispatch
+/// fields. ShardedDecoder and DecodeService both aggregate through it.
+TileReport& fold_tile_report(ShardReport& frame, const TileGrid& grid,
+                             std::size_t tile, RecoveryReport report);
 
 struct ShardFrameResult {
   la::Matrix frame;  // full-size reconstruction

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/check.hpp"
+#include "common/rng.hpp"
 
 namespace flexcs::runtime {
 namespace {
@@ -13,6 +14,16 @@ double seconds_since(Deadline::Clock::time_point t0,
                      Deadline::Clock::time_point t1) {
   return std::chrono::duration<double>(t1 - t0).count();
 }
+
+// Degrade only: the deadline becomes an end-to-end budget — queueing time
+// is deducted from the processing deadline, floored at this fraction of
+// frame_deadline_seconds so every frame still gets a sliver of solve time.
+constexpr double kDegradeDeadlineFloor = 0.125;
+
+// Watchdog: a frame in flight longer than this multiple of its effective
+// deadline (or StreamOptions::stall_floor_seconds, whichever is larger) is
+// cancelled and counted as a stall.
+constexpr double kStallMultiplier = 4.0;
 
 }  // namespace
 
@@ -54,6 +65,12 @@ int StreamServer::degrade_level_for(std::size_t depth, std::size_t capacity) {
   return 0;
 }
 
+StreamServer::DegradeCaps StreamServer::degrade_caps(int level) {
+  if (level <= 0) return {};
+  if (level == 1) return {0.5, Strategy::kTrimmedDecode, 3};
+  return {0.25, Strategy::kPlainDecode, 1};
+}
+
 StreamServer::StreamServer(std::size_t rows, std::size_t cols,
                            StreamOptions opts)
     : rows_(rows), cols_(cols), opts_(std::move(opts)) {
@@ -68,13 +85,9 @@ StreamServer::StreamServer(std::size_t rows, std::size_t cols,
 
   in_flight_.resize(opts_.workers);
   pipelines_.reserve(opts_.workers);
-  rngs_.reserve(opts_.workers);
-  Rng base(opts_.seed);
-  for (std::size_t w = 0; w < opts_.workers; ++w) {
+  for (std::size_t w = 0; w < opts_.workers; ++w)
     pipelines_.push_back(std::make_unique<RobustPipeline>(
         rows_, cols_, opts_.pipeline, opts_.solver));
-    rngs_.push_back(base.fork());  // deterministic per-worker stream
-  }
 
   workers_.reserve(opts_.workers);
   for (std::size_t w = 0; w < opts_.workers; ++w)
@@ -172,29 +185,22 @@ void StreamServer::worker_loop(std::size_t worker_index) {
     const auto dequeued_at = Deadline::Clock::now();
     const std::size_t n = batch.size();
 
-    // Degrade ladder: as the queue fills, spend less on each frame. Level 1
-    // halves the deadline and stops the ladder at the trimmed decode; level
-    // 2 quarters the deadline and allows only the plain decode. On top of
-    // the depth-based level, Degrade treats the frame deadline as an
-    // end-to-end budget: time already burned in the queue comes out of the
-    // processing deadline (floored so every frame gets some solve time) —
-    // this is what keeps tail latency bounded once a backlog exists.
+    // Degrade ladder: as the queue fills, spend less on each frame (see
+    // degrade_caps). On top of the depth-based level, Degrade treats the
+    // frame deadline as an end-to-end budget: time already burned in the
+    // queue comes out of the processing deadline (floored so every frame
+    // gets some solve time) — this is what keeps tail latency bounded once a
+    // backlog exists.
     const bool degrade = opts_.policy == BackpressurePolicy::kDegrade;
     const int level =
         degrade ? degrade_level_for(depth_after, opts_.queue_capacity) : 0;
-    double deadline_s = opts_.frame_deadline_seconds;
+    const DegradeCaps caps = degrade_caps(level);
+    double deadline_s = opts_.frame_deadline_seconds * caps.deadline_scale;
     FrameControl ctrl;
     // Homogeneous across the batch (enforced at the pop above).
     ctrl.sampling_fraction = batch.front().sampling_fraction;
-    if (level == 1) {
-      deadline_s *= 0.5;
-      ctrl.max_rung = Strategy::kTrimmedDecode;
-      ctrl.max_decode_calls = 3;
-    } else if (level >= 2) {
-      deadline_s *= 0.25;
-      ctrl.max_rung = Strategy::kPlainDecode;
-      ctrl.max_decode_calls = 1;
-    }
+    ctrl.max_rung = caps.max_rung;
+    ctrl.max_decode_calls = caps.max_decode_calls;
     if (degrade && opts_.frame_deadline_seconds > 0.0) {
       // The oldest frame of the batch has burned the most queue time; its
       // remaining end-to-end budget bounds the whole batch.
@@ -202,7 +208,7 @@ void StreamServer::worker_loop(std::size_t worker_index) {
           seconds_since(batch.front().submitted_at, dequeued_at);
       const double remaining = opts_.frame_deadline_seconds - queued;
       const double floor =
-          opts_.degrade_deadline_floor * opts_.frame_deadline_seconds;
+          kDegradeDeadlineFloor * opts_.frame_deadline_seconds;
       deadline_s = std::min(deadline_s, std::max(floor, remaining));
     }
     // A frame counts as degraded when the ladder was capped (level >= 1) or
@@ -233,7 +239,7 @@ void StreamServer::worker_loop(std::size_t worker_index) {
       if (p.external_cancel.cancelled()) cancel.cancel();
     double stall_after = opts_.stall_floor_seconds;
     if (deadline_s > 0.0)
-      stall_after = std::max(stall_after, opts_.stall_multiplier * deadline_s);
+      stall_after = std::max(stall_after, kStallMultiplier * deadline_s);
     {
       common::MutexLock lock(inflight_mu_);
       InFlight& slot = in_flight_[worker_index];
@@ -247,13 +253,11 @@ void StreamServer::worker_loop(std::size_t worker_index) {
         slot.externals.push_back(p.external_cancel);
     }
 
-    // Per-submission seeding derives the decode RNG from the batch head's
-    // stream id, so the result is a pure function of (seed, id, content) —
-    // which worker popped it, and what it decoded before, stop mattering.
-    Rng seeded(opts_.seed ^
-               (0x9e3779b97f4a7c15ULL * (batch.front().stream_id + 1)));
-    Rng& rng =
-        opts_.per_submission_seeding ? seeded : rngs_[worker_index];
+    // The decode RNG derives from the batch head's stream id, so the result
+    // is a pure function of (seed, id, content) — which worker popped it,
+    // and what it decoded before, do not matter.
+    Rng rng(opts_.seed ^
+            (0x9e3779b97f4a7c15ULL * (batch.front().stream_id + 1)));
     std::vector<RobustPipeline::FrameResult> frs;
     if (n == 1) {
       frs.push_back(

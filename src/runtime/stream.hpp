@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "common/annotations.hpp"
-#include "common/rng.hpp"
 #include "runtime/deadline.hpp"
 #include "runtime/pipeline.hpp"
 
@@ -55,15 +54,10 @@ struct StreamOptions {
   // Per-frame processing deadline in seconds, measured from dequeue.
   // <= 0 disables the deadline (frames run to the ladder budget).
   double frame_deadline_seconds = 0.0;
-  // Degrade only: the deadline becomes an end-to-end budget — queueing time
-  // is deducted from the processing deadline, floored at this fraction of
-  // frame_deadline_seconds so every frame still gets a sliver of solve time.
-  double degrade_deadline_floor = 0.125;
   // Watchdog: a frame in flight longer than
-  //   max(stall_multiplier * effective deadline, stall_floor_seconds)
+  //   max(4 * effective deadline, stall_floor_seconds)
   // is cancelled and counted as a stall. stall_floor_seconds = 0 means the
   // watchdog only engages when a frame deadline is set.
-  double stall_multiplier = 4.0;
   double stall_floor_seconds = 0.0;
   double watchdog_period_seconds = 0.002;  // scan interval
   bool watchdog_enabled = true;
@@ -90,16 +84,12 @@ struct StreamOptions {
   // Sparse solver shared by all workers (solvers are immutable once built,
   // so concurrent solve() calls are safe). Null selects the library default.
   std::shared_ptr<const solvers::SparseSolver> solver;
-  std::uint64_t seed = 0x5eed;  // base seed; worker RNGs are forked from it
-  // Decode-RNG derivation. false (default): each worker consumes its own
-  // persistent stream forked from `seed`, so a frame's sampling pattern
-  // depends on everything that worker decoded before it. true: every batch
-  // seeds a fresh RNG from (seed, stream_id of the batch head), making each
-  // decode a pure function of its submission id — independent of worker
-  // count, pop interleaving, and of any frames that were never submitted.
-  // ShardedDecoder turns this on so tile (f, t) decodes identically whether
-  // or not an activity gate skipped other tiles around it.
-  bool per_submission_seeding = false;
+  // Base seed. Every batch seeds a fresh decode RNG from (seed, stream_id of
+  // the batch head), so a decode is a pure function of its submission id —
+  // independent of worker count, pop interleaving, and of any frames that
+  // were never submitted. Submissions that share a stream id share their
+  // sampling pattern.
+  std::uint64_t seed = 0x5eed;
 };
 
 /// Aggregate stream telemetry. Counters are cumulative since construction;
@@ -206,6 +196,17 @@ class StreamServer {
   /// tests): 0 below half full, 1 at half, 2 from three-quarters up.
   static int degrade_level_for(std::size_t depth, std::size_t capacity);
 
+  /// What a Degrade level spends on a frame. Shared with DecodeService,
+  /// whose admission applies the same levels.
+  struct DegradeCaps {
+    double deadline_scale = 1.0;  // multiplies the frame deadline
+    Strategy max_rung = Strategy::kRpcaWindow;
+    int max_decode_calls = -1;  // < 0 = the pipeline's own budget
+  };
+  /// Level 1 halves the deadline and stops the ladder at the trimmed decode;
+  /// level 2 and above quarter it and allow only the plain decode.
+  static DegradeCaps degrade_caps(int level);
+
  private:
   struct Pending {
     std::uint64_t stream_id = 0;
@@ -274,7 +275,6 @@ class StreamServer {
   // Worker-owned state: element w is touched only by worker thread w after
   // construction, so no guard is needed.
   std::vector<std::unique_ptr<RobustPipeline>> pipelines_;
-  std::vector<Rng> rngs_;
 
   std::vector<std::thread> workers_;
   std::thread watchdog_;

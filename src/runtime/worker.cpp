@@ -31,6 +31,12 @@ void stall_for(double seconds) {
 // transport dropped. A forked worker exits on it; a remote worker re-dials.
 constexpr int kTransportDropped = -1;
 
+// Remote worker dialing: per-attempt connect timeout, and the capped
+// exponential backoff between attempts (base * 2^(failures-1), capped).
+constexpr double kConnectTimeoutSeconds = 2.0;
+constexpr double kConnectBackoffBaseSeconds = 0.01;
+constexpr double kConnectBackoffCapSeconds = 0.5;
+
 // Serves tile requests on one established stream: a forked worker's
 // socketpair, or a remote worker's post-handshake TCP connection. `handled`
 // counts tiles across the process lifetime so fault-injection counters
@@ -102,12 +108,14 @@ std::uint64_t tile_seed(std::uint64_t base, std::uint64_t frame_index,
 
 RobustPipeline::FrameResult decode_tile(RobustPipeline& pipeline,
                                         const wire::TileRequest& req,
-                                        std::uint64_t base_seed) {
+                                        std::uint64_t base_seed,
+                                        const CancelToken& cancel) {
   FLEXCS_CHECK(req.max_rung < kStrategyCount,
                "tile request rung out of range");
   FrameControl ctrl;
   if (req.deadline_seconds > 0.0)
     ctrl.solve.deadline = Deadline::after(req.deadline_seconds);
+  ctrl.solve.cancel = cancel;
   ctrl.max_decode_calls = req.max_decode_calls;
   ctrl.max_rung = static_cast<Strategy>(req.max_rung);
   Rng rng(tile_seed(base_seed, req.frame_index, req.tile_index));
@@ -159,8 +167,8 @@ int remote_decode_worker_loop(const RemoteWorkerConfig& cfg) {
       if (attempts >= cfg.max_connect_attempts) return 6;
       if (failures > 0) {
         const double backoff =
-            std::min(cfg.backoff_cap_seconds,
-                     cfg.backoff_base_seconds *
+            std::min(kConnectBackoffCapSeconds,
+                     kConnectBackoffBaseSeconds *
                          static_cast<double>(1u << std::min(failures - 1, 16)));
         stall_for(backoff);
       }
@@ -173,7 +181,7 @@ int remote_decode_worker_loop(const RemoteWorkerConfig& cfg) {
         continue;
       }
       const int fd =
-          net::connect_to(cfg.host, cfg.port, cfg.connect_timeout_seconds);
+          net::connect_to(cfg.host, cfg.port, kConnectTimeoutSeconds);
       if (fd < 0) {
         ++failures;
         continue;

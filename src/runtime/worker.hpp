@@ -83,9 +83,12 @@ std::uint64_t tile_seed(std::uint64_t base, std::uint64_t frame_index,
 
 /// Decodes one tile request. Shared by worker processes and the broker's
 /// in-process fallback so the two paths stay bit-identical by construction.
+/// `cancel` is the broker's own token (a token cannot cross the wire); an
+/// inert one does not perturb the solve.
 RobustPipeline::FrameResult decode_tile(RobustPipeline& pipeline,
                                         const wire::TileRequest& req,
-                                        std::uint64_t base_seed);
+                                        std::uint64_t base_seed,
+                                        const CancelToken& cancel = {});
 
 /// The forked worker main loop: serves tile requests on `fd` until a
 /// shutdown message or until the transport drops (EOF, transport error, a
@@ -100,12 +103,9 @@ struct RemoteWorkerConfig {
   std::string host = "127.0.0.1";  // broker listener address (IPv4 dotted quad)
   std::uint16_t port = 0;          // broker listener port
   WorkerConfig worker;             // decode config; must match the broker's
-  double connect_timeout_seconds = 2.0;
   // Reconnect policy: capped exponential backoff between attempts, with a
   // finite attempt budget so a dead broker cannot pin the process forever.
   std::int32_t max_connect_attempts = 64;
-  double backoff_base_seconds = 0.01;
-  double backoff_cap_seconds = 0.5;
 };
 
 /// The remote worker main loop: connect to the broker, handshake (wire

@@ -27,6 +27,7 @@
 #include "cs/sampling.hpp"
 #include "data/thermal.hpp"
 #include "la/matrix.hpp"
+#include "runtime/service.hpp"
 #include "runtime/shard.hpp"
 #include "runtime/tile_grid.hpp"
 #include "solvers/fista.hpp"
@@ -519,10 +520,10 @@ TEST(EventDrivenShard, StalenessChainsAcrossFramesUntilRefresh) {
 // ---------------------------------------------------------------------------
 // Differential suite: gated threshold-0 ≡ ungated, bit for bit
 
-// One worker pins the tile→worker assignment; with the wake threshold at 0
-// every tile decodes every frame at the default sampling fraction, so the
-// gated decoder must consume the worker RNG stream identically to the
-// ungated one — pixels and reports come out bit-identical.
+// With the wake threshold at 0 every tile decodes every frame at the default
+// sampling fraction, and each tile decode seeds from its stable tile id, so
+// the gated decoder must draw the same patterns as the ungated one — pixels
+// and reports come out bit-identical.
 void expect_reports_equal(const ShardReport& gated, const ShardReport& plain) {
   EXPECT_EQ(gated.tiles, plain.tiles);
   EXPECT_EQ(gated.tiles_accepted, plain.tiles_accepted);
@@ -643,20 +644,36 @@ TEST(ShardReportAggregation, AsymmetricBatchKeepsCountersPerFrame) {
   constexpr std::size_t kDim = 32;
   ShardOptions opts = shard_options(16, 0, 1);
   opts.stream.pipeline.budget.max_decode_calls = 5;  // bound the noise ladder
-  // With per-submission seeding the tile patterns are a pure function of the
-  // stream seed; this one draws patterns under which every smooth tile
-  // converges inside the budget (the default seed leaves one tile short).
+  // The tile patterns are a pure function of the stream seed; this one draws
+  // patterns under which every smooth tile converges inside the budget (the
+  // default seed leaves one tile short).
   opts.stream.seed = 1;
   ShardedDecoder sharded(kDim, kDim, opts);
+
+  // The same batch through a DecodeService that decodes every tile
+  // in-process (no workers): its counters must add up the same way.
+  ServiceOptions service_opts;
+  service_opts.tile_rows = service_opts.tile_cols = 16;
+  service_opts.halo = 0;
+  service_opts.workers = 0;
+  service_opts.pipeline = opts.stream.pipeline;
+  service_opts.solver = fista();
+  service_opts.seed = 1;
+  DecodeService service(kDim, kDim, service_opts);
 
   const la::Matrix smooth = thermal_frame(kDim, 7);
   const la::Matrix noisy = noise_frame(kDim, kDim, 1234);
   const std::vector<ShardFrameResult> out =
       sharded.process_batch({smooth, noisy});
   ASSERT_EQ(out.size(), 2u);
+  const std::vector<ServiceFrameResult> served =
+      service.process_batch({smooth, noisy});
+  ASSERT_EQ(served.size(), 2u);
 
-  for (std::size_t f = 0; f < 2; ++f) {
-    const ShardReport& rep = out[f].report;
+  const std::vector<const ShardReport*> reports = {
+      &out[0].report, &out[1].report, &served[0].report, &served[1].report};
+  for (std::size_t f = 0; f < reports.size(); ++f) {
+    const ShardReport& rep = *reports[f];
     // Internal consistency: the frame-level counters are exactly the
     // aggregate of that frame's own tile reports.
     int calls = 0;
@@ -667,9 +684,9 @@ TEST(ShardReportAggregation, AsymmetricBatchKeepsCountersPerFrame) {
       if (t.report.accepted) ++accepted;
       worst = std::max(worst, t.report.rel_residual);
     }
-    EXPECT_EQ(rep.decode_calls, calls) << "frame " << f;
-    EXPECT_EQ(rep.tiles_accepted, accepted) << "frame " << f;
-    EXPECT_EQ(rep.max_rel_residual, worst) << "frame " << f;
+    EXPECT_EQ(rep.decode_calls, calls) << "report " << f;
+    EXPECT_EQ(rep.tiles_accepted, accepted) << "report " << f;
+    EXPECT_EQ(rep.max_rel_residual, worst) << "report " << f;
   }
   // Asymmetry: the counters visibly differ between the frames (a mixing bug
   // would average or accumulate them together). The residuals are NOT a

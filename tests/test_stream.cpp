@@ -272,6 +272,46 @@ TEST(StreamServer, BatchDepthDeliversEveryFrame) {
   EXPECT_EQ(ids.size(), kFrames);  // every submission came back exactly once
 }
 
+// Decodes frames[i] under stream id i on a server with `workers` threads and
+// returns the reconstructions indexed by stream id.
+std::vector<la::Matrix> decode_by_id(std::size_t workers,
+                                     const std::vector<la::Matrix>& frames) {
+  StreamOptions opts;
+  opts.workers = workers;
+  opts.queue_capacity = frames.size();
+  opts.batch_depth = 1;
+  opts.solver = fista();
+  StreamServer server(frames[0].rows(), frames[0].cols(), opts);
+  for (std::size_t i = 0; i < frames.size(); ++i)
+    EXPECT_TRUE(server.submit(i, frames[i]));
+  server.close();
+  std::vector<la::Matrix> out(frames.size());
+  for (StreamResult& r : server.drain_results()) {
+    EXPECT_TRUE(r.report.accepted);  // clean frames decode on rung 0
+    out.at(r.stream_id) = std::move(r.frame);
+  }
+  return out;
+}
+
+TEST(StreamServer, DecodeIsAPureFunctionOfTheStreamIdAcrossWorkerCounts) {
+  // Each decode seeds from its submission's stream id, so which worker pops
+  // a frame, and what that worker decoded before, cannot move a pixel.
+  constexpr std::size_t kDim = 16;
+  constexpr std::size_t kFrames = 6;
+  std::vector<la::Matrix> frames;
+  for (std::size_t i = 0; i < kFrames; ++i)
+    frames.push_back(thermal_frame(kDim, 10 + i));
+  const std::vector<la::Matrix> one = decode_by_id(1, frames);
+  const std::vector<la::Matrix> three = decode_by_id(3, frames);
+  for (std::size_t i = 0; i < kFrames; ++i) {
+    ASSERT_EQ(one[i].size(), kDim * kDim) << "stream " << i;
+    ASSERT_EQ(three[i].size(), kDim * kDim) << "stream " << i;
+    for (std::size_t k = 0; k < one[i].size(); ++k)
+      ASSERT_EQ(one[i].data()[k], three[i].data()[k])
+          << "stream " << i << " pixel " << k;
+  }
+}
+
 TEST(StreamServer, WaitForCompletedAndExternalCancelPropagate) {
   constexpr std::size_t kDim = 16;
   StreamOptions opts;

@@ -57,6 +57,15 @@ Enforces project invariants the compiler cannot express:
                     CPU or let the compiler reassociate and contract, so a
                     forked, remote and in-process executor would no longer
                     decode the same (seed, frame, tile) to the same pixels
+  unset-option      every scalar field with a default initializer in a
+                    runtime option struct (src/runtime/*.hpp: *Options,
+                    *Config, LadderBudget, AcceptanceThresholds,
+                    WorkerFaultInjection) is assigned (`.name =`) somewhere
+                    under src/, bench/, tests/, examples/ or perfbench/,
+                    outside its own header. A knob nothing sets is a
+                    constant in disguise: make it a named constexpr beside
+                    its use. Matching is by field name, so a name shared by
+                    several structs counts as set when any of them is set
 
 A line may opt out of one rule with a trailing marker comment:
 
@@ -743,6 +752,76 @@ def check_entry_points(root: Path, files: dict,
 
 
 # ---------------------------------------------------------------------------
+# Tree-level rule: every runtime option is set by someone
+
+OPTION_HEADER_GLOB = "src/runtime/*.hpp"
+OPTION_ASSIGNMENT_DIRS = ("src", "bench", "tests", "examples", "perfbench")
+_OPTION_STRUCT_RE = re.compile(
+    r"\bstruct\s+(\w*(?:Options|Config)|LadderBudget|AcceptanceThresholds"
+    r"|WorkerFaultInjection)\s*\{")
+# A scalar member with a default initializer: `type name = value;`. Template
+# types (vectors, smart pointers) are not scalars, and `==` is no initializer.
+_OPTION_FIELD_RE = re.compile(
+    r"^\s*[\w:]+(?:\s+[\w:]+)*\s+(\w+)\s*=(?!=)[^;]*;")
+
+
+def _option_fields(f: SourceFile) -> List[Tuple[int, str, str]]:
+    """(line, struct, field) of every defaulted scalar field declared at the
+    top level of an option struct in `f`."""
+    fields: List[Tuple[int, str, str]] = []
+    text = f.stripped
+    for m in _OPTION_STRUCT_RE.finditer(text):
+        brace = text.index("{", m.start())
+        end = _balanced_span(text, brace, "{", "}")
+        body = text[brace + 1:(end - 1) if end else len(text)]
+        first_line = text.count("\n", 0, brace) + 1
+        depth = 0
+        for offset, line in enumerate(body.split("\n")):
+            if depth == 0:
+                fm = _OPTION_FIELD_RE.match(line)
+                if fm:
+                    fields.append((first_line + offset, m.group(1),
+                                   fm.group(1)))
+            depth += line.count("{") - line.count("}")
+    return fields
+
+
+def check_unset_options(root: Path, files: dict) -> List[Finding]:
+    """`files` are the linted sources; only their runtime headers declare
+    options to check, but assignments count from the whole tree."""
+    headers = [f for rel, f in sorted(files.items())
+               if Path(rel).match(OPTION_HEADER_GLOB)]
+    if not headers:
+        return []
+    corpus: List[Tuple[str, str]] = []
+    for d in OPTION_ASSIGNMENT_DIRS:
+        base = root / d
+        if not base.is_dir():
+            continue
+        for ext in SOURCE_EXTS:
+            for p in sorted(base.rglob(f"*{ext}")):
+                if any(part.startswith("build") for part in p.parts):
+                    continue
+                text = p.read_text(encoding="utf-8", errors="replace")
+                corpus.append((p.relative_to(root).as_posix(),
+                               strip_comments_and_strings(text)))
+    findings: List[Finding] = []
+    for f in headers:
+        for line_no, struct, name in _option_fields(f):
+            assigned = re.compile(r"\." + name + r"\s*=(?!=)")
+            if any(rel != f.relpath and assigned.search(text)
+                   for rel, text in corpus):
+                continue
+            fd = f.finding_unless_allowed(
+                line_no, "unset-option",
+                f"option '{struct}::{name}' is never set outside its header "
+                "— make it a named constexpr beside its use")
+            if fd:
+                findings.append(fd)
+    return findings
+
+
+# ---------------------------------------------------------------------------
 # Driver
 
 
@@ -792,6 +871,8 @@ def lint_tree(root: Path, only: Optional[Sequence[str]] = None
             findings.extend(rule(f))
     findings.extend(check_entry_points(root, {f.relpath: f for f in sources},
                                        partial=only is not None))
+    findings.extend(check_unset_options(root,
+                                        {f.relpath: f for f in sources}))
     return sorted(findings)
 
 

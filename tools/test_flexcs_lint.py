@@ -888,6 +888,55 @@ class BuildFlagsTest(unittest.TestCase):
         self.assertEqual([], [x for x in f if x.path.endswith(".txt")])
 
 
+class UnsetOptionTest(unittest.TestCase):
+    HEADER = ("#pragma once\n"
+              "struct FooOptions {\n"
+              "  double gain = 2.0;  // tuned by callers\n"
+              "  std::vector<int> lanes;\n"
+              "  Nested nested;\n"
+              "};\n")
+
+    def test_unset_field_fires(self):
+        f = lint_fixture({"src/runtime/foo.hpp": self.HEADER})
+        unset = [x for x in f if x.rule == "unset-option"]
+        self.assertEqual(1, len(unset), "\n".join(str(x) for x in f))
+        self.assertEqual(("src/runtime/foo.hpp", 3),
+                         (unset[0].path, unset[0].line))
+        self.assertIn("FooOptions::gain", unset[0].message)
+
+    def test_self_assignment_in_own_header_still_fires(self):
+        header = self.HEADER + "inline void f(FooOptions& o) { o.gain = 1; }\n"
+        f = lint_fixture({"src/runtime/foo.hpp": header})
+        self.assertIn("unset-option", rules_fired(f))
+
+    def test_assigned_field_clean(self):
+        for d in ("tests", "perfbench"):
+            f = lint_fixture({
+                "src/runtime/foo.hpp": self.HEADER,
+                f"{d}/use.cpp": "void f(FooOptions& o) { o.gain = 3.0; }\n"})
+            self.assertNotIn("unset-option", rules_fired(f), d)
+
+    def test_comparison_is_not_an_assignment(self):
+        f = lint_fixture({
+            "src/runtime/foo.hpp": self.HEADER,
+            "tests/use.cpp": "bool f(FooOptions& o) { return o.gain == 3; }\n"})
+        self.assertIn("unset-option", rules_fired(f))
+
+    def test_allow_marker_clean(self):
+        header = self.HEADER.replace(
+            "// tuned by callers", "// flexcs-lint: allow(unset-option)")
+        f = lint_fixture({"src/runtime/foo.hpp": header})
+        self.assertNotIn("unset-option", rules_fired(f))
+
+    def test_other_structs_and_dirs_not_checked(self):
+        f = lint_fixture({
+            "src/runtime/foo.hpp": "#pragma once\n"
+                                   "struct FrameControl { int cap = -1; };\n",
+            "src/cs/bar.hpp": "#pragma once\n"
+                              "struct BarOptions { int cap = -1; };\n"})
+        self.assertNotIn("unset-option", rules_fired(f))
+
+
 class PartialLintTest(unittest.TestCase):
     def test_single_file_mode_skips_other_entry_points(self):
         with tempfile.TemporaryDirectory() as td:

@@ -13,15 +13,16 @@
 // independent, computable even for sizes whose dense arm never runs):
 //   dense:    8 * (N² + M·N) bytes   (Ψ plus the cached measurement matrix)
 // The implicit figure is the operator's own cached_state_bytes() — the DCT
-// plan tables (bit-reversal + twiddles, O(rows + cols)); Haar caches
+// plan tables (bit-reversal + twiddles, O(rows + cols), for pow2 sides; the
+// folded half-tables, O(rows² + cols²), for the others); Haar caches
 // nothing. Per-apply scratch is O(N) and thread-local.
 //
 // Per-apply microbench (the `per_apply_*` sections): for each 1-D length,
 // one DCT-II and one DCT-III pass through three kernels — the naive O(n²)
 // cosine-sum (dsp::dct1d/idct1d, the golden reference), the cached dense
 // factor matvec (the pre-plan implicit kernel), and the plan
-// (dsp::Dct1dPlan: the Makhoul FFT for pow2 lengths, the vectorized
-// row-axpy GEMM form otherwise) — with per-call wall time, speedups, and the
+// (dsp::Dct1dPlan: the Makhoul FFT for pow2 lengths, the even/odd-folded
+// kernel otherwise) — with per-call wall time, speedups, and the
 // max fast-vs-naive error. The lengths include 20 and 36, the halo-padded
 // 16 and 32 px tiles the runtime actually decodes, so the non-pow2 kernel
 // is measured too. For each grid size and basis, the measured per-apply

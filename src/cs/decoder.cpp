@@ -127,9 +127,16 @@ DecodeResult Decoder::finish_decode(const la::LinearOperator& a,
                                     const DecoderOptions& opts) const {
   // Skip de-biasing on an interrupted solve: the caller's budget is spent,
   // and a least-squares re-fit of a partial support isn't worth paying for.
+  // The re-fit polls the same deadline and cancel token; when they fire
+  // mid-fit the lasso iterate stands and the decode is flagged expired.
   if (opts.debias && !sr.deadline_expired) {
-    sr.x = solvers::debias_on_support(a, measurements, sr.x,
-                                      opts.support_threshold);
+    la::Vector fit = solvers::debias_on_support(
+        a, measurements, sr.x, opts.support_threshold,
+        [&opts] { return opts.solve.should_stop(); });
+    if (fit.empty())
+      sr.deadline_expired = true;
+    else
+      sr.x = std::move(fit);
   }
 
   DecodeResult out;

@@ -23,9 +23,11 @@ struct DecoderOptions {
   // re-fit (matrix-free: CG on the masked normal equations).
   double support_threshold = 1e-6;
   // Per-decode cooperative control (deadline / cancellation), forwarded to
-  // the sparse solver. Streaming callers thread a per-frame deadline here
-  // via decode_with; the default is inert. When the solve is interrupted,
-  // de-biasing is skipped so the decode returns as soon as possible.
+  // the sparse solver and polled by the debias re-fit. Streaming callers
+  // thread a per-frame deadline here via decode_with; the default is inert.
+  // When the solve is interrupted, de-biasing is skipped so the decode
+  // returns as soon as possible; when the re-fit is, the solver's iterate is
+  // returned as if debias were off.
   solvers::SolveOptions solve;
 };
 
@@ -34,7 +36,8 @@ struct DecodeResult {
   la::Vector coefficients;  // recovered sparse coefficient vector (size N)
   int solver_iterations = 0;
   bool converged = false;
-  bool deadline_expired = false;  // solver stopped by deadline/cancellation
+  // Solver or debias re-fit stopped by deadline/cancellation.
+  bool deadline_expired = false;
   // ||A x - y||_2 at the solver's solution, before de-biasing. Plumbed from
   // solvers::SolveResult so runtime sanity checks can judge decode quality
   // without ground truth (a de-biased least-squares re-fit can interpolate

@@ -8,8 +8,10 @@
 // The adjoint identity holds exactly because Φ_Mᵀ is scatter and Ψᵀ is the
 // analysis transform of an orthonormal basis. The per-apply kernels are the
 // Makhoul FFT-based DCT plans (dsp::Dct1dPlan — O(N log N) per 1-D pass for
-// pow2 lengths; a vectorized row-axpy GEMM against the cached factor for
-// the others, such as the runtime's halo-padded 20 and 36 px tiles) and the
+// pow2 lengths; for the others, such as the runtime's halo-padded 20 and
+// 36 px tiles, an even/odd-folded kernel: the DCT basis's mirror symmetry
+// halves the multiply-adds of the dense product, equal to it at round-off,
+// not bit for bit) and the
 // in-place lifting Haar (dsp::haar2d_inplace), running on raw contiguous
 // buffers with no Matrix::from_flat round-trips: a 256×256 apply is ~1 ms of
 // table-driven butterflies where the dense Ψ (~34 GB) cannot be built at all.

@@ -30,27 +30,137 @@ void transpose(const double* in, std::size_t rows, std::size_t cols,
   }
 }
 
-// C (m×n) = P (m×k) · Q (k×n), all row-major, in row-axpy form: row i of C
-// accumulates Q's rows scaled by P's row i. Every C element sums its k terms
-// in ascending order from 0.0 — the order of a dot product, so the result is
-// bit-identical to the matvec form — while the inner loop runs over
-// contiguous memory with independent lanes instead of one serial sum.
-// `skip_zero` skips zero entries of P (sparse coefficient input); adding the
-// ±0 a skipped term would contribute never changes a sum started at +0.0.
-void gemm_rows(const double* p, const double* q, double* c, std::size_t m,
-               std::size_t k, std::size_t n, bool skip_zero) {
-  for (std::size_t i = 0; i < m; ++i) {
-    const double* pi = p + i * k;
-    double* ci = c + i * n;
-    std::fill(ci, ci + n, 0.0);
-    for (std::size_t j = 0; j < k; ++j) {
-      const double s = pi[j];
-      if (skip_zero && s == 0.0) continue;
-      const double* qj = q + j * n;
+// c[l] += s[0]·q[0][l], then s[1]·q[1][l], … one term at a time in order.
+// The term count G is a template argument so a group's terms stay in
+// registers: one load and one store of c per group instead of per term.
+template <std::size_t... G>
+void axpy_group(double* c, const double* s, const double* const* q,
+                std::size_t n, std::index_sequence<G...>) {
+  const double sg[] = {s[G]...};
+  const double* const qg[] = {q[G]...};
 #pragma omp simd
-      for (std::size_t l = 0; l < n; ++l) ci[l] += s * qj[l];
+  for (std::size_t l = 0; l < n; ++l) {
+    double acc = c[l];
+    ((acc += sg[G] * qg[G][l]), ...);
+    c[l] = acc;
+  }
+}
+
+constexpr std::size_t kGroup = 8;
+
+void flush_group(double* c, const double* s, const double* const* q,
+                 std::size_t g, std::size_t n) {
+  switch (g) {
+    case 1: axpy_group(c, s, q, n, std::make_index_sequence<1>{}); break;
+    case 2: axpy_group(c, s, q, n, std::make_index_sequence<2>{}); break;
+    case 3: axpy_group(c, s, q, n, std::make_index_sequence<3>{}); break;
+    case 4: axpy_group(c, s, q, n, std::make_index_sequence<4>{}); break;
+    case 5: axpy_group(c, s, q, n, std::make_index_sequence<5>{}); break;
+    case 6: axpy_group(c, s, q, n, std::make_index_sequence<6>{}); break;
+    case 7: axpy_group(c, s, q, n, std::make_index_sequence<7>{}); break;
+    default: axpy_group(c, s, q, n, std::make_index_sequence<kGroup>{});
+  }
+}
+
+// C (m×n) = P (m×k) · Q (k×n) in row-axpy form, every operand strided:
+// P(i, j) = p[i·ldp + j·incp], row j of Q starts at q + j·ldq and row i of C
+// at c + i·ldc. Row i of C accumulates Q's rows scaled by P's row i, up to
+// kGroup rows per sweep, so each C element still adds its k terms one at a
+// time in ascending j from 0.0 while the inner loop runs over contiguous
+// memory with independent lanes. `skip_zero` drops zero entries of P (sparse
+// data) before they are grouped; adding the ±0 a skipped term would
+// contribute never changes a sum started at +0.0.
+void gemm_rows(const double* p, std::size_t ldp, std::size_t incp,
+               const double* q, std::size_t ldq, double* c, std::size_t ldc,
+               std::size_t m, std::size_t k, std::size_t n, bool skip_zero) {
+  double s[kGroup] = {};
+  const double* qr[kGroup] = {};
+  for (std::size_t i = 0; i < m; ++i) {
+    const double* pi = p + i * ldp;
+    double* ci = c + i * ldc;
+    std::fill(ci, ci + n, 0.0);
+    std::size_t g = 0;
+    for (std::size_t j = 0; j < k; ++j) {
+      const double sj = pi[j * incp];
+      if (skip_zero && sj == 0.0) continue;
+      s[g] = sj;
+      qr[g] = q + j * ldq;
+      if (++g == kGroup) {
+        flush_group(ci, s, qr, g, n);
+        g = 0;
+      }
+    }
+    if (g > 0) flush_group(ci, s, qr, g, n);
+  }
+}
+
+// The even/odd butterfly of the folded kernel over `lanes` length-n vectors
+// x. Rows layout: vector l is x[l·n .. l·n + n) and its halves are rows of
+// u (⌈n/2⌉ wide) and v (⌊n/2⌋ wide). Columns layout: sample i of every
+// vector is row i of x (`lanes` wide), and u and v are panels of such rows.
+// fold: u(i) = x(i) + x(n−1−i), v(i) = x(i) − x(n−1−i); an odd length's
+// middle sample goes to u alone (its odd-row DCT entries are cos(π/2·odd),
+// i.e. zero).
+void fold_halves(const double* x, double* u, double* v, std::size_t n,
+                 std::size_t lanes, bool rows) {
+  const std::size_t hu = (n + 1) / 2, hv = n / 2;
+  if (rows) {
+    for (std::size_t l = 0; l < lanes; ++l) {
+      const double* xl = x + l * n;
+      double* ul = u + l * hu;
+      double* vl = v + l * hv;
+      for (std::size_t i = 0; i < hv; ++i) {
+        ul[i] = xl[i] + xl[n - 1 - i];
+        vl[i] = xl[i] - xl[n - 1 - i];
+      }
+      if (hu > hv) ul[hv] = xl[hv];
+    }
+    return;
+  }
+  for (std::size_t i = 0; i < hv; ++i) {
+    const double* a = x + i * lanes;
+    const double* b = x + (n - 1 - i) * lanes;
+    double* ui = u + i * lanes;
+    double* vi = v + i * lanes;
+#pragma omp simd
+    for (std::size_t l = 0; l < lanes; ++l) {
+      ui[l] = a[l] + b[l];
+      vi[l] = a[l] - b[l];
     }
   }
+  if (hu > hv) std::copy(x + hv * lanes, x + hu * lanes, u + hv * lanes);
+}
+
+// The mirror of fold_halves, same layouts: x(i) = u(i) + v(i),
+// x(n−1−i) = u(i) − v(i), and an odd length's middle sample is u alone.
+void unfold_halves(const double* u, const double* v, double* x,
+                   std::size_t n, std::size_t lanes, bool rows) {
+  const std::size_t hu = (n + 1) / 2, hv = n / 2;
+  if (rows) {
+    for (std::size_t l = 0; l < lanes; ++l) {
+      const double* ul = u + l * hu;
+      const double* vl = v + l * hv;
+      double* xl = x + l * n;
+      for (std::size_t i = 0; i < hv; ++i) {
+        xl[i] = ul[i] + vl[i];
+        xl[n - 1 - i] = ul[i] - vl[i];
+      }
+      if (hu > hv) xl[hv] = ul[hv];
+    }
+    return;
+  }
+  for (std::size_t i = 0; i < hv; ++i) {
+    const double* ui = u + i * lanes;
+    const double* vi = v + i * lanes;
+    double* a = x + i * lanes;
+    double* b = x + (n - 1 - i) * lanes;
+#pragma omp simd
+    for (std::size_t l = 0; l < lanes; ++l) {
+      a[l] = ui[l] + vi[l];
+      b[l] = ui[l] - vi[l];
+    }
+  }
+  if (hu > hv) std::copy(u + hv * lanes, u + hu * lanes, x + hv * lanes);
 }
 
 }  // namespace
@@ -63,10 +173,22 @@ Dct1dPlan::Dct1dPlan(std::size_t n) : n_(n), fast_(is_pow2(n)) {
   inv_scale0_ = 1.0 / scale0_;
   inv_scale_ = n > 1 ? 1.0 / scale_ : 0.0;
   if (!fast_) {
-    // Non-pow2 lengths keep the dense factor for the GEMM-form passes; the
-    // naive dct1d/idct1d stay the golden reference for every N.
-    factor_ = dct_matrix(n);
-    factor_t_ = factor_.transposed();
+    // Non-pow2 lengths: the folded half-tables of D = dct_matrix(n), laid
+    // out [E | Eᵀ | O | Oᵀ] with E(k, i) = D(2k, i) and O(k, i) = D(2k+1, i).
+    // The naive dct1d/idct1d stay the golden reference for every N.
+    const la::Matrix d = dct_matrix(n);
+    const std::size_t hu = (n + 1) / 2, hv = n / 2;
+    half_.resize(2 * (hu * hu + hv * hv));
+    double* e = half_.data();
+    double* et = e + hu * hu;
+    double* o = et + hu * hu;
+    double* ot = o + hv * hv;
+    for (std::size_t k = 0; k < hu; ++k)
+      for (std::size_t i = 0; i < hu; ++i)
+        e[k * hu + i] = et[i * hu + k] = d(2 * k, i);
+    for (std::size_t k = 0; k < hv; ++k)
+      for (std::size_t i = 0; i < hv; ++i)
+        o[k * hv + i] = ot[i * hv + k] = d(2 * k + 1, i);
     return;
   }
   if (n == 1) return;
@@ -97,8 +219,7 @@ Dct1dPlan::Dct1dPlan(std::size_t n) : n_(n), fast_(is_pow2(n)) {
 
 std::size_t Dct1dPlan::memory_bytes() const {
   return sizeof(double) * (tw_cos_.size() + tw_sin_.size() + rot_cos_.size() +
-                           rot_sin_.size() + factor_.size() +
-                           factor_t_.size()) +
+                           rot_sin_.size() + half_.size()) +
          sizeof(std::uint32_t) * bitrev_.size();
 }
 
@@ -138,7 +259,7 @@ void Dct1dPlan::forward(const double* in, double* out,
     return;
   }
   if (!fast_) {
-    gemm_rows(in, factor_t_.data(), out, 1, n, n, /*skip_zero=*/false);
+    fold_pass(in, out, 1, Axis::kRows, /*invert=*/false, ws);
     return;
   }
   // Makhoul: v interleaves the even samples forward and the odd samples
@@ -165,7 +286,7 @@ void Dct1dPlan::inverse(const double* in, double* out,
     return;
   }
   if (!fast_) {
-    gemm_rows(in, factor_.data(), out, 1, n, n, /*skip_zero=*/true);
+    fold_pass(in, out, 1, Axis::kRows, /*invert=*/true, ws);
     return;
   }
   // Invert the Makhoul mapping: rebuild V[k] = e^{+iπk/2N}(C[k] - i C[N-k])
@@ -189,27 +310,86 @@ void Dct1dPlan::inverse(const double* in, double* out,
   for (std::size_t p = 0; p < n / 2; ++p) out[2 * p + 1] = re[n - 1 - p] * invn;
 }
 
+void Dct1dPlan::fold_pass(const double* in, double* out, std::size_t lanes,
+                          Axis axis, bool invert, DctWorkspace& ws) const {
+  FLEXCS_CHECK(!fast_, "Dct1dPlan::fold_pass: non-pow2 plans only");
+  const std::size_t n = n_, hu = (n + 1) / 2, hv = n / 2;
+  const double* e_tab = half_.data();
+  const double* et_tab = e_tab + hu * hu;
+  const double* o_tab = et_tab + hu * hu;
+  const double* ot_tab = o_tab + hv * hv;
+  const bool rows = axis == Axis::kRows;
+  ws.fold.resize(n * lanes);
+  double* ev = ws.fold.data();
+  double* od = ev + hu * lanes;
+
+  if (!invert) {
+    // D(k, n−1−i) = (−1)^k·D(k, i): the even outputs see only the sums u
+    // and the odd outputs only the differences v.
+    fold_halves(in, ev, od, n, lanes, rows);
+    if (!rows) {
+      // E·u and O·v straight into output rows 2k and 2k+1.
+      gemm_rows(e_tab, hu, 1, ev, lanes, out, 2 * lanes, hu, hu, lanes,
+                /*skip_zero=*/false);
+      gemm_rows(o_tab, hv, 1, od, lanes, out + lanes, 2 * lanes, hv, hv,
+                lanes, /*skip_zero=*/false);
+      return;
+    }
+    // u·Eᵀ and v·Oᵀ per lane, then interleave the even and odd outputs.
+    ws.half.resize(n * lanes);
+    double* ce = ws.half.data();
+    double* co = ce + hu * lanes;
+    gemm_rows(ev, hu, 1, et_tab, hu, ce, hu, lanes, hu, hu, /*skip_zero=*/true);
+    gemm_rows(od, hv, 1, ot_tab, hv, co, hv, lanes, hv, hv, /*skip_zero=*/true);
+    for (std::size_t l = 0; l < lanes; ++l) {
+      double* x = out + l * n;
+      for (std::size_t k = 0; k < hu; ++k) x[2 * k] = ce[l * hu + k];
+      for (std::size_t k = 0; k < hv; ++k) x[2 * k + 1] = co[l * hv + k];
+    }
+    return;
+  }
+
+  // Inverse: the even input samples through Eᵀ and the odd ones through Oᵀ
+  // give the halves e and o of every output pair (x(i), x(n−1−i)).
+  if (rows) {
+    gemm_rows(in, n, 2, e_tab, hu, ev, hu, lanes, hu, hu, /*skip_zero=*/true);
+    gemm_rows(in + 1, n, 2, o_tab, hv, od, hv, lanes, hv, hv,
+              /*skip_zero=*/true);
+  } else {
+    gemm_rows(et_tab, hu, 1, in, 2 * lanes, ev, lanes, hu, hu, lanes,
+              /*skip_zero=*/false);
+    gemm_rows(ot_tab, hv, 1, in + lanes, 2 * lanes, od, lanes, hv, hv, lanes,
+              /*skip_zero=*/false);
+  }
+  unfold_halves(ev, od, out, n, lanes, rows);
+}
+
 namespace {
 
-// Shared body of the 2-D helpers. The row pass runs every row through the
-// plan (FFT or GEMM form); a pow2 column pass runs the FFT between two
-// blocked transposes, a non-pow2 one is the left product D_r·A (forward) or
-// D_rᵀ·A (inverse) straight into `out`.
+// Shared body of the 2-D helpers. A non-pow2 plan runs its pass as one
+// fold_pass over every row (kRows) or every column (kColumns, the left
+// product D_r·A or D_rᵀ·A straight into `out`). A pow2 row pass runs each
+// row through the FFT, and a pow2 column pass runs it between two blocked
+// transposes.
 void separable_2d(const Dct1dPlan& row_plan, const Dct1dPlan& col_plan,
                   const double* in, double* out, std::size_t rows,
                   std::size_t cols, DctWorkspace& ws, bool invert) {
   const std::size_t n = rows * cols;
   ws.a.resize(n);
-  for (std::size_t r = 0; r < rows; ++r) {
-    if (invert)
-      row_plan.inverse(in + r * cols, ws.a.data() + r * cols, ws);
-    else
-      row_plan.forward(in + r * cols, ws.a.data() + r * cols, ws);
+  if (!row_plan.fast()) {
+    row_plan.fold_pass(in, ws.a.data(), rows, Dct1dPlan::Axis::kRows, invert,
+                       ws);
+  } else {
+    for (std::size_t r = 0; r < rows; ++r) {
+      if (invert)
+        row_plan.inverse(in + r * cols, ws.a.data() + r * cols, ws);
+      else
+        row_plan.forward(in + r * cols, ws.a.data() + r * cols, ws);
+    }
   }
   if (!col_plan.fast()) {
-    const la::Matrix& d = invert ? col_plan.factor_t() : col_plan.factor();
-    gemm_rows(d.data(), ws.a.data(), out, rows, rows, cols,
-              /*skip_zero=*/false);
+    col_plan.fold_pass(ws.a.data(), out, cols, Dct1dPlan::Axis::kColumns,
+                       invert, ws);
     return;
   }
   ws.b.resize(n);

@@ -7,15 +7,19 @@
 // arrays — the kernel the matrix-free measurement operator runs hundreds of
 // times per solver iteration. Power-of-two lengths take the O(N log N) FFT
 // path. Other lengths — including the halo-padded 20 and 36 px tiles the
-// runtime decodes — keep the dense factor D = dct_matrix(N) and its
-// transpose, and run every pass in row-axpy GEMM form: a 2-D forward is
-// Y = D_r·X·D_cᵀ and an inverse X = D_rᵀ·Y·D_c, with inner loops over
-// contiguous memory, no transposes, and `#pragma omp simd` lanes. Each
-// output still sums its terms in ascending input index from 0.0, exactly
-// the dot-product order, so the GEMM form is bit-identical to the matvec
-// form on any target without FMA contraction. A plan is valid for every
-// N ≥ 1, and the naive dsp::dct1d/idct1d remain the golden reference the
-// fast paths are tested against (≤ 1e-12).
+// runtime decodes — run one even/odd-folded kernel (fold_pass) for the 1-D
+// passes and both 2-D passes. The DCT-II basis is symmetric about the
+// middle sample, D(k, N−1−i) = (−1)^k·D(k, i), so a forward pass sums and
+// differences mirrored samples (u = x(i) + x(N−1−i), v = x(i) − x(N−1−i))
+// and multiplies u by the even rows and v by the odd rows of D, each a
+// ⌈N/2⌉- or ⌊N/2⌋-wide half-table: half the multiply-adds of the dense
+// product. The inverse is the mirror (two half products, then e ± o). The
+// products run in row-axpy GEMM form with inner loops over contiguous
+// memory and `#pragma omp simd` lanes, and skip zero data entries (sparse
+// coefficients, scattered measurements). The fold regroups the sums, so
+// results match the dense product D·x at round-off, not bit for bit. A
+// plan is valid for every N ≥ 1, and the naive dsp::dct1d/idct1d remain
+// the golden reference the fast paths are tested against (≤ 1e-12).
 //
 // All methods are const and touch only caller-provided workspace, so one
 // plan can be shared across threads exactly like the operators that own it.
@@ -34,6 +38,7 @@ namespace flexcs::dsp {
 /// loops do not reallocate.
 struct DctWorkspace {
   std::vector<double> re, im;  // FFT lanes (Dct1dPlan internals)
+  std::vector<double> fold, half;  // folded halves (non-pow2 kernel)
   std::vector<double> a, b;    // 2-D pass ping-pong grids
 };
 
@@ -45,8 +50,9 @@ class Dct1dPlan {
   std::size_t size() const { return n_; }
   /// True on the O(N log N) FFT path (power-of-two lengths).
   bool fast() const { return fast_; }
-  /// Bytes of cached table state (FFT twiddles + rotations, or the dense
-  /// factor and its transpose). What the bench reports as operator memory.
+  /// Bytes of cached table state (FFT twiddles + rotations, or the folded
+  /// half-tables: N² doubles for even N, N² + 1 for odd). What the bench
+  /// reports as operator memory.
   std::size_t memory_bytes() const;
 
   /// Orthonormal DCT-II: out[u] = a_u Σ_x in[x] cos(π(2x+1)u / 2N).
@@ -55,10 +61,16 @@ class Dct1dPlan {
   /// Orthonormal DCT-III, the exact inverse of forward. No aliasing.
   void inverse(const double* in, double* out, DctWorkspace& ws) const;
 
-  /// Non-pow2 lengths: D = dct_matrix(n) and Dᵀ, the factors the 2-D column
-  /// pass multiplies from the left. Empty on the FFT path.
-  const la::Matrix& factor() const { return factor_; }
-  const la::Matrix& factor_t() const { return factor_t_; }
+  /// Where the `lanes` length-N vectors of a fold_pass buffer lie. kRows:
+  /// vector l is the contiguous run [l·N, l·N + N) (1-D passes, the 2-D row
+  /// pass). kColumns: sample i of vector l is element i·lanes + l, an
+  /// N×lanes row-major panel (the 2-D column pass, a left product).
+  enum class Axis { kRows, kColumns };
+  /// The non-pow2 kernel (checked): DCT-II (or, with `invert`, DCT-III) of
+  /// each of `lanes` vectors laid out by `axis`, even/odd folded. No
+  /// aliasing.
+  void fold_pass(const double* in, double* out, std::size_t lanes, Axis axis,
+                 bool invert, DctWorkspace& ws) const;
 
  private:
   void fft(double* re, double* im, bool invert) const;
@@ -70,16 +82,17 @@ class Dct1dPlan {
   std::vector<double> rot_cos_, rot_sin_;  // cos/sin(πk / 2N), k < N
   double scale0_ = 0.0, scale_ = 0.0;      // a_0, a_{u>0}
   double inv_scale0_ = 0.0, inv_scale_ = 0.0;
-  // Non-pow2 lengths: D = dct_matrix(n) (rows are basis vectors) and Dᵀ,
-  // both row-major so every GEMM-form pass streams contiguous rows.
-  la::Matrix factor_, factor_t_;
+  // Non-pow2 lengths: the even/odd half-tables of D = dct_matrix(n) and
+  // their transposes, row-major (fft.cpp has the layout).
+  std::vector<double> half_;
 };
 
 /// Separable 2-D DCT-II of a rows×cols row-major buffer: every row through
 /// `row_plan` (size cols), then every column through `col_plan` (size rows).
 /// A pow2 column pass runs the FFT between two blocked transposes; a non-pow2
-/// one is the left product D_r·A, so both inner loops run over contiguous
-/// memory either way. `in` and `out` must not alias.
+/// one is a kColumns fold_pass (the folded left product D_r·A), so inner
+/// loops run over contiguous memory either way. `in` and `out` must not
+/// alias.
 void dct2d_apply(const Dct1dPlan& row_plan, const Dct1dPlan& col_plan,
                  const double* in, double* out, std::size_t rows,
                  std::size_t cols, DctWorkspace& ws);

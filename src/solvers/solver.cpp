@@ -156,7 +156,9 @@ la::Vector debias_on_support(const la::Matrix& a, const la::Vector& b,
 }
 
 la::Vector debias_on_support(const la::LinearOperator& a, const la::Vector& b,
-                             const la::Vector& x, double threshold) {
+                             const la::Vector& x, double threshold,
+                             const std::function<bool()>& should_stop) {
+  if (should_stop && should_stop()) return {};
   if (const la::Matrix* m = a.dense())
     return debias_on_support(*m, b, x, threshold);
 
@@ -203,8 +205,12 @@ la::Vector debias_on_support(const la::LinearOperator& a, const la::Vector& b,
   cg.max_iterations =
       static_cast<int>(std::max<std::size_t>(200, support.size()));
   cg.tol = 1e-12;
+  bool stopped = false;
+  if (should_stop)
+    cg.should_stop = [&] { return stopped = should_stop(); };
   const la::CgResult fit =
       la::cg_solve(apply_normal, gather(a.apply_adjoint(b)), cg);
+  if (stopped) return {};
   return embed(fit.x);
 }
 

@@ -6,6 +6,7 @@
 // reweighted least squares, and the LP reformulation of [23]).
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -139,9 +140,13 @@ la::Vector debias_on_support(const la::Matrix& a, const la::Vector& b,
 /// (identical results); implicit operators solve the same ridge-regularised
 /// normal equations on the support by conjugate gradient, never touching
 /// matrix entries. Used by the decoder, whose transform operators have no
-/// dense A to refit against.
+/// dense A to refit against. `should_stop` (same style as la::to_dense) is
+/// polled before the re-fit and once per CG iteration; once it fires the
+/// re-fit is abandoned and an empty vector comes back, so a deadline-bound
+/// caller overruns by at most one CG iteration.
 la::Vector debias_on_support(const la::LinearOperator& a, const la::Vector& b,
-                             const la::Vector& x, double threshold = 1e-8);
+                             const la::Vector& x, double threshold = 1e-8,
+                             const std::function<bool()>& should_stop = {});
 
 /// Names accepted by make_solver.
 std::vector<std::string> solver_names();

@@ -9,9 +9,12 @@
 
 #include <cmath>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "cs/decoder.hpp"
 #include "cs/sampling.hpp"
 #include "cs/transform_operator.hpp"
 #include "dsp/basis.hpp"
@@ -291,6 +294,78 @@ TEST(DeadlineSemantics, CancelDuringMaterialisationStopsEntryHungrySolvers) {
       EXPECT_EQ(r.x[i], 0.0) << solver->name() << " coeff " << i;
     EXPECT_DOUBLE_EQ(r.residual_norm, p.b.norm2()) << solver->name();
   }
+}
+
+// Solves with the wrapped solver, then fires a cancel source: a deterministic
+// stand-in for a deadline that expires after the lasso solve, during the
+// decoder's debias re-fit.
+class CancelAfterSolve final : public SparseSolver {
+ public:
+  CancelAfterSolve(const SparseSolver& inner, runtime::CancelSource source)
+      : inner_(inner), source_(std::move(source)) {}
+  std::string name() const override { return "cancel-after-solve"; }
+
+ protected:
+  SolveResult solve_impl(const la::LinearOperator& a, const la::Vector& b,
+                         const SolveOptions& ctrl) const override {
+    validate_solve_inputs(a, b, "cancel-after-solve");
+    SolveResult r = inner_.solve(a, b, ctrl);
+    source_.cancel();
+    return r;
+  }
+
+ private:
+  const SparseSolver& inner_;
+  mutable runtime::CancelSource source_;
+};
+
+TEST(DeadlineSemantics, DebiasRefitStopsAndKeepsTheLassoIterate) {
+  // The decoder's debias re-fit (CG, up to max(200, |S|) iterations) runs
+  // after the solve. A stop landing there must abandon the re-fit, return
+  // the solver's iterate unchanged and flag the decode expired.
+  const std::size_t rows = 20, cols = 20;
+  Rng rng(77);
+  const cs::SamplingPattern p = cs::random_pattern(rows, cols, 0.3, rng);
+  la::Vector frame(rows * cols);
+  for (std::size_t r = 0; r < rows; ++r)
+    for (std::size_t c = 0; c < cols; ++c)
+      frame[r * cols + c] =
+          0.5 + 0.3 * std::sin(0.3 * static_cast<double>(r)) *
+                    std::cos(0.2 * static_cast<double>(c));
+  const la::Vector y = cs::apply_pattern(p, frame);
+  const cs::Decoder decoder(rows, cols);
+  const FistaSolver fista;
+
+  cs::DecoderOptions no_debias;
+  no_debias.debias = false;
+  const cs::DecodeResult lasso = decoder.decode_with(p, y, fista, no_debias);
+  ASSERT_FALSE(lasso.deadline_expired);
+
+  runtime::CancelSource source;
+  const CancelAfterSolve solver(fista, source);
+  cs::DecoderOptions opts;
+  opts.solve.cancel = source.token();
+  const cs::DecodeResult stopped = decoder.decode_with(p, y, solver, opts);
+  EXPECT_TRUE(stopped.deadline_expired);
+  EXPECT_EQ(stopped.solver_iterations, lasso.solver_iterations);
+  ASSERT_EQ(stopped.coefficients.size(), lasso.coefficients.size());
+  for (std::size_t i = 0; i < lasso.coefficients.size(); ++i)
+    EXPECT_EQ(stopped.coefficients[i], lasso.coefficients[i]) << "coeff " << i;
+  EXPECT_EQ(la::max_abs_diff(stopped.frame, lasso.frame), 0.0);
+
+  // A deadline that never fires re-fits exactly like no deadline, and the
+  // re-fit does move the lasso iterate.
+  const cs::DecodeResult full =
+      decoder.decode_with(p, y, fista, cs::DecoderOptions{});
+  cs::DecoderOptions far;
+  far.solve.deadline = runtime::Deadline::after(3600.0);
+  const cs::DecodeResult timed = decoder.decode_with(p, y, fista, far);
+  EXPECT_FALSE(full.deadline_expired);
+  EXPECT_FALSE(timed.deadline_expired);
+  ASSERT_EQ(timed.coefficients.size(), full.coefficients.size());
+  for (std::size_t i = 0; i < full.coefficients.size(); ++i)
+    EXPECT_EQ(timed.coefficients[i], full.coefficients[i]) << "coeff " << i;
+  EXPECT_GT(la::max_abs_diff(full.coefficients, lasso.coefficients), 0.0);
 }
 
 TEST(DeadlineSemantics, UnlimitedDeadlineReportsIterationsAndWallTime) {

@@ -2,8 +2,8 @@
 // DCT plans against the naive O(n²) cosine sums (dsp::dct1d/idct1d), and the
 // in-place lifting Haar against dsp::haar1d/haar2d. The naive paths are the
 // definition of the transforms in this library; the fast paths must agree to
-// near machine precision at every length — pow2 (FFT path), non-pow2 and odd
-// (GEMM form against the dense factor), and the degenerate n = 1.
+// near machine precision at every length — pow2 (FFT path), non-pow2 even,
+// odd and prime (the even/odd-folded kernel), and the degenerate n = 1.
 #include "dsp/fft.hpp"
 
 #include <gtest/gtest.h>
@@ -54,6 +54,37 @@ TEST(Dct1dPlan, InverseMatchesNaiveIdctAtEveryLength) {
     plan.inverse(c.data(), fast.data(), ws);
     EXPECT_LT(la::max_abs_diff(fast, ref), 1e-12) << "n=" << n;
   }
+}
+
+TEST(Dct1dPlan, FoldedKernelMatchesNaiveAtEveryNonPow2LengthTo40) {
+  // Every even, odd and prime length the folded kernel can see up to 40,
+  // both directions: the middle sample of odd lengths, the ⌈n/2⌉ vs ⌊n/2⌋
+  // half widths and the mirrored writes are exercised at each parity.
+  DctWorkspace ws;
+  std::size_t checked = 0;
+  for (std::size_t n = 1; n <= 40; ++n) {
+    const Dct1dPlan plan(n);
+    if (plan.fast()) continue;
+    ++checked;
+    Rng rng(0xF5 + n);
+    const la::Vector x = random_vector(n, rng);
+    la::Vector fwd(n), inv(n);
+    plan.forward(x.data(), fwd.data(), ws);
+    plan.inverse(x.data(), inv.data(), ws);
+    EXPECT_LE(la::max_abs_diff(fwd, dct1d(x)), 1e-12) << "n=" << n;
+    EXPECT_LE(la::max_abs_diff(inv, idct1d(x)), 1e-12) << "n=" << n;
+  }
+  EXPECT_EQ(checked, 34u);  // 40 lengths minus 1, 2, 4, 8, 16, 32
+}
+
+TEST(Dct1dPlan, FoldedTablesHalveNonPow2Memory) {
+  // The folded kernel keeps the even and odd half-tables and their
+  // transposes: n² doubles for even n (n² + 1 for odd), where the dense
+  // factor and its transpose took 2n².
+  for (const std::size_t n : {20u, 36u, 12u, 100u})
+    EXPECT_EQ(Dct1dPlan(n).memory_bytes(), sizeof(double) * n * n) << n;
+  for (const std::size_t n : {3u, 9u, 15u, 17u})
+    EXPECT_EQ(Dct1dPlan(n).memory_bytes(), sizeof(double) * (n * n + 1)) << n;
 }
 
 TEST(Dct1dPlan, RoundTripIsIdentity) {
@@ -107,13 +138,15 @@ TEST(Dct1dPlan, TwoDimApplyMatchesDct2d) {
 TEST(Dct1dPlan, TwoDimApplyMatchesDenseMatrixForm) {
   // Independent golden for both 2-D kernels: the separable transforms as
   // dense products Y = D_r·X·D_cᵀ and X = D_rᵀ·Y·D_c with dct_matrix
-  // factors. Covers the runtime's halo-padded tiles (20, 36), mixed
-  // pow2/non-pow2 grids, and degenerate single rows and columns; every
-  // input has whole zero rows and zero entries, so the inverse's
-  // zero-coefficient skip runs.
+  // factors. Covers the runtime's halo-padded tiles (20, 36), odd square
+  // grids (9, 15) whose middle row and column the folded kernel treats
+  // apart, mixed pow2/non-pow2 grids, and degenerate single rows and
+  // columns; every input has whole zero rows and zero entries, so the
+  // zero-entry skip runs.
   struct Grid { std::size_t rows, cols; };
   for (const Grid g : {Grid{20, 20}, Grid{36, 36}, Grid{20, 36}, Grid{36, 20},
-                       Grid{7, 32}, Grid{5, 3}, Grid{1, 7}, Grid{7, 1}}) {
+                       Grid{9, 9}, Grid{15, 15}, Grid{20, 16}, Grid{7, 32},
+                       Grid{5, 3}, Grid{1, 7}, Grid{7, 1}}) {
     Rng rng(0xF4 + g.rows * 41 + g.cols);
     la::Matrix a(g.rows, g.cols);
     for (std::size_t i = 0; i < a.size(); ++i)

@@ -1,5 +1,5 @@
-// Sharded-decode scaling sweep: array size x shard count x batch depth
-// through runtime::ShardedDecoder. Every cell decodes the same clean thermal
+// Sharded-decode scaling sweep: array size x shard count through
+// runtime::ShardedDecoder. Every cell decodes the same clean thermal
 // frames; the monolithic baseline is the grid=1 cell (one tile covering the
 // whole array, halo 0), so both arms run the identical solver configuration
 // and the identical scatter/gather code path — the speedup measured here is
@@ -11,10 +11,7 @@
 // while the tile count multiplied it back by only T. The decoder now applies
 // A through O(N log N) transforms, which removes that gain: on this sweep
 // the monolithic decode is faster, and tiling buys a lower stitched RMSE
-// and a bounded per-tile solve instead (EXPERIMENTS.md E17). Batch depth > 1
-// stacks a second saving on top: same-position tiles of consecutive frames
-// share one sampling pattern, so the measurement operator and its Lipschitz
-// estimate are priced once per batch.
+// and a bounded per-tile solve instead (EXPERIMENTS.md E17).
 //
 // The acceptance shape this bench was built to demonstrate (met with the
 // dense decoder, no longer met with the matrix-free one): on a 128 x 128
@@ -26,27 +23,27 @@
 // Usage:
 //   bench_shard_scale [--smoke] [--json] [--out PATH]
 //
-//   --smoke   tiny configuration (32x32, two grids, two batch depths) used
-//             by the ctest smoke registration; finishes in seconds.
+//   --smoke   tiny configuration (32x32, two grids) used by the ctest
+//             smoke registration; finishes in seconds.
 //   --json    machine-readable output instead of the text table.
 //   --out     record path override (see bench_util.hpp).
 //
 // JSON schema (--json): stdout carries exactly one JSON array; one object
-// per (size, grid, batch depth) cell, all keys always present:
+// per (size, grid) cell, all keys always present:
 //   {
 //     "rows":                   integer — array rows (= cols, square sweep)
 //     "cols":                   integer
 //     "tile":                   integer — tile side before halo padding
 //     "halo":                   integer — replicated-border pixels per side
 //     "shards":                 integer — tiles per frame (grid^2)
-//     "batch_depth":            integer — frames a worker pops per dequeue
 //     "workers":                integer — worker threads in the pool
 //     "frames":                 integer — frames decoded in the cell
-//     "decode_seconds":         number  — wall time of the whole batch
-//                                         (construction excluded, both arms)
+//     "decode_seconds":         number  — wall time of the cell's one
+//                                         process_batch call (construction
+//                                         excluded, both arms)
 //     "frames_per_second":      number  — frames / decode_seconds
 //     "speedup_vs_mono":        number  — frames_per_second over the same-
-//                                         size grid=1, depth=1 baseline
+//                                         size grid=1 baseline
 //     "rmse":                   number  — mean stitched RMSE vs ground truth
 //     "rmse_vs_mono":           number  — rmse / monolithic baseline rmse
 //     "tiles_accepted":         integer — tiles whose sanity check passed
@@ -83,7 +80,6 @@ struct SweepConfig {
   // Tiles per side; shards = grid^2. grid 1 is the monolithic baseline and
   // runs halo 0 (a halo around the only tile would pad pure replication).
   std::vector<std::size_t> grids = {1, 2, 4};
-  std::vector<std::size_t> batch_depths = {1, 4};
   std::size_t halo = 2;  // sharded cells only
   std::size_t workers = 2;
   std::size_t queue_capacity = 32;
@@ -99,7 +95,6 @@ SweepConfig smoke_config() {
   SweepConfig cfg;
   cfg.dims = {32};
   cfg.grids = {1, 2};
-  cfg.batch_depths = {1, 2};
   cfg.frames = 2;
   return cfg;
 }
@@ -109,7 +104,6 @@ struct ScaleCell {
   std::size_t tile = 0;
   std::size_t halo = 0;
   std::size_t shards = 0;
-  std::size_t batch_depth = 0;
   std::size_t workers = 0;
   std::size_t frames = 0;
   double decode_seconds = 0.0;
@@ -123,14 +117,12 @@ struct ScaleCell {
   double mean_solver_iterations = 0.0;
 };
 
-ScaleCell run_cell(const SweepConfig& cfg, std::size_t dim, std::size_t grid,
-                   std::size_t depth) {
+ScaleCell run_cell(const SweepConfig& cfg, std::size_t dim, std::size_t grid) {
   ScaleCell cell;
   cell.dim = dim;
   cell.tile = dim / grid;
   cell.halo = grid == 1 ? 0 : cfg.halo;
   cell.shards = grid * grid;
-  cell.batch_depth = depth;
   cell.workers = cfg.workers;
   cell.frames = cfg.frames;
 
@@ -143,7 +135,6 @@ ScaleCell run_cell(const SweepConfig& cfg, std::size_t dim, std::size_t grid,
   opts.halo = cell.halo;
   opts.stream.workers = cfg.workers;
   opts.stream.queue_capacity = cfg.queue_capacity;
-  opts.stream.batch_depth = depth;
   opts.stream.solver = std::make_shared<solvers::FistaSolver>(fopts);
   // Throughput is the subject: clean frames, plain decode only, no debias
   // re-fit. Identical settings in every cell, so cells compare fairly.
@@ -190,12 +181,11 @@ ScaleCell run_cell(const SweepConfig& cfg, std::size_t dim, std::size_t grid,
   return cell;
 }
 
-// Normalises every cell against its size's monolithic (grid=1, depth=1)
-// baseline. The baseline cell reports 1.0 for both ratios by construction.
+// Normalises every cell against its size's monolithic (grid=1) baseline. The baseline cell reports 1.0 for both ratios by construction.
 void fill_baselines(std::vector<ScaleCell>& cells) {
   for (ScaleCell& c : cells) {
     for (const ScaleCell& base : cells) {
-      if (base.dim == c.dim && base.shards == 1 && base.batch_depth == 1) {
+      if (base.dim == c.dim && base.shards == 1) {
         c.speedup_vs_mono = c.frames_per_second / base.frames_per_second;
         c.rmse_vs_mono = base.rmse > 0.0 ? c.rmse / base.rmse : 0.0;
         break;
@@ -210,14 +200,13 @@ std::string to_json(const std::vector<ScaleCell>& cells) {
     const ScaleCell& c = cells[i];
     out += strformat(
         "  {\"rows\": %zu, \"cols\": %zu, \"tile\": %zu, \"halo\": %zu, "
-        "\"shards\": %zu, \"batch_depth\": %zu, \"workers\": %zu, "
+        "\"shards\": %zu, \"workers\": %zu, "
         "\"frames\": %zu, \"decode_seconds\": %.4f, "
         "\"frames_per_second\": %.4f, \"speedup_vs_mono\": %.3f, "
         "\"rmse\": %.6f, \"rmse_vs_mono\": %.3f, \"tiles_accepted\": %zu, "
         "\"tiles_total\": %zu, \"decode_calls\": %d, "
         "\"mean_solver_iterations\": %.1f}%s\n",
-        c.dim, c.dim, c.tile, c.halo, c.shards, c.batch_depth,
-        c.workers, c.frames, c.decode_seconds, c.frames_per_second,
+        c.dim, c.dim, c.tile, c.halo, c.shards, c.workers, c.frames, c.decode_seconds, c.frames_per_second,
         c.speedup_vs_mono, c.rmse, c.rmse_vs_mono, c.tiles_accepted,
         c.tiles_total, c.decode_calls, c.mean_solver_iterations,
         i + 1 < cells.size() ? "," : "");
@@ -231,12 +220,11 @@ void print_table(const std::vector<ScaleCell>& cells, const SweepConfig& cfg) {
       "Sharded decode scaling — ShardedDecoder, %zu workers, %zu frames "
       "per cell, FISTA tol %.0e\n",
       cfg.workers, cfg.frames, cfg.fista_tol);
-  Table t({"size", "tile", "halo", "shards", "batch", "sec", "fps",
+  Table t({"size", "tile", "halo", "shards", "sec", "fps",
            "speedup", "rmse", "rmse/mono", "iters"});
   for (const ScaleCell& c : cells) {
     t.add_row({strformat("%zu", c.dim), strformat("%zu", c.tile),
                strformat("%zu", c.halo), strformat("%zu", c.shards),
-               strformat("%zu", c.batch_depth),
                strformat("%.2f", c.decode_seconds),
                strformat("%.3f", c.frames_per_second),
                strformat("%.2fx", c.speedup_vs_mono),
@@ -263,8 +251,7 @@ int main(int argc, char** argv) {
   std::vector<ScaleCell> cells;
   for (const std::size_t dim : cfg.dims)
     for (const std::size_t grid : cfg.grids)
-      for (const std::size_t depth : cfg.batch_depths)
-        cells.push_back(run_cell(cfg, dim, grid, depth));
+      cells.push_back(run_cell(cfg, dim, grid));
   fill_baselines(cells);
 
   if (args.json) {

@@ -11,9 +11,9 @@ namespace flexcs::cs {
 namespace {
 
 // Cached measurement operators per decoder. Two covers the common
-// plain-decode + trimmed-decode pair; four also keeps a fresh-pattern retry
-// and a batch window resident without letting trimmed one-off patterns
-// evict everything.
+// plain-decode + trimmed-decode pair (the trimmed pass solves on the kept
+// subset, a pattern of its own); four also keeps a fresh-pattern retry and
+// its trimmed subset resident.
 constexpr std::size_t kOperatorCacheCapacity = 4;
 
 // `opts.solve` with the operator's exact sigma_max as the step-size hint:
@@ -106,9 +106,10 @@ DecodeResult Decoder::decode(const SamplingPattern& pattern,
   return decode_with(pattern, measurements, *solver_, opts_);
 }
 
-void Decoder::check_decode_args(const SamplingPattern& pattern,
-                                const la::Vector& measurements,
-                                const DecoderOptions& opts) const {
+DecodeResult Decoder::decode_with(const SamplingPattern& pattern,
+                                  const la::Vector& measurements,
+                                  const solvers::SparseSolver& solver,
+                                  const DecoderOptions& opts) const {
   FLEXCS_CHECK(measurements.size() == pattern.m(),
                "decoder: measurement count mismatch");
   FLEXCS_CHECK(measurements.size() > 0, "decoder: no measurements");
@@ -119,12 +120,11 @@ void Decoder::check_decode_args(const SamplingPattern& pattern,
                "decode_with cannot change the basis (operators are cached)");
   FLEXCS_CHECK(pattern.rows == rows_ && pattern.cols == cols_,
                "decoder: pattern shape mismatch");
-}
+  const CachedOperator entry = entry_for(pattern);
+  const SubsampledTransformOperator& a = *entry.op;
+  solvers::SolveResult sr =
+      solver.solve(a, measurements, with_norm_hint(a, opts));
 
-DecodeResult Decoder::finish_decode(const la::LinearOperator& a,
-                                    const la::Vector& measurements,
-                                    solvers::SolveResult sr,
-                                    const DecoderOptions& opts) const {
   // Skip de-biasing on an interrupted solve: the caller's budget is spent,
   // and a least-squares re-fit of a partial support isn't worth paying for.
   // The re-fit polls the same deadline and cancel token; when they fire
@@ -155,47 +155,6 @@ DecodeResult Decoder::finish_decode(const la::LinearOperator& a,
     for (std::size_t i = 0; i < out.frame.size(); ++i)
       out.frame.data()[i] = std::clamp(out.frame.data()[i], 0.0, 1.0);
   }
-  return out;
-}
-
-DecodeResult Decoder::decode_with(const SamplingPattern& pattern,
-                                  const la::Vector& measurements,
-                                  const solvers::SparseSolver& solver,
-                                  const DecoderOptions& opts) const {
-  check_decode_args(pattern, measurements, opts);
-  const CachedOperator entry = entry_for(pattern);
-  solvers::SolveResult sr =
-      solver.solve(*entry.op, measurements, with_norm_hint(*entry.op, opts));
-  return finish_decode(*entry.op, measurements, std::move(sr), opts);
-}
-
-std::vector<DecodeResult> Decoder::decode_batch(
-    const SamplingPattern& pattern,
-    const std::vector<la::Vector>& measurements) const {
-  return decode_batch_with(pattern, measurements, *solver_, opts_);
-}
-
-std::vector<DecodeResult> Decoder::decode_batch_with(
-    const SamplingPattern& pattern,
-    const std::vector<la::Vector>& measurements,
-    const solvers::SparseSolver& solver, const DecoderOptions& opts) const {
-  FLEXCS_CHECK(!measurements.empty(), "decoder: empty batch");
-  for (const la::Vector& y : measurements) check_decode_args(pattern, y, opts);
-
-  const CachedOperator entry = entry_for(pattern);
-  const la::LinearOperator& a = *entry.op;
-
-  // One batch-major solve for the window. Solvers with a lockstep main loop
-  // (FISTA/ISTA) amortise workspace and setup across frames; the rest fall
-  // back to sequential solve_impl calls inside solve_batch. Either way the
-  // per-frame results match one-by-one decode_with calls.
-  std::vector<solvers::SolveResult> srs =
-      solver.solve_batch(a, measurements, with_norm_hint(*entry.op, opts));
-
-  std::vector<DecodeResult> out;
-  out.reserve(measurements.size());
-  for (std::size_t f = 0; f < measurements.size(); ++f)
-    out.push_back(finish_decode(a, measurements[f], std::move(srs[f]), opts));
   return out;
 }
 

@@ -73,28 +73,10 @@ class Decoder {
                            const solvers::SparseSolver& solver,
                            const DecoderOptions& opts) const;
 
-  /// Batch decode: every frame in `measurements` was sampled with the same
-  /// `pattern`, so the measurement operator A = Φ_M·Ψ is built once (via the
-  /// cache), its exact spectral norm is passed to every solve as
-  /// SolveOptions::operator_norm_hint, and the whole batch runs through
-  /// SparseSolver::solve_batch — batch-major for solvers with a lockstep
-  /// main loop (FISTA/ISTA), so operator workspaces stay hot across frames.
-  /// Per-frame results are identical to one-by-one decode_with calls (frames
-  /// never interact in the lockstep solve) and index-aligned with the input.
-  std::vector<DecodeResult> decode_batch(
-      const SamplingPattern& pattern,
-      const std::vector<la::Vector>& measurements) const;
-
-  /// Same, with an explicit solver and options (cf. decode_with).
-  std::vector<DecodeResult> decode_batch_with(
-      const SamplingPattern& pattern,
-      const std::vector<la::Vector>& measurements,
-      const solvers::SparseSolver& solver, const DecoderOptions& opts) const;
-
   /// Cached measurement operator for a pattern, keyed on the pattern's index
-  /// vector (small MRU cache). Repeated decodes with the same pattern — a
-  /// trimmed decode's screen + final pass, or a batched window of frames —
-  /// reuse the operator and its DCT plans.
+  /// vector (small MRU cache). Repeated decodes with the same pattern — the
+  /// plain decode and the trimmed rung's screen — reuse the operator and
+  /// its DCT plans.
   std::shared_ptr<const SubsampledTransformOperator> measurement_operator(
       const SamplingPattern& pattern) const;
 
@@ -126,18 +108,6 @@ class Decoder {
   /// so callers never hold references into the MRU vector.
   CachedOperator entry_for(const SamplingPattern& pattern) const
       FLEXCS_EXCLUDES(cache_mu_);
-
-  /// Per-frame argument validation shared by decode_with / decode_batch_with.
-  void check_decode_args(const SamplingPattern& pattern,
-                         const la::Vector& measurements,
-                         const DecoderOptions& opts) const;
-
-  /// Post-solve tail shared by the single and batched decode paths: optional
-  /// de-bias on the recovered support, then synthesis + clamp into a frame.
-  DecodeResult finish_decode(const la::LinearOperator& a,
-                             const la::Vector& measurements,
-                             solvers::SolveResult sr,
-                             const DecoderOptions& opts) const;
 
   std::size_t rows_;
   std::size_t cols_;

@@ -16,9 +16,8 @@ namespace flexcs::cs {
 // grow, so a steady-state decode loop never reallocates.
 struct SubsampledTransformOperator::Scratch {
   dsp::DctWorkspace dct;
-  std::vector<double> grid;   // coefficient / frame grid (n doubles)
-  std::vector<double> frame;  // second grid for the out-of-place DCT passes
-  std::vector<double> haar;   // in-place Haar scratch (half-plane)
+  std::vector<double> grid;  // coefficient / frame grid (n doubles)
+  std::vector<double> haar;  // in-place Haar scratch (half-plane)
 };
 
 SubsampledTransformOperator::Scratch&
@@ -92,16 +91,16 @@ void SubsampledTransformOperator::apply_into(const double* x, double* y,
   const std::size_t rows = pattern_.rows, cols = pattern_.cols;
   const std::size_t n = pattern_.n();
   ws.grid.resize(n);
-  std::copy(x, x + n, ws.grid.begin());
-  const double* frame = ws.grid.data();
   if (basis_ == dsp::BasisKind::kDct2D) {
-    ws.frame.resize(n);
-    dsp::idct2d_apply(*row_plan_, *col_plan_, ws.grid.data(), ws.frame.data(),
-                      rows, cols, ws.dct);
-    frame = ws.frame.data();
+    // The DCT synthesis reads x as const and writes a separate grid.
+    dsp::idct2d_apply(*row_plan_, *col_plan_, x, ws.grid.data(), rows, cols,
+                      ws.dct);
   } else {
+    // Haar lifting runs in place, so it synthesises a copy of x.
+    std::copy(x, x + n, ws.grid.begin());
     dsp::ihaar2d_inplace(ws.grid.data(), rows, cols, haar_levels_, ws.haar);
   }
+  const double* frame = ws.grid.data();
   const std::size_t m = pattern_.indices.size();
   for (std::size_t k = 0; k < m; ++k) y[k] = frame[pattern_.indices[k]];
 }
@@ -144,45 +143,6 @@ la::Vector SubsampledTransformOperator::apply_adjoint(const la::Vector& y) const
   adjoint_count_.fetch_add(1, std::memory_order_relaxed);
   adjoint_ns_.fetch_add(elapsed_ns(t0), std::memory_order_relaxed);
   return x;
-}
-
-std::vector<la::Vector> SubsampledTransformOperator::apply_batch(
-    const std::vector<la::Vector>& xs) const {
-  for (const la::Vector& x : xs)
-    FLEXCS_CHECK(x.size() == cols(),
-                 "SubsampledTransformOperator::apply_batch shape mismatch");
-  const auto t0 = SteadyClock::now();
-  Scratch& ws = local_scratch();
-  std::vector<la::Vector> out;
-  out.reserve(xs.size());
-  for (const la::Vector& x : xs) {
-    la::Vector y(pattern_.m());
-    apply_into(x.data(), y.data(), ws);
-    out.push_back(std::move(y));
-  }
-  apply_count_.fetch_add(xs.size(), std::memory_order_relaxed);
-  apply_ns_.fetch_add(elapsed_ns(t0), std::memory_order_relaxed);
-  return out;
-}
-
-std::vector<la::Vector> SubsampledTransformOperator::apply_adjoint_batch(
-    const std::vector<la::Vector>& ys) const {
-  for (const la::Vector& y : ys)
-    FLEXCS_CHECK(y.size() == rows(),
-                 "SubsampledTransformOperator::apply_adjoint_batch shape "
-                 "mismatch");
-  const auto t0 = SteadyClock::now();
-  Scratch& ws = local_scratch();
-  std::vector<la::Vector> out;
-  out.reserve(ys.size());
-  for (const la::Vector& y : ys) {
-    la::Vector x(pattern_.n());
-    adjoint_into(y.data(), x.data(), ws);
-    out.push_back(std::move(x));
-  }
-  adjoint_count_.fetch_add(ys.size(), std::memory_order_relaxed);
-  adjoint_ns_.fetch_add(elapsed_ns(t0), std::memory_order_relaxed);
-  return out;
 }
 
 }  // namespace flexcs::cs

@@ -41,13 +41,6 @@ class SubsampledTransformOperator final : public la::LinearOperator {
   std::size_t cols() const override { return pattern_.n(); }
   la::Vector apply(const la::Vector& x) const override;
   la::Vector apply_adjoint(const la::Vector& y) const override;
-  /// Batch-major applies: the whole batch runs back-to-back through one
-  /// thread-local workspace (plans, FFT lanes, grids stay hot), so the
-  /// per-frame setup cost is paid once per batch instead of once per frame.
-  std::vector<la::Vector> apply_batch(
-      const std::vector<la::Vector>& xs) const override;
-  std::vector<la::Vector> apply_adjoint_batch(
-      const std::vector<la::Vector>& ys) const override;
   /// sigma_max(Φ_M Ψ) = 1 exactly: A·Aᵀ = Φ_M·Ψ·Ψᵀ·Φ_Mᵀ = I_M for an
   /// orthonormal Ψ, so A is a tight frame and every singular value is 1.
   /// The decoder passes this as FISTA's Lipschitz bound in place of a power
@@ -73,7 +66,7 @@ class SubsampledTransformOperator final : public la::LinearOperator {
   ApplyStats apply_stats() const;
 
  private:
-  // Unchecked single-frame kernels (shape validated by the public wrappers);
+  // Unchecked kernels (shape validated by the public wrappers);
   // `ws` carries the DCT workspace and the Haar scratch.
   struct Scratch;
   static Scratch& local_scratch();

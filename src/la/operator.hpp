@@ -37,11 +37,9 @@ class LinearOperator {
   /// x = Aᵀ y. Requires y.size() == rows().
   virtual Vector apply_adjoint(const Vector& y) const = 0;
 
-  /// Batched y_i = A x_i over frames sharing this operator. The base
-  /// implementation loops apply(); operators with reusable per-apply scratch
-  /// (the subsampled transforms) override it to run the batch back-to-back
-  /// through one workspace so cache traffic is amortised across frames.
-  /// Results are index-aligned with the input.
+  /// Batched y_i = A x_i over frames sharing this operator: loops apply()
+  /// (no library operator overrides it). Results are index-aligned with the
+  /// input.
   virtual std::vector<Vector> apply_batch(const std::vector<Vector>& xs) const;
 
   /// Batched x_i = Aᵀ y_i (same contract as apply_batch).

@@ -254,13 +254,41 @@ Strategy RobustPipeline::effective_max_rung(const FrameControl& ctrl) const {
              : opts_.max_rung;
 }
 
-RobustPipeline::FrameResult RobustPipeline::run_ladder(
-    const la::Matrix& corrupted_frame, Rng& rng, const FrameControl& ctrl,
-    RecoveryReport report, int budget, Strategy max_rung, Attempt rung0,
-    double rung0_seconds) {
-  const auto ladder_start = Deadline::Clock::now();
+RobustPipeline::FrameResult RobustPipeline::process(
+    const la::Matrix& corrupted_frame, Rng& rng, const FrameControl& ctrl) {
+  FLEXCS_CHECK(corrupted_frame.rows() == rows_ &&
+                   corrupted_frame.cols() == cols_,
+               "runtime: frame shape mismatch");
+  FLEXCS_CHECK(la::all_finite(corrupted_frame),
+               "runtime: non-finite pixel in frame");
+
+  const auto start = Deadline::Clock::now();
+  window_.push_back(corrupted_frame);
+  while (window_.size() > kRpcaWindow) window_.pop_front();
+
+  RecoveryReport report;
+  report.frame_index = next_frame_index_++;
+  int budget = effective_budget(ctrl);
+  const Strategy max_rung = effective_max_rung(ctrl);
   const double fraction =
       cs::resolve_fraction(ctrl.sampling_fraction, opts_.sampling_fraction);
+
+  // Rung 0: plain decode. This is byte-identical to Decoder::decode on the
+  // same acquisition — no screening, no trimming — so a healthy array pays
+  // exactly one solver call per frame. ctrl.solve rides along so even the
+  // plain decode honours the frame deadline.
+  cs::DecoderOptions plain_opts = decoder_.options();
+  plain_opts.solve = ctrl.solve;
+  Attempt rung0;
+  rung0.rung = Strategy::kPlainDecode;
+  acquire(corrupted_frame, rng, report, nullptr, fraction, rung0.pattern,
+          rung0.y);
+  const cs::DecodeResult plain =
+      decoder_.decode_with(rung0.pattern, rung0.y, decoder_.solver(),
+                           plain_opts);
+  report.decode_calls += 1;
+  budget -= 1;
+  rung0.cand = evaluate_decode(plain, rung0.y, rung0.y.size());
   report.first_rel_residual = rung0.cand.score;
 
   // `last` is the most recent attempt (an accepted one ends the climb and is
@@ -361,134 +389,11 @@ RobustPipeline::FrameResult RobustPipeline::run_ladder(
   // interrupted mid-iteration or the deadline lapsed between rungs.
   report.deadline_expired =
       last.cand.deadline_expired || ctrl.solve.should_stop();
-  report.decode_seconds =
-      rung0_seconds +
-      seconds_between(ladder_start, Deadline::Clock::now());
+  report.decode_seconds = seconds_between(start, Deadline::Clock::now());
 
   FrameResult out;
   out.frame = std::move(returned.cand.frame);
   out.report = std::move(report);
-  return out;
-}
-
-RobustPipeline::FrameResult RobustPipeline::process(
-    const la::Matrix& corrupted_frame, Rng& rng, const FrameControl& ctrl) {
-  FLEXCS_CHECK(corrupted_frame.rows() == rows_ &&
-                   corrupted_frame.cols() == cols_,
-               "runtime: frame shape mismatch");
-  FLEXCS_CHECK(la::all_finite(corrupted_frame),
-               "runtime: non-finite pixel in frame");
-
-  const auto start = Deadline::Clock::now();
-  window_.push_back(corrupted_frame);
-  while (window_.size() > kRpcaWindow) window_.pop_front();
-
-  RecoveryReport report;
-  report.frame_index = next_frame_index_++;
-  const int budget = effective_budget(ctrl);
-  const Strategy max_rung = effective_max_rung(ctrl);
-
-  // Rung 0: plain decode. This is byte-identical to Decoder::decode on the
-  // same acquisition — no screening, no trimming — so a healthy array pays
-  // exactly one solver call per frame. ctrl.solve rides along so even the
-  // plain decode honours the frame deadline.
-  cs::DecoderOptions plain_opts = decoder_.options();
-  plain_opts.solve = ctrl.solve;
-  Attempt rung0;
-  rung0.rung = Strategy::kPlainDecode;
-  acquire(corrupted_frame, rng, report, nullptr,
-          cs::resolve_fraction(ctrl.sampling_fraction, opts_.sampling_fraction),
-          rung0.pattern, rung0.y);
-  const cs::DecodeResult plain =
-      decoder_.decode_with(rung0.pattern, rung0.y, decoder_.solver(),
-                           plain_opts);
-  report.decode_calls += 1;
-  rung0.cand = evaluate_decode(plain, rung0.y, rung0.y.size());
-
-  return run_ladder(corrupted_frame, rng, ctrl, std::move(report), budget - 1,
-                    max_rung, std::move(rung0),
-                    seconds_between(start, Deadline::Clock::now()));
-}
-
-std::vector<RobustPipeline::FrameResult> RobustPipeline::process_batch(
-    const std::vector<la::Matrix>& frames, Rng& rng, const FrameControl& ctrl) {
-  FLEXCS_CHECK(!frames.empty(), "runtime: empty frame batch");
-  for (const la::Matrix& f : frames) {
-    FLEXCS_CHECK(f.rows() == rows_ && f.cols() == cols_,
-                 "runtime: frame shape mismatch in batch");
-    FLEXCS_CHECK(la::all_finite(f), "runtime: non-finite pixel in batch");
-  }
-
-  const auto start = Deadline::Clock::now();
-  const int budget = effective_budget(ctrl);
-  const Strategy max_rung = effective_max_rung(ctrl);
-
-  // One shared acquisition pattern for the whole batch: the decoder's cached
-  // measurement operator and Lipschitz estimate are priced once. The batch
-  // inherits ctrl's per-frame fraction override (callers must keep a batch
-  // fraction-homogeneous — the shared pattern can only have one size).
-  const cs::SamplingPattern base = cs::random_pattern(
-      rows_, cols_,
-      cs::resolve_fraction(ctrl.sampling_fraction, opts_.sampling_fraction),
-      rng);
-
-  struct Acquired {
-    RecoveryReport report;
-    cs::SamplingPattern pattern;
-    la::Vector y;
-    bool shares_operator = true;  // fault channel left the pattern intact
-  };
-  std::vector<Acquired> acquired(frames.size());
-  std::vector<la::Vector> shared_ys;
-  shared_ys.reserve(frames.size());
-  for (std::size_t i = 0; i < frames.size(); ++i) {
-    Acquired& a = acquired[i];
-    a.report.frame_index = next_frame_index_++;
-    a.pattern = base;
-    a.y = encoder_.encode(frames[i], base, rng);
-    apply_measurement_channel(a.report, a.pattern, a.y);
-    a.shares_operator = a.pattern.indices == base.indices;
-    if (a.shares_operator) shared_ys.push_back(a.y);
-  }
-
-  cs::DecoderOptions plain_opts = decoder_.options();
-  plain_opts.solve = ctrl.solve;
-  std::vector<cs::DecodeResult> shared_decodes;
-  if (!shared_ys.empty())
-    shared_decodes = decoder_.decode_batch_with(base, shared_ys,
-                                                decoder_.solver(), plain_opts);
-  const double shared_seconds =
-      seconds_between(start, Deadline::Clock::now()) /
-      static_cast<double>(frames.size());
-
-  std::vector<FrameResult> out;
-  out.reserve(frames.size());
-  std::size_t shared_next = 0;
-  for (std::size_t i = 0; i < frames.size(); ++i) {
-    Acquired& a = acquired[i];
-    // Window membership matches the sequential process() loop: a frame's
-    // ladder sees itself and its predecessors, never batch successors.
-    window_.push_back(frames[i]);
-    while (window_.size() > kRpcaWindow) window_.pop_front();
-
-    const auto frame_start = Deadline::Clock::now();
-    const cs::DecodeResult plain =
-        a.shares_operator
-            ? std::move(shared_decodes[shared_next++])
-            : decoder_.decode_with(a.pattern, a.y, decoder_.solver(),
-                                   plain_opts);
-    a.report.decode_calls += 1;
-    Attempt rung0;
-    rung0.rung = Strategy::kPlainDecode;
-    rung0.cand = evaluate_decode(plain, a.y, a.y.size());
-    rung0.pattern = std::move(a.pattern);
-    rung0.y = std::move(a.y);
-    out.push_back(run_ladder(
-        frames[i], rng, ctrl, std::move(a.report), budget - 1, max_rung,
-        std::move(rung0),
-        shared_seconds +
-            seconds_between(frame_start, Deadline::Clock::now())));
-  }
   return out;
 }
 

@@ -185,19 +185,6 @@ class RobustPipeline {
   FrameResult process(const la::Matrix& corrupted_frame, Rng& rng,
                       const FrameControl& ctrl);
 
-  /// Batched variant for streaming workers: every frame in the window is
-  /// sampled with ONE shared pattern, so the rung-0 decode reuses a single
-  /// cached measurement operator and Lipschitz estimate across the whole
-  /// batch (Decoder::decode_batch). Frames whose rung-0 sanity check fails
-  /// escalate individually through the normal ladder afterwards, in order.
-  /// `ctrl` (deadline included) spans the whole batch. Results are
-  /// index-aligned with `frames`. Frames whose measurement-fault channel
-  /// altered the pattern (dropped measurements) fall back to an individual
-  /// rung-0 decode — identical semantics, no shared operator.
-  std::vector<FrameResult> process_batch(const std::vector<la::Matrix>& frames,
-                                         Rng& rng,
-                                         const FrameControl& ctrl = {});
-
   const HealthCounters& health() const { return health_; }
   const RobustPipelineOptions& options() const { return opts_; }
   const cs::Decoder& decoder() const { return decoder_; }
@@ -247,15 +234,6 @@ class RobustPipeline {
   void acquire(const la::Matrix& frame, Rng& rng, RecoveryReport& report,
                const std::vector<bool>* exclude, double fraction,
                cs::SamplingPattern& p, la::Vector& y);
-  /// Rungs 1-4 plus selection of the returned attempt and the per-frame
-  /// bookkeeping. `budget` is what remains after rung 0; `rung0` is the
-  /// plain-decode attempt; `rung0_seconds` is the wall time already spent on
-  /// this frame (shared batch setup is amortised into it by process_batch).
-  FrameResult run_ladder(const la::Matrix& corrupted_frame, Rng& rng,
-                         const FrameControl& ctrl, RecoveryReport report,
-                         int budget, Strategy max_rung, Attempt rung0,
-                         double rung0_seconds);
-
   /// Per-frame budget and rung ceiling after `ctrl` overrides.
   int effective_budget(const FrameControl& ctrl) const;
   Strategy effective_max_rung(const FrameControl& ctrl) const;

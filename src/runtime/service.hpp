@@ -200,7 +200,7 @@ class DecodeService {
   ServiceFrameResult process(const la::Matrix& frame,
                              const solvers::SolveOptions& ctrl = {});
 
-  /// Batched variant: frames are submitted as one burst through the
+  /// Multi-frame variant: frames are submitted as one burst through the
   /// admission policy, then decoded max_inflight_frames at a time. Results
   /// are index-aligned with `frames` (dropped frames flagged, zero-filled).
   std::vector<ServiceFrameResult> process_batch(

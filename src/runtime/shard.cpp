@@ -78,21 +78,16 @@ std::vector<ShardFrameResult> ShardedDecoder::process_batch(
   submit_ctrl.cancel = ctrl.cancel;
 
   // Gate pass, one per frame in submission order (the gate's hysteresis /
-  // refresh clocks advance per frame regardless of batching, so a batch of B
-  // frames gates exactly like B single-frame calls).
+  // refresh clocks advance per frame, so a call with B frames gates exactly
+  // like B single-frame calls).
   std::vector<FrameActivity> activity(frames.size());
   if (gated)
     for (std::size_t f = 0; f < frames.size(); ++f)
       activity[f] = gate_.update(frames[f]);
 
-  // Scatter, tile-position-major: consecutive submissions share the padded
-  // tile geometry AND the tile position, so a batching StreamServer decodes
-  // them with one shared sampling pattern (RobustPipeline::process_batch).
-  // In gated mode, tiles whose detector stayed quiet are simply never
-  // submitted — that is the entire saving — and each submitted tile carries
-  // its adaptive sampling fraction (the stream keeps batches
-  // fraction-homogeneous, so mixed dense/sparse tiles never share a
-  // pattern).
+  // Scatter, tile-position-major. In gated mode, tiles whose detector stayed
+  // quiet are simply never submitted — that is the entire saving — and each
+  // submitted tile carries its adaptive sampling fraction.
   for (std::size_t t = 0; t < n_tiles; ++t) {
     for (std::size_t f = 0; f < frames.size(); ++f) {
       SubmitControl tile_ctrl = submit_ctrl;
@@ -101,7 +96,7 @@ std::vector<ShardFrameResult> ShardedDecoder::process_batch(
         if (!ta.decode) continue;
         tile_ctrl.sampling_fraction = gate_.decode_fraction(ta);
       }
-      // Stable tile id: the stream seeds tile t of batch frame f from it, so
+      // Stable tile id: the stream seeds tile t of frame f from it, so
       // an activity gate that skips tiles around a decode cannot change its
       // sampling pattern (the gated and ungated arms decode shared tiles
       // identically).
@@ -112,10 +107,6 @@ std::vector<ShardFrameResult> ShardedDecoder::process_batch(
       ++total_submitted_;
     }
   }
-  // Under strict batching, release any trailing partial batch — the gather
-  // below would otherwise wait forever for tiles still parked in the queue.
-  server_.flush();
-
   // Gather: block until the pool has finished every tile ever submitted
   // (cumulative count — results of concurrent callers are not supported;
   // the class is documented single-caller).
@@ -141,7 +132,7 @@ std::vector<ShardFrameResult> ShardedDecoder::process_batch(
   // bit-for-bit from frame f-1's FINAL reconstruction (which may itself
   // contain tiles served stale earlier — staleness chains until a decode or
   // forced refresh replaces the tile). Frame 0 serves from the previous
-  // batch's last reconstruction; the first frame ever seen forces every
+  // call's last reconstruction; the first frame ever seen forces every
   // tile, so last_recon_ is never read empty.
   if (gated) {
     for (std::size_t f = 0; f < frames.size(); ++f) {

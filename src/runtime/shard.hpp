@@ -19,11 +19,9 @@
 // (frame * tiles + tile; see StreamOptions::seed), so reconstructions are
 // bit-reproducible regardless of worker count or pop interleaving. `frame`
 // there is the frame's index inside one process_batch() call, not a running
-// count: process() is a batch of one, so every process() call decodes tile t
+// count: process() decodes one frame, so every process() call decodes tile t
 // with the same sampling pattern Φ, while DecodeService numbers frames
-// globally and draws a fresh Φ per frame. (Batch partitioning under
-// batch_depth > 1 still depends on timing unless stream.strict_batching is
-// set.)
+// globally and draws a fresh Φ per frame.
 //
 // Event-driven mode (ShardOptions::gate.enabled) puts an ActivityGate in
 // front of the scatter: tiles whose change detector stays quiet are never
@@ -78,9 +76,9 @@ struct TileReport {
 };
 
 /// Aggregate of one sharded frame decode. All counters are PER FRAME (each
-/// frame of a batch aggregates only its own tiles); the one batch-level value
-/// is decode_seconds, the wall time of the whole scatter/gather, which every
-/// frame of a batch shares. In event-driven mode the decode counters cover
+/// frame of a process_batch() call aggregates only its own tiles); the one
+/// call-level value is decode_seconds, the wall time of the whole
+/// scatter/gather, which every frame of the call shares. In event-driven mode the decode counters cover
 /// only the tiles actually decoded this frame — a served-stale tile
 /// contributes no decode_calls, no acceptance and no residual.
 struct ShardReport {
@@ -114,7 +112,7 @@ struct ShardFrameResult {
 
 /// Scatter/gather front-end decoding a large array as a grid of concurrent
 /// tile solves. Owns a StreamServer of the padded tile geometry. NOT
-/// thread-safe: one frame (or one batch) in flight at a time, from one
+/// thread-safe: one process()/process_batch() call at a time, from one
 /// caller thread — the concurrency lives in the worker pool underneath.
 class ShardedDecoder {
  public:
@@ -148,11 +146,10 @@ class ShardedDecoder {
   ShardFrameResult process(const la::Matrix& frame,
                            const solvers::SolveOptions& ctrl = {});
 
-  /// Batched variant: tiles are submitted tile-position-major (all frames'
-  /// tile 0, then all frames' tile 1, …) so a StreamServer with batch_depth
-  /// > 1 batches same-geometry tile solves and shares one measurement
-  /// operator + Lipschitz estimate across them. Results are index-aligned
-  /// with `frames`.
+  /// Multi-frame variant: every frame's tiles are scattered before the one
+  /// gather, tile-position-major (all frames' tile 0, then all frames' tile
+  /// 1, …), so the pool stays busy across frame boundaries. Results are
+  /// index-aligned with `frames`.
   std::vector<ShardFrameResult> process_batch(
       const std::vector<la::Matrix>& frames,
       const solvers::SolveOptions& ctrl = {});

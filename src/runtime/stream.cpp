@@ -80,8 +80,6 @@ StreamServer::StreamServer(std::size_t rows, std::size_t cols,
                "stream queue needs at least one slot");
   FLEXCS_CHECK(opts_.watchdog_period_seconds > 0.0,
                "watchdog period must be positive");
-  FLEXCS_CHECK(opts_.batch_depth >= 1,
-               "stream batch depth must be at least one frame");
 
   in_flight_.resize(opts_.workers);
   pipelines_.reserve(opts_.workers);
@@ -139,51 +137,21 @@ bool StreamServer::submit(std::uint64_t stream_id, la::Matrix frame,
   return true;
 }
 
-void StreamServer::flush() {
-  {
-    common::MutexLock lock(mu_);
-    flush_upto_ = next_submit_index_;
-  }
-  queue_not_empty_.notify_all();
-}
-
 void StreamServer::worker_loop(std::size_t worker_index) {
   for (;;) {
-    std::vector<Pending> batch;
+    Pending item;
     std::size_t depth_after = 0;
     {
       common::MutexLock lock(mu_);
-      // Strict batching holds the pop until a full batch_depth run is
-      // queued, so batch partitioning is a function of submission order
-      // alone, not of producer/worker timing. close() and flush() release
-      // partial runs (there is nothing more to wait for).
-      while (!closed_ &&
-             (queue_.empty() ||
-              (opts_.strict_batching && queue_.size() < opts_.batch_depth &&
-               queue_.front().submit_index >= flush_upto_)))
-        queue_not_empty_.wait(mu_);
+      while (!closed_ && queue_.empty()) queue_not_empty_.wait(mu_);
       if (queue_.empty()) return;  // closed and fully drained
-      const std::size_t take = std::min(opts_.batch_depth, queue_.size());
-      batch.reserve(take);
-      for (std::size_t i = 0; i < take; ++i) {
-        // Batches stay fraction-homogeneous: process_batch samples every
-        // frame with ONE shared pattern, which can only have one size. The
-        // first mismatching frame starts the next batch instead.
-        if (i > 0 &&
-            queue_.front().sampling_fraction != batch.front().sampling_fraction)
-          break;
-        batch.push_back(std::move(queue_.front()));
-        queue_.pop_front();
-      }
+      item = std::move(queue_.front());
+      queue_.pop_front();
       depth_after = queue_.size();
     }
-    if (batch.size() > 1)
-      queue_not_full_.notify_all();  // freed several slots at once
-    else
-      queue_not_full_.notify_one();
+    queue_not_full_.notify_one();
 
     const auto dequeued_at = Deadline::Clock::now();
-    const std::size_t n = batch.size();
 
     // Degrade ladder: as the queue fills, spend less on each frame (see
     // degrade_caps). On top of the depth-based level, Degrade treats the
@@ -197,15 +165,11 @@ void StreamServer::worker_loop(std::size_t worker_index) {
     const DegradeCaps caps = degrade_caps(level);
     double deadline_s = opts_.frame_deadline_seconds * caps.deadline_scale;
     FrameControl ctrl;
-    // Homogeneous across the batch (enforced at the pop above).
-    ctrl.sampling_fraction = batch.front().sampling_fraction;
+    ctrl.sampling_fraction = item.sampling_fraction;
     ctrl.max_rung = caps.max_rung;
     ctrl.max_decode_calls = caps.max_decode_calls;
     if (degrade && opts_.frame_deadline_seconds > 0.0) {
-      // The oldest frame of the batch has burned the most queue time; its
-      // remaining end-to-end budget bounds the whole batch.
-      const double queued =
-          seconds_since(batch.front().submitted_at, dequeued_at);
+      const double queued = seconds_since(item.submitted_at, dequeued_at);
       const double remaining = opts_.frame_deadline_seconds - queued;
       const double floor =
           kDegradeDeadlineFloor * opts_.frame_deadline_seconds;
@@ -216,27 +180,21 @@ void StreamServer::worker_loop(std::size_t worker_index) {
     const bool cheapened =
         level >= 1 || (opts_.frame_deadline_seconds > 0.0 &&
                        deadline_s < 0.75 * opts_.frame_deadline_seconds);
-    // One solve control spans the whole batch, so the per-frame deadline
-    // scales by the batch size.
-    deadline_s *= static_cast<double>(n);
     if (deadline_s > 0.0) ctrl.solve.deadline = Deadline::after(deadline_s);
 
-    // External per-submission deadlines only ever tighten: the earliest one
-    // across the batch wins over the policy-derived deadline.
-    for (const Pending& p : batch) {
-      if (p.external_deadline.unlimited()) continue;
-      if (ctrl.solve.deadline.unlimited() ||
-          p.external_deadline.when() < ctrl.solve.deadline.when())
-        ctrl.solve.deadline = p.external_deadline;
-    }
+    // An external per-submission deadline only ever tightens the
+    // policy-derived one.
+    if (!item.external_deadline.unlimited() &&
+        (ctrl.solve.deadline.unlimited() ||
+         item.external_deadline.when() < ctrl.solve.deadline.when()))
+      ctrl.solve.deadline = item.external_deadline;
 
     // Register with the watchdog before starting the solve.
     CancelSource cancel;
     ctrl.solve.cancel = cancel.token();
-    // A submission whose external token already fired cancels its batch up
-    // front; tokens that fire mid-solve are forwarded by the watchdog.
-    for (const Pending& p : batch)
-      if (p.external_cancel.cancelled()) cancel.cancel();
+    // A submission whose external token already fired is cancelled up
+    // front; a token that fires mid-solve is forwarded by the watchdog.
+    if (item.external_cancel.cancelled()) cancel.cancel();
     double stall_after = opts_.stall_floor_seconds;
     if (deadline_s > 0.0)
       stall_after = std::max(stall_after, kStallMultiplier * deadline_s);
@@ -248,58 +206,43 @@ void StreamServer::worker_loop(std::size_t worker_index) {
       slot.started_at = dequeued_at;
       slot.stall_after_seconds = stall_after;
       slot.cancel = cancel;
-      slot.externals.clear();
-      for (const Pending& p : batch)
-        slot.externals.push_back(p.external_cancel);
+      slot.external = item.external_cancel;
     }
 
-    // The decode RNG derives from the batch head's stream id, so the result
-    // is a pure function of (seed, id, content) — which worker popped it,
-    // and what it decoded before, do not matter.
-    Rng rng(opts_.seed ^
-            (0x9e3779b97f4a7c15ULL * (batch.front().stream_id + 1)));
-    std::vector<RobustPipeline::FrameResult> frs;
-    if (n == 1) {
-      frs.push_back(
-          pipelines_[worker_index]->process(batch.front().frame, rng, ctrl));
-    } else {
-      std::vector<la::Matrix> frames;
-      frames.reserve(n);
-      for (Pending& p : batch) frames.push_back(std::move(p.frame));
-      frs = pipelines_[worker_index]->process_batch(frames, rng, ctrl);
-    }
+    // The decode RNG derives from the stream id, so the result is a pure
+    // function of (seed, id, content) — which worker popped it, and what it
+    // decoded before, do not matter.
+    Rng rng(opts_.seed ^ (0x9e3779b97f4a7c15ULL * (item.stream_id + 1)));
+    RobustPipeline::FrameResult fr =
+        pipelines_[worker_index]->process(item.frame, rng, ctrl);
 
     bool was_stalled = false;
     {
       common::MutexLock lock(inflight_mu_);
       was_stalled = in_flight_[worker_index].stall_fired;
       in_flight_[worker_index].active = false;
-      in_flight_[worker_index].externals.clear();
+      in_flight_[worker_index].external = CancelToken{};
     }
 
     const auto finished_at = Deadline::Clock::now();
     {
       common::MutexLock lock(results_mu_);
-      for (std::size_t i = 0; i < n; ++i) {
-        StreamResult result;
-        result.stream_id = batch[i].stream_id;
-        result.submit_index = batch[i].submit_index;
-        result.frame = std::move(frs[i].frame);
-        result.report = std::move(frs[i].report);
-        result.degrade_level = level;
-        result.queue_seconds = seconds_since(batch[i].submitted_at,
-                                             dequeued_at);
-        result.latency_seconds =
-            seconds_since(batch[i].submitted_at, finished_at);
-        // A watchdog cancellation surfaces on the report as well: the
-        // solver's cooperative check is what actually stopped the frame.
-        if (was_stalled) result.report.deadline_expired = true;
-        ++completed_;
-        if (cheapened) ++degraded_;
-        if (result.report.deadline_expired) ++deadline_expired_;
-        latencies_seconds_.push_back(result.latency_seconds);
-        results_.push_back(std::move(result));
-      }
+      StreamResult result;
+      result.stream_id = item.stream_id;
+      result.submit_index = item.submit_index;
+      result.frame = std::move(fr.frame);
+      result.report = std::move(fr.report);
+      result.degrade_level = level;
+      result.queue_seconds = seconds_since(item.submitted_at, dequeued_at);
+      result.latency_seconds = seconds_since(item.submitted_at, finished_at);
+      // A watchdog cancellation surfaces on the report as well: the solver's
+      // cooperative check is what actually stopped the frame.
+      if (was_stalled) result.report.deadline_expired = true;
+      ++completed_;
+      if (cheapened) ++degraded_;
+      if (result.report.deadline_expired) ++deadline_expired_;
+      latencies_seconds_.push_back(result.latency_seconds);
+      results_.push_back(std::move(result));
     }
     results_cv_.notify_all();
   }
@@ -328,11 +271,7 @@ void StreamServer::watchdog_loop() {
       if (!slot.active) continue;
       // Forward external cancellation into the running solve. Not a stall:
       // the caller asked for it, so it is not counted or marked as one.
-      for (const CancelToken& t : slot.externals) {
-        if (!t.cancelled()) continue;
-        slot.cancel.cancel();
-        break;
-      }
+      if (slot.external.cancelled()) slot.cancel.cancel();
       if (slot.stall_fired) continue;
       if (slot.stall_after_seconds <= 0.0) continue;
       if (seconds_since(slot.started_at, now) < slot.stall_after_seconds)

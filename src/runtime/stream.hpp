@@ -61,34 +61,17 @@ struct StreamOptions {
   double stall_floor_seconds = 0.0;
   double watchdog_period_seconds = 0.002;  // scan interval
   bool watchdog_enabled = true;
-  // Frames a worker pops per dequeue (>= 1). A batch is decoded through
-  // RobustPipeline::process_batch — one shared sampling pattern, so the
-  // cached measurement operator and its Lipschitz estimate are priced once
-  // per batch instead of once per frame. The per-frame deadline scales by
-  // the batch size (one control spans the whole batch); degrade levels are
-  // computed once per batch from the queue depth after the pop.
-  std::size_t batch_depth = 1;
-  // Deterministic batch formation: a worker holds its pop until the queue
-  // holds a full batch_depth run (instead of taking whatever is queued at
-  // wake-up, which makes batch partitioning depend on producer/worker
-  // timing). With one worker this makes batched decode a pure function of
-  // the submission order — the property the gated-vs-ungated differential
-  // tests pin bit-for-bit. Callers that submit a count not divisible by
-  // batch_depth MUST call flush() afterwards (ShardedDecoder does) or the
-  // trailing partial batch waits until close(). Off by default: freshness
-  // policies (Degrade/DropOldest) prefer popping whatever is available.
-  bool strict_batching = false;
   // Per-worker recovery pipeline configuration (shared by all workers).
   // Each worker owns a RobustPipeline (and hence a Decoder) built from this.
   RobustPipelineOptions pipeline;
   // Sparse solver shared by all workers (solvers are immutable once built,
   // so concurrent solve() calls are safe). Null selects the library default.
   std::shared_ptr<const solvers::SparseSolver> solver;
-  // Base seed. Every batch seeds a fresh decode RNG from (seed, stream_id of
-  // the batch head), so a decode is a pure function of its submission id —
-  // independent of worker count, pop interleaving, and of any frames that
-  // were never submitted. Submissions that share a stream id share their
-  // sampling pattern.
+  // Base seed. Every frame seeds a fresh decode RNG from (seed, stream_id),
+  // so a decode is a pure function of its submission id — independent of
+  // worker count, pop interleaving, and of any frames that were never
+  // submitted. Submissions that share a stream id share their sampling
+  // pattern.
   std::uint64_t seed = 0x5eed;
 };
 
@@ -116,19 +99,17 @@ struct StreamHealth {
 };
 
 /// Optional per-submission control: an external deadline tightens the
-/// worker's policy-derived solve deadline for whichever batch the frame
-/// rides in, and an external cancel token is forwarded into the running
-/// solve by the watchdog (without counting as a stall). Both default inert.
+/// worker's policy-derived solve deadline for the frame, and an external
+/// cancel token is forwarded into the running solve by the watchdog
+/// (without counting as a stall). Both default inert.
 /// Used by ShardedDecoder to propagate one frame-level deadline/cancel into
 /// every tile solve.
 struct SubmitControl {
   Deadline deadline;
   CancelToken cancel;
   // When > 0, overrides the pipeline's configured sampling fraction for this
-  // frame (forwarded as FrameControl::sampling_fraction). Workers never mix
-  // fractions within one decode batch: a batch pop stops at the first queued
-  // frame whose fraction differs, preserving process_batch's one-shared-
-  // pattern invariant. 0 keeps the configured fraction.
+  // frame (forwarded as FrameControl::sampling_fraction). 0 keeps the
+  // configured fraction.
   double sampling_fraction = 0.0;
 };
 
@@ -170,13 +151,6 @@ class StreamServer {
   /// so gather-style callers (ShardedDecoder) must not use that policy.
   void wait_for_completed(std::size_t target) const
       FLEXCS_EXCLUDES(results_mu_);
-
-  /// Strict batching only (no-op otherwise): releases everything submitted
-  /// so far for processing even where it falls short of a full batch_depth
-  /// run. Call after the last submit of a logical group so trailing partial
-  /// batches do not wait for partners that will never arrive; submissions
-  /// made after the flush are again held to full batches. Thread-safe.
-  void flush() FLEXCS_EXCLUDES(mu_);
 
   /// Stops intake, lets the workers drain the queue, and joins all threads.
   /// Idempotent; called by the destructor.
@@ -225,9 +199,9 @@ class StreamServer {
     Deadline::Clock::time_point started_at{};
     double stall_after_seconds = 0.0;  // <= 0 disables the watchdog for it
     CancelSource cancel;
-    // External cancel tokens of the batch in flight; the watchdog forwards
-    // a fired one into `cancel` (not counted as a stall).
-    std::vector<CancelToken> externals;
+    // External cancel token of the frame in flight; the watchdog forwards
+    // it into `cancel` once it fires (not counted as a stall).
+    CancelToken external;
   };
 
   void worker_loop(std::size_t worker_index)
@@ -248,16 +222,13 @@ class StreamServer {
   std::deque<Pending> queue_ FLEXCS_GUARDED_BY(mu_);
   bool closed_ FLEXCS_GUARDED_BY(mu_) = false;
   std::uint64_t next_submit_index_ FLEXCS_GUARDED_BY(mu_) = 0;
-  // Strict batching: submissions with submit_index < flush_upto_ may be
-  // popped as a partial batch; later ones wait for a full batch_depth run.
-  std::uint64_t flush_upto_ FLEXCS_GUARDED_BY(mu_) = 0;
   std::size_t queue_high_water_ FLEXCS_GUARDED_BY(mu_) = 0;
   std::size_t submitted_ FLEXCS_GUARDED_BY(mu_) = 0;
   std::size_t dropped_ FLEXCS_GUARDED_BY(mu_) = 0;
 
   // results_mu_ guards the completion side: results, latency samples and the
   // completion counters; results_cv_ wakes wait_for_completed() after each
-  // batch completes.
+  // frame completes.
   mutable common::Mutex results_mu_;
   mutable common::CondVar results_cv_;
   std::vector<StreamResult> results_ FLEXCS_GUARDED_BY(results_mu_);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <utility>
 
 #include "common/check.hpp"
 
@@ -73,78 +72,54 @@ la::Vector soft_threshold(const la::Vector& v, double t) {
 SolveResult FistaSolver::solve_impl(const la::LinearOperator& a,
                                     const la::Vector& b,
                                     const SolveOptions& ctrl) const {
-  // A single solve is a batch of one: one update loop serves both paths.
-  return std::move(solve_batch_impl(a, {b}, ctrl).front());
-}
-
-std::vector<SolveResult> FistaSolver::solve_batch_impl(
-    const la::LinearOperator& a, const std::vector<la::Vector>& bs,
-    const SolveOptions& ctrl) const {
-  for (const la::Vector& b : bs) validate_solve_inputs(a, b, "FISTA");
+  validate_solve_inputs(a, b, "FISTA");
   const std::size_t n = a.cols();
-  const std::size_t frames = bs.size();
 
-  std::vector<SolveResult> results(frames);
-  std::vector<std::size_t> active;
-  active.reserve(frames);
-  for (std::size_t f = 0; f < frames; ++f) {
-    results[f].x = la::Vector(n, 0.0);
-    const double bnorm = bs[f].norm2();
-    if (bnorm == 0.0) {
-      results[f].converged = true;
-    } else if (ctrl.should_stop()) {  // expired before the operator setup
-      results[f].deadline_expired = true;
-      results[f].residual_norm = bnorm;
-    } else {
-      active.push_back(f);
-    }
+  SolveResult result;
+  result.x = la::Vector(n, 0.0);
+  const double bnorm = b.norm2();
+  if (bnorm == 0.0) {
+    result.converged = true;
+    return result;
   }
-  if (active.empty()) return results;
-
-  // A^T b for every live frame through one batched adjoint pass. The
-  // regularisation weight stays per-frame: each b scales its own lambda
-  // exactly as in a single solve.
-  std::vector<la::Vector> bsel;
-  bsel.reserve(active.size());
-  for (std::size_t f : active) bsel.push_back(bs[f]);
-  std::vector<la::Vector> atbsel = a.apply_adjoint_batch(bsel);
-
-  std::vector<la::Vector> atbs(frames), xs(frames), ys(frames);
-  std::vector<double> lambdas(frames, 0.0), ts(frames, 1.0);
-  for (std::size_t k = 0; k < active.size(); ++k) {
-    const std::size_t f = active[k];
-    atbs[f] = std::move(atbsel[k]);
-    lambdas[f] =
-        opts_.lambda > 0.0 ? opts_.lambda : 1e-3 * atbs[f].norm_inf();
-    xs[f] = la::Vector(n, 0.0);
-    ys[f] = xs[f];
+  if (ctrl.should_stop()) {  // expired before the operator setup
+    result.deadline_expired = true;
+    result.residual_norm = bnorm;
+    return result;
   }
 
-  // One Lipschitz setup for the whole batch: sigma depends only on A and
-  // ctrl, so every frame would compute the identical value on its own.
+  // The regularisation weight scales with b through A^T b.
+  const la::Vector atb = a.apply_adjoint(b);
+  const double lambda =
+      opts_.lambda > 0.0 ? opts_.lambda : 1e-3 * atb.norm_inf();
+  la::Vector& x = result.x;
+  la::Vector y = x;
+  double t = 1.0;
+
   const double sigma = lipschitz_sigma(a, ctrl);
   FLEXCS_CHECK(sigma > 0.0, "FISTA: zero operator");
   const double step = 1.0 / (sigma * sigma);
+  const double thresh = step * lambda;
 
-  // Proximal-gradient update of frame f from grad = A^T A y_f, fused into
-  // one pass over the coefficients: gradient offset, shrink, the change and
-  // magnitude maxima, momentum, the in-place x/y write-back, and the
-  // gradient adaptive-restart test g = <y_old - x_new, x_new - x_old>
-  // (O'Donoghue & Candes 2015). g > 0 means the momentum step points uphill
-  // on the composite objective, so frame f drops its momentum (t = 1,
-  // y = x) and continues from x_new as a plain proximal step. True once
-  // the relative change in x falls below tol.
-  const auto update = [&](std::size_t f, const la::Vector& grad, int it) {
+  for (int it = 0; it < opts_.max_iterations; ++it) {
+    if (ctrl.should_stop()) {
+      result.deadline_expired = true;
+      break;
+    }
+    // Proximal-gradient update from grad = A^T A y, fused into one pass over
+    // the coefficients: gradient offset, shrink, the change and magnitude
+    // maxima, momentum, the in-place x/y write-back, and the gradient
+    // adaptive-restart test g = <y_old - x_new, x_new - x_old> (O'Donoghue &
+    // Candes 2015). g > 0 means the momentum step points uphill on the
+    // composite objective, so the solve drops its momentum (t = 1, y = x)
+    // and continues from x_new as a plain proximal step.
+    const la::Vector grad = a.apply_adjoint(a.apply(y));
     FLEXCS_CHECK(grad.size() == n, "FISTA: adjoint result size mismatch");
-    const la::Vector& atb = atbs[f];
-    la::Vector& x = xs[f];
-    la::Vector& y = ys[f];
-    const double thresh = step * lambdas[f];
     double beta = 0.0;
     if (opts_.accelerate) {
-      const double t_new = 0.5 * (1.0 + std::sqrt(1.0 + 4.0 * ts[f] * ts[f]));
-      beta = (ts[f] - 1.0) / t_new;
-      ts[f] = t_new;
+      const double t_new = 0.5 * (1.0 + std::sqrt(1.0 + 4.0 * t * t));
+      beta = (t - 1.0) / t_new;
+      t = t_new;
     }
     double dx = 0.0, xmax = 0.0, g = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
@@ -158,53 +133,16 @@ std::vector<SolveResult> FistaSolver::solve_batch_impl(
       x[i] = x_new;
     }
     if (opts_.accelerate && g > 0.0) {
-      ts[f] = 1.0;
+      t = 1.0;
       y = x;
     }
-    results[f].iterations = it + 1;
-    results[f].converged = dx / std::max(1e-12, xmax) < opts_.tol;
-    return results[f].converged;
-  };
-
-  const std::vector<std::size_t> started = active;
-  std::vector<std::size_t> still;
-  still.reserve(active.size());
-  std::vector<la::Vector> yin;
-  for (int it = 0; it < opts_.max_iterations && !active.empty(); ++it) {
-    if (ctrl.should_stop()) {
-      for (std::size_t f : active) results[f].deadline_expired = true;
-      break;
-    }
-    still.clear();
-    if (active.size() == 1) {
-      // A lone frame (every single solve) applies A directly, so it pays no
-      // batch containers per iteration.
-      const std::size_t f = active.front();
-      if (!update(f, a.apply_adjoint(a.apply(ys[f])), it)) still.push_back(f);
-    } else {
-      // Batched gradient step at every live frame's extrapolation point:
-      // grad_f = A^T (A y_f - b_f), with both operator passes batch-major.
-      yin.clear();
-      for (std::size_t f : active) yin.push_back(ys[f]);
-      std::vector<la::Vector> grads =
-          a.apply_adjoint_batch(a.apply_batch(yin));
-      for (std::size_t k = 0; k < active.size(); ++k)
-        if (!update(active[k], grads[k], it)) still.push_back(active[k]);
-    }
-    active.swap(still);
+    result.iterations = it + 1;
+    result.converged = dx / std::max(1e-12, xmax) < opts_.tol;
+    if (result.converged) break;
   }
 
-  // Final residuals for every frame that entered the loop, again batch-major.
-  std::vector<la::Vector> xsel;
-  xsel.reserve(started.size());
-  for (std::size_t f : started) xsel.push_back(std::move(xs[f]));
-  const std::vector<la::Vector> axs = a.apply_batch(xsel);
-  for (std::size_t k = 0; k < started.size(); ++k) {
-    const std::size_t f = started[k];
-    results[f].residual_norm = (axs[k] - bs[f]).norm2();
-    results[f].x = std::move(xsel[k]);
-  }
-  return results;
+  result.residual_norm = (a.apply(x) - b).norm2();
+  return result;
 }
 
 }  // namespace flexcs::solvers

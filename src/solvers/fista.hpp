@@ -21,17 +21,8 @@ class FistaSolver final : public SparseSolver {
   std::string name() const override { return opts_.accelerate ? "fista" : "ista"; }
 
  protected:
-  /// A batch of one through solve_batch_impl.
   SolveResult solve_impl(const la::LinearOperator& a, const la::Vector& b,
                          const SolveOptions& ctrl) const override;
-  /// Batch-major lockstep: all frames advance together, sharing one
-  /// Lipschitz setup and the operator's batched applies. Frames never
-  /// interact (per-frame lambda, momentum, restart and stopping), so each
-  /// frame's iterate sequence — and result — is identical to a sequential
-  /// solve.
-  std::vector<SolveResult> solve_batch_impl(
-      const la::LinearOperator& a, const std::vector<la::Vector>& bs,
-      const SolveOptions& ctrl) const override;
 
  private:
   FistaOptions opts_;

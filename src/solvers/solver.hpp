@@ -26,8 +26,8 @@ namespace flexcs::solvers {
 struct SolveOptions {
   runtime::Deadline deadline;
   runtime::CancelToken cancel;
-  // Known upper bound on sigma_max(A), e.g. cached by the decoder across a
-  // batch of frames sharing one sampling pattern. When > 0, solvers that
+  // Known upper bound on sigma_max(A), e.g. the exact sigma_max = 1 the
+  // decoder passes for its tight-frame operators. When > 0, solvers that
   // need a Lipschitz / step-size estimate (FISTA/ISTA) use it directly and
   // skip their own spectral setup. 0 means unknown: each solve computes its
   // own estimate. Passing a bound for the wrong operator slows convergence
@@ -81,15 +81,12 @@ class SparseSolver {
   SolveResult solve(const la::LinearOperator& a, const la::Vector& b,
                     const SolveOptions& ctrl) const;
 
-  /// Batched solve: every b in `bs` shares the operator A. The base
-  /// implementation solves frame-by-frame; solvers with a batch-major main
-  /// loop (FISTA/ISTA) override solve_batch_impl to run all frames in
-  /// lockstep through A's batched applies — per-frame iterate sequences are
-  /// identical to sequential solves (frames never interact), so results
-  /// match the one-by-one path bit for bit. Per-result deadline semantics
-  /// and the partial-iterate guarantee match solve(); solve_seconds carries
-  /// each frame's amortised share of the batch wall time. Requires a
-  /// non-empty batch.
+  /// Batched solve: every b in `bs` shares the operator A. Solves
+  /// frame-by-frame (no library solver overrides solve_batch_impl), so
+  /// results match one-by-one solve() calls bit for bit. Per-result deadline
+  /// semantics and the partial-iterate guarantee match solve();
+  /// solve_seconds carries each frame's share of the batch wall time.
+  /// Requires a non-empty batch.
   std::vector<SolveResult> solve_batch(const la::LinearOperator& a,
                                        const std::vector<la::Vector>& bs,
                                        const SolveOptions& ctrl = {}) const;
@@ -106,9 +103,9 @@ class SparseSolver {
                                  const la::Vector& b,
                                  const SolveOptions& ctrl) const = 0;
 
-  /// Batched algorithm body. Defaults to frame-by-frame solve_impl calls;
-  /// overrides must keep per-frame results identical to sequential solves
-  /// (same contract as solve_impl, applied elementwise).
+  /// Batched algorithm body: frame-by-frame solve_impl calls. Overrides
+  /// must keep per-frame results identical to sequential solves (same
+  /// contract as solve_impl, applied elementwise).
   virtual std::vector<SolveResult> solve_batch_impl(
       const la::LinearOperator& a, const std::vector<la::Vector>& bs,
       const SolveOptions& ctrl) const;

@@ -4,9 +4,9 @@
 // The load-bearing suites are differential: with the wake threshold at 0 the
 // gate marks every tile active on every frame, so the gated decoder must be
 // BIT-IDENTICAL to the ungated one — same pixels, same reports — under plain
-// decode, injected measurement faults, pre-expired deadlines, and tile
-// batching (workers=1 pins the tile→worker assignment, which is what makes
-// bit-exactness well-defined). Conversely, a tile whose measurements did not
+// decode, injected measurement faults, pre-expired deadlines, and
+// multi-frame calls (workers=1 pins the tile→worker assignment, which is what
+// makes bit-exactness well-defined). Conversely, a tile whose measurements did not
 // change must never be re-decoded: its served pixels are EXPECT_EQ'd against
 // the previous reconstruction, bit for bit.
 #include "runtime/activity.hpp"
@@ -608,16 +608,12 @@ TEST(EventDrivenShard, ThresholdZeroBitIdenticalUnderExpiredDeadline) {
   expect_reports_equal(gr.report, pr.report);
 }
 
-TEST(EventDrivenShard, ThresholdZeroBitIdenticalWithBatchDepth) {
+TEST(EventDrivenShard, ThresholdZeroBitIdenticalAcrossMultiFrameCall) {
+  // Both frames scatter before the one gather, so the second frame's tiles
+  // queue behind the first's; the threshold-0 gate must leave that order,
+  // and every decoded bit, unchanged.
   constexpr std::size_t kDim = 16;
-  ShardOptions base = shard_options(8, 2, 1);
-  base.stream.batch_depth = 2;  // same-tile solves share one pattern
-  // Without strict batching, whether two tiles share a pattern depends on
-  // how far the producer ran ahead of the worker — batch partitioning (and
-  // with it the decoded bits) would differ between two otherwise identical
-  // runs. Strict batching makes the partition a pure function of the
-  // submission order, which the threshold-0 gate leaves unchanged.
-  base.stream.strict_batching = true;
+  const ShardOptions base = shard_options(8, 2, 1);
   ShardedDecoder plain(kDim, kDim, base);
   ShardedDecoder gated(kDim, kDim, gated_zero_threshold(base));
 
@@ -627,7 +623,7 @@ TEST(EventDrivenShard, ThresholdZeroBitIdenticalWithBatchDepth) {
   const std::vector<ShardFrameResult> gr = gated.process_batch(frames);
   ASSERT_EQ(pr.size(), gr.size());
   for (std::size_t f = 0; f < pr.size(); ++f) {
-    expect_bit_identical(gr[f].frame, pr[f].frame, "batched threshold-0");
+    expect_bit_identical(gr[f].frame, pr[f].frame, "multi-frame threshold-0");
     expect_reports_equal(gr[f].report, pr[f].report);
   }
 }

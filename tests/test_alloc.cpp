@@ -71,5 +71,21 @@ TEST(FistaAllocations, TwoPerIterationOnATransformOperator) {
       << long_run << " at " << kLong;
 }
 
+TEST(FistaAllocations, FixedSetupOfOneSolve) {
+  // Beyond its two per iteration, a solve allocates five buffers once: the
+  // result x, the momentum point y, A^T b, and the final residual's A x and
+  // A x - b.
+  Rng rng(0xA110C);
+  const cs::SubsampledTransformOperator op(
+      dsp::BasisKind::kDct2D, cs::random_pattern(20, 20, 0.5, rng));
+  la::Vector b(op.rows());
+  for (double& v : b) v = rng.normal();
+
+  allocations_for(op, b, 4);  // warm the operator's thread-local workspace
+  constexpr int kIterations = 20;
+  const std::size_t total = allocations_for(op, b, kIterations);
+  EXPECT_EQ(total - 2u * kIterations, 5u) << total << " allocations";
+}
+
 }  // namespace
 }  // namespace flexcs::solvers

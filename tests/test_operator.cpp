@@ -322,8 +322,8 @@ TEST(ApplyStats, MetersEveryApplyAndAdjoint) {
 }
 
 TEST(BatchApply, MatchesPerFrameAppliesExactly) {
-  // The batched applies only amortise workspace reuse — the per-frame
-  // numbers must be the single-apply numbers, bit for bit, in both bases.
+  // The batched applies loop the single applies — the per-frame numbers
+  // must be the single-apply numbers, bit for bit, in both bases.
   for (const auto basis : {dsp::BasisKind::kDct2D, dsp::BasisKind::kHaar2D}) {
     Rng rng(0xBA7C + static_cast<unsigned>(basis));
     const SamplingPattern p = random_pattern(16, 16, 0.5, rng);

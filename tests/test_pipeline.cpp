@@ -271,23 +271,6 @@ TEST_F(PipelineTest, ImplicitPsiDecodeMatchesDensePath) {
               1e-10);
 }
 
-TEST_F(PipelineTest, ImplicitPsiBatchDecodeMatchesSingleDecodes) {
-  Rng rng(22);
-  const SamplingPattern p = random_pattern(32, 32, 0.5, rng);
-  std::vector<la::Vector> batch;
-  for (int f = 0; f < 3; ++f)
-    batch.push_back(encoder_.encode(make_frame(rng), p, rng));
-  const std::vector<DecodeResult> batched = decoder_.decode_batch(p, batch);
-  ASSERT_EQ(batched.size(), batch.size());
-  // The batch path only adds the operator-norm hint; with the hint equal to
-  // what each solve would compute itself, frames must match one-by-one
-  // decodes to solver precision.
-  for (std::size_t f = 0; f < batch.size(); ++f) {
-    const DecodeResult single = decoder_.decode(p, batch[f]);
-    EXPECT_LT(la::max_abs_diff(single.frame, batched[f].frame), 1e-6);
-  }
-}
-
 TEST_F(PipelineTest, FistaImplicitRmseMatchesDenseWithinTightTolerance) {
   // Regression pinning the fast-kernel operator to the dense reference: the
   // FFT-based DCT applies round differently from dense matvecs at ~1e-15
@@ -312,33 +295,6 @@ TEST_F(PipelineTest, FistaImplicitRmseMatchesDenseWithinTightTolerance) {
   const DecodeResult implicit = implicit_decoder.decode(p, y);
   EXPECT_EQ(dense.solver_iterations, implicit.solver_iterations);
   EXPECT_NEAR(rmse(dense.frame, frame), rmse(implicit.frame, frame), 1e-12);
-}
-
-TEST_F(PipelineTest, FistaBatchDecodeIsBitIdenticalToSequential) {
-  // The lockstep batched FISTA advances every frame exactly as a sequential
-  // solve would (frames never interact), so batched decode results must be
-  // bit-identical to one-by-one decodes — not merely close.
-  Rng rng(26);
-  const Decoder decoder(32, 32, DecoderOptions{},
-                        std::make_shared<solvers::FistaSolver>());
-  const SamplingPattern p = random_pattern(32, 32, 0.5, rng);
-  std::vector<la::Vector> batch;
-  for (int f = 0; f < 3; ++f)
-    batch.push_back(encoder_.encode(make_frame(rng), p, rng));
-
-  const std::vector<DecodeResult> batched = decoder.decode_batch(p, batch);
-  ASSERT_EQ(batched.size(), batch.size());
-  for (std::size_t f = 0; f < batch.size(); ++f) {
-    const DecodeResult single = decoder.decode(p, batch[f]);
-    EXPECT_EQ(single.solver_iterations, batched[f].solver_iterations)
-        << "frame " << f;
-    EXPECT_EQ(single.converged, batched[f].converged) << "frame " << f;
-    EXPECT_EQ(la::max_abs_diff(single.frame, batched[f].frame), 0.0)
-        << "frame " << f;
-    EXPECT_EQ(la::max_abs_diff(single.coefficients, batched[f].coefficients),
-              0.0)
-        << "frame " << f;
-  }
 }
 
 TEST_F(PipelineTest, ImplicitPsiDebiasHonoursSupportThreshold) {

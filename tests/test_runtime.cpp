@@ -281,27 +281,6 @@ TEST(RobustPipeline, BudgetExhaustionStopsTheLadder) {
     EXPECT_EQ(pipe.health().recovered_per_rung[r], 0u);
 }
 
-TEST(RobustPipeline, ProcessBatchMatchesSequentialSemantics) {
-  const la::Matrix f0 = thermal_frame(16, 7);
-  const la::Matrix f1 = thermal_frame(16, 8);
-  RobustPipeline pipe(16, 16, {}, fista());
-  Rng rng(11);
-  const auto results = pipe.process_batch({f0, f1, f0}, rng);
-
-  ASSERT_EQ(results.size(), 3u);
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    EXPECT_TRUE(results[i].report.accepted) << "frame " << i;
-    EXPECT_EQ(results[i].report.strategy, Strategy::kPlainDecode);
-    EXPECT_EQ(results[i].report.decode_calls, 1);
-    EXPECT_EQ(results[i].report.frame_index, i);
-  }
-  // Same frame, same shared pattern, same operator-norm hint: identical
-  // reconstructions for the duplicated frame.
-  EXPECT_EQ(la::max_abs_diff(results[0].frame, results[2].frame), 0.0);
-  EXPECT_EQ(pipe.health().frames_processed, 3u);
-  EXPECT_EQ(pipe.health().frames_accepted, 3u);
-}
-
 TEST(RobustPipeline, DefectRateEwmaDetectsDrift) {
   RobustPipelineOptions opts;
   opts.max_rung = Strategy::kTrimmedDecode;  // cheap, still estimates defects

@@ -78,9 +78,7 @@ TEST(ShardedDecoder, BatchDecodesEveryFrame) {
   const la::Matrix f0 = thermal_frame(kDim, 7);
   const la::Matrix f1 = thermal_frame(kDim, 9);
 
-  ShardOptions opts = shard_options(16, 2);
-  opts.stream.batch_depth = 2;  // same-tile solves share one pattern
-  ShardedDecoder sharded(kDim, kDim, opts);
+  ShardedDecoder sharded(kDim, kDim, shard_options(16, 2));
   const std::vector<ShardFrameResult> res = sharded.process_batch({f0, f1});
 
   ASSERT_EQ(res.size(), 2u);

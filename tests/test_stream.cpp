@@ -242,36 +242,6 @@ TEST(StreamServer, LatencyPercentileInterpolatesBetweenOrderStatistics) {
   EXPECT_NEAR(latency_percentile(v, 0.5), 50.5, 1e-9);
 }
 
-TEST(StreamServer, BatchDepthDeliversEveryFrame) {
-  constexpr std::size_t kDim = 16;
-  constexpr std::size_t kFrames = 10;
-  StreamOptions opts;
-  opts.workers = 2;
-  opts.queue_capacity = 8;
-  opts.batch_depth = 3;
-  opts.policy = BackpressurePolicy::kBlock;
-  opts.solver = fista();
-  StreamServer server(kDim, kDim, opts);
-
-  const la::Matrix frame = thermal_frame(kDim, 4);
-  for (std::size_t f = 0; f < kFrames; ++f)
-    EXPECT_TRUE(server.submit(f, frame));
-  server.close();
-
-  const StreamHealth h = server.health();
-  EXPECT_EQ(h.submitted, kFrames);
-  EXPECT_EQ(h.completed, kFrames);
-  const std::vector<StreamResult> results = server.drain_results();
-  ASSERT_EQ(results.size(), kFrames);
-  std::set<std::uint64_t> ids;
-  for (const StreamResult& r : results) {
-    ids.insert(r.stream_id);
-    EXPECT_TRUE(r.report.accepted);  // clean frames decode on rung 0
-    EXPECT_TRUE(la::all_finite(r.frame));
-  }
-  EXPECT_EQ(ids.size(), kFrames);  // every submission came back exactly once
-}
-
 // Decodes frames[i] under stream id i on a server with `workers` threads and
 // returns the reconstructions indexed by stream id.
 std::vector<la::Matrix> decode_by_id(std::size_t workers,
@@ -279,7 +249,6 @@ std::vector<la::Matrix> decode_by_id(std::size_t workers,
   StreamOptions opts;
   opts.workers = workers;
   opts.queue_capacity = frames.size();
-  opts.batch_depth = 1;
   opts.solver = fista();
   StreamServer server(frames[0].rows(), frames[0].cols(), opts);
   for (std::size_t i = 0; i < frames.size(); ++i)

@@ -103,10 +103,7 @@ RNG_ALLOWED = ("src/common/rng.hpp", "src/common/rng.cpp")
 # unmatched function is itself a finding: it means the contract surface moved
 # without the lint being updated.
 ENTRY_POINTS: Sequence[Tuple[str, str, Tuple[str, ...]]] = (
-    # A single FISTA solve is a batch of one: solve_impl delegates to the
-    # validating solve_batch_impl.
-    ("src/solvers/fista.cpp", r"FistaSolver::solve_impl\b", ("validate_solve_inputs", "FLEXCS_CHECK", "solve_batch_impl")),
-    ("src/solvers/fista.cpp", r"FistaSolver::solve_batch_impl\b", ("validate_solve_inputs", "FLEXCS_CHECK")),
+    ("src/solvers/fista.cpp", r"FistaSolver::solve_impl\b", ("validate_solve_inputs", "FLEXCS_CHECK")),
     ("src/solvers/solver.cpp", r"SparseSolver::solve_batch\b", ("FLEXCS_CHECK",)),
     ("src/solvers/omp.cpp", r"OmpSolver::solve_impl\b", ("validate_solve_inputs", "FLEXCS_CHECK")),
     ("src/solvers/cosamp.cpp", r"CosampSolver::solve_impl\b", ("validate_solve_inputs", "FLEXCS_CHECK")),
@@ -125,10 +122,6 @@ ENTRY_POINTS: Sequence[Tuple[str, str, Tuple[str, ...]]] = (
      r"SubsampledTransformOperator::apply\b", ("FLEXCS_CHECK",)),
     ("src/cs/transform_operator.cpp",
      r"SubsampledTransformOperator::apply_adjoint\b", ("FLEXCS_CHECK",)),
-    ("src/cs/transform_operator.cpp",
-     r"SubsampledTransformOperator::apply_batch\b", ("FLEXCS_CHECK",)),
-    ("src/cs/transform_operator.cpp",
-     r"SubsampledTransformOperator::apply_adjoint_batch\b", ("FLEXCS_CHECK",)),
     # Fast transform kernels: the DCT plan constructor owns the length
     # validation (every apply goes through a plan), the in-place Haar
     # kernels re-run the level/dimension contract via check_levels.
@@ -140,14 +133,7 @@ ENTRY_POINTS: Sequence[Tuple[str, str, Tuple[str, ...]]] = (
     ("src/cs/encoder.cpp", r"Encoder::encode\b", ("FLEXCS_CHECK",)),
     ("src/cs/encoder.cpp", r"Encoder::encode_scanned\b", ("FLEXCS_CHECK",)),
     ("src/cs/decoder.cpp", r"Decoder::decode\b", ("FLEXCS_CHECK", "decode_with")),
-    # decode_with / decode_batch_with share per-frame validation through
-    # check_decode_args (itself FLEXCS_CHECK-based).
-    ("src/cs/decoder.cpp", r"Decoder::decode_with\b",
-     ("FLEXCS_CHECK", "check_decode_args")),
-    ("src/cs/decoder.cpp", r"Decoder::decode_batch\b", ("FLEXCS_CHECK", "decode_batch_with")),
-    ("src/cs/decoder.cpp", r"Decoder::decode_batch_with\b",
-     ("FLEXCS_CHECK", "check_decode_args")),
-    ("src/cs/decoder.cpp", r"Decoder::check_decode_args\b", ("FLEXCS_CHECK",)),
+    ("src/cs/decoder.cpp", r"Decoder::decode_with\b", ("FLEXCS_CHECK",)),
     ("src/cs/decoder.cpp", r"Decoder::measurement_operator\b", ("FLEXCS_CHECK",)),
     ("src/cs/decoder.cpp", r"Decoder::operator_norm\b", ("FLEXCS_CHECK",)),
     ("src/cs/sampling.cpp", r"\bapply_pattern\b", ("FLEXCS_CHECK",)),
@@ -156,7 +142,6 @@ ENTRY_POINTS: Sequence[Tuple[str, str, Tuple[str, ...]]] = (
     ("src/cs/faults.cpp", r"FaultScenario::corrupt_measurements\b", ("FLEXCS_CHECK",)),
     ("src/cs/pipeline.cpp", r"\bdecode_trimmed_ex\b", ("FLEXCS_CHECK",)),
     ("src/runtime/pipeline.cpp", r"RobustPipeline::process\b", ("FLEXCS_CHECK",)),
-    ("src/runtime/pipeline.cpp", r"RobustPipeline::process_batch\b", ("FLEXCS_CHECK",)),
     ("src/runtime/stream.cpp", r"StreamServer::StreamServer\b", ("FLEXCS_CHECK",)),
     # The first submit overload delegates to the SubmitControl one, which
     # carries the shape check.

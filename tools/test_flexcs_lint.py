@@ -535,15 +535,6 @@ class EntryCheckTest(unittest.TestCase):
         "    const la::Vector& y) const {\n"
         "  return la::Vector(pattern_.n(), 0.0);\n"
         "}\n"
-        "std::vector<la::Vector> SubsampledTransformOperator::apply_batch(\n"
-        "    const std::vector<la::Vector>& xs) const {\n"
-        "  return xs;\n"
-        "}\n"
-        "std::vector<la::Vector>\n"
-        "SubsampledTransformOperator::apply_adjoint_batch(\n"
-        "    const std::vector<la::Vector>& ys) const {\n"
-        "  return ys;\n"
-        "}\n"
         "}\n")
 
     def test_unchecked_transform_operator_fires(self):
@@ -551,9 +542,8 @@ class EntryCheckTest(unittest.TestCase):
                           self.OPERATOR_UNCHECKED})
         fired = [x for x in f if x.rule == "entry-check"
                  and x.path == "src/cs/transform_operator.cpp"]
-        # ctor, apply, apply_adjoint, and both batch applies each carry
-        # their own spec.
-        self.assertEqual(5, len(fired), "\n".join(str(x) for x in fired))
+        # ctor, apply and apply_adjoint each carry their own spec.
+        self.assertEqual(3, len(fired), "\n".join(str(x) for x in fired))
 
     def test_checked_transform_operator_clean(self):
         src = self.OPERATOR_UNCHECKED
@@ -570,36 +560,22 @@ class EntryCheckTest(unittest.TestCase):
             "  return la::Vector(pattern_.n(), 0.0);",
             "  FLEXCS_CHECK(y.size() == rows(), \"shape\");\n"
             "  return la::Vector(pattern_.n(), 0.0);")
-        src = src.replace(
-            "  return xs;",
-            "  FLEXCS_CHECK(!xs.empty(), \"shape\");\n"
-            "  return xs;")
-        src = src.replace(
-            "  return ys;",
-            "  FLEXCS_CHECK(!ys.empty(), \"shape\");\n"
-            "  return ys;")
         f = lint_fixture({"src/cs/transform_operator.cpp": src})
         fired = [x for x in f if x.rule == "entry-check"
                  and x.path == "src/cs/transform_operator.cpp"]
         self.assertFalse(fired, "\n".join(str(x) for x in fired))
 
 
-class FistaDelegationEntryCheckTest(unittest.TestCase):
-    # A single FISTA solve is a batch of one: solve_impl may delegate to the
-    # validating solve_batch_impl instead of validating itself.
+class FistaEntryCheckTest(unittest.TestCase):
+    # FISTA's one solve loop validates its inputs itself.
     SRC = (
         "#include \"solvers/fista.hpp\"\n"
         "namespace flexcs::solvers {\n"
         "SolveResult FistaSolver::solve_impl(const la::LinearOperator& a,\n"
         "                                    const la::Vector& b,\n"
         "                                    const SolveOptions& ctrl) const {\n"
-        "  return std::move(solve_batch_impl(a, {b}, ctrl).front());\n"
-        "}\n"
-        "std::vector<SolveResult> FistaSolver::solve_batch_impl(\n"
-        "    const la::LinearOperator& a, const std::vector<la::Vector>& bs,\n"
-        "    const SolveOptions& ctrl) const {\n"
-        "  for (const la::Vector& b : bs) validate_solve_inputs(a, b, \"F\");\n"
-        "  return {};\n"
+        "  validate_solve_inputs(a, b, \"FISTA\");\n"
+        "  return SolveResult{};\n"
         "}\n"
         "}\n")
 
@@ -608,14 +584,13 @@ class FistaDelegationEntryCheckTest(unittest.TestCase):
         return [x for x in f if x.rule == "entry-check"
                 and x.path == "src/solvers/fista.cpp"]
 
-    def test_delegating_solve_impl_clean(self):
+    def test_validated_solve_impl_clean(self):
         fired = self.fired(self.SRC)
         self.assertFalse(fired, "\n".join(str(x) for x in fired))
 
     def test_unvalidated_solve_impl_fires(self):
         src = self.SRC.replace(
-            "  return std::move(solve_batch_impl(a, {b}, ctrl).front());\n",
-            "  return SolveResult{};\n")
+            "  validate_solve_inputs(a, b, \"FISTA\");\n", "")
         fired = self.fired(src)
         self.assertEqual(1, len(fired), "\n".join(str(x) for x in fired))
         self.assertIn("solve_impl", fired[0].message)
@@ -641,28 +616,11 @@ class DecoderEntryCheckTest(unittest.TestCase):
         "                             const la::Vector& y) const {\n"
         "  return decode_with(pattern, y, *solver_, opts_);\n"
         "}\n"
-        "void Decoder::check_decode_args(const SamplingPattern& pattern,\n"
-        "                                const la::Vector& y,\n"
-        "                                const DecoderOptions& opts) const {\n"
-        "  FLEXCS_CHECK(y.size() == pattern.m(), \"count\");\n"
-        "}\n"
         "DecodeResult Decoder::decode_with(const SamplingPattern& pattern,\n"
         "                                  const la::Vector& y,\n"
         "                                  const solvers::SparseSolver& s,\n"
         "                                  const DecoderOptions& opts) const {\n"
-        "  check_decode_args(pattern, y, opts);\n"
-        "  return {};\n"
-        "}\n"
-        "std::vector<DecodeResult> Decoder::decode_batch(\n"
-        "    const SamplingPattern& pattern,\n"
-        "    const std::vector<la::Vector>& ys) const {\n"
-        "  return decode_batch_with(pattern, ys, *solver_, opts_);\n"
-        "}\n"
-        "std::vector<DecodeResult> Decoder::decode_batch_with(\n"
-        "    const SamplingPattern& pattern,\n"
-        "    const std::vector<la::Vector>& ys,\n"
-        "    const solvers::SparseSolver& s, const DecoderOptions& opts) const {\n"
-        "  for (const la::Vector& y : ys) check_decode_args(pattern, y, opts);\n"
+        "  FLEXCS_CHECK(y.size() == pattern.m(), \"count\");\n"
         "  return {};\n"
         "}\n"
         "}\n")

@@ -77,8 +77,7 @@ struct SweepConfig {
   std::vector<double> severities = {0.02, 0.05, 0.10};
   std::vector<runtime::Strategy> strategies = {
       runtime::Strategy::kPlainDecode, runtime::Strategy::kTrimmedDecode,
-      runtime::Strategy::kFreshPatternRetry, runtime::Strategy::kResample,
-      runtime::Strategy::kRpcaWindow};
+      runtime::Strategy::kFreshPatternRetry, runtime::Strategy::kResample};
   int resample_rounds = 4;
 };
 
@@ -189,7 +188,8 @@ Cell run_cell(const SweepConfig& cfg, cs::FaultKind kind, double severity,
         faults.has_frame_faults()
             ? faults.corrupt_frame(truth, static_cast<std::size_t>(f)).values
             : truth;
-    const auto res = pipe.process(corrupted, pipe_rng);
+    const auto res =
+        pipe.process(corrupted, static_cast<std::size_t>(f), pipe_rng);
     cell.rmse += cs::rmse(res.frame, truth);
     cell.accept_rate += res.report.accepted ? 1.0 : 0.0;
     cell.decode_calls += res.report.decode_calls;

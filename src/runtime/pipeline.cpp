@@ -11,7 +11,7 @@
 namespace flexcs::runtime {
 namespace {
 
-// Median of |y_i - frame[pattern_i]| — the aggregate-rung acceptance
+// Median of |y_i - frame[pattern_i]| — the resampling rung's acceptance
 // statistic. The median ignores up to half the measurements, so defective
 // reads cannot veto a reconstruction that fits the clean majority.
 double median_abs_residual(const cs::SamplingPattern& p, const la::Vector& y,
@@ -80,9 +80,6 @@ FitShape fit_shape(const la::Vector& coefs, std::size_t rows,
 constexpr double kScreenMadMultiplier = 4.0;
 constexpr double kScreenAbsFloor = 0.2;
 
-// Rung-4 sliding-window length (frames).
-constexpr std::size_t kRpcaWindow = 4;
-
 double seconds_between(Deadline::Clock::time_point t0,
                        Deadline::Clock::time_point t1) {
   return std::chrono::duration<double>(t1 - t0).count();
@@ -96,7 +93,6 @@ const char* strategy_name(Strategy strategy) {
     case Strategy::kTrimmedDecode: return "trimmed";
     case Strategy::kFreshPatternRetry: return "fresh-pattern";
     case Strategy::kResample: return "resample";
-    case Strategy::kRpcaWindow: return "rpca-window";
   }
   return "unknown";
 }
@@ -121,12 +117,6 @@ RobustPipeline::RobustPipeline(
   FLEXCS_CHECK(opts_.accept.max_rel_residual > 0.0 &&
                    opts_.accept.max_median_abs_residual > 0.0,
                "acceptance thresholds must be positive");
-}
-
-void RobustPipeline::reset() {
-  window_.clear();
-  health_ = HealthCounters{};
-  next_frame_index_ = 0;
 }
 
 RobustPipeline::Candidate RobustPipeline::evaluate_decode(
@@ -231,12 +221,9 @@ void RobustPipeline::apply_measurement_channel(RecoveryReport& report,
 }
 
 void RobustPipeline::acquire(const la::Matrix& frame, Rng& rng,
-                             RecoveryReport& report,
-                             const std::vector<bool>* exclude, double fraction,
+                             RecoveryReport& report, double fraction,
                              cs::SamplingPattern& p, la::Vector& y) {
-  p = exclude == nullptr
-          ? cs::random_pattern(rows_, cols_, fraction, rng)
-          : cs::random_pattern_excluding(rows_, cols_, fraction, *exclude, rng);
+  p = cs::random_pattern(rows_, cols_, fraction, rng);
   y = encoder_.encode(frame, p, rng);
   apply_measurement_channel(report, p, y);
 }
@@ -249,13 +236,12 @@ int RobustPipeline::effective_budget(const FrameControl& ctrl) const {
 }
 
 Strategy RobustPipeline::effective_max_rung(const FrameControl& ctrl) const {
-  return static_cast<int>(ctrl.max_rung) < static_cast<int>(opts_.max_rung)
-             ? ctrl.max_rung
-             : opts_.max_rung;
+  return std::min(ctrl.max_rung, opts_.max_rung);
 }
 
 RobustPipeline::FrameResult RobustPipeline::process(
-    const la::Matrix& corrupted_frame, Rng& rng, const FrameControl& ctrl) {
+    const la::Matrix& corrupted_frame, std::size_t frame_index, Rng& rng,
+    const FrameControl& ctrl) {
   FLEXCS_CHECK(corrupted_frame.rows() == rows_ &&
                    corrupted_frame.cols() == cols_,
                "runtime: frame shape mismatch");
@@ -263,11 +249,8 @@ RobustPipeline::FrameResult RobustPipeline::process(
                "runtime: non-finite pixel in frame");
 
   const auto start = Deadline::Clock::now();
-  window_.push_back(corrupted_frame);
-  while (window_.size() > kRpcaWindow) window_.pop_front();
-
   RecoveryReport report;
-  report.frame_index = next_frame_index_++;
+  report.frame_index = frame_index;
   int budget = effective_budget(ctrl);
   const Strategy max_rung = effective_max_rung(ctrl);
   const double fraction =
@@ -281,8 +264,7 @@ RobustPipeline::FrameResult RobustPipeline::process(
   plain_opts.solve = ctrl.solve;
   Attempt rung0;
   rung0.rung = Strategy::kPlainDecode;
-  acquire(corrupted_frame, rng, report, nullptr, fraction, rung0.pattern,
-          rung0.y);
+  acquire(corrupted_frame, rng, report, fraction, rung0.pattern, rung0.y);
   const cs::DecodeResult plain =
       decoder_.decode_with(rung0.pattern, rung0.y, decoder_.solver(),
                            plain_opts);
@@ -304,7 +286,7 @@ RobustPipeline::FrameResult RobustPipeline::process(
     // A fired deadline ends escalation: every further rung would be cut
     // short at its own entry check, so the best candidate so far stands.
     if (last.cand.deadline_expired || ctrl.solve.should_stop()) return;
-    if (static_cast<int>(rung) > static_cast<int>(max_rung)) return;
+    if (rung > max_rung) return;
     if (budget < cost) {
       report.budget_exhausted = true;
       return;
@@ -333,7 +315,7 @@ RobustPipeline::FrameResult RobustPipeline::process(
 
   for (int retry = 0; retry < opts_.budget.fresh_pattern_retries; ++retry) {
     climb(Strategy::kFreshPatternRetry, 2, [&](Attempt& a) {
-      acquire(corrupted_frame, rng, report, nullptr, fraction, a.pattern, a.y);
+      acquire(corrupted_frame, rng, report, fraction, a.pattern, a.y);
       const cs::TrimmedDecodeResult trimmed = cs::decode_trimmed_ex(
           decoder_, a.pattern, a.y, kScreenMadMultiplier, kScreenAbsFloor,
           ctrl.solve);
@@ -358,25 +340,6 @@ RobustPipeline::FrameResult RobustPipeline::process(
     a.cand.solver_iterations = resampled.solver_iterations;
   });
 
-  climb(Strategy::kRpcaWindow, 2, [&](Attempt& a) {
-    // Robust-PCA outlier detection over the sliding window, then a trimmed
-    // decode of the current frame sampled away from the flagged pixels.
-    const std::vector<la::Matrix> frames(window_.begin(), window_.end());
-    cs::RpcaFilterOptions filter_opts;
-    filter_opts.rpca.deadline = ctrl.solve.deadline;
-    filter_opts.rpca.cancel = ctrl.solve.cancel;
-    const std::vector<std::vector<bool>> masks =
-        cs::rpca_outlier_masks(frames, filter_opts);
-    acquire(corrupted_frame, rng, report, &masks.back(), fraction, a.pattern,
-            a.y);
-    const cs::TrimmedDecodeResult trimmed = cs::decode_trimmed_ex(
-        decoder_, a.pattern, a.y, kScreenMadMultiplier, kScreenAbsFloor,
-        ctrl.solve);
-    a.trimmed = trimmed.trimmed_count;
-    a.cand = evaluate_decode(trimmed.result, a.y,
-                             a.y.size() - trimmed.trimmed_count);
-  });
-
   // An accepted attempt is always the last one (acceptance stops the climb);
   // otherwise return the best-scoring candidate, not the last attempted.
   Attempt& returned = last.cand.accepted ? last : best;
@@ -395,11 +358,6 @@ RobustPipeline::FrameResult RobustPipeline::process(
   out.frame = std::move(returned.cand.frame);
   out.report = std::move(report);
   return out;
-}
-
-RobustPipeline::FrameResult RobustPipeline::process(
-    const la::Matrix& corrupted_frame, Rng& rng) {
-  return process(corrupted_frame, rng, FrameControl{});
 }
 
 }  // namespace flexcs::runtime

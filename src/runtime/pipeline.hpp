@@ -9,8 +9,6 @@
 //   rung 2  fresh-pattern retry     re-randomised Φ + trimmed decode (beats
 //                                   unlucky pattern/defect alignment)
 //   rung 3  resampling              cs::reconstruct_resample, R rounds
-//   rung 4  RPCA window filter      robust-PCA outlier exclusion over a
-//                                   sliding window of recent frames
 //
 // The sanity check for decode rungs reads the shape of the fit: how much of
 // the measurement budget the recovered support spends (a support near M
@@ -19,15 +17,17 @@
 // which spread energy evenly over every frequency), and, for trimmed rungs,
 // how many measurements the screen had to discard. The pre-debias solver
 // residual from cs::DecodeResult::residual_norm still bounds every decode
-// rung, which rejects iterates a deadline cut short. Aggregate strategies,
-// whose output intentionally stops fitting the corrupted measurements, are
+// rung, which rejects iterates a deadline cut short. The resampling rung,
+// whose output intentionally stops fitting the corrupted measurements, is
 // judged by a median absolute measurement residual. Every frame yields a
 // RecoveryReport; the pipeline keeps aggregate health counters with an EWMA
-// estimate of the defect rate for drift detection.
+// estimate of the defect rate for drift detection. Those counters are the
+// only state one frame leaves for the next: a frame's pixels depend only on
+// the frame, its frame index (which keys the measurement-fault channel), the
+// RNG state and the per-frame control.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -46,12 +46,13 @@ enum class Strategy {
   kTrimmedDecode = 1,
   kFreshPatternRetry = 2,
   kResample = 3,
-  kRpcaWindow = 4,
 };
 
+// One slot more than there are rungs: slot 4 belonged to a retired rung and
+// stays 0, because the perfbench report still sizes and reads it.
 inline constexpr std::size_t kStrategyCount = 5;
 
-/// Short stable identifier, e.g. "plain" or "rpca-window".
+/// Short stable identifier, e.g. "plain" or "resample".
 const char* strategy_name(Strategy strategy);
 
 /// Per-frame escalation budgets. A "decode call" is one sparse-solver run
@@ -65,14 +66,14 @@ struct LadderBudget {
 
 /// Ground-truth-free acceptance thresholds for a candidate reconstruction.
 struct AcceptanceThresholds {
-  // Decode rungs (0-2 and the RPCA rung's decode): relative pre-debias solver
-  // residual ||Ax - y|| / ||y|| must not exceed this. FISTA drives clean and
-  // corrupted tiles alike to 0.003-0.016 (EXPERIMENTS.md E19), so the bound
-  // does not separate them; it rejects iterates a deadline cut short. The
-  // fit test that does (support ratio, spectral tail, trimmed share) uses
-  // fixed bounds calibrated in E19, defined in runtime/pipeline.cpp.
+  // Decode rungs (0-2): relative pre-debias solver residual ||Ax - y|| / ||y||
+  // must not exceed this. FISTA drives clean and corrupted tiles alike to
+  // 0.003-0.016 (EXPERIMENTS.md E19), so the bound does not separate them; it
+  // rejects iterates a deadline cut short. The fit test that does (support
+  // ratio, spectral tail, trimmed share) uses fixed bounds calibrated in E19,
+  // defined in runtime/pipeline.cpp.
   double max_rel_residual = 0.12;
-  // Aggregate rungs (3-4): median |y_i - x̂_i| over the measurements must not
+  // Resampling rung (3): median |y_i - x̂_i| over the measurements must not
   // exceed this (the median ignores up to half the measurements, so the
   // defective ones cannot veto an otherwise good reconstruction).
   double max_median_abs_residual = 0.05;
@@ -80,7 +81,7 @@ struct AcceptanceThresholds {
 
 struct RobustPipelineOptions {
   double sampling_fraction = 0.5;  // the paper's 45-60 % band
-  Strategy max_rung = Strategy::kRpcaWindow;  // highest rung to climb to
+  Strategy max_rung = Strategy::kResample;  // highest rung to climb to
   AcceptanceThresholds accept;
   LadderBudget budget;
   cs::DecoderOptions decoder;
@@ -102,7 +103,7 @@ struct FrameControl {
   // When >= 0, overrides (never raises) LadderBudget::max_decode_calls.
   int max_decode_calls = -1;
   // Caps the ladder at min(this, options().max_rung) for this frame.
-  Strategy max_rung = Strategy::kRpcaWindow;
+  Strategy max_rung = Strategy::kResample;
   // When > 0, overrides options().sampling_fraction for every acquisition
   // this frame makes (rung 0 and ladder re-acquisitions alike). 0 keeps the
   // configured fraction. Event-driven tile readout uses this to sample
@@ -158,9 +159,9 @@ struct HealthCounters {
   std::size_t drift_events = 0;  // below→above threshold transitions
 };
 
-/// Streaming robust-recovery pipeline for a fixed array geometry. Owns the
-/// encoder/decoder pair and a sliding window of recent frames for the RPCA
-/// rung. Not thread-safe; one instance per stream.
+/// Robust-recovery pipeline for a fixed array geometry. Owns the
+/// encoder/decoder pair and the health counters. Not thread-safe; one
+/// instance per stream or per worker.
 class RobustPipeline {
  public:
   /// `solver` may be null, which selects the library default (ADMM-BPDN).
@@ -173,31 +174,28 @@ class RobustPipeline {
     RecoveryReport report;
   };
 
-  /// Processes one frame of the stream: samples it (re-drawing Φ from
-  /// `rng`), decodes, and escalates on sanity-check failure. The frame is
-  /// the *corrupted* readout; the pipeline never sees ground truth.
-  FrameResult process(const la::Matrix& corrupted_frame, Rng& rng);
-
-  /// Same, under per-frame control: `ctrl.solve` is threaded into every
-  /// solver call, and once it fires the ladder stops escalating and the best
-  /// candidate so far is returned flagged deadline_expired. `ctrl` can also
-  /// shrink this frame's decode budget and rung ceiling (Degrade policy).
-  FrameResult process(const la::Matrix& corrupted_frame, Rng& rng,
-                      const FrameControl& ctrl);
+  /// Processes one frame: samples it (re-drawing Φ from `rng`), decodes,
+  /// and escalates on sanity-check failure. The frame is the *corrupted*
+  /// readout; the pipeline never sees ground truth. `frame_index` becomes
+  /// report.frame_index and keys the measurement-fault channel. `ctrl.solve`
+  /// is threaded into every solver call, and once it fires the ladder stops
+  /// escalating and the best candidate so far is returned flagged
+  /// deadline_expired. `ctrl` can also shrink this frame's decode budget and
+  /// rung ceiling (Degrade policy).
+  FrameResult process(const la::Matrix& corrupted_frame,
+                      std::size_t frame_index, Rng& rng,
+                      const FrameControl& ctrl = {});
 
   const HealthCounters& health() const { return health_; }
   const RobustPipelineOptions& options() const { return opts_; }
   const cs::Decoder& decoder() const { return decoder_; }
-
-  /// Clears the sliding window, health counters and frame numbering.
-  void reset();
 
  private:
   struct Candidate {
     la::Matrix frame;
     double score = 0.0;  // acceptance statistic (lower is better)
     // Score normalised by its family's acceptance threshold, so decode-rung
-    // and aggregate-rung candidates compare on one axis (<= 1 ~ acceptable).
+    // and resampling candidates compare on one axis (<= 1 ~ acceptable).
     double badness = 0.0;
     bool accepted = false;
     bool converged = false;
@@ -229,11 +227,9 @@ class RobustPipeline {
   void apply_measurement_channel(RecoveryReport& report,
                                  cs::SamplingPattern& p, la::Vector& y);
   /// Fresh acquisition at `fraction` (already resolved against the options):
-  /// draws Φ (optionally excluding pixels), encodes, and runs the
-  /// measurement-fault channel.
+  /// draws Φ, encodes, and runs the measurement-fault channel.
   void acquire(const la::Matrix& frame, Rng& rng, RecoveryReport& report,
-               const std::vector<bool>* exclude, double fraction,
-               cs::SamplingPattern& p, la::Vector& y);
+               double fraction, cs::SamplingPattern& p, la::Vector& y);
   /// Per-frame budget and rung ceiling after `ctrl` overrides.
   int effective_budget(const FrameControl& ctrl) const;
   Strategy effective_max_rung(const FrameControl& ctrl) const;
@@ -243,9 +239,7 @@ class RobustPipeline {
   RobustPipelineOptions opts_;
   cs::Encoder encoder_;
   cs::Decoder decoder_;
-  std::deque<la::Matrix> window_;  // recent corrupted frames for rung 4
   HealthCounters health_;
-  std::size_t next_frame_index_ = 0;
 };
 
 }  // namespace flexcs::runtime

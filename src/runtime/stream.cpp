@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <utility>
 
 #include "common/check.hpp"
@@ -47,6 +48,29 @@ double latency_percentile(std::vector<double> values, double q) {
   const double v_hi = *std::min_element(
       values.begin() + static_cast<std::ptrdiff_t>(lo) + 1, values.end());
   return v_lo + frac * (v_hi - v_lo);
+}
+
+void LatencyHistogram::add(double seconds) {
+  // Bucket k in [1, kBuckets - 2] covers kLowest * 10^([k-1, k) / kPerDecade);
+  // bucket 0 takes anything below (and NaN), the last one anything above.
+  const double pos = seconds >= kLowest
+                         ? 1.0 + std::log10(seconds / kLowest) * kPerDecade
+                         : 0.0;
+  ++counts_[static_cast<std::size_t>(
+      std::min(pos, static_cast<double>(kBuckets - 1)))];
+  ++count_;
+}
+
+double LatencyHistogram::percentile(double q) const {
+  if (count_ == 0) return 0.0;
+  const auto rank = static_cast<std::uint64_t>(
+      std::clamp(q, 0.0, 1.0) * static_cast<double>(count_ - 1) + 0.5);
+  std::size_t k = 0;
+  for (std::uint64_t seen = counts_[0]; seen <= rank; seen += counts_[k])
+    ++k;
+  const double centre = std::clamp(static_cast<double>(k) - 0.5, 0.0,
+                                  static_cast<double>(kBuckets - 2));
+  return kLowest * std::pow(10.0, centre / kPerDecade);
 }
 
 const char* backpressure_policy_name(BackpressurePolicy policy) {
@@ -209,12 +233,12 @@ void StreamServer::worker_loop(std::size_t worker_index) {
       slot.external = item.external_cancel;
     }
 
-    // The decode RNG derives from the stream id, so the result is a pure
-    // function of (seed, id, content) — which worker popped it, and what it
-    // decoded before, do not matter.
+    // The decode RNG and the frame index both derive from the stream id, so
+    // the result is a pure function of (seed, id, content) — which worker
+    // popped it, and what it decoded before, do not matter.
     Rng rng(opts_.seed ^ (0x9e3779b97f4a7c15ULL * (item.stream_id + 1)));
-    RobustPipeline::FrameResult fr =
-        pipelines_[worker_index]->process(item.frame, rng, ctrl);
+    RobustPipeline::FrameResult fr = pipelines_[worker_index]->process(
+        item.frame, static_cast<std::size_t>(item.stream_id), rng, ctrl);
 
     bool was_stalled = false;
     {
@@ -241,7 +265,7 @@ void StreamServer::worker_loop(std::size_t worker_index) {
       ++completed_;
       if (cheapened) ++degraded_;
       if (result.report.deadline_expired) ++deadline_expired_;
-      latencies_seconds_.push_back(result.latency_seconds);
+      latencies_.add(result.latency_seconds);
       results_.push_back(std::move(result));
     }
     results_cv_.notify_all();
@@ -316,20 +340,18 @@ StreamHealth StreamServer::health() const {
     h.dropped = dropped_;
     h.queue_high_water = queue_high_water_;
   }
-  std::vector<double> latencies;
   {
     common::MutexLock lock(results_mu_);
     h.completed = completed_;
     h.degraded = degraded_;
     h.deadline_expired = deadline_expired_;
-    latencies = latencies_seconds_;
+    h.p50_latency_seconds = latencies_.percentile(0.50);
+    h.p99_latency_seconds = latencies_.percentile(0.99);
   }
   {
     common::MutexLock lock(inflight_mu_);
     h.stalled = stalled_;
   }
-  h.p50_latency_seconds = latency_percentile(latencies, 0.50);
-  h.p99_latency_seconds = latency_percentile(std::move(latencies), 0.99);
   return h;
 }
 

@@ -23,6 +23,7 @@
 // as stalls in StreamHealth.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -46,6 +47,27 @@ const char* backpressure_policy_name(BackpressurePolicy policy);
 /// for benchmarks that summarise their own latency samples the same way
 /// StreamHealth does.
 double latency_percentile(std::vector<double> values, double q);
+
+/// Latency histogram of constant size: log-spaced buckets, 40 per decade
+/// from 1 us to 1000 s (each 6 % wide), plus one underflow and one overflow
+/// bucket. percentile() returns the geometric centre of the bucket holding
+/// the nearest-rank sample, so in range it lies within half a bucket of that
+/// sample.
+class LatencyHistogram {
+ public:
+  static constexpr int kPerDecade = 40;
+  static constexpr double kLowest = 1e-6;  // seconds
+  static constexpr std::size_t kBuckets = 9 * kPerDecade + 2;  // 9 decades
+
+  void add(double seconds);
+  /// `q` in [0, 1]; an empty histogram reports 0.
+  double percentile(double q) const;
+  std::uint64_t count() const { return count_; }
+
+ private:
+  std::array<std::uint64_t, kBuckets> counts_{};
+  std::uint64_t count_ = 0;
+};
 
 struct StreamOptions {
   std::size_t workers = 2;         // worker threads (>= 1)
@@ -76,7 +98,8 @@ struct StreamOptions {
 };
 
 /// Aggregate stream telemetry. Counters are cumulative since construction;
-/// percentiles are over all completed frames' submit→complete latencies.
+/// percentiles are over all completed frames' submit→complete latencies,
+/// read from a LatencyHistogram.
 struct StreamHealth {
   std::size_t submitted = 0;
   std::size_t completed = 0;
@@ -174,7 +197,7 @@ class StreamServer {
   /// whose admission applies the same levels.
   struct DegradeCaps {
     double deadline_scale = 1.0;  // multiplies the frame deadline
-    Strategy max_rung = Strategy::kRpcaWindow;
+    Strategy max_rung = Strategy::kResample;
     int max_decode_calls = -1;  // < 0 = the pipeline's own budget
   };
   /// Level 1 halves the deadline and stops the ladder at the trimmed decode;
@@ -226,13 +249,13 @@ class StreamServer {
   std::size_t submitted_ FLEXCS_GUARDED_BY(mu_) = 0;
   std::size_t dropped_ FLEXCS_GUARDED_BY(mu_) = 0;
 
-  // results_mu_ guards the completion side: results, latency samples and the
-  // completion counters; results_cv_ wakes wait_for_completed() after each
-  // frame completes.
+  // results_mu_ guards the completion side: results, the latency histogram
+  // and the completion counters; results_cv_ wakes wait_for_completed()
+  // after each frame completes.
   mutable common::Mutex results_mu_;
   mutable common::CondVar results_cv_;
   std::vector<StreamResult> results_ FLEXCS_GUARDED_BY(results_mu_);
-  std::vector<double> latencies_seconds_ FLEXCS_GUARDED_BY(results_mu_);
+  LatencyHistogram latencies_ FLEXCS_GUARDED_BY(results_mu_);
   std::size_t completed_ FLEXCS_GUARDED_BY(results_mu_) = 0;
   std::size_t degraded_ FLEXCS_GUARDED_BY(results_mu_) = 0;
   std::size_t deadline_expired_ FLEXCS_GUARDED_BY(results_mu_) = 0;

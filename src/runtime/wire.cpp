@@ -248,7 +248,8 @@ RecoveryReport get_recovery_report(Reader& r) {
   RecoveryReport rep;
   rep.frame_index = static_cast<std::size_t>(r.get_u64());
   const std::uint32_t strategy = r.get_u32();
-  FLEXCS_CHECK(strategy < kStrategyCount, "wire report strategy out of range");
+  FLEXCS_CHECK(strategy <= static_cast<std::uint32_t>(Strategy::kResample),
+               "wire report strategy out of range");
   rep.strategy = static_cast<Strategy>(strategy);
   rep.escalation_depth = r.get_i32();
   rep.decode_calls = r.get_i32();
@@ -321,7 +322,7 @@ TileRequest decode_tile_request(const Message& msg) {
   req.deadline_seconds = r.get_f64();
   req.max_decode_calls = r.get_i32();
   req.max_rung = r.get_u32();
-  FLEXCS_CHECK(req.max_rung < kStrategyCount,
+  FLEXCS_CHECK(req.max_rung <= static_cast<std::uint32_t>(Strategy::kResample),
                "wire tile request rung out of range");
   req.tile = get_matrix(r);
   FLEXCS_CHECK(r.exhausted(), "wire tile request has trailing bytes");

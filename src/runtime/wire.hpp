@@ -37,7 +37,9 @@
 namespace flexcs::runtime::wire {
 
 inline constexpr std::uint32_t kMagic = 0x46585731u;  // "FXW1"
-inline constexpr std::uint16_t kVersion = 1;
+// Version 2: the ladder tops out at rung 3 (resample); a version-1 peer
+// would send or expect rung 4, so the header check rejects it up front.
+inline constexpr std::uint16_t kVersion = 2;
 inline constexpr std::size_t kHeaderBytes = 16;  // magic + version + type + len
 inline constexpr std::size_t kTrailerBytes = 4;  // payload CRC-32
 // Upper bound on a payload (a 1024 x 1024 double frame is 8 MiB; 64 MiB
@@ -171,7 +173,7 @@ struct TileRequest {
   std::uint64_t tile_index = 0;    // row-major tile-grid index
   double deadline_seconds = 0.0;   // per-tile solve budget; <= 0 = none
   std::int32_t max_decode_calls = -1;  // FrameControl override; < 0 = none
-  std::uint32_t max_rung = 4;          // ladder cap (Strategy value)
+  std::uint32_t max_rung = 3;          // ladder cap (Strategy value)
   la::Matrix tile;                 // padded tile pixels
 };
 

@@ -110,7 +110,7 @@ RobustPipeline::FrameResult decode_tile(RobustPipeline& pipeline,
                                         const wire::TileRequest& req,
                                         std::uint64_t base_seed,
                                         const CancelToken& cancel) {
-  FLEXCS_CHECK(req.max_rung < kStrategyCount,
+  FLEXCS_CHECK(req.max_rung <= static_cast<std::uint32_t>(Strategy::kResample),
                "tile request rung out of range");
   FrameControl ctrl;
   if (req.deadline_seconds > 0.0)
@@ -119,11 +119,8 @@ RobustPipeline::FrameResult decode_tile(RobustPipeline& pipeline,
   ctrl.max_decode_calls = req.max_decode_calls;
   ctrl.max_rung = static_cast<Strategy>(req.max_rung);
   Rng rng(tile_seed(base_seed, req.frame_index, req.tile_index));
-  RobustPipeline::FrameResult result = pipeline.process(req.tile, rng, ctrl);
-  // The pipeline numbers frames by its own call count, which differs across
-  // processes; the global frame index is the meaningful one downstream.
-  result.report.frame_index = static_cast<std::size_t>(req.frame_index);
-  return result;
+  return pipeline.process(req.tile, static_cast<std::size_t>(req.frame_index),
+                          rng, ctrl);
 }
 
 int decode_worker_loop(int fd, const WorkerConfig& cfg) {

@@ -8,8 +8,9 @@
 // only handshakes, pings, tile requests and responses cross the wire.
 //
 // Determinism contract: a tile's sampling pattern is seeded from
-// (base seed, frame_index, tile_index) via tile_seed(), never from worker
-// identity or dispatch order. Any process — a worker, a respawned worker, or
+// (base seed, frame_index, tile_index) via tile_seed(), and frame_index keys
+// its measurement faults; neither comes from worker identity or dispatch
+// order. Any process — a worker, a respawned worker, or
 // the broker's in-process fallback — decoding the same tile therefore draws
 // the same pattern and produces a bit-identical reconstruction, which is what
 // lets the supervisor re-dispatch a failed worker's tile without changing

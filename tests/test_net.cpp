@@ -43,9 +43,7 @@ la::Matrix thermal_frame(std::size_t dim, std::uint64_t seed) {
 
 constexpr std::size_t kDim = 32;
 
-// Same geometry/seed/ladder choices as test_service (rung cap kResample:
-// the RPCA rung depends on process-local frame history, the one thing the
-// per-tile seeding cannot make process-independent).
+// Same geometry, seed and ladder as test_service.
 ServiceOptions remote_options(std::size_t remotes) {
   ServiceOptions opts;
   opts.tile_rows = opts.tile_cols = 16;
@@ -54,7 +52,6 @@ ServiceOptions remote_options(std::size_t remotes) {
   opts.remote_workers = remotes;
   opts.solver = fista();
   opts.seed = 0xFEEDu;
-  opts.pipeline.max_rung = Strategy::kResample;
   // Generous supervision timeouts: under ASan/TSan a tile decode runs tens
   // of times slower, and these tests assert *which* counters a fault moved —
   // a false-positive read timeout would tear down a healthy-but-slow remote
@@ -389,7 +386,6 @@ TEST(RemoteFleet, SeedMismatchIsRefusedAtHandshake) {
     cfg.worker.padded_rows = svc.grid().padded_rows;
     cfg.worker.padded_cols = svc.grid().padded_cols;
     cfg.worker.solver = fista();
-    cfg.worker.pipeline.max_rung = Strategy::kResample;
     cfg.worker.seed = 0xBAD5EEDu;  // != the broker's 0xFEED
     cfg.max_connect_attempts = 8;
     std::_Exit(remote_decode_worker_loop(cfg));

@@ -39,7 +39,7 @@ TEST(RobustPipeline, CleanFrameStaysOnRungZeroIdenticalToPlainDecode) {
   RobustPipeline pipe(16, 16, {}, fista());
 
   Rng rng(11);
-  const auto res = pipe.process(truth, rng);
+  const auto res = pipe.process(truth, 0, rng);
 
   EXPECT_TRUE(res.report.accepted);
   EXPECT_EQ(res.report.strategy, Strategy::kPlainDecode);
@@ -73,7 +73,7 @@ TEST(RobustPipeline, LadderBeatsPlainDecodeAtTenPercentDefects) {
 
   RobustPipeline pipe(dim, dim, {}, fista());
   Rng rng(11);
-  const auto res = pipe.process(corrupted, rng);
+  const auto res = pipe.process(corrupted, 0, rng);
 
   // Plain-decode baseline from the identical RNG state.
   Rng replay(11);
@@ -106,7 +106,7 @@ TEST(RobustPipeline, FitTestAcceptsCleanTilesAndEscalatesSparseFaults) {
       const la::Matrix truth = thermal_frame(dim, seed);
       RobustPipeline clean(dim, dim, {}, fista());
       Rng rng(seed);
-      const auto res = clean.process(truth, rng);
+      const auto res = clean.process(truth, 0, rng);
       EXPECT_TRUE(res.report.accepted) << dim << " seed " << seed;
       EXPECT_EQ(res.report.strategy, Strategy::kPlainDecode)
           << dim << " seed " << seed;
@@ -118,14 +118,15 @@ TEST(RobustPipeline, FitTestAcceptsCleanTilesAndEscalatesSparseFaults) {
           0.02, cs::DefectPolarity::kRandom, seed}});
       RobustPipeline stuck_pipe(dim, dim, {}, fista());
       Rng srng(seed);
-      EXPECT_GE(stuck_pipe.process(stuck.corrupt_frame(truth, 0).values, srng)
-                    .report.escalation_depth,
-                1)
+      EXPECT_GE(
+          stuck_pipe.process(stuck.corrupt_frame(truth, 0).values, 0, srng)
+              .report.escalation_depth,
+          1)
           << dim << " seed " << seed;
       RobustPipeline flicker_pipe(dim, dim, {}, fista());
       Rng frng(seed);
-      const auto fres =
-          flicker_pipe.process(flicker.corrupt_frame(truth, 0).values, frng);
+      const auto fres = flicker_pipe.process(
+          flicker.corrupt_frame(truth, 0).values, 0, frng);
       if (fres.report.escalation_depth >= 1) {
         ++flicker_escalations;
       } else {
@@ -155,7 +156,7 @@ TEST(RobustPipeline, ReachesTrimmedFreshAndResampleRungs) {
     const la::Matrix corrupted = stuck_frame(truth, c.rate, c.seed);
     RobustPipeline pipe(16, 16, {}, fista());
     Rng rng(11);
-    const auto res = pipe.process(corrupted, rng);
+    const auto res = pipe.process(corrupted, 0, rng);
     EXPECT_TRUE(res.report.accepted) << "seed " << c.seed;
     EXPECT_EQ(res.report.strategy, c.expected) << "seed " << c.seed;
     EXPECT_EQ(res.report.escalation_depth,
@@ -168,29 +169,21 @@ TEST(RobustPipeline, ReachesTrimmedFreshAndResampleRungs) {
   }
 }
 
-TEST(RobustPipeline, RpcaWindowRungRunsWhenResampleDoesNotFitBudget) {
+TEST(RobustPipeline, ResampleIsSkippedWhenItDoesNotFitTheBudget) {
   const la::Matrix truth = thermal_frame(16, 7);
   const la::Matrix corrupted = stuck_frame(truth, 0.10, 3);
 
   RobustPipelineOptions opts;
   // 1 (plain) + 2 (trimmed) + 2 (fresh) spent; resample needs 12 — skipped,
-  // flagging budget exhaustion — while the RPCA rung (2 calls) still fits.
+  // flagging budget exhaustion, never attempted.
   opts.budget.max_decode_calls = 9;
   RobustPipeline pipe(16, 16, opts, fista());
   Rng rng(11);
-  for (int f = 0; f < 3; ++f) {
-    const auto res = pipe.process(corrupted, rng);
-    // Depth 3 == trimmed, fresh-pattern and RPCA all ran; resample (depth 3
-    // in rung order) was skipped for budget, never attempted.
-    EXPECT_EQ(res.report.escalation_depth, 3);
-    EXPECT_NE(res.report.strategy, Strategy::kResample);
-    // `strategy` names the rung of the returned frame: the RPCA rung when it
-    // was accepted there, otherwise the best-scoring rejected candidate
-    // (which may be an earlier rung).
-    if (res.report.accepted) {
-      EXPECT_EQ(res.report.strategy, Strategy::kRpcaWindow);
-    }
+  for (std::size_t f = 0; f < 3; ++f) {
+    const auto res = pipe.process(corrupted, f, rng);
     EXPECT_TRUE(res.report.budget_exhausted);
+    EXPECT_EQ(res.report.escalation_depth, 2);  // trimmed and fresh ran
+    EXPECT_NE(res.report.strategy, Strategy::kResample);
     EXPECT_LE(res.report.decode_calls, 9);
   }
   EXPECT_EQ(pipe.health().budget_exhaustions, 3u);
@@ -213,7 +206,7 @@ TEST(RobustPipeline, LadderReturnsBestCandidateWhenNoRungAccepted) {
   opts.budget.fresh_pattern_retries = 0;  // ladder: plain, trimmed, resample
   RobustPipeline pipe(16, 16, opts, fista());
   Rng rng(11);
-  const auto res = pipe.process(corrupted, rng);
+  const auto res = pipe.process(corrupted, 0, rng);
 
   EXPECT_FALSE(res.report.accepted);
   EXPECT_EQ(res.report.escalation_depth, 2);  // trimmed and resample both ran
@@ -250,7 +243,7 @@ TEST(RobustPipeline, RejectedPlainOnlyLadderReportsPlainAttempt) {
   opts.max_rung = Strategy::kPlainDecode;
   RobustPipeline pipe(16, 16, opts, fista());
   Rng rng(11);
-  const auto res = pipe.process(corrupted, rng);
+  const auto res = pipe.process(corrupted, 0, rng);
 
   EXPECT_FALSE(res.report.accepted);
   EXPECT_EQ(res.report.strategy, Strategy::kPlainDecode);
@@ -267,7 +260,7 @@ TEST(RobustPipeline, BudgetExhaustionStopsTheLadder) {
   opts.budget.max_decode_calls = 1;  // plain decode only, nothing to climb
   RobustPipeline pipe(16, 16, opts, fista());
   Rng rng(11);
-  const auto res = pipe.process(corrupted, rng);
+  const auto res = pipe.process(corrupted, 0, rng);
 
   EXPECT_FALSE(res.report.accepted);
   EXPECT_TRUE(res.report.budget_exhausted);
@@ -291,25 +284,21 @@ TEST(RobustPipeline, DefectRateEwmaDetectsDrift) {
   // Healthy stream first: no drift.
   const la::Matrix truth = thermal_frame(16, 7);
   Rng rng(11);
-  (void)pipe.process(truth, rng);
+  (void)pipe.process(truth, 0, rng);
   EXPECT_FALSE(pipe.health().drift_detected);
   EXPECT_EQ(pipe.health().drift_events, 0u);
 
   // Then the array degrades to 10 % stuck pixels: the per-frame defect-rate
   // estimate pushes the EWMA over the drift threshold within a few frames.
   const la::Matrix corrupted = stuck_frame(truth, 0.10, 99);
-  for (int f = 0; f < 3; ++f) {
-    const auto res = pipe.process(corrupted, rng);
+  for (std::size_t f = 1; f <= 3; ++f) {
+    const auto res = pipe.process(corrupted, f, rng);
     EXPECT_GT(res.report.suspected_defect_count, 0u);
   }
   EXPECT_TRUE(pipe.health().drift_detected);
   EXPECT_EQ(pipe.health().drift_events, 1u);
   EXPECT_GT(pipe.health().defect_rate_ewma, opts.drift_threshold);
 
-  // reset() clears the stream state.
-  pipe.reset();
-  EXPECT_EQ(pipe.health().frames_processed, 0u);
-  EXPECT_FALSE(pipe.health().drift_detected);
 }
 
 TEST(RobustPipeline, MeasurementFaultChannelIsAppliedAndReported) {
@@ -324,12 +313,35 @@ TEST(RobustPipeline, MeasurementFaultChannelIsAppliedAndReported) {
   RobustPipeline pipe(16, 16, opts, fista());
 
   Rng rng(11);
-  const auto res = pipe.process(truth, rng);
+  const auto res = pipe.process(truth, 0, rng);
   EXPECT_GT(res.report.dropped_measurements, 0u);
   EXPECT_GT(res.report.saturated_measurements, 0u);
   // The decode ran on the surviving measurements and produced a full frame.
   EXPECT_EQ(res.frame.rows(), 16u);
   EXPECT_TRUE(la::all_finite(res.frame));
+}
+
+// A frame's pixels depend on the frame, its index, the RNG and the control,
+// not on what the pipeline decoded before: a pipeline that has already
+// decoded another frame returns the same pixels as a fresh one, even
+// through the frame-indexed measurement-fault channel.
+TEST(RobustPipeline, PixelsDoNotDependOnEarlierFrames) {
+  const la::Matrix truth = thermal_frame(16, 7);
+  RobustPipelineOptions opts;
+  opts.measurement_faults.add(cs::DroppedMeasurementFault{0.1, 5});
+  RobustPipeline fresh(16, 16, opts, fista());
+  RobustPipeline warmed(16, 16, opts, fista());
+  Rng warm_rng(3);
+  (void)warmed.process(thermal_frame(16, 8), 0, warm_rng);
+
+  Rng a(11), b(11);
+  const auto ra = fresh.process(truth, 4, a);
+  const auto rb = warmed.process(truth, 4, b);
+  EXPECT_EQ(ra.report.frame_index, 4u);
+  EXPECT_EQ(rb.report.frame_index, 4u);
+  EXPECT_GT(ra.report.dropped_measurements, 0u);
+  EXPECT_EQ(ra.report.dropped_measurements, rb.report.dropped_measurements);
+  EXPECT_EQ(la::max_abs_diff(ra.frame, rb.frame), 0.0);
 }
 
 TEST(RobustPipeline, SuspectedDefectMaskOverlapsTrueDefects) {
@@ -344,7 +356,7 @@ TEST(RobustPipeline, SuspectedDefectMaskOverlapsTrueDefects) {
   opts.max_rung = Strategy::kTrimmedDecode;
   RobustPipeline pipe(dim, dim, opts, fista());
   Rng rng(11);
-  const auto res = pipe.process(ff.values, rng);
+  const auto res = pipe.process(ff.values, 0, rng);
 
   ASSERT_EQ(res.report.suspected_defects.size(), dim * dim);
   EXPECT_GT(res.report.suspected_defect_count, 0u);
@@ -360,7 +372,7 @@ TEST(RobustPipeline, SuspectedDefectMaskOverlapsTrueDefects) {
 TEST(RobustPipeline, ValidatesInputs) {
   RobustPipeline pipe(8, 8, {}, fista());
   Rng rng(1);
-  EXPECT_THROW(pipe.process(la::Matrix(4, 4, 0.5), rng), CheckError);
+  EXPECT_THROW(pipe.process(la::Matrix(4, 4, 0.5), 0, rng), CheckError);
 
   RobustPipelineOptions bad;
   bad.sampling_fraction = 0.0;
@@ -375,7 +387,6 @@ TEST(RobustPipeline, StrategyNamesAreStable) {
   EXPECT_STREQ(strategy_name(Strategy::kTrimmedDecode), "trimmed");
   EXPECT_STREQ(strategy_name(Strategy::kFreshPatternRetry), "fresh-pattern");
   EXPECT_STREQ(strategy_name(Strategy::kResample), "resample");
-  EXPECT_STREQ(strategy_name(Strategy::kRpcaWindow), "rpca-window");
 }
 
 // The fault-matrix: every fault kind is pushed through every ladder ceiling.
@@ -428,8 +439,7 @@ TEST(RobustPipeline, FaultMatrixEveryKindTimesEveryRung) {
                        {cs::DroppedMeasurementFault{0.15, 25}})});
 
   const Strategy rungs[] = {Strategy::kPlainDecode, Strategy::kTrimmedDecode,
-                            Strategy::kFreshPatternRetry, Strategy::kResample,
-                            Strategy::kRpcaWindow};
+                            Strategy::kFreshPatternRetry, Strategy::kResample};
 
   for (const KindCase& kc : kinds) {
     for (Strategy ceiling : rungs) {
@@ -445,7 +455,7 @@ TEST(RobustPipeline, FaultMatrixEveryKindTimesEveryRung) {
               ? truth
               : kc.frame_faults.corrupt_frame(truth, 3).values;
       Rng rng(31);
-      const auto res = pipe.process(corrupted, rng);
+      const auto res = pipe.process(corrupted, 0, rng);
       const auto& rep = res.report;
       const char* ctx = cs::fault_kind_name(kc.kind);
 

@@ -5,11 +5,6 @@
 // fault-injection test therefore asserts the recovered frame equals the
 // workers=0 reference EXACTLY, not just in RMSE, while the injected failure
 // shows up in the health counters.
-//
-// The ladder is capped at kResample here: rung 4 (RPCA window) depends on
-// the decoding process's local frame history, which is the one thing the
-// per-tile seeding cannot make process-independent. Clean thermal frames
-// accept at rung 0 anyway.
 #include "runtime/service.hpp"
 
 #include <gtest/gtest.h>
@@ -48,7 +43,6 @@ ServiceOptions service_options(std::size_t workers) {
   opts.workers = workers;
   opts.solver = fista();
   opts.seed = 0xFEEDu;
-  opts.pipeline.max_rung = Strategy::kResample;  // see file comment
   return opts;
 }
 
@@ -349,6 +343,26 @@ TEST(DecodeService, SequentialFramesStayDeterministicAcrossTheFleet) {
     expect_bit_exact(b.frame, a.frame);
   }
   EXPECT_EQ(svc.health().frames_completed, 3u);
+  EXPECT_EQ(svc.health().frames_lost, 0u);
+}
+
+// Measurement faults are keyed by frame index. Each tile carries its
+// frame's global index to whichever process decodes it, so the fault
+// channel, like the sampling pattern, does not depend on how many tiles
+// that process decoded before.
+TEST(DecodeService, MeasurementFaultsStayDeterministicAcrossTheFleet) {
+  ServiceOptions opts0 = service_options(0);
+  opts0.pipeline.measurement_faults.add(cs::DroppedMeasurementFault{0.1, 5});
+  ServiceOptions opts2 = opts0;
+  opts2.workers = 2;
+  DecodeService ref(kDim, kDim, opts0);
+  DecodeService svc(kDim, kDim, opts2);
+  for (std::uint64_t s = 1; s <= 4; ++s) {
+    const la::Matrix frame = thermal_frame(kDim, s);
+    const ServiceFrameResult a = ref.process(frame);
+    const ServiceFrameResult b = svc.process(frame);
+    expect_bit_exact(b.frame, a.frame);
+  }
   EXPECT_EQ(svc.health().frames_lost, 0u);
 }
 

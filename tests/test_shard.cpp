@@ -1,7 +1,9 @@
 // ShardedDecoder: tiled scatter/gather decode over the StreamServer pool.
-// Tile→worker assignment is nondeterministic under >1 worker, so quality
-// assertions compare reconstructions by RMSE against ground truth rather
-// than bit-for-bit. Everything here must stay clean under tsan.
+// Tile→worker assignment is nondeterministic under >1 worker, but a tile's
+// pixels are not: every tile decodes from its own id. Quality assertions
+// compare reconstructions by RMSE against ground truth; the determinism
+// test compares worker counts bit-for-bit. Everything here must stay clean
+// under tsan.
 #include "runtime/shard.hpp"
 
 #include <gtest/gtest.h>
@@ -47,7 +49,7 @@ TEST(ShardedDecoder, TiledDecodeMatchesMonolithicRmse) {
   RobustPipelineOptions mono_opts;
   RobustPipeline mono(kDim, kDim, mono_opts, fista());
   Rng rng(11);
-  const auto mono_res = mono.process(truth, rng);
+  const auto mono_res = mono.process(truth, 0, rng);
   const double mono_rmse = cs::rmse(mono_res.frame, truth);
   EXPECT_TRUE(mono_res.report.accepted);
 
@@ -100,6 +102,27 @@ TEST(ShardedDecoder, SequentialFramesReuseThePool) {
     EXPECT_LT(cs::rmse(res.frame, frame), 0.05) << "frame " << s;
   }
   EXPECT_EQ(sharded.health().completed, 12u);  // 3 frames x 4 tiles
+}
+
+// Every tile decodes as a pure function of (seed, tile id, pixels): which
+// worker thread pops it, and what that worker decoded before, cannot change
+// its pixels, even through the frame-indexed measurement-fault channel.
+TEST(ShardedDecoder, MeasurementFaultsStayDeterministicAcrossWorkerCounts) {
+  constexpr std::size_t kDim = 32;
+  ShardOptions one = shard_options(8, 2);
+  one.stream.pipeline.measurement_faults.add(
+      cs::DroppedMeasurementFault{0.1, 5});
+  one.stream.workers = 1;
+  ShardOptions three = one;
+  three.stream.workers = 3;
+  ShardedDecoder a(kDim, kDim, one);
+  ShardedDecoder b(kDim, kDim, three);
+  for (std::uint64_t s = 1; s <= 4; ++s) {
+    const la::Matrix frame = thermal_frame(kDim, s);
+    const ShardFrameResult ra = a.process(frame);
+    const ShardFrameResult rb = b.process(frame);
+    EXPECT_EQ(la::max_abs_diff(ra.frame, rb.frame), 0.0) << "frame " << s;
+  }
 }
 
 TEST(ShardedDecoder, DeadlineAndCancelPropagateIntoTileSolves) {

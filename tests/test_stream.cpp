@@ -5,9 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 #include <set>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -240,6 +242,42 @@ TEST(StreamServer, LatencyPercentileInterpolatesBetweenOrderStatistics) {
   EXPECT_DOUBLE_EQ(latency_percentile(v, 1.0), 100.0);
   EXPECT_NEAR(latency_percentile(v, 0.99), 99.01, 1e-9);
   EXPECT_NEAR(latency_percentile(v, 0.5), 50.5, 1e-9);
+}
+
+TEST(StreamServer, LatencyHistogramPercentilesLandWithinOneBucket) {
+  LatencyHistogram h;
+  EXPECT_EQ(h.percentile(0.5), 0.0);
+  // 1 ms .. 1 s, inserted in a scrambled order.
+  std::vector<double> v(1000);
+  for (std::size_t i = 0; i < v.size(); ++i)
+    v[i] = 1e-3 * static_cast<double>((i * 379) % 1000 + 1);
+  for (const double x : v) h.add(x);
+  EXPECT_EQ(h.count(), v.size());
+  const double bucket = std::pow(10.0, 1.0 / LatencyHistogram::kPerDecade);
+  for (const double q : {0.0, 0.1, 0.5, 0.9, 0.99, 1.0}) {
+    const double exact = latency_percentile(v, q);
+    const double got = h.percentile(q);
+    EXPECT_LE(std::fabs(std::log(got / exact)), std::log(bucket))
+        << "q " << q << ": " << got << " vs " << exact;
+  }
+  // Out-of-range samples land in the edge buckets.
+  LatencyHistogram edges;
+  edges.add(0.0);
+  edges.add(1e9);
+  EXPECT_EQ(edges.percentile(0.0), LatencyHistogram::kLowest);
+  EXPECT_NEAR(edges.percentile(1.0), 1e3, 1e-9);
+}
+
+TEST(StreamServer, LatencyHistogramSizeDoesNotGrowWithSamples) {
+  // Fixed storage: no heap members, so a histogram of a million samples
+  // occupies exactly sizeof(LatencyHistogram), like an empty one.
+  static_assert(std::is_trivially_copyable_v<LatencyHistogram>);
+  static_assert(sizeof(LatencyHistogram) ==
+                (LatencyHistogram::kBuckets + 1) * sizeof(std::uint64_t));
+  LatencyHistogram h;
+  for (int i = 0; i < 1000000; ++i) h.add(1e-3 * (1 + i % 1000));
+  EXPECT_EQ(h.count(), 1000000u);
+  EXPECT_NEAR(h.percentile(0.5), 0.5, 0.5 * 0.03);
 }
 
 // Decodes frames[i] under stream id i on a server with `workers` threads and

@@ -28,7 +28,8 @@ la::Matrix random_matrix(std::size_t rows, std::size_t cols, Rng& rng) {
 RecoveryReport random_report(std::size_t rows, std::size_t cols, Rng& rng) {
   RecoveryReport rep;
   rep.frame_index = rng.uniform_index(1000);
-  rep.strategy = static_cast<Strategy>(rng.uniform_index(kStrategyCount));
+  rep.strategy = static_cast<Strategy>(
+      rng.uniform_index(static_cast<std::size_t>(Strategy::kResample) + 1));
   rep.escalation_depth = static_cast<int>(rng.uniform_index(5));
   rep.decode_calls = static_cast<int>(rng.uniform_index(32));
   rep.accepted = rng.uniform() < 0.5;
@@ -349,6 +350,28 @@ TEST(Wire, StructurallyLyingPayloadsThrowCheckError) {
     bytes[8] = 0xEE;  // strategy byte follows the u64 frame_index
     Reader r(bytes);
     EXPECT_THROW(get_recovery_report(r), CheckError);
+  }
+  {  // rung 4 (retired) as a report's strategy
+    Rng rng(67);
+    RecoveryReport rep = random_report(3, 3, rng);
+    rep.strategy = static_cast<Strategy>(4);
+    Writer w;
+    put_recovery_report(w, rep);
+    const std::vector<std::uint8_t> bytes = w.take();
+    Reader r(bytes);
+    EXPECT_THROW(get_recovery_report(r), CheckError);
+  }
+  {  // rung 4 (retired) as a tile request's ladder cap
+    Rng rng(68);
+    TileRequest req;
+    req.max_rung = 4;
+    req.tile = random_matrix(4, 4, rng);
+    const std::vector<std::uint8_t> bytes = encode_tile_request(req);
+    Message msg;
+    std::size_t consumed = 0;
+    ASSERT_EQ(decode_message(bytes.data(), bytes.size(), msg, consumed),
+              DecodeStatus::kOk);
+    EXPECT_THROW(decode_tile_request(msg), CheckError);
   }
 }
 

@@ -38,10 +38,11 @@
 //     "forked_workers":    integer — socketpair worker processes
 //     "remote_workers":    integer — remote (TCP) worker slots
 //     "frames":            integer — frames decoded in the cell
-//     "frames_lost":       integer — admitted but never stitched (target: 0)
-//     "decode_seconds":    number  — wall time of the whole batch
-//     "frames_per_second": number
-//     "p50_latency_ms":    number  — per-frame submission -> stitched
+//     "frames_lost":       integer — submitted but never stitched (target: 0)
+//     "decode_seconds":    number  — summed wall time of the process()
+//                                    calls, one per frame
+//     "frames_per_second": number  — frames / decode_seconds
+//     "p50_latency_ms":    number  — one process() call, entry -> stitched
 //     "p99_latency_ms":    number
 //     "rmse":              number  — mean stitched RMSE vs ground truth
 //     "rmse_vs_clean":     number  — rmse / same-mix fault-free baseline
@@ -246,19 +247,20 @@ FaultCell run_cell(const SweepConfig& cfg, FaultKind kind, double rate,
     truths.push_back(gen.sample(rng).values);
   }
 
-  const auto t0 = std::chrono::steady_clock::now();
-  const std::vector<runtime::ServiceFrameResult> results =
-      service.process_batch(truths);
-  const auto t1 = std::chrono::steady_clock::now();
-  cell.decode_seconds = std::chrono::duration<double>(t1 - t0).count();
+  // One process() call per frame; each call's wall time is that frame's
+  // latency.
+  std::vector<double> latencies;
+  for (const la::Matrix& truth : truths) {
+    const auto t0 = std::chrono::steady_clock::now();
+    const runtime::ServiceFrameResult result = service.process(truth);
+    latencies.push_back(std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count());
+    cell.decode_seconds += latencies.back();
+    cell.rmse += cs::rmse(result.frame, truth);
+  }
   cell.frames_per_second =
       static_cast<double>(cfg.frames) / cell.decode_seconds;
-
-  std::vector<double> latencies;
-  for (std::size_t f = 0; f < results.size(); ++f) {
-    cell.rmse += cs::rmse(results[f].frame, truths[f]);
-    latencies.push_back(results[f].latency_seconds);
-  }
   cell.rmse /= static_cast<double>(cfg.frames);
   cell.p50_latency_ms = 1e3 * runtime::latency_percentile(latencies, 0.50);
   cell.p99_latency_ms = 1e3 * runtime::latency_percentile(latencies, 0.99);

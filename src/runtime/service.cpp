@@ -12,20 +12,15 @@
 #include <cmath>
 #include <csignal>
 #include <cstdlib>
-#include <deque>
 #include <utility>
 
 #include "common/check.hpp"
 #include "common/strings.hpp"
-#include "runtime/stream.hpp"
 
 namespace flexcs::runtime {
 namespace {
 
 ServiceOptions validated(ServiceOptions opts) {
-  FLEXCS_CHECK(opts.queue_capacity >= 1, "service queue capacity must be >= 1");
-  FLEXCS_CHECK(opts.max_inflight_frames >= 1,
-               "service needs at least one in-flight frame slot");
   FLEXCS_CHECK(opts.tile_retry_budget >= 0,
                "tile retry budget must be non-negative");
   FLEXCS_CHECK(opts.max_respawns >= 0, "respawn budget must be non-negative");
@@ -116,10 +111,7 @@ std::string ServiceHealth::to_json() const {
     out += strformat("\"%s\": %zu", name, value);
   };
   field("frames_submitted", frames_submitted);
-  field("frames_admitted", frames_admitted);
   field("frames_completed", frames_completed);
-  field("frames_dropped", frames_dropped);
-  field("frames_degraded", frames_degraded);
   field("frames_lost", frames_lost);
   field("tiles_dispatched", tiles_dispatched);
   field("tiles_completed", tiles_completed);
@@ -280,11 +272,9 @@ void DecodeService::handle_link_failure(std::size_t index, FailureKind kind,
       ++health_.checksum_rejects;
       break;
   }
-  ActiveFrame* frame = link.busy ? link.job_frame : nullptr;
-  const std::size_t tile = link.job_tile;
+  const bool had_tile = link.busy;
   link.conn.close();
   link.busy = false;
-  link.job_frame = nullptr;
   link.ping_outstanding = false;
   link.state_since = Deadline::Clock::now();
   if (link.owns_pid) {
@@ -301,19 +291,19 @@ void DecodeService::handle_link_failure(std::size_t index, FailureKind kind,
     // prospect within the grace window, then as plain spare capacity.
     link.state = Link::State::kReconnecting;
   }
-  if (frame != nullptr) {
+  if (had_tile) {
     if (!link.owns_pid) ++health_.redispatches_on_disconnect;
-    fail_tile(*frame, tile, ctrl);
+    fail_tile(link.job_tile, ctrl);
   }
 }
 
-void DecodeService::fail_tile(ActiveFrame& frame, std::size_t tile,
+void DecodeService::fail_tile(std::size_t tile,
                               const solvers::SolveOptions& ctrl) {
-  TileState& ts = frame.tiles[tile];
+  TileState& ts = frame_.tiles[tile];
   ts.stage = TileState::Stage::kPending;
   if (ts.attempts >= opts_.tile_retry_budget) {
     // Out of wire retries: the broker decodes it itself, right now.
-    decode_tile_in_process(frame, tile, ctrl);
+    decode_tile_in_process(tile, ctrl);
     return;
   }
   // Exponential backoff before the next dispatch of this tile: attempt k
@@ -326,22 +316,15 @@ void DecodeService::fail_tile(ActiveFrame& frame, std::size_t tile,
 }
 
 wire::TileRequest DecodeService::make_request(
-    const ActiveFrame& frame, std::size_t tile,
-    const solvers::SolveOptions& ctrl) {
+    std::size_t tile, const solvers::SolveOptions& ctrl) const {
   wire::TileRequest req;
-  req.frame_index = frame.global_index;
+  req.frame_index = frame_.index;
   req.tile_index = tile;
-  // The service has no deadline of its own to scale, so a Degrade level
-  // caps only the ladder.
-  const StreamServer::DegradeCaps caps =
-      StreamServer::degrade_caps(frame.degrade_level);
-  req.max_rung = static_cast<std::uint32_t>(caps.max_rung);
-  req.max_decode_calls = caps.max_decode_calls;
   // An expired external deadline still maps to a positive wire value:
   // deadline_seconds <= 0 means "none" on the wire.
   if (!ctrl.deadline.unlimited())
     req.deadline_seconds = std::max(ctrl.deadline.remaining_seconds(), 1e-9);
-  req.tile = grid_.extract(*frame.source, tile);
+  req.tile = grid_.extract(*frame_.source, tile);
   return req;
 }
 
@@ -353,34 +336,31 @@ RobustPipeline& DecodeService::in_process_pipeline() {
   return *in_process_;
 }
 
-void DecodeService::decode_tile_in_process(ActiveFrame& frame,
-                                           std::size_t tile,
+void DecodeService::decode_tile_in_process(std::size_t tile,
                                            const solvers::SolveOptions& ctrl) {
   // The worker's decode, plus the caller's cancel token (which cannot cross
   // the process boundary). An inert token does not perturb the solve, so
   // this path stays bit-identical to the worker path for the same tile.
   RobustPipeline::FrameResult result =
-      decode_tile(in_process_pipeline(), make_request(frame, tile, ctrl),
+      decode_tile(in_process_pipeline(), make_request(tile, ctrl),
                   opts_.seed, ctrl.cancel);
-  complete_tile(frame, tile, result.frame, std::move(result.report),
+  complete_tile(tile, result.frame, std::move(result.report),
                 /*in_process=*/true, /*remote=*/false);
 }
 
-void DecodeService::dispatch_tile(std::size_t index, ActiveFrame& frame,
-                                  std::size_t tile,
+void DecodeService::dispatch_tile(std::size_t index, std::size_t tile,
                                   const solvers::SolveOptions& ctrl) {
   Link& link = links_[index];
-  wire::TileRequest req = make_request(frame, tile, ctrl);
+  wire::TileRequest req = make_request(tile, ctrl);
   req.seq = next_seq_++;
 
-  TileState& ts = frame.tiles[tile];
+  TileState& ts = frame_.tiles[tile];
   if (ts.attempts > 0) ++health_.tile_redispatches;
   ++ts.attempts;
   ts.stage = TileState::Stage::kDispatched;
   ++health_.tiles_dispatched;
 
   link.busy = true;
-  link.job_frame = &frame;
   link.job_tile = tile;
   link.seq = req.seq;
   link.dispatched_at = Deadline::Clock::now();
@@ -500,20 +480,19 @@ bool DecodeService::admit_hello(std::size_t index, const wire::Message& msg,
   return true;
 }
 
-void DecodeService::complete_tile(ActiveFrame& frame, std::size_t tile,
-                                  const la::Matrix& padded,
+void DecodeService::complete_tile(std::size_t tile, const la::Matrix& padded,
                                   RecoveryReport report, bool in_process,
                                   bool remote) {
-  TileState& ts = frame.tiles[tile];
+  TileState& ts = frame_.tiles[tile];
   FLEXCS_CHECK(ts.stage != TileState::Stage::kDone,
                "tile completed twice");
   ts.stage = TileState::Stage::kDone;
   ts.in_process = in_process;
-  grid_.stitch(padded, tile, frame.out);
+  grid_.stitch(padded, tile, frame_.out);
 
   if (report.deadline_expired) ++health_.deadline_expired_tiles;
   TileReport& tr =
-      fold_tile_report(frame.report, grid_, tile, std::move(report));
+      fold_tile_report(frame_.report, grid_, tile, std::move(report));
   tr.dispatch_attempts = ts.attempts;
   tr.in_process = in_process;
   tr.remote = remote;
@@ -523,7 +502,7 @@ void DecodeService::complete_tile(ActiveFrame& frame, std::size_t tile,
   } else {
     ++health_.tiles_completed;
   }
-  ++frame.tiles_done;
+  ++frame_.tiles_done;
 }
 
 void DecodeService::collect_link(std::size_t index, short revents,
@@ -576,10 +555,7 @@ void DecodeService::collect_link(std::size_t index, short revents,
       return;
     }
     if (link.busy && resp.seq == link.seq) {
-      ActiveFrame& frame = *link.job_frame;
-      const std::size_t tile = link.job_tile;
       link.busy = false;
-      link.job_frame = nullptr;
       const double observed =
           seconds_since(link.dispatched_at, Deadline::Clock::now());
       link.ewma_tile_seconds =
@@ -587,7 +563,7 @@ void DecodeService::collect_link(std::size_t index, short revents,
               ? observed
               : kEwmaAlpha * observed +
                     (1.0 - kEwmaAlpha) * link.ewma_tile_seconds;
-      complete_tile(frame, tile, resp.tile, std::move(resp.report),
+      complete_tile(link.job_tile, resp.tile, std::move(resp.report),
                     /*in_process=*/false, /*remote=*/!link.owns_pid);
     } else {
       // A response for a dispatch we already gave up on (e.g. the answer of
@@ -601,8 +577,7 @@ void DecodeService::collect_link(std::size_t index, short revents,
     handle_link_failure(index, FailureKind::kDrop, ctrl);
 }
 
-void DecodeService::pump(std::vector<std::unique_ptr<ActiveFrame>>& window,
-                         const solvers::SolveOptions& ctrl) {
+void DecodeService::pump(const solvers::SolveOptions& ctrl) {
   const Deadline::Clock::time_point now = Deadline::Clock::now();
 
   // --- lifecycle sweep: a link stuck waiting for a connection (or a valid
@@ -642,17 +617,14 @@ void DecodeService::pump(std::vector<std::unique_ptr<ActiveFrame>>& window,
     }
   }
   const bool fleet_down = !fleet_has_prospects(now);
-  for (const std::unique_ptr<ActiveFrame>& af : window) {
-    if (!af) continue;
-    for (const TileState& ts : af->tiles) {
-      if (ts.stage != TileState::Stage::kPending) continue;
-      if (fleet_down || ctrl.cancel.cancelled() ||
-          ts.attempts >= opts_.tile_retry_budget) {
-        wait_s = 0.0;  // in-process fallback runs this round
-      } else {
-        const double rem = seconds_since(now, ts.eligible_at);
-        wait_s = std::min(wait_s, idle_worker ? rem : 0.02);
-      }
+  for (const TileState& ts : frame_.tiles) {
+    if (ts.stage != TileState::Stage::kPending) continue;
+    if (fleet_down || ctrl.cancel.cancelled() ||
+        ts.attempts >= opts_.tile_retry_budget) {
+      wait_s = 0.0;  // in-process fallback runs this round
+    } else {
+      const double rem = seconds_since(now, ts.eligible_at);
+      wait_s = std::min(wait_s, idle_worker ? rem : 0.02);
     }
   }
   const int timeout_ms =
@@ -737,129 +709,60 @@ void DecodeService::pump(std::vector<std::unique_ptr<ActiveFrame>>& window,
     }
   }
 
-  // --- dispatch pending tiles (lowest frame, then lowest tile, first) to
-  // the idle healthy link with the lowest EWMA tile latency, and run the
-  // in-process fallback for everything that can no longer ride the fleet.
-  for (const std::unique_ptr<ActiveFrame>& af : window) {
-    if (!af) continue;
-    for (std::size_t tile = 0; tile < af->tiles.size(); ++tile) {
-      TileState& ts = af->tiles[tile];
-      if (ts.stage != TileState::Stage::kPending) continue;
-      if (ctrl.cancel.cancelled() || !fleet_has_prospects(after_poll) ||
-          ts.attempts >= opts_.tile_retry_budget) {
-        decode_tile_in_process(*af, tile, ctrl);
-        continue;
-      }
-      if (seconds_since(after_poll, ts.eligible_at) > 0.0) continue;
-      std::size_t best = links_.size();
-      for (std::size_t i = 0; i < links_.size(); ++i) {
-        const Link& link = links_[i];
-        if (link.state != Link::State::kHealthy || link.busy) continue;
-        if (best == links_.size() ||
-            link.ewma_tile_seconds < links_[best].ewma_tile_seconds)
-          best = i;
-      }
-      if (best == links_.size()) return;  // fleet saturated
-      dispatch_tile(best, *af, tile, ctrl);
+  // --- dispatch pending tiles (lowest tile first) to the idle healthy link
+  // with the lowest EWMA tile latency, and run the in-process fallback for
+  // everything that can no longer ride the fleet.
+  for (std::size_t tile = 0; tile < frame_.tiles.size(); ++tile) {
+    const TileState& ts = frame_.tiles[tile];
+    if (ts.stage != TileState::Stage::kPending) continue;
+    if (ctrl.cancel.cancelled() || !fleet_has_prospects(after_poll) ||
+        ts.attempts >= opts_.tile_retry_budget) {
+      decode_tile_in_process(tile, ctrl);
+      continue;
     }
+    if (seconds_since(after_poll, ts.eligible_at) > 0.0) continue;
+    std::size_t best = links_.size();
+    for (std::size_t i = 0; i < links_.size(); ++i) {
+      const Link& link = links_[i];
+      if (link.state != Link::State::kHealthy || link.busy) continue;
+      if (best == links_.size() ||
+          link.ewma_tile_seconds < links_[best].ewma_tile_seconds)
+        best = i;
+    }
+    if (best == links_.size()) return;  // fleet saturated
+    dispatch_tile(best, tile, ctrl);
   }
 }
 
 ServiceFrameResult DecodeService::process(const la::Matrix& frame,
                                           const solvers::SolveOptions& ctrl) {
-  std::vector<ServiceFrameResult> out =
-      process_batch(std::vector<la::Matrix>{frame}, ctrl);
-  return std::move(out.front());
-}
-
-std::vector<ServiceFrameResult> DecodeService::process_batch(
-    const std::vector<la::Matrix>& frames, const solvers::SolveOptions& ctrl) {
   FLEXCS_CHECK(!closed_, "process on a closed DecodeService");
-  FLEXCS_CHECK(!frames.empty(), "decode service got an empty batch");
-  for (const la::Matrix& f : frames) {
-    FLEXCS_CHECK(f.rows() == grid_.rows && f.cols() == grid_.cols,
-                 "frame shape does not match the service geometry");
-  }
+  FLEXCS_CHECK(frame.rows() == grid_.rows && frame.cols() == grid_.cols,
+               "frame shape does not match the service geometry");
   const Deadline::Clock::time_point t0 = Deadline::Clock::now();
-  std::vector<ServiceFrameResult> results(frames.size());
+  frame_.index = health_.frames_submitted++;  // the running frame count
+  frame_.source = &frame;
+  frame_.out = la::Matrix(grid_.rows, grid_.cols);
+  frame_.report = ShardReport{};
+  frame_.report.tiles = grid_.tiles();
+  frame_.report.tile_reports.resize(grid_.tiles());
+  frame_.tiles_done = 0;
+  frame_.tiles.assign(grid_.tiles(), TileState{});
 
-  // Submission burst through the admission policy. Block admits everything
-  // (the synchronous caller is the backpressure); DropOldest evicts the
-  // oldest waiting frame once the backlog exceeds the queue capacity.
-  std::deque<std::size_t> backlog;
-  for (std::size_t i = 0; i < frames.size(); ++i) {
-    ++health_.frames_submitted;
-    backlog.push_back(i);
-    if (opts_.policy == BackpressurePolicy::kDropOldest &&
-        backlog.size() > opts_.queue_capacity) {
-      const std::size_t victim = backlog.front();
-      backlog.pop_front();
-      ++health_.frames_dropped;
-      results[victim].dropped = true;
-      results[victim].frame = la::Matrix(grid_.rows, grid_.cols);
-    }
-  }
+  while (frame_.tiles_done < frame_.tiles.size()) pump(ctrl);
 
-  std::vector<std::unique_ptr<ActiveFrame>> window(opts_.max_inflight_frames);
-  const auto admit = [&]() {
-    for (std::unique_ptr<ActiveFrame>& slot : window) {
-      if (slot || backlog.empty()) continue;
-      const std::size_t ri = backlog.front();
-      backlog.pop_front();
-      auto af = std::make_unique<ActiveFrame>();
-      af->result_index = ri;
-      af->global_index = next_frame_global_++;
-      af->source = &frames[ri];
-      af->submitted_at = t0;
-      af->admitted_at = Deadline::Clock::now();
-      // Degrade level from the backlog depth left behind at admission — the
-      // same depth→level mapping the streaming server applies at dequeue.
-      if (opts_.policy == BackpressurePolicy::kDegrade) {
-        af->degrade_level = StreamServer::degrade_level_for(
-            backlog.size(), opts_.queue_capacity);
-        if (af->degrade_level > 0) ++health_.frames_degraded;
-      }
-      af->out = la::Matrix(grid_.rows, grid_.cols);
-      af->report.tiles = grid_.tiles();
-      af->report.tile_reports.resize(grid_.tiles());
-      af->tiles.resize(grid_.tiles());
-      ++health_.frames_admitted;
-      slot = std::move(af);
-    }
-  };
-
-  admit();
-  for (;;) {
-    bool active = false;
-    for (const std::unique_ptr<ActiveFrame>& af : window)
-      active = active || af != nullptr;
-    if (!active) break;
-
-    pump(window, ctrl);
-
-    const Deadline::Clock::time_point now = Deadline::Clock::now();
-    for (std::unique_ptr<ActiveFrame>& slot : window) {
-      if (!slot || slot->tiles_done < slot->tiles.size()) continue;
-      ActiveFrame& af = *slot;
-      ServiceFrameResult& res = results[af.result_index];
-      af.report.decode_seconds = seconds_since(af.admitted_at, now);
-      res.latency_seconds = seconds_since(af.submitted_at, now);
-      res.frame = std::move(af.out);
-      res.report = std::move(af.report);
-      res.degrade_level = af.degrade_level;
-      ++health_.frames_completed;
-      slot.reset();
-    }
-    admit();
-  }
-
-  // Every admitted frame has completed (the pump loop exits only on an
-  // empty window), so frames_lost stays 0 — the invariant the supervision
-  // tests pin. Count defensively anyway.
-  health_.frames_lost += health_.frames_admitted - health_.frames_completed;
-  return results;
+  ServiceFrameResult res;
+  res.frame = std::move(frame_.out);
+  res.report = std::move(frame_.report);
+  res.report.decode_seconds = seconds_since(t0, Deadline::Clock::now());
+  frame_.source = nullptr;
+  ++health_.frames_completed;
+  // The pump loop exits only once every tile is stitched, so a frame is
+  // lost only when an earlier call threw — the invariant the supervision
+  // tests pin at 0.
+  health_.frames_lost = health_.frames_submitted - health_.frames_completed;
+  return res;
 }
-
 
 void DecodeService::close() {
   if (closed_) return;

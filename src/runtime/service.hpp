@@ -1,8 +1,8 @@
 // Crash-tolerant multi-process decode service: a single-threaded broker that
-// admits frames under the streaming backpressure policies, scatters their
-// tiles over a heterogeneous fleet — forked local worker processes over
-// socketpairs plus remote workers over TCP (see net.hpp / DESIGN.md §9) —
-// and stitches the results exactly as ShardedDecoder does. A worker is a
+// decodes one frame per process() call. It scatters the frame's tiles over
+// a heterogeneous fleet — forked local worker processes over socketpairs
+// plus remote workers over TCP (see net.hpp / DESIGN.md §9) — and stitches
+// the results exactly as ShardedDecoder does. A worker is a
 // *process* (possibly on another host), so a crashed, wedged, partitioned,
 // or byte-corrupting worker cannot take the frame (or the service) down
 // with it.
@@ -41,10 +41,11 @@
 //     everything else once the fleet has no prospects left — graceful
 //     degradation, never a hang or a lost frame.
 //
-// Determinism: tile sampling patterns are seeded from (seed, frame, tile) —
-// see worker.hpp — so a re-dispatched or fallback-decoded tile is
-// bit-identical to the one the dead worker would have produced. Fault
-// injection therefore changes health counters, never pixels.
+// Determinism: tile sampling patterns are seeded from (seed, frame, tile),
+// with frame the running count of process() calls — see worker.hpp — so a
+// re-dispatched or fallback-decoded tile is bit-identical to the one the
+// dead worker would have produced. Fault injection therefore changes health
+// counters, never pixels.
 //
 // Threading: the broker is deliberately single-threaded (poll-based event
 // loop, no std::thread anywhere), which keeps fork() safe at any time — a
@@ -72,15 +73,6 @@ struct ServiceOptions {
   // Worker processes to fork. 0 runs every tile in-process (no forks) — the
   // same code path the supervisor degrades to when the fleet collapses.
   std::size_t workers = 2;
-  // Admission control over pending frames, reusing the streaming policies:
-  // Block admits everything (the synchronous caller is the backpressure),
-  // DropOldest evicts the oldest waiting frame when the backlog exceeds
-  // queue_capacity, Degrade cheapens frames admitted from a deep backlog
-  // (same depth→level mapping as StreamServer::degrade_level_for).
-  BackpressurePolicy policy = BackpressurePolicy::kBlock;
-  std::size_t queue_capacity = 8;
-  // Frames tiled/decoded concurrently; pending frames wait in the backlog.
-  std::size_t max_inflight_frames = 2;
   // Heartbeat timeout: a dispatched tile unanswered for
   //   max(heartbeat_floor_seconds, 4 * tile deadline + slack)
   // marks its worker suspect (SIGKILL + respawn + re-dispatch). The tile
@@ -141,11 +133,8 @@ struct ServiceOptions {
 /// defends — it stays 0 through crashes, stalls, and wire corruption.
 struct ServiceHealth {
   std::size_t frames_submitted = 0;
-  std::size_t frames_admitted = 0;
   std::size_t frames_completed = 0;
-  std::size_t frames_dropped = 0;   // DropOldest evictions
-  std::size_t frames_degraded = 0;  // admitted at a nonzero degrade level
-  std::size_t frames_lost = 0;      // admitted but never stitched (target: 0)
+  std::size_t frames_lost = 0;  // submitted but never stitched (target: 0)
   std::size_t tiles_dispatched = 0;  // wire dispatches, retries included
   std::size_t tiles_completed = 0;   // stitched from worker responses
   std::size_t tile_redispatches = 0;  // dispatches after a failure
@@ -171,15 +160,15 @@ struct ServiceHealth {
 };
 
 struct ServiceFrameResult {
-  la::Matrix frame;   // stitched reconstruction (zeros when dropped)
-  ShardReport report;  // per-tile attribution incl. dispatch_attempts
-  bool dropped = false;     // DropOldest victim — never admitted
-  int degrade_level = 0;    // admission degrade level (Degrade policy)
-  double latency_seconds = 0.0;  // submission → stitched
+  la::Matrix frame;  // stitched reconstruction
+  // Per-tile attribution incl. dispatch_attempts; report.decode_seconds is
+  // the frame's latency (process() entry → stitched).
+  ShardReport report;
+  bool dropped = false;  // always false: every frame is decoded
 };
 
 /// The broker. Forks its workers at construction, supervises them across
-/// process()/process_batch() calls, and reaps them at close()/destruction.
+/// process() calls, and reaps them at close()/destruction.
 class DecodeService {
  public:
   DecodeService(std::size_t rows, std::size_t cols, ServiceOptions opts = {});
@@ -199,13 +188,6 @@ class DecodeService {
   /// deadline/heartbeat bound.
   ServiceFrameResult process(const la::Matrix& frame,
                              const solvers::SolveOptions& ctrl = {});
-
-  /// Multi-frame variant: frames are submitted as one burst through the
-  /// admission policy, then decoded max_inflight_frames at a time. Results
-  /// are index-aligned with `frames` (dropped frames flagged, zero-filled).
-  std::vector<ServiceFrameResult> process_batch(
-      const std::vector<la::Matrix>& frames,
-      const solvers::SolveOptions& ctrl = {});
 
   ServiceHealth health() const { return health_; }
   std::size_t live_workers() const;
@@ -231,17 +213,14 @@ class DecodeService {
     Deadline::Clock::time_point eligible_at{};  // backoff gate
   };
 
+  /// The frame the current process() call decodes.
   struct ActiveFrame {
-    std::size_t result_index = 0;
-    std::uint64_t global_index = 0;
-    int degrade_level = 0;
-    const la::Matrix* source = nullptr;  // caller's frame, outlives the batch
+    std::uint64_t index = 0;  // running frame count: the tiles' frame_index
+    const la::Matrix* source = nullptr;  // caller's frame, during process()
     la::Matrix out;
     ShardReport report;
     std::size_t tiles_done = 0;
     std::vector<TileState> tiles;
-    Deadline::Clock::time_point submitted_at{};  // batch submission burst
-    Deadline::Clock::time_point admitted_at{};   // entered the decode window
   };
 
   /// One supervised worker link (state machine in the header comment). A
@@ -267,9 +246,8 @@ class DecodeService {
     Deadline::Clock::time_point last_activity{};  // bytes seen / admission
     bool ping_outstanding = false;
     Deadline::Clock::time_point ping_sent_at{};
-    // Current dispatch (one in flight per worker).
+    // Current dispatch (one in flight per worker), a tile of frame_.
     bool busy = false;
-    ActiveFrame* job_frame = nullptr;
     std::size_t job_tile = 0;
     std::uint64_t seq = 0;
     Deadline::Clock::time_point dispatched_at{};
@@ -301,19 +279,17 @@ class DecodeService {
                            const solvers::SolveOptions& ctrl);
   /// Returns the tile to kPending with backoff, or decodes it in-process
   /// once its retry budget is gone.
-  void fail_tile(ActiveFrame& frame, std::size_t tile,
-                 const solvers::SolveOptions& ctrl);
-  void decode_tile_in_process(ActiveFrame& frame, std::size_t tile,
+  void fail_tile(std::size_t tile, const solvers::SolveOptions& ctrl);
+  void decode_tile_in_process(std::size_t tile,
                               const solvers::SolveOptions& ctrl);
-  wire::TileRequest make_request(const ActiveFrame& frame, std::size_t tile,
-                                 const solvers::SolveOptions& ctrl);
+  wire::TileRequest make_request(std::size_t tile,
+                                 const solvers::SolveOptions& ctrl) const;
   /// Sends one tile to an idle healthy link; a send failure is handled as a
   /// dropped transport (the tile is requeued by the failure path).
-  void dispatch_tile(std::size_t index, ActiveFrame& frame, std::size_t tile,
+  void dispatch_tile(std::size_t index, std::size_t tile,
                      const solvers::SolveOptions& ctrl);
-  void complete_tile(ActiveFrame& frame, std::size_t tile,
-                     const la::Matrix& padded, RecoveryReport report,
-                     bool in_process, bool remote);
+  void complete_tile(std::size_t tile, const la::Matrix& padded,
+                     RecoveryReport report, bool in_process, bool remote);
   /// Services one polled link: flushes queued writes, drains the socket,
   /// and handles every complete message (Hello while handshaking, Pong /
   /// TileResponse when healthy) — even when the peer closed right after
@@ -330,9 +306,9 @@ class DecodeService {
   /// (connecting / reconnecting first, then a revivable disconnected one);
   /// with no link free the connection is closed and the peer retries.
   void accept_remote_connections(Deadline::Clock::time_point now);
-  /// One supervision round: poll/read/collect, heartbeat scan, dispatch.
-  void pump(std::vector<std::unique_ptr<ActiveFrame>>& window,
-            const solvers::SolveOptions& ctrl);
+  /// One supervision round over frame_: poll/read/collect, heartbeat scan,
+  /// dispatch.
+  void pump(const solvers::SolveOptions& ctrl);
   RobustPipeline& in_process_pipeline();
   /// True while any worker could still take a tile: a healthy link, or a
   /// TCP link plausibly about to (re)connect — within the connect grace.
@@ -346,9 +322,9 @@ class DecodeService {
   net::Listener listener_;
   std::vector<pid_t> loopback_pids_;  // forked TCP workers, for reaping
   ServiceHealth health_;
+  ActiveFrame frame_;
   std::unique_ptr<RobustPipeline> in_process_;  // lazy fallback pipeline
   std::uint64_t next_seq_ = 1;
-  std::uint64_t next_frame_global_ = 0;
   int respawns_used_ = 0;
   int remote_reconnects_used_ = 0;
   bool closed_ = false;

@@ -11,17 +11,18 @@
 // copied back, which suppresses the seams at the cost of slightly larger
 // tile solves.
 //
-// Scatter/gather rides the StreamServer worker pool: tiles are submitted as
-// frames of the padded tile geometry and collected with wait_for_completed.
-// The caller's deadline/cancel control propagates into every tile solve via
-// SubmitControl. Tile→worker assignment is nondeterministic under more than
-// one worker, but each tile's RNG derives from its submission id
-// (frame * tiles + tile; see StreamOptions::seed), so reconstructions are
-// bit-reproducible regardless of worker count or pop interleaving. `frame`
-// there is the frame's index inside one process_batch() call, not a running
-// count: process() decodes one frame, so every process() call decodes tile t
-// with the same sampling pattern Φ, while DecodeService numbers frames
-// globally and draws a fresh Φ per frame.
+// Scatter/gather rides the StreamServer worker pool: each process() call
+// submits one frame's tiles as frames of the padded tile geometry and
+// collects them with wait_for_completed. The caller's deadline/cancel
+// control propagates into every tile solve via SubmitControl. Tile→worker
+// assignment is nondeterministic under more than one worker, but tile t is
+// submitted under stream id t, and each tile's RNG derives from its stream
+// id (see StreamOptions::seed), so reconstructions are bit-reproducible
+// regardless of worker count or pop interleaving. Every process() call
+// therefore decodes tile t with the same sampling pattern Φ, while
+// DecodeService draws a fresh Φ per frame. Both executors report the same
+// running frame count (0 for the first process() call) as every tile's
+// frame_index, which also keys the measurement-fault channel.
 //
 // Event-driven mode (ShardOptions::gate.enabled) puts an ActivityGate in
 // front of the scatter: tiles whose change detector stays quiet are never
@@ -48,8 +49,9 @@ struct ShardOptions {
   // enough to let the DCT atoms of neighbouring tiles overlap.
   std::size_t halo = 2;
   // Worker pool + per-tile pipeline configuration. The server is created
-  // over the PADDED tile geometry. policy must not be kDropOldest (a
-  // dropped tile would leave a hole in the gather and hang it).
+  // over the PADDED tile geometry. policy must be kBlock: a dropped tile
+  // would leave a hole in the gather and hang it, and a degraded one would
+  // make its pixels depend on the queue depth at its pop.
   StreamOptions stream;
   // Event-driven readout: when gate.enabled, a per-tile change detector
   // decides which tiles are decoded each frame; the rest are served from the
@@ -75,10 +77,9 @@ struct TileReport {
   RecoveryReport report;
 };
 
-/// Aggregate of one sharded frame decode. All counters are PER FRAME (each
-/// frame of a process_batch() call aggregates only its own tiles); the one
-/// call-level value is decode_seconds, the wall time of the whole
-/// scatter/gather, which every frame of the call shares. In event-driven mode the decode counters cover
+/// Aggregate of one sharded frame decode. Every counter describes this frame
+/// alone, and decode_seconds is the wall time of its scatter/gather — the
+/// frame's latency. In event-driven mode the decode counters cover
 /// only the tiles actually decoded this frame — a served-stale tile
 /// contributes no decode_calls, no acceptance and no residual.
 struct ShardReport {
@@ -112,8 +113,8 @@ struct ShardFrameResult {
 
 /// Scatter/gather front-end decoding a large array as a grid of concurrent
 /// tile solves. Owns a StreamServer of the padded tile geometry. NOT
-/// thread-safe: one process()/process_batch() call at a time, from one
-/// caller thread — the concurrency lives in the worker pool underneath.
+/// thread-safe: one process() call at a time, from one caller thread — the
+/// concurrency lives in the worker pool underneath.
 class ShardedDecoder {
  public:
   ShardedDecoder(std::size_t rows, std::size_t cols, ShardOptions opts = {});
@@ -146,20 +147,13 @@ class ShardedDecoder {
   ShardFrameResult process(const la::Matrix& frame,
                            const solvers::SolveOptions& ctrl = {});
 
-  /// Multi-frame variant: every frame's tiles are scattered before the one
-  /// gather, tile-position-major (all frames' tile 0, then all frames' tile
-  /// 1, …), so the pool stays busy across frame boundaries. Results are
-  /// index-aligned with `frames`.
-  std::vector<ShardFrameResult> process_batch(
-      const std::vector<la::Matrix>& frames,
-      const solvers::SolveOptions& ctrl = {});
-
  private:
   ShardOptions opts_;
   TileGrid grid_;
   StreamServer server_;
   ActivityGate gate_;
   std::size_t total_submitted_ = 0;  // cumulative, for wait_for_completed
+  std::size_t frames_processed_ = 0;  // the next frame's frame_index
   // Event-driven mode: the previous frame's full stitched reconstruction —
   // the source for served-stale tiles. Empty until the first gated frame
   // completes (whose tiles are all forced, so it is never read empty).

@@ -26,6 +26,21 @@ constexpr double kDegradeDeadlineFloor = 0.125;
 // cancelled and counted as a stall.
 constexpr double kStallMultiplier = 4.0;
 
+// What a Degrade level spends on a frame. Level 1 halves the deadline and
+// stops the ladder at the trimmed decode; level 2 and above quarter it and
+// allow only the plain decode.
+struct DegradeCaps {
+  double deadline_scale = 1.0;  // multiplies the frame deadline
+  Strategy max_rung = Strategy::kResample;
+  int max_decode_calls = -1;  // < 0 = the pipeline's own budget
+};
+
+DegradeCaps degrade_caps(int level) {
+  if (level <= 0) return {};
+  if (level == 1) return {0.5, Strategy::kTrimmedDecode, 3};
+  return {0.25, Strategy::kPlainDecode, 1};
+}
+
 }  // namespace
 
 double latency_percentile(std::vector<double> values, double q) {
@@ -89,12 +104,6 @@ int StreamServer::degrade_level_for(std::size_t depth, std::size_t capacity) {
   return 0;
 }
 
-StreamServer::DegradeCaps StreamServer::degrade_caps(int level) {
-  if (level <= 0) return {};
-  if (level == 1) return {0.5, Strategy::kTrimmedDecode, 3};
-  return {0.25, Strategy::kPlainDecode, 1};
-}
-
 StreamServer::StreamServer(std::size_t rows, std::size_t cols,
                            StreamOptions opts)
     : rows_(rows), cols_(cols), opts_(std::move(opts)) {
@@ -153,6 +162,8 @@ bool StreamServer::submit(std::uint64_t stream_id, la::Matrix frame,
     item.external_deadline = ctrl.deadline;
     item.external_cancel = ctrl.cancel;
     item.sampling_fraction = ctrl.sampling_fraction;
+    item.frame_index =
+        ctrl.frame_index.value_or(static_cast<std::size_t>(stream_id));
     queue_.push_back(std::move(item));
     ++submitted_;
     queue_high_water_ = std::max(queue_high_water_, queue_.size());
@@ -233,12 +244,13 @@ void StreamServer::worker_loop(std::size_t worker_index) {
       slot.external = item.external_cancel;
     }
 
-    // The decode RNG and the frame index both derive from the stream id, so
-    // the result is a pure function of (seed, id, content) — which worker
-    // popped it, and what it decoded before, do not matter.
+    // The decode RNG derives from the stream id and the frame index comes
+    // with the submission, so the result is a pure function of (seed, id,
+    // frame index, content) — which worker popped it, and what it decoded
+    // before, do not matter.
     Rng rng(opts_.seed ^ (0x9e3779b97f4a7c15ULL * (item.stream_id + 1)));
     RobustPipeline::FrameResult fr = pipelines_[worker_index]->process(
-        item.frame, static_cast<std::size_t>(item.stream_id), rng, ctrl);
+        item.frame, item.frame_index, rng, ctrl);
 
     bool was_stalled = false;
     {

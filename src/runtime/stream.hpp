@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -134,6 +135,10 @@ struct SubmitControl {
   // frame (forwarded as FrameControl::sampling_fraction). 0 keeps the
   // configured fraction.
   double sampling_fraction = 0.0;
+  // The pipeline's frame index for this submission (it becomes
+  // report.frame_index and keys the measurement-fault channel). Unset uses
+  // the stream id. ShardedDecoder passes its running frame count here.
+  std::optional<std::size_t> frame_index;
 };
 
 /// One recovered frame as delivered by the server.
@@ -193,17 +198,6 @@ class StreamServer {
   /// tests): 0 below half full, 1 at half, 2 from three-quarters up.
   static int degrade_level_for(std::size_t depth, std::size_t capacity);
 
-  /// What a Degrade level spends on a frame. Shared with DecodeService,
-  /// whose admission applies the same levels.
-  struct DegradeCaps {
-    double deadline_scale = 1.0;  // multiplies the frame deadline
-    Strategy max_rung = Strategy::kResample;
-    int max_decode_calls = -1;  // < 0 = the pipeline's own budget
-  };
-  /// Level 1 halves the deadline and stops the ladder at the trimmed decode;
-  /// level 2 and above quarter it and allow only the plain decode.
-  static DegradeCaps degrade_caps(int level);
-
  private:
   struct Pending {
     std::uint64_t stream_id = 0;
@@ -213,6 +207,7 @@ class StreamServer {
     Deadline external_deadline;   // unlimited unless submitted with one
     CancelToken external_cancel;  // inert unless submitted with one
     double sampling_fraction = 0.0;  // 0 = pipeline default
+    std::size_t frame_index = 0;
   };
 
   // Per-worker in-flight slot, scanned by the watchdog.

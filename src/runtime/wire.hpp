@@ -165,8 +165,8 @@ cs::DecodeResult get_decode_result(Reader& r);
 /// One tile dispatch. frame_index/tile_index identify the tile globally (and
 /// seed its deterministic sampling pattern — any worker decoding the same
 /// tile draws the same pattern, which is what makes a re-dispatch after a
-/// crash bit-identical). The control fields mirror FrameControl so the
-/// Degrade admission policy can cheapen tiles over the wire.
+/// crash bit-identical). The control fields mirror FrameControl; the broker
+/// leaves them at their uncapped defaults.
 struct TileRequest {
   std::uint64_t seq = 0;           // dispatch id, echoed by the response
   std::uint64_t frame_index = 0;   // global frame number

@@ -608,35 +608,15 @@ TEST(EventDrivenShard, ThresholdZeroBitIdenticalUnderExpiredDeadline) {
   expect_reports_equal(gr.report, pr.report);
 }
 
-TEST(EventDrivenShard, ThresholdZeroBitIdenticalAcrossMultiFrameCall) {
-  // Both frames scatter before the one gather, so the second frame's tiles
-  // queue behind the first's; the threshold-0 gate must leave that order,
-  // and every decoded bit, unchanged.
-  constexpr std::size_t kDim = 16;
-  const ShardOptions base = shard_options(8, 2, 1);
-  ShardedDecoder plain(kDim, kDim, base);
-  ShardedDecoder gated(kDim, kDim, gated_zero_threshold(base));
-
-  const std::vector<la::Matrix> frames = {thermal_frame(kDim, 7),
-                                          thermal_frame(kDim, 9)};
-  const std::vector<ShardFrameResult> pr = plain.process_batch(frames);
-  const std::vector<ShardFrameResult> gr = gated.process_batch(frames);
-  ASSERT_EQ(pr.size(), gr.size());
-  for (std::size_t f = 0; f < pr.size(); ++f) {
-    expect_bit_identical(gr[f].frame, pr[f].frame, "multi-frame threshold-0");
-    expect_reports_equal(gr[f].report, pr[f].report);
-  }
-}
-
 // ---------------------------------------------------------------------------
-// ShardReport aggregation: per-frame counters never mix across a batch
+// ShardReport aggregation: per-frame counters never mix across frames
 
 TEST(ShardReportAggregation, AsymmetricBatchKeepsCountersPerFrame) {
   // Frame 0 is a smooth thermal scene (most tiles accept at the plain
   // decode); frame 1 is uniform noise (incompressible: every tile escalates
-  // to the 5-call cap and fails acceptance). If process_batch ever mixed
-  // per-frame counters, the cheap frame would inherit the expensive frame's
-  // decode calls and acceptance failures.
+  // to the 5-call cap and fails acceptance). If an executor ever carried
+  // counters from one frame into the next, the expensive frame would
+  // inherit the cheap frame's acceptances, or a later frame the noise.
   constexpr std::size_t kDim = 32;
   ShardOptions opts = shard_options(16, 0, 1);
   opts.stream.pipeline.budget.max_decode_calls = 5;  // bound the noise ladder
@@ -646,7 +626,7 @@ TEST(ShardReportAggregation, AsymmetricBatchKeepsCountersPerFrame) {
   opts.stream.seed = 1;
   ShardedDecoder sharded(kDim, kDim, opts);
 
-  // The same batch through a DecodeService that decodes every tile
+  // The same two frames through a DecodeService that decodes every tile
   // in-process (no workers): its counters must add up the same way.
   ServiceOptions service_opts;
   service_opts.tile_rows = service_opts.tile_cols = 16;
@@ -659,12 +639,12 @@ TEST(ShardReportAggregation, AsymmetricBatchKeepsCountersPerFrame) {
 
   const la::Matrix smooth = thermal_frame(kDim, 7);
   const la::Matrix noisy = noise_frame(kDim, kDim, 1234);
-  const std::vector<ShardFrameResult> out =
-      sharded.process_batch({smooth, noisy});
-  ASSERT_EQ(out.size(), 2u);
-  const std::vector<ServiceFrameResult> served =
-      service.process_batch({smooth, noisy});
-  ASSERT_EQ(served.size(), 2u);
+  std::vector<ShardFrameResult> out;
+  std::vector<ServiceFrameResult> served;
+  for (const la::Matrix* frame : {&smooth, &noisy}) {
+    out.push_back(sharded.process(*frame));
+    served.push_back(service.process(*frame));
+  }
 
   const std::vector<const ShardReport*> reports = {
       &out[0].report, &out[1].report, &served[0].report, &served[1].report};
@@ -695,6 +675,34 @@ TEST(ShardReportAggregation, AsymmetricBatchKeepsCountersPerFrame) {
   EXPECT_EQ(out[1].report.tiles_accepted, 0u);
   EXPECT_GT(out[1].report.decode_calls, out[0].report.decode_calls);
   EXPECT_TRUE(out[1].report.budget_exhausted);
+}
+
+TEST(ShardReportAggregation, BothExecutorsNumberFramesByCall) {
+  // A tile's frame_index is the running count of process() calls on its
+  // executor — the same on every tile of a frame, and the same on the
+  // thread pool and the broker. It keys the measurement-fault channel, so
+  // the channel must not be keyed by tile instead.
+  constexpr std::size_t kDim = 16;
+  const ShardOptions opts = shard_options(8, 0, 2);
+  ShardedDecoder sharded(kDim, kDim, opts);
+  ServiceOptions service_opts;
+  service_opts.tile_rows = service_opts.tile_cols = 8;
+  service_opts.halo = 0;
+  service_opts.workers = 0;
+  service_opts.solver = fista();
+  DecodeService service(kDim, kDim, service_opts);
+
+  for (std::size_t f = 0; f < 3; ++f) {
+    const la::Matrix frame = thermal_frame(kDim, 7 + f);
+    const ShardFrameResult a = sharded.process(frame);
+    const ServiceFrameResult b = service.process(frame);
+    for (const ShardReport* rep : {&a.report, &b.report}) {
+      ASSERT_EQ(rep->tile_reports.size(), 4u);
+      for (const TileReport& t : rep->tile_reports)
+        EXPECT_EQ(t.report.frame_index, f)
+            << "tile (" << t.tile_row << "," << t.tile_col << ")";
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

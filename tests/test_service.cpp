@@ -89,7 +89,7 @@ TEST(DecodeService, WorkerFleetMatchesInProcessBitExact) {
 TEST(DecodeService, SigkillMidDecodeIsRecoveredBitExact) {
   // Worker 0 consumes its first request and SIGKILLs itself — a crash
   // mid-decode. The supervisor must detect the EOF, respawn the slot,
-  // re-dispatch the orphaned tile, and still return every admitted frame,
+  // re-dispatch the orphaned tile, and still return the frame,
   // stitched identically to the in-process path.
   const la::Matrix frame = thermal_frame(kDim, 7);
   const la::Matrix want = reference_frame(frame);
@@ -200,59 +200,6 @@ TEST(DecodeService, FleetCollapseDegradesToInProcessDecode) {
   EXPECT_TRUE(la::all_finite(again.frame));
 }
 
-TEST(DecodeService, DropOldestEvictsTheOldestPendingFrames) {
-  ServiceOptions opts = service_options(0);
-  opts.policy = BackpressurePolicy::kDropOldest;
-  opts.queue_capacity = 2;
-  DecodeService svc(kDim, kDim, opts);
-
-  std::vector<la::Matrix> frames;
-  for (std::uint64_t s = 1; s <= 4; ++s)
-    frames.push_back(thermal_frame(kDim, s));
-  const std::vector<ServiceFrameResult> res = svc.process_batch(frames);
-  ASSERT_EQ(res.size(), 4u);
-  // The burst of 4 against capacity 2 evicts the two oldest.
-  EXPECT_TRUE(res[0].dropped);
-  EXPECT_TRUE(res[1].dropped);
-  EXPECT_FALSE(res[2].dropped);
-  EXPECT_FALSE(res[3].dropped);
-  EXPECT_LT(cs::rmse(res[2].frame, frames[2]), 0.05);
-  EXPECT_LT(cs::rmse(res[3].frame, frames[3]), 0.05);
-
-  const ServiceHealth h = svc.health();
-  EXPECT_EQ(h.frames_submitted, 4u);
-  EXPECT_EQ(h.frames_dropped, 2u);
-  EXPECT_EQ(h.frames_admitted, 2u);
-  EXPECT_EQ(h.frames_completed, 2u);
-  EXPECT_EQ(h.frames_lost, 0u);
-}
-
-TEST(DecodeService, DegradeCheapensFramesAdmittedFromADeepBacklog) {
-  ServiceOptions opts = service_options(0);
-  opts.policy = BackpressurePolicy::kDegrade;
-  opts.queue_capacity = 2;
-  opts.max_inflight_frames = 1;
-  DecodeService svc(kDim, kDim, opts);
-
-  std::vector<la::Matrix> frames;
-  for (std::uint64_t s = 1; s <= 4; ++s)
-    frames.push_back(thermal_frame(kDim, s));
-  const std::vector<ServiceFrameResult> res = svc.process_batch(frames);
-  ASSERT_EQ(res.size(), 4u);
-  // Admission depth decays as the batch drains: 3, 2, 1, 0 pending → levels
-  // 2, 2, 1, 0 under the StreamServer depth→level mapping.
-  EXPECT_EQ(res[0].degrade_level, 2);
-  EXPECT_EQ(res[1].degrade_level, 2);
-  EXPECT_EQ(res[2].degrade_level, 1);
-  EXPECT_EQ(res[3].degrade_level, 0);
-  EXPECT_EQ(svc.health().frames_degraded, 3u);
-  EXPECT_EQ(svc.health().frames_lost, 0u);
-  // Level-2 admission caps the ladder at the plain decode.
-  for (const TileReport& t : res[0].report.tile_reports)
-    EXPECT_EQ(t.report.strategy, Strategy::kPlainDecode);
-  for (const ServiceFrameResult& r : res) EXPECT_TRUE(la::all_finite(r.frame));
-}
-
 TEST(DecodeService, ExternalDeadlineAndCancelAreHonoured) {
   const la::Matrix frame = thermal_frame(kDim, 7);
   {
@@ -282,16 +229,6 @@ TEST(DecodeService, ValidatesOptionsAndRejectsUseAfterClose) {
   EXPECT_THROW(DecodeService(30, 30, service_options(1)), CheckError);
   {
     ServiceOptions opts = service_options(1);
-    opts.queue_capacity = 0;
-    EXPECT_THROW(DecodeService(kDim, kDim, opts), CheckError);
-  }
-  {
-    ServiceOptions opts = service_options(1);
-    opts.max_inflight_frames = 0;
-    EXPECT_THROW(DecodeService(kDim, kDim, opts), CheckError);
-  }
-  {
-    ServiceOptions opts = service_options(1);
     opts.tile_retry_budget = -1;
     EXPECT_THROW(DecodeService(kDim, kDim, opts), CheckError);
   }
@@ -300,7 +237,6 @@ TEST(DecodeService, ValidatesOptionsAndRejectsUseAfterClose) {
   EXPECT_EQ(svc.shards(), 4u);
   EXPECT_EQ(svc.grid().padded_rows, 20u);
   EXPECT_THROW(svc.process(la::Matrix(8, 8)), CheckError);
-  EXPECT_THROW(svc.process_batch({}), CheckError);
   svc.close();
   svc.close();  // idempotent
   EXPECT_EQ(svc.live_workers(), 0u);
@@ -314,8 +250,7 @@ TEST(DecodeService, HealthToJsonEmitsEveryCounter) {
   // Flat object, one numeric field per counter — remote counters included
   // even with no remote fleet configured.
   for (const char* key :
-       {"frames_submitted", "frames_admitted", "frames_completed",
-        "frames_dropped", "frames_degraded", "frames_lost",
+       {"frames_submitted", "frames_completed", "frames_lost",
         "tiles_dispatched", "tiles_completed", "tile_redispatches",
         "tiles_in_process", "worker_crashes", "worker_stalls",
         "worker_respawns", "checksum_rejects", "stale_responses",

@@ -75,23 +75,6 @@ TEST(ShardedDecoder, TiledDecodeMatchesMonolithicRmse) {
   }
 }
 
-TEST(ShardedDecoder, BatchDecodesEveryFrame) {
-  constexpr std::size_t kDim = 32;
-  const la::Matrix f0 = thermal_frame(kDim, 7);
-  const la::Matrix f1 = thermal_frame(kDim, 9);
-
-  ShardedDecoder sharded(kDim, kDim, shard_options(16, 2));
-  const std::vector<ShardFrameResult> res = sharded.process_batch({f0, f1});
-
-  ASSERT_EQ(res.size(), 2u);
-  EXPECT_LT(cs::rmse(res[0].frame, f0), 0.05);
-  EXPECT_LT(cs::rmse(res[1].frame, f1), 0.05);
-  for (const ShardFrameResult& r : res) {
-    EXPECT_EQ(r.report.tiles, 4u);
-    EXPECT_EQ(r.report.tiles_accepted, 4u);
-  }
-}
-
 TEST(ShardedDecoder, SequentialFramesReuseThePool) {
   constexpr std::size_t kDim = 32;
   ShardedDecoder sharded(kDim, kDim, shard_options(16, 0));
@@ -156,15 +139,19 @@ TEST(ShardedDecoder, ValidatesGeometryAndPolicy) {
   opts.tile_rows = opts.tile_cols = 0;
   EXPECT_THROW(ShardedDecoder(32, 32, opts), CheckError);
 
+  // Only Block: DropOldest would hang the gather, Degrade would make a
+  // tile's ladder cap depend on the queue depth at its pop.
   ShardOptions drop = shard_options(16, 2);
   drop.stream.policy = BackpressurePolicy::kDropOldest;
   EXPECT_THROW(ShardedDecoder(32, 32, drop), CheckError);
+  ShardOptions degrade = shard_options(16, 2);
+  degrade.stream.policy = BackpressurePolicy::kDegrade;
+  EXPECT_THROW(ShardedDecoder(32, 32, degrade), CheckError);
 
   ShardedDecoder ok(32, 32, shard_options(16, 2));
   EXPECT_EQ(ok.shards(), 4u);
   EXPECT_EQ(ok.padded_rows(), 20u);
   EXPECT_THROW(ok.process(la::Matrix(16, 16)), CheckError);  // shape mismatch
-  EXPECT_THROW(ok.process_batch({}), CheckError);
 }
 
 }  // namespace

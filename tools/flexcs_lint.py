@@ -147,9 +147,7 @@ ENTRY_POINTS: Sequence[Tuple[str, str, Tuple[str, ...]]] = (
     # carries the shape check.
     ("src/runtime/stream.cpp", r"StreamServer::submit\b", ("FLEXCS_CHECK", "SubmitControl")),
     ("src/runtime/shard.cpp", r"ShardedDecoder::ShardedDecoder\b", ("FLEXCS_CHECK",)),
-    # ShardedDecoder::process delegates to process_batch, which validates.
-    ("src/runtime/shard.cpp", r"ShardedDecoder::process\b", ("FLEXCS_CHECK", "process_batch")),
-    ("src/runtime/shard.cpp", r"ShardedDecoder::process_batch\b", ("FLEXCS_CHECK",)),
+    ("src/runtime/shard.cpp", r"ShardedDecoder::process\b", ("FLEXCS_CHECK",)),
     ("src/runtime/tile_grid.cpp", r"TileGrid::TileGrid\b", ("FLEXCS_CHECK",)),
     ("src/runtime/tile_grid.cpp", r"TileGrid::copy_interior\b",
      ("FLEXCS_CHECK",)),
@@ -163,8 +161,8 @@ ENTRY_POINTS: Sequence[Tuple[str, str, Tuple[str, ...]]] = (
      ("FLEXCS_CHECK",)),
     # Multi-process decode service: the typed wire decoders validate every
     # structural claim an untrusted peer process can make, the worker loop
-    # validates its transport/geometry, and the broker validates frames at
-    # admission (process delegates to process_batch).
+    # validates its transport/geometry, and the broker validates each frame
+    # on entry to process().
     ("src/runtime/wire.cpp", r"\bdecode_tile_request\b", ("FLEXCS_CHECK",)),
     ("src/runtime/wire.cpp", r"\bdecode_tile_response\b", ("FLEXCS_CHECK",)),
     # Remote (TCP) fleet: the handshake decoders validate an untrusted
@@ -177,8 +175,7 @@ ENTRY_POINTS: Sequence[Tuple[str, str, Tuple[str, ...]]] = (
     ("src/runtime/worker.cpp", r"\bremote_decode_worker_loop\b",
      ("FLEXCS_CHECK",)),
     ("src/runtime/service.cpp", r"DecodeService::DecodeService\b", ("FLEXCS_CHECK",)),
-    ("src/runtime/service.cpp", r"DecodeService::process\b", ("FLEXCS_CHECK", "process_batch")),
-    ("src/runtime/service.cpp", r"DecodeService::process_batch\b", ("FLEXCS_CHECK",)),
+    ("src/runtime/service.cpp", r"DecodeService::process\b", ("FLEXCS_CHECK",)),
 )
 
 # How deep into a function body (in non-blank lines) validation must appear.

@@ -645,35 +645,34 @@ class DecoderEntryCheckTest(unittest.TestCase):
 
 
 class ServiceEntryCheckTest(unittest.TestCase):
-    # The broker validates at admission; a bare-bones process_batch that
-    # touches frames without FLEXCS_CHECK breaks the contract.
+    # The broker validates each frame on entry to process(); one that
+    # touches the frame without FLEXCS_CHECK breaks the contract.
     UNCHECKED = (
         "#include \"runtime/service.hpp\"\n"
         "namespace flexcs::runtime {\n"
-        "std::vector<ServiceFrameResult> DecodeService::process_batch(\n"
-        "    const std::vector<la::Matrix>& frames,\n"
+        "ServiceFrameResult DecodeService::process(\n"
+        "    const la::Matrix& frame,\n"
         "    const solvers::SolveOptions& ctrl) {\n"
-        "  std::vector<ServiceFrameResult> results(frames.size());\n"
-        "  return results;\n"
+        "  ServiceFrameResult res;\n"
+        "  return res;\n"
         "}\n"
         "}\n")
 
-    def test_unvalidated_process_batch_fires(self):
-        f = lint_fixture({"src/runtime/service.cpp": self.UNCHECKED})
-        fired = [x for x in f if x.rule == "entry-check"
-                 and x.path == "src/runtime/service.cpp"
-                 and "process_batch" in x.message and "validate" in x.message]
-        self.assertTrue(fired)
-
-    def test_validated_process_batch_clean(self):
-        src = self.UNCHECKED.replace(
-            "  std::vector<ServiceFrameResult> results(frames.size());\n",
-            "  FLEXCS_CHECK(!frames.empty(), \"empty batch\");\n"
-            "  std::vector<ServiceFrameResult> results(frames.size());\n")
+    def fired(self, src):
         f = lint_fixture({"src/runtime/service.cpp": src})
-        fired = [x for x in f if x.rule == "entry-check"
-                 and x.path == "src/runtime/service.cpp"
-                 and "process_batch" in x.message and "validate" in x.message]
+        return [x for x in f if x.rule == "entry-check"
+                and x.path == "src/runtime/service.cpp"
+                and "process" in x.message and "validate" in x.message]
+
+    def test_unvalidated_process_fires(self):
+        self.assertTrue(self.fired(self.UNCHECKED))
+
+    def test_validated_process_clean(self):
+        src = self.UNCHECKED.replace(
+            "  ServiceFrameResult res;\n",
+            "  FLEXCS_CHECK(frame.rows() == grid_.rows, \"shape\");\n"
+            "  ServiceFrameResult res;\n")
+        fired = self.fired(src)
         self.assertFalse(fired, "\n".join(str(x) for x in fired))
 
 

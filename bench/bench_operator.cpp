@@ -27,7 +27,11 @@
 // 16 and 32 px tiles the runtime actually decodes, so the non-pow2 kernel
 // is measured too. For each grid size and basis, the measured per-apply
 // / per-adjoint cost of the full SubsampledTransformOperator via its own
-// ApplyStats metering.
+// ApplyStats metering. The `per_kernel_isa` section times the 2-D DCT-II +
+// DCT-III pair at the runtime's 20×20 and 36×36 tiles through each ISA
+// build of the folded kernel (baseline and AVX2, dsp/fold_kernel.hpp) in
+// interleaved blocks, and `kernel_isa` records which one this host's
+// decodes run.
 //
 // Usage:
 //   bench_operator [--smoke] [--json] [--out PATH] [--micro]
@@ -41,6 +45,8 @@
 //
 // JSON schema (--json): stdout carries exactly one JSON object:
 //   {
+//     "kernel_isa": string  — "avx2" | "baseline": the folded kernel's ISA
+//                             on this host (dsp::kernel_isa())
 //     "decode": [            // one object per (size, mode) decode cell
 //       {
 //         "rows":                integer — array rows (= cols, square sweep)
@@ -86,6 +92,20 @@
 //         "adjoint_ms": number  — per-adjoint ms
 //         "reps":       integer — timed repetitions per direction
 //       }, ...
+//     ],
+//     "per_kernel_isa": [    // one object per square grid dim (20, 36)
+//       {
+//         "dim":          integer — grid dimension
+//         "baseline_us":  number  — per-pair µs, baseline build (median
+//                                   over blocks)
+//         "avx2_us":      number or null — per-pair µs, AVX2 build; null on
+//                                   a host without AVX2 (not run)
+//         "speedup":      number or null — median over blocks of the
+//                                   block's baseline_us / avx2_us
+//         "speedup_q1", "speedup_q3": number or null — its quartiles
+//         "blocks":       integer — interleaved blocks (order alternates)
+//         "reps":         integer — pairs per variant per block
+//       }, ...
 //     ]
 //   }
 // A --micro run emits the same object with "decode": [].
@@ -93,6 +113,7 @@
 // Full (non-smoke, non-micro) --json runs additionally record the object to
 // BENCH_operator.json at the repository root; smoke runs never touch that
 // file so the ctest registrations cannot overwrite a recorded sweep.
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -111,6 +132,7 @@
 #include "data/thermal.hpp"
 #include "dsp/dct.hpp"
 #include "dsp/fft.hpp"
+#include "dsp/fold_kernel.hpp"
 #include "golden.hpp"
 #include "la/matrix.hpp"
 #include "solvers/fista.hpp"
@@ -127,6 +149,9 @@ struct SweepConfig {
   // Per-apply microbench sizes: 1-D lengths and square grid dims. 20 and 36
   // are the runtime's halo-padded tile sizes (non-pow2 plan path).
   std::vector<std::size_t> micro_dims = {20, 32, 36, 64, 128, 256};
+  // Per-ISA A/B grids (the runtime's tiles) and interleaved blocks.
+  std::vector<std::size_t> isa_dims = {20, 36};
+  int isa_blocks = 15;
   double fraction = 0.3;
   // Tight tolerance: the equal-RMSE gate compares the two arms at 1e-6, so
   // both must converge well past the comparison threshold.
@@ -139,6 +164,8 @@ SweepConfig smoke_config() {
   cfg.both_dims = {16};
   cfg.implicit_only_dims = {};
   cfg.micro_dims = {16, 20};
+  cfg.isa_dims = {20};
+  cfg.isa_blocks = 5;
   cfg.fraction = 0.4;
   cfg.fista_iterations = 1000;
   cfg.fista_tol = 1e-7;
@@ -380,14 +407,104 @@ std::vector<MicroOpCell> run_micro_operator(const SweepConfig& cfg) {
   return cells;
 }
 
+struct IsaCell {
+  std::size_t dim = 0;
+  bool has_avx2 = false;  // false: only the baseline build ran
+  double baseline_us = 0.0;
+  double avx2_us = 0.0;
+  double speedup = 0.0, speedup_q1 = 0.0, speedup_q3 = 0.0;
+  int blocks = 0;
+  int reps = 0;
+};
+
+// Linear-interpolated quantile of `v` (sorted in place), q in [0, 1].
+double quantile(std::vector<double>& v, double q) {
+  std::sort(v.begin(), v.end());
+  const double pos = q * static_cast<double>(v.size() - 1);
+  const std::size_t lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, v.size() - 1);
+  return v[lo] + (pos - static_cast<double>(lo)) * (v[hi] - v[lo]);
+}
+
+// The folded kernel's baseline and AVX2 builds, each running the 2-D
+// DCT-II + DCT-III pair that dct2d_apply + idct2d_apply run on a dim×dim
+// grid (row pass, then column pass, each direction), timed in interleaved
+// blocks whose order alternates so drift in the host's speed hits both.
+std::vector<IsaCell> run_micro_isa(const SweepConfig& cfg) {
+  const bool has_avx2 = std::strcmp(dsp::kernel_isa(), "avx2") == 0;
+  std::vector<IsaCell> cells;
+  for (const std::size_t dim : cfg.isa_dims) {
+    const dsp::Dct1dPlan plan(dim);
+    const std::size_t n = dim * dim;
+    Rng rng(0x15a0 + dim);
+    std::vector<double> grid(n), a(n), b(n), fold(n), half(n);
+    for (double& v : grid) v = rng.uniform() - 0.5;
+    const auto pass = [&](dsp::FoldKernel kernel, const double* in,
+                          double* out, bool rows, bool invert) {
+      kernel(dsp::FoldJob{dsp::fold_tables(plan), in, out, fold.data(),
+                          half.data(), dim, dim, rows, invert});
+    };
+    const auto pair = [&](dsp::FoldKernel kernel) {
+      pass(kernel, grid.data(), a.data(), true, false);
+      pass(kernel, a.data(), b.data(), false, false);
+      pass(kernel, b.data(), a.data(), true, true);
+      pass(kernel, a.data(), b.data(), false, true);
+      return b[0];
+    };
+
+    IsaCell c;
+    c.dim = dim;
+    c.has_avx2 = has_avx2;
+    c.blocks = cfg.isa_blocks;
+    c.reps = static_cast<int>(std::max<std::size_t>(20, 400000 / n));
+    const dsp::FoldKernel base = &dsp::fold_baseline::fold_kernel;
+    const dsp::FoldKernel avx2 = &dsp::fold_avx2::fold_kernel;
+    const auto time_us = [&](dsp::FoldKernel kernel) {
+      return 1e3 * time_ms_per_call(c.reps, [&] { return pair(kernel); });
+    };
+    // Warm caches and scratch before the first timed block.
+    g_sink = g_sink + pair(base);
+    if (has_avx2) g_sink = g_sink + pair(avx2);
+    std::vector<double> base_us, avx2_us, ratio;
+    for (int blk = 0; blk < c.blocks; ++blk) {
+      if (!has_avx2) {
+        base_us.push_back(time_us(base));
+        continue;
+      }
+      double t_base = 0.0, t_avx2 = 0.0;
+      if (blk % 2 == 0) {
+        t_base = time_us(base);
+        t_avx2 = time_us(avx2);
+      } else {
+        t_avx2 = time_us(avx2);
+        t_base = time_us(base);
+      }
+      base_us.push_back(t_base);
+      avx2_us.push_back(t_avx2);
+      ratio.push_back(t_base / t_avx2);
+    }
+    c.baseline_us = quantile(base_us, 0.5);
+    if (has_avx2) {
+      c.avx2_us = quantile(avx2_us, 0.5);
+      c.speedup = quantile(ratio, 0.5);
+      c.speedup_q1 = quantile(ratio, 0.25);
+      c.speedup_q3 = quantile(ratio, 0.75);
+    }
+    cells.push_back(c);
+  }
+  return cells;
+}
+
 // ---------------------------------------------------------------------------
 // Output.
 // ---------------------------------------------------------------------------
 
 std::string to_json(const std::vector<OperatorCell>& cells,
                     const std::vector<Micro1dCell>& micro1d,
-                    const std::vector<MicroOpCell>& microop) {
-  std::string out = "{\n\"decode\": [\n";
+                    const std::vector<MicroOpCell>& microop,
+                    const std::vector<IsaCell>& micro_isa) {
+  std::string out = strformat("{\n\"kernel_isa\": \"%s\",\n\"decode\": [\n",
+                              dsp::kernel_isa());
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const OperatorCell& c = cells[i];
     const std::string delta =
@@ -426,6 +543,21 @@ std::string to_json(const std::vector<OperatorCell>& cells,
         c.dim, c.basis == dsp::BasisKind::kDct2D ? "dct2d" : "haar2d", c.m,
         c.apply_ms, c.adjoint_ms, c.reps,
         i + 1 < microop.size() ? "," : "");
+  }
+  out += "],\n\"per_kernel_isa\": [\n";
+  for (std::size_t i = 0; i < micro_isa.size(); ++i) {
+    const IsaCell& c = micro_isa[i];
+    const auto num = [&](double v) {
+      return c.has_avx2 ? strformat("%.3f", v) : std::string("null");
+    };
+    out += strformat(
+        "  {\"dim\": %zu, \"baseline_us\": %.3f, \"avx2_us\": %s, "
+        "\"speedup\": %s, \"speedup_q1\": %s, \"speedup_q3\": %s, "
+        "\"blocks\": %d, \"reps\": %d}%s\n",
+        c.dim, c.baseline_us, num(c.avx2_us).c_str(), num(c.speedup).c_str(),
+        num(c.speedup_q1).c_str(), num(c.speedup_q3).c_str(), c.blocks,
+        c.reps,
+        i + 1 < micro_isa.size() ? "," : "");
   }
   out += "]\n}\n";
   return out;
@@ -469,7 +601,8 @@ void print_decode_table(const std::vector<OperatorCell>& cells,
 }
 
 void print_micro_tables(const std::vector<Micro1dCell>& micro1d,
-                        const std::vector<MicroOpCell>& microop) {
+                        const std::vector<MicroOpCell>& microop,
+                        const std::vector<IsaCell>& micro_isa) {
   std::printf(
       "\nPer-apply 1-D DCT kernels — naive cosine sum vs cached dense "
       "factor vs FFT plan (per-call ms)\n");
@@ -496,6 +629,21 @@ void print_micro_tables(const std::vector<Micro1dCell>& micro1d,
                 strformat("%.4f", c.adjoint_ms), strformat("%d", c.reps)});
   }
   std::printf("%s", t2.to_text().c_str());
+
+  std::printf(
+      "\nFolded kernel per ISA build — 2-D DCT-II + DCT-III pair, median "
+      "over interleaved blocks (this host runs: %s)\n",
+      dsp::kernel_isa());
+  Table t3({"dim", "baseline us", "avx2 us", "speedup [q1, q3]", "blocks"});
+  for (const IsaCell& c : micro_isa) {
+    t3.add_row({strformat("%zu", c.dim), strformat("%.3f", c.baseline_us),
+                c.has_avx2 ? strformat("%.3f", c.avx2_us) : "n/a",
+                c.has_avx2 ? strformat("%.2fx [%.2f, %.2f]", c.speedup,
+                                       c.speedup_q1, c.speedup_q3)
+                           : "n/a",
+                strformat("%d", c.blocks)});
+  }
+  std::printf("%s", t3.to_text().c_str());
 }
 
 }  // namespace
@@ -535,9 +683,10 @@ int main(int argc, char** argv) {
   }
   const std::vector<Micro1dCell> micro1d = run_micro_1d(cfg);
   const std::vector<MicroOpCell> microop = run_micro_operator(cfg);
+  const std::vector<IsaCell> micro_isa = run_micro_isa(cfg);
 
   if (args.json) {
-    const std::string out = to_json(cells, micro1d, microop);
+    const std::string out = to_json(cells, micro1d, microop, micro_isa);
     std::fputs(out.c_str(), stdout);
     // A micro-only run carries an empty decode section; recording it to the
     // default path would clobber a recorded full sweep, so it only records
@@ -547,7 +696,7 @@ int main(int argc, char** argv) {
           args, FLEXCS_SOURCE_DIR "/BENCH_operator.json"));
   } else {
     if (!micro_only) print_decode_table(cells, cfg);
-    print_micro_tables(micro1d, microop);
+    print_micro_tables(micro1d, microop, micro_isa);
   }
   return 0;
 }

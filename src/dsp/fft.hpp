@@ -21,6 +21,18 @@
 // plan is valid for every N ≥ 1, and the naive dsp::dct1d/idct1d remain
 // the golden reference the fast paths are tested against (≤ 1e-12).
 //
+// The folded kernel is built twice (fold_kernel.cpp, src/dsp/CMakeLists.txt):
+// at the baseline ISA and with -mavx2, and fold_pass runs the AVX2 copy on
+// hosts that have it (kernel_isa() names the choice). Both copies give the
+// same bits, so AVX2 and older hosts decode a tile to the same pixels: each
+// output lane adds its terms in the same order, AVX2 has no fused
+// multiply-add (hence no -mfma, -march=x86-64-v3 or -mavx512f, each of
+// which lets GCC contract a*b+c), and GCC does not reassociate without
+// -ffast-math. Only that one file carries -mavx2, and it keeps every symbol
+// but its entry point internal: an inline or template function shared with
+// other files would be a weak symbol the linker might take from the AVX2
+// object for every caller.
+//
 // All methods are const and touch only caller-provided workspace, so one
 // plan can be shared across threads exactly like the operators that own it.
 #pragma once
@@ -85,7 +97,11 @@ class Dct1dPlan {
   // Non-pow2 lengths: the even/odd half-tables of D = dct_matrix(n) and
   // their transposes, row-major (fft.cpp has the layout).
   std::vector<double> half_;
+  friend const double* fold_tables(const Dct1dPlan& plan);
 };
+
+/// The ISA the folded kernel runs at in this process: "avx2" or "baseline".
+const char* kernel_isa();
 
 /// Separable 2-D DCT-II of a rows×cols row-major buffer: every row through
 /// `row_plan` (size cols), then every column through `col_plan` (size rows).

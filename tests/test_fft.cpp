@@ -10,11 +10,14 @@
 
 #include <cmath>
 #include <cstddef>
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "dsp/dct.hpp"
+#include "dsp/fold_kernel.hpp"
 #include "dsp/wavelet.hpp"
 #include "la/matrix.hpp"
 
@@ -181,6 +184,97 @@ TEST(Dct1dPlan, MismatchedGridShapeThrows) {
   EXPECT_THROW(idct2d_apply(row_plan, col_plan, in.data(), out.data(), 2, 16,
                             ws),
                CheckError);
+}
+
+// One fold pass of `lanes` length-n vectors through one ISA variant.
+std::vector<double> run_fold(FoldKernel kernel, const Dct1dPlan& plan,
+                             const std::vector<double>& in, std::size_t lanes,
+                             bool rows, bool invert) {
+  const std::size_t n = plan.size();
+  std::vector<double> out(n * lanes), fold(n * lanes), half(n * lanes);
+  kernel(FoldJob{fold_tables(plan), in.data(), out.data(), fold.data(),
+                 half.data(), n, lanes, rows, invert});
+  return out;
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+// `count` samples, dense normal or with ~70 % exact zeros (the skip_zero
+// path of the row passes).
+std::vector<double> kernel_input(std::size_t count, bool sparse, Rng& rng) {
+  std::vector<double> x(count);
+  for (double& v : x) v = sparse && rng.uniform() < 0.7 ? 0.0 : rng.normal();
+  return x;
+}
+
+TEST(Dct1dPlan, IsaVariantsAreBitIdentical) {
+  // The baseline and AVX2 builds of the folded kernel must agree to the
+  // bit, so hosts with and without AVX2 decode a tile to the same pixels.
+  // Every non-pow2 length to 40, both directions and layouts, 1/7/20/36
+  // lanes, dense inputs and inputs with exact zeros; then the 2-D row +
+  // column sequence at the runtime's 20×20 and 36×36 tiles. The plan's own
+  // fold_pass (whichever variant it picked) must give the same bits too.
+  if (std::string(kernel_isa()) != "avx2")
+    GTEST_SKIP() << "host has no AVX2: only the baseline kernel can run";
+  DctWorkspace ws;
+  std::size_t compared = 0;
+  for (std::size_t n = 3; n <= 40; ++n) {
+    const Dct1dPlan plan(n);
+    if (plan.fast()) continue;
+    for (const std::size_t lanes : {1u, 7u, 20u, 36u}) {
+      for (const bool sparse : {false, true}) {
+        Rng rng(0xF6 + n * 131 + lanes * 7 + (sparse ? 1 : 0));
+        const std::vector<double> in = kernel_input(n * lanes, sparse, rng);
+        for (const bool rows : {true, false}) {
+          for (const bool invert : {false, true}) {
+            const std::vector<double> base = run_fold(
+                &fold_baseline::fold_kernel, plan, in, lanes, rows, invert);
+            const std::vector<double> avx2 = run_fold(
+                &fold_avx2::fold_kernel, plan, in, lanes, rows, invert);
+            std::vector<double> plan_out(n * lanes);
+            plan.fold_pass(in.data(), plan_out.data(), lanes,
+                           rows ? Dct1dPlan::Axis::kRows
+                                : Dct1dPlan::Axis::kColumns,
+                           invert, ws);
+            EXPECT_TRUE(same_bits(base, avx2))
+                << "n=" << n << " lanes=" << lanes << " sparse=" << sparse
+                << " rows=" << rows << " invert=" << invert;
+            EXPECT_TRUE(same_bits(plan_out, avx2)) << "n=" << n;
+            ++compared;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(compared, 34u * 4u * 2u * 2u * 2u);  // 3..40 minus 4, 8, 16, 32
+
+  for (const std::size_t dim : {20u, 36u}) {
+    const Dct1dPlan plan(dim);
+    for (const bool sparse : {false, true}) {
+      Rng rng(0xF7 + dim + (sparse ? 1 : 0));
+      const std::vector<double> grid = kernel_input(dim * dim, sparse, rng);
+      for (const bool invert : {false, true}) {
+        // Row pass over every row, then the column pass (a left product).
+        const auto pass_2d = [&](FoldKernel kernel) {
+          const std::vector<double> r =
+              run_fold(kernel, plan, grid, dim, /*rows=*/true, invert);
+          return run_fold(kernel, plan, r, dim, /*rows=*/false, invert);
+        };
+        const std::vector<double> base = pass_2d(&fold_baseline::fold_kernel);
+        const std::vector<double> avx2 = pass_2d(&fold_avx2::fold_kernel);
+        std::vector<double> plan_out(dim * dim);
+        (invert ? idct2d_apply : dct2d_apply)(plan, plan, grid.data(),
+                                              plan_out.data(), dim, dim, ws);
+        EXPECT_TRUE(same_bits(base, avx2))
+            << dim << "x" << dim << " sparse=" << sparse
+            << " invert=" << invert;
+        EXPECT_TRUE(same_bits(plan_out, avx2)) << dim << "x" << dim;
+      }
+    }
+  }
 }
 
 TEST(HaarInplace, OneDimMatchesReferenceBitForBit) {

@@ -56,7 +56,15 @@ Enforces project invariants the compiler cannot express:
                     -ffp-contract=fast. They make results depend on the host
                     CPU or let the compiler reassociate and contract, so a
                     forked, remote and in-process executor would no longer
-                    decode the same (seed, frame, tile) to the same pixels
+                    decode the same (seed, frame, tile) to the same pixels.
+                    x86 ISA-extension flags (-mavx*, -msse3, -mssse3,
+                    -msse4*, -mbmi*, -mf16c) are banned too: a library
+                    built with one crashes on a host without it. The one
+                    runtime-dispatched kernel object (src/dsp/fold_kernel.cpp
+                    with -mavx2) carries the allow marker. For the same
+                    reason C++ sources under src/ may not pick an ISA per
+                    function (__attribute__((target(...))), target_clones,
+                    [[gnu::target(...)]])
   unset-option      every scalar field with a default initializer in a
                     runtime option struct (src/runtime/*.hpp: *Options,
                     *Config, LadderBudget, AcceptanceThresholds,
@@ -635,7 +643,8 @@ def check_deadline_poll(f: SourceFile) -> List[Finding]:
 
 _BUILD_FLAG_RE = re.compile(
     r"(?<![\w-])(-march=|-mtune=native|-mfma|-ffast-math|-Ofast"
-    r"|-ffp-contract=fast)")
+    r"|-ffp-contract=fast"
+    r"|-mavx\w*|-ms?sse3|-msse4[\w.]*|-mbmi\w*|-mf16c)")
 
 
 def check_build_flags(f: SourceFile) -> List[Finding]:
@@ -646,9 +655,30 @@ def check_build_flags(f: SourceFile) -> List[Finding]:
         for m in _BUILD_FLAG_RE.finditer(line):
             fd = f.finding_unless_allowed(
                 idx, "build-flags",
-                f"'{m.group(1)}' makes floating-point results depend on the "
-                "host or on contraction — every executor must decode the "
-                "same tile to the same pixels")
+                f"'{m.group(1)}' makes the library depend on the host CPU "
+                "or on contraction — every executor on every host must "
+                "decode the same tile to the same pixels")
+            if fd:
+                findings.append(fd)
+    return findings
+
+
+_TARGET_ATTRIBUTE_RE = re.compile(
+    r"(__attribute__\s*\(\(\s*(?:__)?target(?:__)?\s*\(|\btarget_clones\b"
+    r"|\[\[\s*gnu::(?:__)?target)")
+
+
+def check_target_attributes(f: SourceFile) -> List[Finding]:
+    if not f.relpath.startswith("src/"):
+        return []
+    findings: List[Finding] = []
+    for idx, line in enumerate(f.stripped_lines, start=1):
+        for m in _TARGET_ATTRIBUTE_RE.finditer(line):
+            fd = f.finding_unless_allowed(
+                idx, "build-flags",
+                f"'{m.group(1)}' picks an ISA per function — build a "
+                "separate kernel object and dispatch at run time instead "
+                "(src/dsp/fold_kernel.cpp)")
             if fd:
                 findings.append(fd)
     return findings
@@ -662,6 +692,7 @@ FILE_RULES: Sequence[Callable[[SourceFile], List[Finding]]] = (
     check_float_equality,
     check_threading,
     check_deadline_poll,
+    check_target_attributes,
 )
 
 

@@ -802,7 +802,10 @@ class ResolveFractionEntryCheckTest(unittest.TestCase):
 
 class BuildFlagsTest(unittest.TestCase):
     BANNED = ("-march=native", "-march=x86-64-v3", "-mtune=native", "-mfma",
-              "-ffast-math", "-Ofast", "-ffp-contract=fast")
+              "-ffast-math", "-Ofast", "-ffp-contract=fast",
+              "-mavx", "-mavx2", "-mavx512f", "-mavx512vl", "-msse3",
+              "-mssse3", "-msse4", "-msse4.1", "-msse4.2", "-mbmi",
+              "-mbmi2", "-mf16c")
 
     def test_each_banned_flag_fires(self):
         for flag in self.BANNED:
@@ -833,6 +836,42 @@ class BuildFlagsTest(unittest.TestCase):
                           "target_compile_options(x PRIVATE -mfma)  "
                           "# flexcs-lint: allow(build-flags)\n"})
         self.assertNotIn("build-flags", rules_fired(f))
+
+    def test_isa_flag_allow_marker(self):
+        f = lint_fixture({"src/dsp/CMakeLists.txt":
+                          "target_compile_options(k PRIVATE -mavx2)  "
+                          "# flexcs-lint: allow(build-flags)\n"
+                          "target_compile_options(x PRIVATE -mavx2)\n"})
+        fired = [x for x in f if x.rule == "build-flags"]
+        self.assertEqual([2], [x.line for x in fired])
+
+    def test_baseline_m_flags_clean(self):
+        f = lint_fixture({"src/dsp/CMakeLists.txt":
+                          "target_compile_options(x PRIVATE -msse2 "
+                          "-mno-red-zone -mtune=generic)\n"})
+        self.assertNotIn("build-flags", rules_fired(f))
+
+    def test_target_attributes_fire(self):
+        for decl in ('__attribute__((target("avx2"))) void k();',
+                     '__attribute__ ((__target__("avx2"))) void k();',
+                     '__attribute__((target_clones("avx2", "default"))) '
+                     'void k();',
+                     '[[gnu::target("avx2")]] void k();'):
+            f = lint_fixture({"src/dsp/k.cpp": "int a;\n" + decl + "\n"})
+            fired = [x for x in f if x.rule == "build-flags"]
+            self.assertEqual([2], [x.line for x in fired], decl)
+
+    def test_target_attribute_allow_marker_and_scope(self):
+        decl = '[[gnu::target("avx2")]] void k();'
+        allowed = decl + "  // flexcs-lint: allow(build-flags)\n"
+        self.assertNotIn("build-flags", rules_fired(
+            lint_fixture({"src/dsp/k.cpp": allowed})))
+        self.assertNotIn("build-flags", rules_fired(
+            lint_fixture({"tests/k.cpp": decl + "\n"})))
+        self.assertNotIn("build-flags", rules_fired(
+            lint_fixture({"src/dsp/k.cpp":
+                          "// never __attribute__((target(\"avx2\")))\n"
+                          "int target_count = 0;\n"})))
 
     def test_outside_src_not_checked(self):
         f = lint_fixture({"bench/CMakeLists.txt":

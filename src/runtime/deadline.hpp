@@ -29,12 +29,21 @@ class Deadline {
 
   Deadline() = default;  // unlimited
 
-  /// Deadline `seconds` from now (clamped at "immediately" for negatives).
+  /// Deadline `seconds` from now. Zero, negative and NaN give one that has
+  /// already expired; a span past the clock's range (+inf included) gives an
+  /// unlimited one, so no value reaches an out-of-range duration cast.
   static Deadline after(double seconds) {
-    if (seconds < 0.0) seconds = 0.0;
-    return Deadline(Clock::now() +
-                    std::chrono::duration_cast<Clock::duration>(
-                        std::chrono::duration<double>(seconds)));
+    const Clock::time_point now = Clock::now();
+    if (!(seconds > 0.0)) return Deadline(now);
+    // One second of slack absorbs the rounding of the int64 tick count to
+    // double, so any span below `room` converts in range.
+    const double room = std::chrono::duration<double>(
+                            Clock::time_point::max() - now -
+                            std::chrono::seconds(1))
+                            .count();
+    if (seconds >= room) return Deadline();
+    return Deadline(now + std::chrono::duration_cast<Clock::duration>(
+                              std::chrono::duration<double>(seconds)));
   }
 
   /// Deadline at an absolute monotonic-clock instant.

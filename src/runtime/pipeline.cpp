@@ -228,17 +228,6 @@ void RobustPipeline::acquire(const la::Matrix& frame, Rng& rng,
   apply_measurement_channel(report, p, y);
 }
 
-int RobustPipeline::effective_budget(const FrameControl& ctrl) const {
-  int budget = opts_.budget.max_decode_calls;
-  if (ctrl.max_decode_calls >= 0)
-    budget = std::min(budget, std::max(1, ctrl.max_decode_calls));
-  return budget;
-}
-
-Strategy RobustPipeline::effective_max_rung(const FrameControl& ctrl) const {
-  return std::min(ctrl.max_rung, opts_.max_rung);
-}
-
 RobustPipeline::FrameResult RobustPipeline::process(
     const la::Matrix& corrupted_frame, std::size_t frame_index, Rng& rng,
     const FrameControl& ctrl) {
@@ -251,8 +240,7 @@ RobustPipeline::FrameResult RobustPipeline::process(
   const auto start = Deadline::Clock::now();
   RecoveryReport report;
   report.frame_index = frame_index;
-  int budget = effective_budget(ctrl);
-  const Strategy max_rung = effective_max_rung(ctrl);
+  int budget = opts_.budget.max_decode_calls;
   const double fraction =
       cs::resolve_fraction(ctrl.sampling_fraction, opts_.sampling_fraction);
 
@@ -286,7 +274,7 @@ RobustPipeline::FrameResult RobustPipeline::process(
     // A fired deadline ends escalation: every further rung would be cut
     // short at its own entry check, so the best candidate so far stands.
     if (last.cand.deadline_expired || ctrl.solve.should_stop()) return;
-    if (rung > max_rung) return;
+    if (rung > opts_.max_rung) return;
     if (budget < cost) {
       report.budget_exhausted = true;
       return;

@@ -96,14 +96,10 @@ struct RobustPipelineOptions {
 };
 
 /// Per-frame control for streaming callers: a deadline/cancellation token
-/// threaded into every solver call this frame makes, plus ladder overrides
-/// the Degrade backpressure policy uses to cheapen frames under load.
+/// threaded into every solver call this frame makes, plus the frame's
+/// sampling fraction.
 struct FrameControl {
   solvers::SolveOptions solve;
-  // When >= 0, overrides (never raises) LadderBudget::max_decode_calls.
-  int max_decode_calls = -1;
-  // Caps the ladder at min(this, options().max_rung) for this frame.
-  Strategy max_rung = Strategy::kResample;
   // When > 0, overrides options().sampling_fraction for every acquisition
   // this frame makes (rung 0 and ladder re-acquisitions alike). 0 keeps the
   // configured fraction. Event-driven tile readout uses this to sample
@@ -180,8 +176,7 @@ class RobustPipeline {
   /// report.frame_index and keys the measurement-fault channel. `ctrl.solve`
   /// is threaded into every solver call, and once it fires the ladder stops
   /// escalating and the best candidate so far is returned flagged
-  /// deadline_expired. `ctrl` can also shrink this frame's decode budget and
-  /// rung ceiling (Degrade policy).
+  /// deadline_expired.
   FrameResult process(const la::Matrix& corrupted_frame,
                       std::size_t frame_index, Rng& rng,
                       const FrameControl& ctrl = {});
@@ -230,9 +225,6 @@ class RobustPipeline {
   /// draws Φ, encodes, and runs the measurement-fault channel.
   void acquire(const la::Matrix& frame, Rng& rng, RecoveryReport& report,
                double fraction, cs::SamplingPattern& p, la::Vector& y);
-  /// Per-frame budget and rung ceiling after `ctrl` overrides.
-  int effective_budget(const FrameControl& ctrl) const;
-  Strategy effective_max_rung(const FrameControl& ctrl) const;
 
   std::size_t rows_;
   std::size_t cols_;

@@ -7,23 +7,6 @@
 #include "common/check.hpp"
 
 namespace flexcs::runtime {
-namespace {
-
-// Validates the tiling-independent options before any member that depends on
-// them is built (the StreamServer is constructed in the initializer list over
-// the padded tile geometry, so the checks cannot wait for the constructor
-// body). The grid divisibility checks live in TileGrid itself; the gate
-// option checks live in ActivityGate.
-ShardOptions validated(ShardOptions opts) {
-  // DropOldest would evict tiles the gather waits for; Degrade would cap a
-  // tile's ladder by the queue depth the scatter left at its pop, so its
-  // pixels would depend on scheduling.
-  FLEXCS_CHECK(opts.stream.policy == BackpressurePolicy::kBlock,
-               "sharded decode needs the Block backpressure policy");
-  return opts;
-}
-
-}  // namespace
 
 TileReport& fold_tile_report(ShardReport& frame, const TileGrid& grid,
                              std::size_t tile, RecoveryReport report) {
@@ -43,7 +26,7 @@ TileReport& fold_tile_report(ShardReport& frame, const TileGrid& grid,
 
 ShardedDecoder::ShardedDecoder(std::size_t rows, std::size_t cols,
                                ShardOptions opts)
-    : opts_(validated(std::move(opts))),
+    : opts_(std::move(opts)),
       grid_(rows, cols, opts_.tile_rows, opts_.tile_cols, opts_.halo),
       server_(grid_.padded_rows, grid_.padded_cols, opts_.stream),
       gate_(grid_, opts_.gate) {

@@ -49,9 +49,7 @@ struct ShardOptions {
   // enough to let the DCT atoms of neighbouring tiles overlap.
   std::size_t halo = 2;
   // Worker pool + per-tile pipeline configuration. The server is created
-  // over the PADDED tile geometry. policy must be kBlock: a dropped tile
-  // would leave a hole in the gather and hang it, and a degraded one would
-  // make its pixels depend on the queue depth at its pop.
+  // over the PADDED tile geometry.
   StreamOptions stream;
   // Event-driven readout: when gate.enabled, a per-tile change detector
   // decides which tiles are decoded each frame; the rest are served from the

@@ -16,30 +16,10 @@ double seconds_since(Deadline::Clock::time_point t0,
   return std::chrono::duration<double>(t1 - t0).count();
 }
 
-// Degrade only: the deadline becomes an end-to-end budget — queueing time
-// is deducted from the processing deadline, floored at this fraction of
-// frame_deadline_seconds so every frame still gets a sliver of solve time.
-constexpr double kDegradeDeadlineFloor = 0.125;
-
-// Watchdog: a frame in flight longer than this multiple of its effective
+// Watchdog: a frame in flight longer than this multiple of its frame
 // deadline (or StreamOptions::stall_floor_seconds, whichever is larger) is
 // cancelled and counted as a stall.
 constexpr double kStallMultiplier = 4.0;
-
-// What a Degrade level spends on a frame. Level 1 halves the deadline and
-// stops the ladder at the trimmed decode; level 2 and above quarter it and
-// allow only the plain decode.
-struct DegradeCaps {
-  double deadline_scale = 1.0;  // multiplies the frame deadline
-  Strategy max_rung = Strategy::kResample;
-  int max_decode_calls = -1;  // < 0 = the pipeline's own budget
-};
-
-DegradeCaps degrade_caps(int level) {
-  if (level <= 0) return {};
-  if (level == 1) return {0.5, Strategy::kTrimmedDecode, 3};
-  return {0.25, Strategy::kPlainDecode, 1};
-}
 
 }  // namespace
 
@@ -88,22 +68,6 @@ double LatencyHistogram::percentile(double q) const {
   return kLowest * std::pow(10.0, centre / kPerDecade);
 }
 
-const char* backpressure_policy_name(BackpressurePolicy policy) {
-  switch (policy) {
-    case BackpressurePolicy::kBlock: return "block";
-    case BackpressurePolicy::kDropOldest: return "drop-oldest";
-    case BackpressurePolicy::kDegrade: return "degrade";
-  }
-  return "unknown";
-}
-
-int StreamServer::degrade_level_for(std::size_t depth, std::size_t capacity) {
-  if (capacity == 0) return 0;
-  if (4 * depth >= 3 * capacity) return 2;
-  if (2 * depth >= capacity) return 1;
-  return 0;
-}
-
 StreamServer::StreamServer(std::size_t rows, std::size_t cols,
                            StreamOptions opts)
     : rows_(rows), cols_(cols), opts_(std::move(opts)) {
@@ -140,19 +104,9 @@ bool StreamServer::submit(std::uint64_t stream_id, la::Matrix frame,
   const auto now = Deadline::Clock::now();
   {
     common::MutexLock lock(mu_);
-    if (opts_.policy == BackpressurePolicy::kDropOldest) {
-      if (closed_) return false;
-      if (queue_.size() >= opts_.queue_capacity) {
-        queue_.pop_front();  // evict the stalest frame, keep the freshest
-        ++dropped_;
-      }
-    } else {
-      // Block and Degrade both hold the producer on a full queue; Degrade
-      // relies on the workers cheapening frames so the wait stays short.
-      while (!closed_ && queue_.size() >= opts_.queue_capacity)
-        queue_not_full_.wait(mu_);
-      if (closed_) return false;
-    }
+    while (!closed_ && queue_.size() >= opts_.queue_capacity)
+      queue_not_full_.wait(mu_);
+    if (closed_) return false;
 
     Pending item;
     item.stream_id = stream_id;
@@ -175,50 +129,24 @@ bool StreamServer::submit(std::uint64_t stream_id, la::Matrix frame,
 void StreamServer::worker_loop(std::size_t worker_index) {
   for (;;) {
     Pending item;
-    std::size_t depth_after = 0;
     {
       common::MutexLock lock(mu_);
       while (!closed_ && queue_.empty()) queue_not_empty_.wait(mu_);
       if (queue_.empty()) return;  // closed and fully drained
       item = std::move(queue_.front());
       queue_.pop_front();
-      depth_after = queue_.size();
     }
     queue_not_full_.notify_one();
 
     const auto dequeued_at = Deadline::Clock::now();
 
-    // Degrade ladder: as the queue fills, spend less on each frame (see
-    // degrade_caps). On top of the depth-based level, Degrade treats the
-    // frame deadline as an end-to-end budget: time already burned in the
-    // queue comes out of the processing deadline (floored so every frame
-    // gets some solve time) — this is what keeps tail latency bounded once a
-    // backlog exists.
-    const bool degrade = opts_.policy == BackpressurePolicy::kDegrade;
-    const int level =
-        degrade ? degrade_level_for(depth_after, opts_.queue_capacity) : 0;
-    const DegradeCaps caps = degrade_caps(level);
-    double deadline_s = opts_.frame_deadline_seconds * caps.deadline_scale;
+    const double deadline_s = opts_.frame_deadline_seconds;
     FrameControl ctrl;
     ctrl.sampling_fraction = item.sampling_fraction;
-    ctrl.max_rung = caps.max_rung;
-    ctrl.max_decode_calls = caps.max_decode_calls;
-    if (degrade && opts_.frame_deadline_seconds > 0.0) {
-      const double queued = seconds_since(item.submitted_at, dequeued_at);
-      const double remaining = opts_.frame_deadline_seconds - queued;
-      const double floor =
-          kDegradeDeadlineFloor * opts_.frame_deadline_seconds;
-      deadline_s = std::min(deadline_s, std::max(floor, remaining));
-    }
-    // A frame counts as degraded when the ladder was capped (level >= 1) or
-    // the budget deduction cost it a meaningful slice of its deadline.
-    const bool cheapened =
-        level >= 1 || (opts_.frame_deadline_seconds > 0.0 &&
-                       deadline_s < 0.75 * opts_.frame_deadline_seconds);
     if (deadline_s > 0.0) ctrl.solve.deadline = Deadline::after(deadline_s);
 
-    // An external per-submission deadline only ever tightens the
-    // policy-derived one.
+    // An external per-submission deadline only ever tightens the frame
+    // deadline.
     if (!item.external_deadline.unlimited() &&
         (ctrl.solve.deadline.unlimited() ||
          item.external_deadline.when() < ctrl.solve.deadline.when()))
@@ -268,14 +196,12 @@ void StreamServer::worker_loop(std::size_t worker_index) {
       result.submit_index = item.submit_index;
       result.frame = std::move(fr.frame);
       result.report = std::move(fr.report);
-      result.degrade_level = level;
       result.queue_seconds = seconds_since(item.submitted_at, dequeued_at);
       result.latency_seconds = seconds_since(item.submitted_at, finished_at);
       // A watchdog cancellation surfaces on the report as well: the solver's
       // cooperative check is what actually stopped the frame.
       if (was_stalled) result.report.deadline_expired = true;
       ++completed_;
-      if (cheapened) ++degraded_;
       if (result.report.deadline_expired) ++deadline_expired_;
       latencies_.add(result.latency_seconds);
       results_.push_back(std::move(result));
@@ -349,13 +275,11 @@ StreamHealth StreamServer::health() const {
   {
     common::MutexLock lock(mu_);
     h.submitted = submitted_;
-    h.dropped = dropped_;
     h.queue_high_water = queue_high_water_;
   }
   {
     common::MutexLock lock(results_mu_);
     h.completed = completed_;
-    h.degraded = degraded_;
     h.deadline_expired = deadline_expired_;
     h.p50_latency_seconds = latencies_.percentile(0.50);
     h.p99_latency_seconds = latencies_.percentile(0.99);

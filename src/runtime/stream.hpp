@@ -3,22 +3,15 @@
 // (the pipeline is documented "not thread-safe; one instance per stream" —
 // here one instance per *worker*, fed through a bounded MPMC queue).
 //
-// Backpressure when the queue is full is selectable:
+// Backpressure is blocking: when the queue is full, submit() waits until a
+// worker frees a slot, so producers throttle and every submitted frame is
+// decoded with the full ladder. Shedding load is the activity gate's job
+// (runtime/activity.hpp), which skips quiet tiles instead of decoding frames
+// worse.
 //
-//   Block       submit() waits until a slot frees (producers throttle);
-//   DropOldest  the oldest queued frame is evicted and counted dropped;
-//   Degrade     submit() blocks like Block, but workers cheapen frames as
-//               queue depth rises — shrinking the per-frame ladder budget,
-//               capping the ladder at cheaper rungs, and tightening the
-//               solve deadline — so the queue drains instead of growing.
-//
-// Every frame is processed under a cooperative Deadline. Under Block and
-// DropOldest it is a processing deadline measured from dequeue (queueing
-// time is reported separately as part of the submit→complete latency), so a
-// backlog inflates the tail. Under Degrade the frame deadline is treated as
-// an end-to-end budget: time already spent queued is subtracted from the
-// processing deadline (floored at a fraction of it), which is what bounds
-// p99 latency under overload. A watchdog thread scans in-flight frames and
+// Every frame is processed under a cooperative Deadline measured from
+// dequeue (queueing time is reported separately as part of the
+// submit→complete latency). A watchdog thread scans in-flight frames and
 // cancels any that run past a hard multiple of the deadline, surfacing them
 // as stalls in StreamHealth.
 #pragma once
@@ -36,11 +29,6 @@
 #include "runtime/pipeline.hpp"
 
 namespace flexcs::runtime {
-
-enum class BackpressurePolicy { kBlock, kDropOldest, kDegrade };
-
-/// Short stable identifier, e.g. "block" or "degrade".
-const char* backpressure_policy_name(BackpressurePolicy policy);
 
 /// Percentile with linear interpolation between order statistics (the
 /// "exclusive" definition used by numpy's default): p50 of {1, 2} is 1.5,
@@ -73,12 +61,11 @@ class LatencyHistogram {
 struct StreamOptions {
   std::size_t workers = 2;         // worker threads (>= 1)
   std::size_t queue_capacity = 8;  // bounded MPMC queue slots (>= 1)
-  BackpressurePolicy policy = BackpressurePolicy::kBlock;
   // Per-frame processing deadline in seconds, measured from dequeue.
   // <= 0 disables the deadline (frames run to the ladder budget).
   double frame_deadline_seconds = 0.0;
   // Watchdog: a frame in flight longer than
-  //   max(4 * effective deadline, stall_floor_seconds)
+  //   max(4 * frame deadline, stall_floor_seconds)
   // is cancelled and counted as a stall. stall_floor_seconds = 0 means the
   // watchdog only engages when a frame deadline is set.
   double stall_floor_seconds = 0.0;
@@ -104,9 +91,6 @@ struct StreamOptions {
 struct StreamHealth {
   std::size_t submitted = 0;
   std::size_t completed = 0;
-  std::size_t dropped = 0;           // DropOldest evictions
-  std::size_t degraded = 0;  // frames cheapened under Degrade (capped ladder
-                             // or a meaningful budget-deducted deadline)
   std::size_t deadline_expired = 0;  // frames whose solve was cut short
   std::size_t stalled = 0;           // watchdog cancellations
   std::size_t queue_high_water = 0;  // max queue depth observed
@@ -123,7 +107,7 @@ struct StreamHealth {
 };
 
 /// Optional per-submission control: an external deadline tightens the
-/// worker's policy-derived solve deadline for the frame, and an external
+/// worker's frame deadline for the frame, and an external
 /// cancel token is forwarded into the running solve by the watchdog
 /// (without counting as a stall). Both default inert.
 /// Used by ShardedDecoder to propagate one frame-level deadline/cancel into
@@ -147,7 +131,6 @@ struct StreamResult {
   std::uint64_t submit_index = 0;  // global submission order
   la::Matrix frame;
   RecoveryReport report;
-  int degrade_level = 0;  // 0 = full ladder; higher = cheaper processing
   double queue_seconds = 0.0;    // submit → dequeue
   double latency_seconds = 0.0;  // submit → completion
 };
@@ -165,8 +148,7 @@ class StreamServer {
   StreamServer& operator=(const StreamServer&) = delete;
 
   /// Enqueues one corrupted frame for recovery. Returns false only after
-  /// close(); under the Block/Degrade policies a full queue makes this call
-  /// wait. Thread-safe.
+  /// close(); a full queue makes this call wait. Thread-safe.
   bool submit(std::uint64_t stream_id, la::Matrix frame) FLEXCS_EXCLUDES(mu_);
 
   /// Same, with a per-submission deadline/cancel token (see SubmitControl).
@@ -174,9 +156,8 @@ class StreamServer {
               const SubmitControl& ctrl) FLEXCS_EXCLUDES(mu_);
 
   /// Blocks until at least `target` frames have completed since construction
-  /// (cumulative, monotone). The caller must guarantee `target` frames will
-  /// actually complete: under DropOldest an evicted frame never completes,
-  /// so gather-style callers (ShardedDecoder) must not use that policy.
+  /// (cumulative, monotone). Every submitted frame completes, so a caller
+  /// may wait for as many frames as it submitted.
   void wait_for_completed(std::size_t target) const
       FLEXCS_EXCLUDES(results_mu_);
 
@@ -193,10 +174,6 @@ class StreamServer {
       FLEXCS_EXCLUDES(mu_, results_mu_, inflight_mu_);
 
   const StreamOptions& options() const { return opts_; }
-
-  /// Degrade level for a queue depth observed at dequeue (exposed for
-  /// tests): 0 below half full, 1 at half, 2 from three-quarters up.
-  static int degrade_level_for(std::size_t depth, std::size_t capacity);
 
  private:
   struct Pending {
@@ -242,7 +219,6 @@ class StreamServer {
   std::uint64_t next_submit_index_ FLEXCS_GUARDED_BY(mu_) = 0;
   std::size_t queue_high_water_ FLEXCS_GUARDED_BY(mu_) = 0;
   std::size_t submitted_ FLEXCS_GUARDED_BY(mu_) = 0;
-  std::size_t dropped_ FLEXCS_GUARDED_BY(mu_) = 0;
 
   // results_mu_ guards the completion side: results, the latency histogram
   // and the completion counters; results_cv_ wakes wait_for_completed()
@@ -252,7 +228,6 @@ class StreamServer {
   std::vector<StreamResult> results_ FLEXCS_GUARDED_BY(results_mu_);
   LatencyHistogram latencies_ FLEXCS_GUARDED_BY(results_mu_);
   std::size_t completed_ FLEXCS_GUARDED_BY(results_mu_) = 0;
-  std::size_t degraded_ FLEXCS_GUARDED_BY(results_mu_) = 0;
   std::size_t deadline_expired_ FLEXCS_GUARDED_BY(results_mu_) = 0;
 
   // inflight_mu_ guards the worker <-> watchdog handshake (in-flight slots

@@ -2,6 +2,7 @@
 
 #include <array>
 #include <bit>
+#include <cmath>
 #include <cstring>
 #include <utility>
 
@@ -305,8 +306,6 @@ std::vector<std::uint8_t> encode_tile_request(const TileRequest& req) {
   w.put_u64(req.frame_index);
   w.put_u64(req.tile_index);
   w.put_f64(req.deadline_seconds);
-  w.put_i32(req.max_decode_calls);
-  w.put_u32(req.max_rung);
   put_matrix(w, req.tile);
   return encode_message(MessageType::kTileRequest, w.take());
 }
@@ -320,10 +319,8 @@ TileRequest decode_tile_request(const Message& msg) {
   req.frame_index = r.get_u64();
   req.tile_index = r.get_u64();
   req.deadline_seconds = r.get_f64();
-  req.max_decode_calls = r.get_i32();
-  req.max_rung = r.get_u32();
-  FLEXCS_CHECK(req.max_rung <= static_cast<std::uint32_t>(Strategy::kResample),
-               "wire tile request rung out of range");
+  FLEXCS_CHECK(std::isfinite(req.deadline_seconds),
+               "wire tile request deadline is not finite");
   req.tile = get_matrix(r);
   FLEXCS_CHECK(r.exhausted(), "wire tile request has trailing bytes");
   return req;

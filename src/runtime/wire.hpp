@@ -37,9 +37,9 @@
 namespace flexcs::runtime::wire {
 
 inline constexpr std::uint32_t kMagic = 0x46585731u;  // "FXW1"
-// Version 2: the ladder tops out at rung 3 (resample); a version-1 peer
-// would send or expect rung 4, so the header check rejects it up front.
-inline constexpr std::uint16_t kVersion = 2;
+// Version 3: a tile request carries no ladder caps (a version-2 peer would
+// send two more fields), so the header check rejects older peers up front.
+inline constexpr std::uint16_t kVersion = 3;
 inline constexpr std::size_t kHeaderBytes = 16;  // magic + version + type + len
 inline constexpr std::size_t kTrailerBytes = 4;  // payload CRC-32
 // Upper bound on a payload (a 1024 x 1024 double frame is 8 MiB; 64 MiB
@@ -165,15 +165,13 @@ cs::DecodeResult get_decode_result(Reader& r);
 /// One tile dispatch. frame_index/tile_index identify the tile globally (and
 /// seed its deterministic sampling pattern — any worker decoding the same
 /// tile draws the same pattern, which is what makes a re-dispatch after a
-/// crash bit-identical). The control fields mirror FrameControl; the broker
-/// leaves them at their uncapped defaults.
+/// crash bit-identical). The tile decodes with the worker's full ladder,
+/// under the request's deadline.
 struct TileRequest {
   std::uint64_t seq = 0;           // dispatch id, echoed by the response
   std::uint64_t frame_index = 0;   // global frame number
   std::uint64_t tile_index = 0;    // row-major tile-grid index
   double deadline_seconds = 0.0;   // per-tile solve budget; <= 0 = none
-  std::int32_t max_decode_calls = -1;  // FrameControl override; < 0 = none
-  std::uint32_t max_rung = 3;          // ladder cap (Strategy value)
   la::Matrix tile;                 // padded tile pixels
 };
 

@@ -110,14 +110,10 @@ RobustPipeline::FrameResult decode_tile(RobustPipeline& pipeline,
                                         const wire::TileRequest& req,
                                         std::uint64_t base_seed,
                                         const CancelToken& cancel) {
-  FLEXCS_CHECK(req.max_rung <= static_cast<std::uint32_t>(Strategy::kResample),
-               "tile request rung out of range");
   FrameControl ctrl;
   if (req.deadline_seconds > 0.0)
     ctrl.solve.deadline = Deadline::after(req.deadline_seconds);
   ctrl.solve.cancel = cancel;
-  ctrl.max_decode_calls = req.max_decode_calls;
-  ctrl.max_rung = static_cast<Strategy>(req.max_rung);
   Rng rng(tile_seed(base_seed, req.frame_index, req.tile_index));
   return pipeline.process(req.tile, static_cast<std::size_t>(req.frame_index),
                           rng, ctrl);

@@ -30,8 +30,13 @@ void* operator new(std::size_t size) {
   throw std::bad_alloc();
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+// Kept out of line: inlined into a deleting destructor, the free() would sit
+// next to a visible operator new, and GCC's -Wmismatched-new-delete flags
+// the pair (the sanitizer builds inline it).
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace flexcs::solvers {
 namespace {

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -375,6 +376,29 @@ TEST(DeadlineSemantics, UnlimitedDeadlineReportsIterationsAndWallTime) {
   EXPECT_FALSE(r.deadline_expired);
   EXPECT_GT(r.iterations, 0);
   EXPECT_GT(r.solve_seconds, 0.0);
+}
+
+// Spans the clock cannot hold must not reach the duration cast (undefined
+// behaviour for +inf, NaN and 1e300; the ubsan preset's float-cast-overflow
+// check traps it): past the range means never, NaN and negatives mean now.
+TEST(DeadlineSemantics, AfterClampsSpansOutsideTheClockRange) {
+  using runtime::Deadline;
+  for (const double far : {1e300, std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::max()}) {
+    const Deadline d = Deadline::after(far);
+    EXPECT_TRUE(d.unlimited()) << far;
+    EXPECT_FALSE(d.expired()) << far;
+  }
+  for (const double now : {std::numeric_limits<double>::quiet_NaN(), -1.0,
+                           -std::numeric_limits<double>::infinity(), 0.0}) {
+    const Deadline d = Deadline::after(now);
+    EXPECT_FALSE(d.unlimited()) << now;
+    EXPECT_TRUE(d.expired()) << now;
+  }
+  const Deadline hour = Deadline::after(3600.0);
+  EXPECT_FALSE(hour.unlimited());
+  EXPECT_FALSE(hour.expired());
+  EXPECT_GT(hour.remaining_seconds(), 3590.0);
 }
 
 TEST(DeadlineSemantics, SimplexReportsDeadlineExpiredStatus) {

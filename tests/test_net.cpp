@@ -9,6 +9,8 @@
 // and the fault visible in the health counters.
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -24,6 +26,7 @@
 #include "data/thermal.hpp"
 #include "runtime/net.hpp"
 #include "runtime/service.hpp"
+#include "runtime/wire.hpp"
 #include "solvers/fista.hpp"
 
 namespace flexcs::runtime {
@@ -406,6 +409,62 @@ TEST(RemoteFleet, SeedMismatchIsRefusedAtHandshake) {
   // ack is cut off by the broker's close and the budget drains instead.
   EXPECT_TRUE(WEXITSTATUS(status) == 7 || WEXITSTATUS(status) == 6)
       << "exit=" << WEXITSTATUS(status);
+}
+
+TEST(RemoteFleet, PreviousWireVersionIsRefusedAtHandshake) {
+  // A peer one wire version behind would frame its tile requests
+  // differently: the broker must answer its Hello with a version-mismatch
+  // refusal and decode the frame without it.
+  ServiceOptions opts = remote_options(1);
+  opts.spawn_remote_loopback = false;
+  opts.remote_connect_grace_seconds = 0.5;
+  DecodeService svc(kDim, kDim, opts);
+  ASSERT_NE(svc.listen_port(), 0);
+
+  const pid_t pid = ::fork();  // flexcs-lint: allow(threading)
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    // Exit codes: 0 = refused for the version, 2 = no connection, 3 = no
+    // ack, 4 = any other answer.
+    const int fd = net::connect_to("127.0.0.1", svc.listen_port(), 5.0);
+    if (fd < 0) std::_Exit(2);
+    const timeval read_timeout{20, 0};  // never outlive a broker that stopped
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &read_timeout,
+                 sizeof read_timeout);
+    wire::HelloRequest hello;
+    hello.wire_version = static_cast<std::uint16_t>(wire::kVersion - 1);
+    hello.padded_rows = svc.grid().padded_rows;
+    hello.padded_cols = svc.grid().padded_cols;
+    hello.seed = 0xFEEDu;
+    std::vector<std::uint8_t> inbuf;
+    wire::Message msg;
+    if (!wire::send_message(fd, wire::encode_hello(hello)) ||
+        wire::read_message(fd, inbuf, msg) != wire::ReadStatus::kMessage ||
+        msg.type != wire::MessageType::kHelloAck)
+      std::_Exit(3);
+    try {
+      const wire::HelloAck ack = wire::decode_hello_ack(msg);
+      std::_Exit(!ack.accepted &&
+                         ack.reason == wire::HelloReject::kVersionMismatch
+                     ? 0
+                     : 4);
+    } catch (const CheckError&) {
+      std::_Exit(4);
+    }
+  }
+
+  // The broker only accepts and handshakes inside its pump, so drive it.
+  for (std::uint64_t s = 1; s <= 4 && svc.health().handshake_failures == 0;
+       ++s)
+    EXPECT_TRUE(la::all_finite(svc.process(thermal_frame(kDim, s)).frame));
+  EXPECT_GE(svc.health().handshake_failures, 1u);
+  EXPECT_EQ(svc.healthy_remote_workers(), 0u);
+  EXPECT_EQ(svc.health().frames_lost, 0u);
+
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);  // flexcs-lint: allow(threading)
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0) << "exit=" << WEXITSTATUS(status);
 }
 
 TEST(RemoteFleet, ValidatesRemoteOptions) {

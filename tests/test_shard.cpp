@@ -132,21 +132,12 @@ TEST(ShardedDecoder, DeadlineAndCancelPropagateIntoTileSolves) {
   }
 }
 
-TEST(ShardedDecoder, ValidatesGeometryAndPolicy) {
+TEST(ShardedDecoder, ValidatesGeometry) {
   ShardOptions opts = shard_options(16, 2);
   EXPECT_THROW(ShardedDecoder(30, 30, opts), CheckError);  // not divisible
   EXPECT_THROW(ShardedDecoder(8, 8, opts), CheckError);    // tile > array
   opts.tile_rows = opts.tile_cols = 0;
   EXPECT_THROW(ShardedDecoder(32, 32, opts), CheckError);
-
-  // Only Block: DropOldest would hang the gather, Degrade would make a
-  // tile's ladder cap depend on the queue depth at its pop.
-  ShardOptions drop = shard_options(16, 2);
-  drop.stream.policy = BackpressurePolicy::kDropOldest;
-  EXPECT_THROW(ShardedDecoder(32, 32, drop), CheckError);
-  ShardOptions degrade = shard_options(16, 2);
-  degrade.stream.policy = BackpressurePolicy::kDegrade;
-  EXPECT_THROW(ShardedDecoder(32, 32, degrade), CheckError);
 
   ShardedDecoder ok(32, 32, shard_options(16, 2));
   EXPECT_EQ(ok.shards(), 4u);

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "cs/faults.hpp"
 #include "data/thermal.hpp"
 #include "solvers/fista.hpp"
 
@@ -33,14 +32,6 @@ la::Matrix thermal_frame(std::size_t dim, std::uint64_t seed) {
   return data::ThermalHandGenerator(opts).sample(rng).values;
 }
 
-la::Matrix stuck_frame(const la::Matrix& truth, double rate,
-                       std::uint64_t seed) {
-  return cs::FaultScenario(
-             {cs::StuckPixelFault{rate, cs::DefectPolarity::kRandom, seed}})
-      .corrupt_frame(truth, 0)
-      .values;
-}
-
 TEST(StreamServer, DeliversEveryFrameFromConcurrentProducers) {
   constexpr std::size_t kDim = 16;
   constexpr std::size_t kProducers = 3;
@@ -48,7 +39,6 @@ TEST(StreamServer, DeliversEveryFrameFromConcurrentProducers) {
   StreamOptions opts;
   opts.workers = 2;
   opts.queue_capacity = 4;
-  opts.policy = BackpressurePolicy::kBlock;
   opts.solver = fista();
   StreamServer server(kDim, kDim, opts);
 
@@ -68,8 +58,8 @@ TEST(StreamServer, DeliversEveryFrameFromConcurrentProducers) {
   const StreamHealth h = server.health();
   EXPECT_EQ(h.submitted, kProducers * kFramesPer);
   EXPECT_EQ(h.completed, kProducers * kFramesPer);
-  EXPECT_EQ(h.dropped, 0u);
   EXPECT_GE(h.queue_high_water, 1u);
+  EXPECT_LE(h.queue_high_water, opts.queue_capacity);
   EXPECT_GE(h.p99_latency_seconds, h.p50_latency_seconds);
   EXPECT_GT(h.p50_latency_seconds, 0.0);
 
@@ -100,85 +90,11 @@ TEST(StreamServer, SubmitAfterCloseIsRejected) {
   EXPECT_EQ(server.health().submitted, 0u);
 }
 
-TEST(StreamServer, DropOldestEvictsInsteadOfBlocking) {
-  constexpr std::size_t kDim = 16;
-  StreamOptions opts;
-  opts.workers = 1;
-  opts.queue_capacity = 1;
-  opts.policy = BackpressurePolicy::kDropOldest;
-  opts.frame_deadline_seconds = 0.05;  // bound per-frame work, keep test fast
-  opts.solver = fista();
-  StreamServer server(kDim, kDim, opts);
-
-  // A single slow worker and a burst of corrupted frames: the queue must
-  // evict rather than stall the producer (this thread).
-  const la::Matrix frame =
-      stuck_frame(thermal_frame(kDim, 3), 0.10, 41);
-  constexpr std::size_t kBurst = 24;
-  for (std::size_t f = 0; f < kBurst; ++f)
-    EXPECT_TRUE(server.submit(0, frame));
-  server.close();
-
-  const StreamHealth h = server.health();
-  EXPECT_EQ(h.submitted, kBurst);
-  EXPECT_GT(h.dropped, 0u);
-  EXPECT_EQ(h.completed + h.dropped, h.submitted);
-  EXPECT_EQ(server.drain_results().size(), h.completed);
-}
-
-TEST(StreamServer, DegradeCheapensFramesUnderLoad) {
-  constexpr std::size_t kDim = 16;
-  StreamOptions opts;
-  opts.workers = 1;
-  opts.queue_capacity = 4;
-  opts.policy = BackpressurePolicy::kDegrade;
-  opts.frame_deadline_seconds = 0.05;
-  opts.solver = fista();
-  StreamServer server(kDim, kDim, opts);
-
-  const la::Matrix frame =
-      stuck_frame(thermal_frame(kDim, 3), 0.10, 41);
-  constexpr std::size_t kBurst = 16;
-  for (std::size_t f = 0; f < kBurst; ++f)
-    EXPECT_TRUE(server.submit(0, frame));
-  server.close();
-
-  const StreamHealth h = server.health();
-  EXPECT_EQ(h.submitted, kBurst);
-  EXPECT_EQ(h.completed, kBurst);  // Degrade never drops
-  EXPECT_EQ(h.dropped, 0u);
-  EXPECT_GT(h.degraded, 0u) << "burst must trigger degraded processing";
-
-  for (const StreamResult& r : server.drain_results()) {
-    EXPECT_TRUE(la::all_finite(r.frame));
-    if (r.degrade_level >= 2) {
-      // Fully degraded frames are capped at the plain decode.
-      EXPECT_EQ(r.report.strategy, Strategy::kPlainDecode);
-      EXPECT_LE(r.report.decode_calls, 1);
-    } else if (r.degrade_level == 1) {
-      EXPECT_LE(static_cast<int>(r.report.strategy),
-                static_cast<int>(Strategy::kTrimmedDecode));
-      EXPECT_LE(r.report.decode_calls, 3);
-    }
-  }
-}
-
-TEST(StreamServer, DegradeLevelThresholds) {
-  EXPECT_EQ(StreamServer::degrade_level_for(0, 8), 0);
-  EXPECT_EQ(StreamServer::degrade_level_for(3, 8), 0);
-  EXPECT_EQ(StreamServer::degrade_level_for(4, 8), 1);
-  EXPECT_EQ(StreamServer::degrade_level_for(5, 8), 1);
-  EXPECT_EQ(StreamServer::degrade_level_for(6, 8), 2);
-  EXPECT_EQ(StreamServer::degrade_level_for(8, 8), 2);
-  EXPECT_EQ(StreamServer::degrade_level_for(1, 1), 2);
-}
-
 TEST(StreamServer, WatchdogCancelsStalledFrames) {
   constexpr std::size_t kDim = 16;
   StreamOptions opts;
   opts.workers = 1;
   opts.queue_capacity = 2;
-  opts.policy = BackpressurePolicy::kBlock;
   // No per-frame deadline: the watchdog's absolute floor is the only thing
   // that can stop the deliberately unconvergeable solver below.
   opts.frame_deadline_seconds = 0.0;
@@ -209,7 +125,6 @@ TEST(StreamServer, FrameDeadlineSurfacesInHealthAndReports) {
   StreamOptions opts;
   opts.workers = 2;
   opts.queue_capacity = 4;
-  opts.policy = BackpressurePolicy::kBlock;
   opts.frame_deadline_seconds = 1e-5;  // far below one solve
   opts.solver = fista();
   StreamServer server(kDim, kDim, opts);
@@ -356,7 +271,7 @@ TEST(StreamServer, ExternalDeadlineTightensTheSolve) {
   StreamOptions opts;
   opts.workers = 1;
   opts.queue_capacity = 4;
-  opts.solver = fista();  // no policy deadline at all
+  opts.solver = fista();  // no frame deadline at all
   StreamServer server(kDim, kDim, opts);
 
   SubmitControl ctrl;

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -259,8 +260,6 @@ TEST(Wire, TileRequestAndResponseRoundTrip) {
   req.frame_index = 42;
   req.tile_index = 7;
   req.deadline_seconds = 0.125;
-  req.max_decode_calls = 3;
-  req.max_rung = 1;
   req.tile = random_matrix(8, 8, rng);
 
   const std::vector<std::uint8_t> bytes = encode_tile_request(req);
@@ -274,8 +273,6 @@ TEST(Wire, TileRequestAndResponseRoundTrip) {
   EXPECT_EQ(back.frame_index, 42u);
   EXPECT_EQ(back.tile_index, 7u);
   EXPECT_EQ(back.deadline_seconds, 0.125);
-  EXPECT_EQ(back.max_decode_calls, 3);
-  EXPECT_EQ(back.max_rung, 1u);
   for (std::size_t i = 0; i < 8; ++i)
     for (std::size_t j = 0; j < 8; ++j)
       ASSERT_EQ(back.tile(i, j), req.tile(i, j));
@@ -361,17 +358,21 @@ TEST(Wire, StructurallyLyingPayloadsThrowCheckError) {
     Reader r(bytes);
     EXPECT_THROW(get_recovery_report(r), CheckError);
   }
-  {  // rung 4 (retired) as a tile request's ladder cap
+  // A non-finite deadline in a tile request: +inf or NaN would reach the
+  // worker's clock arithmetic.
+  for (const double deadline : {std::numeric_limits<double>::infinity(),
+                                -std::numeric_limits<double>::infinity(),
+                                std::numeric_limits<double>::quiet_NaN()}) {
     Rng rng(68);
     TileRequest req;
-    req.max_rung = 4;
+    req.deadline_seconds = deadline;
     req.tile = random_matrix(4, 4, rng);
     const std::vector<std::uint8_t> bytes = encode_tile_request(req);
     Message msg;
     std::size_t consumed = 0;
     ASSERT_EQ(decode_message(bytes.data(), bytes.size(), msg, consumed),
               DecodeStatus::kOk);
-    EXPECT_THROW(decode_tile_request(msg), CheckError);
+    EXPECT_THROW(decode_tile_request(msg), CheckError) << deadline;
   }
 }
 
@@ -452,7 +453,6 @@ TEST(Wire, HostileByteSweepNeverCrashesAnyTypedDecoder) {
   treq.frame_index = 3;
   treq.tile_index = 1;
   treq.deadline_seconds = 0.25;
-  treq.max_rung = 2;
   treq.tile = random_matrix(8, 8, rng);
   TileResponse tresp;
   tresp.seq = 9;

@@ -17,10 +17,13 @@ namespace flexcs::cs {
 
 struct DecoderOptions {
   dsp::BasisKind basis = dsp::BasisKind::kDct2D;
-  bool debias = true;        // least-squares re-fit on the recovered support
+  // Least-squares re-fit on the recovered support: CG on the masked normal
+  // equations (matrix-free), seeded with the solver's support values and
+  // stopped at a 1e-9 relative residual.
+  bool debias = true;
   bool clamp01 = true;       // clamp the reconstruction into [0, 1]
   // Strictly |coef| > support_threshold counts as support for the debias
-  // re-fit (matrix-free: CG on the masked normal equations).
+  // re-fit.
   double support_threshold = 1e-6;
   // Per-decode cooperative control (deadline / cancellation), forwarded to
   // the sparse solver and polled by the debias re-fit. Streaming callers

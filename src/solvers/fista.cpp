@@ -8,6 +8,17 @@
 namespace flexcs::solvers {
 namespace {
 
+// λ continuation (Hale, Yin & Zhang 2008): the loop solves a short
+// geometric schedule of lasso problems, 10λ → 2λ → λ, each warm-started from
+// the last. A large λ has a small support and converges in few iterations,
+// and its solution is close to the next stage's, so the schedule reaches the
+// target optimum in fewer iterations than a cold solve at λ. A non-final
+// stage ends once the iterate is stable to kStageTol; only the final stage
+// tests opts_.tol and may set `converged`.
+constexpr double kContinuationStart = 10.0;  // first stage at 10λ
+constexpr double kContinuationShrink = 5.0;  // each switch divides λ by 5
+constexpr double kStageTol = 1e-2;           // relative change ending a stage
+
 // Lipschitz setup, sigma_max(A). The fixed-budget power iteration of
 // la::operator_norm_estimate costs more than a tight frame deadline can
 // afford, so a bounded solve estimates sigma with an early-exit power
@@ -99,7 +110,8 @@ SolveResult FistaSolver::solve_impl(const la::LinearOperator& a,
   const double sigma = lipschitz_sigma(a, ctrl);
   FLEXCS_CHECK(sigma > 0.0, "FISTA: zero operator");
   const double step = 1.0 / (sigma * sigma);
-  const double thresh = step * lambda;
+  double stage_lambda = kContinuationStart * lambda;
+  double thresh = step * stage_lambda;
 
   for (int it = 0; it < opts_.max_iterations; ++it) {
     if (ctrl.should_stop()) {
@@ -137,7 +149,19 @@ SolveResult FistaSolver::solve_impl(const la::LinearOperator& a,
       y = x;
     }
     result.iterations = it + 1;
-    result.converged = dx / std::max(1e-12, xmax) < opts_.tol;
+    const double change = dx / std::max(1e-12, xmax);
+    if (stage_lambda > lambda) {
+      // Stage switch: lower λ and drop the momentum, which points along the
+      // previous stage's path.
+      if (change < kStageTol) {
+        stage_lambda = std::max(lambda, stage_lambda / kContinuationShrink);
+        thresh = step * stage_lambda;
+        t = 1.0;
+        y = x;
+      }
+      continue;
+    }
+    result.converged = change < opts_.tol;
     if (result.converged) break;
   }
 

@@ -1,5 +1,9 @@
 // ISTA / FISTA proximal-gradient solvers for the lasso (basis pursuit
 // denoising) form of the decoder:  min_x 0.5||Ax - b||^2 + lambda ||x||_1.
+// One loop runs a fixed λ-continuation schedule, 10λ → 2λ → λ, each stage
+// warm-started from the last and sharing the max_iterations budget; only
+// the final stage's relative change is tested against `tol`, so `converged`
+// always refers to the target λ.
 #pragma once
 
 #include "solvers/solver.hpp"

@@ -33,6 +33,12 @@ SolveResult SparseSolver::solve(const la::LinearOperator& a,
 
 namespace {
 
+// Relative residual ||S c - A_Sᵀ b|| / ||A_Sᵀ b|| at which the matrix-free
+// debias re-fit stops. Its coefficients land within ~1e-9·||fit||_inf of the
+// dense Cholesky re-fit and its pixels within ~2e-8, far below a tile's
+// reconstruction error (RMSE ~5e-3).
+constexpr double kRefitTol = 1e-9;
+
 // Partial-iterate guarantee: an interrupted solve must never hand back
 // something worse than not solving at all. Non-monotone solvers (FISTA
 // momentum, ADMM splitting) can be mid-overshoot when the deadline fires,
@@ -201,15 +207,17 @@ la::Vector debias_on_support(const la::LinearOperator& a, const la::Vector& b,
     for (std::size_t j = 0; j < c.size(); ++j) out[j] += ridge * c[j];
     return out;
   };
+  // The lasso iterate's support values seed CG: they are the least-squares
+  // fit less the λ shrinkage, so the re-fit starts close to its answer.
   la::CgOptions cg;
   cg.max_iterations =
       static_cast<int>(std::max<std::size_t>(200, support.size()));
-  cg.tol = 1e-12;
+  cg.tol = kRefitTol;
   bool stopped = false;
   if (should_stop)
     cg.should_stop = [&] { return stopped = should_stop(); };
   const la::CgResult fit =
-      la::cg_solve(apply_normal, gather(a.apply_adjoint(b)), cg);
+      la::cg_solve(apply_normal, gather(a.apply_adjoint(b)), cg, gather(x));
   if (stopped) return {};
   return embed(fit.x);
 }

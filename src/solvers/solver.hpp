@@ -136,11 +136,13 @@ la::Vector debias_on_support(const la::Matrix& a, const la::Vector& b,
 /// Matrix-free debias: dense operators delegate to the matrix version
 /// (identical results); implicit operators solve the same ridge-regularised
 /// normal equations on the support by conjugate gradient, never touching
-/// matrix entries. Used by the decoder, whose transform operators have no
-/// dense A to refit against. `should_stop` (same style as la::to_dense) is
-/// polled before the re-fit and once per CG iteration; once it fires the
-/// re-fit is abandoned and an empty vector comes back, so a deadline-bound
-/// caller overruns by at most one CG iteration.
+/// matrix entries. CG starts from x's support values and stops at a 1e-9
+/// relative residual, ~1e-9 of ||fit||_inf from the matrix version. Used by
+/// the decoder, whose transform operators have no dense A to refit against.
+/// `should_stop` (same style as la::to_dense) is polled before the re-fit
+/// and once per CG iteration; once it fires the re-fit is abandoned and an
+/// empty vector comes back, so a deadline-bound caller overruns by at most
+/// one CG iteration.
 la::Vector debias_on_support(const la::LinearOperator& a, const la::Vector& b,
                              const la::Vector& x, double threshold = 1e-8,
                              const std::function<bool()>& should_stop = {});

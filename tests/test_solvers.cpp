@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
@@ -13,6 +14,7 @@
 #include "dsp/basis.hpp"
 #include "golden.hpp"
 #include "la/operator.hpp"
+#include "runtime/deadline.hpp"
 #include "solvers/admm.hpp"
 #include "solvers/bp_lp.hpp"
 #include "solvers/cosamp.hpp"
@@ -385,6 +387,7 @@ std::vector<double> objectives_without_restart(const la::LinearOperator& a,
 // decode problem of the runtime's 20x20 (thermal) and 36x36 (tactile)
 // padded tiles.
 struct TileProblem {
+  cs::SamplingPattern pattern;
   std::shared_ptr<cs::SubsampledTransformOperator> op;
   la::Vector b;
 };
@@ -396,6 +399,7 @@ TileProblem thermal_tile_problem(std::size_t dim, std::uint64_t seed) {
   const la::Matrix frame = data::ThermalHandGenerator(topts).sample(rng).values;
   const cs::SamplingPattern p = cs::random_pattern(dim, dim, 0.5, rng);
   TileProblem tp;
+  tp.pattern = p;
   tp.op = std::make_shared<cs::SubsampledTransformOperator>(
       dsp::BasisKind::kDct2D, p);
   tp.b = la::Vector(p.m());
@@ -446,6 +450,224 @@ TEST(FistaRestart, DefaultSolveConvergesWellInsideTheCap) {
     const SolveResult r = FistaSolver().solve(*tp.op, tp.b, ctrl);
     EXPECT_TRUE(r.converged) << dim;
     EXPECT_LE(r.iterations, 250) << dim;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// FISTA λ continuation and the warm-started debias re-fit
+
+// The library's FISTA loop without λ continuation: gradient adaptive
+// restart and unit step, one stage at the target λ, stopping once the
+// relative change in x drops below `tol`.
+struct PlainSolve {
+  la::Vector x;
+  int iterations = 0;
+  bool converged = false;
+};
+
+PlainSolve fista_without_continuation(const la::LinearOperator& a,
+                                      const la::Vector& b, double lambda,
+                                      double tol, int max_iterations) {
+  const la::Vector atb = a.apply_adjoint(b);
+  PlainSolve out;
+  out.x = la::Vector(a.cols(), 0.0);
+  la::Vector& x = out.x;
+  la::Vector y = x;
+  double t = 1.0;
+  for (int it = 0; it < max_iterations && !out.converged; ++it) {
+    const la::Vector grad = a.apply_adjoint(a.apply(y));
+    const double t_new = 0.5 * (1.0 + std::sqrt(1.0 + 4.0 * t * t));
+    const double beta = (t - 1.0) / t_new;
+    t = t_new;
+    double dx = 0.0, xmax = 0.0, g = 0.0;
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      const double x_new = soft_threshold(y[i] - (grad[i] - atb[i]), lambda);
+      dx = std::max(dx, std::fabs(x_new - x[i]));
+      xmax = std::max(xmax, std::fabs(x_new));
+      g += (y[i] - x_new) * (x_new - x[i]);
+      y[i] = x_new + beta * (x_new - x[i]);
+      x[i] = x_new;
+    }
+    if (g > 0.0) {
+      t = 1.0;
+      y = x;
+    }
+    out.iterations = it + 1;
+    out.converged = dx / std::max(1e-12, xmax) < tol;
+  }
+  return out;
+}
+
+std::vector<std::size_t> support_of(const la::Vector& x, double threshold) {
+  std::vector<std::size_t> support;
+  for (std::size_t j = 0; j < x.size(); ++j)
+    if (std::fabs(x[j]) > threshold) support.push_back(j);
+  return support;
+}
+
+TEST(FistaContinuation, ReachesThePlainOptimumInFewerIterations) {
+  // The library solve (10λ → 2λ → λ) against the same loop run cold at λ,
+  // both to the default stopping tolerance. On these tiles the reference
+  // itself stops 0.6–1.6e-10 (relative) above the optimum that 5000
+  // iterations at tol 0 reach, so the two objectives must agree to 1e-9.
+  constexpr double kObjectiveRelTol = 1e-9;
+  const FistaOptions defaults;
+  const double threshold = cs::DecoderOptions{}.support_threshold;
+  for (const std::size_t dim : {20u, 36u}) {
+    for (const std::uint64_t seed : {3u, 4u}) {
+      const TileProblem tp = thermal_tile_problem(dim, seed);
+      const double lambda = 1e-3 * tp.op->apply_adjoint(tp.b).norm_inf();
+      const PlainSolve plain = fista_without_continuation(
+          *tp.op, tp.b, lambda, defaults.tol, defaults.max_iterations);
+      ASSERT_TRUE(plain.converged) << dim << " seed " << seed;
+      SolveOptions ctrl;
+      ctrl.operator_norm_hint = 1.0;  // the unit step of the reference
+      const SolveResult r = FistaSolver().solve(*tp.op, tp.b, ctrl);
+      ASSERT_TRUE(r.converged) << dim << " seed " << seed;
+
+      const double f_plain = lasso_objective(*tp.op, tp.b, plain.x, lambda);
+      EXPECT_NEAR(lasso_objective(*tp.op, tp.b, r.x, lambda), f_plain,
+                  kObjectiveRelTol * f_plain)
+          << dim << " seed " << seed;
+      EXPECT_EQ(support_of(r.x, threshold), support_of(plain.x, threshold))
+          << dim << " seed " << seed;
+      EXPECT_LE(r.iterations, 0.8 * plain.iterations)
+          << dim << " seed " << seed << ": without continuation "
+          << plain.iterations;
+    }
+  }
+}
+
+TEST(FistaContinuation, BudgetSpentBeforeTheFinalStageIsNotConverged) {
+  // tol = 10 passes any step, so only the stage gate keeps `converged`
+  // false. The final stage starts at iteration 4 at the earliest: the first
+  // step moves from zero (relative change 1), and each stage takes a step.
+  const TileProblem tp = thermal_tile_problem(20, 3);
+  SolveOptions ctrl;
+  ctrl.operator_norm_hint = 1.0;
+  FistaOptions fo;
+  fo.tol = 10.0;
+  fo.max_iterations = 3;
+  const SolveResult spent = FistaSolver(fo).solve(*tp.op, tp.b, ctrl);
+  EXPECT_EQ(spent.iterations, 3);
+  EXPECT_FALSE(spent.converged);
+  EXPECT_FALSE(spent.deadline_expired);
+
+  // With budget left, the final stage's first step meets the tolerance.
+  fo.max_iterations = 500;
+  const SolveResult done = FistaSolver(fo).solve(*tp.op, tp.b, ctrl);
+  EXPECT_TRUE(done.converged);
+  EXPECT_GT(done.iterations, 3);
+}
+
+// Counts applies and adjoint applies; optionally fires a cancel source once
+// the k-th of them returns.
+class CountingOperator final : public la::LinearOperator {
+ public:
+  explicit CountingOperator(const la::LinearOperator& inner,
+                            std::size_t cancel_after = 0,
+                            runtime::CancelSource source = {})
+      : inner_(inner),
+        cancel_after_(cancel_after),
+        source_(std::move(source)) {}
+  std::size_t rows() const override { return inner_.rows(); }
+  std::size_t cols() const override { return inner_.cols(); }
+  la::Vector apply(const la::Vector& x) const override {
+    la::Vector y = inner_.apply(x);
+    count();
+    return y;
+  }
+  la::Vector apply_adjoint(const la::Vector& y) const override {
+    la::Vector x = inner_.apply_adjoint(y);
+    count();
+    return x;
+  }
+  double norm_upper_bound() const override {
+    return inner_.norm_upper_bound();
+  }
+  std::size_t applies() const { return applies_; }
+
+ private:
+  void count() const {
+    if (++applies_ == cancel_after_) source_.cancel();
+  }
+  const la::LinearOperator& inner_;
+  std::size_t cancel_after_;
+  mutable runtime::CancelSource source_;
+  mutable std::size_t applies_ = 0;
+};
+
+TEST(FistaContinuation, CancelInTheFirstStageIsExpiredNotConverged) {
+  // Applies: one adjoint for Aᵀb, then two per iteration, so the 5th ends
+  // iteration 2 — inside the first stage (see above) — and the poll at the
+  // top of iteration 3 stops the solve. tol = 10 would let an ungated stage
+  // converge at iteration 1.
+  const TileProblem tp = thermal_tile_problem(20, 3);
+  runtime::CancelSource source;
+  const CountingOperator op(*tp.op, 5, source);
+  SolveOptions ctrl;
+  ctrl.operator_norm_hint = 1.0;
+  ctrl.cancel = source.token();
+  FistaOptions fo;
+  fo.tol = 10.0;
+  const SolveResult r = FistaSolver(fo).solve(op, tp.b, ctrl);
+  EXPECT_TRUE(r.deadline_expired);
+  EXPECT_FALSE(r.converged);
+  EXPECT_EQ(r.iterations, 2);
+}
+
+TEST(DebiasRefit, WarmStartIsCheaperAndMatchesTheDenseGolden) {
+  // The matrix-free re-fit seeds CG with the lasso iterate's support values
+  // and stops at a 1e-9 residual. It must spend fewer applies than cold CG
+  // run to 1e-12 (the re-fit before the warm start) and than cold CG run to
+  // its own 1e-9, and still land on the dense Cholesky re-fit.
+  const double threshold = cs::DecoderOptions{}.support_threshold;
+  for (const std::size_t dim : {20u, 36u}) {
+    const TileProblem tp = thermal_tile_problem(dim, 3);
+    SolveOptions ctrl;
+    ctrl.operator_norm_hint = 1.0;
+    const la::Vector x = FistaSolver().solve(*tp.op, tp.b, ctrl).x;
+
+    const CountingOperator warm_op(*tp.op);
+    const la::Vector fit = debias_on_support(warm_op, tp.b, x, threshold);
+
+    // Cold re-fit: the same ridge-regularised normal equations from zero.
+    const std::vector<std::size_t> support = support_of(x, threshold);
+    ASSERT_LE(support.size(), tp.op->rows());
+    const auto embed = [&](const la::Vector& c) {
+      la::Vector full(tp.op->cols(), 0.0);
+      for (std::size_t j = 0; j < support.size(); ++j) full[support[j]] = c[j];
+      return full;
+    };
+    const auto gather = [&](const la::Vector& full) {
+      la::Vector c(support.size());
+      for (std::size_t j = 0; j < support.size(); ++j) c[j] = full[support[j]];
+      return c;
+    };
+    const double bound = tp.op->norm_upper_bound();
+    const double ridge = 1e-10 * std::max(1.0, bound * bound);
+    for (const double tol : {1e-12, 1e-9}) {
+      const CountingOperator cold_op(*tp.op);
+      la::CgOptions cg;
+      cg.max_iterations =
+          static_cast<int>(std::max<std::size_t>(200, support.size()));
+      cg.tol = tol;
+      const la::CgResult cold = la::cg_solve(
+          [&](const la::Vector& c) {
+            la::Vector out =
+                gather(cold_op.apply_adjoint(cold_op.apply(embed(c))));
+            for (std::size_t j = 0; j < c.size(); ++j) out[j] += ridge * c[j];
+            return out;
+          },
+          gather(cold_op.apply_adjoint(tp.b)), cg);
+      ASSERT_TRUE(cold.converged) << dim << " tol " << tol;
+      EXPECT_LT(warm_op.applies(), cold_op.applies()) << dim << " tol " << tol;
+    }
+
+    const la::Matrix dense_a =
+        golden::measurement_matrix(dsp::BasisKind::kDct2D, tp.pattern);
+    const la::Vector golden = debias_on_support(dense_a, tp.b, x, threshold);
+    EXPECT_LE(la::max_abs_diff(fit, golden), 1e-8 * fit.norm_inf()) << dim;
   }
 }
 

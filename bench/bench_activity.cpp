@@ -17,7 +17,11 @@
 // Timing is steady-state: both arms first decode one warm-up frame (the
 // gated arm's first frame is a forced full decode — there is nothing to
 // serve stale yet), then the timed frames follow. The warm-up is excluded
-// from the fps of both arms alike.
+// from the fps of both arms alike. One short timed run per arm is too noisy
+// to compare the arms, so each cell runs them as `repeats` interleaved
+// pairs, alternating which arm goes first, each arm with a fresh decoder and
+// its own warm-up; the fps figures are per-arm medians and the ratio is the
+// median of the per-pair ratios, recorded with their range.
 //
 // Usage:
 //   bench_activity [--smoke] [--json] [--out PATH]
@@ -36,24 +40,37 @@
 //     "tiles":                 integer — tiles per frame
 //     "active_tiles":          integer — tiles carrying moving content
 //     "active_fraction":       number  — active_tiles / tiles
-//     "frames":                integer — timed frames (warm-up excluded)
-//     "gated_fps":             number  — gated steady-state frames/sec
-//     "ungated_fps":           number  — ungated steady-state frames/sec
-//     "fps_ratio":             number  — gated_fps / ungated_fps
+//     "frames":                integer — timed frames per run (warm-up
+//                                        excluded)
+//     "repeats":               integer — interleaved (gated, ungated) pairs
+//     "gated_fps":             number  — gated steady-state frames/sec,
+//                                        median over repeats
+//     "ungated_fps":           number  — same, ungated arm
+//     "fps_ratio":             number  — median over repeats of the pair's
+//                                        gated fps / ungated fps
+//     "fps_ratio_min":         number  — smallest per-pair ratio
+//     "fps_ratio_max":         number  — largest per-pair ratio
 //     "gated_active_rmse":     number  — RMSE over active tiles vs truth
 //     "ungated_active_rmse":   number  — same, ungated arm
 //     "active_rmse_ratio":     number  — gated / ungated active-tile RMSE
-//     "tiles_skipped":         integer — gated arm, summed over timed frames
+//     "tiles_skipped":         integer — gated arm, summed over one run's
+//                                        timed frames
 //     "tiles_expected_skipped":integer — (tiles - active) x frames
-//     "skipped_bit_identical": boolean — every skipped tile matched the
-//                                        previous reconstruction bit-for-bit
-//     "gated_decode_calls":    integer — solver runs, gated timed frames
-//     "ungated_decode_calls":  integer — solver runs, ungated timed frames
+//     "skipped_bit_identical": boolean — in every run, every skipped tile
+//                                        matched the previous
+//                                        reconstruction bit-for-bit
+//     "gated_decode_calls":    integer — solver runs, one gated run's timed
+//                                        frames
+//     "ungated_decode_calls":  integer — same, ungated arm
 //   }
+//
+// Decodes are seeded per tile, so the RMSE, skip and decode-call figures of
+// every repeat are identical; only the timings differ between repeats.
 //
 // Full (non-smoke) --json runs additionally record the same array to
 // BENCH_activity.json at the repository root; smoke runs never touch that
 // file so the ctest registration cannot overwrite a recorded sweep.
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -68,6 +85,7 @@
 #include "cs/metrics.hpp"
 #include "data/thermal.hpp"
 #include "runtime/shard.hpp"
+#include "runtime/stream.hpp"
 #include "runtime/tile_grid.hpp"
 #include "solvers/fista.hpp"
 
@@ -80,6 +98,7 @@ struct SweepConfig {
   std::size_t tile = 16;  // 4x4 grid = 16 tiles
   std::vector<std::size_t> active_levels = {2, 4, 8, 16};
   std::size_t frames = 8;  // timed frames (one warm-up frame on top)
+  std::size_t repeats = 5;  // interleaved (gated, ungated) pairs per cell
   std::size_t workers = 2;
   std::size_t queue_capacity = 32;
   double threshold = 0.05;
@@ -94,6 +113,7 @@ SweepConfig smoke_config() {
   cfg.tile = 8;
   cfg.active_levels = {2, 8};
   cfg.frames = 3;
+  cfg.repeats = 2;
   return cfg;
 }
 
@@ -103,9 +123,12 @@ struct ActivityCell {
   std::size_t tiles = 0;
   std::size_t active_tiles = 0;
   std::size_t frames = 0;
+  std::size_t repeats = 0;
   double gated_fps = 0.0;
   double ungated_fps = 0.0;
   double fps_ratio = 0.0;
+  double fps_ratio_min = 0.0;
+  double fps_ratio_max = 0.0;
   double gated_active_rmse = 0.0;
   double ungated_active_rmse = 0.0;
   double active_rmse_ratio = 0.0;
@@ -213,6 +236,51 @@ runtime::ShardOptions decoder_options(const SweepConfig& cfg, bool gated) {
   return opts;
 }
 
+// One timed run of one arm through a fresh decoder.
+struct ArmRun {
+  double fps = 0.0;
+  double active_rmse = 0.0;
+  int decode_calls = 0;
+  std::size_t tiles_skipped = 0;
+  bool skipped_bit_identical = true;
+};
+
+ArmRun run_arm(const SweepConfig& cfg, const runtime::TileGrid& grid,
+               std::size_t active, const std::vector<la::Matrix>& scene,
+               bool gated) {
+  runtime::ShardedDecoder sharded(cfg.dim, cfg.dim,
+                                  decoder_options(cfg, gated));
+  ArmRun run;
+  std::vector<la::Matrix> recon;
+  recon.reserve(scene.size());
+  recon.push_back(sharded.process(scene[0]).frame);  // warm-up, untimed
+
+  const auto t0 = std::chrono::steady_clock::now();
+  for (std::size_t f = 1; f < scene.size(); ++f) {
+    runtime::ShardFrameResult res = sharded.process(scene[f]);
+    run.decode_calls += res.report.decode_calls;
+    run.tiles_skipped += res.report.tiles_skipped;
+    // Audit the staleness contract: every skipped tile's pixels must equal
+    // the previous reconstruction bit for bit.
+    for (std::size_t t = 0; t < grid.tiles(); ++t) {
+      if (!res.report.tile_reports[t].served_stale) continue;
+      const std::size_t r0 = grid.tile_row(t) * grid.tile_rows;
+      const std::size_t c0 = grid.tile_col(t) * grid.tile_cols;
+      for (std::size_t i = 0; i < grid.tile_rows; ++i)
+        for (std::size_t j = 0; j < grid.tile_cols; ++j)
+          if (res.frame(r0 + i, c0 + j) != recon.back()(r0 + i, c0 + j))
+            run.skipped_bit_identical = false;
+    }
+    recon.push_back(std::move(res.frame));
+  }
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count();
+  run.fps = static_cast<double>(cfg.frames) / seconds;
+  run.active_rmse = active_tile_rmse(grid, active, recon, scene, 1);
+  return run;
+}
+
 ActivityCell run_cell(const SweepConfig& cfg, std::size_t active) {
   const runtime::TileGrid grid(cfg.dim, cfg.dim, cfg.tile, cfg.tile, 0);
   ActivityCell cell;
@@ -221,58 +289,42 @@ ActivityCell run_cell(const SweepConfig& cfg, std::size_t active) {
   cell.tiles = grid.tiles();
   cell.active_tiles = active;
   cell.frames = cfg.frames;
+  cell.repeats = cfg.repeats;
   cell.tiles_expected_skipped = (grid.tiles() - active) * cfg.frames;
 
   // Warm-up frame + timed frames, one scene shared by both arms.
   const std::vector<la::Matrix> scene =
       make_scene(grid, active, cfg.frames + 1);
 
-  for (const bool gated : {true, false}) {
-    runtime::ShardedDecoder sharded(cfg.dim, cfg.dim,
-                                    decoder_options(cfg, gated));
-    std::vector<la::Matrix> recon;
-    recon.reserve(scene.size());
-    recon.push_back(sharded.process(scene[0]).frame);  // warm-up, untimed
-
-    int decode_calls = 0;
-    const auto t0 = std::chrono::steady_clock::now();
-    for (std::size_t f = 1; f < scene.size(); ++f) {
-      runtime::ShardFrameResult res = sharded.process(scene[f]);
-      decode_calls += res.report.decode_calls;
-      if (gated) {
-        cell.tiles_skipped += res.report.tiles_skipped;
-        // Audit the staleness contract: every skipped tile's pixels must
-        // equal the previous reconstruction bit for bit.
-        for (std::size_t t = 0; t < grid.tiles(); ++t) {
-          if (!res.report.tile_reports[t].served_stale) continue;
-          const std::size_t r0 = grid.tile_row(t) * grid.tile_rows;
-          const std::size_t c0 = grid.tile_col(t) * grid.tile_cols;
-          for (std::size_t i = 0; i < grid.tile_rows; ++i)
-            for (std::size_t j = 0; j < grid.tile_cols; ++j)
-              if (res.frame(r0 + i, c0 + j) !=
-                  recon.back()(r0 + i, c0 + j))
-                cell.skipped_bit_identical = false;
-        }
-      }
-      recon.push_back(std::move(res.frame));
-    }
-    const double seconds = std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - t0)
-                               .count();
-    const double fps = static_cast<double>(cfg.frames) / seconds;
-    const double rmse = active_tile_rmse(grid, active, recon, scene, 1);
-    if (gated) {
-      cell.gated_fps = fps;
-      cell.gated_active_rmse = rmse;
-      cell.gated_decode_calls = decode_calls;
-    } else {
-      cell.ungated_fps = fps;
-      cell.ungated_active_rmse = rmse;
-      cell.ungated_decode_calls = decode_calls;
+  std::vector<double> gated_fps, ungated_fps, ratios;
+  for (std::size_t r = 0; r < cfg.repeats; ++r) {
+    // Alternate the order so a drift across the pair (clock, cache, other
+    // load) does not always fall on the same arm.
+    const bool gated_first = r % 2 == 0;
+    const ArmRun first = run_arm(cfg, grid, active, scene, gated_first);
+    const ArmRun second = run_arm(cfg, grid, active, scene, !gated_first);
+    const ArmRun& gated = gated_first ? first : second;
+    const ArmRun& ungated = gated_first ? second : first;
+    gated_fps.push_back(gated.fps);
+    ungated_fps.push_back(ungated.fps);
+    ratios.push_back(gated.fps / ungated.fps);
+    cell.skipped_bit_identical =
+        cell.skipped_bit_identical && gated.skipped_bit_identical;
+    if (r == 0) {
+      cell.gated_active_rmse = gated.active_rmse;
+      cell.ungated_active_rmse = ungated.active_rmse;
+      cell.gated_decode_calls = gated.decode_calls;
+      cell.ungated_decode_calls = ungated.decode_calls;
+      cell.tiles_skipped = gated.tiles_skipped;
     }
   }
-  cell.fps_ratio = cell.ungated_fps > 0.0 ? cell.gated_fps / cell.ungated_fps
-                                          : 0.0;
+  // latency_percentile is the runtime's interpolating percentile; at 0.5
+  // it is the median.
+  cell.gated_fps = runtime::latency_percentile(gated_fps, 0.5);
+  cell.ungated_fps = runtime::latency_percentile(ungated_fps, 0.5);
+  cell.fps_ratio = runtime::latency_percentile(ratios, 0.5);
+  cell.fps_ratio_min = *std::min_element(ratios.begin(), ratios.end());
+  cell.fps_ratio_max = *std::max_element(ratios.begin(), ratios.end());
   cell.active_rmse_ratio = cell.ungated_active_rmse > 0.0
                                ? cell.gated_active_rmse /
                                      cell.ungated_active_rmse
@@ -287,14 +339,17 @@ std::string to_json(const std::vector<ActivityCell>& cells) {
     out += strformat(
         "  {\"rows\": %zu, \"cols\": %zu, \"tile\": %zu, \"tiles\": %zu, "
         "\"active_tiles\": %zu, \"active_fraction\": %.4f, \"frames\": %zu, "
-        "\"gated_fps\": %.4f, \"ungated_fps\": %.4f, \"fps_ratio\": %.3f, "
+        "\"repeats\": %zu, \"gated_fps\": %.4f, \"ungated_fps\": %.4f, "
+        "\"fps_ratio\": %.3f, \"fps_ratio_min\": %.3f, "
+        "\"fps_ratio_max\": %.3f, "
         "\"gated_active_rmse\": %.6f, \"ungated_active_rmse\": %.6f, "
         "\"active_rmse_ratio\": %.3f, \"tiles_skipped\": %zu, "
         "\"tiles_expected_skipped\": %zu, \"skipped_bit_identical\": %s, "
         "\"gated_decode_calls\": %d, \"ungated_decode_calls\": %d}%s\n",
         c.dim, c.dim, c.tile, c.tiles, c.active_tiles,
         static_cast<double>(c.active_tiles) / static_cast<double>(c.tiles),
-        c.frames, c.gated_fps, c.ungated_fps, c.fps_ratio,
+        c.frames, c.repeats, c.gated_fps, c.ungated_fps, c.fps_ratio,
+        c.fps_ratio_min, c.fps_ratio_max,
         c.gated_active_rmse, c.ungated_active_rmse, c.active_rmse_ratio,
         c.tiles_skipped, c.tiles_expected_skipped,
         c.skipped_bit_identical ? "true" : "false", c.gated_decode_calls,
@@ -308,15 +363,18 @@ void print_table(const std::vector<ActivityCell>& cells,
                  const SweepConfig& cfg) {
   std::printf(
       "Event-driven readout — ShardedDecoder, %zu workers, %zu timed frames "
-      "per cell, threshold %.2f, detector fraction %.2f\n",
-      cfg.workers, cfg.frames, cfg.threshold, cfg.detector_fraction);
-  Table t({"tiles", "active", "gated fps", "ungated fps", "ratio",
+      "per run, medians of %zu interleaved pairs, threshold %.2f, detector "
+      "fraction %.2f\n",
+      cfg.workers, cfg.frames, cfg.repeats, cfg.threshold,
+      cfg.detector_fraction);
+  Table t({"tiles", "active", "gated fps", "ungated fps", "ratio [min, max]",
            "act rmse (g)", "act rmse (u)", "skipped", "bit-ident"});
   for (const ActivityCell& c : cells) {
     t.add_row({strformat("%zu", c.tiles), strformat("%zu", c.active_tiles),
                strformat("%.3f", c.gated_fps),
                strformat("%.3f", c.ungated_fps),
-               strformat("%.2fx", c.fps_ratio),
+               strformat("%.2fx [%.2f, %.2f]", c.fps_ratio, c.fps_ratio_min,
+                         c.fps_ratio_max),
                strformat("%.4f", c.gated_active_rmse),
                strformat("%.4f", c.ungated_active_rmse),
                strformat("%zu/%zu", c.tiles_skipped,

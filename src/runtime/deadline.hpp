@@ -1,11 +1,12 @@
 // Cooperative deadline and cancellation primitives for bounded-latency
 // decoding. A Deadline is a monotonic-clock expiry instant; a CancelToken is
 // the read side of a shared cancellation flag (flipped by a CancelSource,
-// e.g. the stream watchdog). Both are cheap, copyable values designed to be
-// threaded through solver options and polled once per iteration of every
-// iterative kernel (solvers/, rpca/, lp/), so a solve whose budget runs out
-// stops at the next iteration boundary and returns its best partial iterate
-// instead of running to the iteration cap.
+// e.g. a caller abandoning a frame). Both are cheap, copyable values
+// designed to be threaded through solver options and polled once per
+// iteration of every iterative kernel (solvers/, rpca/, lp/), so a solve
+// whose budget runs out or whose token fires stops at the next iteration
+// boundary and returns its best partial iterate instead of running to the
+// iteration cap.
 //
 // Header-only on purpose: the lower layers (lp, solvers, rpca) include this
 // without linking flexcs_runtime, keeping the library dependency order

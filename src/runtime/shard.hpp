@@ -14,11 +14,13 @@
 // Scatter/gather rides the StreamServer worker pool: each process() call
 // submits one frame's tiles as frames of the padded tile geometry and
 // collects them with wait_for_completed. The caller's deadline/cancel
-// control propagates into every tile solve via SubmitControl. Tile→worker
-// assignment is nondeterministic under more than one worker, but tile t is
-// submitted under stream id t, and each tile's RNG derives from its stream
-// id (see StreamOptions::seed), so reconstructions are bit-reproducible
-// regardless of worker count or pop interleaving. Every process() call
+// control propagates into every tile solve via SubmitControl, so a cancel
+// that fires mid-frame stops the tiles already running as well as those
+// still queued. Tile→worker assignment is nondeterministic under more than
+// one worker, but tile t is submitted under stream id t, and each tile's
+// RNG derives from its stream id (see StreamOptions::seed), so
+// reconstructions are bit-reproducible regardless of worker count or pop
+// interleaving. Every process() call
 // therefore decodes tile t with the same sampling pattern Φ, while
 // DecodeService draws a fresh Φ per frame. Both executors report the same
 // running frame count (0 for the first process() call) as every tile's

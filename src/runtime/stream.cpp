@@ -16,11 +16,6 @@ double seconds_since(Deadline::Clock::time_point t0,
   return std::chrono::duration<double>(t1 - t0).count();
 }
 
-// Watchdog: a frame in flight longer than this multiple of its frame
-// deadline (or StreamOptions::stall_floor_seconds, whichever is larger) is
-// cancelled and counted as a stall.
-constexpr double kStallMultiplier = 4.0;
-
 }  // namespace
 
 double latency_percentile(std::vector<double> values, double q) {
@@ -75,10 +70,7 @@ StreamServer::StreamServer(std::size_t rows, std::size_t cols,
   FLEXCS_CHECK(opts_.workers >= 1, "stream server needs at least one worker");
   FLEXCS_CHECK(opts_.queue_capacity >= 1,
                "stream queue needs at least one slot");
-  FLEXCS_CHECK(opts_.watchdog_period_seconds > 0.0,
-               "watchdog period must be positive");
 
-  in_flight_.resize(opts_.workers);
   pipelines_.reserve(opts_.workers);
   for (std::size_t w = 0; w < opts_.workers; ++w)
     pipelines_.push_back(std::make_unique<RobustPipeline>(
@@ -87,8 +79,6 @@ StreamServer::StreamServer(std::size_t rows, std::size_t cols,
   workers_.reserve(opts_.workers);
   for (std::size_t w = 0; w < opts_.workers; ++w)
     workers_.emplace_back([this, w] { worker_loop(w); });
-  if (opts_.watchdog_enabled)
-    watchdog_ = std::thread([this] { watchdog_loop(); });
 }
 
 StreamServer::~StreamServer() { close(); }
@@ -113,11 +103,7 @@ bool StreamServer::submit(std::uint64_t stream_id, la::Matrix frame,
     item.submit_index = next_submit_index_++;
     item.frame = std::move(frame);
     item.submitted_at = now;
-    item.external_deadline = ctrl.deadline;
-    item.external_cancel = ctrl.cancel;
-    item.sampling_fraction = ctrl.sampling_fraction;
-    item.frame_index =
-        ctrl.frame_index.value_or(static_cast<std::size_t>(stream_id));
+    item.ctrl = ctrl;
     queue_.push_back(std::move(item));
     ++submitted_;
     queue_high_water_ = std::max(queue_high_water_, queue_.size());
@@ -140,53 +126,28 @@ void StreamServer::worker_loop(std::size_t worker_index) {
 
     const auto dequeued_at = Deadline::Clock::now();
 
-    const double deadline_s = opts_.frame_deadline_seconds;
     FrameControl ctrl;
-    ctrl.sampling_fraction = item.sampling_fraction;
-    if (deadline_s > 0.0) ctrl.solve.deadline = Deadline::after(deadline_s);
-
-    // An external per-submission deadline only ever tightens the frame
-    // deadline.
-    if (!item.external_deadline.unlimited() &&
-        (ctrl.solve.deadline.unlimited() ||
-         item.external_deadline.when() < ctrl.solve.deadline.when()))
-      ctrl.solve.deadline = item.external_deadline;
-
-    // Register with the watchdog before starting the solve.
-    CancelSource cancel;
-    ctrl.solve.cancel = cancel.token();
-    // A submission whose external token already fired is cancelled up
-    // front; a token that fires mid-solve is forwarded by the watchdog.
-    if (item.external_cancel.cancelled()) cancel.cancel();
-    double stall_after = opts_.stall_floor_seconds;
-    if (deadline_s > 0.0)
-      stall_after = std::max(stall_after, kStallMultiplier * deadline_s);
-    {
-      common::MutexLock lock(inflight_mu_);
-      InFlight& slot = in_flight_[worker_index];
-      slot.active = true;
-      slot.stall_fired = false;
-      slot.started_at = dequeued_at;
-      slot.stall_after_seconds = stall_after;
-      slot.cancel = cancel;
-      slot.external = item.external_cancel;
-    }
+    ctrl.sampling_fraction = item.ctrl.sampling_fraction;
+    // The caller's token goes into every solve of the frame, which polls it
+    // each iteration; the frame deadline runs from dequeue, and an external
+    // deadline only ever tightens it.
+    ctrl.solve.cancel = item.ctrl.cancel;
+    if (opts_.frame_deadline_seconds > 0.0)
+      ctrl.solve.deadline = Deadline::after(opts_.frame_deadline_seconds);
+    const Deadline& external = item.ctrl.deadline;
+    if (!external.unlimited() && (ctrl.solve.deadline.unlimited() ||
+                                  external.when() < ctrl.solve.deadline.when()))
+      ctrl.solve.deadline = external;
 
     // The decode RNG derives from the stream id and the frame index comes
     // with the submission, so the result is a pure function of (seed, id,
     // frame index, content) — which worker popped it, and what it decoded
     // before, do not matter.
     Rng rng(opts_.seed ^ (0x9e3779b97f4a7c15ULL * (item.stream_id + 1)));
+    const std::size_t frame_index = item.ctrl.frame_index.value_or(
+        static_cast<std::size_t>(item.stream_id));
     RobustPipeline::FrameResult fr = pipelines_[worker_index]->process(
-        item.frame, item.frame_index, rng, ctrl);
-
-    bool was_stalled = false;
-    {
-      common::MutexLock lock(inflight_mu_);
-      was_stalled = in_flight_[worker_index].stall_fired;
-      in_flight_[worker_index].active = false;
-      in_flight_[worker_index].external = CancelToken{};
-    }
+        item.frame, frame_index, rng, ctrl);
 
     const auto finished_at = Deadline::Clock::now();
     {
@@ -198,9 +159,6 @@ void StreamServer::worker_loop(std::size_t worker_index) {
       result.report = std::move(fr.report);
       result.queue_seconds = seconds_since(item.submitted_at, dequeued_at);
       result.latency_seconds = seconds_since(item.submitted_at, finished_at);
-      // A watchdog cancellation surfaces on the report as well: the solver's
-      // cooperative check is what actually stopped the frame.
-      if (was_stalled) result.report.deadline_expired = true;
       ++completed_;
       if (result.report.deadline_expired) ++deadline_expired_;
       latencies_.add(result.latency_seconds);
@@ -215,36 +173,6 @@ void StreamServer::wait_for_completed(std::size_t target) const {
   while (completed_ < target) results_cv_.wait(results_mu_);
 }
 
-void StreamServer::watchdog_loop() {
-  for (;;) {
-    {
-      // The wakeup wait holds only watchdog_mu_; the in-flight scan below
-      // runs off it, so watchdog_mu_ and inflight_mu_ are never nested (a
-      // spurious wakeup merely scans early, which is harmless).
-      common::MutexLock lock(watchdog_mu_);
-      if (!watchdog_stop_)
-        watchdog_cv_.wait_for_seconds(watchdog_mu_,
-                                      opts_.watchdog_period_seconds);
-      if (watchdog_stop_) return;
-    }
-    const auto now = Deadline::Clock::now();
-    common::MutexLock guard(inflight_mu_);
-    for (InFlight& slot : in_flight_) {
-      if (!slot.active) continue;
-      // Forward external cancellation into the running solve. Not a stall:
-      // the caller asked for it, so it is not counted or marked as one.
-      if (slot.external.cancelled()) slot.cancel.cancel();
-      if (slot.stall_fired) continue;
-      if (slot.stall_after_seconds <= 0.0) continue;
-      if (seconds_since(slot.started_at, now) < slot.stall_after_seconds)
-        continue;
-      slot.cancel.cancel();  // frame stops at its next iteration boundary
-      slot.stall_fired = true;
-      ++stalled_;
-    }
-  }
-}
-
 void StreamServer::close() {
   {
     common::MutexLock lock(mu_);
@@ -255,12 +183,6 @@ void StreamServer::close() {
   queue_not_empty_.notify_all();
   for (std::thread& t : workers_)
     if (t.joinable()) t.join();
-  {
-    common::MutexLock lock(watchdog_mu_);
-    watchdog_stop_ = true;
-  }
-  watchdog_cv_.notify_all();
-  if (watchdog_.joinable()) watchdog_.join();
 }
 
 std::vector<StreamResult> StreamServer::drain_results() {
@@ -283,10 +205,6 @@ StreamHealth StreamServer::health() const {
     h.deadline_expired = deadline_expired_;
     h.p50_latency_seconds = latencies_.percentile(0.50);
     h.p99_latency_seconds = latencies_.percentile(0.99);
-  }
-  {
-    common::MutexLock lock(inflight_mu_);
-    h.stalled = stalled_;
   }
   return h;
 }

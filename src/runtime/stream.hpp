@@ -11,9 +11,10 @@
 //
 // Every frame is processed under a cooperative Deadline measured from
 // dequeue (queueing time is reported separately as part of the
-// submit→complete latency). A watchdog thread scans in-flight frames and
-// cancels any that run past a hard multiple of the deadline, surfacing them
-// as stalls in StreamHealth.
+// submit→complete latency). The deadline and the caller's cancel token go
+// straight into the frame's solves, which poll both every iteration, so
+// either one stops a running frame at its next iteration boundary. The
+// server starts exactly `workers` threads.
 #pragma once
 
 #include <array>
@@ -64,12 +65,7 @@ struct StreamOptions {
   // Per-frame processing deadline in seconds, measured from dequeue.
   // <= 0 disables the deadline (frames run to the ladder budget).
   double frame_deadline_seconds = 0.0;
-  // Watchdog: a frame in flight longer than
-  //   max(4 * frame deadline, stall_floor_seconds)
-  // is cancelled and counted as a stall. stall_floor_seconds = 0 means the
-  // watchdog only engages when a frame deadline is set.
-  double stall_floor_seconds = 0.0;
-  double watchdog_period_seconds = 0.002;  // scan interval
+  // Ignored (nothing reads it); goes with the next perfbench change.
   bool watchdog_enabled = true;
   // Per-worker recovery pipeline configuration (shared by all workers).
   // Each worker owns a RobustPipeline (and hence a Decoder) built from this.
@@ -92,7 +88,6 @@ struct StreamHealth {
   std::size_t submitted = 0;
   std::size_t completed = 0;
   std::size_t deadline_expired = 0;  // frames whose solve was cut short
-  std::size_t stalled = 0;           // watchdog cancellations
   std::size_t queue_high_water = 0;  // max queue depth observed
   double p50_latency_seconds = 0.0;
   double p99_latency_seconds = 0.0;
@@ -107,9 +102,9 @@ struct StreamHealth {
 };
 
 /// Optional per-submission control: an external deadline tightens the
-/// worker's frame deadline for the frame, and an external
-/// cancel token is forwarded into the running solve by the watchdog
-/// (without counting as a stall). Both default inert.
+/// worker's frame deadline for the frame, and an external cancel token is
+/// handed to the frame's solves, so firing it stops the frame even mid-solve.
+/// Both default inert.
 /// Used by ShardedDecoder to propagate one frame-level deadline/cancel into
 /// every tile solve.
 struct SubmitControl {
@@ -163,15 +158,14 @@ class StreamServer {
 
   /// Stops intake, lets the workers drain the queue, and joins all threads.
   /// Idempotent; called by the destructor.
-  void close() FLEXCS_EXCLUDES(mu_, watchdog_mu_);
+  void close() FLEXCS_EXCLUDES(mu_);
 
   /// Moves out every completed result accumulated so far (in completion
   /// order, which under concurrency is not submission order).
   std::vector<StreamResult> drain_results() FLEXCS_EXCLUDES(results_mu_);
 
   /// Snapshot of the aggregate telemetry.
-  StreamHealth health() const
-      FLEXCS_EXCLUDES(mu_, results_mu_, inflight_mu_);
+  StreamHealth health() const FLEXCS_EXCLUDES(mu_, results_mu_);
 
   const StreamOptions& options() const { return opts_; }
 
@@ -181,27 +175,11 @@ class StreamServer {
     std::uint64_t submit_index = 0;
     la::Matrix frame;
     Deadline::Clock::time_point submitted_at{};
-    Deadline external_deadline;   // unlimited unless submitted with one
-    CancelToken external_cancel;  // inert unless submitted with one
-    double sampling_fraction = 0.0;  // 0 = pipeline default
-    std::size_t frame_index = 0;
-  };
-
-  // Per-worker in-flight slot, scanned by the watchdog.
-  struct InFlight {
-    bool active = false;
-    bool stall_fired = false;
-    Deadline::Clock::time_point started_at{};
-    double stall_after_seconds = 0.0;  // <= 0 disables the watchdog for it
-    CancelSource cancel;
-    // External cancel token of the frame in flight; the watchdog forwards
-    // it into `cancel` once it fires (not counted as a stall).
-    CancelToken external;
+    SubmitControl ctrl;  // the caller's; inert unless submitted with one
   };
 
   void worker_loop(std::size_t worker_index)
-      FLEXCS_EXCLUDES(mu_, results_mu_, inflight_mu_);
-  void watchdog_loop() FLEXCS_EXCLUDES(inflight_mu_, watchdog_mu_);
+      FLEXCS_EXCLUDES(mu_, results_mu_);
 
   const std::size_t rows_;
   const std::size_t cols_;
@@ -230,22 +208,11 @@ class StreamServer {
   std::size_t completed_ FLEXCS_GUARDED_BY(results_mu_) = 0;
   std::size_t deadline_expired_ FLEXCS_GUARDED_BY(results_mu_) = 0;
 
-  // inflight_mu_ guards the worker <-> watchdog handshake (in-flight slots
-  // and the stall counter).
-  mutable common::Mutex inflight_mu_;
-  std::vector<InFlight> in_flight_ FLEXCS_GUARDED_BY(inflight_mu_);
-  std::size_t stalled_ FLEXCS_GUARDED_BY(inflight_mu_) = 0;
-
   // Worker-owned state: element w is touched only by worker thread w after
   // construction, so no guard is needed.
   std::vector<std::unique_ptr<RobustPipeline>> pipelines_;
 
   std::vector<std::thread> workers_;
-  std::thread watchdog_;
-  // watchdog_mu_ guards the watchdog shutdown flag for its wakeup CondVar.
-  common::Mutex watchdog_mu_;
-  common::CondVar watchdog_cv_;
-  bool watchdog_stop_ FLEXCS_GUARDED_BY(watchdog_mu_) = false;
 };
 
 }  // namespace flexcs::runtime

@@ -9,11 +9,13 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <thread>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "cs/metrics.hpp"
 #include "data/thermal.hpp"
+#include "signalling_solver.hpp"
 #include "solvers/fista.hpp"
 
 namespace flexcs::runtime {
@@ -129,6 +131,40 @@ TEST(ShardedDecoder, DeadlineAndCancelPropagateIntoTileSolves) {
     const ShardFrameResult res = sharded.process(frame, ctrl);
     EXPECT_TRUE(res.report.deadline_expired);
     EXPECT_TRUE(la::all_finite(res.frame));
+  }
+}
+
+TEST(ShardedDecoder, CancelMidSolveStopsRunningTileSolves) {
+  // DeadlineAndCancelPropagateIntoTileSolves fires its token before the
+  // frame starts; here it fires while tile solves are running, and every
+  // tile — running or still queued — must stop short of its budget.
+  constexpr std::size_t kDim = 32;
+  constexpr int kMaxIterations = 2000000;
+  const auto solver =
+      std::make_shared<testing::SignallingSolver>(kMaxIterations);
+  ShardOptions opts = shard_options(16, 2);
+  opts.stream.solver = solver;
+  opts.stream.pipeline.max_rung = Strategy::kPlainDecode;
+  ShardedDecoder sharded(kDim, kDim, opts);
+
+  CancelSource cancel;
+  solvers::SolveOptions ctrl;
+  ctrl.cancel = cancel.token();
+  // process() blocks until every tile is back, so the cancel comes from a
+  // second thread once the first tile solve has started.
+  std::thread canceller([&] {  // flexcs-lint: allow(threading)
+    solver->wait_until_entered();
+    cancel.cancel();
+  });
+  const ShardFrameResult res = sharded.process(thermal_frame(kDim, 7), ctrl);
+  canceller.join();
+
+  EXPECT_TRUE(res.report.deadline_expired);
+  EXPECT_TRUE(la::all_finite(res.frame));
+  ASSERT_EQ(res.report.tile_reports.size(), 4u);
+  for (const TileReport& t : res.report.tile_reports) {
+    EXPECT_TRUE(t.report.deadline_expired);
+    EXPECT_LT(t.report.solver_iterations, kMaxIterations);
   }
 }
 

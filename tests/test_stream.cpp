@@ -1,13 +1,17 @@
 // Concurrency tests for the streaming runtime. Everything here must be
 // clean under ThreadSanitizer (ctest --preset tsan): multiple producers,
-// worker pool, watchdog, and shutdown paths all exercise the locking.
+// worker pool, mid-solve cancellation, and shutdown paths all exercise the
+// locking.
 #include "runtime/stream.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
 #include <memory>
 #include <set>
+#include <string>
+#include <system_error>
 #include <thread>
 #include <type_traits>
 #include <utility>
@@ -15,6 +19,7 @@
 
 #include "common/rng.hpp"
 #include "data/thermal.hpp"
+#include "signalling_solver.hpp"
 #include "solvers/fista.hpp"
 
 namespace flexcs::runtime {
@@ -88,36 +93,6 @@ TEST(StreamServer, SubmitAfterCloseIsRejected) {
   server.close();
   EXPECT_FALSE(server.submit(0, la::Matrix(8, 8, 0.5)));
   EXPECT_EQ(server.health().submitted, 0u);
-}
-
-TEST(StreamServer, WatchdogCancelsStalledFrames) {
-  constexpr std::size_t kDim = 16;
-  StreamOptions opts;
-  opts.workers = 1;
-  opts.queue_capacity = 2;
-  // No per-frame deadline: the watchdog's absolute floor is the only thing
-  // that can stop the deliberately unconvergeable solver below.
-  opts.frame_deadline_seconds = 0.0;
-  opts.stall_floor_seconds = 1e-3;
-  opts.watchdog_period_seconds = 2e-4;
-  solvers::FistaOptions stubborn;
-  stubborn.max_iterations = 50000000;
-  stubborn.tol = 0.0;
-  opts.solver = std::make_shared<solvers::FistaSolver>(stubborn);
-  // Keep the ladder from multiplying the stall: one rung is enough.
-  opts.pipeline.max_rung = Strategy::kPlainDecode;
-  StreamServer server(kDim, kDim, opts);
-
-  EXPECT_TRUE(server.submit(0, thermal_frame(kDim, 5)));
-  server.close();
-
-  const StreamHealth h = server.health();
-  EXPECT_EQ(h.completed, 1u);
-  EXPECT_GE(h.stalled, 1u) << "watchdog must have cancelled the frame";
-  const std::vector<StreamResult> results = server.drain_results();
-  ASSERT_EQ(results.size(), 1u);
-  EXPECT_TRUE(results[0].report.deadline_expired);
-  EXPECT_TRUE(la::all_finite(results[0].frame));
 }
 
 TEST(StreamServer, FrameDeadlineSurfacesInHealthAndReports) {
@@ -261,8 +236,6 @@ TEST(StreamServer, WaitForCompletedAndExternalCancelPropagate) {
     EXPECT_FALSE(r.report.accepted);
     EXPECT_TRUE(la::all_finite(r.frame));
   }
-  // Health must not count the caller-requested cancellation as a stall.
-  EXPECT_EQ(server.health().stalled, 0u);
   server.close();
 }
 
@@ -283,6 +256,61 @@ TEST(StreamServer, ExternalDeadlineTightensTheSolve) {
   ASSERT_EQ(results.size(), 1u);
   EXPECT_TRUE(results[0].report.deadline_expired);
   server.close();
+}
+
+TEST(StreamServer, ExternalCancelStopsARunningFrame) {
+  // The caller's token reaches the solve itself: a frame already running
+  // stops at its next iteration instead of spending its whole budget.
+  constexpr std::size_t kDim = 16;
+  constexpr int kMaxIterations = 2000000;
+  const auto solver =
+      std::make_shared<testing::SignallingSolver>(kMaxIterations);
+  StreamOptions opts;
+  opts.workers = 1;
+  opts.solver = solver;
+  opts.pipeline.max_rung = Strategy::kPlainDecode;
+  StreamServer server(kDim, kDim, opts);
+
+  CancelSource cancel;
+  SubmitControl ctrl;
+  ctrl.cancel = cancel.token();
+  EXPECT_TRUE(server.submit(0, thermal_frame(kDim, 5), ctrl));
+  solver->wait_until_entered();
+  cancel.cancel();
+  server.wait_for_completed(1);
+
+  const std::vector<StreamResult> results = server.drain_results();
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_TRUE(results[0].report.deadline_expired);
+  EXPECT_LT(results[0].report.solver_iterations, kMaxIterations);
+  EXPECT_TRUE(la::all_finite(results[0].frame));
+  EXPECT_EQ(server.health().deadline_expired, 1u);
+}
+
+// Thread ids of this process, or an empty set where /proc is absent.
+std::set<std::string> thread_ids() {
+  std::set<std::string> ids;
+  std::error_code ec;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task", ec))
+    ids.insert(entry.path().filename().string());
+  return ids;
+}
+
+TEST(StreamServer, StartsExactlyOneThreadPerWorker) {
+  if (!std::filesystem::is_directory("/proc/self/task"))
+    GTEST_SKIP() << "no /proc/self/task on this platform";
+  // New ids only: a thread of an earlier test that is still being reaped
+  // sits in `before` and cannot be mistaken for one of the server's.
+  const std::set<std::string> before = thread_ids();
+  StreamOptions opts;
+  opts.workers = 3;
+  opts.solver = fista();
+  StreamServer server(8, 8, opts);
+  std::size_t started = 0;
+  for (const std::string& id : thread_ids())
+    if (before.count(id) == 0) ++started;
+  EXPECT_EQ(started, opts.workers);
 }
 
 }  // namespace

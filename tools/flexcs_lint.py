@@ -74,6 +74,10 @@ Enforces project invariants the compiler cannot express:
                     constant in disguise: make it a named constexpr beside
                     its use. Matching is by field name, so a name shared by
                     several structs counts as set when any of them is set
+  design-locks      DESIGN.md §7 (the concurrency contract) names every
+                    common::Mutex member declared under src/, and every
+                    `*mu_` it names is declared there — the lock table
+                    cannot go stale. Skipped when the tree has no DESIGN.md
 
 A line may opt out of one rule with a trailing marker comment:
 
@@ -560,8 +564,8 @@ _DEADLINE_POLL_TOKENS = ("should_stop", "cancelled", "deadline", "expired",
 # Supervision scope: unbounded loops (`for (;;)`, `while (true)`) in the
 # streaming/service runtime must either poll a time-based token or contain
 # an explicit exit statement — the broker event loop, the worker read loop,
-# and the watchdog all run "forever" by design, but each iteration must be
-# able to leave.
+# and the stream workers' queue loop all run "forever" by design, but each
+# iteration must be able to leave.
 RUNTIME_SUPERVISION_PREFIX = "src/runtime/"
 
 # Matched against the loop header with all whitespace removed.
@@ -835,6 +839,80 @@ def check_unset_options(root: Path, files: dict) -> List[Finding]:
 
 
 # ---------------------------------------------------------------------------
+# Tree-level rule: DESIGN.md's lock table matches the declared mutexes
+
+DESIGN_DOC = "DESIGN.md"
+DESIGN_LOCKS_HEADING = "## 7."
+_DESIGN_MUTEX_NAME_RE = re.compile(r"(?<!\w)(\w*mu_)(?!\w)")
+
+
+def _declared_mutexes(root: Path) -> List[Tuple[str, int, str]]:
+    """(relpath, line, name) of every common::Mutex member under src/."""
+    decls: List[Tuple[str, int, str]] = []
+    base = root / "src"
+    if not base.is_dir():
+        return decls
+    for ext in SOURCE_EXTS:
+        for p in sorted(base.rglob(f"*{ext}")):
+            rel = p.relative_to(root).as_posix()
+            if (any(part.startswith("build") for part in p.parts)
+                    or rel in MUTEX_CONTRACT_EXEMPT):
+                continue
+            text = strip_comments_and_strings(
+                p.read_text(encoding="utf-8", errors="replace"))
+            for idx, line in enumerate(text.splitlines(), start=1):
+                m = _WRAPPED_MUTEX_MEMBER_RE.search(line)
+                if m:
+                    decls.append((rel, idx, m.group(1)))
+    return decls
+
+
+def check_design_locks(root: Path, files: dict,
+                       partial: bool = False) -> List[Finding]:
+    """Declarations come from the whole src/ tree; a partial lint reports
+    only findings in its own files, never the DESIGN.md side."""
+    design = root / DESIGN_DOC
+    if not design.is_file():
+        return []
+    lines = design.read_text(encoding="utf-8", errors="replace").splitlines()
+    start = next((i for i, ln in enumerate(lines)
+                  if ln.startswith(DESIGN_LOCKS_HEADING)), None)
+    if start is None:
+        return [] if partial else [Finding(
+            DESIGN_DOC, 1, "design-locks",
+            f"no '{DESIGN_LOCKS_HEADING}' concurrency section to hold the "
+            "lock table")]
+    documented: dict = {}  # name -> first DESIGN.md line naming it
+    for i in range(start, len(lines)):
+        if i > start and lines[i].startswith("## "):
+            break
+        for m in _DESIGN_MUTEX_NAME_RE.finditer(lines[i]):
+            documented.setdefault(m.group(1), i + 1)
+
+    findings: List[Finding] = []
+    decls = _declared_mutexes(root)
+    for rel, line_no, name in decls:
+        f = files.get(rel)
+        if f is None or name in documented:
+            continue
+        fd = f.finding_unless_allowed(
+            line_no, "design-locks",
+            f"mutex '{name}' is not named in {DESIGN_DOC} §7 — add it to "
+            "the lock table with what it guards")
+        if fd:
+            findings.append(fd)
+    if not partial:
+        declared = {name for _, _, name in decls}
+        for name, line_no in sorted(documented.items(), key=lambda kv: kv[1]):
+            if name not in declared:
+                findings.append(Finding(
+                    DESIGN_DOC, line_no, "design-locks",
+                    f"{DESIGN_DOC} §7 names '{name}', but no common::Mutex "
+                    "member of that name is declared under src/"))
+    return findings
+
+
+# ---------------------------------------------------------------------------
 # Driver
 
 
@@ -886,6 +964,8 @@ def lint_tree(root: Path, only: Optional[Sequence[str]] = None
                                        partial=only is not None))
     findings.extend(check_unset_options(root,
                                         {f.relpath: f for f in sources}))
+    findings.extend(check_design_locks(root, {f.relpath: f for f in sources},
+                                       partial=only is not None))
     return sorted(findings)
 
 

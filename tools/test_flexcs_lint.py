@@ -933,6 +933,91 @@ class UnsetOptionTest(unittest.TestCase):
         self.assertNotIn("unset-option", rules_fired(f))
 
 
+class DesignLocksTest(unittest.TestCase):
+    HEADER = ("#pragma once\n"
+              "class Server {\n"
+              "  common::Mutex mu_;\n"
+              "  int queue_ FLEXCS_GUARDED_BY(mu_) = 0;\n"
+              "};\n")
+    DESIGN = ("# Design\n"
+              "## 7. Concurrency contract\n"
+              "| Mutex | Guards |\n"
+              "|---|---|\n"
+              "| `mu_` | `queue_` |\n"
+              "## 8. Next\n")
+
+    def design_findings(self, tree: dict) -> list:
+        return [x for x in lint_fixture(tree) if x.rule == "design-locks"]
+
+    def test_documented_mutex_clean(self):
+        f = self.design_findings({"src/runtime/server.hpp": self.HEADER,
+                                  "DESIGN.md": self.DESIGN})
+        self.assertEqual([], f, "\n".join(str(x) for x in f))
+
+    def test_undocumented_mutex_fires_at_its_declaration(self):
+        header = self.HEADER.replace(
+            "};", "  common::Mutex side_mu_;\n"
+                  "  int n_ FLEXCS_GUARDED_BY(side_mu_) = 0;\n};")
+        f = self.design_findings({"src/runtime/server.hpp": header,
+                                  "DESIGN.md": self.DESIGN})
+        self.assertEqual([("src/runtime/server.hpp", 5)],
+                         [(x.path, x.line) for x in f])
+        self.assertIn("side_mu_", f[0].message)
+
+    def test_mutex_in_a_cpp_file_counts(self):
+        f = self.design_findings({
+            "src/runtime/server.hpp": self.HEADER,
+            "src/cs/cache.cpp": "static common::Mutex table_mu_;\n",
+            "DESIGN.md": self.DESIGN})
+        self.assertEqual(["src/cs/cache.cpp"], [x.path for x in f])
+
+    def test_stale_table_entry_fires_on_design(self):
+        design = self.DESIGN.replace(
+            "## 8.", "| `gone_mu_` | nothing any more |\n## 8.")
+        f = self.design_findings({"src/runtime/server.hpp": self.HEADER,
+                                  "DESIGN.md": design})
+        self.assertEqual([("DESIGN.md", 6)], [(x.path, x.line) for x in f])
+        self.assertIn("gone_mu_", f[0].message)
+
+    def test_names_outside_section_7_do_not_count(self):
+        design = self.DESIGN + "Elsewhere: `side_mu_`, `old_mu_`.\n"
+        header = self.HEADER.replace("};", "  common::Mutex side_mu_;\n};")
+        f = self.design_findings({"src/runtime/server.hpp": header,
+                                  "DESIGN.md": design})
+        self.assertEqual(["src/runtime/server.hpp"], [x.path for x in f])
+
+    def test_mutex_outside_src_not_checked(self):
+        f = self.design_findings({
+            "tests/t.cpp": "common::Mutex test_mu_;\n",
+            "DESIGN.md": self.DESIGN.replace("`mu_`", "`none`")})
+        self.assertEqual([], f, "\n".join(str(x) for x in f))
+
+    def test_allow_marker_clean(self):
+        header = self.HEADER.replace(
+            "Mutex mu_;", "Mutex mu_;  // flexcs-lint: allow(design-locks)")
+        f = self.design_findings({"src/runtime/server.hpp": header,
+                                  "DESIGN.md": "## 7. Concurrency\n"})
+        self.assertEqual([], f, "\n".join(str(x) for x in f))
+
+    def test_no_design_doc_skips_the_rule(self):
+        f = self.design_findings({"src/runtime/server.hpp": self.HEADER})
+        self.assertEqual([], f)
+
+    def test_partial_lint_skips_the_design_side(self):
+        design = self.DESIGN.replace(
+            "## 8.", "| `gone_mu_` | nothing any more |\n## 8.")
+        with tempfile.TemporaryDirectory() as td:
+            root = Path(td)
+            (root / "src/runtime").mkdir(parents=True)
+            (root / "src/runtime/server.hpp").write_text(self.HEADER)
+            (root / "src/runtime/other.cpp").write_text("int x;\n")
+            (root / "DESIGN.md").write_text(design)
+            findings = flexcs_lint.lint_tree(
+                root, only=["src/runtime/other.cpp"])
+            self.assertEqual([], findings,
+                             "\n".join(str(x) for x in findings))
+
+
 class PartialLintTest(unittest.TestCase):
     def test_single_file_mode_skips_other_entry_points(self):
         with tempfile.TemporaryDirectory() as td:

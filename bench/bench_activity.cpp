@@ -17,7 +17,10 @@
 // Timing is steady-state: both arms first decode one warm-up frame (the
 // gated arm's first frame is a forced full decode — there is nothing to
 // serve stale yet), then the timed frames follow. The warm-up is excluded
-// from the fps of both arms alike. One short timed run per arm is too noisy
+// from the fps of both arms alike. A timed run streams the timed frames in
+// whole passes until at least `min_run_seconds` (1 s) have elapsed: the
+// scene loops, so after the last frame the blobs jump back to frame 1 and
+// the static tiles stay static. One short timed run per arm is too noisy
 // to compare the arms, so each cell runs them as `repeats` interleaved
 // pairs, alternating which arm goes first, each arm with a fresh decoder and
 // its own warm-up; the fps figures are per-arm medians and the ratio is the
@@ -40,8 +43,9 @@
 //     "tiles":                 integer — tiles per frame
 //     "active_tiles":          integer — tiles carrying moving content
 //     "active_fraction":       number  — active_tiles / tiles
-//     "frames":                integer — timed frames per run (warm-up
+//     "frames":                integer — timed frames per pass (warm-up
 //                                        excluded)
+//     "timed_seconds_min":     number  — shortest timed run of the cell
 //     "repeats":               integer — interleaved (gated, ungated) pairs
 //     "gated_fps":             number  — gated steady-state frames/sec,
 //                                        median over repeats
@@ -53,14 +57,14 @@
 //     "gated_active_rmse":     number  — RMSE over active tiles vs truth
 //     "ungated_active_rmse":   number  — same, ungated arm
 //     "active_rmse_ratio":     number  — gated / ungated active-tile RMSE
-//     "tiles_skipped":         integer — gated arm, summed over one run's
-//                                        timed frames
+//     "tiles_skipped":         integer — gated arm, summed over one pass
+//                                        of the timed frames
 //     "tiles_expected_skipped":integer — (tiles - active) x frames
 //     "skipped_bit_identical": boolean — in every run, every skipped tile
 //                                        matched the previous
 //                                        reconstruction bit-for-bit
-//     "gated_decode_calls":    integer — solver runs, one gated run's timed
-//                                        frames
+//     "gated_decode_calls":    integer — solver runs, one gated pass of the
+//                                        timed frames
 //     "ungated_decode_calls":  integer — same, ungated arm
 //   }
 //
@@ -98,6 +102,10 @@ struct SweepConfig {
   std::size_t tile = 16;  // 4x4 grid = 16 tiles
   std::vector<std::size_t> active_levels = {2, 4, 8, 16};
   std::size_t frames = 8;  // timed frames (one warm-up frame on top)
+  // A timed run repeats the timed frames in whole passes until this much
+  // time has elapsed: 8 frames alone took 0.1-0.2 s, too short to resolve
+  // the arms (per-pair ratios 0.87-3.49x on one row).
+  double min_run_seconds = 1.0;
   std::size_t repeats = 5;  // interleaved (gated, ungated) pairs per cell
   std::size_t workers = 2;
   std::size_t queue_capacity = 32;
@@ -113,6 +121,7 @@ SweepConfig smoke_config() {
   cfg.tile = 8;
   cfg.active_levels = {2, 8};
   cfg.frames = 3;
+  cfg.min_run_seconds = 0.0;  // one pass
   cfg.repeats = 2;
   return cfg;
 }
@@ -123,6 +132,7 @@ struct ActivityCell {
   std::size_t tiles = 0;
   std::size_t active_tiles = 0;
   std::size_t frames = 0;
+  double timed_seconds_min = 0.0;
   std::size_t repeats = 0;
   double gated_fps = 0.0;
   double ungated_fps = 0.0;
@@ -236,9 +246,11 @@ runtime::ShardOptions decoder_options(const SweepConfig& cfg, bool gated) {
   return opts;
 }
 
-// One timed run of one arm through a fresh decoder.
+// One timed run of one arm through a fresh decoder. The RMSE and counts
+// cover the first pass of the timed frames.
 struct ArmRun {
   double fps = 0.0;
+  double seconds = 0.0;
   double active_rmse = 0.0;
   int decode_calls = 0;
   std::size_t tiles_skipped = 0;
@@ -254,29 +266,39 @@ ArmRun run_arm(const SweepConfig& cfg, const runtime::TileGrid& grid,
   std::vector<la::Matrix> recon;
   recon.reserve(scene.size());
   recon.push_back(sharded.process(scene[0]).frame);  // warm-up, untimed
+  la::Matrix previous = recon.back();
 
+  std::size_t timed = 0;
   const auto t0 = std::chrono::steady_clock::now();
-  for (std::size_t f = 1; f < scene.size(); ++f) {
-    runtime::ShardFrameResult res = sharded.process(scene[f]);
-    run.decode_calls += res.report.decode_calls;
-    run.tiles_skipped += res.report.tiles_skipped;
-    // Audit the staleness contract: every skipped tile's pixels must equal
-    // the previous reconstruction bit for bit.
-    for (std::size_t t = 0; t < grid.tiles(); ++t) {
-      if (!res.report.tile_reports[t].served_stale) continue;
-      const std::size_t r0 = grid.tile_row(t) * grid.tile_rows;
-      const std::size_t c0 = grid.tile_col(t) * grid.tile_cols;
-      for (std::size_t i = 0; i < grid.tile_rows; ++i)
-        for (std::size_t j = 0; j < grid.tile_cols; ++j)
-          if (res.frame(r0 + i, c0 + j) != recon.back()(r0 + i, c0 + j))
-            run.skipped_bit_identical = false;
+  double seconds = 0.0;
+  do {
+    const bool first_pass = timed == 0;
+    for (std::size_t f = 1; f < scene.size(); ++f, ++timed) {
+      runtime::ShardFrameResult res = sharded.process(scene[f]);
+      if (first_pass) {
+        run.decode_calls += res.report.decode_calls;
+        run.tiles_skipped += res.report.tiles_skipped;
+      }
+      // Audit the staleness contract: every skipped tile's pixels must
+      // equal the previous reconstruction bit for bit.
+      for (std::size_t t = 0; t < grid.tiles(); ++t) {
+        if (!res.report.tile_reports[t].served_stale) continue;
+        const std::size_t r0 = grid.tile_row(t) * grid.tile_rows;
+        const std::size_t c0 = grid.tile_col(t) * grid.tile_cols;
+        for (std::size_t i = 0; i < grid.tile_rows; ++i)
+          for (std::size_t j = 0; j < grid.tile_cols; ++j)
+            if (res.frame(r0 + i, c0 + j) != previous(r0 + i, c0 + j))
+              run.skipped_bit_identical = false;
+      }
+      previous = res.frame;
+      if (first_pass) recon.push_back(std::move(res.frame));
     }
-    recon.push_back(std::move(res.frame));
-  }
-  const double seconds = std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() - t0)
-                             .count();
-  run.fps = static_cast<double>(cfg.frames) / seconds;
+    seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                            t0)
+                  .count();
+  } while (seconds < cfg.min_run_seconds);
+  run.seconds = seconds;
+  run.fps = static_cast<double>(timed) / seconds;
   run.active_rmse = active_tile_rmse(grid, active, recon, scene, 1);
   return run;
 }
@@ -310,6 +332,9 @@ ActivityCell run_cell(const SweepConfig& cfg, std::size_t active) {
     ratios.push_back(gated.fps / ungated.fps);
     cell.skipped_bit_identical =
         cell.skipped_bit_identical && gated.skipped_bit_identical;
+    const double shorter = std::min(first.seconds, second.seconds);
+    cell.timed_seconds_min =
+        r == 0 ? shorter : std::min(cell.timed_seconds_min, shorter);
     if (r == 0) {
       cell.gated_active_rmse = gated.active_rmse;
       cell.ungated_active_rmse = ungated.active_rmse;
@@ -339,7 +364,7 @@ std::string to_json(const std::vector<ActivityCell>& cells) {
     out += strformat(
         "  {\"rows\": %zu, \"cols\": %zu, \"tile\": %zu, \"tiles\": %zu, "
         "\"active_tiles\": %zu, \"active_fraction\": %.4f, \"frames\": %zu, "
-        "\"repeats\": %zu, \"gated_fps\": %.4f, \"ungated_fps\": %.4f, "
+        "\"timed_seconds_min\": %.3f, \"repeats\": %zu, \"gated_fps\": %.4f, \"ungated_fps\": %.4f, "
         "\"fps_ratio\": %.3f, \"fps_ratio_min\": %.3f, "
         "\"fps_ratio_max\": %.3f, "
         "\"gated_active_rmse\": %.6f, \"ungated_active_rmse\": %.6f, "
@@ -348,8 +373,8 @@ std::string to_json(const std::vector<ActivityCell>& cells) {
         "\"gated_decode_calls\": %d, \"ungated_decode_calls\": %d}%s\n",
         c.dim, c.dim, c.tile, c.tiles, c.active_tiles,
         static_cast<double>(c.active_tiles) / static_cast<double>(c.tiles),
-        c.frames, c.repeats, c.gated_fps, c.ungated_fps, c.fps_ratio,
-        c.fps_ratio_min, c.fps_ratio_max,
+        c.frames, c.timed_seconds_min, c.repeats, c.gated_fps, c.ungated_fps,
+        c.fps_ratio, c.fps_ratio_min, c.fps_ratio_max,
         c.gated_active_rmse, c.ungated_active_rmse, c.active_rmse_ratio,
         c.tiles_skipped, c.tiles_expected_skipped,
         c.skipped_bit_identical ? "true" : "false", c.gated_decode_calls,
@@ -363,10 +388,10 @@ void print_table(const std::vector<ActivityCell>& cells,
                  const SweepConfig& cfg) {
   std::printf(
       "Event-driven readout — ShardedDecoder, %zu workers, %zu timed frames "
-      "per run, medians of %zu interleaved pairs, threshold %.2f, detector "
-      "fraction %.2f\n",
-      cfg.workers, cfg.frames, cfg.repeats, cfg.threshold,
-      cfg.detector_fraction);
+      "per pass, >= %.1f s per run, medians of %zu interleaved pairs, "
+      "threshold %.2f, detector fraction %.2f\n",
+      cfg.workers, cfg.frames, cfg.min_run_seconds, cfg.repeats,
+      cfg.threshold, cfg.detector_fraction);
   Table t({"tiles", "active", "gated fps", "ungated fps", "ratio [min, max]",
            "act rmse (g)", "act rmse (u)", "skipped", "bit-ident"});
   for (const ActivityCell& c : cells) {

@@ -44,10 +44,11 @@
 //   adc-saturation        rails at [severity, 1 - severity]
 //   dropped-measurements  fraction of measurement slots lost
 //
-// FISTA is the decode solver throughout. The ladder's acceptance check reads
-// the shape of each decode's fit (support ratio, spectral tail, trimmed
-// share; EXPERIMENTS.md E19), not the solver's convergence flag: with
-// adaptive restart FISTA converges on clean and corrupted frames alike.
+// FISTA is the decode solver throughout, the trimmed rungs' residual screen
+// included (a FISTA solve at the screen's strong λ). The ladder's acceptance
+// check reads the shape of each decode's fit (support ratio, spectral tail,
+// trimmed share; EXPERIMENTS.md E19), not the solver's convergence flag:
+// with adaptive restart FISTA converges on clean and corrupted frames alike.
 //
 // The recorded sweep is a robustness floor: the ctest
 // `bench.fault_matrix_floor` fails when any cell's RMSE exceeds 1.02x the

@@ -146,11 +146,10 @@ DecodeResult Decoder::decode_with(const SamplingPattern& pattern,
   out.residual_norm = sr.residual_norm;
   out.solve_seconds = sr.solve_seconds;
 
-  // Synthesise the frame from the recovered coefficients (y = Ψ x, via the
-  // fast transform).
-  const la::Matrix coeff_grid = la::Matrix::from_flat(sr.x, rows_, cols_);
+  // Synthesise the frame from the recovered coefficients (y = Ψ x) through
+  // the cached operator's transform plans.
+  out.frame = a.synthesize(sr.x);
   out.coefficients = std::move(sr.x);
-  out.frame = dsp::synthesize(opts.basis, coeff_grid);
   if (opts.clamp01) {
     for (std::size_t i = 0; i < out.frame.size(); ++i)
       out.frame.data()[i] = std::clamp(out.frame.data()[i], 0.0, 1.0);

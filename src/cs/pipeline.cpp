@@ -4,7 +4,7 @@
 #include <cmath>
 
 #include "common/check.hpp"
-#include "solvers/admm.hpp"
+#include "solvers/fista.hpp"
 
 namespace flexcs::cs {
 
@@ -120,18 +120,21 @@ TrimmedDecodeResult decode_trimmed_ex(const Decoder& decoder,
   // Screening pass with strong shrinkage and no de-biasing: a heavily
   // regularised lasso cannot interpolate corrupted measurements, so their
   // residuals stand far above the clean ones (a low-shrinkage or de-biased
-  // decode would fit the outliers and hide them).
+  // decode would fit the outliers and hide them). The screen is a FISTA
+  // solve, the loop every other decode of the ladder runs: at this λ it
+  // trims the same reads as an ADMM solve (test_pipeline pins that per fault
+  // kind) without ADMM's conjugate-gradient solve per iteration.
   // The shrinkage is 0.2, capped at 8 % of lambda_max = ||Aᵀy||_inf (the
   // weight at which the lasso returns zero), so it follows the tile's signal
   // scale: lambda_max grows with M and the mean level (32x32 thermal frames
   // 4.3-6.8, 8x8 tiles at M = 16 0.3-1.2). Uncapped, 0.2 shrinks the screen
   // of a small or dark tile to its DC term and the trim discards legitimate
   // features (EXPERIMENTS.md E19).
-  solvers::AdmmOptions screen_solver_opts;
+  solvers::FistaOptions screen_solver_opts;
   screen_solver_opts.lambda = std::min(
       0.2,
       0.08 * decoder.measurement_operator(p)->apply_adjoint(y).norm_inf());
-  const solvers::AdmmLassoSolver screen_solver(screen_solver_opts);
+  const solvers::FistaSolver screen_solver(screen_solver_opts);
   DecoderOptions screen_opts = decoder.options();
   screen_opts.debias = false;
   screen_opts.clamp01 = false;

@@ -96,11 +96,12 @@ struct TrimmedDecodeResult {
   bool trim_applied = false;  // false = screen trimmed too much, kept all
 };
 
-/// Residual-trimmed decode: decodes once, flags measurements whose residual
-/// against the reconstruction is an outlier (beyond `mad_multiplier` times
-/// the median absolute residual, with an absolute floor), removes them and
-/// decodes again. Robustifies the L1 decode against the few corrupted
-/// measurements that upstream outlier detection missed.
+/// Residual-trimmed decode: screens once with a strongly regularised FISTA
+/// solve (no de-biasing), flags measurements whose residual against the
+/// screen is an outlier (beyond `mad_multiplier` times the median absolute
+/// residual, with an absolute floor), removes them and decodes again with
+/// the decoder's own solver. Robustifies the L1 decode against the few
+/// corrupted measurements that upstream outlier detection missed.
 /// `solve` carries the per-frame deadline/cancellation shared by the screen
 /// and final decodes; when it fires the result comes back flagged
 /// deadline_expired with no trim applied.

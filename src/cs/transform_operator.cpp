@@ -123,6 +123,18 @@ void SubsampledTransformOperator::adjoint_into(const double* y, double* x,
   }
 }
 
+la::Matrix SubsampledTransformOperator::synthesize(const la::Vector& x) const {
+  FLEXCS_CHECK(x.size() == cols(),
+               "SubsampledTransformOperator::synthesize shape mismatch");
+  const std::size_t rows = pattern_.rows, cols = pattern_.cols;
+  if (basis_ != dsp::BasisKind::kDct2D)
+    return dsp::synthesize(basis_, la::Matrix::from_flat(x, rows, cols));
+  la::Matrix frame(rows, cols);
+  dsp::idct2d_apply(*row_plan_, *col_plan_, x.data(), frame.data(), rows,
+                    cols, local_scratch().dct);
+  return frame;
+}
+
 la::Vector SubsampledTransformOperator::apply(const la::Vector& x) const {
   FLEXCS_CHECK(x.size() == cols(),
                "SubsampledTransformOperator::apply shape mismatch");

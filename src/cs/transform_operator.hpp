@@ -47,6 +47,10 @@ class SubsampledTransformOperator final : public la::LinearOperator {
   /// iteration.
   double norm_upper_bound() const override { return 1.0; }
 
+  /// The full synthesis Ψ·x as a rows×cols frame: apply() without the
+  /// gather, through the cached plans. Not metered in apply_stats().
+  la::Matrix synthesize(const la::Vector& x) const;
+
   dsp::BasisKind basis() const { return basis_; }
   const SamplingPattern& pattern() const { return pattern_; }
 

@@ -195,7 +195,7 @@ void Dct1dPlan::fold_pass(const double* in, double* out, std::size_t lanes,
   FLEXCS_CHECK(!fast_, "Dct1dPlan::fold_pass: non-pow2 plans only");
   const bool rows = axis == Axis::kRows;
   ws.fold.resize(n_ * lanes);
-  if (!invert && rows) ws.half.resize(n_ * lanes);
+  if (rows) ws.half.resize(n_ * lanes);
   host_fold_kernel()(FoldJob{half_.data(), in, out, ws.fold.data(),
                              ws.half.data(), n_, lanes, rows, invert});
 }

@@ -14,24 +14,34 @@
 // and multiplies u by the even rows and v by the odd rows of D, each a
 // ⌈N/2⌉- or ⌊N/2⌋-wide half-table: half the multiply-adds of the dense
 // product. The inverse is the mirror (two half products, then e ± o). The
-// products run in row-axpy GEMM form with inner loops over contiguous
-// memory and `#pragma omp simd` lanes, and skip zero data entries (sparse
-// coefficients, scattered measurements). The fold regroups the sums, so
-// results match the dense product D·x at round-off, not bit for bit. A
-// plan is valid for every N ≥ 1, and the naive dsp::dct1d/idct1d remain
-// the golden reference the fast paths are tested against (≤ 1e-12).
+// fold regroups the sums, so results match the dense product D·x at
+// round-off, not bit for bit. A plan is valid for every N ≥ 1, and the
+// naive dsp::dct1d/idct1d remain the golden reference the fast paths are
+// tested against (≤ 1e-12).
+//
+// Summation-order contract: every output of a half product is one sum that
+// starts from +0.0 and adds its terms (table entry × folded sample) one at a
+// time in ascending order. That order alone fixes the bits: a pass runs
+// every product as a left product C = P·Q in a register-blocked micro-kernel
+// (vector lanes across the panel's lanes, 3 output rows per block; a row
+// pass first gathers its vectors into transposed panels, and a pass with
+// fewer vectors than one SIMD vector has lanes runs each vector with the
+// product transposed, its lanes over the outputs), and none of that moves a
+// bit. test_fft's Dct1dPlan.KernelKeepsItsSummationOrder pins each ISA copy
+// against a plain triple-loop reference.
 //
 // The folded kernel is built twice (fold_kernel.cpp, src/dsp/CMakeLists.txt):
 // at the baseline ISA and with -mavx2, and fold_pass runs the AVX2 copy on
-// hosts that have it (kernel_isa() names the choice). Both copies give the
-// same bits, so AVX2 and older hosts decode a tile to the same pixels: each
-// output lane adds its terms in the same order, AVX2 has no fused
-// multiply-add (hence no -mfma, -march=x86-64-v3 or -mavx512f, each of
-// which lets GCC contract a*b+c), and GCC does not reassociate without
-// -ffast-math. Only that one file carries -mavx2, and it keeps every symbol
-// but its entry point internal: an inline or template function shared with
-// other files would be a weak symbol the linker might take from the AVX2
-// object for every caller.
+// hosts that have it (kernel_isa() names the choice). Each copy's vector
+// width follows its ISA: 2 doubles (SSE2) in the baseline copy, 4 in the
+// AVX2 copy. Both copies give the same bits, so AVX2 and older hosts decode
+// a tile to the same pixels: each output adds its terms in the contract's
+// order, AVX2 has no fused multiply-add (hence no -mfma, -march=x86-64-v3
+// or -mavx512f, each of which lets GCC contract a*b+c), and GCC does not
+// reassociate without -ffast-math. Only that one file carries -mavx2, and
+// it keeps every symbol but its entry point internal: an inline or template
+// function shared with other files would be a weak symbol the linker might
+// take from the AVX2 object for every caller.
 //
 // All methods are const and touch only caller-provided workspace, so one
 // plan can be shared across threads exactly like the operators that own it.

@@ -73,10 +73,11 @@ FitShape fit_shape(const la::Vector& coefs, std::size_t rows,
   return fit;
 }
 
-// The residual screen, shared by the trimmed rungs (cs::decode_trimmed_ex)
-// and the suspected-defect flags on the returned reconstruction: a
-// measurement is an outlier when its |residual| exceeds
-// max(kScreenAbsFloor, kScreenMadMultiplier * median |residual|).
+// The residual screen, shared by the trimmed rungs (cs::decode_trimmed_ex,
+// whose screen is a strongly regularised FISTA solve, so every solve of the
+// ladder runs the one FISTA loop) and the suspected-defect flags on the
+// returned reconstruction: a measurement is an outlier when its |residual|
+// exceeds max(kScreenAbsFloor, kScreenMadMultiplier * median |residual|).
 constexpr double kScreenMadMultiplier = 4.0;
 constexpr double kScreenAbsFloor = 0.2;
 

@@ -202,8 +202,8 @@ bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
-// `count` samples, dense normal or with ~70 % exact zeros (the skip_zero
-// path of the row passes).
+// `count` samples, dense normal or with ~70 % exact zeros (sparse
+// coefficients, scattered measurements).
 std::vector<double> kernel_input(std::size_t count, bool sparse, Rng& rng) {
   std::vector<double> x(count);
   for (double& v : x) v = sparse && rng.uniform() < 0.7 ? 0.0 : rng.normal();
@@ -272,6 +272,127 @@ TEST(Dct1dPlan, IsaVariantsAreBitIdentical) {
             << dim << "x" << dim << " sparse=" << sparse
             << " invert=" << invert;
         EXPECT_TRUE(same_bits(plan_out, avx2)) << dim << "x" << dim;
+      }
+    }
+  }
+}
+
+// The folded kernel's summation-order contract (fft.hpp) as plain loops:
+// fold (forward) the halves of every vector, multiply them by the plan's
+// half-tables with each output a sum that starts from +0.0 and adds its
+// terms one at a time in ascending order, then interleave the even and odd
+// outputs (forward) or unfold the two half products (inverse).
+std::vector<double> reference_fold(const Dct1dPlan& plan,
+                                   const std::vector<double>& in,
+                                   std::size_t lanes, bool rows, bool invert) {
+  const std::size_t n = plan.size(), hu = (n + 1) / 2, hv = n / 2;
+  const double* e = fold_tables(plan);
+  const double* et = e + hu * hu;
+  const double* o = et + hu * hu;
+  const double* ot = o + hv * hv;
+  std::vector<double> out(n * lanes), a(hu), b(hv);
+  for (std::size_t l = 0; l < lanes; ++l) {
+    // Sample i of vector l.
+    const auto at = [&](std::size_t i) {
+      return rows ? l * n + i : i * lanes + l;
+    };
+    if (!invert) {
+      for (std::size_t i = 0; i < hv; ++i) {
+        a[i] = in[at(i)] + in[at(n - 1 - i)];
+        b[i] = in[at(i)] - in[at(n - 1 - i)];
+      }
+      if (hu > hv) a[hv] = in[at(hv)];
+      for (std::size_t k = 0; k < hu; ++k) {
+        double s = 0.0;
+        for (std::size_t i = 0; i < hu; ++i) s += e[k * hu + i] * a[i];
+        out[at(2 * k)] = s;
+      }
+      for (std::size_t k = 0; k < hv; ++k) {
+        double s = 0.0;
+        for (std::size_t i = 0; i < hv; ++i) s += o[k * hv + i] * b[i];
+        out[at(2 * k + 1)] = s;
+      }
+      continue;
+    }
+    for (std::size_t i = 0; i < hu; ++i) {
+      double s = 0.0;
+      for (std::size_t k = 0; k < hu; ++k) s += et[i * hu + k] * in[at(2 * k)];
+      a[i] = s;
+    }
+    for (std::size_t i = 0; i < hv; ++i) {
+      double s = 0.0;
+      for (std::size_t k = 0; k < hv; ++k)
+        s += ot[i * hv + k] * in[at(2 * k + 1)];
+      b[i] = s;
+    }
+    for (std::size_t i = 0; i < hv; ++i) {
+      out[at(i)] = a[i] + b[i];
+      out[at(n - 1 - i)] = a[i] - b[i];
+    }
+    if (hu > hv) out[at(hv)] = a[hv];
+  }
+  return out;
+}
+
+TEST(Dct1dPlan, KernelKeepsItsSummationOrder) {
+  // Each ISA entry of the folded kernel must give the bits of
+  // reference_fold: blocking, vector width and loop order may change, the
+  // per-output order of terms may not. Every non-pow2 length to 40, both
+  // directions and layouts, 1/3/7/20/36/40 lanes (fewer than one vector,
+  // vector tails, full blocks), dense and zero-laden inputs; then the 2-D
+  // row + column sequence at the runtime's 20×20 and 36×36 tiles.
+  std::vector<FoldKernel> kernels = {&fold_baseline::fold_kernel};
+  if (std::string(kernel_isa()) == "avx2")
+    kernels.push_back(&fold_avx2::fold_kernel);
+  std::size_t compared = 0;
+  for (std::size_t n = 3; n <= 40; ++n) {
+    const Dct1dPlan plan(n);
+    if (plan.fast()) continue;
+    for (const std::size_t lanes : {1u, 3u, 7u, 20u, 36u, 40u}) {
+      for (const bool sparse : {false, true}) {
+        Rng rng(0xA5 + n * 131 + lanes * 7 + (sparse ? 1 : 0));
+        const std::vector<double> in = kernel_input(n * lanes, sparse, rng);
+        for (const bool rows : {true, false}) {
+          for (const bool invert : {false, true}) {
+            const std::vector<double> want =
+                reference_fold(plan, in, lanes, rows, invert);
+            for (const FoldKernel kernel : kernels)
+              EXPECT_TRUE(
+                  same_bits(run_fold(kernel, plan, in, lanes, rows, invert),
+                            want))
+                  << "n=" << n << " lanes=" << lanes << " sparse=" << sparse
+                  << " rows=" << rows << " invert=" << invert
+                  << (kernel == kernels[0] ? " baseline" : " avx2");
+            ++compared;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(compared, 34u * 6u * 2u * 2u * 2u);  // 3..40 minus 4, 8, 16, 32
+
+  DctWorkspace ws;
+  for (const std::size_t dim : {20u, 36u}) {
+    const Dct1dPlan plan(dim);
+    for (const bool sparse : {false, true}) {
+      Rng rng(0xA6 + dim + (sparse ? 1 : 0));
+      const std::vector<double> grid = kernel_input(dim * dim, sparse, rng);
+      for (const bool invert : {false, true}) {
+        const std::vector<double> want = reference_fold(
+            plan, reference_fold(plan, grid, dim, /*rows=*/true, invert), dim,
+            /*rows=*/false, invert);
+        for (const FoldKernel kernel : kernels)
+          EXPECT_TRUE(same_bits(
+              run_fold(kernel, plan,
+                       run_fold(kernel, plan, grid, dim, /*rows=*/true, invert),
+                       dim, /*rows=*/false, invert),
+              want))
+              << dim << "x" << dim << " sparse=" << sparse
+              << " invert=" << invert;
+        std::vector<double> plan_out(dim * dim);
+        (invert ? idct2d_apply : dct2d_apply)(plan, plan, grid.data(),
+                                              plan_out.data(), dim, dim, ws);
+        EXPECT_TRUE(same_bits(plan_out, want)) << dim << "x" << dim;
       }
     }
   }

@@ -8,9 +8,11 @@
 #include <cmath>
 
 #include "common/check.hpp"
+#include "cs/faults.hpp"
 #include "cs/metrics.hpp"
 #include "data/thermal.hpp"
 #include "golden.hpp"
+#include "solvers/admm.hpp"
 #include "solvers/fista.hpp"
 
 namespace flexcs::cs {
@@ -196,6 +198,84 @@ TEST_F(PipelineTest, DecodeTrimmedExReportsTrimBookkeeping) {
   // The wrapper is exactly the frame of the extended result.
   EXPECT_EQ(la::max_abs_diff(tr.result.frame, decode_trimmed(decoder_, p, y)),
             0.0);
+}
+
+// The residual screen as decode_trimmed_ex ran it on ADMM: the same λ, no
+// de-biasing, no clamp, the same MAD cutoff and the same keep-half guard.
+// Returns the pixels it trims (none when the guard keeps every read).
+std::vector<std::size_t> admm_screen_trim(const Decoder& decoder,
+                                          const SamplingPattern& p,
+                                          const la::Vector& y) {
+  solvers::AdmmOptions admm_opts;
+  admm_opts.lambda = std::min(
+      0.2,
+      0.08 * decoder.measurement_operator(p)->apply_adjoint(y).norm_inf());
+  DecoderOptions screen_opts = decoder.options();
+  screen_opts.debias = false;
+  screen_opts.clamp01 = false;
+  const la::Matrix screen =
+      decoder
+          .decode_with(p, y, solvers::AdmmLassoSolver(admm_opts), screen_opts)
+          .frame;
+  std::vector<double> absres(p.m());
+  for (std::size_t i = 0; i < p.m(); ++i)
+    absres[i] = std::fabs(y[i] - screen.data()[p.indices[i]]);
+  std::vector<double> sorted = absres;
+  std::nth_element(sorted.begin(), sorted.begin() + sorted.size() / 2,
+                   sorted.end());
+  const double cutoff = std::max(0.2, 4.0 * sorted[sorted.size() / 2]);
+  std::vector<std::size_t> trimmed;
+  for (std::size_t i = 0; i < p.m(); ++i)
+    if (absres[i] > cutoff) trimmed.push_back(p.indices[i]);
+  if (p.m() - trimmed.size() < p.m() / 2) trimmed.clear();
+  return trimmed;
+}
+
+TEST(DecodeTrimmedScreen, FistaScreenTrimsTheSameReadsAsAdmm) {
+  // The screen's only output is the set of reads it trims, so moving its
+  // solve from ADMM to FISTA at the same λ must keep that set: checked on
+  // the runtime's 20×20 halo tiles and on 32×32 frames, per fault kind.
+  const auto fista = std::make_shared<solvers::FistaSolver>();
+  const std::vector<Fault> faults = {
+      StuckPixelFault{0.05, DefectPolarity::kRandom, 3},
+      LineFault{LineOrientation::kRow, 4, LineFailureMode::kStuckHigh, 1},
+      FlickerFault{0.03, DefectPolarity::kRandom, 5},
+      ReadoutNoiseFault{0.02, 7},
+      AdcSaturationFault{0.2, 0.8},
+  };
+  std::size_t cases = 0, trimming = 0;
+  for (const std::size_t dim : {20u, 32u}) {
+    data::ThermalOptions topts;
+    topts.rows = topts.cols = dim;
+    const data::ThermalHandGenerator gen(topts);
+    const Decoder decoder(dim, dim, {}, fista);
+    const Encoder encoder;
+    for (const Fault& fault : faults) {
+      const FaultScenario scenario({fault});
+      for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        Rng rng(1000 * dim + 10 * static_cast<std::uint64_t>(
+                                     fault_kind(fault)) + seed);
+        const la::Matrix frame = gen.sample(rng).values;
+        const SamplingPattern p0 = random_pattern(dim, dim, 0.5, rng);
+        const la::Vector y0 =
+            encoder.encode(scenario.corrupt_frame(frame, seed).values, p0, rng);
+        const FaultedMeasurements fm =
+            scenario.corrupt_measurements(y0, p0, seed);
+        const std::vector<std::size_t> want =
+            admm_screen_trim(decoder, fm.pattern, fm.values);
+        const TrimmedDecodeResult got =
+            decode_trimmed_ex(decoder, fm.pattern, fm.values);
+        EXPECT_EQ(got.trimmed_pixels, want)
+            << dim << "x" << dim << " " << fault_kind_name(fault_kind(fault))
+            << " seed " << seed;
+        ++cases;
+        if (!want.empty()) ++trimming;
+      }
+    }
+  }
+  EXPECT_EQ(cases, 2u * 5u * 3u);
+  // Not vacuous: most faulted cases trim something.
+  EXPECT_GE(trimming, cases / 2);
 }
 
 TEST_F(PipelineTest, DecodeResultCarriesSolverResidual) {

@@ -8,8 +8,11 @@ flexcs_dsp compiles src/dsp/fold_kernel.cpp twice, once with -mavx2, and
 picks the copy at run time. That is only safe while two things hold, which
 this script checks on the built objects:
 
-  (a) no baseline object of flexcs_dsp contains a %ymm or %zmm operand, so
-      nothing outside the AVX2 copy runs AVX code on a pre-AVX2 host;
+  (a) no baseline object of flexcs_dsp contains an AVX instruction: a %ymm
+      or %zmm operand, or a VEX/EVEX-encoded mnemonic (`vaddpd %xmm…`,
+      `vzeroupper`: every AVX mnemonic starts with `v`, whatever its
+      register width), so nothing outside the AVX2 copy runs AVX code on a
+      pre-AVX2 host;
   (b) the AVX2 object defines its entry point, no other global symbol and
       no weak symbol (nm type W or V). A weak definition (an inline or
       template function) may be the copy the linker keeps for every caller
@@ -29,6 +32,16 @@ import sys
 from typing import List, Optional, Sequence
 
 _WIDE_REGISTER_RE = re.compile(r"%[yz]mm\d+")
+# An `objdump -d` instruction line: address, colon, then the mnemonic (raw
+# bytes may sit between them unless --no-show-raw-insn, and a `{vex}` or
+# `{evex}` pseudo-prefix before it).
+_MNEMONIC_RE = re.compile(r"^\s*[0-9a-fA-F]+:\s+(?:(?:[0-9a-fA-F]{2}\s)+\s*)?"
+                          r"(?:\{[a-z0-9]+\}\s+)?([a-z][a-z0-9.]*)")
+# Mnemonics that start with `v` but are not VEX/EVEX SIMD: segment checks and
+# the VMX/SVM virtualisation instructions.
+_NON_VEX_V_RE = re.compile(
+    r"^(?:verr|verw|vm(?:call|clear|func|launch|load|mcall|ptrld|ptrst|read|"
+    r"resume|run|save|write|xoff|xon))$")
 # `nm -C` line: optional value, one type letter, then the (demangled) name.
 _NM_LINE_RE = re.compile(r"^(?:[0-9a-fA-F]+\s+)?(\S)\s+(.*)$")
 # Defined symbols visible outside the object: every uppercase type but U
@@ -47,10 +60,20 @@ def _run(cmd: List[str]) -> str:
     return done.stdout
 
 
-def wide_register_lines(disassembly: str) -> List[str]:
-    """Instruction lines of an objdump -d listing that touch ymm/zmm."""
+def is_avx_instruction(line: str) -> bool:
+    """True for an objdump -d instruction line that needs AVX: a ymm/zmm
+    operand or a VEX/EVEX-encoded mnemonic."""
+    if _WIDE_REGISTER_RE.search(line):
+        return True
+    m = _MNEMONIC_RE.match(line)
+    return bool(m) and m.group(1).startswith("v") and not _NON_VEX_V_RE.match(
+        m.group(1))
+
+
+def avx_lines(disassembly: str) -> List[str]:
+    """Instruction lines of an objdump -d listing that need AVX."""
     return [ln.strip() for ln in disassembly.splitlines()
-            if _WIDE_REGISTER_RE.search(ln)]
+            if is_avx_instruction(ln)]
 
 
 def symbol_violations(nm_listing: str, entry: str) -> List[str]:
@@ -88,12 +111,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     failures: List[str] = []
     try:
         for obj in _split(args.baseline):
-            wide = wide_register_lines(
+            avx = avx_lines(
                 _run([args.objdump, "-d", "--no-show-raw-insn", obj]))
-            for ln in wide[:5]:
+            for ln in avx[:5]:
                 failures.append(f"{obj}: baseline object uses AVX: {ln}")
-            if len(wide) > 5:
-                failures.append(f"{obj}: ... {len(wide) - 5} more")
+            if len(avx) > 5:
+                failures.append(f"{obj}: ... {len(avx) - 5} more")
         for obj in _split([args.avx2]):
             for v in symbol_violations(_run([args.nm, "-C", obj]),
                                        args.entry):
@@ -107,8 +130,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if failures:
         print(f"check_isa_objects: {len(failures)} problem(s)", file=sys.stderr)
         return 1
-    print("check_isa_objects: baseline objects use no ymm/zmm; the AVX2 "
-          f"object exports only {args.entry}")
+    print("check_isa_objects: baseline objects use no AVX instruction; the "
+          f"AVX2 object exports only {args.entry}")
     return 0
 
 

@@ -66,7 +66,19 @@
 //     "gated_decode_calls":    integer — solver runs, one gated pass of the
 //                                        timed frames
 //     "ungated_decode_calls":  integer — same, ungated arm
+//     "gated_solver_iterations":   integer — summed report.solver_iterations
+//                                            of every decoded tile, one
+//                                            gated pass of the timed frames
+//     "ungated_solver_iterations": integer — same, ungated arm
+//     "ungated_active_solver_iterations": integer — the ungated arm's sum
+//                                            over the active tiles alone
 //   }
+//
+// Every tile solve has the same geometry and budget, so its time follows
+// its iteration count. The ungated arm's active-tile share of iterations
+// times its frame time is what the gated arm's decodes alone cost; the
+// rest of a gated frame's time is the front end's (gate, stale serve,
+// stitch) and the pool's per-frame handoff.
 //
 // Decodes are seeded per tile, so the RMSE, skip and decode-call figures of
 // every repeat are identical; only the timings differ between repeats.
@@ -147,6 +159,9 @@ struct ActivityCell {
   bool skipped_bit_identical = true;
   int gated_decode_calls = 0;
   int ungated_decode_calls = 0;
+  long gated_solver_iterations = 0;
+  long ungated_solver_iterations = 0;
+  long ungated_active_solver_iterations = 0;
 };
 
 // The scene: a fixed thermal background; each active tile carries a hot
@@ -253,6 +268,8 @@ struct ArmRun {
   double seconds = 0.0;
   double active_rmse = 0.0;
   int decode_calls = 0;
+  long solver_iterations = 0;
+  long active_solver_iterations = 0;  // over the active tiles alone
   std::size_t tiles_skipped = 0;
   bool skipped_bit_identical = true;
 };
@@ -278,6 +295,12 @@ ArmRun run_arm(const SweepConfig& cfg, const runtime::TileGrid& grid,
       if (first_pass) {
         run.decode_calls += res.report.decode_calls;
         run.tiles_skipped += res.report.tiles_skipped;
+        for (std::size_t t = 0; t < grid.tiles(); ++t) {
+          const int iterations =
+              res.report.tile_reports[t].report.solver_iterations;
+          run.solver_iterations += iterations;
+          if (t < active) run.active_solver_iterations += iterations;
+        }
       }
       // Audit the staleness contract: every skipped tile's pixels must
       // equal the previous reconstruction bit for bit.
@@ -340,6 +363,9 @@ ActivityCell run_cell(const SweepConfig& cfg, std::size_t active) {
       cell.ungated_active_rmse = ungated.active_rmse;
       cell.gated_decode_calls = gated.decode_calls;
       cell.ungated_decode_calls = ungated.decode_calls;
+      cell.gated_solver_iterations = gated.solver_iterations;
+      cell.ungated_solver_iterations = ungated.solver_iterations;
+      cell.ungated_active_solver_iterations = ungated.active_solver_iterations;
       cell.tiles_skipped = gated.tiles_skipped;
     }
   }
@@ -370,7 +396,10 @@ std::string to_json(const std::vector<ActivityCell>& cells) {
         "\"gated_active_rmse\": %.6f, \"ungated_active_rmse\": %.6f, "
         "\"active_rmse_ratio\": %.3f, \"tiles_skipped\": %zu, "
         "\"tiles_expected_skipped\": %zu, \"skipped_bit_identical\": %s, "
-        "\"gated_decode_calls\": %d, \"ungated_decode_calls\": %d}%s\n",
+        "\"gated_decode_calls\": %d, \"ungated_decode_calls\": %d, "
+        "\"gated_solver_iterations\": %ld, "
+        "\"ungated_solver_iterations\": %ld, "
+        "\"ungated_active_solver_iterations\": %ld}%s\n",
         c.dim, c.dim, c.tile, c.tiles, c.active_tiles,
         static_cast<double>(c.active_tiles) / static_cast<double>(c.tiles),
         c.frames, c.timed_seconds_min, c.repeats, c.gated_fps, c.ungated_fps,
@@ -378,7 +407,9 @@ std::string to_json(const std::vector<ActivityCell>& cells) {
         c.gated_active_rmse, c.ungated_active_rmse, c.active_rmse_ratio,
         c.tiles_skipped, c.tiles_expected_skipped,
         c.skipped_bit_identical ? "true" : "false", c.gated_decode_calls,
-        c.ungated_decode_calls, i + 1 < cells.size() ? "," : "");
+        c.ungated_decode_calls, c.gated_solver_iterations,
+        c.ungated_solver_iterations, c.ungated_active_solver_iterations,
+        i + 1 < cells.size() ? "," : "");
   }
   out += "]\n";
   return out;
@@ -393,7 +424,8 @@ void print_table(const std::vector<ActivityCell>& cells,
       cfg.workers, cfg.frames, cfg.min_run_seconds, cfg.repeats,
       cfg.threshold, cfg.detector_fraction);
   Table t({"tiles", "active", "gated fps", "ungated fps", "ratio [min, max]",
-           "act rmse (g)", "act rmse (u)", "skipped", "bit-ident"});
+           "act rmse (g)", "act rmse (u)", "act iter share", "skipped",
+           "bit-ident"});
   for (const ActivityCell& c : cells) {
     t.add_row({strformat("%zu", c.tiles), strformat("%zu", c.active_tiles),
                strformat("%.3f", c.gated_fps),
@@ -402,6 +434,10 @@ void print_table(const std::vector<ActivityCell>& cells,
                          c.fps_ratio_max),
                strformat("%.4f", c.gated_active_rmse),
                strformat("%.4f", c.ungated_active_rmse),
+               strformat("%.3f", static_cast<double>(
+                                     c.ungated_active_solver_iterations) /
+                                     static_cast<double>(std::max(
+                                         c.ungated_solver_iterations, 1L))),
                strformat("%zu/%zu", c.tiles_skipped,
                          c.tiles_expected_skipped),
                c.skipped_bit_identical ? "yes" : "NO"});

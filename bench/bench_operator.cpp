@@ -23,7 +23,10 @@
 // factor matvec (the pre-plan implicit kernel), and the plan
 // (dsp::Dct1dPlan: the Makhoul FFT for pow2 lengths, the even/odd-folded
 // kernel otherwise) — with per-call wall time, speedups, and the
-// max fast-vs-naive error. The lengths include 20 and 36, the halo-padded
+// max fast-vs-naive error. Each (length, direction) cell times its three
+// kernels in interleaved blocks whose order rotates, so drift in the host's
+// speed hits all three; the per-call figures are medians over the blocks.
+// The lengths include 20 and 36, the halo-padded
 // 16 and 32 px tiles the runtime actually decodes, so the non-pow2 kernel
 // is measured too. For each grid size and basis, the measured per-apply
 // / per-adjoint cost of the full SubsampledTransformOperator via its own
@@ -77,10 +80,14 @@
 //         "kind":               string  — "dct2" (forward) | "dct3"
 //         "naive_ms":           number  — per-call ms, O(n²) cosine sum
 //         "factor_ms":          number  — per-call ms, dense factor matvec
-//         "fast_ms":            number  — per-call ms, FFT plan
-//         "speedup_vs_naive":   number  — naive_ms / fast_ms
-//         "speedup_vs_factor":  number  — factor_ms / fast_ms
+//         "fast_ms":            number  — per-call ms, the plan
+//                                         (all three: medians over blocks)
+//         "fast_ms_q1", "fast_ms_q3": number — the plan's quartiles
+//         "speedup_vs_naive":   number  — median over blocks of the block's
+//                                         naive / fast per-call time
+//         "speedup_vs_factor":  number  — same, factor / fast
 //         "max_abs_err":        number  — max |fast - naive| on one input
+//         "blocks":             integer — interleaved blocks (order rotates)
 //       }, ...
 //     ],
 //     "per_apply_operator": [ // one object per (grid size, basis)
@@ -154,6 +161,7 @@ struct SweepConfig {
   // Per-ISA A/B grids (the runtime's tiles) and interleaved blocks.
   std::vector<std::size_t> isa_dims = {20, 36};
   int isa_blocks = 15;
+  int micro_blocks = 15;  // interleaved blocks per per_apply_1d cell
   double fraction = 0.3;
   // Tight tolerance: the equal-RMSE gate compares the two arms at 1e-6, so
   // both must converge well past the comparison threshold.
@@ -168,6 +176,7 @@ SweepConfig smoke_config() {
   cfg.micro_dims = {16, 20};
   cfg.isa_dims = {20};
   cfg.isa_blocks = 5;
+  cfg.micro_blocks = 3;
   cfg.fraction = 0.4;
   cfg.fista_iterations = 1000;
   cfg.fista_tol = 1e-7;
@@ -291,7 +300,11 @@ struct Micro1dCell {
   double naive_ms = 0.0;
   double factor_ms = 0.0;
   double fast_ms = 0.0;
+  double fast_ms_q1 = 0.0, fast_ms_q3 = 0.0;
+  double speedup_vs_naive = 0.0;
+  double speedup_vs_factor = 0.0;
   double max_abs_err = 0.0;
+  int blocks = 0;
 };
 
 struct MicroOpCell {
@@ -317,6 +330,15 @@ double time_ms_per_call(int reps, F&& f) {
          static_cast<double>(reps);
 }
 
+// Linear-interpolated quantile of `v` (sorted in place), q in [0, 1].
+double quantile(std::vector<double>& v, double q) {
+  std::sort(v.begin(), v.end());
+  const double pos = q * static_cast<double>(v.size() - 1);
+  const std::size_t lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, v.size() - 1);
+  return v[lo] + (pos - static_cast<double>(lo)) * (v[hi] - v[lo]);
+}
+
 std::vector<Micro1dCell> run_micro_1d(const SweepConfig& cfg) {
   std::vector<Micro1dCell> cells;
   for (const std::size_t n : cfg.micro_dims) {
@@ -340,22 +362,50 @@ std::vector<Micro1dCell> run_micro_1d(const SweepConfig& cfg) {
       Micro1dCell c;
       c.n = n;
       c.forward = forward;
-      c.naive_ms = time_ms_per_call(reps_naive, [&] {
-        out = forward ? dsp::dct1d(x) : dsp::idct1d(x);
-        return out[0];
-      });
-      c.factor_ms = time_ms_per_call(reps_fast, [&] {
-        // DCT-II is factor · x; DCT-III (the inverse) is factorᵀ · x.
-        out = forward ? la::matvec(factor, x) : la::matvec_t(factor, x);
-        return out[0];
-      });
-      c.fast_ms = time_ms_per_call(reps_fast, [&] {
-        if (forward)
-          plan.forward(x.data(), out.data(), ws);
-        else
-          plan.inverse(x.data(), out.data(), ws);
-        return out[0];
-      });
+      c.blocks = cfg.micro_blocks;
+      const auto naive = [&] {
+        return time_ms_per_call(reps_naive, [&] {
+          out = forward ? dsp::dct1d(x) : dsp::idct1d(x);
+          return out[0];
+        });
+      };
+      const auto factor_matvec = [&] {
+        return time_ms_per_call(reps_fast, [&] {
+          // DCT-II is factor · x; DCT-III (the inverse) is factorᵀ · x.
+          out = forward ? la::matvec(factor, x) : la::matvec_t(factor, x);
+          return out[0];
+        });
+      };
+      const auto plan_call = [&] {
+        return time_ms_per_call(reps_fast, [&] {
+          if (forward)
+            plan.forward(x.data(), out.data(), ws);
+          else
+            plan.inverse(x.data(), out.data(), ws);
+          return out[0];
+        });
+      };
+      // Block b runs the kernels starting at kernel b mod 3.
+      std::vector<double> t[3], vs_naive, vs_factor;
+      for (int blk = 0; blk < c.blocks; ++blk) {
+        double block_ms[3] = {};
+        for (int k = 0; k < 3; ++k) {
+          const int kernel = (blk + k) % 3;
+          block_ms[kernel] = kernel == 0   ? naive()
+                             : kernel == 1 ? factor_matvec()
+                                           : plan_call();
+        }
+        for (int k = 0; k < 3; ++k) t[k].push_back(block_ms[k]);
+        vs_naive.push_back(block_ms[0] / block_ms[2]);
+        vs_factor.push_back(block_ms[1] / block_ms[2]);
+      }
+      c.naive_ms = quantile(t[0], 0.5);
+      c.factor_ms = quantile(t[1], 0.5);
+      c.fast_ms = quantile(t[2], 0.5);
+      c.fast_ms_q1 = quantile(t[2], 0.25);
+      c.fast_ms_q3 = quantile(t[2], 0.75);
+      c.speedup_vs_naive = quantile(vs_naive, 0.5);
+      c.speedup_vs_factor = quantile(vs_factor, 0.5);
       const la::Vector ref = forward ? dsp::dct1d(x) : dsp::idct1d(x);
       la::Vector fast(n);
       if (forward)
@@ -418,15 +468,6 @@ struct IsaCell {
   int blocks = 0;
   int reps = 0;
 };
-
-// Linear-interpolated quantile of `v` (sorted in place), q in [0, 1].
-double quantile(std::vector<double>& v, double q) {
-  std::sort(v.begin(), v.end());
-  const double pos = q * static_cast<double>(v.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, v.size() - 1);
-  return v[lo] + (pos - static_cast<double>(lo)) * (v[hi] - v[lo]);
-}
 
 // The folded kernel's baseline and AVX2 builds, each running the 2-D
 // DCT-II + DCT-III pair that dct2d_apply + idct2d_apply run on a dim×dim
@@ -529,12 +570,13 @@ std::string to_json(const std::vector<OperatorCell>& cells,
     const Micro1dCell& c = micro1d[i];
     out += strformat(
         "  {\"n\": %zu, \"kind\": \"%s\", \"naive_ms\": %.6f, "
-        "\"factor_ms\": %.6f, \"fast_ms\": %.6f, "
+        "\"factor_ms\": %.6f, \"fast_ms\": %.6f, \"fast_ms_q1\": %.6f, "
+        "\"fast_ms_q3\": %.6f, "
         "\"speedup_vs_naive\": %.1f, \"speedup_vs_factor\": %.1f, "
-        "\"max_abs_err\": %.3e}%s\n",
+        "\"max_abs_err\": %.3e, \"blocks\": %d}%s\n",
         c.n, c.forward ? "dct2" : "dct3", c.naive_ms, c.factor_ms, c.fast_ms,
-        c.naive_ms / c.fast_ms, c.factor_ms / c.fast_ms, c.max_abs_err,
-        i + 1 < micro1d.size() ? "," : "");
+        c.fast_ms_q1, c.fast_ms_q3, c.speedup_vs_naive, c.speedup_vs_factor,
+        c.max_abs_err, c.blocks, i + 1 < micro1d.size() ? "," : "");
   }
   out += "],\n\"per_apply_operator\": [\n";
   for (std::size_t i = 0; i < microop.size(); ++i) {
@@ -607,15 +649,16 @@ void print_micro_tables(const std::vector<Micro1dCell>& micro1d,
                         const std::vector<IsaCell>& micro_isa) {
   std::printf(
       "\nPer-apply 1-D DCT kernels — naive cosine sum vs cached dense "
-      "factor vs FFT plan (per-call ms)\n");
-  Table t1({"n", "kind", "naive ms", "factor ms", "fast ms", "vs naive",
-            "vs factor", "max err"});
+      "factor vs plan (per-call ms, medians over interleaved blocks)\n");
+  Table t1({"n", "kind", "naive ms", "factor ms", "fast ms [q1, q3]",
+            "vs naive", "vs factor", "max err"});
   for (const Micro1dCell& c : micro1d) {
     t1.add_row({strformat("%zu", c.n), c.forward ? "dct2" : "dct3",
                 strformat("%.6f", c.naive_ms), strformat("%.6f", c.factor_ms),
-                strformat("%.6f", c.fast_ms),
-                strformat("%.1fx", c.naive_ms / c.fast_ms),
-                strformat("%.1fx", c.factor_ms / c.fast_ms),
+                strformat("%.6f [%.6f, %.6f]", c.fast_ms, c.fast_ms_q1,
+                          c.fast_ms_q3),
+                strformat("%.1fx", c.speedup_vs_naive),
+                strformat("%.1fx", c.speedup_vs_factor),
                 strformat("%.1e", c.max_abs_err)});
   }
   std::printf("%s", t1.to_text().c_str());

@@ -45,10 +45,6 @@ const cs::SamplingPattern& ActivityGate::detector(std::size_t tile) const {
   return detectors_[tile];
 }
 
-void ActivityGate::reset() {
-  for (TileState& st : state_) st = TileState{};
-}
-
 double ActivityGate::decode_fraction(const TileActivity& activity) const {
   if (activity.active) return opts_.dense_fraction;
   return opts_.sparse_fraction > 0.0 ? opts_.sparse_fraction

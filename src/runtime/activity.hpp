@@ -42,8 +42,8 @@
 namespace flexcs::runtime {
 
 struct ActivityGateOptions {
-  // Event-driven mode switch for ShardedDecoder: when false the decoder
-  // ignores the gate entirely and decodes every tile of every frame.
+  // Event-driven mode switch for TileFrontEnd: when false the front end
+  // ignores the gate entirely and lists every tile of every frame.
   bool enabled = false;
   // RMS per-measurement y-delta at which a tile wakes. A tile is decoded
   // when energy >= threshold, so threshold 0 marks every tile active on
@@ -86,14 +86,13 @@ struct FrameActivity {
 };
 
 /// Stateful per-tile change detector over a TileGrid. NOT thread-safe: one
-/// gate per decoder, updated frame by frame from the submitting thread
+/// gate per TileFrontEnd, updated frame by frame from the submitting thread
 /// (detector reads are O(tiles * detector_m) gathers — microseconds against
 /// the milliseconds of a tile solve).
 class ActivityGate {
  public:
   ActivityGate(const TileGrid& grid, ActivityGateOptions opts = {});
 
-  const ActivityGateOptions& options() const { return opts_; }
   std::size_t tiles() const { return grid_.tiles(); }
   /// The fixed detector pattern of one tile (interior geometry, no halo).
   const cs::SamplingPattern& detector(std::size_t tile) const;
@@ -108,10 +107,6 @@ class ActivityGate {
   /// default): dense for activity-triggered decodes, sparse for forced
   /// refreshes of quiet tiles.
   double decode_fraction(const TileActivity& activity) const;
-
-  /// Forgets all per-tile state (baselines, hysteresis, refresh clocks); the
-  /// next frame is treated as the first ever seen.
-  void reset();
 
  private:
   struct TileState {

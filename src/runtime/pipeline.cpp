@@ -113,8 +113,6 @@ RobustPipeline::RobustPipeline(
                "ladder budget needs at least one decode call");
   FLEXCS_CHECK(opts_.budget.resample_rounds >= 1,
                "resample rung needs at least one round");
-  FLEXCS_CHECK(opts_.ewma_alpha > 0.0 && opts_.ewma_alpha <= 1.0,
-               "EWMA alpha must be in (0,1]");
   FLEXCS_CHECK(opts_.accept.max_rel_residual > 0.0 &&
                    opts_.accept.max_median_abs_residual > 0.0,
                "acceptance thresholds must be positive");
@@ -161,7 +159,7 @@ RobustPipeline::Candidate RobustPipeline::evaluate_aggregate(
 
 void RobustPipeline::finish_frame(const cs::SamplingPattern& p,
                                   const la::Vector& y, const Candidate& chosen,
-                                  RecoveryReport& report) {
+                                  RecoveryReport& report) const {
   // Suspected defects: measurements far from the accepted reconstruction,
   // by the same screen as the trimmed decode's.
   std::vector<double> absres(p.m());
@@ -189,24 +187,6 @@ void RobustPipeline::finish_frame(const cs::SamplingPattern& p,
   report.accepted = chosen.accepted;
   report.converged = chosen.converged;
   report.rel_residual = chosen.score;
-
-  // Health bookkeeping.
-  ++health_.frames_processed;
-  if (report.accepted) {
-    ++health_.frames_accepted;
-    ++health_.recovered_per_rung[static_cast<std::size_t>(report.strategy)];
-  }
-  if (report.budget_exhausted) ++health_.budget_exhaustions;
-  if (health_.frames_processed == 1) {
-    health_.defect_rate_ewma = report.estimated_defect_rate;
-  } else {
-    health_.defect_rate_ewma =
-        (1.0 - opts_.ewma_alpha) * health_.defect_rate_ewma +
-        opts_.ewma_alpha * report.estimated_defect_rate;
-  }
-  const bool was_drifting = health_.drift_detected;
-  health_.drift_detected = health_.defect_rate_ewma > opts_.drift_threshold;
-  if (!was_drifting && health_.drift_detected) ++health_.drift_events;
 }
 
 void RobustPipeline::apply_measurement_channel(RecoveryReport& report,

@@ -20,11 +20,11 @@
 // rung, which rejects iterates a deadline cut short. The resampling rung,
 // whose output intentionally stops fitting the corrupted measurements, is
 // judged by a median absolute measurement residual. Every frame yields a
-// RecoveryReport; the pipeline keeps aggregate health counters with an EWMA
-// estimate of the defect rate for drift detection. Those counters are the
-// only state one frame leaves for the next: a frame's pixels depend only on
-// the frame, its frame index (which keys the measurement-fault channel), the
-// RNG state and the per-frame control.
+// RecoveryReport. The pipeline keeps no cross-frame state: a frame's pixels
+// and report depend only on the frame, its frame index (which keys the
+// measurement-fault channel), the RNG state and the per-frame control. State
+// that spans frames, such as the per-tile defect-rate drift estimate, lives
+// in the caller (TileFrontEnd, shard.hpp).
 #pragma once
 
 #include <cstdint>
@@ -40,7 +40,7 @@
 namespace flexcs::runtime {
 
 /// Ladder rungs in escalation order. Values are contiguous so they double as
-/// indices into HealthCounters::recovered_per_rung.
+/// indices into per-rung tallies.
 enum class Strategy {
   kPlainDecode = 0,
   kTrimmedDecode = 1,
@@ -89,10 +89,6 @@ struct RobustPipelineOptions {
   // (frame-level faults live in the caller's ground-truth domain). Only the
   // measurement-level members of the scenario are consulted.
   cs::FaultScenario measurement_faults;
-  // Health telemetry: EWMA smoothing of the per-frame estimated defect rate,
-  // and the level above which the pipeline reports defect-rate drift.
-  double ewma_alpha = 0.3;
-  double drift_threshold = 0.05;
 };
 
 /// Per-frame control for streaming callers: a deadline/cancellation token
@@ -142,22 +138,10 @@ struct RecoveryReport {
   double estimated_defect_rate = 0.0;  // suspects / measurements this frame
 };
 
-/// Aggregate counters across all processed frames.
-struct HealthCounters {
-  std::size_t frames_processed = 0;
-  std::size_t frames_accepted = 0;
-  std::size_t budget_exhaustions = 0;
-  // recovered_per_rung[r]: frames whose accepted output came from rung r.
-  std::vector<std::size_t> recovered_per_rung =
-      std::vector<std::size_t>(kStrategyCount, 0);
-  double defect_rate_ewma = 0.0;
-  bool drift_detected = false;   // EWMA currently above the drift threshold
-  std::size_t drift_events = 0;  // below→above threshold transitions
-};
-
 /// Robust-recovery pipeline for a fixed array geometry. Owns the
-/// encoder/decoder pair and the health counters. Not thread-safe; one
-/// instance per stream or per worker.
+/// encoder/decoder pair and keeps no state from one frame to the next, so
+/// a frame's result does not depend on which earlier frames (or tiles) the
+/// same instance decoded. One instance per worker.
 class RobustPipeline {
  public:
   /// `solver` may be null, which selects the library default (ADMM-BPDN).
@@ -181,8 +165,6 @@ class RobustPipeline {
                       std::size_t frame_index, Rng& rng,
                       const FrameControl& ctrl = {});
 
-  const HealthCounters& health() const { return health_; }
-  const RobustPipelineOptions& options() const { return opts_; }
   const cs::Decoder& decoder() const { return decoder_; }
 
  private:
@@ -216,7 +198,7 @@ class RobustPipeline {
   Candidate evaluate_aggregate(la::Matrix frame, const cs::SamplingPattern& p,
                                const la::Vector& y) const;
   void finish_frame(const cs::SamplingPattern& p, const la::Vector& y,
-                    const Candidate& chosen, RecoveryReport& report);
+                    const Candidate& chosen, RecoveryReport& report) const;
 
   /// Applies the measurement-level fault channel to one acquisition.
   void apply_measurement_channel(RecoveryReport& report,
@@ -231,7 +213,6 @@ class RobustPipeline {
   RobustPipelineOptions opts_;
   cs::Encoder encoder_;
   cs::Decoder decoder_;
-  HealthCounters health_;
 };
 
 }  // namespace flexcs::runtime

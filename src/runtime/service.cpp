@@ -136,8 +136,9 @@ std::string ServiceHealth::to_json() const {
 DecodeService::DecodeService(std::size_t rows, std::size_t cols,
                              ServiceOptions opts)
     : opts_(validated(std::move(opts))),
-      grid_(rows, cols, opts_.tile_rows, opts_.tile_cols, opts_.halo) {
-  FLEXCS_CHECK(grid_.tiles() >= 1, "decode service needs at least one tile");
+      front_(TileGrid(rows, cols, opts_.tile_rows, opts_.tile_cols,
+                      opts_.halo)) {
+  FLEXCS_CHECK(shards() >= 1, "decode service needs at least one tile");
   links_.resize(opts_.workers + opts_.remote_workers);
   const Deadline::Clock::time_point now = Deadline::Clock::now();
   for (std::size_t i = 0; i < links_.size(); ++i) {
@@ -192,8 +193,8 @@ bool DecodeService::fleet_has_prospects(
 
 WorkerConfig DecodeService::worker_config(std::size_t index) const {
   WorkerConfig cfg;
-  cfg.padded_rows = grid_.padded_rows;
-  cfg.padded_cols = grid_.padded_cols;
+  cfg.padded_rows = grid().padded_rows;
+  cfg.padded_cols = grid().padded_cols;
   cfg.pipeline = opts_.pipeline;
   cfg.solver = opts_.solver;
   cfg.seed = opts_.seed;
@@ -299,7 +300,7 @@ void DecodeService::handle_link_failure(std::size_t index, FailureKind kind,
 
 void DecodeService::fail_tile(std::size_t tile,
                               const solvers::SolveOptions& ctrl) {
-  TileState& ts = frame_.tiles[tile];
+  TileState& ts = tiles_[tile];
   ts.stage = TileState::Stage::kPending;
   if (ts.attempts >= opts_.tile_retry_budget) {
     // Out of wire retries: the broker decodes it itself, right now.
@@ -318,20 +319,20 @@ void DecodeService::fail_tile(std::size_t tile,
 wire::TileRequest DecodeService::make_request(
     std::size_t tile, const solvers::SolveOptions& ctrl) const {
   wire::TileRequest req;
-  req.frame_index = frame_.index;
+  req.frame_index = front_.frame_index();
   req.tile_index = tile;
   // An expired external deadline still maps to a positive wire value:
   // deadline_seconds <= 0 means "none" on the wire.
   if (!ctrl.deadline.unlimited())
     req.deadline_seconds = std::max(ctrl.deadline.remaining_seconds(), 1e-9);
-  req.tile = grid_.extract(*frame_.source, tile);
+  req.tile = front_.extract(tile);
   return req;
 }
 
 RobustPipeline& DecodeService::in_process_pipeline() {
   if (!in_process_) {
     in_process_ = std::make_unique<RobustPipeline>(
-        grid_.padded_rows, grid_.padded_cols, opts_.pipeline, opts_.solver);
+        grid().padded_rows, grid().padded_cols, opts_.pipeline, opts_.solver);
   }
   return *in_process_;
 }
@@ -354,7 +355,7 @@ void DecodeService::dispatch_tile(std::size_t index, std::size_t tile,
   wire::TileRequest req = make_request(tile, ctrl);
   req.seq = next_seq_++;
 
-  TileState& ts = frame_.tiles[tile];
+  TileState& ts = tiles_[tile];
   if (ts.attempts > 0) ++health_.tile_redispatches;
   ++ts.attempts;
   ts.stage = TileState::Stage::kDispatched;
@@ -442,8 +443,8 @@ bool DecodeService::admit_hello(std::size_t index, const wire::Message& msg,
     ack = {false, wire::HelloReject::kVersionMismatch};
   } else if ((hello.capabilities & wire::kCapTileDecode) == 0) {
     ack = {false, wire::HelloReject::kMissingCapability};
-  } else if (hello.padded_rows != grid_.padded_rows ||
-             hello.padded_cols != grid_.padded_cols) {
+  } else if (hello.padded_rows != grid().padded_rows ||
+             hello.padded_cols != grid().padded_cols) {
     ack = {false, wire::HelloReject::kGeometryMismatch};
   } else if (hello.seed != opts_.seed) {
     // A worker drawing patterns from a different base seed would break the
@@ -483,26 +484,19 @@ bool DecodeService::admit_hello(std::size_t index, const wire::Message& msg,
 void DecodeService::complete_tile(std::size_t tile, const la::Matrix& padded,
                                   RecoveryReport report, bool in_process,
                                   bool remote) {
-  TileState& ts = frame_.tiles[tile];
-  FLEXCS_CHECK(ts.stage != TileState::Stage::kDone,
-               "tile completed twice");
+  TileReport& tr = front_.complete(tile, padded, std::move(report));
+  TileState& ts = tiles_[tile];
   ts.stage = TileState::Stage::kDone;
-  ts.in_process = in_process;
-  grid_.stitch(padded, tile, frame_.out);
-
-  if (report.deadline_expired) ++health_.deadline_expired_tiles;
-  TileReport& tr =
-      fold_tile_report(frame_.report, grid_, tile, std::move(report));
   tr.dispatch_attempts = ts.attempts;
   tr.in_process = in_process;
   tr.remote = remote;
 
+  if (tr.report.deadline_expired) ++health_.deadline_expired_tiles;
   if (in_process) {
     ++health_.tiles_in_process;
   } else {
     ++health_.tiles_completed;
   }
-  ++frame_.tiles_done;
 }
 
 void DecodeService::collect_link(std::size_t index, short revents,
@@ -549,8 +543,8 @@ void DecodeService::collect_link(std::size_t index, short revents,
         valid = false;
       }
     }
-    if (!valid || resp.tile.rows() != grid_.padded_rows ||
-        resp.tile.cols() != grid_.padded_cols) {
+    if (!valid || resp.tile.rows() != grid().padded_rows ||
+        resp.tile.cols() != grid().padded_cols) {
       handle_link_failure(index, FailureKind::kCorrupt, ctrl);
       return;
     }
@@ -617,7 +611,7 @@ void DecodeService::pump(const solvers::SolveOptions& ctrl) {
     }
   }
   const bool fleet_down = !fleet_has_prospects(now);
-  for (const TileState& ts : frame_.tiles) {
+  for (const TileState& ts : tiles_) {
     if (ts.stage != TileState::Stage::kPending) continue;
     if (fleet_down || ctrl.cancel.cancelled() ||
         ts.attempts >= opts_.tile_retry_budget) {
@@ -712,8 +706,8 @@ void DecodeService::pump(const solvers::SolveOptions& ctrl) {
   // --- dispatch pending tiles (lowest tile first) to the idle healthy link
   // with the lowest EWMA tile latency, and run the in-process fallback for
   // everything that can no longer ride the fleet.
-  for (std::size_t tile = 0; tile < frame_.tiles.size(); ++tile) {
-    const TileState& ts = frame_.tiles[tile];
+  for (std::size_t tile = 0; tile < tiles_.size(); ++tile) {
+    const TileState& ts = tiles_[tile];
     if (ts.stage != TileState::Stage::kPending) continue;
     if (ctrl.cancel.cancelled() || !fleet_has_prospects(after_poll) ||
         ts.attempts >= opts_.tile_retry_budget) {
@@ -737,31 +731,19 @@ void DecodeService::pump(const solvers::SolveOptions& ctrl) {
 ServiceFrameResult DecodeService::process(const la::Matrix& frame,
                                           const solvers::SolveOptions& ctrl) {
   FLEXCS_CHECK(!closed_, "process on a closed DecodeService");
-  FLEXCS_CHECK(frame.rows() == grid_.rows && frame.cols() == grid_.cols,
-               "frame shape does not match the service geometry");
-  const Deadline::Clock::time_point t0 = Deadline::Clock::now();
-  frame_.index = health_.frames_submitted++;  // the running frame count
-  frame_.source = &frame;
-  frame_.out = la::Matrix(grid_.rows, grid_.cols);
-  frame_.report = ShardReport{};
-  frame_.report.tiles = grid_.tiles();
-  frame_.report.tile_reports.resize(grid_.tiles());
-  frame_.tiles_done = 0;
-  frame_.tiles.assign(grid_.tiles(), TileState{});
+  front_.begin(frame);
+  ++health_.frames_submitted;
+  tiles_.assign(shards(), TileState{});
 
-  while (frame_.tiles_done < frame_.tiles.size()) pump(ctrl);
+  while (front_.outstanding() > 0) pump(ctrl);
 
-  ServiceFrameResult res;
-  res.frame = std::move(frame_.out);
-  res.report = std::move(frame_.report);
-  res.report.decode_seconds = seconds_since(t0, Deadline::Clock::now());
-  frame_.source = nullptr;
+  ShardFrameResult done = front_.finish();
   ++health_.frames_completed;
   // The pump loop exits only once every tile is stitched, so a frame is
   // lost only when an earlier call threw — the invariant the supervision
   // tests pin at 0.
   health_.frames_lost = health_.frames_submitted - health_.frames_completed;
-  return res;
+  return {std::move(done.frame), std::move(done.report), false};
 }
 
 void DecodeService::close() {

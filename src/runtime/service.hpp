@@ -2,7 +2,8 @@
 // decodes one frame per process() call. It scatters the frame's tiles over
 // a heterogeneous fleet — forked local worker processes over socketpairs
 // plus remote workers over TCP (see net.hpp / DESIGN.md §9) — and stitches
-// the results exactly as ShardedDecoder does. A worker is a
+// the results through the same TileFrontEnd as ShardedDecoder (shard.hpp),
+// with its activity gate off. A worker is a
 // *process* (possibly on another host), so a crashed, wedged, partitioned,
 // or byte-corrupting worker cannot take the frame (or the service) down
 // with it.
@@ -177,9 +178,8 @@ class DecodeService {
   DecodeService(const DecodeService&) = delete;
   DecodeService& operator=(const DecodeService&) = delete;
 
-  const TileGrid& grid() const { return grid_; }
-  std::size_t shards() const { return grid_.tiles(); }
-  const ServiceOptions& options() const { return opts_; }
+  const TileGrid& grid() const { return front_.grid(); }
+  std::size_t shards() const { return front_.grid().tiles(); }
 
   /// Decodes one frame through the worker fleet. `ctrl.deadline` tightens
   /// every tile's solve budget; `ctrl.cancel` is honoured for tiles not yet
@@ -208,19 +208,8 @@ class DecodeService {
   struct TileState {
     enum class Stage : std::uint8_t { kPending, kDispatched, kDone };
     Stage stage = Stage::kPending;
-    int attempts = 0;       // wire dispatches consumed
-    bool in_process = false;
+    int attempts = 0;  // wire dispatches consumed
     Deadline::Clock::time_point eligible_at{};  // backoff gate
-  };
-
-  /// The frame the current process() call decodes.
-  struct ActiveFrame {
-    std::uint64_t index = 0;  // running frame count: the tiles' frame_index
-    const la::Matrix* source = nullptr;  // caller's frame, during process()
-    la::Matrix out;
-    ShardReport report;
-    std::size_t tiles_done = 0;
-    std::vector<TileState> tiles;
   };
 
   /// One supervised worker link (state machine in the header comment). A
@@ -246,7 +235,7 @@ class DecodeService {
     Deadline::Clock::time_point last_activity{};  // bytes seen / admission
     bool ping_outstanding = false;
     Deadline::Clock::time_point ping_sent_at{};
-    // Current dispatch (one in flight per worker), a tile of frame_.
+    // Current dispatch (one in flight per worker), a tile of the open frame.
     bool busy = false;
     std::size_t job_tile = 0;
     std::uint64_t seq = 0;
@@ -306,8 +295,8 @@ class DecodeService {
   /// (connecting / reconnecting first, then a revivable disconnected one);
   /// with no link free the connection is closed and the peer retries.
   void accept_remote_connections(Deadline::Clock::time_point now);
-  /// One supervision round over frame_: poll/read/collect, heartbeat scan,
-  /// dispatch.
+  /// One supervision round over the open frame: poll/read/collect,
+  /// heartbeat scan, dispatch.
   void pump(const solvers::SolveOptions& ctrl);
   RobustPipeline& in_process_pipeline();
   /// True while any worker could still take a tile: a healthy link, or a
@@ -317,12 +306,13 @@ class DecodeService {
   bool fleet_has_prospects(Deadline::Clock::time_point now) const;
 
   ServiceOptions opts_;
-  TileGrid grid_;
+  // Ungated: every tile of every frame is a job, so tiles_ covers the grid.
+  TileFrontEnd front_;
   std::vector<Link> links_;  // `workers` forked links, then the TCP links
   net::Listener listener_;
   std::vector<pid_t> loopback_pids_;  // forked TCP workers, for reaping
   ServiceHealth health_;
-  ActiveFrame frame_;
+  std::vector<TileState> tiles_;  // dispatch state of the open frame's tiles
   std::unique_ptr<RobustPipeline> in_process_;  // lazy fallback pipeline
   std::uint64_t next_seq_ = 1;
   int respawns_used_ = 0;

@@ -7,10 +7,73 @@
 #include "common/check.hpp"
 
 namespace flexcs::runtime {
+namespace {
 
-TileReport& fold_tile_report(ShardReport& frame, const TileGrid& grid,
-                             std::size_t tile, RecoveryReport report) {
+// Per-tile drift detection over report.estimated_defect_rate: EWMA
+// smoothing, and the level above which a tile reports drift.
+constexpr double kDefectEwmaAlpha = 0.3;
+constexpr double kDriftThreshold = 0.05;
+
+}  // namespace
+
+TileFrontEnd::TileFrontEnd(const TileGrid& grid, ActivityGateOptions gate)
+    : grid_(grid),
+      gate_(grid_, gate),
+      gated_(gate.enabled),
+      defect_ewma_(grid_.tiles(), -1.0) {}
+
+const std::vector<TileJob>& TileFrontEnd::begin(const la::Matrix& frame) {
+  FLEXCS_CHECK(frame.rows() == grid_.rows && frame.cols() == grid_.cols,
+               "tile front end: frame shape mismatch");
+  start_ = Deadline::Clock::now();
+  ++frames_begun_;
+  source_ = &frame;
+  out_.frame = la::Matrix(grid_.rows, grid_.cols);
+  out_.report = ShardReport{};
+  out_.report.tiles = grid_.tiles();
+  out_.report.tile_reports.resize(grid_.tiles());
+  jobs_.clear();
+  if (gated_) {
+    // Tiles whose detector stayed quiet are never listed — that is the
+    // entire saving — and each listed tile carries its adaptive fraction.
+    FrameActivity activity = gate_.update(frame);
+    for (std::size_t t = 0; t < grid_.tiles(); ++t) {
+      const TileActivity& ta = activity.tiles[t];
+      if (ta.decode) jobs_.push_back({t, gate_.decode_fraction(ta)});
+    }
+    out_.report.tiles_skipped = activity.skipped;
+    out_.report.tiles_refreshed = activity.decoded;
+    out_.report.tiles_forced = activity.forced;
+    out_.report.activity = std::move(activity.tiles);
+  } else {
+    for (std::size_t t = 0; t < grid_.tiles(); ++t) jobs_.push_back({t, 0.0});
+  }
+  stage_.assign(grid_.tiles(), Stage::kSkipped);
+  for (const TileJob& job : jobs_) stage_[job.tile] = Stage::kPending;
+  outstanding_ = jobs_.size();
+  return jobs_;
+}
+
+la::Matrix TileFrontEnd::extract(std::size_t tile) const {
+  FLEXCS_CHECK(source_ != nullptr, "tile front end: no open frame");
+  return grid_.extract(*source_, tile);
+}
+
+TileReport& TileFrontEnd::complete(std::size_t tile, const la::Matrix& padded,
+                                   RecoveryReport report) {
+  FLEXCS_CHECK(tile < stage_.size() && stage_[tile] == Stage::kPending,
+               "tile front end: completed tile is not an open job");
+  stage_[tile] = Stage::kDone;
+  --outstanding_;
+  grid_.stitch(padded, tile, out_.frame);
+
+  double& ewma = defect_ewma_[tile];  // a tile's first decode seeds it
+  ewma = ewma < 0.0 ? report.estimated_defect_rate
+                    : (1.0 - kDefectEwmaAlpha) * ewma +
+                          kDefectEwmaAlpha * report.estimated_defect_rate;
+
   // Per-frame aggregation: every counter below describes this frame alone.
+  ShardReport& frame = out_.report;
   if (report.accepted) ++frame.tiles_accepted;
   frame.decode_calls += report.decode_calls;
   frame.deadline_expired |= report.deadline_expired;
@@ -18,108 +81,89 @@ TileReport& fold_tile_report(ShardReport& frame, const TileGrid& grid,
   frame.max_rel_residual =
       std::max(frame.max_rel_residual, report.rel_residual);
   TileReport& tr = frame.tile_reports[tile];
-  tr.tile_row = grid.tile_row(tile);
-  tr.tile_col = grid.tile_col(tile);
   tr.report = std::move(report);
   return tr;
 }
 
+ShardFrameResult TileFrontEnd::finish() {
+  FLEXCS_CHECK(source_ != nullptr, "tile front end: no open frame");
+  FLEXCS_CHECK(outstanding_ == 0,
+               "tile front end: a listed tile was never completed");
+  // Serve the skipped tiles bit-for-bit from the previous frame's final
+  // reconstruction (which may itself contain tiles served stale earlier —
+  // staleness chains until a decode or forced refresh replaces the tile).
+  // A skipped tile's drift estimate carries forward from its last decode.
+  for (std::size_t t = 0; t < stage_.size(); ++t) {
+    TileReport& tr = out_.report.tile_reports[t];
+    tr.tile_row = grid_.tile_row(t);
+    tr.tile_col = grid_.tile_col(t);
+    tr.defect_rate_ewma = defect_ewma_[t];
+    tr.drift_detected = defect_ewma_[t] > kDriftThreshold;
+    if (stage_[t] != Stage::kSkipped) continue;
+    FLEXCS_CHECK(last_recon_.rows() == grid_.rows &&
+                     last_recon_.cols() == grid_.cols,
+                 "tile front end: no previous reconstruction to serve "
+                 "stale tiles from");
+    grid_.copy_interior(last_recon_, t, out_.frame);
+    tr.served_stale = true;
+  }
+  if (gated_) {
+    gate_totals_.skipped += out_.report.tiles_skipped;
+    gate_totals_.decoded += out_.report.tiles_refreshed;
+    gate_totals_.forced += out_.report.tiles_forced;
+    last_recon_ = out_.frame;
+  }
+  source_ = nullptr;
+  out_.report.decode_seconds =
+      std::chrono::duration<double>(Deadline::Clock::now() - start_).count();
+  return std::move(out_);
+}
+
+void TileFrontEnd::overlay_gate_counts(StreamHealth& health) const {
+  health.tiles_skipped = gate_totals_.skipped;
+  health.tiles_refreshed = gate_totals_.decoded;
+  health.tiles_forced = gate_totals_.forced;
+}
+
 ShardedDecoder::ShardedDecoder(std::size_t rows, std::size_t cols,
                                ShardOptions opts)
-    : opts_(std::move(opts)),
-      grid_(rows, cols, opts_.tile_rows, opts_.tile_cols, opts_.halo),
-      server_(grid_.padded_rows, grid_.padded_cols, opts_.stream),
-      gate_(grid_, opts_.gate) {
-  FLEXCS_CHECK(grid_.tiles() >= 1, "sharded decoder needs at least one tile");
+    : front_(TileGrid(rows, cols, opts.tile_rows, opts.tile_cols, opts.halo),
+             opts.gate),
+      server_(front_.grid().padded_rows, front_.grid().padded_cols,
+              std::move(opts.stream)) {
+  FLEXCS_CHECK(shards() >= 1, "sharded decoder needs at least one tile");
 }
 
 StreamHealth ShardedDecoder::health() const {
   StreamHealth h = server_.health();
-  h.tiles_skipped = gate_skipped_;
-  h.tiles_refreshed = gate_refreshed_;
-  h.tiles_forced = gate_forced_;
+  front_.overlay_gate_counts(h);
   return h;
 }
 
 ShardFrameResult ShardedDecoder::process(const la::Matrix& frame,
                                          const solvers::SolveOptions& ctrl) {
-  FLEXCS_CHECK(frame.rows() == grid_.rows && frame.cols() == grid_.cols,
-               "sharded decode: frame shape mismatch");
-
-  const auto start = Deadline::Clock::now();
-  const std::size_t n_tiles = shards();
-  const bool gated = opts_.gate.enabled;
-  ShardFrameResult out;
-  out.frame = la::Matrix(grid_.rows, grid_.cols);
-  out.report.tiles = n_tiles;
-  out.report.tile_reports.resize(n_tiles);
-  FrameActivity activity;
-  if (gated) activity = gate_.update(frame);
-
-  // Scatter. In gated mode, tiles whose detector stayed quiet are simply
-  // never submitted — that is the entire saving — and each submitted tile
-  // carries its adaptive sampling fraction.
+  const std::vector<TileJob>& jobs = front_.begin(frame);
   SubmitControl tile_ctrl;
   tile_ctrl.deadline = ctrl.deadline;
   tile_ctrl.cancel = ctrl.cancel;
-  tile_ctrl.frame_index = frames_processed_;
-  for (std::size_t t = 0; t < n_tiles; ++t) {
-    if (gated) {
-      const TileActivity& ta = activity.tiles[t];
-      if (!ta.decode) continue;
-      tile_ctrl.sampling_fraction = gate_.decode_fraction(ta);
-    }
-    // Stream id = tile id: the stream seeds the tile's Φ from it, so an
-    // activity gate that skips tiles around a decode cannot change its
-    // sampling pattern (the gated and ungated arms decode shared tiles
-    // identically).
-    const bool ok = server_.submit(t, grid_.extract(frame, t), tile_ctrl);
+  tile_ctrl.frame_index = front_.frame_index();
+  for (const TileJob& job : jobs) {
+    tile_ctrl.sampling_fraction = job.sampling_fraction;
+    // Stream id = tile id seeds the tile's Φ, so a gate that skips tiles
+    // around a decode cannot change its sampling pattern (the gated and
+    // ungated arms decode shared tiles identically).
+    const bool ok = server_.submit(job.tile, front_.extract(job.tile),
+                                   tile_ctrl);
     FLEXCS_CHECK(ok, "sharded decode: worker pool already closed");
     ++total_submitted_;
   }
   // Gather: block until the pool has finished every tile ever submitted
-  // (cumulative count — results of concurrent callers are not supported;
-  // the class is documented single-caller).
+  // (a cumulative count: the class is single-caller).
   server_.wait_for_completed(total_submitted_);
-  for (StreamResult& sr : server_.drain_results()) {
-    const auto t = static_cast<std::size_t>(sr.stream_id);
-    grid_.stitch(sr.frame, t, out.frame);
-    fold_tile_report(out.report, grid_, t, std::move(sr.report));
-  }
-
-  // Serve the skipped tiles bit-for-bit from the previous frame's final
-  // reconstruction (which may itself contain tiles served stale earlier —
-  // staleness chains until a decode or forced refresh replaces the tile).
-  // The first frame ever seen forces every tile, so last_recon_ is never
-  // read empty.
-  if (gated) {
-    for (std::size_t t = 0; t < n_tiles; ++t) {
-      if (activity.tiles[t].decode) continue;
-      FLEXCS_CHECK(last_recon_.rows() == grid_.rows &&
-                       last_recon_.cols() == grid_.cols,
-                   "sharded decode: no previous reconstruction to serve "
-                   "stale tiles from");
-      grid_.copy_interior(last_recon_, t, out.frame);
-      TileReport& tile_rep = out.report.tile_reports[t];
-      tile_rep.tile_row = grid_.tile_row(t);
-      tile_rep.tile_col = grid_.tile_col(t);
-      tile_rep.served_stale = true;
-    }
-    out.report.tiles_skipped = activity.skipped;
-    out.report.tiles_refreshed = activity.decoded;
-    out.report.tiles_forced = activity.forced;
-    out.report.activity = std::move(activity.tiles);
-    gate_skipped_ += activity.skipped;
-    gate_refreshed_ += activity.decoded;
-    gate_forced_ += activity.forced;
-    last_recon_ = out.frame;
-  }
-
-  ++frames_processed_;
-  out.report.decode_seconds = std::chrono::duration<double>(
-                                  Deadline::Clock::now() - start)
-                                  .count();
-  return out;
+  for (StreamResult& sr : server_.drain_results())
+    front_.complete(static_cast<std::size_t>(sr.stream_id), sr.frame,
+                    std::move(sr.report));
+  return front_.finish();
 }
 
 }  // namespace flexcs::runtime

@@ -1,37 +1,35 @@
 // Sharded decode of large arrays: partitions an R x C frame into a grid of
-// fixed-size tiles, runs one Decoder + RobustPipeline per tile (each worker
-// of an internal StreamServer owns a pipeline over the tile geometry), and
-// gathers the tile reconstructions back into the full frame. Tile solves are
-// independent, so they spread across the worker pool, and each one's
-// per-iteration transform cost scales with the tile rather than the frame.
+// fixed-size tiles, decodes each tile with a RobustPipeline on the worker
+// pool of an internal StreamServer, and stitches the tile reconstructions
+// back into the full frame. Each solve's per-iteration transform cost scales
+// with the tile rather than the frame. An optional halo pads every tile with
+// replicated border pixels before sampling; only the interior is copied
+// back, which suppresses block-DCT seams at tile borders.
 //
-// Tiles are statistically independent solves, so block-DCT seams can appear
-// at tile borders. An optional halo pads every tile with replicated border
-// pixels from its neighbours before sampling; only the tile interior is
-// copied back, which suppresses the seams at the cost of slightly larger
-// tile solves.
+// The frame half of a decode lives in TileFrontEnd, which both executors
+// (ShardedDecoder here, DecodeService in service.hpp) drive the same way:
+// begin() checks the frame, runs the activity gate and lists the tile jobs;
+// extract() cuts a job's padded tile; complete() stitches a decoded tile and
+// folds its report; finish() serves the skipped tiles and closes the frame.
+// The front end holds all state that crosses frames — the running frame
+// index, the gate, the previous reconstruction, each tile's defect-rate
+// EWMA — and a RobustPipeline holds none, so which worker decodes a tile
+// changes neither its pixels nor its report.
 //
-// Scatter/gather rides the StreamServer worker pool: each process() call
-// submits one frame's tiles as frames of the padded tile geometry and
-// collects them with wait_for_completed. The caller's deadline/cancel
-// control propagates into every tile solve via SubmitControl, so a cancel
-// that fires mid-frame stops the tiles already running as well as those
-// still queued. Tile→worker assignment is nondeterministic under more than
-// one worker, but tile t is submitted under stream id t, and each tile's
-// RNG derives from its stream id (see StreamOptions::seed), so
-// reconstructions are bit-reproducible regardless of worker count or pop
-// interleaving. Every process() call
-// therefore decodes tile t with the same sampling pattern Φ, while
-// DecodeService draws a fresh Φ per frame. Both executors report the same
-// running frame count (0 for the first process() call) as every tile's
+// The caller's deadline/cancel reaches every tile solve via SubmitControl,
+// so a mid-frame cancel stops running and queued tiles alike. Tile t is
+// submitted under stream id t and its RNG derives from the stream id (see
+// StreamOptions::seed), so reconstructions are bit-reproducible regardless
+// of worker count, and every process() call decodes tile t with the same
+// sampling pattern Φ (DecodeService draws a fresh Φ per frame). Both
+// executors report the front end's running frame count as every tile's
 // frame_index, which also keys the measurement-fault channel.
 //
 // Event-driven mode (ShardOptions::gate.enabled) puts an ActivityGate in
-// front of the scatter: tiles whose change detector stays quiet are never
-// submitted — their pixels are served bit-for-bit from the previous frame's
-// stitched reconstruction — and tiles that are decoded can run at adaptive
-// sampling fractions (dense when activity woke them, sparse when only the
-// force-refresh period did). See activity.hpp for the detector contract.
+// front of the scatter: quiet tiles are never submitted — their pixels are
+// served bit-for-bit from the previous frame's reconstruction — and decoded
+// tiles can run at adaptive sampling fractions (dense when activity woke
+// them, sparse when only the force-refresh period did). See activity.hpp.
 #pragma once
 
 #include <cstddef>
@@ -74,6 +72,11 @@ struct TileReport {
   // pixels were copied verbatim from the previous reconstruction, and
   // `report` is default-constructed (no solver ran).
   bool served_stale = false;
+  // Drift of the paper's Sec. 4.3 defect estimate: an EWMA of this tile's
+  // report.estimated_defect_rate over its decodes, and whether it exceeds
+  // the drift threshold. A served-stale tile carries both forward.
+  double defect_rate_ewma = 0.0;
+  bool drift_detected = false;
   RecoveryReport report;
 };
 
@@ -100,18 +103,70 @@ struct ShardReport {
   std::vector<TileReport> tile_reports;
 };
 
-/// Folds tile `tile`'s decode report into its frame's counters and files it
-/// as that tile's TileReport, returned so the caller can fill the dispatch
-/// fields. ShardedDecoder and DecodeService both aggregate through it.
-TileReport& fold_tile_report(ShardReport& frame, const TileGrid& grid,
-                             std::size_t tile, RecoveryReport report);
-
 struct ShardFrameResult {
   la::Matrix frame;  // full-size reconstruction
   ShardReport report;
 };
 
-/// Scatter/gather front-end decoding a large array as a grid of concurrent
+/// One tile the current frame must decode, at `sampling_fraction` (0 keeps
+/// the pipeline's configured fraction).
+struct TileJob {
+  std::size_t tile = 0;
+  double sampling_fraction = 0.0;
+};
+
+/// The frame half of a tiled decode, shared by both executors: one frame at
+/// a time goes begin() → extract()/complete() per job → finish(). NOT
+/// thread-safe: the executor's caller thread drives it.
+class TileFrontEnd {
+ public:
+  TileFrontEnd(const TileGrid& grid, ActivityGateOptions gate = {});
+
+  const TileGrid& grid() const { return grid_; }
+
+  /// Opens a frame: checks its shape, advances the frame index, runs the
+  /// gate when enabled, and returns the tiles to decode (every tile when the
+  /// gate is off). `frame` must outlive the frame's finish().
+  const std::vector<TileJob>& begin(const la::Matrix& frame);
+  /// Index of the open frame: the number of earlier begin() calls.
+  std::size_t frame_index() const { return frames_begun_ - 1; }
+  /// Tile `tile` of the open frame, with its halo.
+  la::Matrix extract(std::size_t tile) const;
+  /// Stitches job `tile`'s decoded padded tile and files its report; returns
+  /// the TileReport for the dispatch fields. Each job completes once.
+  TileReport& complete(std::size_t tile, const la::Matrix& padded,
+                       RecoveryReport report);
+  /// Jobs of the open frame not completed yet.
+  std::size_t outstanding() const { return outstanding_; }
+  /// Closes the frame: serves the skipped tiles from the previous
+  /// reconstruction; the report is timed from begin().
+  ShardFrameResult finish();
+
+  /// Copies the gate counters, summed since construction, into `health`.
+  void overlay_gate_counts(StreamHealth& health) const;
+
+ private:
+  enum class Stage : unsigned char { kSkipped, kPending, kDone };
+
+  TileGrid grid_;
+  ActivityGate gate_;
+  bool gated_;
+  std::size_t frames_begun_ = 0;
+  const la::Matrix* source_ = nullptr;  // the open frame
+  Deadline::Clock::time_point start_{};
+  std::vector<TileJob> jobs_;
+  std::vector<Stage> stage_;  // per tile
+  std::size_t outstanding_ = 0;
+  ShardFrameResult out_;
+  // Gated mode: the previous frame's stitched reconstruction, the source of
+  // served-stale tiles. The first gated frame forces every tile, so it is
+  // never read empty.
+  la::Matrix last_recon_;
+  std::vector<double> defect_ewma_;  // per tile; < 0 until its first decode
+  FrameActivity gate_totals_;  // cumulative counts; `tiles` stays empty
+};
+
+/// Scatter/gather executor decoding a large array as a grid of concurrent
 /// tile solves. Owns a StreamServer of the padded tile geometry. NOT
 /// thread-safe: one process() call at a time, from one caller thread — the
 /// concurrency lives in the worker pool underneath.
@@ -119,21 +174,8 @@ class ShardedDecoder {
  public:
   ShardedDecoder(std::size_t rows, std::size_t cols, ShardOptions opts = {});
 
-  std::size_t rows() const { return grid_.rows; }
-  std::size_t cols() const { return grid_.cols; }
-  /// Tile grid dimensions (tiles per column / per row of the grid).
-  std::size_t grid_rows() const { return grid_.grid_rows; }
-  std::size_t grid_cols() const { return grid_.grid_cols; }
-  std::size_t shards() const { return grid_.tiles(); }
-  /// Padded tile geometry actually decoded (tile + 2·halo per side).
-  std::size_t padded_rows() const { return grid_.padded_rows; }
-  std::size_t padded_cols() const { return grid_.padded_cols; }
-  const ShardOptions& options() const { return opts_; }
-  const TileGrid& grid() const { return grid_; }
-  /// The event-driven change detector (constructed and stateful even when
-  /// gate.enabled is false, so tests can exercise it directly; the decode
-  /// path only consults it when enabled).
-  const ActivityGate& gate() const { return gate_; }
+  std::size_t shards() const { return front_.grid().tiles(); }
+  const TileGrid& grid() const { return front_.grid(); }
 
   /// Telemetry of the underlying worker pool (cumulative across frames),
   /// with the event-driven gate counters overlaid: tiles_skipped /
@@ -148,20 +190,9 @@ class ShardedDecoder {
                            const solvers::SolveOptions& ctrl = {});
 
  private:
-  ShardOptions opts_;
-  TileGrid grid_;
+  TileFrontEnd front_;
   StreamServer server_;
-  ActivityGate gate_;
   std::size_t total_submitted_ = 0;  // cumulative, for wait_for_completed
-  std::size_t frames_processed_ = 0;  // the next frame's frame_index
-  // Event-driven mode: the previous frame's full stitched reconstruction —
-  // the source for served-stale tiles. Empty until the first gated frame
-  // completes (whose tiles are all forced, so it is never read empty).
-  la::Matrix last_recon_;
-  // Cumulative gate counters overlaid onto health().
-  std::size_t gate_skipped_ = 0;
-  std::size_t gate_refreshed_ = 0;
-  std::size_t gate_forced_ = 0;
 };
 
 }  // namespace flexcs::runtime

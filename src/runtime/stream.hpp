@@ -167,8 +167,6 @@ class StreamServer {
   /// Snapshot of the aggregate telemetry.
   StreamHealth health() const FLEXCS_EXCLUDES(mu_, results_mu_);
 
-  const StreamOptions& options() const { return opts_; }
-
  private:
   struct Pending {
     std::uint64_t stream_id = 0;

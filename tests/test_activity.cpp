@@ -1,5 +1,6 @@
 // Event-driven sparse readout: the ActivityGate change detector, the
-// TileGrid geometry it rides on, and the gated ShardedDecoder path.
+// TileGrid geometry it rides on, the TileFrontEnd both executors share, and
+// the gated ShardedDecoder path.
 //
 // The load-bearing suites are differential: with the wake threshold at 0 the
 // gate marks every tile active on every frame, so the gated decoder must be
@@ -332,20 +333,6 @@ TEST(ActivityGate, ValidatesOptionsAndShapes) {
   EXPECT_EQ(gate.detector(0).cols, 4u);
 }
 
-TEST(ActivityGate, ResetForgetsHistory) {
-  const TileGrid grid(8, 8, 8, 8, 0);
-  ActivityGateOptions opts;
-  opts.threshold = 0.05;
-  ActivityGate gate(grid, opts);
-  const la::Matrix frame(8, 8, 0.4);
-  gate.update(frame);
-  EXPECT_EQ(gate.update(frame).decoded, 0u);  // static scene: skip
-  gate.reset();
-  const FrameActivity fa = gate.update(frame);  // first frame again: forced
-  EXPECT_EQ(fa.decoded, 1u);
-  EXPECT_TRUE(fa.tiles[0].forced);
-}
-
 // ---------------------------------------------------------------------------
 // TileGrid geometry
 
@@ -429,6 +416,243 @@ TEST(TileGrid, ValidatesGeometry) {
   EXPECT_THROW(grid.copy_interior(wrong, 0, full), CheckError);
   EXPECT_THROW(grid.copy_interior(full, 0, wrong), CheckError);
   EXPECT_THROW(grid.stitch(la::Matrix(5, 5), 0, full), CheckError);
+}
+
+// ---------------------------------------------------------------------------
+// TileFrontEnd: the frame half of both executors, driven without a solver
+
+// Runs one frame through `front`, "decoding" each listed tile by scaling its
+// padded pixels by `gain` and reporting `defect_rate` as its estimate.
+ShardFrameResult run_front_end_frame(TileFrontEnd& front,
+                                     const la::Matrix& frame,
+                                     double gain = 1.0,
+                                     double defect_rate = 0.0) {
+  for (const TileJob& job : front.begin(frame)) {
+    la::Matrix padded = front.extract(job.tile);
+    for (std::size_t i = 0; i < padded.size(); ++i) padded.data()[i] *= gain;
+    RecoveryReport report;
+    report.estimated_defect_rate = defect_rate;
+    front.complete(job.tile, padded, report);
+  }
+  return front.finish();
+}
+
+TEST(TileFrontEnd, IdentityDecodeRoundTripsTheFrameAtEveryHalo) {
+  const la::Matrix frame = noise_frame(12, 16, 41);
+  for (const std::size_t halo : {0u, 2u}) {
+    TileFrontEnd front(TileGrid(12, 16, 4, 8, halo));
+    const ShardFrameResult res = run_front_end_frame(front, frame);
+    expect_bit_identical(res.frame, frame, "identity round trip");
+    EXPECT_EQ(res.report.tiles, 6u);
+    ASSERT_EQ(res.report.tile_reports.size(), 6u);
+    for (std::size_t t = 0; t < 6; ++t) {
+      EXPECT_EQ(res.report.tile_reports[t].tile_row, t / 2);
+      EXPECT_EQ(res.report.tile_reports[t].tile_col, t % 2);
+      EXPECT_FALSE(res.report.tile_reports[t].served_stale);
+    }
+    EXPECT_TRUE(res.report.activity.empty());  // the gate is off
+  }
+}
+
+TEST(TileFrontEnd, GatedStaticSceneListsNoJobsAndServesThePreviousFrame) {
+  ActivityGateOptions gate;
+  gate.enabled = true;
+  gate.detector_fraction = 1.0;
+  gate.force_refresh_period = 0;
+  TileFrontEnd front(TileGrid(16, 16, 8, 8, 2), gate);
+  const la::Matrix frame = noise_frame(16, 16, 42);
+
+  // The first frame forces every tile; a non-identity "decode" makes the
+  // served pixels differ from the input, so serving them is observable.
+  const ShardFrameResult first = run_front_end_frame(front, frame, 0.5);
+  EXPECT_EQ(first.report.tiles_forced, 4u);
+  for (int f = 0; f < 2; ++f) {
+    EXPECT_TRUE(front.begin(frame).empty());
+    EXPECT_EQ(front.outstanding(), 0u);
+    const ShardFrameResult res = front.finish();
+    expect_bit_identical(res.frame, first.frame, "static scene");
+    EXPECT_EQ(res.report.tiles_skipped, 4u);
+    for (const TileReport& t : res.report.tile_reports) {
+      EXPECT_TRUE(t.served_stale);
+      EXPECT_EQ(t.report.decode_calls, 0);
+    }
+  }
+  StreamHealth h;
+  front.overlay_gate_counts(h);
+  EXPECT_EQ(h.tiles_skipped, 8u);
+  EXPECT_EQ(h.tiles_refreshed, 4u);
+  EXPECT_EQ(h.tiles_forced, 4u);
+}
+
+TEST(TileFrontEnd, CompleteAcceptsEachListedTileOnce) {
+  const la::Matrix frame = noise_frame(8, 8, 43);
+  TileFrontEnd front(TileGrid(8, 8, 4, 4, 1));
+  front.begin(frame);
+  const la::Matrix padded = front.extract(0);
+  front.complete(0, padded, {});
+  EXPECT_THROW(front.complete(0, padded, {}), CheckError);  // twice
+  EXPECT_THROW(front.complete(4, padded, {}), CheckError);  // off the grid
+  EXPECT_EQ(front.outstanding(), 3u);
+
+  // With the gate on, a static frame lists no jobs: completing any tile is
+  // completing a tile that is not in the job list.
+  ActivityGateOptions gate;
+  gate.enabled = true;
+  gate.force_refresh_period = 0;
+  TileFrontEnd gated(TileGrid(8, 8, 4, 4, 1), gate);
+  run_front_end_frame(gated, frame);
+  ASSERT_TRUE(gated.begin(frame).empty());
+  EXPECT_THROW(gated.complete(2, gated.extract(2), {}), CheckError);
+}
+
+TEST(TileFrontEnd, FinishRejectsAFrameWithAMissingTile) {
+  const la::Matrix frame = noise_frame(8, 8, 44);
+  TileFrontEnd front(TileGrid(8, 8, 4, 4, 0));
+  const std::vector<TileJob>& jobs = front.begin(frame);
+  ASSERT_EQ(jobs.size(), 4u);
+  for (std::size_t k = 0; k + 1 < jobs.size(); ++k)
+    front.complete(jobs[k].tile, front.extract(jobs[k].tile), {});
+  EXPECT_THROW(front.finish(), CheckError);
+  EXPECT_THROW(front.begin(la::Matrix(8, 4)), CheckError);  // frame shape
+}
+
+TEST(TileFrontEnd, FrameIndexCountsBeginCalls) {
+  const la::Matrix frame = noise_frame(8, 8, 45);
+  TileFrontEnd front(TileGrid(8, 8, 8, 8, 0));
+  for (std::size_t f = 0; f < 4; ++f) {
+    // Counted whether or not the frame runs to finish().
+    if (f % 2 == 0) {
+      run_front_end_frame(front, frame);
+    } else {
+      front.begin(frame);
+    }
+    EXPECT_EQ(front.frame_index(), f);
+  }
+}
+
+TEST(TileFrontEnd, DefectRateEwmaIsPerTileAndCarriedByStaleTiles) {
+  // Tile 0 is decoded every frame; the gate serves tile 1 stale after the
+  // first frame, so its estimate must stay at that frame's value.
+  ActivityGateOptions gate;
+  gate.enabled = true;
+  gate.detector_fraction = 1.0;
+  gate.force_refresh_period = 0;
+  TileFrontEnd front(TileGrid(4, 8, 4, 4, 0), gate);
+  la::Matrix frame = noise_frame(4, 8, 46);
+
+  // 0.2, then decays by 0.7 per frame: 0.14, 0.098, 0.0686, 0.048 — the
+  // last one back under the drift threshold.
+  const double rates[] = {0.2, 0.0, 0.0, 0.0, 0.0};
+  double expected = 0.0;
+  for (std::size_t f = 0; f < 5; ++f) {
+    for (std::size_t i = 0; i < 4; ++i) frame(i, 0) += 1.0;  // wakes tile 0
+    const ShardFrameResult res =
+        run_front_end_frame(front, frame, 1.0, rates[f]);
+    expected = f == 0 ? rates[f] : 0.7 * expected + 0.3 * rates[f];
+    const TileReport& live = res.report.tile_reports[0];
+    const TileReport& quiet = res.report.tile_reports[1];
+    EXPECT_FALSE(live.served_stale);
+    EXPECT_DOUBLE_EQ(live.defect_rate_ewma, expected) << "frame " << f;
+    EXPECT_EQ(live.drift_detected, expected > 0.05) << "frame " << f;
+    EXPECT_EQ(quiet.served_stale, f > 0);
+    EXPECT_EQ(quiet.defect_rate_ewma, 0.2) << "frame " << f;
+    EXPECT_TRUE(quiet.drift_detected) << "frame " << f;
+  }
+}
+
+TEST(TileFrontEnd, DefectRateEwmaDetectsDrift) {
+  // One 16x16 tile decoded by a real pipeline: a healthy frame first, then
+  // the array degrades to 10 % stuck pixels, and the tile's defect-rate
+  // estimate pushes its EWMA over the drift threshold within a few frames.
+  RobustPipelineOptions opts;
+  opts.max_rung = Strategy::kTrimmedDecode;  // cheap, still estimates defects
+  RobustPipeline pipe(16, 16, opts, fista());
+  TileFrontEnd front(TileGrid(16, 16, 16, 16, 0));
+
+  const la::Matrix truth = thermal_frame(16, 7);
+  const la::Matrix corrupted =
+      cs::FaultScenario(
+          {cs::StuckPixelFault{0.10, cs::DefectPolarity::kRandom, 99}})
+          .corrupt_frame(truth, 0)
+          .values;
+  Rng rng(11);
+  const auto decode = [&](const la::Matrix& frame) {
+    front.begin(frame);
+    RobustPipeline::FrameResult r =
+        pipe.process(front.extract(0), front.frame_index(), rng);
+    front.complete(0, r.frame, std::move(r.report));
+    return front.finish().report.tile_reports[0];
+  };
+
+  const TileReport healthy = decode(truth);
+  EXPECT_FALSE(healthy.drift_detected);
+  bool drifted = false;
+  for (int f = 1; f <= 5; ++f) {
+    const TileReport t = decode(corrupted);
+    EXPECT_GT(t.report.suspected_defect_count, 0u);
+    EXPECT_GT(t.defect_rate_ewma, healthy.defect_rate_ewma);
+    drifted = t.drift_detected;
+  }
+  EXPECT_TRUE(drifted);
+}
+
+// A 32x32 thermal scene whose bottom-right 16x16 tile (tile 3) has 10 % of
+// its pixels stuck high, far from the scene's values, so the suspect screen
+// sees them; the other three tiles are clean.
+la::Matrix one_stuck_tile_frame(std::uint64_t seed) {
+  const la::Matrix clean = thermal_frame(32, seed);
+  const la::Matrix stuck =
+      cs::FaultScenario(
+          {cs::StuckPixelFault{0.10, cs::DefectPolarity::kStuckHigh, 99}})
+          .corrupt_frame(clean, 0)
+          .values;
+  la::Matrix out = clean;
+  for (std::size_t i = 16; i < 32; ++i)
+    for (std::size_t j = 16; j < 32; ++j) out(i, j) = stuck(i, j);
+  return out;
+}
+
+// The per-tile defect-rate EWMA after each frame of the stuck-tile scene.
+template <typename Executor>
+std::vector<std::vector<double>> drift_trace(Executor& exec) {
+  std::vector<std::vector<double>> trace;
+  for (std::uint64_t f = 0; f < 4; ++f) {
+    const ShardReport report = exec.process(one_stuck_tile_frame(7 + f)).report;
+    std::vector<double> ewma;
+    for (const TileReport& t : report.tile_reports) {
+      EXPECT_EQ(t.drift_detected, t.defect_rate_ewma > 0.05);
+      ewma.push_back(t.defect_rate_ewma);
+    }
+    // Only the stuck tile drifts, on every frame.
+    for (std::size_t t = 0; t < 3; ++t)
+      EXPECT_FALSE(report.tile_reports[t].drift_detected)
+          << "clean tile " << t << " frame " << f;
+    EXPECT_TRUE(report.tile_reports[3].drift_detected) << "frame " << f;
+    trace.push_back(std::move(ewma));
+  }
+  return trace;
+}
+
+TEST(TileFrontEnd, DriftIsPerTileAndIndependentOfWorkerCount) {
+  constexpr std::size_t kDim = 32;
+  std::vector<std::vector<std::vector<double>>> sharded;
+  for (const std::size_t workers : {1u, 3u}) {
+    // Halo 0: a clean tile's halo would otherwise reach into the stuck one.
+    ShardedDecoder decoder(kDim, kDim, shard_options(16, 0, workers));
+    sharded.push_back(drift_trace(decoder));
+  }
+  EXPECT_EQ(sharded[0], sharded[1]);  // bit-exact, not approximate
+
+  std::vector<std::vector<std::vector<double>>> served;
+  for (const std::size_t workers : {0u, 2u}) {
+    ServiceOptions opts;
+    opts.halo = 0;
+    opts.workers = workers;
+    opts.solver = fista();
+    DecodeService service(kDim, kDim, opts);
+    served.push_back(drift_trace(service));
+  }
+  EXPECT_EQ(served[0], served[1]);
 }
 
 // ---------------------------------------------------------------------------

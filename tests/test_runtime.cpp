@@ -57,11 +57,6 @@ TEST(RobustPipeline, CleanFrameStaysOnRungZeroIdenticalToPlainDecode) {
   const la::Vector y = encoder.encode(truth, pattern, replay);
   const cs::DecodeResult plain = pipe.decoder().decode(pattern, y);
   EXPECT_EQ(la::max_abs_diff(res.frame, plain.frame), 0.0);
-
-  EXPECT_EQ(pipe.health().frames_processed, 1u);
-  EXPECT_EQ(pipe.health().frames_accepted, 1u);
-  EXPECT_EQ(pipe.health().recovered_per_rung[0], 1u);
-  EXPECT_FALSE(pipe.health().drift_detected);
 }
 
 TEST(RobustPipeline, LadderBeatsPlainDecodeAtTenPercentDefects) {
@@ -163,9 +158,6 @@ TEST(RobustPipeline, ReachesTrimmedFreshAndResampleRungs) {
               static_cast<int>(c.expected) -
                   static_cast<int>(Strategy::kPlainDecode))
         << "seed " << c.seed;
-    EXPECT_EQ(pipe.health().recovered_per_rung[static_cast<std::size_t>(
-                  c.expected)],
-              1u);
   }
 }
 
@@ -186,7 +178,6 @@ TEST(RobustPipeline, ResampleIsSkippedWhenItDoesNotFitTheBudget) {
     EXPECT_NE(res.report.strategy, Strategy::kResample);
     EXPECT_LE(res.report.decode_calls, 9);
   }
-  EXPECT_EQ(pipe.health().budget_exhaustions, 3u);
 }
 
 // Headline regression for the returned-candidate selection: when NO rung is
@@ -216,7 +207,6 @@ TEST(RobustPipeline, LadderReturnsBestCandidateWhenNoRungAccepted) {
   EXPECT_EQ(res.report.strategy, Strategy::kTrimmedDecode);
   EXPECT_GT(res.report.trimmed_measurements, 0u);
   EXPECT_LT(res.report.rel_residual, res.report.first_rel_residual);
-  EXPECT_EQ(pipe.health().frames_accepted, 0u);
 
   // Bit-exact replay of the trimmed attempt from the same RNG state: rung 1
   // reuses rung 0's acquisition, so the trimmed decode consumes no RNG draws
@@ -267,38 +257,6 @@ TEST(RobustPipeline, BudgetExhaustionStopsTheLadder) {
   EXPECT_EQ(res.report.strategy, Strategy::kPlainDecode);
   EXPECT_EQ(res.report.escalation_depth, 0);
   EXPECT_EQ(res.report.decode_calls, 1);
-  EXPECT_EQ(pipe.health().budget_exhaustions, 1u);
-  EXPECT_EQ(pipe.health().frames_accepted, 0u);
-  // No rung recovered the frame, so no rung counter moved.
-  for (std::size_t r = 0; r < kStrategyCount; ++r)
-    EXPECT_EQ(pipe.health().recovered_per_rung[r], 0u);
-}
-
-TEST(RobustPipeline, DefectRateEwmaDetectsDrift) {
-  RobustPipelineOptions opts;
-  opts.max_rung = Strategy::kTrimmedDecode;  // cheap, still estimates defects
-  opts.ewma_alpha = 0.5;
-  opts.drift_threshold = 0.05;
-  RobustPipeline pipe(16, 16, opts, fista());
-
-  // Healthy stream first: no drift.
-  const la::Matrix truth = thermal_frame(16, 7);
-  Rng rng(11);
-  (void)pipe.process(truth, 0, rng);
-  EXPECT_FALSE(pipe.health().drift_detected);
-  EXPECT_EQ(pipe.health().drift_events, 0u);
-
-  // Then the array degrades to 10 % stuck pixels: the per-frame defect-rate
-  // estimate pushes the EWMA over the drift threshold within a few frames.
-  const la::Matrix corrupted = stuck_frame(truth, 0.10, 99);
-  for (std::size_t f = 1; f <= 3; ++f) {
-    const auto res = pipe.process(corrupted, f, rng);
-    EXPECT_GT(res.report.suspected_defect_count, 0u);
-  }
-  EXPECT_TRUE(pipe.health().drift_detected);
-  EXPECT_EQ(pipe.health().drift_events, 1u);
-  EXPECT_GT(pipe.health().defect_rate_ewma, opts.drift_threshold);
-
 }
 
 TEST(RobustPipeline, MeasurementFaultChannelIsAppliedAndReported) {
@@ -467,12 +425,6 @@ TEST(RobustPipeline, FaultMatrixEveryKindTimesEveryRung) {
       EXPECT_EQ(res.frame.rows(), dim) << ctx;
       EXPECT_GE(rep.estimated_defect_rate, 0.0) << ctx;
       EXPECT_LE(rep.estimated_defect_rate, 1.0) << ctx;
-      if (rep.accepted) {
-        EXPECT_EQ(pipe.health().recovered_per_rung[static_cast<std::size_t>(
-                      rep.strategy)],
-                  1u)
-            << ctx;
-      }
       if (cs::fault_is_measurement_level(kc.kind) &&
           kc.kind == cs::FaultKind::kDroppedMeasurements) {
         EXPECT_GT(rep.dropped_measurements, 0u) << ctx;

@@ -177,7 +177,7 @@ TEST(ShardedDecoder, ValidatesGeometry) {
 
   ShardedDecoder ok(32, 32, shard_options(16, 2));
   EXPECT_EQ(ok.shards(), 4u);
-  EXPECT_EQ(ok.padded_rows(), 20u);
+  EXPECT_EQ(ok.grid().padded_rows, 20u);
   EXPECT_THROW(ok.process(la::Matrix(16, 16)), CheckError);  // shape mismatch
 }
 

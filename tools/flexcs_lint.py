@@ -160,6 +160,10 @@ ENTRY_POINTS: Sequence[Tuple[str, str, Tuple[str, ...]]] = (
     ("src/runtime/stream.cpp", r"StreamServer::submit\b", ("FLEXCS_CHECK", "SubmitControl")),
     ("src/runtime/shard.cpp", r"ShardedDecoder::ShardedDecoder\b", ("FLEXCS_CHECK",)),
     ("src/runtime/shard.cpp", r"ShardedDecoder::process\b", ("FLEXCS_CHECK",)),
+    # The tile front end both executors share: begin() validates the frame
+    # shape, complete() that the tile is an open job of the frame.
+    ("src/runtime/shard.cpp", r"TileFrontEnd::begin\b", ("FLEXCS_CHECK",)),
+    ("src/runtime/shard.cpp", r"TileFrontEnd::complete\b", ("FLEXCS_CHECK",)),
     ("src/runtime/tile_grid.cpp", r"TileGrid::TileGrid\b", ("FLEXCS_CHECK",)),
     ("src/runtime/tile_grid.cpp", r"TileGrid::copy_interior\b",
      ("FLEXCS_CHECK",)),

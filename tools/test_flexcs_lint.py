@@ -768,6 +768,52 @@ class TileGridEntryCheckTest(unittest.TestCase):
         self.assertFalse(fired, "\n".join(str(x) for x in fired))
 
 
+class TileFrontEndEntryCheckTest(unittest.TestCase):
+    # The tile front end shared by both executors: begin() must validate the
+    # frame shape and complete() that the tile is an open job.
+    UNCHECKED = (
+        "#include \"runtime/shard.hpp\"\n"
+        "namespace flexcs::runtime {\n"
+        "const std::vector<TileJob>& TileFrontEnd::begin(\n"
+        "    const la::Matrix& frame) {\n"
+        "  source_ = &frame;\n"
+        "  return jobs_;\n"
+        "}\n"
+        "TileReport& TileFrontEnd::complete(std::size_t tile,\n"
+        "                                   const la::Matrix& padded,\n"
+        "                                   RecoveryReport report) {\n"
+        "  grid_.stitch(padded, tile, out_.frame);\n"
+        "  return out_.report.tile_reports[tile];\n"
+        "}\n"
+        "}\n")
+
+    def fired(self, src):
+        f = lint_fixture({"src/runtime/shard.cpp": src})
+        return [x for x in f if x.rule == "entry-check"
+                and x.path == "src/runtime/shard.cpp"
+                and "TileFrontEnd" in x.message]
+
+    def test_unchecked_front_end_fires(self):
+        fired = self.fired(self.UNCHECKED)
+        # begin and complete each carry their own spec.
+        self.assertEqual(2, len(fired), "\n".join(str(x) for x in fired))
+        self.assertTrue(any("begin" in x.message for x in fired))
+        self.assertTrue(any("complete" in x.message for x in fired))
+
+    def test_checked_front_end_clean(self):
+        src = self.UNCHECKED
+        src = src.replace(
+            "  source_ = &frame;\n",
+            "  FLEXCS_CHECK(frame.rows() == grid_.rows, \"shape\");\n"
+            "  source_ = &frame;\n")
+        src = src.replace(
+            "  grid_.stitch(padded, tile, out_.frame);\n",
+            "  FLEXCS_CHECK(tile < stage_.size(), \"open job\");\n"
+            "  grid_.stitch(padded, tile, out_.frame);\n")
+        fired = self.fired(src)
+        self.assertFalse(fired, "\n".join(str(x) for x in fired))
+
+
 class ResolveFractionEntryCheckTest(unittest.TestCase):
     # The per-frame fraction override resolver is what keeps event-driven
     # adaptive sampling inside (0,1]; it must reject out-of-range overrides

@@ -50,6 +50,11 @@
 //   {
 //     "kernel_isa": string  — "avx2" | "baseline": the folded kernel's ISA
 //                             on this host (dsp::kernel_isa())
+//     "host_calib_ms_before": number — bench::host_calib_ms() (a fixed
+//                             loop, median of 5, ms) before the first cell
+//     "host_calib_ms_after":  number — the same, after the last cell. Two
+//                             records' timings compare per row after each
+//                             is divided by its own calibration
 //     "decode": [            // one object per (size, mode) decode cell
 //       {
 //         "rows":                integer — array rows (= cols, square sweep)
@@ -545,9 +550,12 @@ std::vector<IsaCell> run_micro_isa(const SweepConfig& cfg) {
 std::string to_json(const std::vector<OperatorCell>& cells,
                     const std::vector<Micro1dCell>& micro1d,
                     const std::vector<MicroOpCell>& microop,
-                    const std::vector<IsaCell>& micro_isa) {
-  std::string out = strformat("{\n\"kernel_isa\": \"%s\",\n\"decode\": [\n",
-                              dsp::kernel_isa());
+                    const std::vector<IsaCell>& micro_isa,
+                    double calib_before_ms, double calib_after_ms) {
+  std::string out = strformat(
+      "{\n\"kernel_isa\": \"%s\",\n\"host_calib_ms_before\": %.4f,\n"
+      "\"host_calib_ms_after\": %.4f,\n\"decode\": [\n",
+      dsp::kernel_isa(), calib_before_ms, calib_after_ms);
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const OperatorCell& c = cells[i];
     const std::string delta =
@@ -716,6 +724,7 @@ int main(int argc, char** argv) {
   }
   const SweepConfig cfg = args.smoke ? smoke_config() : SweepConfig{};
 
+  const double calib_before_ms = bench::host_calib_ms();
   std::vector<OperatorCell> cells;
   if (!micro_only) {
     for (const std::size_t dim : cfg.both_dims) {
@@ -729,9 +738,11 @@ int main(int argc, char** argv) {
   const std::vector<Micro1dCell> micro1d = run_micro_1d(cfg);
   const std::vector<MicroOpCell> microop = run_micro_operator(cfg);
   const std::vector<IsaCell> micro_isa = run_micro_isa(cfg);
+  const double calib_after_ms = bench::host_calib_ms();
 
   if (args.json) {
-    const std::string out = to_json(cells, micro1d, microop, micro_isa);
+    const std::string out = to_json(cells, micro1d, microop, micro_isa,
+                                    calib_before_ms, calib_after_ms);
     std::fputs(out.c_str(), stdout);
     // A micro-only run carries an empty decode section; recording it to the
     // default path would clobber a recorded full sweep, so it only records
@@ -742,6 +753,8 @@ int main(int argc, char** argv) {
   } else {
     if (!micro_only) print_decode_table(cells, cfg);
     print_micro_tables(micro1d, microop, micro_isa);
+    std::printf("host calibration: %.2f ms before, %.2f ms after\n",
+                calib_before_ms, calib_after_ms);
   }
   return 0;
 }

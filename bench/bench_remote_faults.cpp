@@ -73,8 +73,8 @@
 #include "common/table.hpp"
 #include "cs/metrics.hpp"
 #include "data/thermal.hpp"
+#include "runtime/latency.hpp"
 #include "runtime/service.hpp"
-#include "runtime/stream.hpp"
 #include "solvers/fista.hpp"
 
 namespace {

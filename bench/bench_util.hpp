@@ -1,5 +1,6 @@
 // Shared plumbing for the standalone bench_* sweeps (the ones with their own
-// main, not the google-benchmark figures): flag parsing and JSON recording.
+// main, not the google-benchmark figures): flag parsing, JSON recording and
+// a host speed probe.
 //
 // Every standalone sweep accepts the same flags:
 //
@@ -12,9 +13,13 @@
 //                recorded sweep).
 #pragma once
 
+#include <algorithm>
+#include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <vector>
 
 namespace flexcs::bench {
 
@@ -73,6 +78,36 @@ inline bool should_record(const BenchArgs& args) {
 inline std::string record_path(const BenchArgs& args,
                                const std::string& default_path) {
   return args.out.empty() ? default_path : args.out;
+}
+
+/// A fixed integer and floating-point loop (an LCG feeding a damped sum)
+/// whose work never changes, so its wall time tracks the host's speed.
+[[gnu::noinline]] inline double calib_loop(std::uint64_t state) {
+  double acc = 0.0;
+  for (int i = 0; i < 4000000; ++i) {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    acc = (acc + static_cast<double>(state >> 40) * 1e-9) * 0.999999;
+  }
+  return acc;
+}
+
+/// Median of five timings of calib_loop, in milliseconds. Records taken at
+/// different times compare per row after dividing each timing by the
+/// calibration taken with it: a host that runs slower between runs reads
+/// slower here too.
+inline double host_calib_ms() {
+  std::vector<double> runs;
+  double sink = 0.0;
+  for (int r = 0; r < 5; ++r) {
+    const auto start = std::chrono::steady_clock::now();
+    sink += calib_loop(0x2545f4914f6cdd1dULL + static_cast<std::uint64_t>(r));
+    runs.push_back(std::chrono::duration<double, std::milli>(
+                       std::chrono::steady_clock::now() - start)
+                       .count());
+  }
+  if (sink < 0.0) std::printf("calib %f\n", sink);  // keeps the loop live
+  std::nth_element(runs.begin(), runs.begin() + 2, runs.end());
+  return runs[2];
 }
 
 }  // namespace flexcs::bench

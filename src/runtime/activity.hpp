@@ -60,7 +60,7 @@ struct ActivityGateOptions {
   // Fraction of each tile's interior pixels the detector reads per frame.
   double detector_fraction = 0.125;
   // Adaptive decode sampling fractions, forwarded per tile through
-  // SubmitControl::sampling_fraction into the worker pipelines:
+  // TileJob::sampling_fraction into the worker pipelines:
   //   dense_fraction   activity-triggered decodes; 0 keeps the pipeline's
   //                    configured sampling_fraction,
   //   sparse_fraction  forced refreshes of quiet tiles; 0 falls back to
@@ -80,15 +80,15 @@ struct TileActivity {
 /// One frame's gate pass over the whole grid.
 struct FrameActivity {
   std::vector<TileActivity> tiles;  // row-major tile-grid order
-  std::size_t decoded = 0;          // tiles submitted for decode
+  std::size_t decoded = 0;          // tiles listed for decode
   std::size_t skipped = 0;          // tiles served from the previous frame
   std::size_t forced = 0;           // decoded tiles that were forced
 };
 
 /// Stateful per-tile change detector over a TileGrid. NOT thread-safe: one
-/// gate per TileFrontEnd, updated frame by frame from the submitting thread
-/// (detector reads are O(tiles * detector_m) gathers — microseconds against
-/// the milliseconds of a tile solve).
+/// gate per TileFrontEnd, updated frame by frame from the executor's caller
+/// thread (detector reads are O(tiles * detector_m) gathers — microseconds
+/// against the milliseconds of a tile solve).
 class ActivityGate {
  public:
   ActivityGate(const TileGrid& grid, ActivityGateOptions opts = {});

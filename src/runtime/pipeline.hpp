@@ -91,7 +91,7 @@ struct RobustPipelineOptions {
   cs::FaultScenario measurement_faults;
 };
 
-/// Per-frame control for streaming callers: a deadline/cancellation token
+/// Per-frame control from the executor: a deadline/cancellation token
 /// threaded into every solver call this frame makes, plus the frame's
 /// sampling fraction.
 struct FrameControl {
@@ -141,7 +141,8 @@ struct RecoveryReport {
 /// Robust-recovery pipeline for a fixed array geometry. Owns the
 /// encoder/decoder pair and keeps no state from one frame to the next, so
 /// a frame's result does not depend on which earlier frames (or tiles) the
-/// same instance decoded. One instance per worker.
+/// same instance decoded. NOT thread-safe: one instance per worker thread
+/// (ShardedDecoder's pool) or worker process (DecodeService).
 class RobustPipeline {
  public:
   /// `solver` may be null, which selects the library default (ADMM-BPDN).

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/check.hpp"
+#include "common/rng.hpp"
 
 namespace flexcs::runtime {
 namespace {
@@ -129,41 +130,99 @@ ShardedDecoder::ShardedDecoder(std::size_t rows, std::size_t cols,
                                ShardOptions opts)
     : front_(TileGrid(rows, cols, opts.tile_rows, opts.tile_cols, opts.halo),
              opts.gate),
-      server_(front_.grid().padded_rows, front_.grid().padded_cols,
-              std::move(opts.stream)) {
+      seed_(opts.stream.seed) {
   FLEXCS_CHECK(shards() >= 1, "sharded decoder needs at least one tile");
+  FLEXCS_CHECK(opts.stream.workers >= 1,
+               "sharded decoder needs at least one worker");
+  for (std::size_t w = 0; w < opts.stream.workers; ++w)
+    pipelines_.push_back(std::make_unique<RobustPipeline>(
+        grid().padded_rows, grid().padded_cols, opts.stream.pipeline,
+        opts.stream.solver));
+  try {
+    for (std::size_t w = 0; w < opts.stream.workers; ++w)
+      workers_.emplace_back([this, w] { worker_loop(w); });
+  } catch (...) {  // a thread that failed to start: join those that did
+    stop();
+    throw;
+  }
+}
+
+ShardedDecoder::~ShardedDecoder() { stop(); }
+
+void ShardedDecoder::stop() {
+  {
+    common::MutexLock lock(mu_);
+    closed_ = true;
+  }
+  work_ready_.notify_all();
+  for (std::thread& t : workers_) t.join();
 }
 
 StreamHealth ShardedDecoder::health() const {
-  StreamHealth h = server_.health();
+  StreamHealth h;
+  h.completed = completed_;
+  h.deadline_expired = deadline_expired_;
+  h.p50_latency_seconds = latencies_.percentile(0.50);
+  h.p99_latency_seconds = latencies_.percentile(0.99);
   front_.overlay_gate_counts(h);
   return h;
+}
+
+void ShardedDecoder::worker_loop(std::size_t worker_index) {
+  for (;;) {
+    std::size_t j = 0;
+    {
+      common::MutexLock lock(mu_);
+      while (!closed_ && claimed_ == published_) work_ready_.wait(mu_);
+      if (closed_) return;  // process() is never running at close
+      j = claimed_++;
+    }
+    Slot& slot = slots_[j];
+    // A pure function of (seed, tile, frame index, pixels): which worker
+    // claimed the job, and what it decoded before, do not matter.
+    Rng rng(seed_ ^ (0x9e3779b97f4a7c15ULL * (slot.tile + 1)));
+    try {
+      slot.decoded = pipelines_[worker_index]->process(
+          slot.pixels, frame_index_, rng, slot.ctrl);
+    } catch (...) {
+      slot.error = std::current_exception();
+    }
+    common::MutexLock lock(mu_);
+    if (++finished_ == published_) frame_done_.notify_one();
+  }
 }
 
 ShardFrameResult ShardedDecoder::process(const la::Matrix& frame,
                                          const solvers::SolveOptions& ctrl) {
   const std::vector<TileJob>& jobs = front_.begin(frame);
-  SubmitControl tile_ctrl;
-  tile_ctrl.deadline = ctrl.deadline;
-  tile_ctrl.cancel = ctrl.cancel;
-  tile_ctrl.frame_index = front_.frame_index();
-  for (const TileJob& job : jobs) {
-    tile_ctrl.sampling_fraction = job.sampling_fraction;
-    // Stream id = tile id seeds the tile's Φ, so a gate that skips tiles
-    // around a decode cannot change its sampling pattern (the gated and
-    // ungated arms decode shared tiles identically).
-    const bool ok = server_.submit(job.tile, front_.extract(job.tile),
-                                   tile_ctrl);
-    FLEXCS_CHECK(ok, "sharded decode: worker pool already closed");
-    ++total_submitted_;
+  // Deadline and cancel only: a norm hint would not fit the tile operators.
+  const solvers::SolveOptions solve{ctrl.deadline, ctrl.cancel, 0.0};
+  slots_.resize(jobs.size());
+  for (std::size_t j = 0; j < jobs.size(); ++j)
+    slots_[j] = {jobs[j].tile, {solve, jobs[j].sampling_fraction},
+                 front_.extract(jobs[j].tile), {}, nullptr};
+  frame_index_ = front_.frame_index();
+  {
+    common::MutexLock lock(mu_);
+    FLEXCS_CHECK(finished_ == published_,
+                 "sharded decode: a frame is already in flight");
+    published_ = jobs.size();
+    claimed_ = finished_ = 0;
+    work_ready_.notify_all();
+    while (finished_ < published_) frame_done_.wait(mu_);
   }
-  // Gather: block until the pool has finished every tile ever submitted
-  // (a cumulative count: the class is single-caller).
-  server_.wait_for_completed(total_submitted_);
-  for (StreamResult& sr : server_.drain_results())
-    front_.complete(static_cast<std::size_t>(sr.stream_id), sr.frame,
-                    std::move(sr.report));
-  return front_.finish();
+  for (const Slot& slot : slots_)
+    if (slot.error) std::rethrow_exception(slot.error);
+  // Job order: every fold in complete() is order-independent.
+  for (Slot& slot : slots_) {
+    if (slot.decoded.report.deadline_expired) ++deadline_expired_;
+    front_.complete(slot.tile, slot.decoded.frame,
+                    std::move(slot.decoded.report));
+  }
+  completed_ += slots_.size();
+  ShardFrameResult out = front_.finish();
+  latencies_.add(out.report.decode_seconds);
+  return out;
 }
 
 }  // namespace flexcs::runtime

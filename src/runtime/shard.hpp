@@ -1,10 +1,10 @@
 // Sharded decode of large arrays: partitions an R x C frame into a grid of
-// fixed-size tiles, decodes each tile with a RobustPipeline on the worker
-// pool of an internal StreamServer, and stitches the tile reconstructions
-// back into the full frame. Each solve's per-iteration transform cost scales
-// with the tile rather than the frame. An optional halo pads every tile with
-// replicated border pixels before sampling; only the interior is copied
-// back, which suppresses block-DCT seams at tile borders.
+// fixed-size tiles, decodes each tile with a RobustPipeline on a pool of
+// worker threads, and stitches the tile reconstructions back into the full
+// frame. Each solve's per-iteration transform cost scales with the tile
+// rather than the frame. An optional halo pads every tile with replicated
+// border pixels before sampling; only the interior is copied back, which
+// suppresses block-DCT seams at tile borders.
 //
 // The frame half of a decode lives in TileFrontEnd, which both executors
 // (ShardedDecoder here, DecodeService in service.hpp) drive the same way:
@@ -16,30 +16,65 @@
 // EWMA — and a RobustPipeline holds none, so which worker decodes a tile
 // changes neither its pixels nor its report.
 //
-// The caller's deadline/cancel reaches every tile solve via SubmitControl,
-// so a mid-frame cancel stops running and queued tiles alike. Tile t is
-// submitted under stream id t and its RNG derives from the stream id (see
-// StreamOptions::seed), so reconstructions are bit-reproducible regardless
-// of worker count, and every process() call decodes tile t with the same
-// sampling pattern Φ (DecodeService draws a fresh Φ per frame). Both
-// executors report the front end's running frame count as every tile's
-// frame_index, which also keys the measurement-fault channel.
+// ShardedDecoder's pool starts exactly `workers` threads, each owning one
+// RobustPipeline, and the workers claim a frame's jobs one at a time. The
+// caller's deadline and cancel token reach every tile solve. Tile t seeds
+// its RNG from (seed, t), so pixels do not depend on the worker count and
+// every process() call samples tile t with the same Φ (DecodeService draws
+// a fresh Φ per frame). Both executors pass the front end's frame count as
+// every tile's frame_index, which also keys the measurement-fault channel.
 //
 // Event-driven mode (ShardOptions::gate.enabled) puts an ActivityGate in
-// front of the scatter: quiet tiles are never submitted — their pixels are
+// front of the scatter: quiet tiles are never decoded — their pixels are
 // served bit-for-bit from the previous frame's reconstruction — and decoded
 // tiles can run at adaptive sampling fractions (dense when activity woke
 // them, sparse when only the force-refresh period did). See activity.hpp.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <exception>
+#include <memory>
+#include <thread>
 #include <vector>
 
+#include "common/annotations.hpp"
 #include "runtime/activity.hpp"
-#include "runtime/stream.hpp"
+#include "runtime/latency.hpp"
+#include "runtime/pipeline.hpp"
 #include "runtime/tile_grid.hpp"
 
 namespace flexcs::runtime {
+
+/// ShardedDecoder's worker pool and the per-tile pipeline it runs.
+struct StreamOptions {
+  std::size_t workers = 2;  // worker threads (>= 1)
+  // Ignored (nothing reads it); goes with the next perfbench change.
+  bool watchdog_enabled = true;
+  // Each worker's RobustPipeline (and hence Decoder) is built from this.
+  RobustPipelineOptions pipeline;
+  // Sparse solver shared by all workers (solvers are immutable once built,
+  // so concurrent solve() calls are safe). Null selects the library default.
+  std::shared_ptr<const solvers::SparseSolver> solver;
+  // Tile t decodes from a fresh RNG seeded by (seed, t): a pure function of
+  // the tile, its pixels and the frame index, whatever the worker count.
+  std::uint64_t seed = 0x5eed;
+};
+
+/// ShardedDecoder telemetry, cumulative since construction.
+struct StreamHealth {
+  std::size_t completed = 0;         // tiles decoded
+  std::size_t deadline_expired = 0;  // tiles whose solve was cut short
+  // Percentiles of the frame latencies (report.decode_seconds of every
+  // process() call), read from a LatencyHistogram.
+  double p50_latency_seconds = 0.0;
+  double p99_latency_seconds = 0.0;
+  // Event-driven gating (0 while the gate is off): tiles served stale,
+  // decoded (activity or forced), and decoded only by the refresh clock.
+  std::size_t tiles_skipped = 0;
+  std::size_t tiles_refreshed = 0;
+  std::size_t tiles_forced = 0;
+};
 
 struct ShardOptions {
   std::size_t tile_rows = 32;  // must divide the frame rows
@@ -48,7 +83,7 @@ struct ShardOptions {
   // bare tiles (fastest, visible seams under aggressive sampling); 2 is
   // enough to let the DCT atoms of neighbouring tiles overlap.
   std::size_t halo = 2;
-  // Worker pool + per-tile pipeline configuration. The server is created
+  // Worker pool + per-tile pipeline configuration. The pipelines are built
   // over the PADDED tile geometry.
   StreamOptions stream;
   // Event-driven readout: when gate.enabled, a per-tile change detector
@@ -167,32 +202,72 @@ class TileFrontEnd {
 };
 
 /// Scatter/gather executor decoding a large array as a grid of concurrent
-/// tile solves. Owns a StreamServer of the padded tile geometry. NOT
-/// thread-safe: one process() call at a time, from one caller thread — the
-/// concurrency lives in the worker pool underneath.
+/// tile solves on its own worker pool. NOT thread-safe: one process() call
+/// at a time, from one caller thread — the concurrency lives in the pool
+/// underneath. The destructor joins every worker; none is ever detached.
 class ShardedDecoder {
  public:
   ShardedDecoder(std::size_t rows, std::size_t cols, ShardOptions opts = {});
+  ~ShardedDecoder();
+
+  ShardedDecoder(const ShardedDecoder&) = delete;
+  ShardedDecoder& operator=(const ShardedDecoder&) = delete;
 
   std::size_t shards() const { return front_.grid().tiles(); }
   const TileGrid& grid() const { return front_.grid(); }
 
-  /// Telemetry of the underlying worker pool (cumulative across frames),
-  /// with the event-driven gate counters overlaid: tiles_skipped /
-  /// tiles_refreshed / tiles_forced accumulate across every gated frame this
-  /// decoder has processed.
+  /// Cumulative telemetry: tiles decoded and cut short, frame-latency
+  /// percentiles, and the gate counters summed over every gated frame.
   StreamHealth health() const;
 
-  /// Decodes one full frame: scatters its tiles across the worker pool,
-  /// waits for every tile, and stitches the interiors back together.
-  /// `ctrl`'s deadline/cancel are forwarded into every tile solve.
+  /// Decodes one frame: the pool decodes its tile jobs, then their interiors
+  /// are stitched. `ctrl`'s deadline/cancel reach every tile solve, and what
+  /// a tile decode throws (a CheckError) is rethrown here.
   ShardFrameResult process(const la::Matrix& frame,
-                           const solvers::SolveOptions& ctrl = {});
+                           const solvers::SolveOptions& ctrl = {})
+      FLEXCS_EXCLUDES(mu_);
 
  private:
+  // One tile job of the open frame; process() rethrows `error` if it is set.
+  struct Slot {
+    std::size_t tile = 0;
+    FrameControl ctrl;
+    la::Matrix pixels;  // padded
+    RobustPipeline::FrameResult decoded;
+    std::exception_ptr error;
+  };
+
+  void worker_loop(std::size_t worker_index) FLEXCS_EXCLUDES(mu_);
+  void stop() FLEXCS_EXCLUDES(mu_);  // closes the pool, joins every worker
+
   TileFrontEnd front_;
-  StreamServer server_;
-  std::size_t total_submitted_ = 0;  // cumulative, for wait_for_completed
+  const std::uint64_t seed_;
+
+  // mu_ guards the job hand-off: workers wait on work_ready_ for a job (or
+  // close), the caller on frame_done_ for the last one to finish.
+  common::Mutex mu_;
+  common::CondVar work_ready_;
+  common::CondVar frame_done_;
+  std::size_t published_ FLEXCS_GUARDED_BY(mu_) = 0;  // jobs of the frame
+  std::size_t claimed_ FLEXCS_GUARDED_BY(mu_) = 0;
+  std::size_t finished_ FLEXCS_GUARDED_BY(mu_) = 0;
+  bool closed_ FLEXCS_GUARDED_BY(mu_) = false;
+
+  // The open frame's work. The caller writes it before publishing the jobs
+  // under mu_ and reads it back after the last one finished; in between,
+  // slot j belongs to the worker that claimed job j. Those hand-offs under
+  // mu_ order every access, so no guard is needed.
+  std::vector<Slot> slots_;
+  std::size_t frame_index_ = 0;
+
+  // Element w is touched only by worker thread w after construction.
+  std::vector<std::unique_ptr<RobustPipeline>> pipelines_;
+  std::vector<std::thread> workers_;
+
+  // Written by process(), read by health(): the caller thread only.
+  std::size_t completed_ = 0;
+  std::size_t deadline_expired_ = 0;
+  LatencyHistogram latencies_;
 };
 
 }  // namespace flexcs::runtime

@@ -84,7 +84,6 @@ ShardOptions shard_options(std::size_t tile, std::size_t halo,
   opts.tile_rows = opts.tile_cols = tile;
   opts.halo = halo;
   opts.stream.workers = workers;
-  opts.stream.queue_capacity = 8;
   opts.stream.solver = fista();
   return opts;
 }

@@ -154,10 +154,6 @@ ENTRY_POINTS: Sequence[Tuple[str, str, Tuple[str, ...]]] = (
     ("src/cs/faults.cpp", r"FaultScenario::corrupt_measurements\b", ("FLEXCS_CHECK",)),
     ("src/cs/pipeline.cpp", r"\bdecode_trimmed_ex\b", ("FLEXCS_CHECK",)),
     ("src/runtime/pipeline.cpp", r"RobustPipeline::process\b", ("FLEXCS_CHECK",)),
-    ("src/runtime/stream.cpp", r"StreamServer::StreamServer\b", ("FLEXCS_CHECK",)),
-    # The first submit overload delegates to the SubmitControl one, which
-    # carries the shape check.
-    ("src/runtime/stream.cpp", r"StreamServer::submit\b", ("FLEXCS_CHECK", "SubmitControl")),
     ("src/runtime/shard.cpp", r"ShardedDecoder::ShardedDecoder\b", ("FLEXCS_CHECK",)),
     ("src/runtime/shard.cpp", r"ShardedDecoder::process\b", ("FLEXCS_CHECK",)),
     # The tile front end both executors share: begin() validates the frame
@@ -568,7 +564,7 @@ _DEADLINE_POLL_TOKENS = ("should_stop", "cancelled", "deadline", "expired",
 # Supervision scope: unbounded loops (`for (;;)`, `while (true)`) in the
 # streaming/service runtime must either poll a time-based token or contain
 # an explicit exit statement — the broker event loop, the worker read loop,
-# and the stream workers' queue loop all run "forever" by design, but each
+# and the sharded decoder's worker loop all run "forever" by design, but each
 # iteration must be able to leave.
 RUNTIME_SUPERVISION_PREFIX = "src/runtime/"
 

@@ -423,7 +423,7 @@ class SupervisionLoopTest(unittest.TestCase):
                "    scan();\n"
                "  }\n"
                "}\n")
-        f = lint_fixture({"src/runtime/stream.cpp": src})
+        f = lint_fixture({"src/runtime/shard.cpp": src})
         self.assertIn("deadline-poll", rules_fired(f))
 
     def test_loop_with_break_clean(self):
@@ -442,7 +442,7 @@ class SupervisionLoopTest(unittest.TestCase):
                "    wait_for(heartbeat_seconds);\n"
                "  }\n"
                "}\n")
-        f = lint_fixture({"src/runtime/stream.cpp": src})
+        f = lint_fixture({"src/runtime/shard.cpp": src})
         self.assertNotIn("deadline-poll", rules_fired(f))
 
     def test_bounded_runtime_loop_ignored(self):

@@ -16,12 +16,20 @@
 #include "cs/metrics.hpp"
 #include "cs/pipeline.hpp"
 #include "data/thermal.hpp"
+#include "solvers/admm.hpp"
 
 namespace {
 
 using namespace flexcs;
 
 constexpr int kFramesPerCell = 4;
+
+// The paper-reproduction record decodes with ADMM-BPDN, the solver it was
+// taken with; the library default is FISTA.
+cs::Decoder admm_decoder() {
+  return cs::Decoder(32, 32, cs::DecoderOptions{},
+                     std::make_shared<solvers::AdmmLassoSolver>());
+}
 
 void print_tables() {
   data::ThermalHandGenerator generator;
@@ -31,7 +39,7 @@ void print_tables() {
   cs::EncoderOptions eopts;
   eopts.measurement_noise = 0.03;
   const cs::Encoder encoder(eopts);
-  const cs::Decoder decoder(32, 32);
+  const cs::Decoder decoder = admm_decoder();
   const double error_rates[] = {0.0, 0.05, 0.10, 0.15, 0.20};
   const double samplings[] = {0.45, 0.50, 0.55, 0.60};
 
@@ -73,7 +81,7 @@ void BM_Fig6aSingleDecode(benchmark::State& state) {
   data::ThermalHandGenerator generator;
   const la::Matrix truth = generator.sample(rng).values;
   const cs::Encoder encoder;
-  const cs::Decoder decoder(32, 32);
+  const cs::Decoder decoder = admm_decoder();
   const cs::SamplingPattern pattern = cs::random_pattern(32, 32, 0.5, rng);
   const la::Vector y = encoder.encode(truth, pattern, rng);
   for (auto _ : state) {

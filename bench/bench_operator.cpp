@@ -63,8 +63,9 @@
 //         "m":                   integer — measurements (pattern size)
 //         "n":                   integer — pixels (rows * cols)
 //         "fraction":            number  — m / n
-//         "build_seconds":       number  — decoder construction + operator
-//                                          cache fill (dense: + spectral
+//         "build_seconds":       number  — decoder construction, which
+//                                          builds the transform plans
+//                                          (dense: + Ψ, A and the spectral
 //                                          warm-up)
 //         "decode_seconds":      number  — the decode call alone
 //         "iterations":          integer — solver iterations
@@ -241,22 +242,21 @@ OperatorCell run_cell(const SweepConfig& cfg, std::size_t dim, bool implicit) {
 
   // Build phase: the dense arm pays the N x N Ψ, its row selection and the
   // spectral-norm power iteration that serves as its Lipschitz hint; the
-  // implicit arm pays the decoder's operator cache fill, whose exact norm
-  // (1, a tight frame) decode passes to FISTA itself. Once-per-geometry
-  // cost, separated from decode.
+  // implicit arm pays the decoder's transform plans, built once in its
+  // constructor (each decode's operator over them is one pass over the
+  // pattern, and its exact norm, 1 for a tight frame, goes to FISTA).
+  // Once-per-geometry cost, separated from decode.
   const auto b0 = std::chrono::steady_clock::now();
   const cs::Decoder decoder(dim, dim, dopts, fista);
   la::Matrix dense_a;
-  if (implicit) {
-    decoder.measurement_operator(p);  // cached per pattern; decode reuses it
-  } else {
+  if (!implicit) {
     dense_a = golden::measurement_matrix(dopts.basis, p);
     dopts.solve.operator_norm_hint = la::spectral_norm(dense_a);
   }
   const auto b1 = std::chrono::steady_clock::now();
   cell.build_seconds = std::chrono::duration<double>(b1 - b0).count();
 
-  // Implicit cells report the operator's measured cached state (DCT plan
+  // Implicit cells report the operator's measured plan state (DCT plan
   // tables); dense cells their analytic footprint.
   cell.operator_bytes =
       implicit ? decoder.measurement_operator(p)->cached_state_bytes()

@@ -1,7 +1,7 @@
 // Clang Thread Safety Analysis annotations and annotated locking primitives.
 //
-// The locking discipline of the concurrent runtime (src/runtime/, the
-// Decoder's shared operator cache) is expressed as compile-time contracts:
+// The locking discipline of the concurrent runtime (src/runtime/; today one
+// mutex, ShardedDecoder's job hand-off) is expressed as compile-time contracts:
 // every mutex-protected member names its mutex with FLEXCS_GUARDED_BY, every
 // function that expects a lock held says so with FLEXCS_REQUIRES, and Clang
 // (-Wthread-safety -Wthread-safety-beta, the `analyze` preset) proves every

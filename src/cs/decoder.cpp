@@ -4,17 +4,10 @@
 #include <utility>
 
 #include "common/check.hpp"
-#include "dsp/wavelet.hpp"
-#include "solvers/admm.hpp"
+#include "solvers/fista.hpp"
 
 namespace flexcs::cs {
 namespace {
-
-// Cached measurement operators per decoder. Two covers the common
-// plain-decode + trimmed-decode pair (the trimmed pass solves on the kept
-// subset, a pattern of its own); four also keeps a fresh-pattern retry and
-// its trimmed subset resident.
-constexpr std::size_t kOperatorCacheCapacity = 4;
 
 // `opts.solve` with the operator's exact sigma_max as the step-size hint:
 // the tight frame's 1 is the value FISTA's own power iteration would
@@ -34,71 +27,17 @@ Decoder::Decoder(std::size_t rows, std::size_t cols, DecoderOptions opts,
                  std::shared_ptr<const solvers::SparseSolver> solver)
     : rows_(rows), cols_(cols), opts_(opts), solver_(std::move(solver)) {
   FLEXCS_CHECK(rows_ > 0 && cols_ > 0, "decoder over empty array");
-  // Operators are built lazily per pattern, so surface geometry constraints
-  // (Haar needs even dims) at construction — checked structurally, no probe
-  // transform or scratch grid.
-  if (opts_.basis == dsp::BasisKind::kHaar2D) {
-    FLEXCS_CHECK(dsp::max_haar_levels(rows_) >= 1 &&
-                     dsp::max_haar_levels(cols_) >= 1,
-                 "decoder: Haar basis requires even dimensions");
-  }
-  if (!solver_) solver_ = std::make_shared<solvers::AdmmLassoSolver>();
-}
-
-Decoder::CachedOperator Decoder::entry_for(
-    const SamplingPattern& pattern) const {
-  {
-    common::MutexLock lock(cache_mu_);
-    for (std::size_t i = 0; i < operator_cache_.size(); ++i) {
-      if (operator_cache_[i].indices != pattern.indices) continue;
-      // MRU: rotate the hit to the front so hot patterns stay resident.
-      std::rotate(operator_cache_.begin(), operator_cache_.begin() + i,
-                  operator_cache_.begin() + i + 1);
-      ++cache_stats_.hits;
-      return operator_cache_.front();
-    }
-    ++cache_stats_.misses;
-  }
-
-  // Build outside the lock: the operator depends only on the immutable
-  // basis and the pattern, so a concurrent duplicate build is wasted work,
-  // never a race.
-  CachedOperator entry;
-  entry.indices = pattern.indices;
-  entry.op =
-      std::make_shared<const SubsampledTransformOperator>(opts_.basis, pattern);
-
-  common::MutexLock lock(cache_mu_);
-  for (std::size_t i = 0; i < operator_cache_.size(); ++i) {
-    if (operator_cache_[i].indices != pattern.indices) continue;
-    std::rotate(operator_cache_.begin(), operator_cache_.begin() + i,
-                operator_cache_.begin() + i + 1);
-    return operator_cache_.front();  // raced build won; keep its entry
-  }
-  operator_cache_.insert(operator_cache_.begin(), entry);
-  if (operator_cache_.size() > kOperatorCacheCapacity) {
-    operator_cache_.pop_back();
-    ++cache_stats_.evictions;
-  }
-  return entry;
-}
-
-Decoder::OperatorCacheStats Decoder::cache_stats() const {
-  common::MutexLock lock(cache_mu_);
-  return cache_stats_;
+  // The plans surface the geometry constraints (Haar needs even dims) here,
+  // not at the first decode.
+  plans_ = std::make_shared<const TransformPlans>(opts_.basis, rows_, cols_);
+  if (!solver_) solver_ = std::make_shared<solvers::FistaSolver>();
 }
 
 std::shared_ptr<const SubsampledTransformOperator>
 Decoder::measurement_operator(const SamplingPattern& pattern) const {
   FLEXCS_CHECK(pattern.rows == rows_ && pattern.cols == cols_,
                "decoder: pattern shape mismatch");
-  return entry_for(pattern).op;
-}
-
-double Decoder::operator_norm(const SamplingPattern& pattern) const {
-  FLEXCS_CHECK(pattern.rows == rows_ && pattern.cols == cols_,
-               "decoder: pattern shape mismatch");
-  return entry_for(pattern).op->norm_upper_bound();
+  return std::make_shared<const SubsampledTransformOperator>(plans_, pattern);
 }
 
 DecodeResult Decoder::decode(const SamplingPattern& pattern,
@@ -117,11 +56,11 @@ DecodeResult Decoder::decode_with(const SamplingPattern& pattern,
                "decoder: non-finite measurement (reject defective reads "
                "before decoding)");
   FLEXCS_CHECK(opts.basis == opts_.basis,
-               "decode_with cannot change the basis (operators are cached)");
+               "decode_with cannot change the basis (the plans are built "
+               "once)");
   FLEXCS_CHECK(pattern.rows == rows_ && pattern.cols == cols_,
                "decoder: pattern shape mismatch");
-  const CachedOperator entry = entry_for(pattern);
-  const SubsampledTransformOperator& a = *entry.op;
+  const SubsampledTransformOperator a(plans_, pattern);
   solvers::SolveResult sr =
       solver.solve(a, measurements, with_norm_hint(a, opts));
 
@@ -147,7 +86,7 @@ DecodeResult Decoder::decode_with(const SamplingPattern& pattern,
   out.solve_seconds = sr.solve_seconds;
 
   // Synthesise the frame from the recovered coefficients (y = Ψ x) through
-  // the cached operator's transform plans.
+  // the decoder's transform plans.
   out.frame = a.synthesize(sr.x);
   out.coefficients = std::move(sr.x);
   if (opts.clamp01) {

@@ -6,7 +6,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/annotations.hpp"
 #include "cs/sampling.hpp"
 #include "cs/transform_operator.hpp"
 #include "dsp/basis.hpp"
@@ -52,10 +51,13 @@ struct DecodeResult {
 /// Decoder for a fixed array geometry. Decodes matrix-free: the measurement
 /// operator A = Φ_M·Ψ of each pattern is a SubsampledTransformOperator (fast
 /// 2-D transform plus row gather), so neither the N x N Ψ nor the M x N A is
-/// ever built; the configured sparse solver runs on that operator.
+/// ever built; the configured sparse solver runs on that operator. Ψ is fixed
+/// by the geometry, so its transform plans are built once, at construction;
+/// only Φ_M changes per decode. Immutable after construction: one instance
+/// may serve any number of threads.
 class Decoder {
  public:
-  /// `solver` may be null, which selects the library default (ADMM-BPDN).
+  /// `solver` may be null, which selects the library default (FISTA).
   Decoder(std::size_t rows, std::size_t cols, DecoderOptions opts = {},
           std::shared_ptr<const solvers::SparseSolver> solver = nullptr);
 
@@ -68,61 +70,25 @@ class Decoder {
   DecodeResult decode(const SamplingPattern& pattern,
                       const la::Vector& measurements) const;
 
-  /// Same decode, but with an explicit solver and options (reusing the
-  /// cached operator). Used by robust pipelines that need a screening pass
-  /// with different shrinkage than the production decode.
+  /// Same decode, but with an explicit solver and options. Used by robust
+  /// pipelines that need a screening pass with different shrinkage than the
+  /// production decode.
   DecodeResult decode_with(const SamplingPattern& pattern,
                            const la::Vector& measurements,
                            const solvers::SparseSolver& solver,
                            const DecoderOptions& opts) const;
 
-  /// Cached measurement operator for a pattern, keyed on the pattern's index
-  /// vector (small MRU cache). Repeated decodes with the same pattern — the
-  /// plain decode and the trimmed rung's screen — reuse the operator and
-  /// its DCT plans.
+  /// The measurement operator of a pattern, over the decoder's shared plans
+  /// (building it costs one pass over the pattern's indices).
   std::shared_ptr<const SubsampledTransformOperator> measurement_operator(
       const SamplingPattern& pattern) const;
 
-  /// sigma_max of the pattern's measurement operator: exactly 1, because
-  /// A = Φ_M·Ψ is a tight frame (A·Aᵀ = I_M), so no power iteration runs.
-  /// Every decode passes it to the solver as the Lipschitz/step-size bound
-  /// (SolveOptions::operator_norm_hint) unless the caller set one.
-  double operator_norm(const SamplingPattern& pattern) const;
-
-  /// Cumulative MRU-cache telemetry. The cache is keyed on the pattern's
-  /// full index vector, so patterns of different sampling fractions (the
-  /// event-driven dense/sparse tile schedules) can never collide — the
-  /// counters make that observable: a re-used pattern is a hit, a new or
-  /// evicted one a miss.
-  struct OperatorCacheStats {
-    std::size_t hits = 0;
-    std::size_t misses = 0;     // entry built (or rebuilt after eviction)
-    std::size_t evictions = 0;  // entries pushed out by capacity
-  };
-  OperatorCacheStats cache_stats() const;
-
  private:
-  struct CachedOperator {
-    std::vector<std::size_t> indices;  // cache key (pattern row selection)
-    std::shared_ptr<const SubsampledTransformOperator> op;
-  };
-
-  /// Cache lookup/build; returns the entry by value (shared pointer, cheap)
-  /// so callers never hold references into the MRU vector.
-  CachedOperator entry_for(const SamplingPattern& pattern) const
-      FLEXCS_EXCLUDES(cache_mu_);
-
   std::size_t rows_;
   std::size_t cols_;
   DecoderOptions opts_;
   std::shared_ptr<const solvers::SparseSolver> solver_;
-  // cache_mu_ guards the MRU operator cache: decode paths are const and a
-  // Decoder may be shared across worker threads, so the cache must tolerate
-  // concurrent use (contract checked by Clang TSA under `analyze`).
-  mutable common::Mutex cache_mu_;
-  mutable std::vector<CachedOperator> operator_cache_  // MRU order, bounded
-      FLEXCS_GUARDED_BY(cache_mu_);
-  mutable OperatorCacheStats cache_stats_ FLEXCS_GUARDED_BY(cache_mu_);
+  std::shared_ptr<const TransformPlans> plans_;
 };
 
 }  // namespace flexcs::cs

@@ -39,11 +39,36 @@ std::uint64_t elapsed_ns(SteadyClock::time_point t0) {
 
 }  // namespace
 
-SubsampledTransformOperator::SubsampledTransformOperator(dsp::BasisKind basis,
-                                                         SamplingPattern pattern)
-    : basis_(basis), pattern_(std::move(pattern)) {
-  FLEXCS_CHECK(pattern_.rows > 0 && pattern_.cols > 0,
-               "SubsampledTransformOperator: empty grid");
+TransformPlans::TransformPlans(dsp::BasisKind basis_kind, std::size_t n_rows,
+                               std::size_t n_cols)
+    : basis(basis_kind), rows(n_rows), cols(n_cols) {
+  FLEXCS_CHECK(rows > 0 && cols > 0, "TransformPlans: empty grid");
+  if (basis == dsp::BasisKind::kDct2D) {
+    row_plan.emplace(cols);
+    col_plan.emplace(rows);
+  } else {
+    // Haar dimension constraints surface at construction, not mid-solve —
+    // validated directly (no throwaway matrix, no probe transform).
+    haar_levels = std::min(dsp::max_haar_levels(rows),
+                           dsp::max_haar_levels(cols));
+    FLEXCS_CHECK(haar_levels >= 1, "Haar basis requires even dimensions");
+  }
+}
+
+std::size_t TransformPlans::memory_bytes() const {
+  std::size_t bytes = 0;
+  if (row_plan) bytes += row_plan->memory_bytes();
+  if (col_plan) bytes += col_plan->memory_bytes();
+  return bytes;
+}
+
+SubsampledTransformOperator::SubsampledTransformOperator(
+    std::shared_ptr<const TransformPlans> plans, SamplingPattern pattern)
+    : plans_(std::move(plans)), pattern_(std::move(pattern)) {
+  FLEXCS_CHECK(plans_ != nullptr, "SubsampledTransformOperator: no plans");
+  FLEXCS_CHECK(pattern_.rows == plans_->rows && pattern_.cols == plans_->cols,
+               "SubsampledTransformOperator: pattern grid differs from the "
+               "plans' grid");
   FLEXCS_CHECK(!pattern_.indices.empty(),
                "SubsampledTransformOperator: empty sampling pattern");
   const std::size_t n = pattern_.n();
@@ -55,24 +80,14 @@ SubsampledTransformOperator::SubsampledTransformOperator(dsp::BasisKind basis,
                  "SubsampledTransformOperator: indices not strictly increasing");
     prev = idx;
   }
-  if (basis_ == dsp::BasisKind::kDct2D) {
-    row_plan_.emplace(pattern_.cols);
-    col_plan_.emplace(pattern_.rows);
-  } else {
-    // Haar dimension constraints surface at construction, not mid-solve —
-    // validated directly (no throwaway matrix, no probe transform).
-    haar_levels_ = std::min(dsp::max_haar_levels(pattern_.rows),
-                            dsp::max_haar_levels(pattern_.cols));
-    FLEXCS_CHECK(haar_levels_ >= 1, "Haar basis requires even dimensions");
-  }
 }
 
-std::size_t SubsampledTransformOperator::cached_state_bytes() const {
-  std::size_t bytes = 0;
-  if (row_plan_) bytes += row_plan_->memory_bytes();
-  if (col_plan_) bytes += col_plan_->memory_bytes();
-  return bytes;
-}
+SubsampledTransformOperator::SubsampledTransformOperator(dsp::BasisKind basis,
+                                                         SamplingPattern pattern)
+    : SubsampledTransformOperator(
+          std::make_shared<const TransformPlans>(basis, pattern.rows,
+                                                 pattern.cols),
+          std::move(pattern)) {}
 
 SubsampledTransformOperator::ApplyStats
 SubsampledTransformOperator::apply_stats() const {
@@ -91,14 +106,15 @@ void SubsampledTransformOperator::apply_into(const double* x, double* y,
   const std::size_t rows = pattern_.rows, cols = pattern_.cols;
   const std::size_t n = pattern_.n();
   ws.grid.resize(n);
-  if (basis_ == dsp::BasisKind::kDct2D) {
+  if (basis() == dsp::BasisKind::kDct2D) {
     // The DCT synthesis reads x as const and writes a separate grid.
-    dsp::idct2d_apply(*row_plan_, *col_plan_, x, ws.grid.data(), rows, cols,
-                      ws.dct);
+    dsp::idct2d_apply(*plans_->row_plan, *plans_->col_plan, x, ws.grid.data(),
+                      rows, cols, ws.dct);
   } else {
     // Haar lifting runs in place, so it synthesises a copy of x.
     std::copy(x, x + n, ws.grid.begin());
-    dsp::ihaar2d_inplace(ws.grid.data(), rows, cols, haar_levels_, ws.haar);
+    dsp::ihaar2d_inplace(ws.grid.data(), rows, cols, plans_->haar_levels,
+                         ws.haar);
   }
   const double* frame = ws.grid.data();
   const std::size_t m = pattern_.indices.size();
@@ -110,16 +126,16 @@ void SubsampledTransformOperator::adjoint_into(const double* y, double* x,
   const std::size_t rows = pattern_.rows, cols = pattern_.cols;
   const std::size_t n = pattern_.n();
   const std::size_t m = pattern_.indices.size();
-  if (basis_ == dsp::BasisKind::kDct2D) {
+  if (basis() == dsp::BasisKind::kDct2D) {
     ws.grid.assign(n, 0.0);
     for (std::size_t k = 0; k < m; ++k) ws.grid[pattern_.indices[k]] = y[k];
-    dsp::dct2d_apply(*row_plan_, *col_plan_, ws.grid.data(), x, rows, cols,
-                     ws.dct);
+    dsp::dct2d_apply(*plans_->row_plan, *plans_->col_plan, ws.grid.data(), x,
+                     rows, cols, ws.dct);
   } else {
     // Haar analyses in place: scatter straight into the output grid.
     std::fill(x, x + n, 0.0);
     for (std::size_t k = 0; k < m; ++k) x[pattern_.indices[k]] = y[k];
-    dsp::haar2d_inplace(x, rows, cols, haar_levels_, ws.haar);
+    dsp::haar2d_inplace(x, rows, cols, plans_->haar_levels, ws.haar);
   }
 }
 
@@ -127,11 +143,11 @@ la::Matrix SubsampledTransformOperator::synthesize(const la::Vector& x) const {
   FLEXCS_CHECK(x.size() == cols(),
                "SubsampledTransformOperator::synthesize shape mismatch");
   const std::size_t rows = pattern_.rows, cols = pattern_.cols;
-  if (basis_ != dsp::BasisKind::kDct2D)
-    return dsp::synthesize(basis_, la::Matrix::from_flat(x, rows, cols));
+  if (basis() != dsp::BasisKind::kDct2D)
+    return dsp::synthesize(basis(), la::Matrix::from_flat(x, rows, cols));
   la::Matrix frame(rows, cols);
-  dsp::idct2d_apply(*row_plan_, *col_plan_, x.data(), frame.data(), rows,
-                    cols, local_scratch().dct);
+  dsp::idct2d_apply(*plans_->row_plan, *plans_->col_plan, x.data(),
+                    frame.data(), rows, cols, local_scratch().dct);
   return frame;
 }
 

@@ -22,6 +22,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <optional>
 
 #include "cs/sampling.hpp"
@@ -31,10 +32,32 @@
 
 namespace flexcs::cs {
 
+/// The transform state Ψ owns, which depends only on the basis and the grid:
+/// the two 1-D DCT plans (row_plan spans cols, col_plan spans rows), or the
+/// Haar level count. Immutable once built, so every operator over the grid
+/// and every thread can share one instance.
+struct TransformPlans {
+  TransformPlans(dsp::BasisKind basis, std::size_t rows, std::size_t cols);
+
+  /// Bytes of plan tables (Haar needs none).
+  std::size_t memory_bytes() const;
+
+  dsp::BasisKind basis;
+  std::size_t rows;
+  std::size_t cols;
+  std::optional<dsp::Dct1dPlan> row_plan;  // DCT basis only
+  std::optional<dsp::Dct1dPlan> col_plan;
+  std::size_t haar_levels = 0;  // Haar basis only
+};
+
 class SubsampledTransformOperator final : public la::LinearOperator {
  public:
-  /// Pattern indices must be strictly increasing row-major pixel indices
-  /// inside the rows x cols grid (same contract as apply_pattern).
+  /// Φ_M over shared plans. Pattern indices must be strictly increasing
+  /// row-major pixel indices inside the plans' rows x cols grid (same
+  /// contract as apply_pattern).
+  SubsampledTransformOperator(std::shared_ptr<const TransformPlans> plans,
+                              SamplingPattern pattern);
+  /// Same, building its own plans for the pattern's grid.
   SubsampledTransformOperator(dsp::BasisKind basis, SamplingPattern pattern);
 
   std::size_t rows() const override { return pattern_.m(); }
@@ -48,15 +71,15 @@ class SubsampledTransformOperator final : public la::LinearOperator {
   double norm_upper_bound() const override { return 1.0; }
 
   /// The full synthesis Ψ·x as a rows×cols frame: apply() without the
-  /// gather, through the cached plans. Not metered in apply_stats().
+  /// gather, through the plans. Not metered in apply_stats().
   la::Matrix synthesize(const la::Vector& x) const;
 
-  dsp::BasisKind basis() const { return basis_; }
+  dsp::BasisKind basis() const { return plans_->basis; }
   const SamplingPattern& pattern() const { return pattern_; }
 
-  /// Bytes of cached transform state (DCT plan tables; Haar needs none).
-  /// The bench reports this as the implicit operator's memory footprint.
-  std::size_t cached_state_bytes() const;
+  /// Bytes of transform state (DCT plan tables; Haar needs none). The bench
+  /// reports this as the implicit operator's memory footprint.
+  std::size_t cached_state_bytes() const { return plans_->memory_bytes(); }
 
   /// Per-apply cost accounting: cumulative apply/adjoint counts and wall
   /// time since construction. Counters are relaxed atomics — cheap enough
@@ -77,13 +100,8 @@ class SubsampledTransformOperator final : public la::LinearOperator {
   void apply_into(const double* x, double* y, Scratch& ws) const;
   void adjoint_into(const double* y, double* x, Scratch& ws) const;
 
-  dsp::BasisKind basis_;
+  std::shared_ptr<const TransformPlans> plans_;
   SamplingPattern pattern_;
-  // Fast 1-D DCT plans (DCT basis only): row_plan_ spans cols, col_plan_
-  // spans rows. Haar runs the in-place lifting kernels with levels_.
-  std::optional<dsp::Dct1dPlan> row_plan_;
-  std::optional<dsp::Dct1dPlan> col_plan_;
-  std::size_t haar_levels_ = 0;
 
   mutable std::atomic<std::uint64_t> apply_count_{0};
   mutable std::atomic<std::uint64_t> adjoint_count_{0};

@@ -191,7 +191,7 @@ void RobustPipeline::finish_frame(const cs::SamplingPattern& p,
 
 void RobustPipeline::apply_measurement_channel(RecoveryReport& report,
                                                cs::SamplingPattern& p,
-                                               la::Vector& y) {
+                                               la::Vector& y) const {
   if (!opts_.measurement_faults.has_measurement_faults()) return;
   cs::FaultedMeasurements fm =
       opts_.measurement_faults.corrupt_measurements(y, p, report.frame_index);
@@ -203,7 +203,7 @@ void RobustPipeline::apply_measurement_channel(RecoveryReport& report,
 
 void RobustPipeline::acquire(const la::Matrix& frame, Rng& rng,
                              RecoveryReport& report, double fraction,
-                             cs::SamplingPattern& p, la::Vector& y) {
+                             cs::SamplingPattern& p, la::Vector& y) const {
   p = cs::random_pattern(rows_, cols_, fraction, rng);
   y = encoder_.encode(frame, p, rng);
   apply_measurement_channel(report, p, y);
@@ -211,7 +211,7 @@ void RobustPipeline::acquire(const la::Matrix& frame, Rng& rng,
 
 RobustPipeline::FrameResult RobustPipeline::process(
     const la::Matrix& corrupted_frame, std::size_t frame_index, Rng& rng,
-    const FrameControl& ctrl) {
+    const FrameControl& ctrl) const {
   FLEXCS_CHECK(corrupted_frame.rows() == rows_ &&
                    corrupted_frame.cols() == cols_,
                "runtime: frame shape mismatch");

@@ -99,9 +99,7 @@ struct FrameControl {
   // When > 0, overrides options().sampling_fraction for every acquisition
   // this frame makes (rung 0 and ladder re-acquisitions alike). 0 keeps the
   // configured fraction. Event-driven tile readout uses this to sample
-  // active tiles densely and forced-refresh quiet tiles sparsely; the
-  // decoder's operator cache keys on the pattern's index vector, so the
-  // per-fraction patterns can never collide in the cache.
+  // active tiles densely and forced-refresh quiet tiles sparsely.
   double sampling_fraction = 0.0;
 };
 
@@ -139,13 +137,14 @@ struct RecoveryReport {
 };
 
 /// Robust-recovery pipeline for a fixed array geometry. Owns the
-/// encoder/decoder pair and keeps no state from one frame to the next, so
-/// a frame's result does not depend on which earlier frames (or tiles) the
-/// same instance decoded. NOT thread-safe: one instance per worker thread
-/// (ShardedDecoder's pool) or worker process (DecodeService).
+/// encoder/decoder pair and is immutable after construction: it keeps no
+/// state from one frame to the next, so a frame's result does not depend on
+/// which earlier frames (or tiles) the same instance decoded, and any number
+/// of threads may call process() on one instance at once (ShardedDecoder's
+/// pool shares one; each DecodeService worker process builds its own).
 class RobustPipeline {
  public:
-  /// `solver` may be null, which selects the library default (ADMM-BPDN).
+  /// `solver` may be null, which selects the library default (FISTA).
   RobustPipeline(std::size_t rows, std::size_t cols,
                  RobustPipelineOptions opts = {},
                  std::shared_ptr<const solvers::SparseSolver> solver = nullptr);
@@ -164,7 +163,7 @@ class RobustPipeline {
   /// deadline_expired.
   FrameResult process(const la::Matrix& corrupted_frame,
                       std::size_t frame_index, Rng& rng,
-                      const FrameControl& ctrl = {});
+                      const FrameControl& ctrl = {}) const;
 
   const cs::Decoder& decoder() const { return decoder_; }
 
@@ -203,11 +202,12 @@ class RobustPipeline {
 
   /// Applies the measurement-level fault channel to one acquisition.
   void apply_measurement_channel(RecoveryReport& report,
-                                 cs::SamplingPattern& p, la::Vector& y);
+                                 cs::SamplingPattern& p, la::Vector& y) const;
   /// Fresh acquisition at `fraction` (already resolved against the options):
   /// draws Φ, encodes, and runs the measurement-fault channel.
   void acquire(const la::Matrix& frame, Rng& rng, RecoveryReport& report,
-               double fraction, cs::SamplingPattern& p, la::Vector& y);
+               double fraction, cs::SamplingPattern& p,
+               la::Vector& y) const;
 
   std::size_t rows_;
   std::size_t cols_;

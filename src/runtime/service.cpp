@@ -47,7 +47,7 @@ Deadline::Clock::duration to_duration(double seconds) {
 }
 
 // Deadline-derived heartbeat: a dispatched tile unanswered for this multiple
-// of its solve deadline, plus a constant slack, marks its worker suspect. The
+// of its solve deadline, plus a constant slack, marks its worker stalled. The
 // slack covers wire round-trip and serialization time on top of the solve
 // budget, so a very tight tile deadline does not read as a wedged worker.
 constexpr double kHeartbeatMultiplier = 4.0;
@@ -137,7 +137,9 @@ DecodeService::DecodeService(std::size_t rows, std::size_t cols,
                              ServiceOptions opts)
     : opts_(validated(std::move(opts))),
       front_(TileGrid(rows, cols, opts_.tile_rows, opts_.tile_cols,
-                      opts_.halo)) {
+                      opts_.halo)),
+      in_process_(front_.grid().padded_rows, front_.grid().padded_cols,
+                  opts_.pipeline, opts_.solver) {
   FLEXCS_CHECK(shards() >= 1, "decode service needs at least one tile");
   links_.resize(opts_.workers + opts_.remote_workers);
   const Deadline::Clock::time_point now = Deadline::Clock::now();
@@ -173,7 +175,6 @@ bool DecodeService::fleet_has_prospects(
   for (const Link& link : links_) {
     switch (link.state) {
       case Link::State::kHealthy:
-      case Link::State::kSuspect:
         return true;
       case Link::State::kConnecting:
       case Link::State::kHandshaking:
@@ -329,21 +330,13 @@ wire::TileRequest DecodeService::make_request(
   return req;
 }
 
-RobustPipeline& DecodeService::in_process_pipeline() {
-  if (!in_process_) {
-    in_process_ = std::make_unique<RobustPipeline>(
-        grid().padded_rows, grid().padded_cols, opts_.pipeline, opts_.solver);
-  }
-  return *in_process_;
-}
-
 void DecodeService::decode_tile_in_process(std::size_t tile,
                                            const solvers::SolveOptions& ctrl) {
   // The worker's decode, plus the caller's cancel token (which cannot cross
   // the process boundary). An inert token does not perturb the solve, so
   // this path stays bit-identical to the worker path for the same tile.
   RobustPipeline::FrameResult result =
-      decode_tile(in_process_pipeline(), make_request(tile, ctrl),
+      decode_tile(in_process_, make_request(tile, ctrl),
                   opts_.seed, ctrl.cancel);
   complete_tile(tile, result.frame, std::move(result.report),
                 /*in_process=*/true, /*remote=*/false);
@@ -674,7 +667,6 @@ void DecodeService::pump(const solvers::SolveOptions& ctrl) {
       if (link.heartbeat_seconds > 0.0 &&
           seconds_since(link.dispatched_at, after_poll) >
               link.heartbeat_seconds) {
-        link.state = Link::State::kSuspect;  // observable transition
         handle_link_failure(i, FailureKind::kTimeout, ctrl);
       }
       continue;
@@ -687,7 +679,6 @@ void DecodeService::pump(const solvers::SolveOptions& ctrl) {
     if (link.ping_outstanding) {
       if (seconds_since(link.ping_sent_at, after_poll) >
           opts_.remote_read_timeout_seconds) {
-        link.state = Link::State::kSuspect;
         handle_link_failure(i, FailureKind::kTimeout, ctrl);
       }
     } else if (seconds_since(link.last_activity, after_poll) >

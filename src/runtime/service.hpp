@@ -12,8 +12,8 @@
 // dispatch slot, one heartbeat and one latency EWMA, driven by one state
 // machine (DESIGN.md §8):
 //
-//   connecting → handshaking → healthy → suspect → reconnecting
-//                                                → disconnected
+//   connecting → handshaking → healthy → reconnecting
+//                                      → disconnected
 //
 // The only per-kind difference is whether the link owns its worker's pid. A
 // forked link does: it is spawned straight into healthy, and on failure the
@@ -32,8 +32,7 @@
 //
 //   - a link whose transport EOFs or errors is a crash / disconnect;
 //   - a dispatched tile with no response within the heartbeat timeout
-//     (max(heartbeat_floor_seconds, 4 x tile deadline + slack)) marks the
-//     link suspect;
+//     (max(heartbeat_floor_seconds, 4 x tile deadline + slack)) is a stall;
 //   - a response that fails the wire checksum (or lies structurally) poisons
 //     the byte stream;
 //   - each failure tears the link down (see above) and re-dispatches its
@@ -76,7 +75,7 @@ struct ServiceOptions {
   std::size_t workers = 2;
   // Heartbeat timeout: a dispatched tile unanswered for
   //   max(heartbeat_floor_seconds, 4 * tile deadline + slack)
-  // marks its worker suspect (SIGKILL + respawn + re-dispatch). The tile
+  // marks its worker stalled (SIGKILL + respawn + re-dispatch). The tile
   // deadline is the caller's SolveOptions deadline; with neither set, wedge
   // detection is off — crashes are still caught via EOF.
   double heartbeat_floor_seconds = 0.0;
@@ -88,7 +87,7 @@ struct ServiceOptions {
   // Per-tile pipeline configuration, shared by workers and the in-process
   // fallback (identical construction is part of the determinism contract).
   RobustPipelineOptions pipeline;
-  std::shared_ptr<const solvers::SparseSolver> solver;  // null = default
+  std::shared_ptr<const solvers::SparseSolver> solver;  // null = FISTA
   std::uint64_t seed = 0x5eed;
   // Deterministic fault injection, indexed by link: the `workers` forked
   // links first, then the `remote_workers` TCP links (which take it only
@@ -221,7 +220,6 @@ class DecodeService {
       kConnecting,    // never connected; awaiting the first dial
       kHandshaking,   // connection bound; awaiting a valid Hello
       kHealthy,       // dispatchable (forked links are spawned into it)
-      kSuspect,       // timeout detected this round (transient, torn down)
       kReconnecting,  // connection lost; still a prospect within the grace
       kDisconnected,  // grace expired, refused, or respawn budget gone
     };
@@ -298,7 +296,6 @@ class DecodeService {
   /// One supervision round over the open frame: poll/read/collect,
   /// heartbeat scan, dispatch.
   void pump(const solvers::SolveOptions& ctrl);
-  RobustPipeline& in_process_pipeline();
   /// True while any worker could still take a tile: a healthy link, or a
   /// TCP link plausibly about to (re)connect — within the connect grace.
   /// In-process fallback engages only when this goes false, so a full
@@ -313,7 +310,7 @@ class DecodeService {
   std::vector<pid_t> loopback_pids_;  // forked TCP workers, for reaping
   ServiceHealth health_;
   std::vector<TileState> tiles_;  // dispatch state of the open frame's tiles
-  std::unique_ptr<RobustPipeline> in_process_;  // lazy fallback pipeline
+  const RobustPipeline in_process_;  // the broker's fallback decoder
   std::uint64_t next_seq_ = 1;
   int respawns_used_ = 0;
   int remote_reconnects_used_ = 0;

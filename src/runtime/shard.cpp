@@ -130,17 +130,15 @@ ShardedDecoder::ShardedDecoder(std::size_t rows, std::size_t cols,
                                ShardOptions opts)
     : front_(TileGrid(rows, cols, opts.tile_rows, opts.tile_cols, opts.halo),
              opts.gate),
-      seed_(opts.stream.seed) {
+      seed_(opts.stream.seed),
+      pipeline_(front_.grid().padded_rows, front_.grid().padded_cols,
+                opts.stream.pipeline, opts.stream.solver) {
   FLEXCS_CHECK(shards() >= 1, "sharded decoder needs at least one tile");
   FLEXCS_CHECK(opts.stream.workers >= 1,
                "sharded decoder needs at least one worker");
-  for (std::size_t w = 0; w < opts.stream.workers; ++w)
-    pipelines_.push_back(std::make_unique<RobustPipeline>(
-        grid().padded_rows, grid().padded_cols, opts.stream.pipeline,
-        opts.stream.solver));
   try {
     for (std::size_t w = 0; w < opts.stream.workers; ++w)
-      workers_.emplace_back([this, w] { worker_loop(w); });
+      workers_.emplace_back([this] { worker_loop(); });
   } catch (...) {  // a thread that failed to start: join those that did
     stop();
     throw;
@@ -168,7 +166,7 @@ StreamHealth ShardedDecoder::health() const {
   return h;
 }
 
-void ShardedDecoder::worker_loop(std::size_t worker_index) {
+void ShardedDecoder::worker_loop() {
   for (;;) {
     std::size_t j = 0;
     {
@@ -182,8 +180,8 @@ void ShardedDecoder::worker_loop(std::size_t worker_index) {
     // claimed the job, and what it decoded before, do not matter.
     Rng rng(seed_ ^ (0x9e3779b97f4a7c15ULL * (slot.tile + 1)));
     try {
-      slot.decoded = pipelines_[worker_index]->process(
-          slot.pixels, frame_index_, rng, slot.ctrl);
+      slot.decoded = pipeline_.process(slot.pixels, frame_index_, rng,
+                                       slot.ctrl);
     } catch (...) {
       slot.error = std::current_exception();
     }

@@ -16,8 +16,8 @@
 // EWMA — and a RobustPipeline holds none, so which worker decodes a tile
 // changes neither its pixels nor its report.
 //
-// ShardedDecoder's pool starts exactly `workers` threads, each owning one
-// RobustPipeline, and the workers claim a frame's jobs one at a time. The
+// ShardedDecoder's pool starts exactly `workers` threads, which share one
+// immutable RobustPipeline and claim a frame's jobs one at a time. The
 // caller's deadline and cancel token reach every tile solve. Tile t seeds
 // its RNG from (seed, t), so pixels do not depend on the worker count and
 // every process() call samples tile t with the same Φ (DecodeService draws
@@ -51,10 +51,11 @@ struct StreamOptions {
   std::size_t workers = 2;  // worker threads (>= 1)
   // Ignored (nothing reads it); goes with the next perfbench change.
   bool watchdog_enabled = true;
-  // Each worker's RobustPipeline (and hence Decoder) is built from this.
+  // The one RobustPipeline every worker shares is built from this.
   RobustPipelineOptions pipeline;
-  // Sparse solver shared by all workers (solvers are immutable once built,
-  // so concurrent solve() calls are safe). Null selects the library default.
+  // Sparse solver of that pipeline (solvers are immutable once built, so
+  // concurrent solve() calls are safe). Null selects the library default
+  // (FISTA).
   std::shared_ptr<const solvers::SparseSolver> solver;
   // Tile t decodes from a fresh RNG seeded by (seed, t): a pure function of
   // the tile, its pixels and the frame index, whatever the worker count.
@@ -83,7 +84,7 @@ struct ShardOptions {
   // bare tiles (fastest, visible seams under aggressive sampling); 2 is
   // enough to let the DCT atoms of neighbouring tiles overlap.
   std::size_t halo = 2;
-  // Worker pool + per-tile pipeline configuration. The pipelines are built
+  // Worker pool + per-tile pipeline configuration. The pipeline is built
   // over the PADDED tile geometry.
   StreamOptions stream;
   // Event-driven readout: when gate.enabled, a per-tile change detector
@@ -237,11 +238,13 @@ class ShardedDecoder {
     std::exception_ptr error;
   };
 
-  void worker_loop(std::size_t worker_index) FLEXCS_EXCLUDES(mu_);
+  void worker_loop() FLEXCS_EXCLUDES(mu_);
   void stop() FLEXCS_EXCLUDES(mu_);  // closes the pool, joins every worker
 
   TileFrontEnd front_;
   const std::uint64_t seed_;
+  // Immutable, so every worker decodes through it at once without a lock.
+  const RobustPipeline pipeline_;
 
   // mu_ guards the job hand-off: workers wait on work_ready_ for a job (or
   // close), the caller on frame_done_ for the last one to finish.
@@ -260,8 +263,6 @@ class ShardedDecoder {
   std::vector<Slot> slots_;
   std::size_t frame_index_ = 0;
 
-  // Element w is touched only by worker thread w after construction.
-  std::vector<std::unique_ptr<RobustPipeline>> pipelines_;
   std::vector<std::thread> workers_;
 
   // Written by process(), read by health(): the caller thread only.

@@ -39,18 +39,6 @@ std::uint32_t crc32(const std::uint8_t* data, std::size_t size) {
   return c ^ 0xFFFFFFFFu;
 }
 
-const char* decode_status_name(DecodeStatus status) {
-  switch (status) {
-    case DecodeStatus::kOk: return "ok";
-    case DecodeStatus::kShort: return "short";
-    case DecodeStatus::kBadMagic: return "bad-magic";
-    case DecodeStatus::kBadVersion: return "bad-version";
-    case DecodeStatus::kBadLength: return "bad-length";
-    case DecodeStatus::kBadChecksum: return "bad-checksum";
-  }
-  return "unknown";
-}
-
 void Writer::put_u16(std::uint16_t v) {
   put_u8(static_cast<std::uint8_t>(v & 0xFFu));
   put_u8(static_cast<std::uint8_t>(v >> 8));
@@ -177,52 +165,6 @@ la::Matrix get_matrix(Reader& r) {
   return m;
 }
 
-void put_la_vector(Writer& w, const la::Vector& v) {
-  w.put_u64(v.size());
-  for (std::size_t i = 0; i < v.size(); ++i) w.put_f64(v[i]);
-}
-
-la::Vector get_la_vector(Reader& r) {
-  const std::uint64_t n = r.get_u64();
-  FLEXCS_CHECK(n <= kMaxDim * kMaxDim, "wire vector size out of range");
-  FLEXCS_CHECK(n * 8 <= r.remaining(), "wire vector larger than its payload");
-  la::Vector v(static_cast<std::size_t>(n));
-  for (std::size_t i = 0; i < v.size(); ++i) v[i] = r.get_f64();
-  return v;
-}
-
-void put_pattern(Writer& w, const cs::SamplingPattern& p) {
-  w.put_u64(p.rows);
-  w.put_u64(p.cols);
-  w.put_u64(p.indices.size());
-  for (const std::size_t idx : p.indices) w.put_u64(idx);
-}
-
-cs::SamplingPattern get_pattern(Reader& r) {
-  cs::SamplingPattern p;
-  const std::uint64_t rows = r.get_u64();
-  const std::uint64_t cols = r.get_u64();
-  FLEXCS_CHECK(rows <= kMaxDim && cols <= kMaxDim,
-               "wire pattern dimensions out of range");
-  p.rows = static_cast<std::size_t>(rows);
-  p.cols = static_cast<std::size_t>(cols);
-  const std::uint64_t m = r.get_u64();
-  FLEXCS_CHECK(m <= rows * cols, "wire pattern has more samples than pixels");
-  FLEXCS_CHECK(m * 8 <= r.remaining(),
-               "wire pattern larger than its payload");
-  p.indices.resize(static_cast<std::size_t>(m));
-  std::size_t prev = 0;
-  for (std::size_t i = 0; i < p.indices.size(); ++i) {
-    const std::uint64_t idx = r.get_u64();
-    FLEXCS_CHECK(idx < rows * cols, "wire pattern index outside the array");
-    FLEXCS_CHECK(i == 0 || idx > prev,
-                 "wire pattern indices must be strictly increasing");
-    p.indices[i] = static_cast<std::size_t>(idx);
-    prev = static_cast<std::size_t>(idx);
-  }
-  return p;
-}
-
 void put_recovery_report(Writer& w, const RecoveryReport& rep) {
   w.put_u64(rep.frame_index);
   w.put_u32(static_cast<std::uint32_t>(rep.strategy));
@@ -274,28 +216,6 @@ RecoveryReport get_recovery_report(Reader& r) {
   rep.suspected_defect_count = static_cast<std::size_t>(r.get_u64());
   rep.estimated_defect_rate = r.get_f64();
   return rep;
-}
-
-void put_decode_result(Writer& w, const cs::DecodeResult& res) {
-  put_matrix(w, res.frame);
-  put_la_vector(w, res.coefficients);
-  w.put_i32(res.solver_iterations);
-  w.put_bool(res.converged);
-  w.put_bool(res.deadline_expired);
-  w.put_f64(res.residual_norm);
-  w.put_f64(res.solve_seconds);
-}
-
-cs::DecodeResult get_decode_result(Reader& r) {
-  cs::DecodeResult res;
-  res.frame = get_matrix(r);
-  res.coefficients = get_la_vector(r);
-  res.solver_iterations = r.get_i32();
-  res.converged = r.get_bool();
-  res.deadline_expired = r.get_bool();
-  res.residual_norm = r.get_f64();
-  res.solve_seconds = r.get_f64();
-  return res;
 }
 
 // --- service tile protocol -------------------------------------------------

@@ -1,8 +1,7 @@
 // Wire serialization for the multi-process decode service: a versioned,
 // checksummed, length-prefixed frame codec plus typed payload encodings for
-// the values that cross the broker <-> worker boundary (sampling patterns,
-// measurement frames, DecodeResult, RecoveryReport, and the service's tile
-// request/response protocol).
+// the values that cross the broker <-> worker boundary (tile frames,
+// RecoveryReport, and the service's tile request/response protocol).
 //
 // Framing (all integers little-endian, doubles as IEEE-754 bit patterns):
 //
@@ -29,8 +28,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "cs/decoder.hpp"
-#include "cs/sampling.hpp"
 #include "la/matrix.hpp"
 #include "runtime/pipeline.hpp"
 
@@ -56,9 +53,8 @@ enum class MessageType : std::uint16_t {
   kShutdown = 3,
   // Standalone typed payloads, for callers (tests, future RPC fronts) that
   // ship one value per message rather than the service's tile protocol.
-  kPattern = 4,
+  // Types 4 and 6 are unassigned.
   kFrame = 5,
-  kDecodeResult = 6,
   kRecoveryReport = 7,
   // Remote worker protocol (TCP): connection handshake and keepalive.
   kHello = 8,      // worker -> broker: version + capability announcement
@@ -129,9 +125,6 @@ enum class DecodeStatus {
   kBadChecksum,  // payload bits flipped in transit
 };
 
-/// Short stable identifier, e.g. "ok" or "bad-checksum".
-const char* decode_status_name(DecodeStatus status);
-
 /// Frames a payload into one wire message.
 std::vector<std::uint8_t> encode_message(MessageType type,
                                          const std::vector<std::uint8_t>& payload);
@@ -148,17 +141,8 @@ DecodeStatus decode_message(const std::uint8_t* data, std::size_t size,
 void put_matrix(Writer& w, const la::Matrix& m);
 la::Matrix get_matrix(Reader& r);
 
-void put_la_vector(Writer& w, const la::Vector& v);
-la::Vector get_la_vector(Reader& r);
-
-void put_pattern(Writer& w, const cs::SamplingPattern& p);
-cs::SamplingPattern get_pattern(Reader& r);
-
 void put_recovery_report(Writer& w, const RecoveryReport& rep);
 RecoveryReport get_recovery_report(Reader& r);
-
-void put_decode_result(Writer& w, const cs::DecodeResult& res);
-cs::DecodeResult get_decode_result(Reader& r);
 
 // --- service tile protocol -------------------------------------------------
 

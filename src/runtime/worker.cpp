@@ -42,7 +42,8 @@ constexpr double kConnectBackoffCapSeconds = 0.5;
 // counts tiles across the process lifetime so fault-injection counters
 // survive reconnects. `inbuf` carries any bytes the broker pipelined behind
 // the HelloAck. Returns 0 on a shutdown message, kTransportDropped otherwise.
-int serve_connection(int fd, RobustPipeline& pipeline, const WorkerConfig& cfg,
+int serve_connection(int fd, const RobustPipeline& pipeline,
+                     const WorkerConfig& cfg,
                      std::vector<std::uint8_t>& inbuf, std::int32_t& handled) {
   const WorkerFaultInjection& f = cfg.faults;
   const auto fires = [&handled](std::int32_t after) {
@@ -106,7 +107,7 @@ std::uint64_t tile_seed(std::uint64_t base, std::uint64_t frame_index,
   return z ^ (z >> 31);
 }
 
-RobustPipeline::FrameResult decode_tile(RobustPipeline& pipeline,
+RobustPipeline::FrameResult decode_tile(const RobustPipeline& pipeline,
                                         const wire::TileRequest& req,
                                         std::uint64_t base_seed,
                                         const CancelToken& cancel) {
@@ -127,8 +128,8 @@ int decode_worker_loop(int fd, const WorkerConfig& cfg) {
   // the broker, and an exception escaping here would run the broker's atexit
   // machinery twice. Failures become exit codes instead.
   try {
-    RobustPipeline pipeline(cfg.padded_rows, cfg.padded_cols, cfg.pipeline,
-                            cfg.solver);
+    const RobustPipeline pipeline(cfg.padded_rows, cfg.padded_cols,
+                                  cfg.pipeline, cfg.solver);
     std::vector<std::uint8_t> inbuf;
     std::int32_t handled = 0;
     // Shutdown or a dropped transport: either way the broker is done with
@@ -149,8 +150,9 @@ int remote_decode_worker_loop(const RemoteWorkerConfig& cfg) {
   // Same no-unwind contract as decode_worker_loop: loopback remote workers
   // are forked copies of the broker.
   try {
-    RobustPipeline pipeline(cfg.worker.padded_rows, cfg.worker.padded_cols,
-                            cfg.worker.pipeline, cfg.worker.solver);
+    const RobustPipeline pipeline(cfg.worker.padded_rows,
+                                  cfg.worker.padded_cols, cfg.worker.pipeline,
+                                  cfg.worker.solver);
     std::int32_t handled = 0;    // tiles served, across all connections
     std::int32_t attempts = 0;   // dial attempts, against the budget
     std::int32_t failures = 0;   // consecutive failures, drives backoff

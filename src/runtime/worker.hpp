@@ -1,6 +1,7 @@
 // The worker side of the multi-process decode service: one blocking serve
 // loop that reads TileRequests off a stream socket, decodes each tile through
-// its own RobustPipeline, and writes TileResponses back. The same loop runs
+// the process's own RobustPipeline (a worker is a separate process, so it
+// builds one from its WorkerConfig), and writes TileResponses back. The same loop runs
 // behind both link kinds: a forked worker serves its socketpair until the
 // transport drops, a remote worker dials the broker over TCP, handshakes, and
 // re-dials whenever the transport drops. Forked workers are not exec'd, so
@@ -71,7 +72,7 @@ struct WorkerConfig {
   std::size_t padded_rows = 0;   // tile geometry the pipeline decodes
   std::size_t padded_cols = 0;
   RobustPipelineOptions pipeline;
-  std::shared_ptr<const solvers::SparseSolver> solver;  // null = default
+  std::shared_ptr<const solvers::SparseSolver> solver;  // null = FISTA
   std::uint64_t seed = 0;        // base seed for tile_seed()
   WorkerFaultInjection faults;
 };
@@ -86,7 +87,7 @@ std::uint64_t tile_seed(std::uint64_t base, std::uint64_t frame_index,
 /// in-process fallback so the two paths stay bit-identical by construction.
 /// `cancel` is the broker's own token (a token cannot cross the wire); an
 /// inert one does not perturb the solve.
-RobustPipeline::FrameResult decode_tile(RobustPipeline& pipeline,
+RobustPipeline::FrameResult decode_tile(const RobustPipeline& pipeline,
                                         const wire::TileRequest& req,
                                         std::uint64_t base_seed,
                                         const CancelToken& cancel = {});

@@ -929,7 +929,7 @@ TEST(ShardReportAggregation, BothExecutorsNumberFramesByCall) {
 }
 
 // ---------------------------------------------------------------------------
-// Adaptive fractions: plumbing + operator cache keying
+// Adaptive fractions: plumbing
 
 TEST(ResolveFraction, OverrideAndFallbackContract) {
   EXPECT_EQ(cs::resolve_fraction(0.0, 0.5), 0.5);  // 0 keeps the default
@@ -966,31 +966,6 @@ TEST(EventDrivenShard, AdaptiveFractionsReachTheTilePipelines) {
   EXPECT_TRUE(la::all_finite(first.frame));
   EXPECT_TRUE(la::all_finite(third.frame));
   EXPECT_LT(cs::rmse(first.frame, frame), 0.2);  // sparse still reconstructs
-}
-
-TEST(DecoderCacheStats, FractionDistinctPatternsNeverCollide) {
-  // The operator cache keys on the full index vector, so two patterns of
-  // different fractions can never alias — the stats make that observable.
-  cs::Decoder decoder(8, 8);
-  Rng rng(5);
-  const cs::SamplingPattern dense = cs::random_pattern(8, 8, 0.6, rng);
-  const cs::SamplingPattern sparse = cs::random_pattern(8, 8, 0.25, rng);
-
-  EXPECT_EQ(decoder.cache_stats().hits, 0u);
-  decoder.measurement_operator(dense);   // miss: build
-  decoder.measurement_operator(dense);   // hit
-  decoder.measurement_operator(sparse);  // miss: different key
-  decoder.measurement_operator(sparse);  // hit
-  decoder.measurement_operator(dense);   // hit (still resident, MRU)
-  const cs::Decoder::OperatorCacheStats stats = decoder.cache_stats();
-  EXPECT_EQ(stats.misses, 2u);
-  EXPECT_EQ(stats.hits, 3u);
-  EXPECT_EQ(stats.evictions, 0u);
-
-  // Blow the MRU capacity (4): distinct patterns evict the oldest entries.
-  for (int i = 0; i < 6; ++i)
-    decoder.measurement_operator(cs::random_pattern(8, 8, 0.5, rng));
-  EXPECT_GT(decoder.cache_stats().evictions, 0u);
 }
 
 TEST(EventDrivenShard, GateDisabledLeavesCountersAtZero) {

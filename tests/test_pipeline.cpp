@@ -343,9 +343,10 @@ TEST_F(PipelineTest, ImplicitPsiDecodeMatchesDensePath) {
   EXPECT_EQ(dense.converged, matrix_free.converged);
   EXPECT_LT(la::max_abs_diff(dense.frame, matrix_free.frame), 1e-4);
   EXPECT_NEAR(dense.residual_norm, matrix_free.residual_norm, 1e-6);
-  // operator_norm is the exact sigma of the tight frame A = Φ_M·Ψ (no power
-  // iteration); it must agree with the dense matrix's spectral norm.
-  EXPECT_NEAR(decoder_.operator_norm(p),
+  // The operator's norm bound is the exact sigma of the tight frame
+  // A = Φ_M·Ψ (no power iteration); it must agree with the dense matrix's
+  // spectral norm.
+  EXPECT_NEAR(decoder_.measurement_operator(p)->norm_upper_bound(),
               la::spectral_norm(golden::measurement_matrix(
                   dsp::BasisKind::kDct2D, p)),
               1e-10);

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
+#include <thread>
+#include <vector>
 
 #include "common/check.hpp"
 #include "cs/metrics.hpp"
@@ -300,6 +303,62 @@ TEST(RobustPipeline, PixelsDoNotDependOnEarlierFrames) {
   EXPECT_GT(ra.report.dropped_measurements, 0u);
   EXPECT_EQ(ra.report.dropped_measurements, rb.report.dropped_measurements);
   EXPECT_EQ(la::max_abs_diff(ra.frame, rb.frame), 0.0);
+}
+
+// process() is const: threads sharing one pipeline, as ShardedDecoder's pool
+// does, get exactly the pixels and reports of a serial run. Half the jobs
+// carry stuck pixels so the ladder climbs past the plain decode, and the
+// measurement-fault channel runs on every acquisition.
+TEST(RobustPipeline, ConstPipelineSharedAcrossThreadsIsBitExact) {
+  constexpr std::size_t kDim = 16;
+  constexpr std::size_t kJobs = 8;
+  constexpr std::size_t kThreads = 4;
+  RobustPipelineOptions opts;
+  opts.measurement_faults.add(cs::DroppedMeasurementFault{0.05, 9});
+  const RobustPipeline pipe(kDim, kDim, opts, fista());
+
+  std::vector<la::Matrix> tiles;
+  for (std::size_t j = 0; j < kJobs; ++j) {
+    const la::Matrix truth = thermal_frame(kDim, 100 + j);
+    tiles.push_back(j % 2 == 0 ? truth : stuck_frame(truth, 0.08, 200 + j));
+  }
+  const auto run = [&](std::size_t j) {
+    Rng rng(1000 + j);
+    return pipe.process(tiles[j], j, rng);
+  };
+
+  std::vector<RobustPipeline::FrameResult> serial;
+  for (std::size_t j = 0; j < kJobs; ++j) serial.push_back(run(j));
+
+  std::vector<RobustPipeline::FrameResult> shared(kJobs);
+  std::vector<std::thread> threads;  // flexcs-lint: allow(threading)
+  for (std::size_t t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      for (std::size_t j = t; j < kJobs; j += kThreads) shared[j] = run(j);
+    });
+  for (auto& th : threads) th.join();
+
+  bool escalated = false;
+  for (std::size_t j = 0; j < kJobs; ++j) {
+    const RobustPipeline::FrameResult& a = serial[j];
+    const RobustPipeline::FrameResult& b = shared[j];
+    ASSERT_EQ(a.frame.size(), b.frame.size());
+    EXPECT_EQ(std::memcmp(a.frame.data(), b.frame.data(),
+                          a.frame.size() * sizeof(double)),
+              0)
+        << "job " << j;
+    EXPECT_EQ(a.report.strategy, b.report.strategy) << "job " << j;
+    EXPECT_EQ(a.report.decode_calls, b.report.decode_calls) << "job " << j;
+    EXPECT_EQ(a.report.solver_iterations, b.report.solver_iterations)
+        << "job " << j;
+    EXPECT_EQ(a.report.rel_residual, b.report.rel_residual) << "job " << j;
+    EXPECT_EQ(a.report.dropped_measurements, b.report.dropped_measurements)
+        << "job " << j;
+    EXPECT_EQ(a.report.suspected_defects, b.report.suspected_defects)
+        << "job " << j;
+    escalated |= a.report.escalation_depth > 0;
+  }
+  EXPECT_TRUE(escalated) << "no job climbed the ladder";
 }
 
 TEST(RobustPipeline, SuspectedDefectMaskOverlapsTrueDefects) {

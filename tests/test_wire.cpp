@@ -14,7 +14,6 @@
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
-#include "cs/sampling.hpp"
 
 namespace flexcs::runtime::wire {
 namespace {
@@ -190,21 +189,6 @@ TEST(Wire, PropertyRandomGeometriesRoundTripBitExact) {
           ASSERT_EQ(back(i, j), m(i, j));  // bit-exact
     }
 
-    // Sampling pattern (indices strictly increasing by construction).
-    const double fraction = rng.uniform(0.1, 0.9);
-    cs::SamplingPattern p = cs::random_pattern(rows, cols, fraction, rng);
-    {
-      Writer w;
-      put_pattern(w, p);
-      const std::vector<std::uint8_t> bytes = w.take();
-      Reader r(bytes);
-      const cs::SamplingPattern back = get_pattern(r);
-      ASSERT_TRUE(r.exhausted());
-      ASSERT_EQ(back.rows, p.rows);
-      ASSERT_EQ(back.cols, p.cols);
-      ASSERT_EQ(back.indices, p.indices);
-    }
-
     // Recovery report.
     const RecoveryReport rep = random_report(rows, cols, rng);
     {
@@ -217,40 +201,6 @@ TEST(Wire, PropertyRandomGeometriesRoundTripBitExact) {
       expect_reports_equal(rep, back);
     }
   }
-}
-
-TEST(Wire, DecodeResultRoundTrip) {
-  Rng rng(44);
-  cs::DecodeResult res;
-  res.frame = random_matrix(5, 7, rng);
-  res.coefficients = la::Vector(35);
-  for (std::size_t i = 0; i < res.coefficients.size(); ++i)
-    res.coefficients[i] = rng.normal();
-  res.solver_iterations = 123;
-  res.converged = true;
-  res.deadline_expired = false;
-  res.residual_norm = 0.0625;
-  res.solve_seconds = 1.5;
-
-  Writer w;
-  put_decode_result(w, res);
-  const std::vector<std::uint8_t> bytes = w.take();
-  Reader r(bytes);
-  const cs::DecodeResult back = get_decode_result(r);
-  ASSERT_TRUE(r.exhausted());
-  ASSERT_EQ(back.frame.rows(), 5u);
-  ASSERT_EQ(back.frame.cols(), 7u);
-  for (std::size_t i = 0; i < 5; ++i)
-    for (std::size_t j = 0; j < 7; ++j)
-      EXPECT_EQ(back.frame(i, j), res.frame(i, j));
-  ASSERT_EQ(back.coefficients.size(), 35u);
-  for (std::size_t i = 0; i < 35; ++i)
-    EXPECT_EQ(back.coefficients[i], res.coefficients[i]);
-  EXPECT_EQ(back.solver_iterations, 123);
-  EXPECT_TRUE(back.converged);
-  EXPECT_FALSE(back.deadline_expired);
-  EXPECT_EQ(back.residual_norm, 0.0625);
-  EXPECT_EQ(back.solve_seconds, 1.5);
 }
 
 TEST(Wire, TileRequestAndResponseRoundTrip) {
@@ -312,27 +262,6 @@ TEST(Wire, StructurallyLyingPayloadsThrowCheckError) {
     const std::vector<std::uint8_t> bytes = w.take();
     Reader r(bytes);
     EXPECT_THROW(get_matrix(r), CheckError);
-  }
-  {  // pattern with non-increasing indices
-    Writer w;
-    w.put_u64(4);  // rows
-    w.put_u64(4);  // cols
-    w.put_u64(2);  // m
-    w.put_u64(5);
-    w.put_u64(5);  // not strictly increasing
-    const std::vector<std::uint8_t> bytes = w.take();
-    Reader r(bytes);
-    EXPECT_THROW(get_pattern(r), CheckError);
-  }
-  {  // pattern index out of range
-    Writer w;
-    w.put_u64(4);
-    w.put_u64(4);
-    w.put_u64(1);
-    w.put_u64(16);  // valid indices are 0..15
-    const std::vector<std::uint8_t> bytes = w.take();
-    Reader r(bytes);
-    EXPECT_THROW(get_pattern(r), CheckError);
   }
   {  // reading past the end of an empty payload
     Reader r(nullptr, 0);
@@ -462,8 +391,6 @@ TEST(Wire, HostileByteSweepNeverCrashesAnyTypedDecoder) {
   hello.padded_rows = hello.padded_cols = 12;
   Writer wm;
   put_matrix(wm, random_matrix(5, 5, rng));
-  Writer wp;
-  put_pattern(wp, cs::random_pattern(6, 6, 0.4, rng));
   Writer wr;
   put_recovery_report(wr, random_report(4, 4, rng));
 
@@ -473,7 +400,6 @@ TEST(Wire, HostileByteSweepNeverCrashesAnyTypedDecoder) {
       encode_hello(hello),
       encode_hello_ack({true, HelloReject::kNone}),
       encode_message(MessageType::kFrame, wm.bytes()),
-      encode_message(MessageType::kPattern, wp.bytes()),
       encode_message(MessageType::kRecoveryReport, wr.bytes()),
       encode_message(MessageType::kShutdown, {}),
       encode_message(MessageType::kPing, {}),
@@ -500,11 +426,6 @@ TEST(Wire, HostileByteSweepNeverCrashesAnyTypedDecoder) {
         case MessageType::kFrame: {
           Reader r(msg.payload);
           get_matrix(r);
-          break;
-        }
-        case MessageType::kPattern: {
-          Reader r(msg.payload);
-          get_pattern(r);
           break;
         }
         case MessageType::kRecoveryReport: {
@@ -554,7 +475,7 @@ TEST(Wire, HostileByteSweepNeverCrashesAnyTypedDecoder) {
 TEST(Wire, BackToBackMessagesParseSequentially) {
   // The broker reads a byte stream, so two messages may land in one read().
   Writer w1;
-  put_la_vector(w1, la::Vector({1.0, 2.0, 3.0}));
+  put_matrix(w1, la::Matrix::from_flat(la::Vector({1.0, 2.0, 3.0}), 1, 3));
   std::vector<std::uint8_t> stream =
       encode_message(MessageType::kFrame, w1.bytes());
   const std::vector<std::uint8_t> second =

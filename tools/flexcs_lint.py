@@ -147,7 +147,6 @@ ENTRY_POINTS: Sequence[Tuple[str, str, Tuple[str, ...]]] = (
     ("src/cs/decoder.cpp", r"Decoder::decode\b", ("FLEXCS_CHECK", "decode_with")),
     ("src/cs/decoder.cpp", r"Decoder::decode_with\b", ("FLEXCS_CHECK",)),
     ("src/cs/decoder.cpp", r"Decoder::measurement_operator\b", ("FLEXCS_CHECK",)),
-    ("src/cs/decoder.cpp", r"Decoder::operator_norm\b", ("FLEXCS_CHECK",)),
     ("src/cs/sampling.cpp", r"\bapply_pattern\b", ("FLEXCS_CHECK",)),
     ("src/cs/sampling.cpp", r"\bresolve_fraction\b", ("FLEXCS_CHECK",)),
     ("src/cs/faults.cpp", r"FaultScenario::corrupt_frame\b", ("FLEXCS_CHECK",)),

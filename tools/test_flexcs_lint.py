@@ -608,10 +608,6 @@ class DecoderEntryCheckTest(unittest.TestCase):
         "  FLEXCS_CHECK(pattern.rows == rows_, \"shape\");\n"
         "  return entry_for(pattern).op;\n"
         "}\n"
-        "double Decoder::operator_norm(const SamplingPattern& pattern) const {\n"
-        "  FLEXCS_CHECK(pattern.rows == rows_, \"shape\");\n"
-        "  return 1.0;\n"
-        "}\n"
         "DecodeResult Decoder::decode(const SamplingPattern& pattern,\n"
         "                             const la::Vector& y) const {\n"
         "  return decode_with(pattern, y, *solver_, opts_);\n"

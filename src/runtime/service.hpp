@@ -67,9 +67,9 @@
 namespace flexcs::runtime {
 
 struct ServiceOptions {
-  std::size_t tile_rows = 16;  // must divide the frame rows
-  std::size_t tile_cols = 16;  // must divide the frame cols
-  std::size_t halo = 2;        // replicated-border pixels per tile side
+  std::size_t tile_rows = kDefaultTileSide;  // must divide the frame rows
+  std::size_t tile_cols = kDefaultTileSide;  // must divide the frame cols
+  std::size_t halo = kDefaultHalo;  // replicated-border pixels per tile side
   // Worker processes to fork. 0 runs every tile in-process (no forks) — the
   // same code path the supervisor degrades to when the fleet collapses.
   std::size_t workers = 2;

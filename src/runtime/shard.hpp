@@ -78,12 +78,12 @@ struct StreamHealth {
 };
 
 struct ShardOptions {
-  std::size_t tile_rows = 32;  // must divide the frame rows
-  std::size_t tile_cols = 32;  // must divide the frame cols
+  std::size_t tile_rows = kDefaultTileSide;  // must divide the frame rows
+  std::size_t tile_cols = kDefaultTileSide;  // must divide the frame cols
   // Replicated-border padding around each tile, in pixels per side. 0 decodes
   // bare tiles (fastest, visible seams under aggressive sampling); 2 is
   // enough to let the DCT atoms of neighbouring tiles overlap.
-  std::size_t halo = 2;
+  std::size_t halo = kDefaultHalo;
   // Worker pool + per-tile pipeline configuration. The pipeline is built
   // over the PADDED tile geometry.
   StreamOptions stream;

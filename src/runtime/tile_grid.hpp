@@ -11,6 +11,11 @@
 
 namespace flexcs::runtime {
 
+// The default geometry of both executors (ShardOptions, ServiceOptions):
+// 32-px tiles with a 2-px halo, so every solve runs on a 36x36 padded tile.
+inline constexpr std::size_t kDefaultTileSide = 32;
+inline constexpr std::size_t kDefaultHalo = 2;
+
 struct TileGrid {
   TileGrid(std::size_t rows, std::size_t cols, std::size_t tile_rows,
            std::size_t tile_cols, std::size_t halo);

@@ -611,12 +611,13 @@ la::Matrix one_stuck_tile_frame(std::uint64_t seed) {
   return out;
 }
 
-// The per-tile defect-rate EWMA after each frame of the stuck-tile scene.
+// The per-tile defect-rate EWMA after each frame of the stuck-tile scene,
+// appended to `trace`. The executor must cut the frame into 4 16x16 tiles.
 template <typename Executor>
-std::vector<std::vector<double>> drift_trace(Executor& exec) {
-  std::vector<std::vector<double>> trace;
+void drift_trace(Executor& exec, std::vector<std::vector<double>>& trace) {
   for (std::uint64_t f = 0; f < 4; ++f) {
     const ShardReport report = exec.process(one_stuck_tile_frame(7 + f)).report;
+    ASSERT_EQ(report.tile_reports.size(), 4u);
     std::vector<double> ewma;
     for (const TileReport& t : report.tile_reports) {
       EXPECT_EQ(t.drift_detected, t.defect_rate_ewma > 0.05);
@@ -629,7 +630,6 @@ std::vector<std::vector<double>> drift_trace(Executor& exec) {
     EXPECT_TRUE(report.tile_reports[3].drift_detected) << "frame " << f;
     trace.push_back(std::move(ewma));
   }
-  return trace;
 }
 
 TEST(TileFrontEnd, DriftIsPerTileAndIndependentOfWorkerCount) {
@@ -638,18 +638,19 @@ TEST(TileFrontEnd, DriftIsPerTileAndIndependentOfWorkerCount) {
   for (const std::size_t workers : {1u, 3u}) {
     // Halo 0: a clean tile's halo would otherwise reach into the stuck one.
     ShardedDecoder decoder(kDim, kDim, shard_options(16, 0, workers));
-    sharded.push_back(drift_trace(decoder));
+    drift_trace(decoder, sharded.emplace_back());
   }
   EXPECT_EQ(sharded[0], sharded[1]);  // bit-exact, not approximate
 
   std::vector<std::vector<std::vector<double>>> served;
   for (const std::size_t workers : {0u, 2u}) {
     ServiceOptions opts;
+    opts.tile_rows = opts.tile_cols = 16;
     opts.halo = 0;
     opts.workers = workers;
     opts.solver = fista();
     DecodeService service(kDim, kDim, opts);
-    served.push_back(drift_trace(service));
+    drift_trace(service, served.emplace_back());
   }
   EXPECT_EQ(served[0], served[1]);
 }

@@ -301,5 +301,34 @@ TEST(DecodeService, MeasurementFaultsStayDeterministicAcrossTheFleet) {
   EXPECT_EQ(svc.health().frames_lost, 0u);
 }
 
+// Both executors cut a frame the same way unless the caller says otherwise.
+TEST(DecodeService, DefaultGeometryMatchesShardedDecoder) {
+  const ServiceOptions service;
+  const ShardOptions shard;
+  EXPECT_EQ(service.tile_rows, shard.tile_rows);
+  EXPECT_EQ(service.tile_cols, shard.tile_cols);
+  EXPECT_EQ(service.halo, shard.halo);
+}
+
+// The tests above pin 16-px tiles; this one runs the default geometry, four
+// 32-px tiles of a 64x64 frame, through the fleet and in-process.
+TEST(DecodeService, DefaultGeometryFleetMatchesInProcessBitExact) {
+  constexpr std::size_t kFrameDim = 64;
+  const la::Matrix frame = thermal_frame(kFrameDim, 7);
+  ServiceOptions opts;
+  opts.workers = 0;
+  DecodeService ref(kFrameDim, kFrameDim, opts);
+  const ServiceFrameResult want = ref.process(frame);
+
+  opts.workers = 2;
+  DecodeService svc(kFrameDim, kFrameDim, opts);
+  const ServiceFrameResult got = svc.process(frame);
+  ASSERT_EQ(got.report.tile_reports.size(), 4u);
+  for (const TileReport& t : got.report.tile_reports)
+    EXPECT_FALSE(t.in_process);
+  expect_bit_exact(got.frame, want.frame);
+  EXPECT_EQ(svc.health().frames_lost, 0u);
+}
+
 }  // namespace
 }  // namespace flexcs::runtime

@@ -12,6 +12,15 @@
 // 1.0 in every cell. Crashes cost latency (re-dispatch + respawn), never
 // pixels.
 //
+// What repeats and is gated: frames_lost and rmse_vs_clean. The ctest
+// bench.service_faults_floor reruns the full sweep and holds both columns,
+// per (crash_rate, kill_after_tiles, workers) cell, to the reference in
+// tests/data/. The worker_crashes, worker_respawns and tile_redispatches
+// counts depend on how the scheduler interleaves the broker and its
+// workers (which worker serves which tile, whether a kill lands before or
+// after a dispatch), so they vary between runs and are not gated; nor are
+// the timings.
+//
 // Crash-rate knob: a worker with kill_after_tiles = K serves K tiles and
 // dies consuming the (K+1)-th, so the sustained per-dispatch crash rate is
 // 1 / (K + 1): rate 0.5 -> K = 1, rate 0.2 -> K = 4, rate 0 -> no injection.

@@ -9,15 +9,19 @@
 namespace flexcs::cs {
 namespace {
 
-// `opts.solve` with the operator's exact sigma_max as the step-size hint:
-// the tight frame's 1 is the value FISTA's own power iteration would
-// approach, minus its 120 applies. A hint the caller already set wins (it
-// knows something we don't).
-solvers::SolveOptions with_norm_hint(const SubsampledTransformOperator& a,
-                                     const DecoderOptions& opts) {
+// `opts.solve` with the two facts the decoder knows about its solve. The
+// operator's exact sigma_max is the step-size hint: the tight frame's 1 is
+// the value FISTA's own power iteration would approach, minus its 120
+// applies (a hint the caller already set wins; it knows something we
+// don't). And a de-biasing decode re-fits on the returned support, so the
+// solver may stop once the support is found; a decode without the re-fit
+// never says so.
+solvers::SolveOptions solve_options(const SubsampledTransformOperator& a,
+                                    const DecoderOptions& opts) {
   solvers::SolveOptions solve = opts.solve;
   if (solve.operator_norm_hint <= 0.0)
     solve.operator_norm_hint = a.norm_upper_bound();
+  solve.refit_on_support = opts.debias;
   return solve;
 }
 
@@ -62,7 +66,7 @@ DecodeResult Decoder::decode_with(const SamplingPattern& pattern,
                "decoder: pattern shape mismatch");
   const SubsampledTransformOperator a(plans_, pattern);
   solvers::SolveResult sr =
-      solver.solve(a, measurements, with_norm_hint(a, opts));
+      solver.solve(a, measurements, solve_options(a, opts));
 
   // Skip de-biasing on an interrupted solve: the caller's budget is spent,
   // and a least-squares re-fit of a partial support isn't worth paying for.

@@ -18,7 +18,11 @@ struct DecoderOptions {
   dsp::BasisKind basis = dsp::BasisKind::kDct2D;
   // Least-squares re-fit on the recovered support: CG on the masked normal
   // equations (matrix-free), seeded with the solver's support values and
-  // stopped at a 1e-9 relative residual.
+  // stopped at a 1e-9 relative residual. The decoder sets the solve's
+  // SolveOptions::refit_on_support exactly when this is on (whatever
+  // `solve` says), so FISTA may stop once its support is found and leave the
+  // values to the re-fit (fista.hpp); a decode without the re-fit keeps the
+  // solver's full stopping rule.
   bool debias = true;
   bool clamp01 = true;       // clamp the reconstruction into [0, 1]
   // Strictly |coef| > support_threshold counts as support for the debias

@@ -1,6 +1,7 @@
 #include "cs/transform_operator.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <utility>
 #include <vector>
@@ -72,12 +73,14 @@ SubsampledTransformOperator::SubsampledTransformOperator(
   FLEXCS_CHECK(!pattern_.indices.empty(),
                "SubsampledTransformOperator: empty sampling pattern");
   const std::size_t n = pattern_.n();
+  sampled_bits_.assign(n, 0);
   std::size_t prev = 0;
   for (std::size_t k = 0; k < pattern_.indices.size(); ++k) {
     const std::size_t idx = pattern_.indices[k];
     FLEXCS_CHECK(idx < n, "SubsampledTransformOperator: index out of range");
     FLEXCS_CHECK(k == 0 || idx > prev,
                  "SubsampledTransformOperator: indices not strictly increasing");
+    sampled_bits_[idx] = ~std::uint64_t{0};
     prev = idx;
   }
 }
@@ -139,6 +142,12 @@ void SubsampledTransformOperator::adjoint_into(const double* y, double* x,
   }
 }
 
+void SubsampledTransformOperator::zero_unsampled(double* frame) const {
+  for (std::size_t i = 0; i < sampled_bits_.size(); ++i)
+    frame[i] = std::bit_cast<double>(std::bit_cast<std::uint64_t>(frame[i]) &
+                                     sampled_bits_[i]);
+}
+
 la::Matrix SubsampledTransformOperator::synthesize(const la::Vector& x) const {
   FLEXCS_CHECK(x.size() == cols(),
                "SubsampledTransformOperator::synthesize shape mismatch");
@@ -171,6 +180,38 @@ la::Vector SubsampledTransformOperator::apply_adjoint(const la::Vector& y) const
   adjoint_count_.fetch_add(1, std::memory_order_relaxed);
   adjoint_ns_.fetch_add(elapsed_ns(t0), std::memory_order_relaxed);
   return x;
+}
+
+void SubsampledTransformOperator::apply_normal(const la::Vector& x,
+                                               la::Vector& out) const {
+  FLEXCS_CHECK(x.size() == cols(),
+               "SubsampledTransformOperator::apply_normal shape mismatch");
+  const auto t0 = SteadyClock::now();
+  const std::size_t rows = pattern_.rows, cols = pattern_.cols;
+  const std::size_t n = pattern_.n();
+  out.resize(n);
+  Scratch& ws = local_scratch();
+  // The sampled pixels carry exactly the values apply() gathers and
+  // apply_adjoint() scatters back, and every other pixel is +0.0 in both,
+  // so the analysis sees the same grid bit for bit.
+  if (basis() == dsp::BasisKind::kDct2D) {
+    ws.grid.resize(n);
+    dsp::idct2d_apply(*plans_->row_plan, *plans_->col_plan, x.data(),
+                      ws.grid.data(), rows, cols, ws.dct);
+    zero_unsampled(ws.grid.data());
+    dsp::dct2d_apply(*plans_->row_plan, *plans_->col_plan, ws.grid.data(),
+                     out.data(), rows, cols, ws.dct);
+  } else {
+    std::copy(x.begin(), x.end(), out.begin());
+    dsp::ihaar2d_inplace(out.data(), rows, cols, plans_->haar_levels, ws.haar);
+    zero_unsampled(out.data());
+    dsp::haar2d_inplace(out.data(), rows, cols, plans_->haar_levels, ws.haar);
+  }
+  const std::uint64_t ns = elapsed_ns(t0);
+  apply_count_.fetch_add(1, std::memory_order_relaxed);
+  adjoint_count_.fetch_add(1, std::memory_order_relaxed);
+  apply_ns_.fetch_add(ns / 2, std::memory_order_relaxed);
+  adjoint_ns_.fetch_add(ns - ns / 2, std::memory_order_relaxed);
 }
 
 }  // namespace flexcs::cs

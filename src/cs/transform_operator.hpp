@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <vector>
 
 #include "cs/sampling.hpp"
 #include "dsp/basis.hpp"
@@ -64,6 +65,11 @@ class SubsampledTransformOperator final : public la::LinearOperator {
   std::size_t cols() const override { return pattern_.n(); }
   la::Vector apply(const la::Vector& x) const override;
   la::Vector apply_adjoint(const la::Vector& y) const override;
+  /// Aᵀ·A·x as synthesis, zeroing the unsampled pixels, analysis: no gather
+  /// or scatter, no allocation once `out` and the thread's scratch are
+  /// sized, and the bits of apply_adjoint(apply(x)). Metered as one apply
+  /// and one adjoint, the wall time split evenly between them.
+  void apply_normal(const la::Vector& x, la::Vector& out) const override;
   /// sigma_max(Φ_M Ψ) = 1 exactly: A·Aᵀ = Φ_M·Ψ·Ψᵀ·Φ_Mᵀ = I_M for an
   /// orthonormal Ψ, so A is a tight frame and every singular value is 1.
   /// The decoder passes this as FISTA's Lipschitz bound in place of a power
@@ -99,9 +105,15 @@ class SubsampledTransformOperator final : public la::LinearOperator {
   static Scratch& local_scratch();
   void apply_into(const double* x, double* y, Scratch& ws) const;
   void adjoint_into(const double* y, double* x, Scratch& ws) const;
+  // Zeroes every pixel of a rows×cols frame that the pattern does not read.
+  void zero_unsampled(double* frame) const;
 
   std::shared_ptr<const TransformPlans> plans_;
   SamplingPattern pattern_;
+  // Per pixel of the grid: all bits set where the pattern reads it, none
+  // elsewhere. ANDing a frame with it keeps the sampled pixels' bits and
+  // makes every other pixel +0.0, exactly what a gather and a scatter leave.
+  std::vector<std::uint64_t> sampled_bits_;
 
   mutable std::atomic<std::uint64_t> apply_count_{0};
   mutable std::atomic<std::uint64_t> adjoint_count_{0};

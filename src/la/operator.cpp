@@ -20,6 +20,10 @@ double frobenius_of(const Matrix& a) {
 
 }  // namespace
 
+void LinearOperator::apply_normal(const Vector& x, Vector& out) const {
+  out = apply_adjoint(apply(x));
+}
+
 std::vector<Vector> LinearOperator::apply_batch(
     const std::vector<Vector>& xs) const {
   std::vector<Vector> out;

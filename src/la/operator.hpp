@@ -37,6 +37,13 @@ class LinearOperator {
   /// x = Aᵀ y. Requires y.size() == rows().
   virtual Vector apply_adjoint(const Vector& y) const = 0;
 
+  /// out = Aᵀ·A·x, the normal apply of a gradient step or a least-squares
+  /// CG, into a caller-owned buffer (resized to cols()). The default is
+  /// apply_adjoint(apply(x)), which allocates both results; an override may
+  /// compute in place but must return exactly those bits, so a solve takes
+  /// the same iterates whether or not a wrapping operator forwards it.
+  virtual void apply_normal(const Vector& x, Vector& out) const;
+
   /// Batched y_i = A x_i over frames sharing this operator: loops apply()
   /// (no library operator overrides it). Results are index-aligned with the
   /// input.

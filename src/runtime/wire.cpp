@@ -17,48 +17,85 @@ namespace {
 // from driving a pathological allocation.
 constexpr std::uint64_t kMaxDim = 1u << 20;
 
-constexpr std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+// Slice-by-8 tables for the reflected CRC-32: kCrcTables[0] is the classic
+// byte table, and kCrcTables[k][b] is the CRC of byte b followed by k zero
+// bytes, so one lookup per byte of an 8-byte block advances the whole block.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr CrcTables make_crc_tables() {
+  CrcTables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k)
       c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < t.size(); ++k)
+    for (std::size_t i = 0; i < 256; ++i)
+      t[k][i] = t[0][t[k - 1][i] & 0xFFu] ^ (t[k - 1][i] >> 8);
+  return t;
 }
 
-constexpr std::array<std::uint32_t, 256> kCrcTable = make_crc_table();
+constexpr CrcTables kCrcTables = make_crc_tables();
+
+std::uint32_t load_le32(const std::uint8_t* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 |
+         static_cast<std::uint32_t>(p[3]) << 24;
+}
+
+// Appends the little-endian bytes of an unsigned integer.
+template <typename T>
+void append_le(std::vector<std::uint8_t>& out, T v) {
+  std::array<std::uint8_t, sizeof(T)> b{};
+  for (std::size_t i = 0; i < sizeof(T); ++i)
+    b[i] = static_cast<std::uint8_t>((v >> (8 * i)) & 0xFFu);
+  out.insert(out.end(), b.begin(), b.end());
+}
+
+// On a little-endian host a double's wire bytes are its memory bytes.
+constexpr bool kNativeLittleEndian = std::endian::native == std::endian::little;
 
 }  // namespace
 
 std::uint32_t crc32(const std::uint8_t* data, std::size_t size) {
+  const auto& t = kCrcTables;
   std::uint32_t c = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < size; ++i)
-    c = kCrcTable[(c ^ data[i]) & 0xFFu] ^ (c >> 8);
+  std::size_t i = 0;
+  for (; i + 8 <= size; i += 8) {
+    const std::uint32_t lo = c ^ load_le32(data + i);
+    const std::uint32_t hi = load_le32(data + i + 4);
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^ t[5][(lo >> 16) & 0xFFu] ^
+        t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^ t[2][(hi >> 8) & 0xFFu] ^
+        t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; i < size; ++i) c = t[0][(c ^ data[i]) & 0xFFu] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
 }
 
-void Writer::put_u16(std::uint16_t v) {
-  put_u8(static_cast<std::uint8_t>(v & 0xFFu));
-  put_u8(static_cast<std::uint8_t>(v >> 8));
-}
+void Writer::put_u16(std::uint16_t v) { append_le(bytes_, v); }
 
-void Writer::put_u32(std::uint32_t v) {
-  for (int i = 0; i < 4; ++i)
-    put_u8(static_cast<std::uint8_t>((v >> (8 * i)) & 0xFFu));
-}
+void Writer::put_u32(std::uint32_t v) { append_le(bytes_, v); }
 
-void Writer::put_u64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i)
-    put_u8(static_cast<std::uint8_t>((v >> (8 * i)) & 0xFFu));
-}
+void Writer::put_u64(std::uint64_t v) { append_le(bytes_, v); }
 
 void Writer::put_i32(std::int32_t v) {
   put_u32(static_cast<std::uint32_t>(v));
 }
 
 void Writer::put_f64(double v) { put_u64(std::bit_cast<std::uint64_t>(v)); }
+
+void Writer::put_f64s(const double* v, std::size_t n) {
+  if constexpr (kNativeLittleEndian) {
+    const std::size_t at = bytes_.size();
+    bytes_.resize(at + n * sizeof(double));
+    if (n > 0) std::memcpy(bytes_.data() + at, v, n * sizeof(double));
+  } else {
+    reserve(n * sizeof(double));
+    for (std::size_t i = 0; i < n; ++i) put_f64(v[i]);
+  }
+}
 
 void Reader::require(std::size_t n) const {
   FLEXCS_CHECK(size_ - pos_ >= n, "wire payload truncated");
@@ -102,22 +139,26 @@ std::int32_t Reader::get_i32() { return static_cast<std::int32_t>(get_u32()); }
 
 double Reader::get_f64() { return std::bit_cast<double>(get_u64()); }
 
+void Reader::get_f64s(double* out, std::size_t n) {
+  FLEXCS_CHECK(n <= remaining() / sizeof(double), "wire payload truncated");
+  if constexpr (kNativeLittleEndian) {
+    if (n > 0) std::memcpy(out, data_ + pos_, n * sizeof(double));
+    pos_ += n * sizeof(double);
+  } else {
+    for (std::size_t i = 0; i < n; ++i) out[i] = get_f64();
+  }
+}
+
 std::vector<std::uint8_t> encode_message(
     MessageType type, const std::vector<std::uint8_t>& payload) {
   std::vector<std::uint8_t> out;
   out.reserve(kHeaderBytes + payload.size() + kTrailerBytes);
-  Writer w;
-  w.put_u32(kMagic);
-  w.put_u16(kVersion);
-  w.put_u16(static_cast<std::uint16_t>(type));
-  w.put_u64(payload.size());
-  out = w.take();
+  append_le(out, kMagic);
+  append_le(out, kVersion);
+  append_le(out, static_cast<std::uint16_t>(type));
+  append_le(out, static_cast<std::uint64_t>(payload.size()));
   out.insert(out.end(), payload.begin(), payload.end());
-  const std::uint32_t crc = crc32(payload.data(), payload.size());
-  Writer t;
-  t.put_u32(crc);
-  const std::vector<std::uint8_t> trailer = t.take();
-  out.insert(out.end(), trailer.begin(), trailer.end());
+  append_le(out, crc32(payload.data(), payload.size()));
   return out;
 }
 
@@ -148,9 +189,10 @@ DecodeStatus decode_message(const std::uint8_t* data, std::size_t size,
 // --- typed payload encodings -----------------------------------------------
 
 void put_matrix(Writer& w, const la::Matrix& m) {
+  w.reserve(16 + m.size() * sizeof(double));
   w.put_u64(m.rows());
   w.put_u64(m.cols());
-  for (std::size_t i = 0; i < m.size(); ++i) w.put_f64(m.data()[i]);
+  w.put_f64s(m.data(), m.size());
 }
 
 la::Matrix get_matrix(Reader& r) {
@@ -161,7 +203,7 @@ la::Matrix get_matrix(Reader& r) {
   FLEXCS_CHECK(rows * cols * 8 <= r.remaining(),
                "wire matrix larger than its payload");
   la::Matrix m(static_cast<std::size_t>(rows), static_cast<std::size_t>(cols));
-  for (std::size_t i = 0; i < m.size(); ++i) m.data()[i] = r.get_f64();
+  r.get_f64s(m.data(), m.size());
   return m;
 }
 
@@ -247,7 +289,11 @@ TileRequest decode_tile_request(const Message& msg) {
 }
 
 std::vector<std::uint8_t> encode_tile_response(const TileResponse& resp) {
+  // One allocation: seq, the matrix shape and pixels, the report's fixed
+  // fields (under 128 bytes) and its defect mask.
   Writer w;
+  w.reserve(24 + resp.tile.size() * sizeof(double) + 128 +
+            resp.report.suspected_defects.size());
   w.put_u64(resp.seq);
   put_matrix(w, resp.tile);
   put_recovery_report(w, resp.report);

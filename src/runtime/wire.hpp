@@ -73,6 +73,10 @@ class Writer {
   void put_i32(std::int32_t v);
   void put_f64(double v);
   void put_bool(bool v) { put_u8(v ? 1 : 0); }
+  /// `n` doubles, the bytes of n put_f64 calls, appended in one pass.
+  void put_f64s(const double* v, std::size_t n);
+  /// Grows the capacity so `n` more bytes append without reallocating.
+  void reserve(std::size_t n) { bytes_.reserve(bytes_.size() + n); }
 
   std::size_t size() const { return bytes_.size(); }
   std::vector<std::uint8_t> take() { return std::move(bytes_); }
@@ -99,6 +103,9 @@ class Reader {
   std::int32_t get_i32();
   double get_f64();
   bool get_bool() { return get_u8() != 0; }
+  /// `n` doubles into `out`: the values of n get_f64 calls, read in one
+  /// pass after one bounds check.
+  void get_f64s(double* out, std::size_t n);
 
   std::size_t remaining() const { return size_ - pos_; }
   bool exhausted() const { return pos_ == size_; }

@@ -19,6 +19,20 @@ constexpr double kContinuationStart = 10.0;  // first stage at 10λ
 constexpr double kContinuationShrink = 5.0;  // each switch divides λ by 5
 constexpr double kStageTol = 1e-2;           // relative change ending a stage
 
+// Stop for a solve whose caller re-fits on its support
+// (SolveOptions::refit_on_support), after GPSR's debiasing (Figueiredo,
+// Nowak & Wright 2007) and FPC_AS (Wen, Yin, Goldfarb & Zhang 2010): the
+// lasso only has to find the support, and least squares on it replaces the
+// values. The final stage may then end at kRefitStopTol instead of
+// opts_.tol, but only while the support |{i : x_i != 0}| is at most
+// kRefitMaxSupport of the measurements, well inside what the re-fit can
+// determine (and below the ladder's 0.8 acceptance cap). A larger support
+// keeps spurious entries that the re-fit would fit, so the solve then runs
+// to opts_.tol as it would unflagged. A looser bound is a cliff: at 1e-3
+// the thermal tiles' re-fit RMSE grows 15-25x.
+constexpr double kRefitStopTol = 1e-4;
+constexpr double kRefitMaxSupport = 0.6;
+
 // Lipschitz setup, sigma_max(A). The fixed-budget power iteration of
 // la::operator_norm_estimate costs more than a tight frame deadline can
 // afford, so a bounded solve estimates sigma with an early-exit power
@@ -105,7 +119,12 @@ SolveResult FistaSolver::solve_impl(const la::LinearOperator& a,
       opts_.lambda > 0.0 ? opts_.lambda : 1e-3 * atb.norm_inf();
   la::Vector& x = result.x;
   la::Vector y = x;
+  la::Vector grad(n);
   double t = 1.0;
+  // tol = 0 asks for the whole iteration budget; a re-fit does not cut it.
+  const bool refit_stop = ctrl.refit_on_support && opts_.tol > 0.0;
+  const double refit_max_support =
+      kRefitMaxSupport * static_cast<double>(a.rows());
 
   const double sigma = lipschitz_sigma(a, ctrl);
   FLEXCS_CHECK(sigma > 0.0, "FISTA: zero operator");
@@ -122,10 +141,11 @@ SolveResult FistaSolver::solve_impl(const la::LinearOperator& a,
     // the coefficients: gradient offset, shrink, the change and magnitude
     // maxima, momentum, the in-place x/y write-back, and the gradient
     // adaptive-restart test g = <y_old - x_new, x_new - x_old> (O'Donoghue &
-    // Candes 2015). g > 0 means the momentum step points uphill on the
-    // composite objective, so the solve drops its momentum (t = 1, y = x)
-    // and continues from x_new as a plain proximal step.
-    const la::Vector grad = a.apply_adjoint(a.apply(y));
+    // Candes 2015), and the support count of the re-fit stop. g > 0 means the
+    // momentum step points uphill on the composite objective, so the solve
+    // drops its momentum (t = 1, y = x) and continues from x_new as a plain
+    // proximal step.
+    a.apply_normal(y, grad);
     FLEXCS_CHECK(grad.size() == n, "FISTA: adjoint result size mismatch");
     double beta = 0.0;
     if (opts_.accelerate) {
@@ -134,6 +154,7 @@ SolveResult FistaSolver::solve_impl(const la::LinearOperator& a,
       t = t_new;
     }
     double dx = 0.0, xmax = 0.0, g = 0.0;
+    std::size_t support = 0;
     for (std::size_t i = 0; i < n; ++i) {
       const double x_new = soft_threshold(y[i] - step * (grad[i] - atb[i]),
                                           thresh);
@@ -141,6 +162,7 @@ SolveResult FistaSolver::solve_impl(const la::LinearOperator& a,
       dx = std::max(dx, std::fabs(x_new - x_old));
       xmax = std::max(xmax, std::fabs(x_new));
       g += (y[i] - x_new) * (x_new - x_old);
+      support += x_new != 0.0 ? 1u : 0u;
       y[i] = opts_.accelerate ? x_new + beta * (x_new - x_old) : x_new;
       x[i] = x_new;
     }
@@ -161,7 +183,10 @@ SolveResult FistaSolver::solve_impl(const la::LinearOperator& a,
       }
       continue;
     }
-    result.converged = change < opts_.tol;
+    result.converged =
+        change < opts_.tol ||
+        (refit_stop && change < kRefitStopTol &&
+         static_cast<double>(support) <= refit_max_support);
     if (result.converged) break;
   }
 

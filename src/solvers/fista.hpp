@@ -4,6 +4,14 @@
 // warm-started from the last and sharing the max_iterations budget; only
 // the final stage's relative change is tested against `tol`, so `converged`
 // always refers to the target λ.
+//
+// When the caller re-fits on the returned support
+// (SolveOptions::refit_on_support, set by the decoder whenever it
+// de-biases), the final stage also stops, converged, once its relative
+// change is below 1e-4 while its support |{i : x_i != 0}| is at most 0.6 of
+// the measurements: the re-fit replaces the values, so only the support has
+// to be right. A larger support runs on to `tol`, and tol = 0 still runs the
+// whole budget. Unflagged solves are unchanged bit for bit.
 #pragma once
 
 #include "solvers/solver.hpp"

@@ -187,14 +187,17 @@ la::Vector debias_on_support(const la::LinearOperator& a, const la::Vector& b,
   // Same ridge-regularised normal equations as the dense path, solved by
   // conjugate gradient through embed/gather instead of materialising the
   // support columns: S c = A_Sᵀ A_S c + ridge·c with A_S c = A·embed(c).
-  const auto embed = [&](const la::Vector& c) {
-    la::Vector full(a.cols(), 0.0);
+  // Every normal apply reuses the two full-length buffers; `full` stays zero
+  // off the support.
+  la::Vector full(a.cols(), 0.0);
+  la::Vector normal(a.cols());
+  const auto embed = [&](const la::Vector& c) -> const la::Vector& {
     for (std::size_t j = 0; j < support.size(); ++j) full[support[j]] = c[j];
     return full;
   };
-  const auto gather = [&](const la::Vector& full) {
+  const auto gather = [&](const la::Vector& v) {
     la::Vector c(support.size());
-    for (std::size_t j = 0; j < support.size(); ++j) c[j] = full[support[j]];
+    for (std::size_t j = 0; j < support.size(); ++j) c[j] = v[support[j]];
     return c;
   };
   // The dense path scales its ridge by the mean support-column energy; with
@@ -203,7 +206,8 @@ la::Vector debias_on_support(const la::LinearOperator& a, const la::Vector& b,
   const double bound = a.norm_upper_bound();
   const double ridge = 1e-10 * std::max(1.0, bound * bound);
   const auto apply_normal = [&](const la::Vector& c) {
-    la::Vector out = gather(a.apply_adjoint(a.apply(embed(c))));
+    a.apply_normal(embed(c), normal);
+    la::Vector out = gather(normal);
     for (std::size_t j = 0; j < c.size(); ++j) out[j] += ridge * c[j];
     return out;
   };
@@ -219,7 +223,8 @@ la::Vector debias_on_support(const la::LinearOperator& a, const la::Vector& b,
   const la::CgResult fit =
       la::cg_solve(apply_normal, gather(a.apply_adjoint(b)), cg, gather(x));
   if (stopped) return {};
-  return embed(fit.x);
+  embed(fit.x);
+  return full;
 }
 
 std::vector<std::string> solver_names() {

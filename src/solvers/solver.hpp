@@ -33,6 +33,13 @@ struct SolveOptions {
   // own estimate. Passing a bound for the wrong operator slows convergence
   // (too large) or breaks it (too small) — only reuse across identical A.
   double operator_norm_hint = 0.0;
+  // The caller re-fits the values on the returned support by least squares
+  // (the decoder sets this exactly when it de-biases). Like the norm hint it
+  // states a fact about the call, not a tuning knob: a solver may then stop
+  // once its support is found instead of polishing values the re-fit
+  // overwrites. FISTA uses it (see fista.hpp); the other solvers ignore it.
+  // A caller that does not re-fit must leave it false.
+  bool refit_on_support = false;
 
   bool should_stop() const { return deadline.expired() || cancel.cancelled(); }
 };

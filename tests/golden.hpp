@@ -23,14 +23,16 @@ inline la::Matrix measurement_matrix(dsp::BasisKind basis,
 }
 
 /// cs::Decoder::decode_with through the dense matrix `a` of `pattern`:
-/// solver.solve(Matrix), then the same de-bias on the support, synthesis and
-/// clamp.
+/// solver.solve(Matrix), told that a re-fit follows exactly when the decoder
+/// would tell it, then the same de-bias on the support, synthesis and clamp.
 inline cs::DecodeResult decode(const la::Matrix& a,
                                const cs::SamplingPattern& pattern,
                                const la::Vector& y,
                                const solvers::SparseSolver& solver,
                                const cs::DecoderOptions& opts) {
-  solvers::SolveResult sr = solver.solve(a, y, opts.solve);
+  solvers::SolveOptions ctrl = opts.solve;
+  ctrl.refit_on_support = opts.debias;
+  solvers::SolveResult sr = solver.solve(a, y, ctrl);
   if (opts.debias && !sr.deadline_expired)
     sr.x = solvers::debias_on_support(a, y, sr.x, opts.support_threshold);
 

@@ -196,6 +196,99 @@ TEST(DecoderNormHint, FarFutureDeadlineDecodesBitIdenticallyToNone) {
   }
 }
 
+// Records whether each solve was told a support re-fit follows.
+class RefitFlagRecorder final : public solvers::SparseSolver {
+ public:
+  std::string name() const override { return inner_.name(); }
+  const std::vector<bool>& flags() const { return flags_; }
+
+ protected:
+  solvers::SolveResult solve_impl(
+      const la::LinearOperator& a, const la::Vector& b,
+      const solvers::SolveOptions& ctrl) const override {
+    flags_.push_back(ctrl.refit_on_support);
+    return inner_.solve(a, b, ctrl);
+  }
+
+ private:
+  solvers::FistaSolver inner_;
+  mutable std::vector<bool> flags_;
+};
+
+TEST(DecoderRefitFlag, SetExactlyWhenTheDecodeDebiases) {
+  // A decode without the re-fit must never let the solver stop on the
+  // re-fit's account, even when the caller's SolveOptions claim otherwise.
+  const Decoder decoder(20, 20);
+  Rng rng(0xF1A6);
+  const SamplingPattern p = random_pattern(20, 20, 0.5, rng);
+  la::Vector y(p.m());
+  for (double& v : y) v = rng.uniform();
+  const RefitFlagRecorder recorder;
+
+  DecoderOptions plain;
+  plain.debias = false;
+  DecoderOptions claimed = plain;
+  claimed.solve.refit_on_support = true;
+  DecoderOptions debiased;
+  debiased.debias = true;
+  decoder.decode_with(p, y, recorder, plain);
+  decoder.decode_with(p, y, recorder, claimed);
+  decoder.decode_with(p, y, recorder, debiased);
+  EXPECT_EQ(recorder.flags(), (std::vector<bool>{false, false, true}));
+}
+
+TEST(NormalApply, TransformOperatorMatchesAdjointOfApplyBitForBit) {
+  // The fused Aᵀ·A·x must return exactly the bits of the two applies: a
+  // wrapping operator that does not forward it (perfbench's timing
+  // decorator) takes the default path, and the traced and untraced decodes
+  // must stay bit-identical.
+  struct Case { dsp::BasisKind basis; std::size_t rows, cols; double f; };
+  for (const Case c : {Case{dsp::BasisKind::kDct2D, 20, 20, 0.5},
+                       Case{dsp::BasisKind::kDct2D, 36, 36, 0.5},
+                       Case{dsp::BasisKind::kDct2D, 32, 32, 0.3},
+                       Case{dsp::BasisKind::kDct2D, 12, 20, 0.9},
+                       Case{dsp::BasisKind::kHaar2D, 16, 16, 0.5},
+                       Case{dsp::BasisKind::kHaar2D, 36, 36, 0.25},
+                       Case{dsp::BasisKind::kHaar2D, 8, 24, 0.7}}) {
+    Rng rng(0x0A7A + c.rows * 7 + c.cols);
+    const SamplingPattern p = random_pattern(c.rows, c.cols, c.f, rng);
+    const SubsampledTransformOperator op(c.basis, p);
+    la::Vector sparse(op.cols(), 0.0);
+    for (std::size_t i = 0; i < sparse.size(); i += 7) sparse[i] = rng.normal();
+    const std::vector<la::Vector> probes = {
+        random_vector(op.cols(), rng), random_vector(op.cols(), rng), sparse,
+        la::Vector(op.cols(), 0.25), la::Vector(op.cols(), 0.0)};
+    la::Vector fused;
+    for (std::size_t k = 0; k < probes.size(); ++k) {
+      op.apply_normal(probes[k], fused);
+      const la::Vector twice = op.apply_adjoint(op.apply(probes[k]));
+      const std::string where = dsp::to_string(c.basis) + " " +
+                                std::to_string(c.rows) + "x" +
+                                std::to_string(c.cols) + " probe " +
+                                std::to_string(k);
+      ASSERT_EQ(fused.size(), twice.size()) << where;
+      EXPECT_EQ(la::max_abs_diff(fused, twice), 0.0) << where;
+      EXPECT_EQ(0, std::memcmp(fused.data(), twice.data(),
+                               twice.size() * sizeof(double)))
+          << where;
+    }
+  }
+}
+
+TEST(NormalApply, DefaultIsAdjointOfApplyAndChecksShape) {
+  Rng rng(0x0A7B);
+  const la::Matrix a = random_matrix(6, 9, rng);
+  const la::DenseOperator op(a);
+  const la::Vector x = random_vector(9, rng);
+  la::Vector out(3, 1.0);  // wrong size on entry: resized
+  op.apply_normal(x, out);
+  EXPECT_EQ(la::max_abs_diff(out, la::matvec_t(a, la::matvec(a, x))), 0.0);
+
+  const SubsampledTransformOperator t(dsp::BasisKind::kDct2D,
+                                      random_pattern(8, 8, 0.5, rng));
+  EXPECT_THROW(t.apply_normal(la::Vector(7), out), CheckError);
+}
+
 TEST(DenseOperator, NormEstimateMatchesSpectralNormBitForBit) {
   Rng rng(0x5B11);
   const la::Matrix a = random_matrix(20, 35, rng);
@@ -313,10 +406,12 @@ TEST(ApplyStats, MetersEveryApplyAndAdjoint) {
   op.apply_adjoint(y);
   op.apply_batch({x, x, x});
   op.apply_adjoint_batch({y, y});
+  la::Vector normal;
+  op.apply_normal(x, normal);  // one apply and one adjoint
 
   const auto after = op.apply_stats();
-  EXPECT_EQ(after.applies, 5u);
-  EXPECT_EQ(after.adjoints, 3u);
+  EXPECT_EQ(after.applies, 6u);
+  EXPECT_EQ(after.adjoints, 4u);
   EXPECT_GE(after.apply_seconds, 0.0);
   EXPECT_GE(after.adjoint_seconds, 0.0);
 }

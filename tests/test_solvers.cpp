@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <utility>
+#include <vector>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
@@ -390,20 +392,28 @@ struct TileProblem {
   cs::SamplingPattern pattern;
   std::shared_ptr<cs::SubsampledTransformOperator> op;
   la::Vector b;
+  la::Matrix clean;  // the tile before any stuck pixels
 };
 
-TileProblem thermal_tile_problem(std::size_t dim, std::uint64_t seed) {
+// `stuck_fraction` of the tile's pixels read 1.0 whatever the scene.
+TileProblem thermal_tile_problem(std::size_t dim, std::uint64_t seed,
+                                 double stuck_fraction = 0.0) {
   data::ThermalOptions topts;
   topts.rows = topts.cols = dim;
   Rng rng(seed);
-  const la::Matrix frame = data::ThermalHandGenerator(topts).sample(rng).values;
-  const cs::SamplingPattern p = cs::random_pattern(dim, dim, 0.5, rng);
   TileProblem tp;
+  tp.clean = data::ThermalHandGenerator(topts).sample(rng).values;
+  const cs::SamplingPattern p = cs::random_pattern(dim, dim, 0.5, rng);
+  la::Matrix read = tp.clean;
+  const auto stuck = static_cast<std::size_t>(
+      std::lround(stuck_fraction * static_cast<double>(read.size())));
+  for (const std::size_t i : rng.sample_without_replacement(read.size(), stuck))
+    read.data()[i] = 1.0;
   tp.pattern = p;
   tp.op = std::make_shared<cs::SubsampledTransformOperator>(
       dsp::BasisKind::kDct2D, p);
   tp.b = la::Vector(p.m());
-  for (std::size_t i = 0; i < p.m(); ++i) tp.b[i] = frame.data()[p.indices[i]];
+  for (std::size_t i = 0; i < p.m(); ++i) tp.b[i] = read.data()[p.indices[i]];
   return tp;
 }
 
@@ -669,6 +679,103 @@ TEST(DebiasRefit, WarmStartIsCheaperAndMatchesTheDenseGolden) {
     const la::Vector golden = debias_on_support(dense_a, tp.b, x, threshold);
     EXPECT_LE(la::max_abs_diff(fit, golden), 1e-8 * fit.norm_inf()) << dim;
   }
+}
+
+// ---------------------------------------------------------------------------
+// The re-fit stop (SolveOptions::refit_on_support)
+
+SolveOptions tight_frame_ctrl(bool refit_on_support) {
+  SolveOptions ctrl;
+  ctrl.operator_norm_hint = 1.0;
+  ctrl.refit_on_support = refit_on_support;
+  return ctrl;
+}
+
+// RMSE against the clean tile of the de-biased decode of `x`.
+double refit_rmse(const TileProblem& tp, const la::Vector& x) {
+  const la::Vector fit = debias_on_support(
+      *tp.op, tp.b, x, cs::DecoderOptions{}.support_threshold);
+  const la::Matrix frame = tp.op->synthesize(fit);
+  double sq = 0.0;
+  for (std::size_t i = 0; i < frame.size(); ++i) {
+    const double d = frame.data()[i] - tp.clean.data()[i];
+    sq += d * d;
+  }
+  return std::sqrt(sq / static_cast<double>(frame.size()));
+}
+
+TEST(FistaRefitStop, CleanTilesStopEarlyAndRefitNoWorse) {
+  // 32 clean thermal tiles at each runtime geometry. Each flagged solve
+  // either stops early or, while its support stays above 0.6 of the
+  // measurements (about a third of the 20x20 tiles, none at 36x36), follows
+  // the unflagged solve bit for bit. The early stops take at most 0.6x the
+  // iterations of their unflagged solves in total, and the de-biased RMSE
+  // against the clean tiles is no worse on average. Per tile the re-fit
+  // moves both ways (about 3 tiles in 10 come out slightly worse), so the
+  // RMSE claim is on the mean.
+  constexpr int kTiles = 32;
+  for (const std::size_t dim : {20u, 36u}) {
+    int full_iterations = 0, early_iterations = 0, stopped_early = 0;
+    double full_rmse = 0.0, early_rmse = 0.0;
+    for (int seed = 1; seed <= kTiles; ++seed) {
+      const TileProblem tp =
+          thermal_tile_problem(dim, static_cast<std::uint64_t>(seed));
+      const SolveResult full =
+          FistaSolver().solve(*tp.op, tp.b, tight_frame_ctrl(false));
+      const SolveResult flagged =
+          FistaSolver().solve(*tp.op, tp.b, tight_frame_ctrl(true));
+      ASSERT_TRUE(full.converged) << dim << " seed " << seed;
+      ASSERT_TRUE(flagged.converged) << dim << " seed " << seed;
+      ASSERT_LE(flagged.iterations, full.iterations) << dim << " seed " << seed;
+      full_rmse += refit_rmse(tp, full.x);
+      early_rmse += refit_rmse(tp, flagged.x);
+      if (flagged.iterations == full.iterations) {
+        EXPECT_EQ(0, std::memcmp(flagged.x.data(), full.x.data(),
+                                 full.x.size() * sizeof(double)))
+            << dim << " seed " << seed;
+        continue;
+      }
+      ++stopped_early;
+      full_iterations += full.iterations;
+      early_iterations += flagged.iterations;
+    }
+    EXPECT_GE(stopped_early, kTiles / 2) << dim;
+    EXPECT_LE(early_iterations, 0.6 * full_iterations)
+        << dim << ": " << stopped_early << " tiles stopped early";
+    EXPECT_LE(early_rmse, full_rmse) << dim;
+  }
+}
+
+TEST(FistaRefitStop, SupportGuardKeepsAStuckTileBitIdentical) {
+  // 2 % stuck pixels spread the lasso support past 0.6 of the measurements,
+  // where a re-fit would fit spurious entries (the 1e-3 cliff). The guard
+  // must then keep the flagged solve on the unflagged path, bit for bit.
+  const TileProblem tp = thermal_tile_problem(36, 3, 0.02);
+  const SolveResult full =
+      FistaSolver().solve(*tp.op, tp.b, tight_frame_ctrl(false));
+  const SolveResult flagged =
+      FistaSolver().solve(*tp.op, tp.b, tight_frame_ctrl(true));
+  std::size_t support = 0;
+  for (const double v : full.x) support += v != 0.0 ? 1u : 0u;
+  EXPECT_GT(static_cast<double>(support),
+            0.6 * static_cast<double>(tp.op->rows()));
+  EXPECT_EQ(flagged.iterations, full.iterations);
+  EXPECT_EQ(flagged.converged, full.converged);
+  ASSERT_EQ(flagged.x.size(), full.x.size());
+  EXPECT_EQ(0, std::memcmp(flagged.x.data(), full.x.data(),
+                           full.x.size() * sizeof(double)));
+}
+
+TEST(FistaRefitStop, ZeroToleranceStillRunsTheWholeBudget) {
+  // tol = 0 asks for every iteration of the budget; the flag cannot cut it.
+  const TileProblem tp = thermal_tile_problem(20, 3);
+  FistaOptions fo;
+  fo.tol = 0.0;
+  fo.max_iterations = 120;
+  const SolveResult r =
+      FistaSolver(fo).solve(*tp.op, tp.b, tight_frame_ctrl(true));
+  EXPECT_EQ(r.iterations, 120);
+  EXPECT_FALSE(r.converged);
 }
 
 }  // namespace

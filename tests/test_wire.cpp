@@ -79,6 +79,109 @@ TEST(Wire, Crc32KnownAnswer) {
   EXPECT_EQ(crc32(nullptr, 0), 0u);
 }
 
+// Bit-at-a-time CRC-32 (reflected 0xEDB88320): the definition the table
+// driven crc32 must reproduce.
+std::uint32_t crc32_bitwise(const std::uint8_t* data, std::size_t size) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < size; ++i) {
+    c ^= data[i];
+    for (int k = 0; k < 8; ++k)
+      c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Wire, Crc32MatchesTheBitwiseDefinitionAtEveryLengthAndOffset) {
+  Rng rng(0xC3C);
+  std::vector<std::uint8_t> buf(300);
+  for (std::uint8_t& b : buf)
+    b = static_cast<std::uint8_t>(rng.uniform_index(256));
+  for (std::size_t offset = 0; offset < 8; ++offset)
+    for (std::size_t len = 0; offset + len <= buf.size(); ++len)
+      ASSERT_EQ(crc32(buf.data() + offset, len),
+                crc32_bitwise(buf.data() + offset, len))
+          << "offset " << offset << " length " << len;
+}
+
+// FNV-1a, 64-bit: a digest of encoded bytes that owes nothing to the codec.
+std::uint64_t fnv1a(const std::vector<std::uint8_t>& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const std::uint8_t b : bytes) {
+    h ^= b;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+// A runtime-sized tile (36x36) whose pixels are exact IEEE quotients, plus
+// a signed zero, the smallest subnormal, a huge value and an infinity.
+la::Matrix golden_tile() {
+  la::Matrix m(36, 36);
+  for (std::size_t r = 0; r < m.rows(); ++r)
+    for (std::size_t c = 0; c < m.cols(); ++c)
+      m(r, c) = static_cast<double>(r * 37 + c * 11) / 97.0 - 4.0;
+  m(0, 1) = -0.0;
+  m(2, 3) = std::numeric_limits<double>::denorm_min();
+  m(5, 7) = -1e300;
+  m(35, 35) = std::numeric_limits<double>::infinity();
+  return m;
+}
+
+TEST(Wire, TileRequestAndResponseBytesArePinned) {
+  // The encoded bytes of a fixed request and response, recorded from the
+  // byte-at-a-time codec. Any change to them is a wire-format change and
+  // needs a kVersion bump, never a new digest.
+  TileRequest req;
+  req.seq = 0x0102030405060708ull;
+  req.frame_index = 9001;
+  req.tile_index = 3;
+  req.deadline_seconds = 0.125;
+  req.tile = golden_tile();
+  const std::vector<std::uint8_t> req_bytes = encode_tile_request(req);
+  EXPECT_EQ(req_bytes.size(), 10436u);
+  EXPECT_EQ(fnv1a(req_bytes), 0x776fdfa983ec64d3ull);
+
+  TileResponse resp;
+  resp.seq = req.seq;
+  resp.tile = golden_tile();
+  RecoveryReport& rep = resp.report;
+  rep.frame_index = 9001;
+  rep.strategy = Strategy::kResample;
+  rep.escalation_depth = 2;
+  rep.decode_calls = 17;
+  rep.accepted = true;
+  rep.budget_exhausted = false;
+  rep.converged = true;
+  rep.deadline_expired = false;
+  rep.solver_iterations = 295;
+  rep.decode_seconds = 0.0625;
+  rep.rel_residual = 1.0 / 3.0;
+  rep.first_rel_residual = 2.0 / 7.0;
+  rep.trimmed_measurements = 12;
+  rep.dropped_measurements = 5;
+  rep.saturated_measurements = 1;
+  rep.suspected_defects.resize(36 * 36);
+  for (std::size_t i = 0; i < rep.suspected_defects.size(); ++i)
+    rep.suspected_defects[i] = i % 7 == 3;
+  rep.suspected_defect_count = 185;
+  rep.estimated_defect_rate = 0.1;
+  const std::vector<std::uint8_t> resp_bytes = encode_tile_response(resp);
+  EXPECT_EQ(resp_bytes.size(), 11808u);
+  EXPECT_EQ(fnv1a(resp_bytes), 0xb2874f8bf936973eull);
+
+  // And they decode back to the same values.
+  Message msg;
+  std::size_t consumed = 0;
+  ASSERT_EQ(decode_message(resp_bytes.data(), resp_bytes.size(), msg,
+                           consumed),
+            DecodeStatus::kOk);
+  const TileResponse back = decode_tile_response(msg);
+  EXPECT_EQ(std::memcmp(back.tile.data(), resp.tile.data(),
+                        resp.tile.size() * sizeof(double)),
+            0);
+  expect_reports_equal(rep, back.report);
+}
+
 TEST(Wire, MessageFramingRoundTrip) {
   const std::vector<std::uint8_t> payload = {1, 2, 3, 4, 5};
   const std::vector<std::uint8_t> bytes =

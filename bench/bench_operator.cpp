@@ -6,29 +6,28 @@
 // the operator representation — dense A = Φ_M·Ψ (N x N Ψ materialised and
 // row-selected by the golden helper in tests/golden.hpp, solved through
 // FistaSolver::solve(Matrix)) versus cs::Decoder's SubsampledTransformOperator
-// (FFT-based 1-D DCT plans / in-place Haar lifting, gather/scatter per
-// apply).
+// (folded 1-D DCT plans / in-place Haar lifting, gather/scatter per apply).
 //
 // Operator memory: the dense figure is analytic (exact and platform
 // independent, computable even for sizes whose dense arm never runs):
 //   dense:    8 * (N² + M·N) bytes   (Ψ plus the cached measurement matrix)
 // The implicit figure is the operator's own cached_state_bytes() — the DCT
-// plan tables (bit-reversal + twiddles, O(rows + cols), for pow2 sides; the
-// folded half-tables, O(rows² + cols²), for the others); Haar caches
-// nothing. Per-apply scratch is O(N) and thread-local.
+// plans' folded half-tables, 8·(rows² + cols²) bytes (256 KB at 128×128,
+// 1 MB at 256×256); Haar caches nothing. Per-apply scratch is O(N) and
+// thread-local.
 //
 // Per-apply microbench (the `per_apply_*` sections): for each 1-D length,
 // one DCT-II and one DCT-III pass through three kernels — the naive O(n²)
 // cosine-sum (dsp::dct1d/idct1d, the golden reference), the cached dense
 // factor matvec (the pre-plan implicit kernel), and the plan
-// (dsp::Dct1dPlan: the Makhoul FFT for pow2 lengths, the even/odd-folded
-// kernel otherwise) — with per-call wall time, speedups, and the
-// max fast-vs-naive error. Each (length, direction) cell times its three
-// kernels in interleaved blocks whose order rotates, so drift in the host's
-// speed hits all three; the per-call figures are medians over the blocks.
-// The lengths include 20 and 36, the halo-padded
-// 16 and 32 px tiles the runtime actually decodes, so the non-pow2 kernel
-// is measured too. For each grid size and basis, the measured per-apply
+// (dsp::Dct1dPlan, the even/odd-folded kernel at every length) — with
+// per-call wall time, speedups, and the max fast-vs-naive error; any row
+// off by more than 1e-12 fails the run (exit 1), so the ctest smoke checks
+// the kernel at a pow2 (16) and a tile (20) length. Each (length,
+// direction) cell times its three kernels in interleaved blocks whose order
+// rotates, so drift in the host's speed hits all three; the per-call
+// figures are medians over the blocks. The lengths include 20 and 36, the
+// halo-padded 16 and 32 px tiles the runtime actually decodes. For each grid size and basis, the measured per-apply
 // / per-adjoint cost of the full SubsampledTransformOperator via its own
 // ApplyStats metering. The `per_kernel_isa` section times the 2-D DCT-II +
 // DCT-III pair at the runtime's 20×20 and 36×36 tiles through each ISA
@@ -48,6 +47,9 @@
 //
 // JSON schema (--json): stdout carries exactly one JSON object:
 //   {
+//     "provenance": object  — bench::Provenance (bench_util.hpp): git_sha,
+//                             git_dirty, build_type, compiler, nproc,
+//                             utc_date
 //     "kernel_isa": string  — "avx2" | "baseline": the folded kernel's ISA
 //                             on this host (dsp::kernel_isa())
 //     "host_calib_ms_before": number — bench::host_calib_ms() (a fixed
@@ -321,6 +323,10 @@ struct MicroOpCell {
   int reps = 0;
 };
 
+// The largest error a plan may show against the naive DCT (the bound
+// test_fft holds every length to).
+constexpr double kMaxKernelErr = 1e-12;
+
 // Keeps the timed kernels observable so the optimiser cannot drop them.
 volatile double g_sink = 0.0;
 
@@ -547,15 +553,18 @@ std::vector<IsaCell> run_micro_isa(const SweepConfig& cfg) {
 // Output.
 // ---------------------------------------------------------------------------
 
-std::string to_json(const std::vector<OperatorCell>& cells,
+std::string to_json(const bench::Provenance& provenance,
+                    const std::vector<OperatorCell>& cells,
                     const std::vector<Micro1dCell>& micro1d,
                     const std::vector<MicroOpCell>& microop,
                     const std::vector<IsaCell>& micro_isa,
                     double calib_before_ms, double calib_after_ms) {
   std::string out = strformat(
-      "{\n\"kernel_isa\": \"%s\",\n\"host_calib_ms_before\": %.4f,\n"
-      "\"host_calib_ms_after\": %.4f,\n\"decode\": [\n",
-      dsp::kernel_isa(), calib_before_ms, calib_after_ms);
+      "{\n\"provenance\": %s,\n\"kernel_isa\": \"%s\",\n"
+      "\"host_calib_ms_before\": %.4f,\n\"host_calib_ms_after\": %.4f,\n"
+      "\"decode\": [\n",
+      provenance.to_json().c_str(), dsp::kernel_isa(), calib_before_ms,
+      calib_after_ms);
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const OperatorCell& c = cells[i];
     const std::string delta =
@@ -724,6 +733,8 @@ int main(int argc, char** argv) {
   }
   const SweepConfig cfg = args.smoke ? smoke_config() : SweepConfig{};
 
+  const bench::Provenance provenance =
+      bench::Provenance::collect(FLEXCS_SOURCE_DIR, FLEXCS_BUILD_TYPE);
   const double calib_before_ms = bench::host_calib_ms();
   std::vector<OperatorCell> cells;
   if (!micro_only) {
@@ -741,8 +752,9 @@ int main(int argc, char** argv) {
   const double calib_after_ms = bench::host_calib_ms();
 
   if (args.json) {
-    const std::string out = to_json(cells, micro1d, microop, micro_isa,
-                                    calib_before_ms, calib_after_ms);
+    const std::string out = to_json(provenance, cells, micro1d, microop,
+                                    micro_isa, calib_before_ms,
+                                    calib_after_ms);
     std::fputs(out.c_str(), stdout);
     // A micro-only run carries an empty decode section; recording it to the
     // default path would clobber a recorded full sweep, so it only records
@@ -756,5 +768,12 @@ int main(int argc, char** argv) {
     std::printf("host calibration: %.2f ms before, %.2f ms after\n",
                 calib_before_ms, calib_after_ms);
   }
-  return 0;
+  int status = 0;
+  for (const Micro1dCell& c : micro1d) {
+    if (c.max_abs_err <= kMaxKernelErr) continue;
+    std::fprintf(stderr, "FAIL: n = %zu %s max_abs_err %.3e > %.0e\n", c.n,
+                 c.forward ? "dct2" : "dct3", c.max_abs_err, kMaxKernelErr);
+    status = 1;
+  }
+  return status;
 }

@@ -8,8 +8,9 @@
 // With a dense measurement matrix tiling won algorithmically: every solver
 // iteration over the full frame cost O(M·N), and splitting into T tiles cut
 // that ~T^2 while the tile count multiplied it back by only T. The decoder
-// now applies A through O(N log N) transforms, so what tiling buys is
-// different (EXPERIMENTS.md E17, E31, E32):
+// now applies A matrix-free, through the folded DCT kernel's N²/2
+// multiply-adds per 1-D pass, so what tiling buys is different
+// (EXPERIMENTS.md E17, E31, E32, E35):
 //
 //   - stitched RMSE below the monolithic decode's (rmse_vs_mono 0.46-0.73
 //     at 4 and 16 shards, the same in every sweep: decodes are seeded);
@@ -41,8 +42,11 @@
 //   --json    machine-readable output instead of the text table.
 //   --out     record path override (see bench_util.hpp).
 //
-// JSON schema (--json): stdout carries exactly one JSON array; one object
-// per (size, grid) cell, all keys always present:
+// JSON schema (--json): stdout carries exactly one JSON object,
+//   {"provenance": object, "cells": [...]}: the provenance is
+// bench::Provenance (bench_util.hpp: git_sha, git_dirty, build_type,
+// compiler, nproc, utc_date), and "cells" holds one object per (size, grid)
+// cell, all keys always present:
 //   {
 //     "rows":                   integer — array rows (= cols, square sweep)
 //     "cols":                   integer
@@ -79,7 +83,7 @@
 // Decodes are seeded, so every run of a cell decodes the same pixels; the
 // pass statistics come from the first round.
 //
-// Full (non-smoke) --json runs additionally record the same array to
+// Full (non-smoke) --json runs additionally record the same object to
 // BENCH_shard_scale.json at the repository root; smoke runs never touch
 // that file so the ctest registration cannot overwrite a recorded sweep.
 #include <algorithm>
@@ -284,8 +288,10 @@ std::vector<ScaleCell> run_size(const SweepConfig& cfg, std::size_t dim) {
   return cells;
 }
 
-std::string to_json(const std::vector<ScaleCell>& cells) {
-  std::string out = "[\n";
+std::string to_json(const bench::Provenance& provenance,
+                    const std::vector<ScaleCell>& cells) {
+  std::string out = "{\n\"provenance\": " + provenance.to_json() +
+                    ",\n\"cells\": [\n";
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const ScaleCell& c = cells[i];
     out += strformat(
@@ -304,7 +310,7 @@ std::string to_json(const std::vector<ScaleCell>& cells) {
         c.rmse_vs_mono, c.tiles_accepted, c.tiles_total, c.decode_calls,
         c.mean_solver_iterations, i + 1 < cells.size() ? "," : "");
   }
-  out += "]\n";
+  out += "]\n}\n";
   return out;
 }
 
@@ -345,6 +351,8 @@ int main(int argc, char** argv) {
   }
   const SweepConfig cfg = args.smoke ? smoke_config() : SweepConfig{};
 
+  const bench::Provenance provenance =
+      bench::Provenance::collect(FLEXCS_SOURCE_DIR, FLEXCS_BUILD_TYPE);
   std::vector<ScaleCell> cells;
   for (const std::size_t dim : cfg.dims) {
     const std::vector<ScaleCell> size_cells = run_size(cfg, dim);
@@ -352,7 +360,7 @@ int main(int argc, char** argv) {
   }
 
   if (args.json) {
-    const std::string out = to_json(cells);
+    const std::string out = to_json(provenance, cells);
     std::fputs(out.c_str(), stdout);
     if (bench::should_record(args))
       bench::record_json(out, bench::record_path(

@@ -1,11 +1,11 @@
 // Shared plumbing for the standalone bench_* sweeps (the ones with their own
-// main, not the google-benchmark figures): flag parsing, JSON recording and
-// a host speed probe.
+// main, not the google-benchmark figures): flag parsing, JSON recording, a
+// host speed probe and the provenance a record carries.
 //
 // Every standalone sweep accepts the same flags:
 //
 //   --smoke      tiny configuration for the ctest smoke registration
-//   --json       machine-readable output (one JSON array on stdout)
+//   --json       machine-readable output (one JSON document on stdout)
 //   --out PATH   where to record the JSON. Defaults to the bench's
 //                BENCH_<name>.json at the repository root; an explicit
 //                --out records there even on smoke runs (a default-path
@@ -13,11 +13,14 @@
 //                recorded sweep).
 #pragma once
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <ctime>
 #include <string>
 #include <vector>
 
@@ -109,5 +112,74 @@ inline double host_calib_ms() {
   std::nth_element(runs.begin(), runs.begin() + 2, runs.end());
   return runs[2];
 }
+
+/// Where a record came from, so two records can be told apart before their
+/// numbers are compared.
+struct Provenance {
+  std::string git_sha;     // HEAD of the source tree at run time
+  bool git_dirty = false;  // tracked files differ from HEAD
+  std::string build_type;  // CMake build type of this binary
+  std::string compiler;
+  long nproc = 0;          // online logical CPUs
+  std::string utc_date;    // ISO 8601, when the run started
+
+  /// Reads HEAD of the checkout at `source_dir` through git ("unknown" when
+  /// git or the checkout is missing); `build_type` comes from the build.
+  static Provenance collect(const std::string& source_dir,
+                            const std::string& build_type) {
+    Provenance p;
+    p.git_sha = first_line_of("git -C '" + source_dir +
+                              "' rev-parse HEAD 2>/dev/null");
+    if (p.git_sha.empty()) p.git_sha = "unknown";
+    p.git_dirty = !first_line_of("git -C '" + source_dir +
+                                 "' status --porcelain --untracked-files=no "
+                                 "2>/dev/null")
+                       .empty();
+    p.build_type = build_type.empty() ? "unknown" : build_type;
+#if defined(__clang__)
+    p.compiler = "clang " __clang_version__;
+#elif defined(__GNUC__)
+    p.compiler = "gcc " __VERSION__;
+#else
+    p.compiler = "unknown";
+#endif
+    p.nproc = ::sysconf(_SC_NPROCESSORS_ONLN);
+    const std::time_t now = std::time(nullptr);
+    std::tm utc{};
+    gmtime_r(&now, &utc);
+    char date[32];
+    std::strftime(date, sizeof(date), "%Y-%m-%dT%H:%M:%SZ", &utc);
+    p.utc_date = date;
+    return p;
+  }
+
+  /// The record's "provenance" object.
+  std::string to_json() const {
+    char buf[512];
+    std::snprintf(buf, sizeof(buf),
+                  "{\"git_sha\": \"%s\", \"git_dirty\": %s, "
+                  "\"build_type\": \"%s\", \"compiler\": \"%s\", "
+                  "\"nproc\": %ld, \"utc_date\": \"%s\"}",
+                  git_sha.c_str(), git_dirty ? "true" : "false",
+                  build_type.c_str(), compiler.c_str(), nproc,
+                  utc_date.c_str());
+    return buf;
+  }
+
+ private:
+  // First line of a shell command's stdout, without its newline; empty when
+  // the command prints nothing or cannot start.
+  static std::string first_line_of(const std::string& command) {
+    std::FILE* pipe = ::popen(command.c_str(), "r");
+    if (pipe == nullptr) return {};
+    char line[256] = {};
+    std::string out;
+    if (std::fgets(line, sizeof(line), pipe) != nullptr) out = line;
+    ::pclose(pipe);
+    while (!out.empty() && (out.back() == '\n' || out.back() == '\r'))
+      out.pop_back();
+    return out;
+  }
+};
 
 }  // namespace flexcs::bench

@@ -1,20 +1,19 @@
 // Matrix-free measurement operator A = Φ_M · Ψ (Eq. 8): the subsampled
-// synthesis transform applied through fast O(N log N) kernels instead of a
-// dense M x N matrix.
+// synthesis transform applied through separable transform kernels instead
+// of a dense M x N matrix.
 //
 //   apply(x)         = gather(synthesize(grid(x)), pattern indices)
 //   apply_adjoint(y) = flatten(analyze(scatter(y, pattern indices)))
 //
 // The adjoint identity holds exactly because Φ_Mᵀ is scatter and Ψᵀ is the
 // analysis transform of an orthonormal basis. The per-apply kernels are the
-// Makhoul FFT-based DCT plans (dsp::Dct1dPlan — O(N log N) per 1-D pass for
-// pow2 lengths; for the others, such as the runtime's halo-padded 20 and
-// 36 px tiles, an even/odd-folded kernel: the DCT basis's mirror symmetry
-// halves the multiply-adds of the dense product, equal to it at round-off,
-// not bit for bit) and the
-// in-place lifting Haar (dsp::haar2d_inplace), running on raw contiguous
-// buffers with no Matrix::from_flat round-trips: a 256×256 apply is ~1 ms of
-// table-driven butterflies where the dense Ψ (~34 GB) cannot be built at all.
+// DCT plans (dsp::Dct1dPlan — one even/odd-folded kernel at every length:
+// the DCT basis's mirror symmetry halves the multiply-adds of the dense
+// 1-D product, equal to it at round-off, not bit for bit) and the in-place
+// lifting Haar (dsp::haar2d_inplace), running on raw contiguous buffers
+// with no Matrix::from_flat round-trips: a 256×256 DCT apply is ~2.5 ms
+// of register-blocked products over 1 MB of plan tables, where the dense Ψ
+// (~34 GB) cannot be built at all.
 //
 // Every apply is metered (count + wall time, relaxed atomics) so callers can
 // account per-apply cost without external profilers: see apply_stats().

@@ -64,8 +64,7 @@ la::Vector idct1d(const la::Vector& X) {
 
 la::Matrix dct2d(const la::Matrix& img) {
   FLEXCS_CHECK(!img.empty(), "dct2d of empty matrix");
-  // Separable fast path: 1-D plans along each axis (O(N log N) per pass for
-  // pow2 lengths, cached-factor matvec otherwise).
+  // Separable: one folded 1-D plan along each axis (dsp/fft.hpp).
   const Dct1dPlan row_plan(img.cols());
   const Dct1dPlan col_plan(img.rows());
   DctWorkspace ws;

@@ -1,23 +1,24 @@
-// Fast transform kernels: a radix-2 complex FFT and the Makhoul real-FFT
-// formulation of the orthonormal DCT-II / DCT-III built on it.
+// The DCT plans: one even/odd-folded kernel for the orthonormal DCT-II /
+// DCT-III at every length N ≥ 1, behind the 1-D passes and both passes of
+// the separable 2-D transform.
 //
-// Dct1dPlan precomputes everything a repeated 1-D pass needs (bit-reversal
-// permutation, FFT twiddles, the e^{-iπk/2N} DCT rotation, normalisation)
-// so the per-apply cost is a pair of table-driven loops over contiguous
-// arrays — the kernel the matrix-free measurement operator runs hundreds of
-// times per solver iteration. Power-of-two lengths take the O(N log N) FFT
-// path. Other lengths — including the halo-padded 20 and 36 px tiles the
-// runtime decodes — run one even/odd-folded kernel (fold_pass) for the 1-D
-// passes and both 2-D passes. The DCT-II basis is symmetric about the
-// middle sample, D(k, N−1−i) = (−1)^k·D(k, i), so a forward pass sums and
-// differences mirrored samples (u = x(i) + x(N−1−i), v = x(i) − x(N−1−i))
-// and multiplies u by the even rows and v by the odd rows of D, each a
-// ⌈N/2⌉- or ⌊N/2⌋-wide half-table: half the multiply-adds of the dense
-// product. The inverse is the mirror (two half products, then e ± o). The
-// fold regroups the sums, so results match the dense product D·x at
-// round-off, not bit for bit. A plan is valid for every N ≥ 1, and the
-// naive dsp::dct1d/idct1d remain the golden reference the fast paths are
-// tested against (≤ 1e-12).
+// The DCT-II basis is symmetric about the middle sample,
+// D(k, N−1−i) = (−1)^k·D(k, i), so a forward pass sums and differences
+// mirrored samples (u = x(i) + x(N−1−i), v = x(i) − x(N−1−i)) and
+// multiplies u by the even rows and v by the odd rows of D, each a
+// ⌈N/2⌉- or ⌊N/2⌋-wide half-table. The inverse is the mirror (two half
+// products, then e ± o). Cost: N²/2 multiply-adds per 1-D pass, half the
+// dense product, and N² doubles of tables (N² + 1 for odd N). The fold
+// regroups the sums, so results match the dense product D·x at round-off,
+// not bit for bit; the naive dsp::dct1d/idct1d remain the golden reference
+// the plans are tested against (≤ 1e-12).
+//
+// The kernel is quadratic, yet it is never slower than the O(N log N)
+// radix-2 FFT plan it replaced at any side the library decodes: a 2-D
+// DCT-II + DCT-III pair on an n×n grid ran 5–6× faster at 16 and 32, 3× at
+// 64, 1.4–1.8× at 128 and 1.03–1.12× at 256, and 0.56× at 512. The
+// crossover lies between 256 and 512, and no caller decodes a side above
+// 256 (EXPERIMENTS.md E35).
 //
 // Summation-order contract: every output of a half product is one sum that
 // starts from +0.0 and adds its terms (table entry × folded sample) one at a
@@ -48,7 +49,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "la/matrix.hpp"
@@ -59,9 +59,8 @@ namespace flexcs::dsp {
 /// demand and are never shrunk; keep one per thread (or per batch) so hot
 /// loops do not reallocate.
 struct DctWorkspace {
-  std::vector<double> re, im;  // FFT lanes (Dct1dPlan internals)
-  std::vector<double> fold, half;  // folded halves (non-pow2 kernel)
-  std::vector<double> a, b;    // 2-D pass ping-pong grids
+  std::vector<double> fold, half;  // folded halves and their products
+  std::vector<double> a;           // 2-D row-pass result
 };
 
 class Dct1dPlan {
@@ -70,11 +69,8 @@ class Dct1dPlan {
   explicit Dct1dPlan(std::size_t n);
 
   std::size_t size() const { return n_; }
-  /// True on the O(N log N) FFT path (power-of-two lengths).
-  bool fast() const { return fast_; }
-  /// Bytes of cached table state (FFT twiddles + rotations, or the folded
-  /// half-tables: N² doubles for even N, N² + 1 for odd). What the bench
-  /// reports as operator memory.
+  /// Bytes of cached table state, the folded half-tables: N² doubles for
+  /// even N, N² + 1 for odd. What the bench reports as operator memory.
   std::size_t memory_bytes() const;
 
   /// Orthonormal DCT-II: out[u] = a_u Σ_x in[x] cos(π(2x+1)u / 2N).
@@ -88,24 +84,15 @@ class Dct1dPlan {
   /// pass). kColumns: sample i of vector l is element i·lanes + l, an
   /// N×lanes row-major panel (the 2-D column pass, a left product).
   enum class Axis { kRows, kColumns };
-  /// The non-pow2 kernel (checked): DCT-II (or, with `invert`, DCT-III) of
-  /// each of `lanes` vectors laid out by `axis`, even/odd folded. No
-  /// aliasing.
+  /// The kernel: DCT-II (or, with `invert`, DCT-III) of each of `lanes`
+  /// vectors laid out by `axis`, even/odd folded. No aliasing.
   void fold_pass(const double* in, double* out, std::size_t lanes, Axis axis,
                  bool invert, DctWorkspace& ws) const;
 
  private:
-  void fft(double* re, double* im, bool invert) const;
-
   std::size_t n_;
-  bool fast_;
-  std::vector<std::uint32_t> bitrev_;    // FFT input permutation
-  std::vector<double> tw_cos_, tw_sin_;  // e^{-2πi j/N}, j < N/2
-  std::vector<double> rot_cos_, rot_sin_;  // cos/sin(πk / 2N), k < N
-  double scale0_ = 0.0, scale_ = 0.0;      // a_0, a_{u>0}
-  double inv_scale0_ = 0.0, inv_scale_ = 0.0;
-  // Non-pow2 lengths: the even/odd half-tables of D = dct_matrix(n) and
-  // their transposes, row-major (fft.cpp has the layout).
+  // The even/odd half-tables of D = dct_matrix(n) and their transposes,
+  // row-major (fft.cpp has the layout).
   std::vector<double> half_;
   friend const double* fold_tables(const Dct1dPlan& plan);
 };
@@ -113,12 +100,10 @@ class Dct1dPlan {
 /// The ISA the folded kernel runs at in this process: "avx2" or "baseline".
 const char* kernel_isa();
 
-/// Separable 2-D DCT-II of a rows×cols row-major buffer: every row through
-/// `row_plan` (size cols), then every column through `col_plan` (size rows).
-/// A pow2 column pass runs the FFT between two blocked transposes; a non-pow2
-/// one is a kColumns fold_pass (the folded left product D_r·A), so inner
-/// loops run over contiguous memory either way. `in` and `out` must not
-/// alias.
+/// Separable 2-D DCT-II of a rows×cols row-major buffer: one kRows
+/// fold_pass of `row_plan` (size cols) over every row, then one kColumns
+/// fold_pass of `col_plan` (size rows), the folded left product D_r·A, so
+/// inner loops run over contiguous memory. `in` and `out` must not alias.
 void dct2d_apply(const Dct1dPlan& row_plan, const Dct1dPlan& col_plan,
                  const double* in, double* out, std::size_t rows,
                  std::size_t cols, DctWorkspace& ws);

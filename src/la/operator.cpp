@@ -96,8 +96,8 @@ Matrix to_dense(const LinearOperator& a,
   return out;
 }
 
-CgResult cg_solve(const std::function<Vector(const Vector&)>& apply_spd,
-                  const Vector& b, const CgOptions& opts, const Vector& x0) {
+CgResult cg_solve(const SpdApply& apply_spd, const Vector& b,
+                  const CgOptions& opts, const Vector& x0) {
   FLEXCS_CHECK(static_cast<bool>(apply_spd), "cg_solve: null apply callback");
   FLEXCS_CHECK(x0.empty() || x0.size() == b.size(),
                "cg_solve: warm start size mismatch");
@@ -109,7 +109,12 @@ CgResult cg_solve(const std::function<Vector(const Vector&)>& apply_spd,
     result.converged = true;
     return result;
   }
-  Vector r = x0.empty() ? b : b - apply_spd(result.x);
+  Vector sp(b.size());
+  Vector r = b;
+  if (!x0.empty()) {
+    apply_spd(result.x, sp);
+    for (std::size_t i = 0; i < r.size(); ++i) r[i] -= sp[i];
+  }
   Vector p = r;
   double rr = dot(r, r);
   const double stop_norm2 = (opts.tol * bnorm) * (opts.tol * bnorm);
@@ -119,7 +124,7 @@ CgResult cg_solve(const std::function<Vector(const Vector&)>& apply_spd,
   }
   for (int it = 0; it < opts.max_iterations; ++it) {
     if (opts.should_stop && opts.should_stop()) return result;
-    const Vector sp = apply_spd(p);
+    apply_spd(p, sp);
     const double psp = dot(p, sp);
     if (!(psp > 0.0)) return result;  // lost positive-definiteness / stagnated
     const double alpha = rr / psp;

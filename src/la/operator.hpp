@@ -128,9 +128,13 @@ struct CgResult {
   bool converged = false;
 };
 
+/// The matvec out = S·in. `out` arrives sized like `b`, and the callback
+/// overwrites every entry; cg_solve owns that one buffer for the whole
+/// solve, so an in-place callback allocates nothing per iteration.
+using SpdApply = std::function<void(const Vector& in, Vector& out)>;
+
 /// `x0` seeds the iteration (warm start); pass an empty vector for zero.
-CgResult cg_solve(const std::function<Vector(const Vector&)>& apply_spd,
-                  const Vector& b, const CgOptions& opts = {},
-                  const Vector& x0 = {});
+CgResult cg_solve(const SpdApply& apply_spd, const Vector& b,
+                  const CgOptions& opts = {}, const Vector& x0 = {});
 
 }  // namespace flexcs::la

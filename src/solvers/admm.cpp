@@ -59,10 +59,9 @@ SolveResult AdmmLassoSolver::solve_impl(const la::LinearOperator& a,
       la::CgOptions cg;
       cg.tol = 1e-10;
       cg.should_stop = [&ctrl] { return ctrl.should_stop(); };
-      const auto apply_spd = [&a, rho](const la::Vector& v) {
-        la::Vector out = a.apply_adjoint(a.apply(v));
+      const auto apply_spd = [&a, rho](const la::Vector& v, la::Vector& out) {
+        a.apply_normal(v, out);
         for (std::size_t i = 0; i < out.size(); ++i) out[i] += rho * v[i];
-        return out;
       };
       return la::cg_solve(apply_spd, q, cg, x).x;
     };

@@ -27,7 +27,8 @@ std::vector<std::size_t> top_k(const la::Vector& v, std::size_t k) {
 // Least squares over the columns in `support`; returns coefficients aligned
 // with `support`. Dense operators extract the columns and use QR least
 // squares (the historical path); implicit ones solve the ridge-stabilised
-// normal equations by conjugate gradient through embed/gather.
+// normal equations by conjugate gradient, embedding the support
+// coefficients into a full-length vector for each normal apply.
 la::Vector lstsq_on_support(const la::LinearOperator& a, const la::Vector& b,
                             const std::vector<std::size_t>& support) {
   if (const la::Matrix* mat = a.dense()) {
@@ -38,28 +39,25 @@ la::Vector lstsq_on_support(const la::LinearOperator& a, const la::Vector& b,
     return la::lstsq(as, b);
   }
 
-  const auto embed = [&](const la::Vector& c) {
-    la::Vector full(a.cols(), 0.0);
-    for (std::size_t j = 0; j < support.size(); ++j) full[support[j]] = c[j];
-    return full;
-  };
-  const auto gather = [&](const la::Vector& full) {
-    la::Vector c(support.size());
-    for (std::size_t j = 0; j < support.size(); ++j) c[j] = full[support[j]];
-    return c;
-  };
+  // Every normal apply reuses `full` (zero off the support) and `normal`.
+  la::Vector full(a.cols(), 0.0);
+  la::Vector normal(a.cols());
   const double bound = a.norm_upper_bound();
   const double ridge = 1e-10 * std::max(1.0, bound * bound);
-  const auto apply_normal = [&](const la::Vector& c) {
-    la::Vector out = gather(a.apply_adjoint(a.apply(embed(c))));
-    for (std::size_t j = 0; j < c.size(); ++j) out[j] += ridge * c[j];
-    return out;
+  const auto apply_normal = [&](const la::Vector& c, la::Vector& out) {
+    for (std::size_t j = 0; j < support.size(); ++j) full[support[j]] = c[j];
+    a.apply_normal(full, normal);
+    for (std::size_t j = 0; j < c.size(); ++j)
+      out[j] = normal[support[j]] + ridge * c[j];
   };
+  const la::Vector atb = a.apply_adjoint(b);
+  la::Vector rhs(support.size());
+  for (std::size_t j = 0; j < support.size(); ++j) rhs[j] = atb[support[j]];
   la::CgOptions cg;
   cg.tol = 1e-12;
   cg.max_iterations =
       static_cast<int>(std::max<std::size_t>(200, support.size()));
-  return la::cg_solve(apply_normal, gather(a.apply_adjoint(b)), cg).x;
+  return la::cg_solve(apply_normal, rhs, cg).x;
 }
 
 }  // namespace

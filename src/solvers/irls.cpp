@@ -65,13 +65,13 @@ SolveResult IrlsSolver::solve_impl(const la::LinearOperator& a,
       // Matrix-free: the same SPD system by conjugate gradient, warm-started
       // from the previous outer iteration's y (W changes slowly once the
       // iterate stabilises). v -> A (W (A^T v)) + ridge v.
-      const auto apply_k = [&a, &x, eps, this](const la::Vector& v) {
+      const auto apply_k = [&a, &x, eps, this](const la::Vector& v,
+                                               la::Vector& out) {
         la::Vector wv = a.apply_adjoint(v);
         for (std::size_t j = 0; j < wv.size(); ++j)
           wv[j] *= std::fabs(x[j]) + eps;
-        la::Vector out = a.apply(wv);
+        out = a.apply(wv);
         for (std::size_t i = 0; i < out.size(); ++i) out[i] += opts_.ridge * v[i];
-        return out;
       };
       la::CgOptions cg;
       cg.tol = 1e-10;

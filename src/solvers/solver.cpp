@@ -54,6 +54,25 @@ void enforce_partial_iterate(const la::LinearOperator& a, const la::Vector& b,
   }
 }
 
+// The support a debias re-fit runs on, ascending: the entries of x above
+// `threshold`, trimmed to the strongest `max_size` (the operator's rows) so
+// the least squares stays over-determined.
+std::vector<std::size_t> pick_support(const la::Vector& x, double threshold,
+                                      std::size_t max_size) {
+  std::vector<std::size_t> support;
+  for (std::size_t j = 0; j < x.size(); ++j)
+    if (std::fabs(x[j]) > threshold) support.push_back(j);
+  if (support.size() > max_size) {
+    std::sort(support.begin(), support.end(),
+              [&x](std::size_t i, std::size_t j) {
+                return std::fabs(x[i]) > std::fabs(x[j]);
+              });
+    support.resize(max_size);
+    std::sort(support.begin(), support.end());
+  }
+  return support;
+}
+
 }  // namespace
 
 SolveResult SparseSolver::solve(const la::LinearOperator& a,
@@ -125,21 +144,8 @@ la::Vector debias_on_support(const la::Matrix& a, const la::Vector& b,
                              const la::Vector& x, double threshold) {
   FLEXCS_CHECK(a.cols() == x.size() && a.rows() == b.size(),
                "debias: shape mismatch");
-  std::vector<std::size_t> support;
-  for (std::size_t j = 0; j < x.size(); ++j)
-    if (std::fabs(x[j]) > threshold) support.push_back(j);
+  const std::vector<std::size_t> support = pick_support(x, threshold, a.rows());
   if (support.empty()) return la::Vector(x.size(), 0.0);
-
-  if (support.size() > a.rows()) {
-    // Keep only the strongest a.rows() entries so least squares is
-    // over-determined.
-    std::sort(support.begin(), support.end(),
-              [&x](std::size_t i, std::size_t j) {
-                return std::fabs(x[i]) > std::fabs(x[j]);
-              });
-    support.resize(a.rows());
-    std::sort(support.begin(), support.end());
-  }
 
   la::Matrix as(a.rows(), support.size());
   for (std::size_t j = 0; j < support.size(); ++j)
@@ -170,25 +176,15 @@ la::Vector debias_on_support(const la::LinearOperator& a, const la::Vector& b,
 
   FLEXCS_CHECK(a.cols() == x.size() && a.rows() == b.size(),
                "debias: shape mismatch");
-  std::vector<std::size_t> support;
-  for (std::size_t j = 0; j < x.size(); ++j)
-    if (std::fabs(x[j]) > threshold) support.push_back(j);
+  const std::vector<std::size_t> support = pick_support(x, threshold, a.rows());
   if (support.empty()) return la::Vector(x.size(), 0.0);
-
-  if (support.size() > a.rows()) {
-    std::sort(support.begin(), support.end(),
-              [&x](std::size_t i, std::size_t j) {
-                return std::fabs(x[i]) > std::fabs(x[j]);
-              });
-    support.resize(a.rows());
-    std::sort(support.begin(), support.end());
-  }
 
   // Same ridge-regularised normal equations as the dense path, solved by
   // conjugate gradient through embed/gather instead of materialising the
   // support columns: S c = A_Sᵀ A_S c + ridge·c with A_S c = A·embed(c).
-  // Every normal apply reuses the two full-length buffers; `full` stays zero
-  // off the support.
+  // Every normal apply reuses the two full-length buffers and writes into
+  // CG's own, so a CG iteration allocates nothing; `full` stays zero off the
+  // support.
   la::Vector full(a.cols(), 0.0);
   la::Vector normal(a.cols());
   const auto embed = [&](const la::Vector& c) -> const la::Vector& {
@@ -205,11 +201,10 @@ la::Vector debias_on_support(const la::LinearOperator& a, const la::Vector& b,
   // subsampled orthonormal transforms this path exists for).
   const double bound = a.norm_upper_bound();
   const double ridge = 1e-10 * std::max(1.0, bound * bound);
-  const auto apply_normal = [&](const la::Vector& c) {
+  const auto apply_normal = [&](const la::Vector& c, la::Vector& out) {
     a.apply_normal(embed(c), normal);
-    la::Vector out = gather(normal);
-    for (std::size_t j = 0; j < c.size(); ++j) out[j] += ridge * c[j];
-    return out;
+    for (std::size_t j = 0; j < c.size(); ++j)
+      out[j] = normal[support[j]] + ridge * c[j];
   };
   // The lasso iterate's support values seed CG: they are the least-squares
   // fit less the λ shrinkage, so the re-fit starts close to its answer.

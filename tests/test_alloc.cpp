@@ -6,18 +6,22 @@
 // gradient Aᵀ·A·y lands in a buffer the solve owns (the transform
 // operator's fused normal apply works in its thread's scratch), and the
 // shrink, the momentum step, the convergence maxima and the x/y write-back
-// all run in preallocated buffers.
+// all run in preallocated buffers. A CG iteration of the debias re-fit
+// allocates nothing either: its normal apply gathers into the buffer the
+// CG solve owns.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstddef>
 #include <cstdlib>
+#include <functional>
 #include <new>  // flexcs-lint: allow(raw-new-delete)
 
 #include "common/rng.hpp"
 #include "cs/sampling.hpp"
 #include "cs/transform_operator.hpp"
 #include "solvers/fista.hpp"
+#include "solvers/solver.hpp"
 
 namespace {
 
@@ -90,6 +94,43 @@ TEST(FistaAllocations, FixedSetupOfOneSolve) {
   constexpr int kIterations = 20;
   const std::size_t total = allocations_for(op, b, kIterations);
   EXPECT_EQ(total, 6u) << total << " allocations";
+}
+
+// Heap allocations made by one debias re-fit whose stop hook fires at its
+// `polls`-th poll: one poll before the re-fit, then one per CG iteration,
+// so the CG runs polls - 2 iterations.
+std::size_t refit_allocations(const la::LinearOperator& a, const la::Vector& b,
+                              const la::Vector& x, int polls) {
+  int count = 0;
+  const std::function<bool()> stop = [&count, polls] {
+    return ++count >= polls;
+  };
+  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+  const la::Vector fit = debias_on_support(a, b, x, 1e-3, stop);
+  const std::size_t after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_TRUE(fit.empty()) << "the re-fit converged before its stop";
+  EXPECT_EQ(count, polls);
+  return after - before;
+}
+
+TEST(DebiasAllocations, NonePerCgIterationOnATransformOperator) {
+  // A random iterate with most entries above the threshold: the support
+  // fills the operator's rows, so CG is far from converged at 40
+  // iterations.
+  Rng rng(0xDEB1A5);
+  const cs::SubsampledTransformOperator op(
+      dsp::BasisKind::kDct2D, cs::random_pattern(20, 20, 0.5, rng));
+  la::Vector b(op.rows()), x(op.cols());
+  for (double& v : b) v = rng.normal();
+  for (double& v : x) v = rng.normal();
+
+  refit_allocations(op, b, x, 6);  // warm the operator's thread-local workspace
+  constexpr int kShort = 12, kLong = 42;
+  const std::size_t short_run = refit_allocations(op, b, x, kShort);
+  const std::size_t long_run = refit_allocations(op, b, x, kLong);
+  EXPECT_EQ(long_run, short_run)
+      << short_run << " allocations at " << kShort - 2 << " CG iterations, "
+      << long_run << " at " << kLong - 2;
 }
 
 }  // namespace

@@ -233,7 +233,7 @@ TEST(DeadlineSemantics, PreCancelledTokenStopsImplicitOperatorSolves) {
 TEST(DeadlineSemantics, MidRunExpiryBoundsImplicitOperatorIterate) {
   // 64x64 grid -> 4096 coefficients, tolerances zeroed: nothing converges —
   // or even reaches CoSaMP's residual-stall exit — before a 2 ms deadline on
-  // this geometry, now that the applies run through the O(N log N) kernels.
+  // this geometry, now that the applies run through the folded DCT kernel.
   const OperatorProblem p = make_operator_problem(64, 64, 20, 787);
   for (const auto& solver : matrix_free_roster()) {
     SolveOptions ctrl;

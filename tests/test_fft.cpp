@@ -1,9 +1,8 @@
-// Fast transform kernels vs their golden references: the Makhoul FFT-based
-// DCT plans against the naive O(n²) cosine sums (dsp::dct1d/idct1d), and the
-// in-place lifting Haar against dsp::haar1d/haar2d. The naive paths are the
-// definition of the transforms in this library; the fast paths must agree to
-// near machine precision at every length — pow2 (FFT path), non-pow2 even,
-// odd and prime (the even/odd-folded kernel), and the degenerate n = 1.
+// Transform kernels vs their golden references: the folded DCT plans against
+// the naive O(n²) cosine sums (dsp::dct1d/idct1d), and the in-place lifting
+// Haar against dsp::haar1d/haar2d. The naive paths are the definition of the
+// transforms in this library; the plans must agree to near machine precision
+// at every length — even, odd, prime, pow2 and the degenerate n = 1.
 #include "dsp/fft.hpp"
 
 #include <gtest/gtest.h>
@@ -59,15 +58,17 @@ TEST(Dct1dPlan, InverseMatchesNaiveIdctAtEveryLength) {
   }
 }
 
-TEST(Dct1dPlan, FoldedKernelMatchesNaiveAtEveryNonPow2LengthTo40) {
-  // Every even, odd and prime length the folded kernel can see up to 40,
-  // both directions: the middle sample of odd lengths, the ⌈n/2⌉ vs ⌊n/2⌋
-  // half widths and the mirrored writes are exercised at each parity.
+TEST(Dct1dPlan, FoldedKernelMatchesNaiveAtEveryLength) {
+  // Every length to 40, then the pow2 sides 64, 128 and 256, both
+  // directions: the middle sample of odd lengths, the ⌈n/2⌉ vs ⌊n/2⌋ half
+  // widths and the mirrored writes are exercised at each parity.
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 1; n <= 40; ++n) lengths.push_back(n);
+  for (const std::size_t n : {64u, 128u, 256u}) lengths.push_back(n);
   DctWorkspace ws;
   std::size_t checked = 0;
-  for (std::size_t n = 1; n <= 40; ++n) {
+  for (const std::size_t n : lengths) {
     const Dct1dPlan plan(n);
-    if (plan.fast()) continue;
     ++checked;
     Rng rng(0xF5 + n);
     const la::Vector x = random_vector(n, rng);
@@ -77,16 +78,16 @@ TEST(Dct1dPlan, FoldedKernelMatchesNaiveAtEveryNonPow2LengthTo40) {
     EXPECT_LE(la::max_abs_diff(fwd, dct1d(x)), 1e-12) << "n=" << n;
     EXPECT_LE(la::max_abs_diff(inv, idct1d(x)), 1e-12) << "n=" << n;
   }
-  EXPECT_EQ(checked, 34u);  // 40 lengths minus 1, 2, 4, 8, 16, 32
+  EXPECT_EQ(checked, 43u);  // 1..40, 64, 128, 256
 }
 
-TEST(Dct1dPlan, FoldedTablesHalveNonPow2Memory) {
+TEST(Dct1dPlan, FoldedTablesHalveDenseMemory) {
   // The folded kernel keeps the even and odd half-tables and their
   // transposes: n² doubles for even n (n² + 1 for odd), where the dense
-  // factor and its transpose took 2n².
-  for (const std::size_t n : {20u, 36u, 12u, 100u})
+  // factor and its transpose took 2n². Pow2 sides included.
+  for (const std::size_t n : {20u, 36u, 12u, 100u, 2u, 16u, 32u, 256u})
     EXPECT_EQ(Dct1dPlan(n).memory_bytes(), sizeof(double) * n * n) << n;
-  for (const std::size_t n : {3u, 9u, 15u, 17u})
+  for (const std::size_t n : {1u, 3u, 9u, 15u, 17u})
     EXPECT_EQ(Dct1dPlan(n).memory_bytes(), sizeof(double) * (n * n + 1)) << n;
 }
 
@@ -101,14 +102,6 @@ TEST(Dct1dPlan, RoundTripIsIdentity) {
     plan.inverse(c.data(), back.data(), ws);
     EXPECT_LT(la::max_abs_diff(back, x), 1e-12) << "n=" << n;
   }
-}
-
-TEST(Dct1dPlan, FastFlagTracksPowerOfTwo) {
-  EXPECT_TRUE(Dct1dPlan(1).fast());  // n = 1 is a copy, trivially fast
-  EXPECT_TRUE(Dct1dPlan(2).fast());
-  EXPECT_FALSE(Dct1dPlan(3).fast());
-  EXPECT_TRUE(Dct1dPlan(256).fast());
-  EXPECT_FALSE(Dct1dPlan(100).fast());
 }
 
 TEST(Dct1dPlan, ZeroLengthThrows) {
@@ -213,7 +206,7 @@ std::vector<double> kernel_input(std::size_t count, bool sparse, Rng& rng) {
 TEST(Dct1dPlan, IsaVariantsAreBitIdentical) {
   // The baseline and AVX2 builds of the folded kernel must agree to the
   // bit, so hosts with and without AVX2 decode a tile to the same pixels.
-  // Every non-pow2 length to 40, both directions and layouts, 1/7/20/36
+  // Every length to 40, both directions and layouts, 1/7/20/36
   // lanes, dense inputs and inputs with exact zeros; then the 2-D row +
   // column sequence at the runtime's 20×20 and 36×36 tiles. The plan's own
   // fold_pass (whichever variant it picked) must give the same bits too.
@@ -221,9 +214,8 @@ TEST(Dct1dPlan, IsaVariantsAreBitIdentical) {
     GTEST_SKIP() << "host has no AVX2: only the baseline kernel can run";
   DctWorkspace ws;
   std::size_t compared = 0;
-  for (std::size_t n = 3; n <= 40; ++n) {
+  for (std::size_t n = 1; n <= 40; ++n) {
     const Dct1dPlan plan(n);
-    if (plan.fast()) continue;
     for (const std::size_t lanes : {1u, 7u, 20u, 36u}) {
       for (const bool sparse : {false, true}) {
         Rng rng(0xF6 + n * 131 + lanes * 7 + (sparse ? 1 : 0));
@@ -249,7 +241,7 @@ TEST(Dct1dPlan, IsaVariantsAreBitIdentical) {
       }
     }
   }
-  EXPECT_EQ(compared, 34u * 4u * 2u * 2u * 2u);  // 3..40 minus 4, 8, 16, 32
+  EXPECT_EQ(compared, 40u * 4u * 2u * 2u * 2u);  // lengths 1..40
 
   for (const std::size_t dim : {20u, 36u}) {
     const Dct1dPlan plan(dim);
@@ -337,7 +329,7 @@ std::vector<double> reference_fold(const Dct1dPlan& plan,
 TEST(Dct1dPlan, KernelKeepsItsSummationOrder) {
   // Each ISA entry of the folded kernel must give the bits of
   // reference_fold: blocking, vector width and loop order may change, the
-  // per-output order of terms may not. Every non-pow2 length to 40, both
+  // per-output order of terms may not. Every length to 40, both
   // directions and layouts, 1/3/7/20/36/40 lanes (fewer than one vector,
   // vector tails, full blocks), dense and zero-laden inputs; then the 2-D
   // row + column sequence at the runtime's 20×20 and 36×36 tiles.
@@ -345,9 +337,8 @@ TEST(Dct1dPlan, KernelKeepsItsSummationOrder) {
   if (std::string(kernel_isa()) == "avx2")
     kernels.push_back(&fold_avx2::fold_kernel);
   std::size_t compared = 0;
-  for (std::size_t n = 3; n <= 40; ++n) {
+  for (std::size_t n = 1; n <= 40; ++n) {
     const Dct1dPlan plan(n);
-    if (plan.fast()) continue;
     for (const std::size_t lanes : {1u, 3u, 7u, 20u, 36u, 40u}) {
       for (const bool sparse : {false, true}) {
         Rng rng(0xA5 + n * 131 + lanes * 7 + (sparse ? 1 : 0));
@@ -369,7 +360,7 @@ TEST(Dct1dPlan, KernelKeepsItsSummationOrder) {
       }
     }
   }
-  EXPECT_EQ(compared, 34u * 6u * 2u * 2u * 2u);  // 3..40 minus 4, 8, 16, 32
+  EXPECT_EQ(compared, 40u * 6u * 2u * 2u * 2u);  // lengths 1..40
 
   DctWorkspace ws;
   for (const std::size_t dim : {20u, 36u}) {
@@ -461,7 +452,7 @@ TEST(HaarInplace, InvalidLevelsThrow) {
 
 TEST(Dct2d, PlanBackedTransformsStillRoundTrip) {
   // dsp::dct2d / idct2d now run through plans internally; keep an end-to-end
-  // round-trip pinned at a non-pow2 grid (factor fallback in both passes).
+  // round-trip pinned at a non-square, non-pow2 grid.
   Rng rng(0xF4);
   la::Matrix a(12, 10);
   for (std::size_t i = 0; i < a.size(); ++i) a.data()[i] = rng.normal();

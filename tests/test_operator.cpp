@@ -91,8 +91,8 @@ INSTANTIATE_TEST_SUITE_P(
         Geometry{16, 16, 0.3, dsp::BasisKind::kDct2D},
         Geometry{5, 7, 0.8, dsp::BasisKind::kDct2D},
         Geometry{32, 32, 0.25, dsp::BasisKind::kDct2D},
-        // Odd/non-pow2 dims exercise the DCT plans' cached-factor fallback;
-        // 64x64 the pure FFT path on both axes.
+        // Odd dims exercise the folded kernel's middle sample, mixed dims
+        // its two plan sizes; 64x64 the largest pow2 side on both axes.
         Geometry{17, 33, 0.5, dsp::BasisKind::kDct2D},
         Geometry{64, 64, 0.2, dsp::BasisKind::kDct2D},
         Geometry{8, 8, 0.5, dsp::BasisKind::kHaar2D},
@@ -348,13 +348,13 @@ TEST(CgSolve, SolvesSpdSystemAndHonoursWarmStart) {
   Rng rng(0xC6C6);
   const la::Matrix a = random_matrix(12, 12, rng);
   // S = A^T A + I is SPD.
-  const auto apply_spd = [&a](const la::Vector& v) {
-    la::Vector out = la::matvec_t(a, la::matvec(a, v));
+  const auto apply_spd = [&a](const la::Vector& v, la::Vector& out) {
+    out = la::matvec_t(a, la::matvec(a, v));
     out += v;
-    return out;
   };
   const la::Vector x_true = random_vector(12, rng);
-  const la::Vector b = apply_spd(x_true);
+  la::Vector b(12);
+  apply_spd(x_true, b);
 
   const la::CgResult cold = la::cg_solve(apply_spd, b);
   EXPECT_TRUE(cold.converged);
@@ -369,10 +369,9 @@ TEST(CgSolve, SolvesSpdSystemAndHonoursWarmStart) {
 TEST(CgSolve, StopCallbackReturnsFiniteIterate) {
   Rng rng(0xC7C7);
   const la::Matrix a = random_matrix(10, 10, rng);
-  const auto apply_spd = [&a](const la::Vector& v) {
-    la::Vector out = la::matvec_t(a, la::matvec(a, v));
+  const auto apply_spd = [&a](const la::Vector& v, la::Vector& out) {
+    out = la::matvec_t(a, la::matvec(a, v));
     out += v;
-    return out;
   };
   const la::Vector b = random_vector(10, rng);
   la::CgOptions opts;

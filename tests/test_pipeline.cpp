@@ -354,7 +354,7 @@ TEST_F(PipelineTest, ImplicitPsiDecodeMatchesDensePath) {
 
 TEST_F(PipelineTest, FistaImplicitRmseMatchesDenseWithinTightTolerance) {
   // Regression pinning the fast-kernel operator to the dense reference: the
-  // FFT-based DCT applies round differently from dense matvecs at ~1e-15
+  // folded DCT applies round differently from dense matvecs at ~1e-15
   // per pass, but through a full FISTA decode the recovered RMSE must stay
   // within 1e-12 of the dense golden (observed drift is ~1e-15).
   Rng rng(25), rng2(25);

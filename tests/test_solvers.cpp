@@ -663,11 +663,9 @@ TEST(DebiasRefit, WarmStartIsCheaperAndMatchesTheDenseGolden) {
           static_cast<int>(std::max<std::size_t>(200, support.size()));
       cg.tol = tol;
       const la::CgResult cold = la::cg_solve(
-          [&](const la::Vector& c) {
-            la::Vector out =
-                gather(cold_op.apply_adjoint(cold_op.apply(embed(c))));
+          [&](const la::Vector& c, la::Vector& out) {
+            out = gather(cold_op.apply_adjoint(cold_op.apply(embed(c))));
             for (std::size_t j = 0; j < c.size(); ++j) out[j] += ridge * c[j];
-            return out;
           },
           gather(cold_op.apply_adjoint(tp.b)), cg);
       ASSERT_TRUE(cold.converged) << dim << " tol " << tol;

@@ -17,6 +17,7 @@
 #include "cs/encoder.hpp"
 #include "cs/metrics.hpp"
 #include "data/thermal.hpp"
+#include "la/operator.hpp"
 #include "solvers/solver.hpp"
 
 namespace {
@@ -57,7 +58,8 @@ void print_tables() {
         const auto t1 = std::chrono::steady_clock::now();
         ms += std::chrono::duration<double, std::milli>(t1 - t0).count();
         err += (r.x - x0).norm2() / x0.norm2();
-        const la::Vector db = solvers::debias_on_support(a, b, r.x, 1e-3);
+        const la::Vector db = solvers::debias_on_support(
+            la::DenseOperator::borrowed(a), b, r.x, 1e-3);
         err_db += (db - x0).norm2() / x0.norm2();
       }
       t.add_row({name, strformat("%.2e", err / trials),

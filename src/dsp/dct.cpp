@@ -10,6 +10,18 @@ namespace {
 
 constexpr double kPi = 3.1415926535897932384626433832795;
 
+// Runs `pass(row_plan, col_plan)` with the folded 1-D plans (dsp/fft.hpp)
+// of a rows×cols grid. A square grid builds one plan and passes it as both.
+template <typename Pass>
+void with_plans(std::size_t rows, std::size_t cols, const Pass& pass) {
+  const Dct1dPlan row_plan(cols);
+  if (rows == cols) {
+    pass(row_plan, row_plan);
+    return;
+  }
+  pass(row_plan, Dct1dPlan(rows));
+}
+
 }  // namespace
 
 la::Matrix dct_matrix(std::size_t n) {
@@ -64,24 +76,26 @@ la::Vector idct1d(const la::Vector& X) {
 
 la::Matrix dct2d(const la::Matrix& img) {
   FLEXCS_CHECK(!img.empty(), "dct2d of empty matrix");
-  // Separable: one folded 1-D plan along each axis (dsp/fft.hpp).
-  const Dct1dPlan row_plan(img.cols());
-  const Dct1dPlan col_plan(img.rows());
-  DctWorkspace ws;
+  // Separable: one folded 1-D pass along each axis.
   la::Matrix out(img.rows(), img.cols());
-  dct2d_apply(row_plan, col_plan, img.data(), out.data(), img.rows(),
-              img.cols(), ws);
+  with_plans(img.rows(), img.cols(),
+             [&](const Dct1dPlan& row_plan, const Dct1dPlan& col_plan) {
+               DctWorkspace ws;
+               dct2d_apply(row_plan, col_plan, img.data(), out.data(),
+                           img.rows(), img.cols(), ws);
+             });
   return out;
 }
 
 la::Matrix idct2d(const la::Matrix& coeffs) {
   FLEXCS_CHECK(!coeffs.empty(), "idct2d of empty matrix");
-  const Dct1dPlan row_plan(coeffs.cols());
-  const Dct1dPlan col_plan(coeffs.rows());
-  DctWorkspace ws;
   la::Matrix out(coeffs.rows(), coeffs.cols());
-  idct2d_apply(row_plan, col_plan, coeffs.data(), out.data(), coeffs.rows(),
-               coeffs.cols(), ws);
+  with_plans(coeffs.rows(), coeffs.cols(),
+             [&](const Dct1dPlan& row_plan, const Dct1dPlan& col_plan) {
+               DctWorkspace ws;
+               idct2d_apply(row_plan, col_plan, coeffs.data(), out.data(),
+                            coeffs.rows(), coeffs.cols(), ws);
+             });
   return out;
 }
 

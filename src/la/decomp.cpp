@@ -116,56 +116,6 @@ double determinant(const Matrix& a) {
   return det;
 }
 
-QrFactors qr_decompose(const Matrix& a) {
-  const std::size_t m = a.rows(), n = a.cols();
-  FLEXCS_CHECK(m >= n, "qr_decompose requires rows >= cols");
-  // Householder QR accumulating the reflectors into an explicit thin Q.
-  Matrix r = a;
-  Matrix qfull = Matrix::identity(m);
-  Vector v(m);
-
-  for (std::size_t k = 0; k < n; ++k) {
-    // Build the reflector for column k.
-    double norm = 0.0;
-    for (std::size_t i = k; i < m; ++i) norm += r(i, k) * r(i, k);
-    norm = std::sqrt(norm);
-    if (norm == 0.0) continue;
-    const double alpha = (r(k, k) > 0.0) ? -norm : norm;
-    double vnorm2 = 0.0;
-    for (std::size_t i = 0; i < m; ++i) {
-      v[i] = (i < k) ? 0.0 : r(i, k);
-      if (i == k) v[i] -= alpha;
-      vnorm2 += v[i] * v[i];
-    }
-    if (vnorm2 == 0.0) continue;
-    const double beta = 2.0 / vnorm2;
-
-    // r <- (I - beta v v^T) r, columns k..n-1.
-    for (std::size_t c = k; c < n; ++c) {
-      double s = 0.0;
-      for (std::size_t i = k; i < m; ++i) s += v[i] * r(i, c);
-      s *= beta;
-      for (std::size_t i = k; i < m; ++i) r(i, c) -= s * v[i];
-    }
-    // qfull <- qfull (I - beta v v^T).
-    for (std::size_t rr = 0; rr < m; ++rr) {
-      double s = 0.0;
-      for (std::size_t i = k; i < m; ++i) s += qfull(rr, i) * v[i];
-      s *= beta;
-      for (std::size_t i = k; i < m; ++i) qfull(rr, i) -= s * v[i];
-    }
-  }
-
-  QrFactors f;
-  f.q = Matrix(m, n);
-  for (std::size_t i = 0; i < m; ++i)
-    for (std::size_t j = 0; j < n; ++j) f.q(i, j) = qfull(i, j);
-  f.r = Matrix(n, n, 0.0);
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = i; j < n; ++j) f.r(i, j) = r(i, j);
-  return f;
-}
-
 Vector solve_upper(const Matrix& r, const Vector& b) {
   const std::size_t n = r.rows();
   FLEXCS_CHECK(r.cols() == n && b.size() == n, "solve_upper shape mismatch");
@@ -194,13 +144,6 @@ Vector solve_lower(const Matrix& l, const Vector& b, bool unit_diagonal) {
     }
   }
   return x;
-}
-
-Vector lstsq(const Matrix& a, const Vector& b) {
-  FLEXCS_CHECK(a.rows() == b.size(), "lstsq shape mismatch");
-  const QrFactors f = qr_decompose(a);
-  const Vector qtb = matvec_t(f.q, b);
-  return solve_upper(f.r, qtb);
 }
 
 }  // namespace flexcs::la

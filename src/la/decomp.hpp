@@ -1,6 +1,5 @@
 // Matrix factorisations and linear solvers: Cholesky, LU with partial
-// pivoting, Householder QR, triangular solves, general solve and linear
-// least squares.
+// pivoting, triangular solves and general solve.
 #pragma once
 
 #include "la/matrix.hpp"
@@ -39,23 +38,11 @@ Matrix inverse(const Matrix& a);
 /// Determinant via LU (0 for a singular matrix).
 double determinant(const Matrix& a);
 
-/// Thin Householder QR: A (m x n, m >= n) = Q (m x n) R (n x n).
-struct QrFactors {
-  Matrix q;  // m x n with orthonormal columns
-  Matrix r;  // n x n upper triangular
-};
-
-QrFactors qr_decompose(const Matrix& a);
-
 /// Solves upper-triangular R x = b by back substitution.
 Vector solve_upper(const Matrix& r, const Vector& b);
 
 /// Solves lower-triangular L x = b by forward substitution.
 /// When unit_diagonal is true the diagonal is assumed to be ones.
 Vector solve_lower(const Matrix& l, const Vector& b, bool unit_diagonal = false);
-
-/// Minimum-residual least squares min_x ||A x - b||_2 via QR (m >= n, full
-/// column rank; throws otherwise).
-Vector lstsq(const Matrix& a, const Vector& b);
 
 }  // namespace flexcs::la

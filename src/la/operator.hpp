@@ -5,11 +5,12 @@
 //
 // The sparse solvers only ever need y = A·x and x = Aᵀ·y — never the matrix
 // entries — so an implicit operator (e.g. the decoder's Φ_M·Ψ computed via
-// the fast 2-D DCT) can replace the dense M x N matrix wholesale. Operators
-// that *are* dense expose their matrix through dense(), which lets solvers
-// keep their specialised dense kernels (Woodbury/Cholesky paths) bit-for-bit;
-// entry-hungry solvers (OMP, BP-LP) materialise an implicit operator once as
-// its M x N matrix via to_dense, never the N x N basis.
+// the fast 2-D DCT) can replace the dense M x N matrix wholesale, and a
+// DenseOperator runs the same solver code through its matvecs. Operators
+// that *are* dense expose their matrix through dense(); only the
+// entry-hungry solvers (OMP, BP-LP) read it, and they materialise an
+// implicit operator once as its M x N matrix via to_dense, never the N x N
+// basis.
 #pragma once
 
 #include <functional>
@@ -54,8 +55,9 @@ class LinearOperator {
       const std::vector<Vector>& ys) const;
 
   /// Non-null when the operator is (or caches) an explicit dense matrix.
-  /// Solvers use it to keep their specialised dense kernels; entry-hungry
-  /// solvers (OMP, BP-LP) materialise the matrix via to_dense when null.
+  /// Entry-hungry solvers (OMP, BP-LP) read it and materialise the matrix
+  /// via to_dense when null; input validation checks its entries are
+  /// finite. No other solver branches on it.
   virtual const Matrix* dense() const { return nullptr; }
 
   /// A cheap, always-valid upper bound on sigma_max(A); 0 means unknown.
@@ -68,9 +70,9 @@ class LinearOperator {
 };
 
 /// Dense adapter: wraps an explicit matrix as a LinearOperator. apply /
-/// apply_adjoint are exactly la::matvec / la::matvec_t, so solvers driven
-/// through a DenseOperator reproduce their historical dense results
-/// bit-for-bit. norm_upper_bound() is the Frobenius norm (>= sigma_max).
+/// apply_adjoint are exactly la::matvec / la::matvec_t, and the solvers run
+/// the same code on it as on an implicit operator of the same entries.
+/// norm_upper_bound() is the Frobenius norm (>= sigma_max).
 class DenseOperator final : public LinearOperator {
  public:
   /// Owning: moves the matrix in.

@@ -1,10 +1,8 @@
 #include "solvers/admm.hpp"
 
 #include <cmath>
-#include <functional>
 
 #include "common/check.hpp"
-#include "la/decomp.hpp"
 #include "solvers/fista.hpp"
 
 namespace flexcs::solvers {
@@ -13,7 +11,7 @@ SolveResult AdmmLassoSolver::solve_impl(const la::LinearOperator& a,
                                         const la::Vector& b,
                                         const SolveOptions& ctrl) const {
   validate_solve_inputs(a, b, "ADMM");
-  const std::size_t m = a.rows(), n = a.cols();
+  const std::size_t n = a.cols();
 
   SolveResult result;
   result.x = la::Vector(n, 0.0);
@@ -21,7 +19,7 @@ SolveResult AdmmLassoSolver::solve_impl(const la::LinearOperator& a,
     result.converged = true;
     return result;
   }
-  if (ctrl.should_stop()) {  // expired before the Cholesky factorisation
+  if (ctrl.should_stop()) {  // expired before the first A^T b
     result.deadline_expired = true;
     result.residual_norm = b.norm2();
     return result;
@@ -34,38 +32,20 @@ SolveResult AdmmLassoSolver::solve_impl(const la::LinearOperator& a,
 
   la::Vector x(n, 0.0), z(n, 0.0), u(n, 0.0);
 
-  // x-update solve for (A^T A + rho I) x = q.
-  std::function<la::Vector(const la::Vector&)> apply_inverse;
-  la::Matrix chol;  // dense path only
-  const la::Matrix* mat = a.dense();
-  if (mat != nullptr) {
-    // Woodbury: (A^T A + rho I)^{-1} q = (q - A^T (rho I + A A^T)^{-1} A q)/rho.
-    la::Matrix small = matmul_a_bt(*mat, *mat);  // A A^T, M x M
-    for (std::size_t i = 0; i < m; ++i) small(i, i) += rho;
-    chol = la::cholesky(small);
-    apply_inverse = [&chol, mat, rho](const la::Vector& q) {
-      const la::Vector aq = matvec(*mat, q);
-      const la::Vector w = la::cholesky_solve(chol, aq);
-      la::Vector out = q - matvec_t(*mat, w);
-      out /= rho;
-      return out;
+  // x-update solve for (A^T A + rho I) x = q: conjugate gradient on the SPD
+  // system, warm-started from the previous x-iterate. For the subsampled
+  // orthonormal transforms sigma_max(A) <= 1, so the condition number is at
+  // most (1 + rho)/rho and CG converges in a handful of iterations.
+  const auto apply_inverse = [&a, &x, &ctrl, rho](const la::Vector& q) {
+    la::CgOptions cg;
+    cg.tol = 1e-10;
+    cg.should_stop = [&ctrl] { return ctrl.should_stop(); };
+    const auto apply_spd = [&a, rho](const la::Vector& v, la::Vector& out) {
+      a.apply_normal(v, out);
+      for (std::size_t i = 0; i < out.size(); ++i) out[i] += rho * v[i];
     };
-  } else {
-    // Matrix-free: conjugate gradient on the SPD system, warm-started from
-    // the previous x-iterate. For the subsampled orthonormal transforms
-    // sigma_max(A) <= 1, so the condition number is at most (1 + rho)/rho
-    // and CG converges in a handful of iterations.
-    apply_inverse = [&a, &x, &ctrl, rho](const la::Vector& q) {
-      la::CgOptions cg;
-      cg.tol = 1e-10;
-      cg.should_stop = [&ctrl] { return ctrl.should_stop(); };
-      const auto apply_spd = [&a, rho](const la::Vector& v, la::Vector& out) {
-        a.apply_normal(v, out);
-        for (std::size_t i = 0; i < out.size(); ++i) out[i] += rho * v[i];
-      };
-      return la::cg_solve(apply_spd, q, cg, x).x;
-    };
-  }
+    return la::cg_solve(apply_spd, q, cg, x).x;
+  };
 
   for (int it = 0; it < opts_.max_iterations; ++it) {
     if (ctrl.should_stop()) {

@@ -1,10 +1,9 @@
 // ADMM solver for the lasso / basis-pursuit-denoising decoder problem:
 //   min_x 0.5||Ax - b||^2 + lambda ||x||_1.
 //
-// The x-update solves (A^T A + rho I) x = A^T b + rho (z - u). Because the
-// CS matrix is wide (M < N), the inverse is applied through the Woodbury
-// identity using a Cholesky factor of the small M x M matrix (rho I + A A^T),
-// precomputed once per solve. This is the library's default decoder.
+// The x-update solves (A^T A + rho I) x = A^T b + rho (z - u) by conjugate
+// gradient through LinearOperator::apply_normal, warm-started from the
+// previous x-iterate; no operator is factorised, dense or implicit.
 #pragma once
 
 #include "solvers/solver.hpp"

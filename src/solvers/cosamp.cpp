@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/check.hpp"
-#include "la/decomp.hpp"
 
 namespace flexcs::solvers {
 namespace {
@@ -25,20 +24,11 @@ std::vector<std::size_t> top_k(const la::Vector& v, std::size_t k) {
 }
 
 // Least squares over the columns in `support`; returns coefficients aligned
-// with `support`. Dense operators extract the columns and use QR least
-// squares (the historical path); implicit ones solve the ridge-stabilised
-// normal equations by conjugate gradient, embedding the support
-// coefficients into a full-length vector for each normal apply.
+// with `support`. Solves the ridge-stabilised normal equations by conjugate
+// gradient, embedding the support coefficients into a full-length vector for
+// each normal apply, so no operator is read entry by entry.
 la::Vector lstsq_on_support(const la::LinearOperator& a, const la::Vector& b,
                             const std::vector<std::size_t>& support) {
-  if (const la::Matrix* mat = a.dense()) {
-    la::Matrix as(mat->rows(), support.size());
-    for (std::size_t j = 0; j < support.size(); ++j)
-      for (std::size_t r = 0; r < mat->rows(); ++r)
-        as(r, j) = (*mat)(r, support[j]);
-    return la::lstsq(as, b);
-  }
-
   // Every normal apply reuses `full` (zero off the support) and `normal`.
   la::Vector full(a.cols(), 0.0);
   la::Vector normal(a.cols());

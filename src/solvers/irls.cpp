@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/check.hpp"
-#include "la/decomp.hpp"
 
 namespace flexcs::solvers {
 
@@ -29,60 +28,33 @@ SolveResult IrlsSolver::solve_impl(const la::LinearOperator& a,
   // Start from the minimum-l2-norm solution (W = I).
   la::Vector x(n, 0.0);
   double eps = opts_.eps_initial;
-  const la::Matrix* mat = a.dense();
-  la::Vector y_warm;  // matrix-free path: warm start for the inner CG
+  la::Vector y_warm;  // warm start for the inner CG
 
   for (int it = 0; it < opts_.max_iterations; ++it) {
     if (ctrl.should_stop()) {
       result.deadline_expired = true;
       break;
     }
-    // Solve (A W A^T + ridge I) y = b with W = diag(|x| + eps), then
-    // x_new = W A^T y.
-    la::Vector x_new;
-    if (mat != nullptr) {
-      // Dense: build the weighted Gram K = A W A^T entry-wise and factorise.
-      la::Matrix k(m, m, 0.0);
-      for (std::size_t j = 0; j < n; ++j) {
-        const double w = std::fabs(x[j]) + eps;
-        for (std::size_t r = 0; r < m; ++r) {
-          const double arw = (*mat)(r, j) * w;
-          if (arw == 0.0) continue;
-          for (std::size_t c = r; c < m; ++c) k(r, c) += arw * (*mat)(c, j);
-        }
-      }
-      for (std::size_t r = 0; r < m; ++r) {
-        k(r, r) += opts_.ridge;
-        for (std::size_t c = 0; c < r; ++c) k(r, c) = k(c, r);
-      }
-
-      const la::Matrix chol = la::cholesky(k);
-      const la::Vector y = la::cholesky_solve(chol, b);
-      x_new = matvec_t(*mat, y);
-      for (std::size_t j = 0; j < n; ++j)
-        x_new[j] *= std::fabs(x[j]) + eps;
-    } else {
-      // Matrix-free: the same SPD system by conjugate gradient, warm-started
-      // from the previous outer iteration's y (W changes slowly once the
-      // iterate stabilises). v -> A (W (A^T v)) + ridge v.
-      const auto apply_k = [&a, &x, eps, this](const la::Vector& v,
-                                               la::Vector& out) {
-        la::Vector wv = a.apply_adjoint(v);
-        for (std::size_t j = 0; j < wv.size(); ++j)
-          wv[j] *= std::fabs(x[j]) + eps;
-        out = a.apply(wv);
-        for (std::size_t i = 0; i < out.size(); ++i) out[i] += opts_.ridge * v[i];
-      };
-      la::CgOptions cg;
-      cg.tol = 1e-10;
-      cg.max_iterations = static_cast<int>(std::max<std::size_t>(200, m / 4));
-      cg.should_stop = [&ctrl] { return ctrl.should_stop(); };
-      const la::CgResult inner = la::cg_solve(apply_k, b, cg, y_warm);
-      y_warm = inner.x;
-      x_new = a.apply_adjoint(inner.x);
-      for (std::size_t j = 0; j < n; ++j)
-        x_new[j] *= std::fabs(x[j]) + eps;
-    }
+    // Solve (A W A^T + ridge I) y = b with W = diag(|x| + eps) by conjugate
+    // gradient, warm-started from the previous outer iteration's y (W
+    // changes slowly once the iterate stabilises), then x_new = W A^T y.
+    // v -> A (W (A^T v)) + ridge v.
+    const auto apply_k = [&a, &x, eps, this](const la::Vector& v,
+                                             la::Vector& out) {
+      la::Vector wv = a.apply_adjoint(v);
+      for (std::size_t j = 0; j < wv.size(); ++j)
+        wv[j] *= std::fabs(x[j]) + eps;
+      out = a.apply(wv);
+      for (std::size_t i = 0; i < out.size(); ++i) out[i] += opts_.ridge * v[i];
+    };
+    la::CgOptions cg;
+    cg.tol = 1e-10;
+    cg.max_iterations = static_cast<int>(std::max<std::size_t>(200, m / 4));
+    cg.should_stop = [&ctrl] { return ctrl.should_stop(); };
+    const la::CgResult inner = la::cg_solve(apply_k, b, cg, y_warm);
+    y_warm = inner.x;
+    la::Vector x_new = a.apply_adjoint(inner.x);
+    for (std::size_t j = 0; j < n; ++j) x_new[j] *= std::fabs(x[j]) + eps;
 
     const double dx = la::max_abs_diff(x_new, x);
     const double xmax = std::max(1e-12, x_new.norm_inf());

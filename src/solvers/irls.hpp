@@ -1,6 +1,8 @@
 // Iteratively Reweighted Least Squares (FOCUSS-style) for basis pursuit:
 // approximates min ||x||_1 s.t. Ax = b by solving a sequence of weighted
-// minimum-norm problems x = W A^T (A W A^T)^{-1} b with W = diag(|x| + eps).
+// minimum-norm problems x = W A^T (A W A^T)^{-1} b with W = diag(|x| + eps),
+// each inner system solved by conjugate gradient through the operator's
+// applies.
 #pragma once
 
 #include "solvers/solver.hpp"

@@ -6,7 +6,6 @@
 #include <numeric>
 
 #include "common/check.hpp"
-#include "la/decomp.hpp"
 #include "solvers/admm.hpp"
 #include "solvers/bp_lp.hpp"
 #include "solvers/cosamp.hpp"
@@ -33,10 +32,10 @@ SolveResult SparseSolver::solve(const la::LinearOperator& a,
 
 namespace {
 
-// Relative residual ||S c - A_Sᵀ b|| / ||A_Sᵀ b|| at which the matrix-free
-// debias re-fit stops. Its coefficients land within ~1e-9·||fit||_inf of the
-// dense Cholesky re-fit and its pixels within ~2e-8, far below a tile's
-// reconstruction error (RMSE ~5e-3).
+// Relative residual ||S c - A_Sᵀ b|| / ||A_Sᵀ b|| at which the debias re-fit
+// stops. On the decoder's transform operators its coefficients land within
+// ~1e-9·||fit||_inf of a Cholesky re-fit of the gathered Gram matrix and its
+// pixels within ~2e-8, far below a tile's reconstruction error (RMSE ~5e-3).
 constexpr double kRefitTol = 1e-9;
 
 // Partial-iterate guarantee: an interrupted solve must never hand back
@@ -115,18 +114,6 @@ std::vector<SolveResult> SparseSolver::solve_batch_impl(
   return results;
 }
 
-void validate_solve_inputs(const la::Matrix& a, const la::Vector& b,
-                           const char* who) {
-  const std::string name(who);
-  FLEXCS_CHECK(!a.empty(), name + ": empty measurement matrix");
-  FLEXCS_CHECK(a.rows() == b.size(),
-               name + ": A is " + std::to_string(a.rows()) + "x" +
-                   std::to_string(a.cols()) + " but b has " +
-                   std::to_string(b.size()) + " entries");
-  FLEXCS_CHECK(la::all_finite(b), name + ": non-finite measurement in b");
-  FLEXCS_CHECK(la::all_finite(a), name + ": non-finite entry in A");
-}
-
 void validate_solve_inputs(const la::LinearOperator& a, const la::Vector& b,
                            const char* who) {
   const std::string name(who);
@@ -140,49 +127,20 @@ void validate_solve_inputs(const la::LinearOperator& a, const la::Vector& b,
     FLEXCS_CHECK(la::all_finite(*m), name + ": non-finite entry in A");
 }
 
-la::Vector debias_on_support(const la::Matrix& a, const la::Vector& b,
-                             const la::Vector& x, double threshold) {
-  FLEXCS_CHECK(a.cols() == x.size() && a.rows() == b.size(),
-               "debias: shape mismatch");
-  const std::vector<std::size_t> support = pick_support(x, threshold, a.rows());
-  if (support.empty()) return la::Vector(x.size(), 0.0);
-
-  la::Matrix as(a.rows(), support.size());
-  for (std::size_t j = 0; j < support.size(); ++j)
-    for (std::size_t r = 0; r < a.rows(); ++r) as(r, j) = a(r, support[j]);
-  // Ridge-regularised normal equations: the support columns can be linearly
-  // dependent (e.g. Haar atoms whose footprint was never sampled produce
-  // all-zero columns), so plain QR least squares may be singular.
-  la::Matrix g = la::gram(as);
-  double trace = 0.0;
-  for (std::size_t i = 0; i < g.rows(); ++i) trace += g(i, i);
-  const double ridge =
-      1e-10 * std::max(1.0, trace / static_cast<double>(g.rows()));
-  for (std::size_t i = 0; i < g.rows(); ++i) g(i, i) += ridge;
-  const la::Vector coef =
-      la::cholesky_solve(la::cholesky(g), la::matvec_t(as, b));
-
-  la::Vector out(x.size(), 0.0);
-  for (std::size_t j = 0; j < support.size(); ++j) out[support[j]] = coef[j];
-  return out;
-}
-
 la::Vector debias_on_support(const la::LinearOperator& a, const la::Vector& b,
                              const la::Vector& x, double threshold,
                              const std::function<bool()>& should_stop) {
   if (should_stop && should_stop()) return {};
-  if (const la::Matrix* m = a.dense())
-    return debias_on_support(*m, b, x, threshold);
-
   FLEXCS_CHECK(a.cols() == x.size() && a.rows() == b.size(),
                "debias: shape mismatch");
   const std::vector<std::size_t> support = pick_support(x, threshold, a.rows());
   if (support.empty()) return la::Vector(x.size(), 0.0);
 
-  // Same ridge-regularised normal equations as the dense path, solved by
-  // conjugate gradient through embed/gather instead of materialising the
-  // support columns: S c = A_Sᵀ A_S c + ridge·c with A_S c = A·embed(c).
-  // Every normal apply reuses the two full-length buffers and writes into
+  // Ridge-regularised normal equations on the support (its columns can be
+  // linearly dependent, e.g. Haar atoms whose footprint was never sampled),
+  // solved by conjugate gradient through embed/gather instead of
+  // materialising the support columns: S c = A_Sᵀ A_S c + ridge·c with
+  // A_S c = A·embed(c). Every normal apply reuses the two full-length buffers and writes into
   // CG's own, so a CG iteration allocates nothing; `full` stays zero off the
   // support.
   la::Vector full(a.cols(), 0.0);
@@ -196,9 +154,8 @@ la::Vector debias_on_support(const la::LinearOperator& a, const la::Vector& b,
     for (std::size_t j = 0; j < support.size(); ++j) c[j] = v[support[j]];
     return c;
   };
-  // The dense path scales its ridge by the mean support-column energy; with
-  // no entry access we bound it by sigma_max(A)^2 instead (exactly 1 for the
-  // subsampled orthonormal transforms this path exists for).
+  // The ridge scales with sigma_max(A)^2 through the operator's bound
+  // (exactly 1 for the subsampled orthonormal transforms the decoder runs).
   const double bound = a.norm_upper_bound();
   const double ridge = 1e-10 * std::max(1.0, bound * bound);
   const auto apply_normal = [&](const la::Vector& c, la::Vector& out) {

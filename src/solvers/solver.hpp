@@ -66,8 +66,9 @@ class SparseSolver {
   /// Solves for sparse x from b ≈ A x. Requires a.rows() == b.size(), a
   /// non-empty A, and finite entries in both A and b; violations throw
   /// CheckError (every implementation calls validate_solve_inputs first).
-  /// Thin wrapper over the operator overload (A wrapped without copying);
-  /// results are identical to the historical dense-matrix path.
+  /// Thin wrapper over the operator overload (A wrapped without copying by
+  /// la::DenseOperator::borrowed), so results match solve(DenseOperator)
+  /// bit for bit.
   SolveResult solve(const la::Matrix& a, const la::Vector& b) const;
 
   /// Same solve under cooperative control: the deadline / cancellation token
@@ -80,10 +81,11 @@ class SparseSolver {
                     const SolveOptions& ctrl) const;
 
   /// Matrix-free solve: A given only through apply/apply_adjoint. Gradient
-  /// based solvers (FISTA/ISTA, ADMM, IRLS, CoSaMP) run on the applies alone;
-  /// entry-hungry solvers (OMP, BP-LP) materialise an implicit operator once
-  /// as its M x N matrix (la::to_dense). Deadline/cancel semantics and the
-  /// partial-iterate guarantee match the dense overload.
+  /// based solvers (FISTA/ISTA, ADMM, IRLS, CoSaMP) run on the applies alone,
+  /// with one body for every operator, dense or implicit; entry-hungry
+  /// solvers (OMP, BP-LP) read a dense operator's matrix and materialise an
+  /// implicit one once as its M x N matrix (la::to_dense). Deadline/cancel
+  /// semantics and the partial-iterate guarantee match the dense overload.
   SolveResult solve(const la::LinearOperator& a, const la::Vector& b) const;
   SolveResult solve(const la::LinearOperator& a, const la::Vector& b,
                     const SolveOptions& ctrl) const;
@@ -105,7 +107,8 @@ class SparseSolver {
   /// Timing and the partial-iterate guarantee are applied by solve().
   /// Entry-hungry algorithms read a.dense() and materialise implicit
   /// operators with la::to_dense, passing ctrl.should_stop() as its stop
-  /// hook.
+  /// hook. The others run on the applies alone and never branch on
+  /// a.dense() (tools/flexcs_lint.py, rule dense-branch).
   virtual SolveResult solve_impl(const la::LinearOperator& a,
                                  const la::Vector& b,
                                  const SolveOptions& ctrl) const = 0;
@@ -119,37 +122,28 @@ class SparseSolver {
 };
 
 /// Shared entry-point contract for SparseSolver::solve_impl implementations:
-/// throws CheckError (via FLEXCS_CHECK) unless A is non-empty, b matches
-/// A's row count, and both are free of NaN/Inf. `who` names the solver in
-/// the failure message. Every solve_impl() must call this before touching
-/// data — enforced by tools/flexcs_lint.py (rule entry-check).
-void validate_solve_inputs(const la::Matrix& a, const la::Vector& b,
-                           const char* who);
-
-/// Operator form of the same contract: non-empty operator, b matches its
-/// row count, b finite — and when the operator is dense, its entries finite
-/// too (implicit operators are validated structurally at construction; their
-/// applies cannot manufacture NaN from finite inputs).
+/// throws CheckError (via FLEXCS_CHECK) unless the operator is non-empty, b
+/// matches its row count and b is finite — and when the operator is dense,
+/// its entries finite too (implicit operators are validated structurally at
+/// construction; their applies cannot manufacture NaN from finite inputs).
+/// `who` names the solver in the failure message. Every solve_impl() must
+/// call this before touching data — enforced by tools/flexcs_lint.py (rule
+/// entry-check).
 void validate_solve_inputs(const la::LinearOperator& a, const la::Vector& b,
                            const char* who);
 
 /// Least-squares re-fit restricted to the support {i : |x[i]| > threshold}.
 /// Standard de-biasing step after L1 solvers (removes the shrinkage bias).
 /// If the support is larger than the number of measurements, the largest
-/// a.rows() entries are kept.
-la::Vector debias_on_support(const la::Matrix& a, const la::Vector& b,
-                             const la::Vector& x, double threshold = 1e-8);
-
-/// Matrix-free debias: dense operators delegate to the matrix version
-/// (identical results); implicit operators solve the same ridge-regularised
-/// normal equations on the support by conjugate gradient, never touching
-/// matrix entries. CG starts from x's support values and stops at a 1e-9
-/// relative residual, ~1e-9 of ||fit||_inf from the matrix version. Used by
-/// the decoder, whose transform operators have no dense A to refit against.
-/// `should_stop` (same style as la::to_dense) is polled before the re-fit
-/// and once per CG iteration; once it fires the re-fit is abandoned and an
-/// empty vector comes back, so a deadline-bound caller overruns by at most
-/// one CG iteration.
+/// a.rows() entries are kept. Solves the ridge-regularised normal equations
+/// on the support by conjugate gradient through apply_normal, never touching
+/// matrix entries, for dense and implicit operators alike. CG starts from
+/// x's support values and stops at a 1e-9 relative residual; on the
+/// decoder's transform operators that is ~1e-9 of ||fit||_inf from a
+/// Cholesky re-fit of the gathered Gram matrix. `should_stop` (same style as
+/// la::to_dense) is polled before the re-fit and once per CG iteration; once
+/// it fires the re-fit is abandoned and an empty vector comes back, so a
+/// deadline-bound caller overruns by at most one CG iteration.
 la::Vector debias_on_support(const la::LinearOperator& a, const la::Vector& b,
                              const la::Vector& x, double threshold = 1e-8,
                              const std::function<bool()>& should_stop = {});

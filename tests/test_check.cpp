@@ -172,7 +172,9 @@ TEST(SolverContracts, DebiasRejectsShapeMismatch) {
   la::Matrix a(4, 8, 1.0);
   la::Vector b(4, 1.0);
   la::Vector wrong_x(5, 0.0);
-  EXPECT_THROW(solvers::debias_on_support(a, b, wrong_x), CheckError);
+  EXPECT_THROW(
+      solvers::debias_on_support(la::DenseOperator::borrowed(a), b, wrong_x),
+      CheckError);
 }
 
 // ---------------------------------------------------------------------------

@@ -96,31 +96,6 @@ TEST(Inverse, ProducesIdentity) {
   EXPECT_LT(max_abs_diff(matmul(ainv, a), Matrix::identity(7)), 1e-9);
 }
 
-TEST(Qr, ReconstructsInput) {
-  Rng rng(11);
-  const Matrix a = random_matrix(9, 5, rng);
-  const QrFactors f = qr_decompose(a);
-  EXPECT_LT(max_abs_diff(matmul(f.q, f.r), a), 1e-10);
-}
-
-TEST(Qr, QHasOrthonormalColumns) {
-  Rng rng(13);
-  const Matrix a = random_matrix(10, 6, rng);
-  const QrFactors f = qr_decompose(a);
-  EXPECT_LT(max_abs_diff(gram(f.q), Matrix::identity(6)), 1e-10);
-}
-
-TEST(Qr, RIsUpperTriangular) {
-  Rng rng(15);
-  const QrFactors f = qr_decompose(random_matrix(8, 4, rng));
-  for (std::size_t r = 1; r < 4; ++r)
-    for (std::size_t c = 0; c < r; ++c) EXPECT_DOUBLE_EQ(f.r(r, c), 0.0);
-}
-
-TEST(Qr, RejectsWideMatrix) {
-  EXPECT_THROW(qr_decompose(Matrix(2, 5)), CheckError);
-}
-
 TEST(TriangularSolve, UpperAndLower) {
   Matrix u{{2.0, 1.0}, {0.0, 4.0}};
   const Vector xu = solve_upper(u, Vector{4.0, 8.0});
@@ -137,28 +112,7 @@ TEST(TriangularSolve, UpperAndLower) {
   EXPECT_NEAR(xlu[1], 0.0, 1e-14);
 }
 
-TEST(Lstsq, RecoversExactSolution) {
-  Rng rng(17);
-  const Matrix a = random_matrix(20, 6, rng);
-  Vector x_true(6);
-  for (auto& v : x_true) v = rng.normal();
-  const Vector b = matvec(a, x_true);
-  const Vector x = lstsq(a, b);
-  EXPECT_LT(max_abs_diff(x, x_true), 1e-9);
-}
-
-TEST(Lstsq, ResidualOrthogonalToColumns) {
-  Rng rng(19);
-  const Matrix a = random_matrix(15, 4, rng);
-  Vector b(15);
-  for (auto& v : b) v = rng.normal();
-  const Vector x = lstsq(a, b);
-  const Vector r = b - matvec(a, x);
-  const Vector atr = matvec_t(a, r);
-  EXPECT_LT(atr.norm_inf(), 1e-9);
-}
-
-// Parameterized property sweep: LU and QR across sizes.
+// Parameterized property sweep: LU across sizes.
 class DecompSizes : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(DecompSizes, LuSolveResidualSmall) {
@@ -169,15 +123,6 @@ TEST_P(DecompSizes, LuSolveResidualSmall) {
   for (auto& v : b) v = rng.normal();
   const Vector x = solve(a, b);
   EXPECT_LT((matvec(a, x) - b).norm2() / b.norm2(), 1e-8);
-}
-
-TEST_P(DecompSizes, QrOrthogonalityAcrossSizes) {
-  const std::size_t n = GetParam();
-  Rng rng(200 + n);
-  const Matrix a = random_matrix(n + 4, n, rng);
-  const QrFactors f = qr_decompose(a);
-  EXPECT_LT(max_abs_diff(gram(f.q), Matrix::identity(n)), 1e-9);
-  EXPECT_LT(max_abs_diff(matmul(f.q, f.r), a), 1e-9);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, DecompSizes,

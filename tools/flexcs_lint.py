@@ -65,6 +65,14 @@ Enforces project invariants the compiler cannot express:
                     reason C++ sources under src/ may not pick an ISA per
                     function (__attribute__((target(...))), target_clones,
                     [[gnu::target(...)]])
+  dense-branch      under src/solvers/, only the entry-hungry solvers
+                    (omp.cpp, bp_lp.cpp), FISTA's zero-matrix Lipschitz
+                    shortcut (fista.cpp) and the shared input validation
+                    (solver.cpp) may call `.dense()` / `->dense()`. Every
+                    other solver runs one body on the operator's applies, so
+                    a DenseOperator and an implicit operator of the same
+                    entries take the same path; a second, dense-only kernel
+                    is a path no decode runs
   unset-option      every scalar field with a default initializer in a
                     runtime option struct (src/runtime/*.hpp: *Options,
                     *Config, LadderBudget, AcceptanceThresholds,
@@ -687,6 +695,30 @@ def check_target_attributes(f: SourceFile) -> List[Finding]:
     return findings
 
 
+# Solver sources that may read an operator's matrix (dense-branch rule).
+DENSE_BRANCH_DIR = "src/solvers/"
+DENSE_BRANCH_ALLOWED = ("omp.cpp", "bp_lp.cpp", "fista.cpp", "solver.cpp")
+_DENSE_CALL_RE = re.compile(r"(?:\.|->)\s*dense\s*\(\s*\)")
+
+
+def check_dense_branch(f: SourceFile) -> List[Finding]:
+    if not f.relpath.startswith(DENSE_BRANCH_DIR):
+        return []
+    if f.relpath[len(DENSE_BRANCH_DIR):] in DENSE_BRANCH_ALLOWED:
+        return []
+    findings: List[Finding] = []
+    for idx, line in enumerate(f.stripped_lines, start=1):
+        if _DENSE_CALL_RE.search(line):
+            fd = f.finding_unless_allowed(
+                idx, "dense-branch",
+                "solver branches on dense() — run the operator path for "
+                "every operator (only OMP, BP-LP, FISTA's zero-matrix check "
+                "and input validation read the matrix)")
+            if fd:
+                findings.append(fd)
+    return findings
+
+
 FILE_RULES: Sequence[Callable[[SourceFile], List[Finding]]] = (
     check_pragma_once,
     check_using_namespace,
@@ -696,6 +728,7 @@ FILE_RULES: Sequence[Callable[[SourceFile], List[Finding]]] = (
     check_threading,
     check_deadline_poll,
     check_target_attributes,
+    check_dense_branch,
 )
 
 

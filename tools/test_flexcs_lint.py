@@ -926,6 +926,61 @@ class BuildFlagsTest(unittest.TestCase):
         self.assertEqual([], [x for x in f if x.path.endswith(".txt")])
 
 
+class DenseBranchTest(unittest.TestCase):
+    DENSE_BRANCH = (
+        "  if (const la::Matrix* mat = a.dense()) {\n"
+        "    return la::Vector(mat->cols(), 0.0);\n"
+        "  }\n")
+
+    def test_dense_branch_in_admm_fires(self):
+        f = lint_fixture({"src/solvers/admm.cpp":
+                          "la::Vector f(const la::LinearOperator& a) {\n"
+                          + self.DENSE_BRANCH + "  return {};\n}\n"})
+        self.assertIn("dense-branch", rules_fired(f))
+
+    def test_arrow_call_and_headers_fire(self):
+        for rel in ("src/solvers/irls.cpp", "src/solvers/cosamp.hpp"):
+            f = lint_fixture({rel: "#pragma once\n"
+                              "bool f(const la::LinearOperator* a) {\n"
+                              "  return a->dense () != nullptr;\n}\n"})
+            self.assertIn("dense-branch", rules_fired(f), rel)
+
+    def test_entry_hungry_fista_and_validation_allowed(self):
+        for name in ("omp.cpp", "bp_lp.cpp", "fista.cpp", "solver.cpp"):
+            f = lint_fixture({"src/solvers/" + name:
+                              "void f(const la::LinearOperator& a) {\n"
+                              + self.DENSE_BRANCH + "}\n"})
+            self.assertNotIn("dense-branch", rules_fired(f), name)
+
+    def test_comments_and_other_directories_clean(self):
+        f = lint_fixture({
+            "src/solvers/cosamp.cpp": "// never reads a.dense()\nint x;\n",
+            "src/la/operator.cpp": "const Matrix* m = op.dense();\n",
+            "tests/test_solvers.cpp": "EXPECT_EQ(op.dense(), nullptr);\n",
+        })
+        self.assertNotIn("dense-branch", rules_fired(f))
+
+    def test_suppression_marker(self):
+        f = lint_fixture({"src/solvers/admm.cpp":
+                          "bool d = a.dense() != nullptr;  "
+                          "// flexcs-lint: allow(dense-branch)\n"})
+        self.assertNotIn("dense-branch", rules_fired(f))
+
+    def test_real_admm_with_a_dense_branch_fires(self):
+        root = Path(__file__).resolve().parent.parent
+        admm = root / "src/solvers/admm.cpp"
+        if not admm.is_file():
+            self.skipTest("not running inside the repo")
+        text = admm.read_text()
+        anchor = "  const la::Vector atb = a.apply_adjoint(b);\n"
+        self.assertIn(anchor, text)
+        f = lint_fixture({"src/solvers/admm.cpp":
+                          text.replace(anchor, self.DENSE_BRANCH + anchor)})
+        self.assertIn("dense-branch", rules_fired(f))
+        clean = lint_fixture({"src/solvers/admm.cpp": text})
+        self.assertNotIn("dense-branch", rules_fired(clean))
+
+
 class UnsetOptionTest(unittest.TestCase):
     HEADER = ("#pragma once\n"
               "struct FooOptions {\n"

@@ -7,11 +7,14 @@
 //   * RPCA outlier detection, then exclusion and reconstruction.
 //
 // Paper shape: both strategies give a sizeable RMSE reduction; RPCA
-// outperforms resampling at higher (>8 %) error rates.
+// outperforms resampling at higher (>8 %) error rates. The rounds aggregate
+// through the library's cs::aggregate_frames, and the last line counts the
+// rows where each paper claim held (on this synthetic data the plain median
+// loses to the mean: EXPERIMENTS.md E37).
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <cstdio>
+#include <iterator>
 
 #include "common/strings.hpp"
 #include "common/table.hpp"
@@ -27,26 +30,6 @@ constexpr int kFrames = 2;
 constexpr int kRounds = 10;
 constexpr double kSampling = 0.5;
 
-// Aggregates per-pixel mean and median from a set of reconstructions.
-la::Matrix aggregate(const std::vector<la::Matrix>& recs, bool median) {
-  la::Matrix out(recs[0].rows(), recs[0].cols(), 0.0);
-  std::vector<double> vals(recs.size());
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    for (std::size_t r = 0; r < recs.size(); ++r)
-      vals[r] = recs[r].data()[i];
-    if (median) {
-      std::nth_element(vals.begin(), vals.begin() + vals.size() / 2,
-                       vals.end());
-      out.data()[i] = vals[vals.size() / 2];
-    } else {
-      double s = 0.0;
-      for (double v : vals) s += v;
-      out.data()[i] = s / static_cast<double>(vals.size());
-    }
-  }
-  return out;
-}
-
 void print_tables() {
   data::ThermalHandGenerator generator;
   const cs::Encoder encoder;
@@ -59,7 +42,11 @@ void print_tables() {
   Table t({"sparse errors", "no CS", "resample mean", "resample median",
            "resample median+trim", "RPCA exclusion"});
 
-  for (const double rate : {0.03, 0.05, 0.08, 0.10}) {
+  // The paper's shape (median beats mean; RPCA wins above ~8 % errors),
+  // counted over the rows this run measured rather than asserted.
+  const double rates[] = {0.03, 0.05, 0.08, 0.10};
+  int median_wins = 0, rpca_wins = 0;
+  for (const double rate : rates) {
     double r_no = 0, r_mean = 0, r_med = 0, r_trim = 0, r_rpca = 0;
     for (int f = 0; f < kFrames; ++f) {
       Rng rng(500 + f);
@@ -76,17 +63,22 @@ void print_tables() {
             cs::random_pattern(32, 32, kSampling, rng);
         const la::Vector y = encoder.encode(cf.values, p, rng);
         plain.push_back(decoder.decode(p, y).frame);
-        trimmed.push_back(cs::decode_trimmed(decoder, p, y));
+        trimmed.push_back(cs::decode_trimmed(decoder, p, y).result.frame);
       }
-      r_mean += cs::rmse(aggregate(plain, /*median=*/false), truth);
-      r_med += cs::rmse(aggregate(plain, /*median=*/true), truth);
-      r_trim += cs::rmse(aggregate(trimmed, /*median=*/true), truth);
+      r_mean += cs::rmse(cs::aggregate_frames(plain, cs::Aggregate::kMean),
+                         truth);
+      r_med += cs::rmse(cs::aggregate_frames(plain, cs::Aggregate::kMedian),
+                        truth);
+      r_trim += cs::rmse(cs::aggregate_frames(trimmed, cs::Aggregate::kMedian),
+                         truth);
 
       cs::RpcaFilterOptions fopts;
       const auto rpca_rec = cs::reconstruct_rpca_batch(
           {cf.values}, kSampling, fopts, encoder, decoder, rng);
       r_rpca += cs::rmse(rpca_rec[0], truth);
     }
+    median_wins += r_med < r_mean;
+    rpca_wins += r_rpca < r_trim;
     t.add_row({strformat("%.0f%%", 100.0 * rate),
                strformat("%.3f", r_no / kFrames),
                strformat("%.3f", r_mean / kFrames),
@@ -95,8 +87,10 @@ void print_tables() {
                strformat("%.3f", r_rpca / kFrames)});
   }
   std::printf("%s", t.to_text().c_str());
-  std::printf("paper shape: median beats mean; RPCA wins above ~8%% "
-              "errors\n\n");
+  const int rows = static_cast<int>(std::size(rates));
+  std::printf("measured: resample median beats mean in %d of %d rows; RPCA "
+              "exclusion beats resample median+trim in %d of %d rows\n\n",
+              median_wins, rows, rpca_wins, rows);
 }
 
 void BM_RpcaDetection32x32(benchmark::State& state) {

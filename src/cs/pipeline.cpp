@@ -18,101 +18,37 @@ la::Matrix reconstruct_oracle(const CorruptedFrame& corrupted,
   return decoder.decode(pattern, y).frame;
 }
 
-ResampleResult reconstruct_resample_ex(const la::Matrix& corrupted_frame,
-                                       double fraction,
-                                       const ResampleOptions& opts,
-                                       const Encoder& encoder,
-                                       const Decoder& decoder, Rng& rng) {
-  FLEXCS_CHECK(opts.rounds >= 1, "resampling needs at least one round");
-  ResampleResult out;
-  const std::size_t n = corrupted_frame.size();
-  std::vector<std::vector<double>> per_pixel(
-      n, std::vector<double>());
-  for (auto& v : per_pixel) v.reserve(static_cast<std::size_t>(opts.rounds));
-
-  DecoderOptions plain_opts = decoder.options();
-  plain_opts.solve = opts.solve;
-  for (int round = 0; round < opts.rounds; ++round) {
-    // The shared deadline bounds the whole resample call: once it fires no
-    // further rounds start. The first round always runs so every pixel has
-    // at least one vote (its decode returns immediately, flagged, if the
-    // deadline was already spent on entry).
-    if (round > 0 && opts.solve.should_stop()) break;
-    const SamplingPattern pattern = random_pattern(
-        corrupted_frame.rows(), corrupted_frame.cols(), fraction, rng);
-    const la::Vector y = encoder.encode(corrupted_frame, pattern, rng);
-    const DecodeResult rec =
-        opts.trim
-            ? decode_trimmed_ex(decoder, pattern, y, 4.0, 0.2, opts.solve)
-                  .result
-            : decoder.decode_with(pattern, y, decoder.solver(), plain_opts);
-    out.solver_iterations += rec.solver_iterations;
-    for (std::size_t i = 0; i < n; ++i)
-      per_pixel[i].push_back(rec.frame.data()[i]);
-  }
-
-  out.frame = la::Matrix(corrupted_frame.rows(), corrupted_frame.cols(), 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    auto& vals = per_pixel[i];
-    if (opts.aggregate == Aggregate::kMean) {
-      double s = 0.0;
-      for (double v : vals) s += v;
-      out.frame.data()[i] = s / static_cast<double>(vals.size());
-    } else {
-      const std::size_t mid = vals.size() / 2;
-      std::nth_element(vals.begin(),
-                       vals.begin() + static_cast<std::ptrdiff_t>(mid),
-                       vals.end());
-      double med = vals[mid];
-      if (vals.size() % 2 == 0) {
-        // Median of an even count: average the two central order statistics.
-        const double lower =
-            *std::max_element(vals.begin(),
-                              vals.begin() + static_cast<std::ptrdiff_t>(mid));
-        med = 0.5 * (med + lower);
-      }
-      out.frame.data()[i] = med;
-    }
-  }
-  return out;
+ResidualScreen screen_residuals(const SamplingPattern& p, const la::Vector& y,
+                                const la::Matrix& fit) {
+  FLEXCS_CHECK(p.m() > 0 && y.size() == p.m() && fit.size() == p.n(),
+               "residual screen: one read per sampled pixel of the fit");
+  // A read is an outlier beyond max(kScreenAbsFloor, kScreenMadMultiplier *
+  // median |residual|): far enough above the typical misfit that a fit of
+  // the clean majority cannot explain it.
+  constexpr double kScreenMadMultiplier = 4.0;
+  constexpr double kScreenAbsFloor = 0.2;
+  ResidualScreen screen;
+  std::vector<double> absres(p.m());
+  for (std::size_t i = 0; i < p.m(); ++i)
+    absres[i] = std::fabs(y[i] - fit.data()[p.indices[i]]);
+  std::vector<double> sorted = absres;
+  const auto mid = sorted.begin() + static_cast<std::ptrdiff_t>(p.m() / 2);
+  std::nth_element(sorted.begin(), mid, sorted.end());
+  screen.median = *mid;
+  const double cutoff =
+      std::max(kScreenAbsFloor, kScreenMadMultiplier * screen.median);
+  screen.outlier.resize(p.m());
+  for (std::size_t i = 0; i < p.m(); ++i)
+    screen.outlier[i] = absres[i] > cutoff;
+  return screen;
 }
 
-la::Matrix reconstruct_resample(const la::Matrix& corrupted_frame,
-                                double fraction, const ResampleOptions& opts,
-                                const Encoder& encoder, const Decoder& decoder,
-                                Rng& rng) {
-  return reconstruct_resample_ex(corrupted_frame, fraction, opts, encoder,
-                                 decoder, rng)
-      .frame;
-}
-
-std::vector<std::vector<bool>> rpca_outlier_masks(
-    const std::vector<la::Matrix>& frames, const RpcaFilterOptions& opts) {
-  FLEXCS_CHECK(!frames.empty(), "RPCA filter needs at least one frame");
-  const std::size_t n = frames.front().size();
-
-  // RPCA runs on each frame's rows x cols matrix: a smooth sensor frame is
-  // approximately low rank as an image, so a stuck pixel is a sparse outlier
-  // in S. (Stacking frames as columns would NOT work for persistent device
-  // defects: a pixel stuck at the same value in every frame forms a constant
-  // row, which is itself rank-1 and gets absorbed into L.)
-  std::vector<std::vector<bool>> masks;
-  masks.reserve(frames.size());
-  for (const auto& f : frames) {
-    FLEXCS_CHECK(f.size() == n, "frames must share a shape");
-    masks.push_back(
-        rpca::detect_outliers(f, opts.rpca, opts.outlier_rel_threshold));
-  }
-  return masks;
-}
-
-TrimmedDecodeResult decode_trimmed_ex(const Decoder& decoder,
-                                      const SamplingPattern& p,
-                                      const la::Vector& y,
-                                      double mad_multiplier, double abs_floor,
-                                      const solvers::SolveOptions& solve) {
-  FLEXCS_CHECK(mad_multiplier > 0.0 && abs_floor >= 0.0,
-               "invalid trim parameters");
+TrimmedDecodeResult decode_trimmed(const Decoder& decoder,
+                                   const SamplingPattern& p,
+                                   const la::Vector& y,
+                                   const solvers::SolveOptions& solve) {
+  FLEXCS_CHECK(y.size() == p.m(),
+               "decode_trimmed: one measurement per sampled pixel");
 
   DecoderOptions final_opts = decoder.options();
   final_opts.solve = solve;
@@ -149,16 +85,7 @@ TrimmedDecodeResult decode_trimmed_ex(const Decoder& decoder,
     out.result = decoder.decode_with(p, y, decoder.solver(), final_opts);
     return out;
   }
-  const la::Matrix& screen = screen_dec.frame;
-
-  std::vector<double> absres(p.m());
-  for (std::size_t i = 0; i < p.m(); ++i)
-    absres[i] = std::fabs(y[i] - screen.data()[p.indices[i]]);
-  std::vector<double> sorted = absres;
-  std::nth_element(sorted.begin(), sorted.begin() + sorted.size() / 2,
-                   sorted.end());
-  const double median = sorted[sorted.size() / 2];
-  const double cutoff = std::max(abs_floor, mad_multiplier * median);
+  const ResidualScreen screen = screen_residuals(p, y, screen_dec.frame);
 
   SamplingPattern trimmed;
   trimmed.rows = p.rows;
@@ -166,7 +93,7 @@ TrimmedDecodeResult decode_trimmed_ex(const Decoder& decoder,
   std::vector<double> kept_vals;
   std::vector<std::size_t> trimmed_pixels;
   for (std::size_t i = 0; i < p.m(); ++i) {
-    if (absres[i] > cutoff) {
+    if (screen.outlier[i]) {
       trimmed_pixels.push_back(p.indices[i]);
       continue;
     }
@@ -185,15 +112,81 @@ TrimmedDecodeResult decode_trimmed_ex(const Decoder& decoder,
                                    decoder.solver(), final_opts);
   out.trimmed_count = trimmed_pixels.size();
   out.trimmed_pixels = std::move(trimmed_pixels);
-  out.trim_applied = true;
   return out;
 }
 
-la::Matrix decode_trimmed(const Decoder& decoder, const SamplingPattern& p,
-                          const la::Vector& y, double mad_multiplier,
-                          double abs_floor, const solvers::SolveOptions& solve) {
-  return decode_trimmed_ex(decoder, p, y, mad_multiplier, abs_floor, solve)
-      .result.frame;
+la::Matrix aggregate_frames(const std::vector<la::Matrix>& frames,
+                            Aggregate aggregate) {
+  FLEXCS_CHECK(!frames.empty(), "aggregate needs at least one frame");
+  la::Matrix out(frames.front().rows(), frames.front().cols(), 0.0);
+  for (const la::Matrix& f : frames)
+    FLEXCS_CHECK(f.size() == out.size(),
+                 "aggregated frames must share a shape");
+  std::vector<double> vals(frames.size());
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    for (std::size_t r = 0; r < frames.size(); ++r)
+      vals[r] = frames[r].data()[i];
+    if (aggregate == Aggregate::kMean) {
+      double s = 0.0;
+      for (double v : vals) s += v;
+      out.data()[i] = s / static_cast<double>(vals.size());
+      continue;
+    }
+    const std::size_t mid = vals.size() / 2;
+    std::nth_element(vals.begin(),
+                     vals.begin() + static_cast<std::ptrdiff_t>(mid),
+                     vals.end());
+    double med = vals[mid];
+    if (vals.size() % 2 == 0) {
+      // Median of an even count: average the two central order statistics.
+      const double lower = *std::max_element(
+          vals.begin(), vals.begin() + static_cast<std::ptrdiff_t>(mid));
+      med = 0.5 * (med + lower);
+    }
+    out.data()[i] = med;
+  }
+  return out;
+}
+
+la::Matrix reconstruct_resample(const la::Matrix& corrupted_frame,
+                                double fraction, const ResampleOptions& opts,
+                                const Encoder& encoder, const Decoder& decoder,
+                                Rng& rng) {
+  FLEXCS_CHECK(opts.rounds >= 1, "resampling needs at least one round");
+  std::vector<la::Matrix> frames;
+  frames.reserve(static_cast<std::size_t>(opts.rounds));
+  for (int round = 0; round < opts.rounds; ++round) {
+    const SamplingPattern pattern = random_pattern(
+        corrupted_frame.rows(), corrupted_frame.cols(), fraction, rng);
+    const la::Vector y = encoder.encode(corrupted_frame, pattern, rng);
+    frames.push_back(opts.trim
+                         ? decode_trimmed(decoder, pattern, y).result.frame
+                         : decoder.decode(pattern, y).frame);
+  }
+  return aggregate_frames(frames, opts.aggregate);
+}
+
+std::vector<std::vector<bool>> rpca_outlier_masks(
+    const std::vector<la::Matrix>& frames, const RpcaFilterOptions& opts) {
+  FLEXCS_CHECK(!frames.empty(), "RPCA filter needs at least one frame");
+  const std::size_t n = frames.front().size();
+  // Relative |S| threshold for flagging outliers. Erring low is cheap here:
+  // a false positive just removes one candidate pixel from the sampling
+  // pool, while a false negative lets a stuck pixel poison the decode.
+  constexpr double kOutlierRelThreshold = 0.1;
+
+  // RPCA runs on each frame's rows x cols matrix: a smooth sensor frame is
+  // approximately low rank as an image, so a stuck pixel is a sparse outlier
+  // in S. (Stacking frames as columns would NOT work for persistent device
+  // defects: a pixel stuck at the same value in every frame forms a constant
+  // row, which is itself rank-1 and gets absorbed into L.)
+  std::vector<std::vector<bool>> masks;
+  masks.reserve(frames.size());
+  for (const auto& f : frames) {
+    FLEXCS_CHECK(f.size() == n, "frames must share a shape");
+    masks.push_back(rpca::detect_outliers(f, opts.rpca, kOutlierRelThreshold));
+  }
+  return masks;
 }
 
 std::vector<la::Matrix> reconstruct_rpca_batch(
@@ -208,7 +201,7 @@ std::vector<la::Matrix> reconstruct_rpca_batch(
     const SamplingPattern pattern = random_pattern_excluding(
         frame.rows(), frame.cols(), fraction, masks[f], rng);
     const la::Vector y = encoder.encode(frame, pattern, rng);
-    out.push_back(decode_trimmed(decoder, pattern, y));
+    out.push_back(decode_trimmed(decoder, pattern, y).result.frame);
   }
   return out;
 }

@@ -9,6 +9,12 @@
 //   * RPCA outlier filter   — defects unknown: detect outliers with robust
 //                             PCA over a frame batch, exclude, reconstruct
 //                             (Sec. 4.3).
+//
+// Their two unknown-defect tools are also the runtime ladder's
+// (runtime/pipeline.hpp), which calls them rather than keeping copies: the
+// per-pixel aggregate (aggregate_frames), the residual screen
+// (screen_residuals) and the residual-trimmed decode built on it
+// (decode_trimmed).
 #pragma once
 
 #include <vector>
@@ -28,6 +34,13 @@ la::Matrix reconstruct_oracle(const CorruptedFrame& corrupted,
 
 enum class Aggregate { kMean, kMedian };
 
+/// Per-pixel mean or median over the frames of several sample/reconstruct
+/// rounds (Sec. 4.3); the mean sums in round order, and the median of an
+/// even count averages its two central order statistics. Every frame must
+/// share one shape.
+la::Matrix aggregate_frames(const std::vector<la::Matrix>& frames,
+                            Aggregate aggregate);
+
 struct ResampleOptions {
   int rounds = 10;       // the paper uses ten rounds of resampling
   Aggregate aggregate = Aggregate::kMedian;
@@ -36,28 +49,10 @@ struct ResampleOptions {
   // is what reaches the paper's reported ~50 % RMSE reduction band on the
   // synthetic data.
   bool trim = true;
-  // Per-call deadline/cancellation shared across all rounds. Once it fires,
-  // no further rounds start; pixels aggregate over the rounds that finished
-  // (at least the first round always runs).
-  solvers::SolveOptions solve;
-};
-
-/// What a resampling reconstruction produced: the aggregated frame and the
-/// sparse-solver iterations of its rounds' production decodes, summed.
-struct ResampleResult {
-  la::Matrix frame;
-  int solver_iterations = 0;
 };
 
 /// Resampling reconstruction: defects unknown, sample uniformly (possibly
 /// hitting defective pixels), reconstruct per round, aggregate per pixel.
-ResampleResult reconstruct_resample_ex(const la::Matrix& corrupted_frame,
-                                       double fraction,
-                                       const ResampleOptions& opts,
-                                       const Encoder& encoder,
-                                       const Decoder& decoder, Rng& rng);
-
-/// Frame-only convenience wrapper over reconstruct_resample_ex.
 la::Matrix reconstruct_resample(const la::Matrix& corrupted_frame,
                                 double fraction, const ResampleOptions& opts,
                                 const Encoder& encoder, const Decoder& decoder,
@@ -65,10 +60,6 @@ la::Matrix reconstruct_resample(const la::Matrix& corrupted_frame,
 
 struct RpcaFilterOptions {
   rpca::RpcaOptions rpca;        // PCP solver options
-  // Relative |S| threshold for flagging outliers. Erring low is cheap here:
-  // a false positive just removes one candidate pixel from the sampling
-  // pool, while a false negative lets a stuck pixel poison the decode.
-  double outlier_rel_threshold = 0.1;
 };
 
 /// RPCA-prefiltered reconstruction of a batch of corrupted frames. Outliers
@@ -86,6 +77,20 @@ std::vector<la::Matrix> reconstruct_rpca_batch(
 std::vector<std::vector<bool>> rpca_outlier_masks(
     const std::vector<la::Matrix>& frames, const RpcaFilterOptions& opts);
 
+/// The residual screen: |y_i - fit[p_i]| for every read, their median, and
+/// the reads beyond the cutoff max(0.2, 4 * median), which a fit of the
+/// clean majority cannot explain. The trimmed decode discards those reads,
+/// the runtime ladder names their pixels suspected defects, and its
+/// resampling rung is judged by the median (which ignores up to half the
+/// reads, so defective ones cannot veto a fit of the clean majority).
+struct ResidualScreen {
+  double median = 0.0;       // median |residual|: the (m/2)-th order statistic
+  std::vector<bool> outlier;  // per read: |residual| beyond the cutoff
+};
+
+ResidualScreen screen_residuals(const SamplingPattern& p, const la::Vector& y,
+                                const la::Matrix& fit);
+
 /// Everything decode_trimmed learned: the final decode (with residual and
 /// convergence plumbed through), how many measurements the screen trimmed,
 /// and which pixels they were (suspected defects, for runtime bookkeeping).
@@ -93,29 +98,18 @@ struct TrimmedDecodeResult {
   DecodeResult result;        // decode over the surviving measurements
   std::size_t trimmed_count = 0;
   std::vector<std::size_t> trimmed_pixels;  // pixel indices trimmed away
-  bool trim_applied = false;  // false = screen trimmed too much, kept all
 };
 
 /// Residual-trimmed decode: screens once with a strongly regularised FISTA
-/// solve (no de-biasing), flags measurements whose residual against the
-/// screen is an outlier (beyond `mad_multiplier` times the median absolute
-/// residual, with an absolute floor), removes them and decodes again with
-/// the decoder's own solver. Robustifies the L1 decode against the few
-/// corrupted measurements that upstream outlier detection missed.
-/// `solve` carries the per-frame deadline/cancellation shared by the screen
-/// and final decodes; when it fires the result comes back flagged
-/// deadline_expired with no trim applied.
-TrimmedDecodeResult decode_trimmed_ex(const Decoder& decoder,
-                                      const SamplingPattern& p,
-                                      const la::Vector& y,
-                                      double mad_multiplier = 4.0,
-                                      double abs_floor = 0.2,
-                                      const solvers::SolveOptions& solve = {});
-
-/// Frame-only convenience wrapper over decode_trimmed_ex.
-la::Matrix decode_trimmed(const Decoder& decoder, const SamplingPattern& p,
-                          const la::Vector& y, double mad_multiplier = 4.0,
-                          double abs_floor = 0.2,
-                          const solvers::SolveOptions& solve = {});
+/// solve (no de-biasing), drops the measurements screen_residuals flags
+/// against it and decodes again with the decoder's own solver. Robustifies
+/// the L1 decode against the few corrupted measurements that upstream
+/// outlier detection missed. `solve` carries the per-frame
+/// deadline/cancellation shared by the screen and final decodes; when it
+/// fires the result comes back flagged deadline_expired with no trim applied.
+TrimmedDecodeResult decode_trimmed(const Decoder& decoder,
+                                   const SamplingPattern& p,
+                                   const la::Vector& y,
+                                   const solvers::SolveOptions& solve = {});
 
 }  // namespace flexcs::cs

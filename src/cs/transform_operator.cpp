@@ -45,8 +45,8 @@ TransformPlans::TransformPlans(dsp::BasisKind basis_kind, std::size_t n_rows,
     : basis(basis_kind), rows(n_rows), cols(n_cols) {
   FLEXCS_CHECK(rows > 0 && cols > 0, "TransformPlans: empty grid");
   if (basis == dsp::BasisKind::kDct2D) {
-    row_plan.emplace(cols);
-    col_plan.emplace(rows);
+    row_plan_.emplace(cols);
+    if (rows != cols) col_plan_.emplace(rows);
   } else {
     // Haar dimension constraints surface at construction, not mid-solve —
     // validated directly (no throwaway matrix, no probe transform).
@@ -58,8 +58,8 @@ TransformPlans::TransformPlans(dsp::BasisKind basis_kind, std::size_t n_rows,
 
 std::size_t TransformPlans::memory_bytes() const {
   std::size_t bytes = 0;
-  if (row_plan) bytes += row_plan->memory_bytes();
-  if (col_plan) bytes += col_plan->memory_bytes();
+  if (row_plan_) bytes += row_plan_->memory_bytes();
+  if (col_plan_) bytes += col_plan_->memory_bytes();
   return bytes;
 }
 
@@ -111,7 +111,7 @@ void SubsampledTransformOperator::apply_into(const double* x, double* y,
   ws.grid.resize(n);
   if (basis() == dsp::BasisKind::kDct2D) {
     // The DCT synthesis reads x as const and writes a separate grid.
-    dsp::idct2d_apply(*plans_->row_plan, *plans_->col_plan, x, ws.grid.data(),
+    dsp::idct2d_apply(plans_->row_plan(), plans_->col_plan(), x, ws.grid.data(),
                       rows, cols, ws.dct);
   } else {
     // Haar lifting runs in place, so it synthesises a copy of x.
@@ -132,7 +132,7 @@ void SubsampledTransformOperator::adjoint_into(const double* y, double* x,
   if (basis() == dsp::BasisKind::kDct2D) {
     ws.grid.assign(n, 0.0);
     for (std::size_t k = 0; k < m; ++k) ws.grid[pattern_.indices[k]] = y[k];
-    dsp::dct2d_apply(*plans_->row_plan, *plans_->col_plan, ws.grid.data(), x,
+    dsp::dct2d_apply(plans_->row_plan(), plans_->col_plan(), ws.grid.data(), x,
                      rows, cols, ws.dct);
   } else {
     // Haar analyses in place: scatter straight into the output grid.
@@ -155,7 +155,7 @@ la::Matrix SubsampledTransformOperator::synthesize(const la::Vector& x) const {
   if (basis() != dsp::BasisKind::kDct2D)
     return dsp::synthesize(basis(), la::Matrix::from_flat(x, rows, cols));
   la::Matrix frame(rows, cols);
-  dsp::idct2d_apply(*plans_->row_plan, *plans_->col_plan, x.data(),
+  dsp::idct2d_apply(plans_->row_plan(), plans_->col_plan(), x.data(),
                     frame.data(), rows, cols, local_scratch().dct);
   return frame;
 }
@@ -196,10 +196,10 @@ void SubsampledTransformOperator::apply_normal(const la::Vector& x,
   // so the analysis sees the same grid bit for bit.
   if (basis() == dsp::BasisKind::kDct2D) {
     ws.grid.resize(n);
-    dsp::idct2d_apply(*plans_->row_plan, *plans_->col_plan, x.data(),
+    dsp::idct2d_apply(plans_->row_plan(), plans_->col_plan(), x.data(),
                       ws.grid.data(), rows, cols, ws.dct);
     zero_unsampled(ws.grid.data());
-    dsp::dct2d_apply(*plans_->row_plan, *plans_->col_plan, ws.grid.data(),
+    dsp::dct2d_apply(plans_->row_plan(), plans_->col_plan(), ws.grid.data(),
                      out.data(), rows, cols, ws.dct);
   } else {
     std::copy(x.begin(), x.end(), out.begin());

@@ -33,7 +33,8 @@
 namespace flexcs::cs {
 
 /// The transform state Ψ owns, which depends only on the basis and the grid:
-/// the two 1-D DCT plans (row_plan spans cols, col_plan spans rows), or the
+/// the 1-D DCT plans of the two axes (row_plan() spans cols, col_plan()
+/// spans rows; a square grid builds one plan and uses it on both), or the
 /// Haar level count. Immutable once built, so every operator over the grid
 /// and every thread can share one instance.
 struct TransformPlans {
@@ -42,12 +43,20 @@ struct TransformPlans {
   /// Bytes of plan tables (Haar needs none).
   std::size_t memory_bytes() const;
 
+  /// DCT basis only.
+  const dsp::Dct1dPlan& row_plan() const { return *row_plan_; }
+  const dsp::Dct1dPlan& col_plan() const {
+    return col_plan_ ? *col_plan_ : *row_plan_;
+  }
+
   dsp::BasisKind basis;
   std::size_t rows;
   std::size_t cols;
-  std::optional<dsp::Dct1dPlan> row_plan;  // DCT basis only
-  std::optional<dsp::Dct1dPlan> col_plan;
   std::size_t haar_levels = 0;  // Haar basis only
+
+ private:
+  std::optional<dsp::Dct1dPlan> row_plan_;
+  std::optional<dsp::Dct1dPlan> col_plan_;  // non-square grids only
 };
 
 class SubsampledTransformOperator final : public la::LinearOperator {

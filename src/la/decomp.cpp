@@ -53,7 +53,6 @@ LuFactors lu_decompose(const Matrix& a) {
       for (std::size_t c = 0; c < n; ++c)
         std::swap(f.lu(k, c), f.lu(piv, c));
       std::swap(f.perm[k], f.perm[piv]);
-      f.sign = -f.sign;
     }
     const double pivot = f.lu(k, k);
     for (std::size_t i = k + 1; i < n; ++i) {
@@ -88,32 +87,6 @@ Vector lu_solve(const LuFactors& f, const Vector& b) {
 
 Vector solve(const Matrix& a, const Vector& b) {
   return lu_solve(lu_decompose(a), b);
-}
-
-Matrix inverse(const Matrix& a) {
-  const std::size_t n = a.rows();
-  const LuFactors f = lu_decompose(a);
-  Matrix inv(n, n);
-  Vector e(n, 0.0);
-  for (std::size_t c = 0; c < n; ++c) {
-    e.fill(0.0);
-    e[c] = 1.0;
-    inv.set_col(c, lu_solve(f, e));
-  }
-  return inv;
-}
-
-double determinant(const Matrix& a) {
-  FLEXCS_CHECK(a.rows() == a.cols(), "determinant requires a square matrix");
-  LuFactors f;
-  try {
-    f = lu_decompose(a);
-  } catch (const CheckError&) {
-    return 0.0;  // singular
-  }
-  double det = static_cast<double>(f.sign);
-  for (std::size_t i = 0; i < a.rows(); ++i) det *= f.lu(i, i);
-  return det;
 }
 
 Vector solve_upper(const Matrix& r, const Vector& b) {

@@ -20,7 +20,6 @@ Vector cholesky_solve(const Matrix& l, const Vector& b);
 struct LuFactors {
   Matrix lu;
   std::vector<std::size_t> perm;
-  int sign = 1;  // determinant sign of the permutation
 };
 
 /// Throws CheckError when the matrix is singular to working precision.
@@ -31,12 +30,6 @@ Vector lu_solve(const LuFactors& f, const Vector& b);
 
 /// Convenience: solve a square system A x = b (LU under the hood).
 Vector solve(const Matrix& a, const Vector& b);
-
-/// Matrix inverse via LU; prefer solve() when possible.
-Matrix inverse(const Matrix& a);
-
-/// Determinant via LU (0 for a singular matrix).
-double determinant(const Matrix& a);
 
 /// Solves upper-triangular R x = b by back substitution.
 Vector solve_upper(const Matrix& r, const Vector& b);

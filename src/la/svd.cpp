@@ -125,11 +125,6 @@ Matrix sv_shrink(const Matrix& a, double tau, std::size_t* rank_out,
   return svd_reconstruct(r);
 }
 
-double nuclear_norm(const Matrix& a) {
-  const SvdResult r = svd(a);
-  return r.s.sum();
-}
-
 std::size_t effective_rank(const Matrix& a, double tol) {
   const SvdResult r = svd(a);
   if (r.s.empty() || r.s[0] == 0.0) return 0;

@@ -37,9 +37,6 @@ Matrix svd_reconstruct(const SvdResult& r);
 Matrix sv_shrink(const Matrix& a, double tau, std::size_t* rank_out = nullptr,
                  const SvdStopHook& should_stop = {});
 
-/// Nuclear norm (sum of singular values).
-double nuclear_norm(const Matrix& a);
-
 /// Effective rank: number of singular values > tol * s_max.
 std::size_t effective_rank(const Matrix& a, double tol = 1e-10);
 

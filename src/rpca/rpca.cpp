@@ -28,7 +28,12 @@ RpcaResult decompose(const la::Matrix& d, const RpcaOptions& opts) {
           ? opts.lambda
           : 1.0 / std::sqrt(static_cast<double>(std::max(m, n)));
   const double d_fro = std::max(1e-300, d.norm_fro());
-  double mu = opts.mu > 0.0 ? opts.mu : 1.25 / la::spectral_norm(d);
+  // Inexact ALM penalty schedule (Lin, Chen & Ma 2010): mu starts at
+  // kMuScale / ||D||_2 and grows by kMuGrowth per iteration, capped at 1e7
+  // times its start.
+  constexpr double kMuScale = 1.25;
+  constexpr double kMuGrowth = 1.5;
+  double mu = kMuScale / la::spectral_norm(d);
   const double mu_max = mu * 1e7;
 
   RpcaResult r;
@@ -65,7 +70,7 @@ RpcaResult decompose(const la::Matrix& d, const RpcaOptions& opts) {
       y.data()[i] += mu * z;
       res2 += z * z;
     }
-    mu = std::min(mu * opts.rho, mu_max);
+    mu = std::min(mu * kMuGrowth, mu_max);
     r.iterations = it + 1;
     if (std::sqrt(res2) / d_fro < opts.tol) {
       r.converged = true;

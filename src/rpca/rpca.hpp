@@ -18,8 +18,6 @@ struct RpcaOptions {
   double lambda = 0.0;   // 0 => 1/sqrt(max(rows, cols)), the standard choice
   double tol = 1e-7;     // ||D - L - S||_F / ||D||_F stopping threshold
   int max_iterations = 200;
-  double mu = 0.0;       // 0 => 1.25 / ||D||_2
-  double rho = 1.5;      // mu growth factor per iteration
   // Cooperative control, polled once per ALM iteration: when either fires,
   // decompose() returns the current (L, S) split with deadline_expired set
   // (both start at zero, so an immediate expiry yields L = S = 0).

@@ -11,20 +11,6 @@
 namespace flexcs::runtime {
 namespace {
 
-// Median of |y_i - frame[pattern_i]| — the resampling rung's acceptance
-// statistic. The median ignores up to half the measurements, so defective
-// reads cannot veto a reconstruction that fits the clean majority.
-double median_abs_residual(const cs::SamplingPattern& p, const la::Vector& y,
-                           const la::Matrix& frame) {
-  std::vector<double> absres(p.m());
-  for (std::size_t i = 0; i < p.m(); ++i)
-    absres[i] = std::fabs(y[i] - frame.data()[p.indices[i]]);
-  std::nth_element(absres.begin(),
-                   absres.begin() + static_cast<std::ptrdiff_t>(absres.size() / 2),
-                   absres.end());
-  return absres[absres.size() / 2];
-}
-
 // Fixed bounds of the decode-rung fit test (EXPERIMENTS.md E19):
 //  - support ratio: |{i : |x_i| > DecoderOptions::support_threshold}| over
 //    the measurements the decode fitted. A support near M means the decode
@@ -72,14 +58,6 @@ FitShape fit_shape(const la::Vector& coefs, std::size_t rows,
   fit.tail_energy = total > 0.0 ? tail / total : 0.0;
   return fit;
 }
-
-// The residual screen, shared by the trimmed rungs (cs::decode_trimmed_ex,
-// whose screen is a strongly regularised FISTA solve, so every solve of the
-// ladder runs the one FISTA loop) and the suspected-defect flags on the
-// returned reconstruction: a measurement is an outlier when its |residual|
-// exceeds max(kScreenAbsFloor, kScreenMadMultiplier * median |residual|).
-constexpr double kScreenMadMultiplier = 4.0;
-constexpr double kScreenAbsFloor = 0.2;
 
 double seconds_between(Deadline::Clock::time_point t0,
                        Deadline::Clock::time_point t1) {
@@ -149,7 +127,7 @@ RobustPipeline::Candidate RobustPipeline::evaluate_decode(
 RobustPipeline::Candidate RobustPipeline::evaluate_aggregate(
     la::Matrix frame, const cs::SamplingPattern& p, const la::Vector& y) const {
   Candidate c;
-  c.score = median_abs_residual(p, y, frame);
+  c.score = cs::screen_residuals(p, y, frame).median;
   c.badness = c.score / opts_.accept.max_median_abs_residual;
   c.frame = std::move(frame);
   c.converged = true;  // aggregate strategies have no single solver state
@@ -162,20 +140,10 @@ void RobustPipeline::finish_frame(const cs::SamplingPattern& p,
                                   RecoveryReport& report) const {
   // Suspected defects: measurements far from the accepted reconstruction,
   // by the same screen as the trimmed decode's.
-  std::vector<double> absres(p.m());
-  for (std::size_t i = 0; i < p.m(); ++i)
-    absres[i] = std::fabs(y[i] - chosen.frame.data()[p.indices[i]]);
-  std::vector<double> sorted = absres;
-  std::nth_element(sorted.begin(),
-                   sorted.begin() + static_cast<std::ptrdiff_t>(sorted.size() / 2),
-                   sorted.end());
-  const double median = sorted[sorted.size() / 2];
-  const double cutoff =
-      std::max(kScreenAbsFloor, kScreenMadMultiplier * median);
-
+  const cs::ResidualScreen screen = cs::screen_residuals(p, y, chosen.frame);
   report.suspected_defects.assign(rows_ * cols_, false);
   for (std::size_t i = 0; i < p.m(); ++i) {
-    if (absres[i] <= cutoff) continue;
+    if (!screen.outlier[i]) continue;
     report.suspected_defects[p.indices[i]] = true;
     ++report.suspected_defect_count;
   }
@@ -272,9 +240,7 @@ RobustPipeline::FrameResult RobustPipeline::process(
 
   climb(Strategy::kTrimmedDecode, 2, [&](Attempt& a) {
     const cs::TrimmedDecodeResult trimmed =
-        cs::decode_trimmed_ex(decoder_, last.pattern, last.y,
-                              kScreenMadMultiplier, kScreenAbsFloor,
-                              ctrl.solve);
+        cs::decode_trimmed(decoder_, last.pattern, last.y, ctrl.solve);
     a.trimmed = trimmed.trimmed_count;
     a.cand = evaluate_decode(trimmed.result, last.y,
                              last.y.size() - trimmed.trimmed_count);
@@ -282,12 +248,16 @@ RobustPipeline::FrameResult RobustPipeline::process(
     a.y = last.y;
   });
 
+  // A fresh acquisition (Φ re-drawn, measurement channel applied) decoded
+  // through the residual screen: each rung-2 retry and each rung-3 round.
+  const auto fresh_trimmed = [&](cs::SamplingPattern& p, la::Vector& y) {
+    acquire(corrupted_frame, rng, report, fraction, p, y);
+    return cs::decode_trimmed(decoder_, p, y, ctrl.solve);
+  };
+
   for (int retry = 0; retry < opts_.budget.fresh_pattern_retries; ++retry) {
     climb(Strategy::kFreshPatternRetry, 2, [&](Attempt& a) {
-      acquire(corrupted_frame, rng, report, fraction, a.pattern, a.y);
-      const cs::TrimmedDecodeResult trimmed = cs::decode_trimmed_ex(
-          decoder_, a.pattern, a.y, kScreenMadMultiplier, kScreenAbsFloor,
-          ctrl.solve);
+      const cs::TrimmedDecodeResult trimmed = fresh_trimmed(a.pattern, a.y);
       a.trimmed = trimmed.trimmed_count;
       a.cand = evaluate_decode(trimmed.result, a.y,
                                a.y.size() - trimmed.trimmed_count);
@@ -295,18 +265,27 @@ RobustPipeline::FrameResult RobustPipeline::process(
   }
 
   climb(Strategy::kResample, 2 * opts_.budget.resample_rounds, [&](Attempt& a) {
-    cs::ResampleOptions ropts;
-    ropts.rounds = opts_.budget.resample_rounds;
-    ropts.solve = ctrl.solve;
-    // Judged against the most recent acquisition: the aggregate output
-    // intentionally stops fitting corrupted measurements, so the median
-    // statistic over the latest pattern is the honest score for it.
+    std::vector<la::Matrix> rounds;
+    int iterations = 0;
+    for (int round = 0; round < opts_.budget.resample_rounds; ++round) {
+      // No round starts once the frame's control has fired. The first round
+      // always runs so every pixel has at least one vote (its decode returns
+      // immediately, flagged, if the deadline was already spent).
+      if (round > 0 && ctrl.solve.should_stop()) break;
+      cs::SamplingPattern p;
+      la::Vector y;
+      cs::DecodeResult rec = fresh_trimmed(p, y).result;
+      iterations += rec.solver_iterations;
+      rounds.push_back(std::move(rec.frame));
+    }
+    // Judged against the most recent acquisition before the rounds: the
+    // aggregate output intentionally stops fitting corrupted measurements,
+    // so the median statistic over that pattern is the honest score for it.
     a.pattern = last.pattern;
     a.y = last.y;
-    cs::ResampleResult resampled = cs::reconstruct_resample_ex(
-        corrupted_frame, fraction, ropts, encoder_, decoder_, rng);
-    a.cand = evaluate_aggregate(std::move(resampled.frame), a.pattern, a.y);
-    a.cand.solver_iterations = resampled.solver_iterations;
+    a.cand = evaluate_aggregate(
+        cs::aggregate_frames(rounds, cs::Aggregate::kMedian), a.pattern, a.y);
+    a.cand.solver_iterations = iterations;
   });
 
   // An accepted attempt is always the last one (acceptance stops the climb);

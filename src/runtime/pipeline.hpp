@@ -5,10 +5,15 @@
 // budget runs out:
 //
 //   rung 0  plain decode            1 solver call, trusts the array
-//   rung 1  residual-trimmed decode cs::decode_trimmed_ex on the same y
+//   rung 1  residual-trimmed decode cs::decode_trimmed on the same y
 //   rung 2  fresh-pattern retry     re-randomised Φ + trimmed decode (beats
 //                                   unlucky pattern/defect alignment)
-//   rung 3  resampling              cs::reconstruct_resample, R rounds
+//   rung 3  resampling              R rounds of rung 2's fresh acquisition +
+//                                   trimmed decode, per-pixel median
+//                                   (cs::aggregate_frames)
+//
+// Every acquisition, rung 3's rounds included, draws Φ, encodes and runs the
+// measurement-fault channel in the one acquire() step.
 //
 // The sanity check for decode rungs reads the shape of the fit: how much of
 // the measurement budget the recovered support spends (a support near M
@@ -19,7 +24,8 @@
 // residual from cs::DecodeResult::residual_norm still bounds every decode
 // rung, which rejects iterates a deadline cut short. The resampling rung,
 // whose output intentionally stops fitting the corrupted measurements, is
-// judged by a median absolute measurement residual. Every frame yields a
+// judged by the median absolute measurement residual of cs::screen_residuals,
+// the screen that also flags suspected defects. Every frame yields a
 // RecoveryReport. The pipeline keeps no cross-frame state: a frame's pixels
 // and report depend only on the frame, its frame index (which keys the
 // measurement-fault channel), the RNG state and the per-frame control. State

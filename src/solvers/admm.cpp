@@ -6,6 +6,12 @@
 #include "solvers/fista.hpp"
 
 namespace flexcs::solvers {
+namespace {
+
+// Augmented Lagrangian parameter.
+constexpr double kRho = 1.0;
+
+}  // namespace
 
 SolveResult AdmmLassoSolver::solve_impl(const la::LinearOperator& a,
                                         const la::Vector& b,
@@ -28,7 +34,6 @@ SolveResult AdmmLassoSolver::solve_impl(const la::LinearOperator& a,
   const la::Vector atb = a.apply_adjoint(b);
   const double lambda =
       opts_.lambda > 0.0 ? opts_.lambda : 1e-3 * atb.norm_inf();
-  const double rho = opts_.rho;
 
   la::Vector x(n, 0.0), z(n, 0.0), u(n, 0.0);
 
@@ -36,13 +41,13 @@ SolveResult AdmmLassoSolver::solve_impl(const la::LinearOperator& a,
   // system, warm-started from the previous x-iterate. For the subsampled
   // orthonormal transforms sigma_max(A) <= 1, so the condition number is at
   // most (1 + rho)/rho and CG converges in a handful of iterations.
-  const auto apply_inverse = [&a, &x, &ctrl, rho](const la::Vector& q) {
+  const auto apply_inverse = [&a, &x, &ctrl](const la::Vector& q) {
     la::CgOptions cg;
     cg.tol = 1e-10;
     cg.should_stop = [&ctrl] { return ctrl.should_stop(); };
-    const auto apply_spd = [&a, rho](const la::Vector& v, la::Vector& out) {
+    const auto apply_spd = [&a](const la::Vector& v, la::Vector& out) {
       a.apply_normal(v, out);
-      for (std::size_t i = 0; i < out.size(); ++i) out[i] += rho * v[i];
+      for (std::size_t i = 0; i < out.size(); ++i) out[i] += kRho * v[i];
     };
     return la::cg_solve(apply_spd, q, cg, x).x;
   };
@@ -54,13 +59,13 @@ SolveResult AdmmLassoSolver::solve_impl(const la::LinearOperator& a,
     }
     // x-update: argmin 0.5||Ax-b||^2 + rho/2 ||x - z + u||^2.
     la::Vector q = atb;
-    for (std::size_t i = 0; i < n; ++i) q[i] += rho * (z[i] - u[i]);
+    for (std::size_t i = 0; i < n; ++i) q[i] += kRho * (z[i] - u[i]);
     x = apply_inverse(q);
 
     // z-update: soft threshold.
     la::Vector z_old = z;
     for (std::size_t i = 0; i < n; ++i)
-      z[i] = soft_threshold(x[i] + u[i], lambda / rho);
+      z[i] = soft_threshold(x[i] + u[i], lambda / kRho);
 
     // Dual update.
     for (std::size_t i = 0; i < n; ++i) u[i] += x[i] - z[i];
@@ -69,7 +74,7 @@ SolveResult AdmmLassoSolver::solve_impl(const la::LinearOperator& a,
     double r_norm = 0.0, s_norm = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
       const double ri = x[i] - z[i];
-      const double si = rho * (z[i] - z_old[i]);
+      const double si = kRho * (z[i] - z_old[i]);
       r_norm += ri * ri;
       s_norm += si * si;
     }
@@ -80,7 +85,7 @@ SolveResult AdmmLassoSolver::solve_impl(const la::LinearOperator& a,
         sqrt_n * opts_.abs_tol +
         opts_.rel_tol * std::max(x.norm2(), z.norm2());
     const double eps_dual =
-        sqrt_n * opts_.abs_tol + opts_.rel_tol * rho * u.norm2();
+        sqrt_n * opts_.abs_tol + opts_.rel_tol * kRho * u.norm2();
     result.iterations = it + 1;
     if (r_norm < eps_pri && s_norm < eps_dual) {
       result.converged = true;

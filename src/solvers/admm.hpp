@@ -12,7 +12,6 @@ namespace flexcs::solvers {
 
 struct AdmmOptions {
   double lambda = 0.0;      // 0 => scale-adaptive: 1e-3 * ||A^T b||_inf
-  double rho = 1.0;         // augmented Lagrangian parameter
   int max_iterations = 400;
   double abs_tol = 1e-7;
   double rel_tol = 1e-5;

@@ -57,8 +57,9 @@ SolveResult CosampSolver::solve_impl(const la::LinearOperator& a,
                                      const SolveOptions& ctrl) const {
   validate_solve_inputs(a, b, "CoSaMP");
   const std::size_t m = a.rows(), n = a.cols();
-  const std::size_t k =
-      opts_.sparsity > 0 ? std::min(opts_.sparsity, m / 3) : m / 4;
+  // Target sparsity K: one support entry per kMeasurementsPerAtom reads.
+  constexpr std::size_t kMeasurementsPerAtom = 4;
+  const std::size_t k = m / kMeasurementsPerAtom;
 
   SolveResult result;
   result.x = la::Vector(n, 0.0);

@@ -1,5 +1,5 @@
 // CoSaMP (Compressive Sampling Matching Pursuit, Needell & Tropp 2009):
-// batch greedy recovery with support pruning. Needs a target sparsity K.
+// batch greedy recovery with support pruning at a target sparsity K = M / 4.
 #pragma once
 
 #include "solvers/solver.hpp"
@@ -7,7 +7,6 @@
 namespace flexcs::solvers {
 
 struct CosampOptions {
-  std::size_t sparsity = 0;     // K; 0 => a.rows() / 4
   int max_iterations = 50;
   double residual_tol = 1e-6;   // stop when ||r||/||b|| below this
 };

@@ -6,6 +6,16 @@
 #include "common/check.hpp"
 
 namespace flexcs::solvers {
+namespace {
+
+// Smoothing eps of W = diag(|x| + eps): starts at kEpsInitial and halves
+// every iteration down to kEpsFloor.
+constexpr double kEpsInitial = 1.0;
+constexpr double kEpsFloor = 1e-8;
+// Diagonal regulariser of A W A^T.
+constexpr double kRidge = 1e-10;
+
+}  // namespace
 
 SolveResult IrlsSolver::solve_impl(const la::LinearOperator& a,
                                    const la::Vector& b,
@@ -27,7 +37,7 @@ SolveResult IrlsSolver::solve_impl(const la::LinearOperator& a,
 
   // Start from the minimum-l2-norm solution (W = I).
   la::Vector x(n, 0.0);
-  double eps = opts_.eps_initial;
+  double eps = kEpsInitial;
   la::Vector y_warm;  // warm start for the inner CG
 
   for (int it = 0; it < opts_.max_iterations; ++it) {
@@ -39,13 +49,13 @@ SolveResult IrlsSolver::solve_impl(const la::LinearOperator& a,
     // gradient, warm-started from the previous outer iteration's y (W
     // changes slowly once the iterate stabilises), then x_new = W A^T y.
     // v -> A (W (A^T v)) + ridge v.
-    const auto apply_k = [&a, &x, eps, this](const la::Vector& v,
-                                             la::Vector& out) {
+    const auto apply_k = [&a, &x, eps](const la::Vector& v,
+                                       la::Vector& out) {
       la::Vector wv = a.apply_adjoint(v);
       for (std::size_t j = 0; j < wv.size(); ++j)
         wv[j] *= std::fabs(x[j]) + eps;
       out = a.apply(wv);
-      for (std::size_t i = 0; i < out.size(); ++i) out[i] += opts_.ridge * v[i];
+      for (std::size_t i = 0; i < out.size(); ++i) out[i] += kRidge * v[i];
     };
     la::CgOptions cg;
     cg.tol = 1e-10;
@@ -62,8 +72,8 @@ SolveResult IrlsSolver::solve_impl(const la::LinearOperator& a,
     result.iterations = it + 1;
 
     // Anneal the smoothing parameter as the iterate stabilises.
-    eps = std::max(opts_.eps_floor, eps * 0.5);
-    if (dx / xmax < opts_.tol && eps <= opts_.eps_floor * 2.0) {
+    eps = std::max(kEpsFloor, eps * 0.5);
+    if (dx / xmax < opts_.tol && eps <= kEpsFloor * 2.0) {
       result.converged = true;
       break;
     }

@@ -12,9 +12,6 @@ namespace flexcs::solvers {
 struct IrlsOptions {
   int max_iterations = 60;
   double tol = 1e-7;          // relative change in x
-  double eps_initial = 1.0;   // smoothing, annealed towards eps_floor
-  double eps_floor = 1e-8;
-  double ridge = 1e-10;       // diagonal regulariser for A W A^T
 };
 
 class IrlsSolver final : public SparseSolver {

@@ -71,31 +71,6 @@ TEST(Lu, DetectsSingular) {
   EXPECT_THROW(lu_decompose(a), CheckError);
 }
 
-TEST(Lu, DeterminantMatchesKnown) {
-  Matrix a{{2.0, 0.0}, {0.0, 3.0}};
-  EXPECT_NEAR(determinant(a), 6.0, 1e-12);
-  Matrix b{{0.0, 1.0}, {1.0, 0.0}};  // permutation: det = -1
-  EXPECT_NEAR(determinant(b), -1.0, 1e-12);
-  Matrix s{{1.0, 1.0}, {1.0, 1.0}};
-  EXPECT_DOUBLE_EQ(determinant(s), 0.0);
-}
-
-TEST(Lu, DeterminantMultiplicative) {
-  Rng rng(7);
-  const Matrix a = random_matrix(5, 5, rng);
-  const Matrix b = random_matrix(5, 5, rng);
-  EXPECT_NEAR(determinant(matmul(a, b)), determinant(a) * determinant(b),
-              1e-8 * std::fabs(determinant(a) * determinant(b)) + 1e-10);
-}
-
-TEST(Inverse, ProducesIdentity) {
-  Rng rng(9);
-  const Matrix a = random_matrix(7, 7, rng);
-  const Matrix ainv = inverse(a);
-  EXPECT_LT(max_abs_diff(matmul(a, ainv), Matrix::identity(7)), 1e-9);
-  EXPECT_LT(max_abs_diff(matmul(ainv, a), Matrix::identity(7)), 1e-9);
-}
-
 TEST(TriangularSolve, UpperAndLower) {
   Matrix u{{2.0, 1.0}, {0.0, 4.0}};
   const Vector xu = solve_upper(u, Vector{4.0, 8.0});

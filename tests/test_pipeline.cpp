@@ -109,6 +109,44 @@ TEST_F(PipelineTest, ResampleValidatesRounds) {
                CheckError);
 }
 
+TEST(AggregateFrames, MeanAndMedianPerPixel) {
+  const std::vector<la::Matrix> frames = {
+      la::Matrix{{1.0, 4.0}}, la::Matrix{{3.0, 0.0}}, la::Matrix{{2.0, 9.0}},
+      la::Matrix{{10.0, 1.0}}};
+  const la::Matrix mean = aggregate_frames(frames, Aggregate::kMean);
+  EXPECT_DOUBLE_EQ(mean(0, 0), 4.0);
+  EXPECT_DOUBLE_EQ(mean(0, 1), 3.5);
+  // An even count averages the two central order statistics.
+  const la::Matrix median = aggregate_frames(frames, Aggregate::kMedian);
+  EXPECT_DOUBLE_EQ(median(0, 0), 2.5);
+  EXPECT_DOUBLE_EQ(median(0, 1), 2.5);
+  const std::vector<la::Matrix> odd(frames.begin(), frames.end() - 1);
+  EXPECT_DOUBLE_EQ(aggregate_frames(odd, Aggregate::kMedian)(0, 1), 4.0);
+  EXPECT_THROW(aggregate_frames({}, Aggregate::kMean), CheckError);
+}
+
+TEST(ResidualScreen, FlagsReadsBeyondTheMadCutoff) {
+  // Five reads of a 1x5 array against a zero fit.
+  SamplingPattern p;
+  p.rows = 1;
+  p.cols = 5;
+  p.indices = {0, 1, 2, 3, 4};
+  const la::Matrix fit(1, 5, 0.0);
+  // Small residuals: the 0.2 floor sets the cutoff.
+  const ResidualScreen low =
+      screen_residuals(p, la::Vector{0.01, -0.02, 0.03, 0.5, 0.02}, fit);
+  EXPECT_DOUBLE_EQ(low.median, 0.02);
+  EXPECT_EQ(low.outlier,
+            (std::vector<bool>{false, false, false, true, false}));
+  // Large residuals: the cutoff is 4 x the median, 0.4.
+  const ResidualScreen high =
+      screen_residuals(p, la::Vector{0.1, 0.41, -0.1, 0.39, 0.1}, fit);
+  EXPECT_DOUBLE_EQ(high.median, 0.1);
+  EXPECT_EQ(high.outlier,
+            (std::vector<bool>{false, true, false, false, false}));
+  EXPECT_THROW(screen_residuals(p, la::Vector{0.1}, fit), CheckError);
+}
+
 TEST_F(PipelineTest, RpcaBatchDetectsAndReconstructs) {
   Rng rng(6);
   data::ThermalHandGenerator gen;
@@ -161,7 +199,8 @@ TEST_F(PipelineTest, DecodeTrimmedRemovesContamination) {
   const SamplingPattern p = random_pattern(32, 32, 0.5, rng);
   const la::Vector y = encoder_.encode(cf.values, p, rng);
   const double plain = rmse(decoder_.decode(p, y).frame, frame);
-  const double trimmed = rmse(decode_trimmed(decoder_, p, y), frame);
+  const double trimmed =
+      rmse(decode_trimmed(decoder_, p, y).result.frame, frame);
   EXPECT_LT(trimmed, 0.5 * plain);
   EXPECT_LT(trimmed, 0.05);
 }
@@ -172,11 +211,12 @@ TEST_F(PipelineTest, DecodeTrimmedIsHarmlessOnCleanData) {
   const SamplingPattern p = random_pattern(32, 32, 0.5, rng);
   const la::Vector y = encoder_.encode(frame, p, rng);
   const double plain = rmse(decoder_.decode(p, y).frame, frame);
-  const double trimmed = rmse(decode_trimmed(decoder_, p, y), frame);
+  const double trimmed =
+      rmse(decode_trimmed(decoder_, p, y).result.frame, frame);
   EXPECT_LT(trimmed, plain + 0.01);
 }
 
-TEST_F(PipelineTest, DecodeTrimmedExReportsTrimBookkeeping) {
+TEST_F(PipelineTest, DecodeTrimmedReportsTrimBookkeeping) {
   Rng rng(14);
   const la::Matrix frame = make_frame(rng);
   DefectOptions dopts;
@@ -185,8 +225,7 @@ TEST_F(PipelineTest, DecodeTrimmedExReportsTrimBookkeeping) {
   const SamplingPattern p = random_pattern(32, 32, 0.5, rng);
   const la::Vector y = encoder_.encode(cf.values, p, rng);
 
-  const TrimmedDecodeResult tr = decode_trimmed_ex(decoder_, p, y);
-  EXPECT_TRUE(tr.trim_applied);
+  const TrimmedDecodeResult tr = decode_trimmed(decoder_, p, y);
   EXPECT_GT(tr.trimmed_count, 0u);
   EXPECT_LT(tr.trimmed_count, p.m() / 2);  // the guard that keeps the decode
   EXPECT_EQ(tr.trimmed_pixels.size(), tr.trimmed_count);
@@ -195,12 +234,12 @@ TEST_F(PipelineTest, DecodeTrimmedExReportsTrimBookkeeping) {
     EXPECT_NE(std::find(p.indices.begin(), p.indices.end(), px),
               p.indices.end());
   }
-  // The wrapper is exactly the frame of the extended result.
-  EXPECT_EQ(la::max_abs_diff(tr.result.frame, decode_trimmed(decoder_, p, y)),
-            0.0);
+  // One measurement per sampled pixel, or nothing to screen.
+  EXPECT_THROW(decode_trimmed(decoder_, p, la::Vector(p.m() - 1, 0.5)),
+               CheckError);
 }
 
-// The residual screen as decode_trimmed_ex ran it on ADMM: the same λ, no
+// The residual screen as decode_trimmed ran it on ADMM: the same λ, no
 // de-biasing, no clamp, the same MAD cutoff and the same keep-half guard.
 // Returns the pixels it trims (none when the guard keeps every read).
 std::vector<std::size_t> admm_screen_trim(const Decoder& decoder,
@@ -264,7 +303,7 @@ TEST(DecodeTrimmedScreen, FistaScreenTrimsTheSameReadsAsAdmm) {
         const std::vector<std::size_t> want =
             admm_screen_trim(decoder, fm.pattern, fm.values);
         const TrimmedDecodeResult got =
-            decode_trimmed_ex(decoder, fm.pattern, fm.values);
+            decode_trimmed(decoder, fm.pattern, fm.values);
         EXPECT_EQ(got.trimmed_pixels, want)
             << dim << "x" << dim << " " << fault_kind_name(fault_kind(fault))
             << " seed " << seed;
@@ -296,14 +335,6 @@ TEST_F(PipelineTest, DecodeResultCarriesSolverResidual) {
   for (std::size_t i = 0; i < bad.size(); i += 7) bad[i] = 1.0;
   const DecodeResult worse = decoder_.decode(p, bad);
   EXPECT_GT(worse.residual_norm, res.residual_norm);
-}
-
-TEST_F(PipelineTest, DecodeTrimmedValidatesParameters) {
-  Rng rng(10);
-  const SamplingPattern p = random_pattern(32, 32, 0.5, rng);
-  const la::Vector y(p.m(), 0.5);
-  EXPECT_THROW(decode_trimmed(decoder_, p, y, 0.0), CheckError);
-  EXPECT_THROW(decode_trimmed(decoder_, p, y, 3.0, -0.1), CheckError);
 }
 
 TEST_F(PipelineTest, DecodeWithAlternativeSolverMatchesDecoder) {

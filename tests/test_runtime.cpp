@@ -2,14 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/check.hpp"
 #include "cs/metrics.hpp"
 #include "data/thermal.hpp"
+#include "runtime/deadline.hpp"
 #include "solvers/fista.hpp"
 
 namespace flexcs::runtime {
@@ -219,7 +222,7 @@ TEST(RobustPipeline, LadderReturnsBestCandidateWhenNoRungAccepted) {
   const cs::Encoder encoder;
   const la::Vector y = encoder.encode(corrupted, pattern, replay);
   const cs::TrimmedDecodeResult trimmed =
-      cs::decode_trimmed_ex(pipe.decoder(), pattern, y, 4.0, 0.2, {});
+      cs::decode_trimmed(pipe.decoder(), pattern, y);
   EXPECT_EQ(la::max_abs_diff(res.frame, trimmed.result.frame), 0.0);
   EXPECT_EQ(res.report.trimmed_measurements, trimmed.trimmed_count);
 }
@@ -308,7 +311,8 @@ TEST(RobustPipeline, PixelsDoNotDependOnEarlierFrames) {
 // process() is const: threads sharing one pipeline, as ShardedDecoder's pool
 // does, get exactly the pixels and reports of a serial run. Half the jobs
 // carry stuck pixels so the ladder climbs past the plain decode, and the
-// measurement-fault channel runs on every acquisition.
+// measurement-fault channel runs on every acquisition, rung 3's rounds
+// included.
 TEST(RobustPipeline, ConstPipelineSharedAcrossThreadsIsBitExact) {
   constexpr std::size_t kDim = 16;
   constexpr std::size_t kJobs = 8;
@@ -359,6 +363,83 @@ TEST(RobustPipeline, ConstPipelineSharedAcrossThreadsIsBitExact) {
     escalated |= a.report.escalation_depth > 0;
   }
   EXPECT_TRUE(escalated) << "no job climbed the ladder";
+}
+
+// Rung 3's rounds are fresh acquisitions like rung 2's retry, so each of
+// them meets the measurement-fault channel: capped at resample, a frame that
+// climbs there loses more reads than the same frame capped at fresh-pattern.
+TEST(RobustPipeline, ResampleRoundsRunTheMeasurementChannel) {
+  const la::Matrix truth = thermal_frame(16, 7);
+  const la::Matrix corrupted = stuck_frame(truth, 0.10, 3);
+  const auto run = [&](Strategy cap) {
+    RobustPipelineOptions opts;
+    opts.max_rung = cap;
+    opts.measurement_faults.add(cs::DroppedMeasurementFault{0.1, 5});
+    const RobustPipeline pipe(16, 16, opts, fista());
+    Rng rng(11);
+    return pipe.process(corrupted, 0, rng).report;
+  };
+  const RecoveryReport fresh = run(Strategy::kFreshPatternRetry);
+  const RecoveryReport resample = run(Strategy::kResample);
+  ASSERT_EQ(fresh.escalation_depth, 2);
+  ASSERT_EQ(resample.escalation_depth, 3) << "the frame never reached rung 3";
+  EXPECT_GT(fresh.dropped_measurements, 0u);
+  EXPECT_GT(resample.dropped_measurements, fresh.dropped_measurements);
+}
+
+// Counts the solves it runs and fires a cancel source after solve number
+// `fire_on`: a deterministic stand-in for a deadline that expires inside one
+// chosen decode of the ladder.
+class CancelOnSolve final : public solvers::SparseSolver {
+ public:
+  CancelOnSolve(int fire_on, CancelSource source)
+      : fire_on_(fire_on), source_(std::move(source)) {}
+  std::string name() const override { return "cancel-on-solve"; }
+  int solves() const { return solves_.load(); }
+
+ protected:
+  solvers::SolveResult solve_impl(
+      const la::LinearOperator& a, const la::Vector& b,
+      const solvers::SolveOptions& ctrl) const override {
+    solvers::validate_solve_inputs(a, b, "cancel-on-solve");
+    solvers::SolveResult r = inner_.solve(a, b, ctrl);
+    if (++solves_ == fire_on_) source_.cancel();
+    return r;
+  }
+
+ private:
+  solvers::FistaSolver inner_;
+  int fire_on_;
+  mutable CancelSource source_;
+  mutable std::atomic<int> solves_{0};
+};
+
+// Rung 3 runs its rounds under the frame's control: the first round always
+// runs, and no round starts after the control has fired.
+TEST(RobustPipeline, ResampleStartsNoRoundAfterTheControlFires) {
+  const la::Matrix truth = thermal_frame(16, 7);
+  const la::Matrix corrupted = stuck_frame(truth, 0.10, 3);
+  RobustPipelineOptions opts;
+  opts.accept.max_rel_residual = 1e-6;         // every rung escalates
+  opts.accept.max_median_abs_residual = 1e-9;
+  opts.budget.fresh_pattern_retries = 0;  // ladder: plain, trimmed, resample
+  // The screen runs its own FISTA, so the pipeline's solver sees one solve
+  // per decode: rung 0, rung 1's final decode, then one per rung-3 round.
+  constexpr int kFirstRoundSolve = 3;
+  CancelSource source;
+  const auto solver =
+      std::make_shared<CancelOnSolve>(kFirstRoundSolve, source);
+  const RobustPipeline pipe(16, 16, opts, solver);
+  FrameControl ctrl;
+  ctrl.solve.cancel = source.token();
+  Rng rng(11);
+  const auto res = pipe.process(corrupted, 0, rng, ctrl);
+
+  EXPECT_EQ(res.report.escalation_depth, 2);  // trimmed and resample ran
+  EXPECT_EQ(solver->solves(), kFirstRoundSolve)
+      << "a round started after the control fired";
+  EXPECT_TRUE(res.report.deadline_expired);
+  EXPECT_TRUE(la::all_finite(res.frame));
 }
 
 TEST(RobustPipeline, SuspectedDefectMaskOverlapsTrueDefects) {

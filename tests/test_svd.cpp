@@ -124,11 +124,6 @@ TEST(SvShrink, ShrinksEachSingularValue) {
   }
 }
 
-TEST(NuclearNorm, MatchesSumOfSingularValues) {
-  const Matrix d = Matrix::diagonal(Vector{2.0, 5.0, 1.0});
-  EXPECT_NEAR(nuclear_norm(d), 8.0, 1e-10);
-}
-
 class SvdShapes
     : public ::testing::TestWithParam<std::pair<std::size_t, std::size_t>> {};
 

@@ -73,8 +73,9 @@ Enforces project invariants the compiler cannot express:
                     a DenseOperator and an implicit operator of the same
                     entries take the same path; a second, dense-only kernel
                     is a path no decode runs
-  unset-option      every scalar field with a default initializer in a
-                    runtime option struct (src/runtime/*.hpp: *Options,
+  unset-option      every scalar field with a default initializer in an
+                    option struct of the decode stack (headers in
+                    src/runtime, src/cs, src/solvers and src/rpca: *Options,
                     *Config, LadderBudget, AcceptanceThresholds,
                     WorkerFaultInjection) is assigned (`.name =`) somewhere
                     under src/, bench/, tests/, examples/ or perfbench/,
@@ -159,7 +160,7 @@ ENTRY_POINTS: Sequence[Tuple[str, str, Tuple[str, ...]]] = (
     ("src/cs/sampling.cpp", r"\bresolve_fraction\b", ("FLEXCS_CHECK",)),
     ("src/cs/faults.cpp", r"FaultScenario::corrupt_frame\b", ("FLEXCS_CHECK",)),
     ("src/cs/faults.cpp", r"FaultScenario::corrupt_measurements\b", ("FLEXCS_CHECK",)),
-    ("src/cs/pipeline.cpp", r"\bdecode_trimmed_ex\b", ("FLEXCS_CHECK",)),
+    ("src/cs/pipeline.cpp", r"\bdecode_trimmed\b", ("FLEXCS_CHECK",)),
     ("src/runtime/pipeline.cpp", r"RobustPipeline::process\b", ("FLEXCS_CHECK",)),
     ("src/runtime/shard.cpp", r"ShardedDecoder::ShardedDecoder\b", ("FLEXCS_CHECK",)),
     ("src/runtime/shard.cpp", r"ShardedDecoder::process\b", ("FLEXCS_CHECK",)),
@@ -801,9 +802,10 @@ def check_entry_points(root: Path, files: dict,
 
 
 # ---------------------------------------------------------------------------
-# Tree-level rule: every runtime option is set by someone
+# Tree-level rule: every option of the decode stack is set by someone
 
-OPTION_HEADER_GLOB = "src/runtime/*.hpp"
+OPTION_HEADER_GLOBS = ("src/runtime/*.hpp", "src/cs/*.hpp",
+                       "src/solvers/*.hpp", "src/rpca/*.hpp")
 OPTION_ASSIGNMENT_DIRS = ("src", "bench", "tests", "examples", "perfbench")
 _OPTION_STRUCT_RE = re.compile(
     r"\bstruct\s+(\w*(?:Options|Config)|LadderBudget|AcceptanceThresholds"
@@ -836,10 +838,10 @@ def _option_fields(f: SourceFile) -> List[Tuple[int, str, str]]:
 
 
 def check_unset_options(root: Path, files: dict) -> List[Finding]:
-    """`files` are the linted sources; only their runtime headers declare
-    options to check, but assignments count from the whole tree."""
+    """`files` are the linted sources; only their decode-stack headers
+    declare options to check, but assignments count from the whole tree."""
     headers = [f for rel, f in sorted(files.items())
-               if Path(rel).match(OPTION_HEADER_GLOB)]
+               if any(Path(rel).match(g) for g in OPTION_HEADER_GLOBS)]
     if not headers:
         return []
     corpus: List[Tuple[str, str]] = []

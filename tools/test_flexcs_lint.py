@@ -1025,9 +1025,16 @@ class UnsetOptionTest(unittest.TestCase):
         f = lint_fixture({
             "src/runtime/foo.hpp": "#pragma once\n"
                                    "struct FrameControl { int cap = -1; };\n",
-            "src/cs/bar.hpp": "#pragma once\n"
+            "src/la/bar.hpp": "#pragma once\n"
                               "struct BarOptions { int cap = -1; };\n"})
         self.assertNotIn("unset-option", rules_fired(f))
+
+    def test_decode_stack_headers_checked(self):
+        for d in ("cs", "solvers", "rpca"):
+            f = lint_fixture({f"src/{d}/foo.hpp": self.HEADER})
+            unset = [x for x in f if x.rule == "unset-option"]
+            self.assertEqual([(f"src/{d}/foo.hpp", 3)],
+                             [(x.path, x.line) for x in unset], d)
 
 
 class DesignLocksTest(unittest.TestCase):

@@ -12,8 +12,9 @@
 // independent, computable even for sizes whose dense arm never runs):
 //   dense:    8 * (N² + M·N) bytes   (Ψ plus the cached measurement matrix)
 // The implicit figure is the operator's own cached_state_bytes() — the DCT
-// plans' folded half-tables, 8·(rows² + cols²) bytes (256 KB at 128×128,
-// 1 MB at 256×256); Haar caches nothing. Per-apply scratch is O(N) and
+// plans' folded half-tables, 8·(rows² + cols²) bytes, or 8·rows² for a
+// square grid, whose axes share one plan (128 KB at 128×128, 512 KB at
+// 256×256); Haar caches nothing. Per-apply scratch is O(N) and
 // thread-local.
 //
 // Per-apply microbench (the `per_apply_*` sections): for each 1-D length,
@@ -66,7 +67,7 @@
 //         "n":                   integer — pixels (rows * cols)
 //         "fraction":            number  — m / n
 //         "build_seconds":       number  — decoder construction, which
-//                                          builds the transform plans
+//                                          builds the basis transform
 //                                          (dense: + Ψ, A and the spectral
 //                                          warm-up)
 //         "decode_seconds":      number  — the decode call alone
@@ -244,7 +245,7 @@ OperatorCell run_cell(const SweepConfig& cfg, std::size_t dim, bool implicit) {
 
   // Build phase: the dense arm pays the N x N Ψ, its row selection and the
   // spectral-norm power iteration that serves as its Lipschitz hint; the
-  // implicit arm pays the decoder's transform plans, built once in its
+  // implicit arm pays the decoder's basis transform, built once in its
   // constructor (each decode's operator over them is one pass over the
   // pattern, and its exact norm, 1 for a tight frame, goes to FISTA).
   // Once-per-geometry cost, separated from decode.
@@ -601,7 +602,7 @@ std::string to_json(const bench::Provenance& provenance,
     out += strformat(
         "  {\"dim\": %zu, \"basis\": \"%s\", \"m\": %zu, "
         "\"apply_ms\": %.4f, \"adjoint_ms\": %.4f, \"reps\": %d}%s\n",
-        c.dim, c.basis == dsp::BasisKind::kDct2D ? "dct2d" : "haar2d", c.m,
+        c.dim, dsp::to_string(c.basis).c_str(), c.m,
         c.apply_ms, c.adjoint_ms, c.reps,
         i + 1 < microop.size() ? "," : "");
   }
@@ -686,7 +687,7 @@ void print_micro_tables(const std::vector<Micro1dCell>& micro1d,
   Table t2({"dim", "basis", "m", "apply ms", "adjoint ms", "reps"});
   for (const MicroOpCell& c : microop) {
     t2.add_row({strformat("%zu", c.dim),
-                c.basis == dsp::BasisKind::kDct2D ? "dct2d" : "haar2d",
+                dsp::to_string(c.basis),
                 strformat("%zu", c.m), strformat("%.4f", c.apply_ms),
                 strformat("%.4f", c.adjoint_ms), strformat("%d", c.reps)});
   }

@@ -31,9 +31,10 @@ Decoder::Decoder(std::size_t rows, std::size_t cols, DecoderOptions opts,
                  std::shared_ptr<const solvers::SparseSolver> solver)
     : rows_(rows), cols_(cols), opts_(opts), solver_(std::move(solver)) {
   FLEXCS_CHECK(rows_ > 0 && cols_ > 0, "decoder over empty array");
-  // The plans surface the geometry constraints (Haar needs even dims) here,
-  // not at the first decode.
-  plans_ = std::make_shared<const TransformPlans>(opts_.basis, rows_, cols_);
+  // The transform surfaces the geometry constraints (Haar needs even dims)
+  // here, not at the first decode.
+  transform_ =
+      std::make_shared<const dsp::BasisTransform>(opts_.basis, rows_, cols_);
   if (!solver_) solver_ = std::make_shared<solvers::FistaSolver>();
 }
 
@@ -41,7 +42,8 @@ std::shared_ptr<const SubsampledTransformOperator>
 Decoder::measurement_operator(const SamplingPattern& pattern) const {
   FLEXCS_CHECK(pattern.rows == rows_ && pattern.cols == cols_,
                "decoder: pattern shape mismatch");
-  return std::make_shared<const SubsampledTransformOperator>(plans_, pattern);
+  return std::make_shared<const SubsampledTransformOperator>(transform_,
+                                                             pattern);
 }
 
 DecodeResult Decoder::decode(const SamplingPattern& pattern,
@@ -60,11 +62,11 @@ DecodeResult Decoder::decode_with(const SamplingPattern& pattern,
                "decoder: non-finite measurement (reject defective reads "
                "before decoding)");
   FLEXCS_CHECK(opts.basis == opts_.basis,
-               "decode_with cannot change the basis (the plans are built "
+               "decode_with cannot change the basis (the transform is built "
                "once)");
   FLEXCS_CHECK(pattern.rows == rows_ && pattern.cols == cols_,
                "decoder: pattern shape mismatch");
-  const SubsampledTransformOperator a(plans_, pattern);
+  const SubsampledTransformOperator a(transform_, pattern);
   solvers::SolveResult sr =
       solver.solve(a, measurements, solve_options(a, opts));
 
@@ -90,7 +92,7 @@ DecodeResult Decoder::decode_with(const SamplingPattern& pattern,
   out.solve_seconds = sr.solve_seconds;
 
   // Synthesise the frame from the recovered coefficients (y = Ψ x) through
-  // the decoder's transform plans.
+  // the decoder's transform.
   out.frame = a.synthesize(sr.x);
   out.coefficients = std::move(sr.x);
   if (opts.clamp01) {

@@ -56,9 +56,9 @@ struct DecodeResult {
 /// operator A = Φ_M·Ψ of each pattern is a SubsampledTransformOperator (fast
 /// 2-D transform plus row gather), so neither the N x N Ψ nor the M x N A is
 /// ever built; the configured sparse solver runs on that operator. Ψ is fixed
-/// by the geometry, so its transform plans are built once, at construction;
-/// only Φ_M changes per decode. Immutable after construction: one instance
-/// may serve any number of threads.
+/// by the geometry, so its dsp::BasisTransform is built once, at
+/// construction; only Φ_M changes per decode. Immutable after construction:
+/// one instance may serve any number of threads.
 class Decoder {
  public:
   /// `solver` may be null, which selects the library default (FISTA).
@@ -82,8 +82,8 @@ class Decoder {
                            const solvers::SparseSolver& solver,
                            const DecoderOptions& opts) const;
 
-  /// The measurement operator of a pattern, over the decoder's shared plans
-  /// (building it costs one pass over the pattern's indices).
+  /// The measurement operator of a pattern, over the decoder's shared
+  /// transform (building it costs one pass over the pattern's indices).
   std::shared_ptr<const SubsampledTransformOperator> measurement_operator(
       const SamplingPattern& pattern) const;
 
@@ -92,7 +92,7 @@ class Decoder {
   std::size_t cols_;
   DecoderOptions opts_;
   std::shared_ptr<const solvers::SparseSolver> solver_;
-  std::shared_ptr<const TransformPlans> plans_;
+  std::shared_ptr<const dsp::BasisTransform> transform_;
 };
 
 }  // namespace flexcs::cs

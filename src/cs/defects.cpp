@@ -3,7 +3,6 @@
 #include "common/check.hpp"
 
 namespace flexcs::cs {
-namespace {
 
 double stuck_value(DefectPolarity polarity, Rng& rng) {
   switch (polarity) {
@@ -13,8 +12,6 @@ double stuck_value(DefectPolarity polarity, Rng& rng) {
   }
   return 0.0;
 }
-
-}  // namespace
 
 std::vector<bool> random_defect_mask(std::size_t rows, std::size_t cols,
                                      double rate, Rng& rng) {

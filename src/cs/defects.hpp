@@ -21,6 +21,10 @@ struct DefectOptions {
   DefectPolarity polarity = DefectPolarity::kRandom;
 };
 
+/// The value a defective pixel reads: 0 or 1 by `polarity`, drawing one
+/// bernoulli(0.5) from `rng` for kRandom and nothing otherwise.
+double stuck_value(DefectPolarity polarity, Rng& rng);
+
 /// A corrupted frame plus the ground-truth defect locations.
 struct CorruptedFrame {
   la::Matrix values;        // frame with defects applied

@@ -27,15 +27,6 @@ Rng frame_rng(std::uint64_t seed, std::size_t frame_index) {
   return Rng(z ^ (z >> 31));
 }
 
-double extreme_value(DefectPolarity polarity, Rng& rng) {
-  switch (polarity) {
-    case DefectPolarity::kStuckLow: return 0.0;
-    case DefectPolarity::kStuckHigh: return 1.0;
-    case DefectPolarity::kRandom: return rng.bernoulli(0.5) ? 1.0 : 0.0;
-  }
-  return 0.0;
-}
-
 void check_frame_mask(const la::Matrix& frame, const std::vector<bool>& mask) {
   FLEXCS_CHECK(!frame.empty(), "fault applied to an empty frame");
   FLEXCS_CHECK(mask.size() == frame.size(), "fault mask size mismatch");
@@ -67,7 +58,7 @@ void StuckPixelFault::apply(la::Matrix& frame, std::size_t /*frame_index*/,
       random_defect_mask(frame.rows(), frame.cols(), rate, rng);
   for (std::size_t i = 0; i < defect.size(); ++i) {
     if (!defect[i]) continue;
-    frame.data()[i] = extreme_value(polarity, rng);
+    frame.data()[i] = stuck_value(polarity, rng);
     mask[i] = true;
   }
 }
@@ -99,7 +90,7 @@ void FlickerFault::apply(la::Matrix& frame, std::size_t frame_index,
   Rng rng = frame_rng(seed, frame_index);
   for (std::size_t i = 0; i < frame.size(); ++i) {
     if (!rng.bernoulli(rate)) continue;
-    frame.data()[i] = extreme_value(polarity, rng);
+    frame.data()[i] = stuck_value(polarity, rng);
     mask[i] = true;
   }
 }

@@ -2,17 +2,18 @@
 // synthesis transform applied through separable transform kernels instead
 // of a dense M x N matrix.
 //
-//   apply(x)         = gather(synthesize(grid(x)), pattern indices)
-//   apply_adjoint(y) = flatten(analyze(scatter(y, pattern indices)))
+//   apply(x)         = gather(synthesize(x), pattern indices)
+//   apply_adjoint(y) = analyze(scatter(y, pattern indices))
 //
 // The adjoint identity holds exactly because Φ_Mᵀ is scatter and Ψᵀ is the
-// analysis transform of an orthonormal basis. The per-apply kernels are the
-// DCT plans (dsp::Dct1dPlan — one even/odd-folded kernel at every length:
-// the DCT basis's mirror symmetry halves the multiply-adds of the dense
-// 1-D product, equal to it at round-off, not bit for bit) and the in-place
-// lifting Haar (dsp::haar2d_inplace), running on raw contiguous buffers
-// with no Matrix::from_flat round-trips: a 256×256 DCT apply is ~2.5 ms
-// of register-blocked products over 1 MB of plan tables, where the dense Ψ
+// analysis transform of an orthonormal basis. Ψ is a dsp::BasisTransform
+// shared by every operator over the grid (the DCT plans — dsp::Dct1dPlan,
+// one even/odd-folded kernel at every length: the DCT basis's mirror
+// symmetry halves the multiply-adds of the dense 1-D product, equal to it
+// at round-off, not bit for bit — or the in-place lifting Haar), running on
+// raw contiguous buffers with no Matrix::from_flat round-trips, and the
+// operator never asks which basis it holds: a 256×256 DCT apply is ~2.5 ms
+// of register-blocked products over 512 KB of plan tables, where the dense Ψ
 // (~34 GB) cannot be built at all.
 //
 // Every apply is metered (count + wall time, relaxed atomics) so callers can
@@ -22,51 +23,23 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "cs/sampling.hpp"
 #include "dsp/basis.hpp"
-#include "dsp/fft.hpp"
 #include "la/operator.hpp"
 
 namespace flexcs::cs {
 
-/// The transform state Ψ owns, which depends only on the basis and the grid:
-/// the 1-D DCT plans of the two axes (row_plan() spans cols, col_plan()
-/// spans rows; a square grid builds one plan and uses it on both), or the
-/// Haar level count. Immutable once built, so every operator over the grid
-/// and every thread can share one instance.
-struct TransformPlans {
-  TransformPlans(dsp::BasisKind basis, std::size_t rows, std::size_t cols);
-
-  /// Bytes of plan tables (Haar needs none).
-  std::size_t memory_bytes() const;
-
-  /// DCT basis only.
-  const dsp::Dct1dPlan& row_plan() const { return *row_plan_; }
-  const dsp::Dct1dPlan& col_plan() const {
-    return col_plan_ ? *col_plan_ : *row_plan_;
-  }
-
-  dsp::BasisKind basis;
-  std::size_t rows;
-  std::size_t cols;
-  std::size_t haar_levels = 0;  // Haar basis only
-
- private:
-  std::optional<dsp::Dct1dPlan> row_plan_;
-  std::optional<dsp::Dct1dPlan> col_plan_;  // non-square grids only
-};
-
 class SubsampledTransformOperator final : public la::LinearOperator {
  public:
-  /// Φ_M over shared plans. Pattern indices must be strictly increasing
-  /// row-major pixel indices inside the plans' rows x cols grid (same
-  /// contract as apply_pattern).
-  SubsampledTransformOperator(std::shared_ptr<const TransformPlans> plans,
-                              SamplingPattern pattern);
-  /// Same, building its own plans for the pattern's grid.
+  /// Φ_M over a shared transform. Pattern indices must be strictly
+  /// increasing row-major pixel indices inside the transform's rows x cols
+  /// grid (same contract as apply_pattern).
+  SubsampledTransformOperator(
+      std::shared_ptr<const dsp::BasisTransform> transform,
+      SamplingPattern pattern);
+  /// Same, building its own transform for the pattern's grid.
   SubsampledTransformOperator(dsp::BasisKind basis, SamplingPattern pattern);
 
   std::size_t rows() const override { return pattern_.m(); }
@@ -85,15 +58,17 @@ class SubsampledTransformOperator final : public la::LinearOperator {
   double norm_upper_bound() const override { return 1.0; }
 
   /// The full synthesis Ψ·x as a rows×cols frame: apply() without the
-  /// gather, through the plans. Not metered in apply_stats().
+  /// gather. Not metered in apply_stats().
   la::Matrix synthesize(const la::Vector& x) const;
 
-  dsp::BasisKind basis() const { return plans_->basis; }
+  dsp::BasisKind basis() const { return transform_->basis(); }
   const SamplingPattern& pattern() const { return pattern_; }
 
   /// Bytes of transform state (DCT plan tables; Haar needs none). The bench
   /// reports this as the implicit operator's memory footprint.
-  std::size_t cached_state_bytes() const { return plans_->memory_bytes(); }
+  std::size_t cached_state_bytes() const {
+    return transform_->memory_bytes();
+  }
 
   /// Per-apply cost accounting: cumulative apply/adjoint counts and wall
   /// time since construction. Counters are relaxed atomics — cheap enough
@@ -107,8 +82,8 @@ class SubsampledTransformOperator final : public la::LinearOperator {
   ApplyStats apply_stats() const;
 
  private:
-  // Unchecked kernels (shape validated by the public wrappers);
-  // `ws` carries the DCT workspace and the Haar scratch.
+  // Unchecked kernels (shape validated by the public wrappers); `ws` holds
+  // the thread's grid and transform workspace.
   struct Scratch;
   static Scratch& local_scratch();
   void apply_into(const double* x, double* y, Scratch& ws) const;
@@ -116,7 +91,7 @@ class SubsampledTransformOperator final : public la::LinearOperator {
   // Zeroes every pixel of a rows×cols frame that the pattern does not read.
   void zero_unsampled(double* frame) const;
 
-  std::shared_ptr<const TransformPlans> plans_;
+  std::shared_ptr<const dsp::BasisTransform> transform_;
   SamplingPattern pattern_;
   // Per pixel of the grid: all bits set where the pattern reads it, none
   // elsewhere. ANDing a frame with it keeps the sampled pixels' bits and

@@ -1,21 +1,12 @@
 #include "dsp/basis.hpp"
 
+#include <algorithm>
+
 #include "common/check.hpp"
 #include "dsp/dct.hpp"
 #include "dsp/wavelet.hpp"
 
 namespace flexcs::dsp {
-namespace {
-
-std::size_t haar_levels_for(std::size_t rows, std::size_t cols) {
-  const std::size_t lr = max_haar_levels(rows);
-  const std::size_t lc = max_haar_levels(cols);
-  const std::size_t levels = std::min(lr, lc);
-  FLEXCS_CHECK(levels >= 1, "Haar basis requires even dimensions");
-  return levels;
-}
-
-}  // namespace
 
 std::string to_string(BasisKind kind) {
   switch (kind) {
@@ -23,6 +14,58 @@ std::string to_string(BasisKind kind) {
     case BasisKind::kHaar2D: return "haar2d";
   }
   return "unknown";
+}
+
+BasisTransform::BasisTransform(BasisKind basis, std::size_t rows,
+                               std::size_t cols)
+    : basis_(basis), rows_(rows), cols_(cols) {
+  FLEXCS_CHECK(rows_ > 0 && cols_ > 0, "BasisTransform: empty grid");
+  switch (basis_) {
+    case BasisKind::kDct2D:
+      row_plan_.emplace(cols_);
+      if (rows_ != cols_) col_plan_.emplace(rows_);
+      return;
+    case BasisKind::kHaar2D:
+      haar_levels_ =
+          std::min(max_haar_levels(rows_), max_haar_levels(cols_));
+      FLEXCS_CHECK(haar_levels_ >= 1, "Haar basis requires even dimensions");
+      return;
+  }
+  FLEXCS_CHECK(false, "unknown basis kind");
+}
+
+std::size_t BasisTransform::memory_bytes() const {
+  std::size_t bytes = 0;
+  if (row_plan_) bytes += row_plan_->memory_bytes();
+  if (col_plan_) bytes += col_plan_->memory_bytes();
+  return bytes;
+}
+
+void BasisTransform::analyze(const double* in, double* out,
+                             BasisWorkspace& ws) const {
+  switch (basis_) {
+    case BasisKind::kDct2D:
+      dct2d_apply(row_plan(), col_plan(), in, out, rows_, cols_, ws.dct);
+      return;
+    case BasisKind::kHaar2D:
+      // The lifting runs in place, so it analyses a copy of `in`.
+      std::copy(in, in + rows_ * cols_, out);
+      haar2d_inplace(out, rows_, cols_, haar_levels_, ws.haar);
+      return;
+  }
+}
+
+void BasisTransform::synthesize(const double* in, double* out,
+                                BasisWorkspace& ws) const {
+  switch (basis_) {
+    case BasisKind::kDct2D:
+      idct2d_apply(row_plan(), col_plan(), in, out, rows_, cols_, ws.dct);
+      return;
+    case BasisKind::kHaar2D:
+      std::copy(in, in + rows_ * cols_, out);
+      ihaar2d_inplace(out, rows_, cols_, haar_levels_, ws.haar);
+      return;
+  }
 }
 
 la::Matrix synthesis_matrix(BasisKind kind, std::size_t rows,
@@ -50,8 +93,9 @@ la::Matrix synthesis_matrix(BasisKind kind, std::size_t rows,
     return psi;
   }
 
-  // Haar: apply the inverse transform to each unit coefficient impulse.
-  const std::size_t levels = haar_levels_for(rows, cols);
+  // Haar: apply the reference inverse transform to each unit coefficient
+  // impulse, at the level count the grid's transform runs.
+  const std::size_t levels = BasisTransform(kind, rows, cols).haar_levels();
   la::Matrix psi(n, n);
   la::Matrix impulse(rows, cols, 0.0);
   for (std::size_t k = 0; k < n; ++k) {
@@ -64,31 +108,20 @@ la::Matrix synthesis_matrix(BasisKind kind, std::size_t rows,
   return psi;
 }
 
-la::Matrix analysis_matrix(BasisKind kind, std::size_t rows,
-                           std::size_t cols) {
-  return synthesis_matrix(kind, rows, cols).transposed();
-}
-
 la::Matrix analyze(BasisKind kind, const la::Matrix& frame) {
-  switch (kind) {
-    case BasisKind::kDct2D:
-      return dct2d(frame);
-    case BasisKind::kHaar2D:
-      return haar2d(frame, haar_levels_for(frame.rows(), frame.cols()));
-  }
-  FLEXCS_CHECK(false, "unknown basis kind");
-  return {};
+  const BasisTransform transform(kind, frame.rows(), frame.cols());
+  la::Matrix out(frame.rows(), frame.cols());
+  BasisWorkspace ws;
+  transform.analyze(frame.data(), out.data(), ws);
+  return out;
 }
 
 la::Matrix synthesize(BasisKind kind, const la::Matrix& coeffs) {
-  switch (kind) {
-    case BasisKind::kDct2D:
-      return idct2d(coeffs);
-    case BasisKind::kHaar2D:
-      return ihaar2d(coeffs, haar_levels_for(coeffs.rows(), coeffs.cols()));
-  }
-  FLEXCS_CHECK(false, "unknown basis kind");
-  return {};
+  const BasisTransform transform(kind, coeffs.rows(), coeffs.cols());
+  la::Matrix out(coeffs.rows(), coeffs.cols());
+  BasisWorkspace ws;
+  transform.synthesize(coeffs.data(), out.data(), ws);
+  return out;
 }
 
 }  // namespace flexcs::dsp

@@ -3,24 +3,11 @@
 #include <cmath>
 
 #include "common/check.hpp"
-#include "dsp/fft.hpp"
 
 namespace flexcs::dsp {
 namespace {
 
 constexpr double kPi = 3.1415926535897932384626433832795;
-
-// Runs `pass(row_plan, col_plan)` with the folded 1-D plans (dsp/fft.hpp)
-// of a rows×cols grid. A square grid builds one plan and passes it as both.
-template <typename Pass>
-void with_plans(std::size_t rows, std::size_t cols, const Pass& pass) {
-  const Dct1dPlan row_plan(cols);
-  if (rows == cols) {
-    pass(row_plan, row_plan);
-    return;
-  }
-  pass(row_plan, Dct1dPlan(rows));
-}
 
 }  // namespace
 
@@ -72,62 +59,6 @@ la::Vector idct1d(const la::Vector& X) {
     out[i] = a0 * X[0] + a1 * s;
   }
   return out;
-}
-
-la::Matrix dct2d(const la::Matrix& img) {
-  FLEXCS_CHECK(!img.empty(), "dct2d of empty matrix");
-  // Separable: one folded 1-D pass along each axis.
-  la::Matrix out(img.rows(), img.cols());
-  with_plans(img.rows(), img.cols(),
-             [&](const Dct1dPlan& row_plan, const Dct1dPlan& col_plan) {
-               DctWorkspace ws;
-               dct2d_apply(row_plan, col_plan, img.data(), out.data(),
-                           img.rows(), img.cols(), ws);
-             });
-  return out;
-}
-
-la::Matrix idct2d(const la::Matrix& coeffs) {
-  FLEXCS_CHECK(!coeffs.empty(), "idct2d of empty matrix");
-  la::Matrix out(coeffs.rows(), coeffs.cols());
-  with_plans(coeffs.rows(), coeffs.cols(),
-             [&](const Dct1dPlan& row_plan, const Dct1dPlan& col_plan) {
-               DctWorkspace ws;
-               idct2d_apply(row_plan, col_plan, coeffs.data(), out.data(),
-                            coeffs.rows(), coeffs.cols(), ws);
-             });
-  return out;
-}
-
-std::vector<std::size_t> zigzag_order(std::size_t rows, std::size_t cols) {
-  FLEXCS_CHECK(rows > 0 && cols > 0, "zigzag_order of empty grid");
-  std::vector<std::size_t> order;
-  order.reserve(rows * cols);
-  const std::size_t diagonals = rows + cols - 1;
-  for (std::size_t d = 0; d < diagonals; ++d) {
-    if (d % 2 == 0) {
-      // Walk up-right: start at the lowest row on this diagonal.
-      std::size_t r = (d < rows) ? d : rows - 1;
-      std::size_t c = d - r;
-      while (c < cols) {
-        order.push_back(r * cols + c);
-        if (r == 0) break;
-        --r;
-        ++c;
-      }
-    } else {
-      // Walk down-left.
-      std::size_t c = (d < cols) ? d : cols - 1;
-      std::size_t r = d - c;
-      while (r < rows) {
-        order.push_back(r * cols + c);
-        if (c == 0) break;
-        ++r;
-        --c;
-      }
-    }
-  }
-  return order;
 }
 
 }  // namespace flexcs::dsp

@@ -1,7 +1,10 @@
-// Orthonormal DCT-II / DCT-III (inverse) transforms in 1-D and 2-D.
+// The naive orthonormal 1-D DCT-II / DCT-III and the dense DCT matrix.
 //
-// These are the sparsifying transforms of Sec. 2 / Sec. 3.1 of the paper:
-// body-sensing frames are ~50 % sparse after a 2-D DCT.
+// The DCT is the sparsifying transform of Sec. 2 / Sec. 3.1 of the paper:
+// body-sensing frames are ~50 % sparse after a 2-D DCT. The fast 2-D
+// transform is dsp::BasisTransform (basis.hpp) over the folded plans of
+// fft.hpp; these direct sums and products are the golden references the
+// plans and Ψ are tested against.
 #pragma once
 
 #include "la/matrix.hpp"
@@ -15,17 +18,7 @@ la::Vector dct1d(const la::Vector& x);
 /// 1-D orthonormal inverse DCT (DCT-III). Exact inverse of dct1d.
 la::Vector idct1d(const la::Vector& X);
 
-/// 2-D separable DCT: transform each row, then each column.
-la::Matrix dct2d(const la::Matrix& img);
-
-/// 2-D inverse DCT. Exact inverse of dct2d.
-la::Matrix idct2d(const la::Matrix& coeffs);
-
 /// The N x N orthonormal 1-D DCT-II analysis matrix D with X = D x.
 la::Matrix dct_matrix(std::size_t n);
-
-/// Zig-zag scan order for an r x c coefficient grid (JPEG-style), mapping
-/// scan position -> linear row-major coefficient index. Low frequencies first.
-std::vector<std::size_t> zigzag_order(std::size_t rows, std::size_t cols);
 
 }  // namespace flexcs::dsp

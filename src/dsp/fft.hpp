@@ -1,6 +1,8 @@
 // The DCT plans: one even/odd-folded kernel for the orthonormal DCT-II /
 // DCT-III at every length N ≥ 1, behind the 1-D passes and both passes of
-// the separable 2-D transform.
+// the separable 2-D transform (dct2d_apply / idct2d_apply). The DCT basis of
+// dsp::BasisTransform (basis.hpp) runs these 2-D passes, for every decode's
+// operator and for the one-shot dsp::analyze / synthesize alike.
 //
 // The DCT-II basis is symmetric about the middle sample,
 // D(k, N−1−i) = (−1)^k·D(k, i), so a forward pass sums and differences
@@ -55,7 +57,7 @@
 
 namespace flexcs::dsp {
 
-/// Reusable scratch for plan applies and the 2-D helpers. Buffers grow on
+/// Reusable scratch for plan applies and the 2-D passes. Buffers grow on
 /// demand and are never shrunk; keep one per thread (or per batch) so hot
 /// loops do not reallocate.
 struct DctWorkspace {

@@ -194,28 +194,6 @@ la::Matrix ihaar2d(const la::Matrix& coeffs, std::size_t levels) {
   return m;
 }
 
-void haar1d_inplace(double* v, std::size_t n, std::size_t levels,
-                    std::vector<double>& scratch) {
-  check_levels(n, levels);
-  if (scratch.size() < n / 2) scratch.resize(n / 2);
-  std::size_t len = n;
-  for (std::size_t l = 0; l < levels; ++l) {
-    haar_step_inplace(v, len, scratch.data());
-    len /= 2;
-  }
-}
-
-void ihaar1d_inplace(double* v, std::size_t n, std::size_t levels,
-                     std::vector<double>& scratch) {
-  check_levels(n, levels);
-  if (scratch.size() < n / 2) scratch.resize(n / 2);
-  std::size_t len = n >> levels;
-  for (std::size_t l = 0; l < levels; ++l) {
-    len *= 2;
-    ihaar_step_inplace(v, len, scratch.data());
-  }
-}
-
 void haar2d_inplace(double* a, std::size_t rows, std::size_t cols,
                     std::size_t levels, std::vector<double>& scratch) {
   check_levels(rows, levels);
@@ -248,19 +226,6 @@ void ihaar2d_inplace(double* a, std::size_t rows, std::size_t cols,
     for (std::size_t r = 0; r < rlen; ++r)
       ihaar_step_inplace(a + r * cols, clen, scratch.data());
   }
-}
-
-la::Matrix haar_matrix(std::size_t n, std::size_t levels) {
-  check_levels(n, levels);
-  la::Matrix h(n, n);
-  la::Vector e(n, 0.0);
-  for (std::size_t c = 0; c < n; ++c) {
-    e.fill(0.0);
-    e[c] = 1.0;
-    const la::Vector col = haar1d(e, levels);
-    h.set_col(c, col);
-  }
-  return h;
 }
 
 }  // namespace flexcs::dsp

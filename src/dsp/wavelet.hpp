@@ -24,26 +24,15 @@ la::Matrix haar2d(const la::Matrix& img, std::size_t levels);
 /// Inverse of haar2d.
 la::Matrix ihaar2d(const la::Matrix& coeffs, std::size_t levels);
 
-/// Dense n x n analysis matrix H with coeffs = H x (1-D, given levels).
-la::Matrix haar_matrix(std::size_t n, std::size_t levels);
-
-// Fast in-place Haar kernels (lifting-style butterflies on raw buffers).
+// Fast in-place 2-D Haar kernels (lifting-style butterflies on raw buffers),
+// the kernels of dsp::BasisTransform's Haar basis.
 //
-// Numerically identical to haar1d/haar2d above — same butterfly, same
-// visiting order — but without per-step temporary vectors or per-column
-// strided walks: the 1-D kernels run in place with one half-length scratch,
-// and the 2-D column pass is restructured as row-pair sweeps so every inner
-// loop is contiguous. These are the per-apply kernels of the matrix-free
-// operator; haar1d/haar2d stay as the golden reference they are tested
-// against. `scratch` is grown on demand and reusable across calls.
-
-/// In-place 1-D analysis on v[0..n); levels <= max_haar_levels(n) (checked).
-void haar1d_inplace(double* v, std::size_t n, std::size_t levels,
-                    std::vector<double>& scratch);
-
-/// Inverse of haar1d_inplace.
-void ihaar1d_inplace(double* v, std::size_t n, std::size_t levels,
-                     std::vector<double>& scratch);
+// Bit-identical to haar2d/ihaar2d above — same butterfly, same visiting
+// order — but without per-step temporary vectors or per-column strided
+// walks: each row runs in place with one half-length scratch, and the column
+// pass is restructured as row-pair sweeps so every inner loop is contiguous.
+// haar2d/ihaar2d stay as the golden reference they are tested against.
+// `scratch` is grown on demand and reusable across calls.
 
 /// In-place separable 2-D analysis on a rows×cols row-major buffer.
 void haar2d_inplace(double* a, std::size_t rows, std::size_t cols,

@@ -302,24 +302,6 @@ Vector matvec_t(const Matrix& a, const Vector& x) {
 
 Matrix gram(const Matrix& a) { return matmul_at_b(a, a); }
 
-double spectral_norm(const Matrix& a, int iters) {
-  if (a.empty()) return 0.0;
-  // Power iteration on a^T a with a deterministic, non-degenerate start.
-  Vector v(a.cols());
-  for (std::size_t i = 0; i < v.size(); ++i)
-    v[i] = 1.0 + 0.001 * static_cast<double>(i % 17);
-  v /= v.norm2();
-  double sigma = 0.0;
-  for (int it = 0; it < iters; ++it) {
-    Vector w = matvec_t(a, matvec(a, v));
-    const double n = w.norm2();
-    if (n == 0.0) return 0.0;
-    v = w / n;
-    sigma = std::sqrt(n);
-  }
-  return sigma;
-}
-
 double max_abs_diff(const Matrix& a, const Matrix& b) {
   FLEXCS_CHECK(a.rows() == b.rows() && a.cols() == b.cols(),
                "max_abs_diff shape mismatch");

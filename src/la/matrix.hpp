@@ -153,7 +153,8 @@ Vector matvec_t(const Matrix& a, const Vector& x);
 /// Gram matrix a^T a.
 Matrix gram(const Matrix& a);
 
-/// Largest singular value via power iteration on a^T a. Deterministic start.
+/// Largest singular value via power iteration on a^T a. Deterministic start:
+/// la::operator_norm_estimate on the borrowed matrix (la/operator.hpp).
 double spectral_norm(const Matrix& a, int iters = 60);
 
 /// Max |a(i,j) - b(i,j)|; shapes must match.

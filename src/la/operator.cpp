@@ -65,8 +65,7 @@ Vector DenseOperator::apply_adjoint(const Vector& y) const {
 
 double operator_norm_estimate(const LinearOperator& a, int iters) {
   if (a.empty()) return 0.0;
-  // Mirrors la::spectral_norm exactly (same deterministic start, same update)
-  // so DenseOperator estimates match spectral_norm(matrix) bit-for-bit.
+  // Power iteration on Aᵀ·A with a deterministic, non-degenerate start.
   Vector v(a.cols());
   for (std::size_t i = 0; i < v.size(); ++i)
     v[i] = 1.0 + 0.001 * static_cast<double>(i % 17);
@@ -80,6 +79,10 @@ double operator_norm_estimate(const LinearOperator& a, int iters) {
     sigma = std::sqrt(n);
   }
   return sigma;
+}
+
+double spectral_norm(const Matrix& a, int iters) {
+  return operator_norm_estimate(DenseOperator::borrowed(a), iters);
 }
 
 Matrix to_dense(const LinearOperator& a,

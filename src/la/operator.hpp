@@ -98,9 +98,9 @@ class DenseOperator final : public LinearOperator {
   double frobenius_ = 0.0;
 };
 
-/// Largest singular value estimate via power iteration on AᵀA, with the same
-/// deterministic start vector and iteration count as la::spectral_norm — for
-/// a DenseOperator the result is bit-identical to spectral_norm(matrix).
+/// Largest singular value estimate via power iteration on AᵀA from a
+/// deterministic start vector. la::spectral_norm(m) is this loop on
+/// DenseOperator::borrowed(m).
 double operator_norm_estimate(const LinearOperator& a, int iters = 60);
 
 /// Materialises the operator as a dense matrix, one apply per column

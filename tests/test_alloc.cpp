@@ -2,13 +2,14 @@
 // operator new with a counting one, so it runs on its own, apart from the
 // other suites.
 //
-// A single-frame matrix-free FISTA iteration allocates nothing: the
-// gradient Aᵀ·A·y lands in a buffer the solve owns (the transform
-// operator's fused normal apply works in its thread's scratch), and the
-// shrink, the momentum step, the convergence maxima and the x/y write-back
-// all run in preallocated buffers. A CG iteration of the debias re-fit
-// allocates nothing either: its normal apply gathers into the buffer the
-// CG solve owns.
+// A single-frame matrix-free FISTA iteration allocates nothing, over either
+// basis: the gradient Aᵀ·A·y lands in a buffer the solve owns (the
+// transform operator's fused normal apply works in its thread's scratch),
+// and the shrink, the momentum step, the convergence maxima and the x/y
+// write-back all run in preallocated buffers. A CG iteration of the debias
+// re-fit allocates nothing either: its normal apply gathers into the buffer
+// the CG solve owns. The operator's full synthesis allocates only the frame
+// it returns.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -65,20 +66,22 @@ std::size_t allocations_for(const la::LinearOperator& a, const la::Vector& b,
 }
 
 TEST(FistaAllocations, NonePerIterationOnATransformOperator) {
-  Rng rng(0xA110C);
-  const cs::SubsampledTransformOperator op(
-      dsp::BasisKind::kDct2D, cs::random_pattern(20, 20, 0.5, rng));
-  la::Vector b(op.rows());
-  for (double& v : b) v = rng.normal();
+  for (const auto basis : {dsp::BasisKind::kDct2D, dsp::BasisKind::kHaar2D}) {
+    Rng rng(0xA110C);
+    const cs::SubsampledTransformOperator op(
+        basis, cs::random_pattern(20, 20, 0.5, rng));
+    la::Vector b(op.rows());
+    for (double& v : b) v = rng.normal();
 
-  allocations_for(op, b, 4);  // warm the operator's thread-local workspace
-  constexpr int kShort = 20, kLong = 60;
-  const std::size_t short_run = allocations_for(op, b, kShort);
-  const std::size_t long_run = allocations_for(op, b, kLong);
-  // allocs(K2) == allocs(K1): no iteration allocates.
-  EXPECT_EQ(long_run, short_run)
-      << short_run << " allocations at " << kShort << " iterations, "
-      << long_run << " at " << kLong;
+    allocations_for(op, b, 4);  // warm the operator's thread-local workspace
+    constexpr int kShort = 20, kLong = 60;
+    const std::size_t short_run = allocations_for(op, b, kShort);
+    const std::size_t long_run = allocations_for(op, b, kLong);
+    // allocs(K2) == allocs(K1): no iteration allocates.
+    EXPECT_EQ(long_run, short_run)
+        << dsp::to_string(basis) << ": " << short_run << " allocations at "
+        << kShort << " iterations, " << long_run << " at " << kLong;
+  }
 }
 
 TEST(FistaAllocations, FixedSetupOfOneSolve) {
@@ -94,6 +97,23 @@ TEST(FistaAllocations, FixedSetupOfOneSolve) {
   constexpr int kIterations = 20;
   const std::size_t total = allocations_for(op, b, kIterations);
   EXPECT_EQ(total, 6u) << total << " allocations";
+}
+
+TEST(TransformOperatorAllocations, HaarSynthesizeAllocatesOnlyItsFrame) {
+  // The decoder's final Ψ·x runs the in-place lifting in the thread's
+  // workspace, writing straight into the returned frame.
+  Rng rng(0x5A17);
+  const cs::SubsampledTransformOperator op(
+      dsp::BasisKind::kHaar2D, cs::random_pattern(32, 32, 0.5, rng));
+  la::Vector x(op.cols());
+  for (double& v : x) v = rng.normal();
+
+  op.synthesize(x);  // warm the operator's thread-local workspace
+  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+  const la::Matrix frame = op.synthesize(x);
+  const std::size_t after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_EQ(after - before, 1u) << after - before << " allocations";
+  EXPECT_EQ(frame.rows(), 32u);
 }
 
 // Heap allocations made by one debias re-fit whose stop hook fires at its

@@ -7,6 +7,7 @@
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
+#include "dsp/basis.hpp"
 #include "la/decomp.hpp"
 
 namespace flexcs::dsp {
@@ -86,7 +87,10 @@ TEST(Dct, RoundTrip2D) {
                       {32, 32},
                       {100, 33}}) {
     const la::Matrix img = random_matrix(r, c, rng);
-    EXPECT_LT(la::max_abs_diff(idct2d(dct2d(img)), img), 1e-10)
+    EXPECT_LT(la::max_abs_diff(synthesize(BasisKind::kDct2D,
+                                          analyze(BasisKind::kDct2D, img)),
+                               img),
+              1e-10)
         << r << "x" << c;
   }
 }
@@ -94,7 +98,8 @@ TEST(Dct, RoundTrip2D) {
 TEST(Dct, TwoDEnergyPreserved) {
   Rng rng(5);
   const la::Matrix img = random_matrix(16, 12, rng);
-  EXPECT_NEAR(dct2d(img).norm_fro(), img.norm_fro(), 1e-10);
+  EXPECT_NEAR(analyze(BasisKind::kDct2D, img).norm_fro(), img.norm_fro(),
+              1e-10);
 }
 
 TEST(Dct, TwoDSeparability) {
@@ -105,7 +110,7 @@ TEST(Dct, TwoDSeparability) {
   la::Matrix outer(8, 6);
   for (std::size_t i = 0; i < 8; ++i)
     for (std::size_t j = 0; j < 6; ++j) outer(i, j) = u[i] * v[j];
-  const la::Matrix c2 = dct2d(outer);
+  const la::Matrix c2 = analyze(BasisKind::kDct2D, outer);
   const la::Vector cu = dct1d(u);
   const la::Vector cv = dct1d(v);
   for (std::size_t i = 0; i < 8; ++i)
@@ -115,39 +120,8 @@ TEST(Dct, TwoDSeparability) {
 
 TEST(Dct, EmptyInputsThrow) {
   EXPECT_THROW(dct1d(la::Vector{}), CheckError);
-  EXPECT_THROW(dct2d(la::Matrix{}), CheckError);
+  EXPECT_THROW(analyze(BasisKind::kDct2D, la::Matrix{}), CheckError);
   EXPECT_THROW(dct_matrix(0), CheckError);
-}
-
-TEST(Zigzag, VisitsEveryIndexOnce) {
-  for (auto [r, c] : {std::pair<std::size_t, std::size_t>{1, 1},
-                      {4, 4},
-                      {3, 5},
-                      {5, 3},
-                      {8, 8}}) {
-    const auto order = zigzag_order(r, c);
-    ASSERT_EQ(order.size(), r * c);
-    std::vector<bool> seen(r * c, false);
-    for (std::size_t idx : order) {
-      ASSERT_LT(idx, r * c);
-      EXPECT_FALSE(seen[idx]);
-      seen[idx] = true;
-    }
-  }
-}
-
-TEST(Zigzag, StartsAtDcEndsAtHighestFrequency) {
-  const auto order = zigzag_order(4, 4);
-  EXPECT_EQ(order.front(), 0u);
-  EXPECT_EQ(order.back(), 15u);
-}
-
-TEST(Zigzag, KnownOrderFor3x3) {
-  // 0 1 2
-  // 3 4 5
-  // 6 7 8
-  const std::vector<std::size_t> expected{0, 1, 3, 6, 4, 2, 5, 7, 8};
-  EXPECT_EQ(zigzag_order(3, 3), expected);
 }
 
 }  // namespace

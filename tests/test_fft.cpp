@@ -1,6 +1,6 @@
 // Transform kernels vs their golden references: the folded DCT plans against
 // the naive O(n²) cosine sums (dsp::dct1d/idct1d), and the in-place lifting
-// Haar against dsp::haar1d/haar2d. The naive paths are the definition of the
+// Haar against dsp::haar2d/ihaar2d. The naive paths are the definition of the
 // transforms in this library; the plans must agree to near machine precision
 // at every length — even, odd, prime, pow2 and the degenerate n = 1.
 #include "dsp/fft.hpp"
@@ -15,6 +15,7 @@
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
+#include "dsp/basis.hpp"
 #include "dsp/dct.hpp"
 #include "dsp/fold_kernel.hpp"
 #include "dsp/wavelet.hpp"
@@ -110,8 +111,8 @@ TEST(Dct1dPlan, ZeroLengthThrows) {
 
 TEST(Dct1dPlan, TwoDimApplyMatchesDct2d) {
   // Non-square, mixed pow2/non-pow2 grids: the 2-D helpers must agree with
-  // dsp::dct2d / idct2d (which are themselves pinned to the dense matrix
-  // form by the dct tests).
+  // the one-shot dsp::analyze / synthesize of the DCT basis (which the dct
+  // and basis tests pin to the dense matrix form).
   struct Grid { std::size_t rows, cols; };
   for (const Grid g : {Grid{8, 16}, Grid{12, 20}, Grid{7, 32}, Grid{5, 3}}) {
     Rng rng(0xF3 + g.rows * 37 + g.cols);
@@ -124,9 +125,9 @@ TEST(Dct1dPlan, TwoDimApplyMatchesDct2d) {
     dct2d_apply(row_plan, col_plan, a.data(), fwd.data(), g.rows, g.cols, ws);
     idct2d_apply(row_plan, col_plan, a.data(), inv.data(), g.rows, g.cols,
                  ws);
-    EXPECT_LT(la::max_abs_diff(fwd, dct2d(a)), 1e-12)
+    EXPECT_LT(la::max_abs_diff(fwd, analyze(BasisKind::kDct2D, a)), 1e-12)
         << g.rows << "x" << g.cols;
-    EXPECT_LT(la::max_abs_diff(inv, idct2d(a)), 1e-12)
+    EXPECT_LT(la::max_abs_diff(inv, synthesize(BasisKind::kDct2D, a)), 1e-12)
         << g.rows << "x" << g.cols;
   }
 }
@@ -389,29 +390,6 @@ TEST(Dct1dPlan, KernelKeepsItsSummationOrder) {
   }
 }
 
-TEST(HaarInplace, OneDimMatchesReferenceBitForBit) {
-  // Same butterfly expressions, different traversal order — the lifting
-  // kernels must reproduce haar1d / ihaar1d exactly, not just closely.
-  std::vector<double> scratch;
-  for (const std::size_t n : {2u, 4u, 8u, 12u, 32u, 64u, 256u}) {
-    for (std::size_t levels = 1; levels <= max_haar_levels(n); ++levels) {
-      Rng rng(0xA0 + n + levels);
-      const la::Vector x = random_vector(n, rng);
-
-      const la::Vector ref = haar1d(x, levels);
-      la::Vector fast = x;
-      haar1d_inplace(fast.data(), n, levels, scratch);
-      for (std::size_t i = 0; i < n; ++i)
-        EXPECT_EQ(fast[i], ref[i]) << "n=" << n << " levels=" << levels;
-
-      const la::Vector back_ref = ihaar1d(ref, levels);
-      ihaar1d_inplace(fast.data(), n, levels, scratch);
-      for (std::size_t i = 0; i < n; ++i)
-        EXPECT_EQ(fast[i], back_ref[i]) << "n=" << n << " levels=" << levels;
-    }
-  }
-}
-
 TEST(HaarInplace, TwoDimMatchesReferenceBitForBit) {
   struct Grid { std::size_t rows, cols; };
   std::vector<double> scratch;
@@ -442,21 +420,21 @@ TEST(HaarInplace, TwoDimMatchesReferenceBitForBit) {
 
 TEST(HaarInplace, InvalidLevelsThrow) {
   std::vector<double> scratch;
-  std::vector<double> v(8, 0.0);
-  EXPECT_THROW(haar1d_inplace(v.data(), 8, 4, scratch), CheckError);
-  EXPECT_THROW(ihaar1d_inplace(v.data(), 6, 2, scratch), CheckError);
   std::vector<double> grid(8 * 8, 0.0);
   EXPECT_THROW(haar2d_inplace(grid.data(), 8, 8, 4, scratch), CheckError);
   EXPECT_THROW(ihaar2d_inplace(grid.data(), 8, 8, 4, scratch), CheckError);
 }
 
 TEST(Dct2d, PlanBackedTransformsStillRoundTrip) {
-  // dsp::dct2d / idct2d now run through plans internally; keep an end-to-end
-  // round-trip pinned at a non-square, non-pow2 grid.
+  // The one-shot DCT analyze / synthesize run through plans; keep an
+  // end-to-end round-trip pinned at a non-square, non-pow2 grid.
   Rng rng(0xF4);
   la::Matrix a(12, 10);
   for (std::size_t i = 0; i < a.size(); ++i) a.data()[i] = rng.normal();
-  EXPECT_LT(la::max_abs_diff(idct2d(dct2d(a)), a), 1e-12);
+  EXPECT_LT(la::max_abs_diff(synthesize(BasisKind::kDct2D,
+                                        analyze(BasisKind::kDct2D, a)),
+                             a),
+            1e-12);
 }
 
 }  // namespace

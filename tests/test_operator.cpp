@@ -118,21 +118,6 @@ TEST(SubsampledTransformOperator, MatchesDensePsiRowSelectionEntrywise) {
   }
 }
 
-TEST(TransformPlans, SquareGridBuildsOnePlanForBothAxes) {
-  // The 1-D plan depends only on its length, so a square grid's row and
-  // column axes share one; a rectangular grid keeps one plan per axis.
-  const TransformPlans square(dsp::BasisKind::kDct2D, 32, 32);
-  EXPECT_EQ(square.memory_bytes(), dsp::Dct1dPlan(32).memory_bytes());
-  EXPECT_EQ(&square.row_plan(), &square.col_plan());
-  const TransformPlans wide(dsp::BasisKind::kDct2D, 16, 20);
-  EXPECT_EQ(wide.memory_bytes(), dsp::Dct1dPlan(20).memory_bytes() +
-                                     dsp::Dct1dPlan(16).memory_bytes());
-  EXPECT_EQ(wide.row_plan().size(), 20u);
-  EXPECT_EQ(wide.col_plan().size(), 16u);
-  EXPECT_EQ(TransformPlans(dsp::BasisKind::kHaar2D, 32, 32).memory_bytes(),
-            0u);
-}
-
 TEST(SubsampledTransformOperator, NormBoundIsValidAndNearlyTight) {
   Rng rng(0x51617);
   const SamplingPattern p = random_pattern(12, 12, 0.5, rng);

@@ -73,6 +73,13 @@ Enforces project invariants the compiler cannot express:
                     a DenseOperator and an implicit operator of the same
                     entries take the same path; a second, dense-only kernel
                     is a path no decode runs
+  basis-branch      under src/, only src/dsp/ may compare against or `case`
+                    on a `BasisKind::k*` enumerator. dsp::BasisTransform is
+                    the one place that picks the DCT or the Haar kernels;
+                    a basis branch anywhere else is a second copy of that
+                    dispatch. Assigning a basis (`opts.basis =
+                    dsp::BasisKind::kHaar2D`) and comparing two bases
+                    (`opts.basis == opts_.basis`) do not fire
   unset-option      every scalar field with a default initializer in an
                     option struct of the decode stack (headers in
                     src/runtime, src/cs, src/solvers and src/rpca: *Options,
@@ -720,6 +727,32 @@ def check_dense_branch(f: SourceFile) -> List[Finding]:
     return findings
 
 
+# Where a basis may be branched on (basis-branch rule): the dsp layer alone.
+BASIS_BRANCH_ALLOWED_PREFIX = "src/dsp/"
+_BASIS_BRANCH_RE = re.compile(
+    r"[=!]=\s*(?:\w+::)*BasisKind::k\w+"
+    r"|\bBasisKind::k\w+\s*[=!]="
+    r"|\bcase\s+(?:\w+::)*BasisKind::k\w+")
+
+
+def check_basis_branch(f: SourceFile) -> List[Finding]:
+    if not f.relpath.startswith("src/"):
+        return []
+    if f.relpath.startswith(BASIS_BRANCH_ALLOWED_PREFIX):
+        return []
+    findings: List[Finding] = []
+    for idx, line in enumerate(f.stripped_lines, start=1):
+        if _BASIS_BRANCH_RE.search(line):
+            fd = f.finding_unless_allowed(
+                idx, "basis-branch",
+                "branch on the sparsifying basis outside src/dsp/ — run "
+                "dsp::BasisTransform's analyze/synthesize, which is the one "
+                "DCT/Haar dispatch")
+            if fd:
+                findings.append(fd)
+    return findings
+
+
 FILE_RULES: Sequence[Callable[[SourceFile], List[Finding]]] = (
     check_pragma_once,
     check_using_namespace,
@@ -730,6 +763,7 @@ FILE_RULES: Sequence[Callable[[SourceFile], List[Finding]]] = (
     check_deadline_poll,
     check_target_attributes,
     check_dense_branch,
+    check_basis_branch,
 )
 
 

@@ -981,6 +981,71 @@ class DenseBranchTest(unittest.TestCase):
         self.assertNotIn("dense-branch", rules_fired(clean))
 
 
+class BasisBranchTest(unittest.TestCase):
+    BRANCH = ("  if (basis() == dsp::BasisKind::kDct2D) {\n"
+              "    std::fill(x, x + pattern_.n(), 0.0);\n"
+              "  }\n")
+
+    def test_comparisons_either_side_fire(self):
+        for line in ("bool d = kind == dsp::BasisKind::kDct2D;\n",
+                     "bool h = flexcs::dsp::BasisKind::kHaar2D != kind;\n",
+                     "bool d = opts.basis==BasisKind::kDct2D;\n",
+                     "const char* s = b == dsp::BasisKind::kDct2D ? \"a\" "
+                     ": \"b\";\n"):
+            f = lint_fixture({"src/cs/decoder.cpp": line})
+            self.assertIn("basis-branch", rules_fired(f), line)
+
+    def test_switch_case_fires_in_every_layer_but_dsp(self):
+        switch = ("int f(dsp::BasisKind k) {\n  switch (k) {\n"
+                  "    case dsp::BasisKind::kDct2D: return 0;\n"
+                  "    case BasisKind::kHaar2D: return 1;\n  }\n"
+                  "  return 2;\n}\n")
+        for rel in ("src/cs/transform_operator.cpp", "src/runtime/worker.cpp",
+                    "src/solvers/fista.hpp"):
+            f = lint_fixture({rel: "#pragma once\n" + switch})
+            hits = [x for x in f if x.rule == "basis-branch"]
+            self.assertEqual(2, len(hits), rel)
+        f = lint_fixture({"src/dsp/basis.cpp": switch})
+        self.assertNotIn("basis-branch", rules_fired(f))
+
+    def test_assignments_and_other_directories_clean(self):
+        f = lint_fixture({
+            "src/cs/decoder.hpp": "#pragma once\nstruct DecoderOptions {\n"
+                                  "  dsp::BasisKind basis = "
+                                  "dsp::BasisKind::kDct2D;\n};\n",
+            "src/cs/decoder.cpp": "FLEXCS_CHECK(opts.basis == opts_.basis, "
+                                  "\"no\");\n"
+                                  "// basis() == dsp::BasisKind::kDct2D\n",
+            "bench/bench_solver_ablation.cpp":
+                "hopts.basis = dsp::BasisKind::kHaar2D;\n"
+                "bool d = c.basis == dsp::BasisKind::kDct2D;\n",
+            "tests/test_operator.cpp":
+                "EXPECT_EQ(op.basis(), dsp::BasisKind::kDct2D);\n"
+                "bool h = op.basis() == dsp::BasisKind::kHaar2D;\n",
+        })
+        self.assertNotIn("basis-branch", rules_fired(f))
+
+    def test_suppression_marker(self):
+        f = lint_fixture({"src/cs/decoder.cpp":
+                          "bool d = k == dsp::BasisKind::kDct2D;  "
+                          "// flexcs-lint: allow(basis-branch)\n"})
+        self.assertNotIn("basis-branch", rules_fired(f))
+
+    def test_real_transform_operator_with_a_basis_branch_fires(self):
+        root = Path(__file__).resolve().parent.parent
+        op = root / "src/cs/transform_operator.cpp"
+        if not op.is_file():
+            self.skipTest("not running inside the repo")
+        text = op.read_text()
+        anchor = "  transform_->analyze(ws.grid.data(), x, ws.basis);\n"
+        self.assertIn(anchor, text)
+        f = lint_fixture({"src/cs/transform_operator.cpp":
+                          text.replace(anchor, self.BRANCH + anchor)})
+        self.assertIn("basis-branch", rules_fired(f))
+        clean = lint_fixture({"src/cs/transform_operator.cpp": text})
+        self.assertNotIn("basis-branch", rules_fired(clean))
+
+
 class UnsetOptionTest(unittest.TestCase):
     HEADER = ("#pragma once\n"
               "struct FooOptions {\n"

@@ -34,7 +34,13 @@
 // DCT-III pair at the runtime's 20×20 and 36×36 tiles through each ISA
 // build of the folded kernel (baseline and AVX2, dsp/fold_kernel.hpp) in
 // interleaved blocks, and `kernel_isa` records which one this host's
-// decodes run.
+// decodes run. The `per_solve_self` section times FISTA's own work per
+// iteration — the coefficient passes between normal applies — on the
+// runtime's 20×20 and 36×36 DCT tiles and on 64×64: a solve's
+// solve_seconds minus the seconds its operator's ApplyStats metered, over
+// its iterations, in interleaved blocks whose order rotates. A figure that
+// is not finite and positive fails the run (exit 1), as the ctest smokes
+// check.
 //
 // Usage:
 //   bench_operator [--smoke] [--json] [--out PATH] [--micro]
@@ -122,6 +128,23 @@
 //         "blocks":       integer — interleaved blocks (order alternates)
 //         "reps":         integer — pairs per variant per block
 //       }, ...
+//     ],
+//     "per_solve_self": [    // one object per square DCT tile dim
+//       {
+//         "dim":              integer — tile dimension (20, 36, 64)
+//         "m":                integer — measurements (half the pixels)
+//         "tiles":            integer — thermal tiles, each solved once per
+//                                       block (default FISTA, re-fit stop
+//                                       on, operator norm hint 1)
+//         "iterations":       integer — FISTA iterations of one pass over
+//                                       the tiles (the same every block)
+//         "self_us_per_iter": number  — µs per iteration outside the
+//                                       operator: (solve_seconds - metered
+//                                       apply and adjoint seconds) /
+//                                       iterations, median over blocks
+//         "self_us_q1", "self_us_q3": number — its quartiles
+//         "blocks":           integer — interleaved blocks (order rotates)
+//       }, ...
 //     ]
 //   }
 // A --micro run emits the same object with "decode": [].
@@ -171,6 +194,11 @@ struct SweepConfig {
   std::vector<std::size_t> isa_dims = {20, 36};
   int isa_blocks = 15;
   int micro_blocks = 15;  // interleaved blocks per per_apply_1d cell
+  // FISTA solver-self tiles (the runtime's 20 and 36, and 64), thermal
+  // tiles per dim, and interleaved blocks.
+  std::vector<std::size_t> solve_dims = {20, 36, 64};
+  int solve_tiles = 8;
+  int solve_blocks = 15;
   double fraction = 0.3;
   // Tight tolerance: the equal-RMSE gate compares the two arms at 1e-6, so
   // both must converge well past the comparison threshold.
@@ -186,6 +214,9 @@ SweepConfig smoke_config() {
   cfg.isa_dims = {20};
   cfg.isa_blocks = 5;
   cfg.micro_blocks = 3;
+  cfg.solve_dims = {20};
+  cfg.solve_tiles = 2;
+  cfg.solve_blocks = 3;
   cfg.fraction = 0.4;
   cfg.fista_iterations = 1000;
   cfg.fista_tol = 1e-7;
@@ -550,6 +581,86 @@ std::vector<IsaCell> run_micro_isa(const SweepConfig& cfg) {
   return cells;
 }
 
+struct SolveSelfCell {
+  std::size_t dim = 0;
+  std::size_t m = 0;
+  int tiles = 0;
+  int iterations = 0;
+  double self_us_per_iter = 0.0;
+  double self_us_q1 = 0.0, self_us_q3 = 0.0;
+  int blocks = 0;
+};
+
+// FISTA's solver-self time per iteration: each block solves every tile of
+// a dim once, the dims in an order that rotates per block, and bills the
+// wall time its operator's ApplyStats did not meter (the coefficient
+// passes, the setup and the loop control) to the block's iterations.
+std::vector<SolveSelfCell> run_micro_solve(const SweepConfig& cfg) {
+  struct Tiles {
+    std::vector<std::unique_ptr<cs::SubsampledTransformOperator>> ops;
+    std::vector<la::Vector> bs;
+  };
+  const solvers::FistaSolver fista;
+  solvers::SolveOptions ctrl;
+  ctrl.operator_norm_hint = 1.0;  // the DCT tight frame's exact sigma_max
+  ctrl.refit_on_support = true;   // as the decoder's de-biased decodes
+
+  std::vector<SolveSelfCell> cells(cfg.solve_dims.size());
+  std::vector<Tiles> tiles(cfg.solve_dims.size());
+  for (std::size_t d = 0; d < cfg.solve_dims.size(); ++d) {
+    const std::size_t dim = cfg.solve_dims[d];
+    data::ThermalOptions topts;
+    topts.rows = topts.cols = dim;
+    const data::ThermalHandGenerator gen(topts);
+    Rng rng(0x5e1f + dim);
+    for (int k = 0; k < cfg.solve_tiles; ++k) {
+      const la::Matrix frame = gen.sample(rng).values;
+      const cs::SamplingPattern p = cs::random_pattern(dim, dim, 0.5, rng);
+      tiles[d].bs.push_back(cs::apply_pattern(p, frame.flatten()));
+      tiles[d].ops.push_back(std::make_unique<cs::SubsampledTransformOperator>(
+          dsp::BasisKind::kDct2D, p));
+    }
+    cells[d].dim = dim;
+    cells[d].m = tiles[d].ops.front()->rows();
+    cells[d].tiles = cfg.solve_tiles;
+    cells[d].blocks = cfg.solve_blocks;
+  }
+  // One pass over a dim's tiles: its iterations and self seconds.
+  const auto pass = [&](const Tiles& t, int& iterations) {
+    double self = 0.0;
+    iterations = 0;
+    for (std::size_t k = 0; k < t.ops.size(); ++k) {
+      const auto s0 = t.ops[k]->apply_stats();
+      const solvers::SolveResult r = fista.solve(*t.ops[k], t.bs[k], ctrl);
+      const auto s1 = t.ops[k]->apply_stats();
+      self += r.solve_seconds - (s1.apply_seconds - s0.apply_seconds) -
+              (s1.adjoint_seconds - s0.adjoint_seconds);
+      iterations += r.iterations;
+      g_sink = g_sink + r.x[0];
+    }
+    return self;
+  };
+  int warm = 0;  // warm the thread-local scratch and the caches
+  for (const Tiles& t : tiles) pass(t, warm);
+
+  std::vector<std::vector<double>> us(cells.size());
+  for (int blk = 0; blk < cfg.solve_blocks; ++blk) {
+    for (std::size_t k = 0; k < cells.size(); ++k) {
+      const std::size_t d = (static_cast<std::size_t>(blk) + k) % cells.size();
+      int iterations = 0;
+      const double self = pass(tiles[d], iterations);
+      cells[d].iterations = iterations;
+      us[d].push_back(1e6 * self / static_cast<double>(iterations));
+    }
+  }
+  for (std::size_t d = 0; d < cells.size(); ++d) {
+    cells[d].self_us_per_iter = quantile(us[d], 0.5);
+    cells[d].self_us_q1 = quantile(us[d], 0.25);
+    cells[d].self_us_q3 = quantile(us[d], 0.75);
+  }
+  return cells;
+}
+
 // ---------------------------------------------------------------------------
 // Output.
 // ---------------------------------------------------------------------------
@@ -559,6 +670,7 @@ std::string to_json(const bench::Provenance& provenance,
                     const std::vector<Micro1dCell>& micro1d,
                     const std::vector<MicroOpCell>& microop,
                     const std::vector<IsaCell>& micro_isa,
+                    const std::vector<SolveSelfCell>& micro_solve,
                     double calib_before_ms, double calib_after_ms) {
   std::string out = strformat(
       "{\n\"provenance\": %s,\n\"kernel_isa\": \"%s\",\n"
@@ -621,6 +733,16 @@ std::string to_json(const bench::Provenance& provenance,
         c.reps,
         i + 1 < micro_isa.size() ? "," : "");
   }
+  out += "],\n\"per_solve_self\": [\n";
+  for (std::size_t i = 0; i < micro_solve.size(); ++i) {
+    const SolveSelfCell& c = micro_solve[i];
+    out += strformat(
+        "  {\"dim\": %zu, \"m\": %zu, \"tiles\": %d, \"iterations\": %d, "
+        "\"self_us_per_iter\": %.4f, \"self_us_q1\": %.4f, "
+        "\"self_us_q3\": %.4f, \"blocks\": %d}%s\n",
+        c.dim, c.m, c.tiles, c.iterations, c.self_us_per_iter, c.self_us_q1,
+        c.self_us_q3, c.blocks, i + 1 < micro_solve.size() ? "," : "");
+  }
   out += "]\n}\n";
   return out;
 }
@@ -664,7 +786,8 @@ void print_decode_table(const std::vector<OperatorCell>& cells,
 
 void print_micro_tables(const std::vector<Micro1dCell>& micro1d,
                         const std::vector<MicroOpCell>& microop,
-                        const std::vector<IsaCell>& micro_isa) {
+                        const std::vector<IsaCell>& micro_isa,
+                        const std::vector<SolveSelfCell>& micro_solve) {
   std::printf(
       "\nPer-apply 1-D DCT kernels — naive cosine sum vs cached dense "
       "factor vs plan (per-call ms, medians over interleaved blocks)\n");
@@ -707,6 +830,20 @@ void print_micro_tables(const std::vector<Micro1dCell>& micro1d,
                 strformat("%d", c.blocks)});
   }
   std::printf("%s", t3.to_text().c_str());
+
+  std::printf(
+      "\nFISTA solver-self time per iteration — solve_seconds minus the "
+      "operator's ApplyStats, median over interleaved blocks\n");
+  Table t4({"dim", "m", "tiles", "iterations", "self us/iter [q1, q3]",
+            "blocks"});
+  for (const SolveSelfCell& c : micro_solve) {
+    t4.add_row({strformat("%zu", c.dim), strformat("%zu", c.m),
+                strformat("%d", c.tiles), strformat("%d", c.iterations),
+                strformat("%.3f [%.3f, %.3f]", c.self_us_per_iter,
+                          c.self_us_q1, c.self_us_q3),
+                strformat("%d", c.blocks)});
+  }
+  std::printf("%s", t4.to_text().c_str());
 }
 
 }  // namespace
@@ -750,11 +887,12 @@ int main(int argc, char** argv) {
   const std::vector<Micro1dCell> micro1d = run_micro_1d(cfg);
   const std::vector<MicroOpCell> microop = run_micro_operator(cfg);
   const std::vector<IsaCell> micro_isa = run_micro_isa(cfg);
+  const std::vector<SolveSelfCell> micro_solve = run_micro_solve(cfg);
   const double calib_after_ms = bench::host_calib_ms();
 
   if (args.json) {
     const std::string out = to_json(provenance, cells, micro1d, microop,
-                                    micro_isa, calib_before_ms,
+                                    micro_isa, micro_solve, calib_before_ms,
                                     calib_after_ms);
     std::fputs(out.c_str(), stdout);
     // A micro-only run carries an empty decode section; recording it to the
@@ -765,7 +903,7 @@ int main(int argc, char** argv) {
           args, FLEXCS_SOURCE_DIR "/BENCH_operator.json"));
   } else {
     if (!micro_only) print_decode_table(cells, cfg);
-    print_micro_tables(micro1d, microop, micro_isa);
+    print_micro_tables(micro1d, microop, micro_isa, micro_solve);
     std::printf("host calibration: %.2f ms before, %.2f ms after\n",
                 calib_before_ms, calib_after_ms);
   }
@@ -774,6 +912,13 @@ int main(int argc, char** argv) {
     if (c.max_abs_err <= kMaxKernelErr) continue;
     std::fprintf(stderr, "FAIL: n = %zu %s max_abs_err %.3e > %.0e\n", c.n,
                  c.forward ? "dct2" : "dct3", c.max_abs_err, kMaxKernelErr);
+    status = 1;
+  }
+  for (const SolveSelfCell& c : micro_solve) {
+    if (std::isfinite(c.self_us_per_iter) && c.self_us_per_iter > 0.0)
+      continue;
+    std::fprintf(stderr, "FAIL: dim %zu self_us_per_iter %g is not positive\n",
+                 c.dim, c.self_us_per_iter);
     status = 1;
   }
   return status;

@@ -1,5 +1,6 @@
 #include "cs/transform_operator.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <chrono>
 #include <utility>
@@ -14,7 +15,7 @@ namespace flexcs::cs {
 // of buffers serves every operator instance on that thread; buffers only
 // grow, so a steady-state decode loop never reallocates.
 struct SubsampledTransformOperator::Scratch {
-  std::vector<double> grid;  // coefficient / frame grid (n doubles)
+  std::vector<double> grid;  // apply()'s frame before the gather (n doubles)
   dsp::BasisWorkspace basis;
 };
 
@@ -92,10 +93,11 @@ void SubsampledTransformOperator::apply_into(const double* x, double* y,
 
 void SubsampledTransformOperator::adjoint_into(const double* y, double* x,
                                                Scratch& ws) const {
-  ws.grid.assign(pattern_.n(), 0.0);
+  // Scatter the measurements into x's grid and analyse it in place.
+  std::fill(x, x + pattern_.n(), 0.0);
   const std::size_t m = pattern_.indices.size();
-  for (std::size_t k = 0; k < m; ++k) ws.grid[pattern_.indices[k]] = y[k];
-  transform_->analyze(ws.grid.data(), x, ws.basis);
+  for (std::size_t k = 0; k < m; ++k) x[pattern_.indices[k]] = y[k];
+  transform_->analyze(x, x, ws.basis);
 }
 
 void SubsampledTransformOperator::zero_unsampled(double* frame) const {
@@ -142,13 +144,13 @@ void SubsampledTransformOperator::apply_normal(const la::Vector& x,
   const std::size_t n = pattern_.n();
   out.resize(n);
   Scratch& ws = local_scratch();
-  // The sampled pixels carry exactly the values apply() gathers and
+  // The frame is synthesised into `out`, masked, and analysed in place. The
+  // sampled pixels carry exactly the values apply() gathers and
   // apply_adjoint() scatters back, and every other pixel is +0.0 in both,
   // so the analysis sees the same grid bit for bit.
-  ws.grid.resize(n);
-  transform_->synthesize(x.data(), ws.grid.data(), ws.basis);
-  zero_unsampled(ws.grid.data());
-  transform_->analyze(ws.grid.data(), out.data(), ws.basis);
+  transform_->synthesize(x.data(), out.data(), ws.basis);
+  zero_unsampled(out.data());
+  transform_->analyze(out.data(), out.data(), ws.basis);
   const std::uint64_t ns = elapsed_ns(t0);
   apply_count_.fetch_add(1, std::memory_order_relaxed);
   adjoint_count_.fetch_add(1, std::memory_order_relaxed);

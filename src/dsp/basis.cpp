@@ -48,8 +48,9 @@ void BasisTransform::analyze(const double* in, double* out,
       dct2d_apply(row_plan(), col_plan(), in, out, rows_, cols_, ws.dct);
       return;
     case BasisKind::kHaar2D:
-      // The lifting runs in place, so it analyses a copy of `in`.
-      std::copy(in, in + rows_ * cols_, out);
+      // The lifting runs in place, so it analyses a copy of `in`, or `in`
+      // itself when the caller asked for an in-place transform.
+      if (in != out) std::copy(in, in + rows_ * cols_, out);
       haar2d_inplace(out, rows_, cols_, haar_levels_, ws.haar);
       return;
   }
@@ -62,7 +63,7 @@ void BasisTransform::synthesize(const double* in, double* out,
       idct2d_apply(row_plan(), col_plan(), in, out, rows_, cols_, ws.dct);
       return;
     case BasisKind::kHaar2D:
-      std::copy(in, in + rows_ * cols_, out);
+      if (in != out) std::copy(in, in + rows_ * cols_, out);
       ihaar2d_inplace(out, rows_, cols_, haar_levels_, ws.haar);
       return;
   }

@@ -53,9 +53,12 @@ class BasisTransform {
   std::size_t memory_bytes() const;
 
   /// Coefficients x = Ψᵀ·frame of a rows×cols row-major buffer. `in` and
-  /// `out` are rows*cols doubles and must not alias.
+  /// `out` are rows*cols doubles; `in == out` transforms in place, to the
+  /// same bits (the DCT's row pass reads all of `in` into the workspace
+  /// before its column pass writes `out`, and the Haar lifting runs in place
+  /// anyway). Partial overlap is not allowed.
   void analyze(const double* in, double* out, BasisWorkspace& ws) const;
-  /// Frame = Ψ·x, the inverse of analyze. No aliasing.
+  /// Frame = Ψ·x, the inverse of analyze. `in == out` is allowed, as there.
   void synthesize(const double* in, double* out, BasisWorkspace& ws) const;
 
  private:

@@ -105,12 +105,15 @@ const char* kernel_isa();
 /// Separable 2-D DCT-II of a rows×cols row-major buffer: one kRows
 /// fold_pass of `row_plan` (size cols) over every row, then one kColumns
 /// fold_pass of `col_plan` (size rows), the folded left product D_r·A, so
-/// inner loops run over contiguous memory. `in` and `out` must not alias.
+/// inner loops run over contiguous memory. The row pass reads all of `in`
+/// into ws.a before the column pass writes `out`, so `in == out` runs in
+/// place to the same bits; any other overlap is not allowed.
 void dct2d_apply(const Dct1dPlan& row_plan, const Dct1dPlan& col_plan,
                  const double* in, double* out, std::size_t rows,
                  std::size_t cols, DctWorkspace& ws);
 
-/// Inverse of dct2d_apply (separable 2-D DCT-III). No aliasing.
+/// Inverse of dct2d_apply (separable 2-D DCT-III). `in == out` is allowed,
+/// as there.
 void idct2d_apply(const Dct1dPlan& row_plan, const Dct1dPlan& col_plan,
                   const double* in, double* out, std::size_t rows,
                   std::size_t cols, DctWorkspace& ws);

@@ -65,17 +65,20 @@ Vector DenseOperator::apply_adjoint(const Vector& y) const {
 
 double operator_norm_estimate(const LinearOperator& a, int iters) {
   if (a.empty()) return 0.0;
-  // Power iteration on Aᵀ·A with a deterministic, non-degenerate start.
-  Vector v(a.cols());
+  // Power iteration on Aᵀ·A with a deterministic, non-degenerate start. The
+  // normal apply lands in `w`, which then swaps with `v`: an operator whose
+  // apply_normal works in place allocates nothing per step.
+  Vector v(a.cols()), w(a.cols());
   for (std::size_t i = 0; i < v.size(); ++i)
     v[i] = 1.0 + 0.001 * static_cast<double>(i % 17);
   v /= v.norm2();
   double sigma = 0.0;
   for (int it = 0; it < iters; ++it) {
-    Vector w = a.apply_adjoint(a.apply(v));
+    a.apply_normal(v, w);
     const double n = w.norm2();
     if (n == 0.0) return 0.0;
-    v = w / n;
+    std::swap(v, w);
+    v /= n;
     sigma = std::sqrt(n);
   }
   return sigma;

@@ -1,7 +1,10 @@
 #include "solvers/fista.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstring>
+#include <utility>
 
 #include "common/check.hpp"
 
@@ -54,7 +57,7 @@ double lipschitz_sigma(const la::LinearOperator& a, const SolveOptions& ctrl) {
   const double bound = a.norm_upper_bound();
   if (a.dense() != nullptr && bound == 0.0) return 0.0;  // zero matrix
 
-  la::Vector v(a.cols());
+  la::Vector v(a.cols()), w(a.cols());
   for (std::size_t i = 0; i < v.size(); ++i)
     v[i] = 1.0 + 0.001 * static_cast<double>(i % 17);
   v /= v.norm2();
@@ -64,10 +67,11 @@ double lipschitz_sigma(const la::LinearOperator& a, const SolveOptions& ctrl) {
   for (int it = 0; it < kMaxIters; ++it) {
     if (ctrl.should_stop())  // safe bound, main loop exits next
       return bound > 0.0 ? bound : (sigma > 0.0 ? 1.05 * sigma : 1.0);
-    la::Vector w = a.apply_adjoint(a.apply(v));
+    a.apply_normal(v, w);
     const double n = w.norm2();
     if (n == 0.0) return bound;
-    v = w / n;
+    std::swap(v, w);
+    v /= n;
     const double next = std::sqrt(n);
     if (it > 0 && std::abs(next - sigma) <= kTol * next) {
       sigma = next;
@@ -78,6 +82,70 @@ double lipschitz_sigma(const la::LinearOperator& a, const SolveOptions& ctrl) {
   // Power iteration approaches sigma_max from below; pad the estimate so the
   // step 1/sigma^2 stays on the convergent side.
   return bound > 0.0 ? std::min(1.05 * sigma, bound) : 1.05 * sigma;
+}
+
+// Two doubles: the SSE2 width of every x86-64 host, and NEON's. The library
+// builds without ISA flags (flexcs_lint's build-flags rule), so this is the
+// widest vector every host runs; a wider type would be split into scalars.
+typedef double Vec2 __attribute__((vector_size(2 * sizeof(double))));
+// A lane-wise comparison's type: all-ones or all-zero 64-bit lanes.
+using Mask2 = decltype(Vec2{} < Vec2{});
+constexpr std::size_t kLanes = 2;
+
+struct ShrinkStats {
+  double dx = 0.0;          // max_i |x_new_i - x_i|
+  double xmax = 0.0;        // max_i |x_new_i|
+  std::size_t support = 0;  // |{i : x_new_i != 0}|
+};
+
+// The vector pass of one proximal-gradient step: x_new = soft_threshold(
+// y - step·(grad - atb), thresh), written over `grad`, and its maxima and
+// support. Each lane rounds as the scalar soft_threshold does: v, then
+// v - t or v + t, picked by bitmask; a shrunk lane is all-zero bits, +0.0.
+// The maxima are lane-wise and reduce in any order to the same bits, since
+// every operand is finite and non-negative. An odd N's last coefficient
+// takes the scalar path. Vectors stay in this function (GCC's -Wpsabi).
+ShrinkStats shrink_into_gradient(const double* y, const double* atb,
+                                 const double* x, double* grad, std::size_t n,
+                                 double step, double thresh) {
+  const Vec2 vstep = {step, step};
+  const Vec2 vthresh = {thresh, thresh};
+  const Mask2 abs_bits = {0x7fffffffffffffff, 0x7fffffffffffffff};
+  Vec2 dx{}, xmax{};
+  Mask2 support{};  // minus the support lanes: a true lane is -1
+  std::size_t i = 0;
+  for (; i + kLanes <= n; i += kLanes) {
+    Vec2 yv, gv, av, xv;
+    std::memcpy(&yv, y + i, sizeof(Vec2));
+    std::memcpy(&gv, grad + i, sizeof(Vec2));
+    std::memcpy(&av, atb + i, sizeof(Vec2));
+    std::memcpy(&xv, x + i, sizeof(Vec2));
+    const Vec2 v = yv - vstep * (gv - av);
+    const Mask2 shrunk =
+        ((v > vthresh) & std::bit_cast<Mask2>(v - vthresh)) |
+        ((v < -vthresh) & std::bit_cast<Mask2>(v + vthresh));
+    const Vec2 x_new = std::bit_cast<Vec2>(shrunk);
+    const Vec2 d = std::bit_cast<Vec2>(std::bit_cast<Mask2>(x_new - xv) &
+                                       abs_bits);
+    const Vec2 mag = std::bit_cast<Vec2>(shrunk & abs_bits);
+    dx = d > dx ? d : dx;
+    xmax = mag > xmax ? mag : xmax;
+    support += x_new != Vec2{};
+    std::memcpy(grad + i, &x_new, sizeof(Vec2));
+  }
+  ShrinkStats out;
+  out.dx = std::max(dx[0], dx[1]);
+  out.xmax = std::max(xmax[0], xmax[1]);
+  out.support = static_cast<std::size_t>(-(support[0] + support[1]));
+  for (; i < n; ++i) {
+    const double x_new = soft_threshold(y[i] - step * (grad[i] - atb[i]),
+                                        thresh);
+    out.dx = std::max(out.dx, std::fabs(x_new - x[i]));
+    out.xmax = std::max(out.xmax, std::fabs(x_new));
+    out.support += x_new != 0.0 ? 1u : 0u;
+    grad[i] = x_new;
+  }
+  return out;
 }
 
 }  // namespace
@@ -137,14 +205,16 @@ SolveResult FistaSolver::solve_impl(const la::LinearOperator& a,
       result.deadline_expired = true;
       break;
     }
-    // Proximal-gradient update from grad = A^T A y, fused into one pass over
-    // the coefficients: gradient offset, shrink, the change and magnitude
-    // maxima, momentum, the in-place x/y write-back, and the gradient
-    // adaptive-restart test g = <y_old - x_new, x_new - x_old> (O'Donoghue &
-    // Candes 2015), and the support count of the re-fit stop. g > 0 means the
-    // momentum step points uphill on the composite objective, so the solve
-    // drops its momentum (t = 1, y = x) and continues from x_new as a plain
-    // proximal step.
+    // Proximal-gradient update from grad = A^T A y, in two passes over the
+    // coefficients. The vector pass (shrink_into_gradient) offsets the
+    // gradient, shrinks, and writes x_new over grad, which is dead once read;
+    // it also reduces the change and magnitude maxima and counts the re-fit
+    // stop's support. The scalar pass sums the gradient adaptive-restart test
+    // g = <y_old - x_new, x_new - x_old> (O'Donoghue & Candes 2015) in
+    // ascending i from +0.0, then takes the momentum step and writes x and y
+    // back in place. g > 0 means the momentum step points uphill on the
+    // composite objective, so the solve drops its momentum (t = 1, y = x) and
+    // continues from x_new as a plain proximal step.
     a.apply_normal(y, grad);
     FLEXCS_CHECK(grad.size() == n, "FISTA: adjoint result size mismatch");
     double beta = 0.0;
@@ -153,16 +223,13 @@ SolveResult FistaSolver::solve_impl(const la::LinearOperator& a,
       beta = (t - 1.0) / t_new;
       t = t_new;
     }
-    double dx = 0.0, xmax = 0.0, g = 0.0;
-    std::size_t support = 0;
+    const ShrinkStats shrunk = shrink_into_gradient(
+        y.data(), atb.data(), x.data(), grad.data(), n, step, thresh);
+    double g = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
-      const double x_new = soft_threshold(y[i] - step * (grad[i] - atb[i]),
-                                          thresh);
+      const double x_new = grad[i];
       const double x_old = x[i];
-      dx = std::max(dx, std::fabs(x_new - x_old));
-      xmax = std::max(xmax, std::fabs(x_new));
       g += (y[i] - x_new) * (x_new - x_old);
-      support += x_new != 0.0 ? 1u : 0u;
       y[i] = opts_.accelerate ? x_new + beta * (x_new - x_old) : x_new;
       x[i] = x_new;
     }
@@ -171,7 +238,7 @@ SolveResult FistaSolver::solve_impl(const la::LinearOperator& a,
       y = x;
     }
     result.iterations = it + 1;
-    const double change = dx / std::max(1e-12, xmax);
+    const double change = shrunk.dx / std::max(1e-12, shrunk.xmax);
     if (stage_lambda > lambda) {
       // Stage switch: lower λ and drop the momentum, which points along the
       // previous stage's path.
@@ -186,7 +253,7 @@ SolveResult FistaSolver::solve_impl(const la::LinearOperator& a,
     result.converged =
         change < opts_.tol ||
         (refit_stop && change < kRefitStopTol &&
-         static_cast<double>(support) <= refit_max_support);
+         static_cast<double>(shrunk.support) <= refit_max_support);
     if (result.converged) break;
   }
 

@@ -12,6 +12,16 @@
 // the measurements: the re-fit replaces the values, so only the support has
 // to be right. A larger support runs on to `tol`, and tol = 0 still runs the
 // whole budget. Unflagged solves are unchanged bit for bit.
+//
+// An iteration is one normal apply A^T·A·y into a buffer the solve owns,
+// then two passes over the coefficients. A vector pass (GCC vector
+// extensions, 2 doubles, no ISA flag) shrinks y - step·(grad - A^T b) into
+// the gradient buffer and reduces the change and magnitude maxima and the
+// support count; a scalar pass sums the adaptive-restart test in ascending
+// order from +0.0 and writes x and y back. Every lane rounds as the scalar
+// shrink does and the maxima are exact in any order, so the iterates are
+// the bits of one fused scalar pass (tests/golden.hpp, golden::fista). An
+// iteration allocates nothing.
 #pragma once
 
 #include "solvers/solver.hpp"

@@ -1,8 +1,9 @@
-// Dense golden references for the matrix-free decoder: the explicit
-// measurement matrix A = Φ_M·Ψ (N x N Ψ built, then row-selected), a
-// Cholesky de-bias re-fit on its support columns, and a decode through it
-// that mirrors cs::Decoder step for step. cs::Decoder never builds any of
-// them; tests and benches compare it against these.
+// Golden references for the matrix-free decoder: the explicit measurement
+// matrix A = Φ_M·Ψ (N x N Ψ built, then row-selected), a Cholesky de-bias
+// re-fit on its support columns, a decode through it that mirrors
+// cs::Decoder step for step, and FISTA with its fused scalar coefficient
+// pass. The library never runs any of them; tests and benches compare it
+// against these.
 #pragma once
 
 #include <algorithm>
@@ -16,6 +17,8 @@
 #include "dsp/basis.hpp"
 #include "la/decomp.hpp"
 #include "la/matrix.hpp"
+#include "la/operator.hpp"
+#include "solvers/fista.hpp"
 #include "solvers/solver.hpp"
 
 namespace flexcs::golden {
@@ -106,6 +109,108 @@ inline cs::DecodeResult decode(const cs::SamplingPattern& pattern,
                                const cs::DecoderOptions& opts) {
   return decode(measurement_matrix(opts.basis, pattern), pattern, y, solver,
                 opts);
+}
+
+/// FistaSolver's solve as it ran before its coefficient pass was split into
+/// a vector shrink and a scalar restart sum: one fused scalar pass per
+/// iteration, copied verbatim (λ continuation 10λ → 2λ → λ, gradient
+/// adaptive restart, the re-fit stop). It counts the restarts and stage
+/// switches it takes, so a test can show that it covered both branches.
+/// Unbounded solves only: without an operator norm hint it estimates sigma
+/// by la::operator_norm_estimate, as FISTA's unbounded setup does.
+struct FistaTrace {
+  solvers::SolveResult result;
+  int restarts = 0;
+  int stage_switches = 0;
+};
+
+inline FistaTrace fista(const la::LinearOperator& a, const la::Vector& b,
+                        const solvers::FistaOptions& opts,
+                        const solvers::SolveOptions& ctrl) {
+  FLEXCS_CHECK(ctrl.deadline.unlimited() && !ctrl.cancel.cancelled(),
+               "golden::fista: unbounded solves only");
+  constexpr double kContinuationStart = 10.0;
+  constexpr double kContinuationShrink = 5.0;
+  constexpr double kStageTol = 1e-2;
+  constexpr double kRefitStopTol = 1e-4;
+  constexpr double kRefitMaxSupport = 0.6;
+  const std::size_t n = a.cols();
+
+  FistaTrace trace;
+  solvers::SolveResult& result = trace.result;
+  result.x = la::Vector(n, 0.0);
+  const double bnorm = b.norm2();
+  if (bnorm == 0.0) {
+    result.converged = true;
+    return trace;
+  }
+
+  const la::Vector atb = a.apply_adjoint(b);
+  const double lambda =
+      opts.lambda > 0.0 ? opts.lambda : 1e-3 * atb.norm_inf();
+  la::Vector& x = result.x;
+  la::Vector y = x;
+  la::Vector grad(n);
+  double t = 1.0;
+  const bool refit_stop = ctrl.refit_on_support && opts.tol > 0.0;
+  const double refit_max_support =
+      kRefitMaxSupport * static_cast<double>(a.rows());
+
+  const double sigma = ctrl.operator_norm_hint > 0.0
+                           ? ctrl.operator_norm_hint
+                           : la::operator_norm_estimate(a);
+  FLEXCS_CHECK(sigma > 0.0, "golden::fista: zero operator");
+  const double step = 1.0 / (sigma * sigma);
+  double stage_lambda = kContinuationStart * lambda;
+  double thresh = step * stage_lambda;
+
+  for (int it = 0; it < opts.max_iterations; ++it) {
+    a.apply_normal(y, grad);
+    double beta = 0.0;
+    if (opts.accelerate) {
+      const double t_new = 0.5 * (1.0 + std::sqrt(1.0 + 4.0 * t * t));
+      beta = (t - 1.0) / t_new;
+      t = t_new;
+    }
+    double dx = 0.0, xmax = 0.0, g = 0.0;
+    std::size_t support = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double x_new = solvers::soft_threshold(
+          y[i] - step * (grad[i] - atb[i]), thresh);
+      const double x_old = x[i];
+      dx = std::max(dx, std::fabs(x_new - x_old));
+      xmax = std::max(xmax, std::fabs(x_new));
+      g += (y[i] - x_new) * (x_new - x_old);
+      support += x_new != 0.0 ? 1u : 0u;
+      y[i] = opts.accelerate ? x_new + beta * (x_new - x_old) : x_new;
+      x[i] = x_new;
+    }
+    if (opts.accelerate && g > 0.0) {
+      t = 1.0;
+      y = x;
+      ++trace.restarts;
+    }
+    result.iterations = it + 1;
+    const double change = dx / std::max(1e-12, xmax);
+    if (stage_lambda > lambda) {
+      if (change < kStageTol) {
+        stage_lambda = std::max(lambda, stage_lambda / kContinuationShrink);
+        thresh = step * stage_lambda;
+        t = 1.0;
+        y = x;
+        ++trace.stage_switches;
+      }
+      continue;
+    }
+    result.converged =
+        change < opts.tol ||
+        (refit_stop && change < kRefitStopTol &&
+         static_cast<double>(support) <= refit_max_support);
+    if (result.converged) break;
+  }
+
+  result.residual_norm = (a.apply(x) - b).norm2();
+  return trace;
 }
 
 }  // namespace flexcs::golden

@@ -8,8 +8,9 @@
 // and the shrink, the momentum step, the convergence maxima and the x/y
 // write-back all run in preallocated buffers. A CG iteration of the debias
 // re-fit allocates nothing either: its normal apply gathers into the buffer
-// the CG solve owns. The operator's full synthesis allocates only the frame
-// it returns.
+// the CG solve owns, and neither does a step of the power iteration that
+// estimates sigma_max. The operator's full synthesis allocates only the
+// frame it returns.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -21,6 +22,7 @@
 #include "common/rng.hpp"
 #include "cs/sampling.hpp"
 #include "cs/transform_operator.hpp"
+#include "la/operator.hpp"
 #include "solvers/fista.hpp"
 #include "solvers/solver.hpp"
 
@@ -114,6 +116,29 @@ TEST(TransformOperatorAllocations, HaarSynthesizeAllocatesOnlyItsFrame) {
   const std::size_t after = g_allocations.load(std::memory_order_relaxed);
   EXPECT_EQ(after - before, 1u) << after - before << " allocations";
   EXPECT_EQ(frame.rows(), 32u);
+}
+
+TEST(PowerIterationAllocations, NonePerStepOnATransformOperator) {
+  // la::operator_norm_estimate runs its power iteration through
+  // apply_normal into one buffer it reuses, so its step count does not
+  // change how often it allocates.
+  Rng rng(0x90E7);
+  const cs::SubsampledTransformOperator op(
+      dsp::BasisKind::kDct2D, cs::random_pattern(20, 20, 0.5, rng));
+  const auto allocations = [&op](int iters) {
+    const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+    const double sigma = la::operator_norm_estimate(op, iters);
+    const std::size_t after = g_allocations.load(std::memory_order_relaxed);
+    EXPECT_GT(sigma, 0.0);
+    return after - before;
+  };
+  allocations(4);  // warm the operator's thread-local workspace
+  constexpr int kShort = 20, kLong = 60;
+  const std::size_t short_run = allocations(kShort);
+  const std::size_t long_run = allocations(kLong);
+  EXPECT_EQ(long_run, short_run)
+      << short_run << " allocations at " << kShort << " steps, " << long_run
+      << " at " << kLong;
 }
 
 // Heap allocations made by one debias re-fit whose stop hook fires at its

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
@@ -137,6 +138,31 @@ TEST(BasisTransform, OneShotsMatchTheKernelsBitForBit) {
           << g.rows << "x" << g.cols;
       EXPECT_EQ(dct_inv.data()[i], dct_inv_ref.data()[i])
           << g.rows << "x" << g.cols;
+    }
+  }
+}
+
+TEST(BasisTransform, InPlaceMatchesOutOfPlaceBitForBit) {
+  // analyze / synthesize with in == out, which the transform operator's
+  // adjoint and normal applies run, give exactly the out-of-place bits.
+  struct Grid { std::size_t rows, cols; };
+  for (const BasisKind basis : {BasisKind::kDct2D, BasisKind::kHaar2D}) {
+    for (const Grid g : {Grid{8, 8}, Grid{20, 20}, Grid{8, 12}, Grid{16, 6}}) {
+      const BasisTransform transform(basis, g.rows, g.cols);
+      Rng rng(0x1F + g.rows * 31 + g.cols);
+      const la::Matrix a = random_matrix(g.rows, g.cols, rng);
+      const std::size_t bytes = a.size() * sizeof(double);
+      BasisWorkspace ws;
+      la::Matrix fwd(g.rows, g.cols), inv(g.rows, g.cols);
+      transform.analyze(a.data(), fwd.data(), ws);
+      transform.synthesize(a.data(), inv.data(), ws);
+      la::Matrix fwd_in_place = a, inv_in_place = a;
+      transform.analyze(fwd_in_place.data(), fwd_in_place.data(), ws);
+      transform.synthesize(inv_in_place.data(), inv_in_place.data(), ws);
+      EXPECT_EQ(0, std::memcmp(fwd.data(), fwd_in_place.data(), bytes))
+          << to_string(basis) << " " << g.rows << "x" << g.cols;
+      EXPECT_EQ(0, std::memcmp(inv.data(), inv_in_place.data(), bytes))
+          << to_string(basis) << " " << g.rows << "x" << g.cols;
     }
   }
 }

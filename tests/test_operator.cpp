@@ -289,6 +289,42 @@ TEST(NormalApply, DefaultIsAdjointOfApplyAndChecksShape) {
   EXPECT_THROW(t.apply_normal(la::Vector(7), out), CheckError);
 }
 
+// The power iteration as written before it reused its buffers: two fresh
+// vectors per step, v = Aᵀ(A v) / ||Aᵀ(A v)||.
+double allocating_norm_estimate(const la::LinearOperator& a, int iters) {
+  la::Vector v(a.cols());
+  for (std::size_t i = 0; i < v.size(); ++i)
+    v[i] = 1.0 + 0.001 * static_cast<double>(i % 17);
+  v /= v.norm2();
+  double sigma = 0.0;
+  for (int it = 0; it < iters; ++it) {
+    const la::Vector w = a.apply_adjoint(a.apply(v));
+    const double n = w.norm2();
+    if (n == 0.0) return 0.0;
+    v = w / n;
+    sigma = std::sqrt(n);
+  }
+  return sigma;
+}
+
+TEST(OperatorNormEstimate, InPlaceStepsKeepTheAllocatingLoopsBits) {
+  Rng rng(0x90E8);
+  const la::DenseOperator dense(random_matrix(20, 35, rng));
+  const SubsampledTransformOperator dct(dsp::BasisKind::kDct2D,
+                                        random_pattern(12, 16, 0.5, rng));
+  const SubsampledTransformOperator haar(dsp::BasisKind::kHaar2D,
+                                         random_pattern(12, 16, 0.5, rng));
+  for (const la::LinearOperator* op :
+       std::vector<const la::LinearOperator*>{&dense, &dct, &haar}) {
+    for (const int iters : {1, 7, 30}) {
+      const double got = la::operator_norm_estimate(*op, iters);
+      const double want = allocating_norm_estimate(*op, iters);
+      EXPECT_EQ(0, std::memcmp(&got, &want, sizeof(double)))
+          << iters << " steps: " << got << " vs " << want;
+    }
+  }
+}
+
 TEST(DenseOperator, NormEstimateMatchesSpectralNormBitForBit) {
   Rng rng(0x5B11);
   const la::Matrix a = random_matrix(20, 35, rng);

@@ -826,5 +826,80 @@ TEST(FistaRefitStop, ZeroToleranceStillRunsTheWholeBudget) {
   EXPECT_FALSE(r.converged);
 }
 
+// ---------------------------------------------------------------------------
+// The split coefficient pass against golden::fista, the fused scalar pass
+
+// One FistaSolver solve and its golden twin must agree byte for byte.
+struct GoldenFistaCase {
+  std::string name;
+  std::shared_ptr<const la::LinearOperator> op;
+  la::Vector b;
+  FistaOptions opts;
+  SolveOptions ctrl;
+};
+
+void expect_same_bytes(const GoldenFistaCase& c, const SolveResult& lib,
+                       const SolveResult& ref) {
+  EXPECT_EQ(lib.iterations, ref.iterations) << c.name;
+  EXPECT_EQ(lib.converged, ref.converged) << c.name;
+  EXPECT_FALSE(lib.deadline_expired) << c.name;
+  EXPECT_EQ(0, std::memcmp(&lib.residual_norm, &ref.residual_norm,
+                           sizeof(double)))
+      << c.name << ": " << lib.residual_norm << " vs " << ref.residual_norm;
+  ASSERT_EQ(lib.x.size(), ref.x.size()) << c.name;
+  EXPECT_EQ(0, std::memcmp(lib.x.data(), ref.x.data(),
+                           ref.x.size() * sizeof(double)))
+      << c.name;
+}
+
+TEST(FistaGolden, SplitPassMatchesTheFusedPassByteForByte) {
+  std::vector<GoldenFistaCase> cases;
+  const auto add = [&cases](std::string name,
+                            std::shared_ptr<const la::LinearOperator> op,
+                            const la::Vector& b, FistaOptions opts,
+                            SolveOptions ctrl) {
+    cases.push_back({std::move(name), std::move(op), b, opts, ctrl});
+  };
+  for (const bool refit : {false, true}) {
+    const std::string tag = refit ? " refit" : "";
+    const TileProblem dct = thermal_tile_problem(20, 5);
+    add("dct 20x20" + tag, dct.op, dct.b, {}, tight_frame_ctrl(refit));
+    add("haar 20x20" + tag,
+        std::make_shared<cs::SubsampledTransformOperator>(
+            dsp::BasisKind::kHaar2D, dct.pattern),
+        dct.b, {}, tight_frame_ctrl(refit));
+    // An odd N (thermal frames start at 16x16): the vector pass leaves the
+    // last coefficient to its scalar tail.
+    const TileProblem odd = thermal_tile_problem(17, 7);
+    add("dct 17x17" + tag, odd.op, odd.b, {}, tight_frame_ctrl(refit));
+    const TileProblem stuck = thermal_tile_problem(36, 3, 0.02);
+    add("stuck 36x36" + tag, stuck.op, stuck.b, {}, tight_frame_ctrl(refit));
+  }
+  // A dense operator without a norm hint: sigma from the power iteration.
+  const TileProblem small = thermal_tile_problem(16, 9);
+  add("dense 16x16",
+      std::make_shared<la::DenseOperator>(
+          golden::measurement_matrix(dsp::BasisKind::kDct2D, small.pattern)),
+      small.b, {}, SolveOptions{});
+  FistaOptions ista;
+  ista.accelerate = false;
+  ista.max_iterations = 300;
+  const TileProblem plain = thermal_tile_problem(20, 11);
+  add("ista 20x20", plain.op, plain.b, ista, tight_frame_ctrl(false));
+
+  int restarts = 0, stage_switches = 0;
+  for (const GoldenFistaCase& c : cases) {
+    const SolveResult lib = FistaSolver(c.opts).solve(*c.op, c.b, c.ctrl);
+    const golden::FistaTrace ref = golden::fista(*c.op, c.b, c.opts, c.ctrl);
+    expect_same_bytes(c, lib, ref.result);
+    restarts += ref.restarts;
+    stage_switches += ref.stage_switches;
+  }
+  // Both branches of the loop ran: the momentum restart and the λ stage
+  // switch.
+  EXPECT_GT(restarts, 0);
+  EXPECT_GT(stage_switches, 0);
+}
+
 }  // namespace
 }  // namespace flexcs::solvers

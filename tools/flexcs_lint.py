@@ -64,7 +64,12 @@ Enforces project invariants the compiler cannot express:
                     with -mavx2) carries the allow marker. For the same
                     reason C++ sources under src/ may not pick an ISA per
                     function (__attribute__((target(...))), target_clones,
-                    [[gnu::target(...)]])
+                    [[gnu::target(...)]]) nor include an intrinsics header
+                    (<immintrin.h>, <x86intrin.h>, <emmintrin.h>, any other
+                    *intrin.h, <arm_neon.h>): an intrinsic names one ISA's
+                    instruction, so the library would no longer build and
+                    decode the same bits on every host. SIMD code uses GCC
+                    vector extensions, which every target compiles
   dense-branch      under src/solvers/, only the entry-hungry solvers
                     (omp.cpp, bp_lp.cpp), FISTA's zero-matrix Lipschitz
                     shortcut (fista.cpp) and the shared input validation
@@ -703,6 +708,32 @@ def check_target_attributes(f: SourceFile) -> List[Finding]:
     return findings
 
 
+_INTRINSICS_INCLUDE_RE = re.compile(
+    r"^\s*#\s*include\s*[<\"]((?:[\w/]*/)?(?:\w*intrin\.h|arm_neon\.h))[>\"]")
+
+
+def check_intrinsics_includes(f: SourceFile) -> List[Finding]:
+    if not f.relpath.startswith("src/"):
+        return []
+    findings: List[Finding] = []
+    stripped = f.stripped_lines
+    for idx, line in enumerate(f.lines, start=1):
+        # The stripped line blanks a quoted header name but keeps the
+        # directive, so a commented-out include does not fire.
+        code = stripped[idx - 1] if idx <= len(stripped) else ""
+        m = _INTRINSICS_INCLUDE_RE.match(line)
+        if not m or "include" not in code:
+            continue
+        fd = f.finding_unless_allowed(
+            idx, "build-flags",
+            f"'{m.group(1)}' ties the library to one ISA's instructions — "
+            "write the kernel with GCC vector extensions, so every host "
+            "builds it and decodes the same bits")
+        if fd:
+            findings.append(fd)
+    return findings
+
+
 # Solver sources that may read an operator's matrix (dense-branch rule).
 DENSE_BRANCH_DIR = "src/solvers/"
 DENSE_BRANCH_ALLOWED = ("omp.cpp", "bp_lp.cpp", "fista.cpp", "solver.cpp")
@@ -762,6 +793,7 @@ FILE_RULES: Sequence[Callable[[SourceFile], List[Finding]]] = (
     check_threading,
     check_deadline_poll,
     check_target_attributes,
+    check_intrinsics_includes,
     check_dense_branch,
     check_basis_branch,
 )

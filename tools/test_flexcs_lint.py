@@ -915,6 +915,36 @@ class BuildFlagsTest(unittest.TestCase):
                           "// never __attribute__((target(\"avx2\")))\n"
                           "int target_count = 0;\n"})))
 
+    def test_intrinsics_includes_fire(self):
+        for header in ("<immintrin.h>", "<x86intrin.h>", "<emmintrin.h>",
+                       "<smmintrin.h>", "<arm_neon.h>", '"avx2intrin.h"'):
+            f = lint_fixture({"src/solvers/k.cpp":
+                              "#include <cmath>\n#include " + header +
+                              "\nint a;\n"})
+            fired = [x for x in f if x.rule == "build-flags"]
+            self.assertEqual([2], [x.line for x in fired], header)
+
+    def test_vector_extension_kernel_clean(self):
+        kernel = ("#include <cstring>\n"
+                  "// SSE2 once needed #include <emmintrin.h>\n"
+                  "typedef double Vec2 "
+                  "__attribute__((vector_size(2 * sizeof(double))));\n"
+                  "void k(double* p) {\n"
+                  "  Vec2 v;\n"
+                  "  std::memcpy(&v, p, sizeof(Vec2));\n"
+                  "  v = v > Vec2{} ? v : -v;\n"
+                  "  std::memcpy(p, &v, sizeof(Vec2));\n"
+                  "}\n")
+        f = lint_fixture({"src/solvers/k.cpp": kernel})
+        self.assertNotIn("build-flags", rules_fired(f))
+
+    def test_intrinsics_include_allow_marker_and_scope(self):
+        inc = "#include <immintrin.h>"
+        self.assertNotIn("build-flags", rules_fired(lint_fixture(
+            {"src/dsp/k.cpp": inc + "  // flexcs-lint: allow(build-flags)\n"})))
+        self.assertNotIn("build-flags", rules_fired(lint_fixture(
+            {"bench/k.cpp": inc + "\n", "tests/k.cpp": inc + "\n"})))
+
     def test_outside_src_not_checked(self):
         f = lint_fixture({"bench/CMakeLists.txt":
                           "target_compile_options(b PRIVATE -march=native)\n"})
@@ -1037,7 +1067,7 @@ class BasisBranchTest(unittest.TestCase):
         if not op.is_file():
             self.skipTest("not running inside the repo")
         text = op.read_text()
-        anchor = "  transform_->analyze(ws.grid.data(), x, ws.basis);\n"
+        anchor = "  transform_->analyze(x, x, ws.basis);\n"
         self.assertIn(anchor, text)
         f = lint_fixture({"src/cs/transform_operator.cpp":
                           text.replace(anchor, self.BRANCH + anchor)})
